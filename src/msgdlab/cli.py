@@ -16,7 +16,8 @@ Configs are strict JSON: unknown keys are rejected and every violation is
 reported with the offending key.  Given the same config and seed, outputs
 are byte-identical regardless of ``--threads`` because every replication
 draws from a stream derived from its own index and reductions happen in
-index order.
+index order.  ``wass-scaling`` and ``converge`` advance their replications
+as one ensemble, so ``--threads`` does not affect them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,15 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import RunConfig, run_diffusion_em, run_gaussian_sgd, run_gd, run_msgd, run_ode
+from .dynamics import (
+    DivergenceError,
+    RunConfig,
+    run_diffusion_em,
+    run_gaussian_sgd,
+    run_gd,
+    run_msgd,
+    run_ode,
+)
 from .models import (
     LogisticDataset,
     generate_logistic_dataset,
@@ -39,7 +48,7 @@ from .models import (
     make_quadratic_model,
     make_uniform_clt_model,
 )
-from .numerics import derive_stream, parallel_map
+from .numerics import derive_stream
 from .stats import (
     clt_error_samples,
     contraction_bound,
@@ -120,7 +129,8 @@ class ExperimentReport:
 
     @property
     def overall_pass(self) -> bool:
-        return all(check.passed for check in self.checks)
+        """True when there is at least one check and every check passes."""
+        return bool(self.checks) and all(check.passed for check in self.checks)
 
     def as_dict(self) -> dict:
         return {
@@ -234,6 +244,18 @@ def _check_gamma(value, where: str, diags: list[str]) -> None:
         diags.append(f"{where}: step size must satisfy 0 < gamma < 1, got {value!r}")
 
 
+def _check_nonempty(resolved: dict, key: str, command: str, diags: list[str]) -> None:
+    if isinstance(resolved.get(key), list) and not resolved[key]:
+        diags.append(f"{command}.{key}: must not be empty")
+
+
+def _check_slope_gammas(resolved: dict, command: str, diags: list[str]) -> None:
+    """A log-log slope needs at least two distinct step sizes."""
+    gammas = resolved["gammas"]
+    if isinstance(gammas, list) and len({g for g in gammas if isinstance(g, (int, float))}) < 2:
+        diags.append(f"{command}.gammas: need at least 2 distinct step sizes for the slope fit")
+
+
 def _merge_defaults(command: str, raw: dict) -> dict:
     resolved = dict(_DEFAULTS.get(command, {}))
     for key, value in raw.items():
@@ -332,6 +354,7 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
         resolved["thresholds"] = (
             _DEFAULTS["weights-moments"]["thresholds"] | resolved["thresholds"]
         )
+        _check_nonempty(resolved, "schemes", command, diags)
         for i, spec in enumerate(resolved.get("schemes", [])):
             _check_scheme(spec, f"schemes[{i}]", diags)
             if spec.get("kind") == "dirichlet" and isinstance(resolved.get("m"), int):
@@ -357,6 +380,7 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
         if _require(resolved, ["pairs", "reps"], command, diags):
             if resolved["reps"] < 1000:
                 diags.append("weighting-gap.reps: must be >= 1000")
+            _check_nonempty(resolved, "pairs", command, diags)
             for i, pair in enumerate(resolved["pairs"]):
                 if (
                     not isinstance(pair, list)
@@ -365,12 +389,14 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
                     or not 1 <= pair[1] <= pair[0]
                 ):
                     diags.append(f"pairs[{i}]: expected [n, m] with 1 <= m <= n, got {pair!r}")
+        _check_nonempty(resolved, "schemes", command, diags)
         for i, spec in enumerate(resolved.get("schemes", [])):
             _check_scheme(spec, f"schemes[{i}]", diags)
         _validate_model(resolved["model"], "model", diags, kinds=("quadratic",))
 
     elif command == "wass-scaling":
         if _require(resolved, ["gammas", "reps"], command, diags):
+            _check_slope_gammas(resolved, command, diags)
             for i, gamma in enumerate(resolved["gammas"]):
                 _check_gamma(gamma, f"gammas[{i}]", diags)
                 if isinstance(gamma, (int, float)) and 0 < gamma < 1:
@@ -389,6 +415,7 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
         _validate_model(resolved["model"], "model", diags)
         _check_scheme(resolved["scheme"], "scheme", diags)
         _validate_nm(resolved, command, diags)
+        _check_nonempty(resolved, "runs", command, diags)
         for i, run in enumerate(resolved["runs"]):
             if not isinstance(run, dict):
                 diags.append(f"runs[{i}]: expected an object")
@@ -407,6 +434,7 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
             if "kappas" not in resolved:
                 diags.append("converge.kappas: required for the logistic model")
             else:
+                _check_nonempty(resolved, "kappas", command, diags)
                 for i, kappa in enumerate(resolved["kappas"]):
                     if not isinstance(kappa, (int, float)) or kappa <= 0:
                         diags.append(f"kappas[{i}]: must be a positive number")
@@ -415,6 +443,7 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
 
     elif command == "gd-ode":
         if _require(resolved, ["gammas"], command, diags):
+            _check_slope_gammas(resolved, command, diags)
             for i, gamma in enumerate(resolved["gammas"]):
                 _check_gamma(gamma, f"gammas[{i}]", diags)
                 if isinstance(gamma, (int, float)) and 0 < gamma < 1:
@@ -626,6 +655,14 @@ def _run_weighting_gap(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> 
     return checks
 
 
+def _final_states(trajectory) -> np.ndarray:
+    """The (R, p) ensemble at the horizon; a diverged replication is an error."""
+    if trajectory.diverged:
+        r, k = next(iter(trajectory.diverged.items()))  # recorded in step order
+        raise DivergenceError(f"{trajectory.kind} replication {r}", k)
+    return trajectory.states[-1]
+
+
 def _run_wass_scaling(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> list[CheckResult]:
     params = cfg.params
     model = _model_from_spec(params["model"])
@@ -642,17 +679,12 @@ def _run_wass_scaling(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> l
         config = RunConfig(
             gamma=gamma, num_steps=int(round(horizon / gamma)), m=m, n=n, x0=x0
         )
-
-        def msgd_final(r, config=config, i=i):
-            return run_msgd(model, scheme, config, root.child(i, "msgd", r)).states[-1]
-
-        def em_final(r, config=config, i=i):
-            return run_diffusion_em(
-                model, config, params["em_substeps"], root.child(i, "em", r)
-            ).states[-1]
-
-        msgd_ensemble = np.asarray(parallel_map(msgd_final, reps, threads))
-        em_ensemble = np.asarray(parallel_map(em_final, reps, threads))
+        msgd_ensemble = _final_states(run_msgd(
+            model, scheme, config, [root.child(i, "msgd", r) for r in range(reps)]
+        ))
+        em_ensemble = _final_states(run_diffusion_em(
+            model, config, params["em_substeps"], [root.child(i, "em", r) for r in range(reps)]
+        ))
         estimate = sliced_w2(
             msgd_ensemble, em_ensemble, params["n_directions"], root.child(i, "directions")
         )
@@ -689,7 +721,7 @@ def _quadratic_gap_recursion(gamma: float, m: int, trace: float, start: float, k
     return out
 
 
-def _run_converge_quadratic(cfg, out: _OutputDir, threads: int) -> list[CheckResult]:
+def _run_converge_quadratic(cfg, out: _OutputDir) -> list[CheckResult]:
     params = cfg.params
     model = _model_from_spec(params["model"])
     n, m, reps = params["n"], params["m"], params["reps"]
@@ -716,9 +748,7 @@ def _run_converge_quadratic(cfg, out: _OutputDir, threads: int) -> list[CheckRes
             "msgd": lambda mo, co, st: run_msgd(mo, scheme, co, st),
         }
         for kind, runner in runners.items():
-            curve = convergence_curve(
-                model, runner, config, reps, root.child(run_idx, kind), threads=threads
-            )
+            curve = convergence_curve(model, runner, config, reps, root.child(run_idx, kind))
             # worst deviation from the recursion oracle in SE units
             dev = np.abs(curve.g_gap_mean - oracle) / (4.0 * curve.g_gap_se + 1e-15)
             checks.append(CheckResult(
@@ -763,7 +793,7 @@ def _block_means(per_rep_curves: np.ndarray, blocks: int):
     return means, errs
 
 
-def _run_converge_logistic(cfg, out: _OutputDir, threads: int) -> list[CheckResult]:
+def _run_converge_logistic(cfg, out: _OutputDir) -> list[CheckResult]:
     params = cfg.params
     spec = params["model"]
     p, t = spec["p"], spec["t"]
@@ -791,7 +821,6 @@ def _run_converge_logistic(cfg, out: _OutputDir, threads: int) -> list[CheckResu
                 root.child(run_idx, kappa_idx),
                 reference=(np.zeros(p), 0.0),
                 track_objective=False,
-                threads=threads,
             )
             mse, mse_se = curve.sq_dist_mean, curve.sq_dist_se
             label = f"run{run_idx}:kappa{kappa:g}"
@@ -837,8 +866,8 @@ def _run_converge_logistic(cfg, out: _OutputDir, threads: int) -> list[CheckResu
 
 def _run_converge(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> list[CheckResult]:
     if cfg.params["model"]["kind"] == "quadratic":
-        return _run_converge_quadratic(cfg, out, threads)
-    return _run_converge_logistic(cfg, out, threads)
+        return _run_converge_quadratic(cfg, out)
+    return _run_converge_logistic(cfg, out)
 
 
 def _run_gd_ode(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> list[CheckResult]:
@@ -918,7 +947,10 @@ def main(argv=None) -> int:
         "--out", default=None,
         help="output directory (default: the config's 'out', else msgdlab-out)",
     )
-    parser.add_argument("--threads", type=int, default=1, help="replication thread count")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="replication thread count for clt, weights-moments and weighting-gap",
+    )
     parser.add_argument(
         "--list-commands", action="store_true", help="list commands and exit"
     )

@@ -9,6 +9,15 @@ A :class:`LossModel` bundles everything the dynamics need:
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
   ``sigma sigma^T = Cov(grad_loss(theta, .))``.
 
+Every callable but ``sample_data`` also accepts theta with leading
+replication axes, shape (..., p): ``objective`` then returns shape (...),
+``grad_objective`` (..., p), ``grad_loss`` maps data of shape
+(..., count, payload) to (..., count, p), and ``noise_factor`` returns
+(..., p, q), or one shared (p, q) matrix when sigma does not depend on
+theta.  Inner products go through stacked ``np.matmul``, which runs the same
+kernel on every replication as on a lone theta, so a batched call is
+bit-identical to one call per replication.
+
 Three concrete models are provided: a quadratic with Gaussian data (every
 quantity in closed form, the main oracle model), a mean-zero uniform-data
 model whose gradient is the datum itself (for error-distribution studies),
@@ -69,10 +78,12 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     if theta_star.shape != (p,):
         raise ValueError(f"theta_star must have shape ({p},), got {theta_star.shape}")
     const = 0.5 * p * s * s
+    factor = s * np.eye(p)
+    factor.setflags(write=False)
 
     def objective(theta):
         d = np.asarray(theta, dtype=float) - theta_star
-        return 0.5 * float(d @ d) + const
+        return 0.5 * (d[..., None, :] @ d[..., :, None])[..., 0, 0] + const
 
     def grad_objective(theta):
         return np.asarray(theta, dtype=float) - theta_star
@@ -81,10 +92,10 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
         return theta_star + s * stream.generator.standard_normal((count, p))
 
     def grad_loss(theta, data):
-        return np.asarray(theta, dtype=float)[None, :] - data
+        return np.asarray(theta, dtype=float)[..., None, :] - data
 
     def noise_factor(theta):
-        return s * np.eye(p)
+        return factor
 
     return LossModel(
         name="quadratic",
@@ -114,12 +125,13 @@ def make_uniform_clt_model(p: int) -> LossModel:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     factor = np.eye(p) / np.sqrt(3.0)
+    factor.setflags(write=False)
 
     def objective(theta):
-        return 0.0
+        return np.zeros(np.shape(theta)[:-1])[()]
 
     def grad_objective(theta):
-        return np.zeros(p)
+        return np.zeros(np.shape(theta))
 
     def sample_data(stream, count):
         return stream.generator.uniform(-1.0, 1.0, size=(count, p))
@@ -243,12 +255,10 @@ def logistic_lipschitz_constants(dataset: LogisticDataset) -> tuple[float, float
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def make_logistic_model(dataset: LogisticDataset) -> LossModel:
@@ -268,14 +278,14 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
 
     def objective(beta):
         beta = np.asarray(beta, dtype=float)
-        z = x @ beta
-        nll = -float(y @ z) + float(np.sum(np.logaddexp(0.0, z)))
-        return nll / t + kappa * float(beta @ beta)
+        z = (x @ beta[..., None])[..., 0]
+        nll = -(z @ y) + np.sum(np.logaddexp(0.0, z), axis=-1)
+        return nll / t + kappa * (beta[..., None, :] @ beta[..., :, None])[..., 0, 0]
 
     def grad_objective(beta):
         beta = np.asarray(beta, dtype=float)
-        resid = _sigmoid(x @ beta) - y
-        return (x.T @ resid) / t + 2.0 * kappa * beta
+        resid = _sigmoid((x @ beta[..., None])[..., 0]) - y
+        return (x.T @ resid[..., None])[..., 0] / t + 2.0 * kappa * beta
 
     def sample_data(stream, count):
         idx = stream.generator.integers(0, t, size=count)
@@ -283,19 +293,19 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
 
     def grad_loss(beta, data):
         beta = np.asarray(beta, dtype=float)
-        yd = data[:, 0]
-        xd = data[:, 1:]
-        resid = _sigmoid(xd @ beta) - yd
-        return resid[:, None] * xd + 2.0 * kappa * beta
+        yd = data[..., 0]
+        xd = data[..., 1:]
+        resid = _sigmoid((xd @ beta[..., None])[..., 0]) - yd
+        return resid[..., None] * xd + 2.0 * kappa * beta[..., None, :]
 
     def per_datum_gradients(beta):
-        resid = _sigmoid(x @ beta) - y
-        return resid[:, None] * x + 2.0 * kappa * beta
+        resid = _sigmoid((x @ beta[..., None])[..., 0]) - y
+        return resid[..., None] * x + 2.0 * kappa * beta[..., None, :]
 
     def noise_factor(beta):
         beta = np.asarray(beta, dtype=float)
         grads = per_datum_gradients(beta)
-        return (grads - grad_objective(beta)).T / np.sqrt(t)
+        return np.swapaxes(grads - grad_objective(beta)[..., None, :], -1, -2) / np.sqrt(t)
 
     # h1(z_i) = |x_i|^2 / 4 + 2 kappa bounds the per-datum gradient modulus;
     # each noise-factor column moves at most (h1 + L)/sqrt(t), giving a

@@ -282,53 +282,41 @@ def reference_minimum(
 
 def convergence_curve(
     model: LossModel,
-    runner: Callable[[LossModel, RunConfig, RngStream], Trajectory],
+    runner: Callable[[LossModel, RunConfig, list[RngStream]], Trajectory],
     config: RunConfig,
     reps: int,
     stream: RngStream,
     reference: Optional[tuple[np.ndarray, float]] = None,
     track_objective: bool = True,
-    threads: int = 1,
 ) -> ConvergenceCurve:
     """Replicate a process and average g(x_k) - g* and |x_k - x*|^2 over reps.
 
-    Diverged replications are recorded by index and excluded from the
-    averages; they are never silently dropped.  Replication r consumes the
-    derived stream ``stream.child("rep", r)`` so results do not depend on
-    execution order.  ``track_objective=False`` skips the per-state
-    objective evaluations (the g-gap rows come back as zeros), which
-    matters for models whose objective sweeps a large dataset.
+    The runner advances all replications as one ensemble; replication r
+    consumes the derived stream ``stream.child("rep", r)``.  Diverged
+    replications are recorded by index and excluded from the averages; they
+    are never silently dropped.  ``track_objective=False`` skips the
+    objective evaluations (the g-gap rows come back as zeros), which matters
+    for models whose objective sweeps a large dataset.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     x_star, g_star = reference if reference is not None else reference_minimum(model)
     x_star = np.asarray(x_star, dtype=float)
-
-    def one_rep(r: int):
-        try:
-            traj = runner(model, config, stream.child("rep", r))
-        except DivergenceError:
-            return None
-        diffs = traj.states - x_star[None, :]
-        sq = np.sum(diffs * diffs, axis=1)
-        if track_objective:
-            gap = np.array([model.objective(x) - g_star for x in traj.states])
-        else:
-            gap = np.zeros(traj.states.shape[0])
-        return gap, sq
-
-    results = parallel_map(one_rep, reps, threads)
-    g_gaps, sq_dists, diverged = [], [], []
-    for r, result in enumerate(results):
-        if result is None:
-            diverged.append(r)
-        else:
-            g_gaps.append(result[0])
-            sq_dists.append(result[1])
-    if not g_gaps:
-        raise ArithmeticError(f"all {reps} replications diverged")
-    g_mat = np.asarray(g_gaps)
-    d_mat = np.asarray(sq_dists)
+    try:
+        traj = runner(model, config, [stream.child("rep", r) for r in range(reps)])
+    except DivergenceError as exc:
+        raise ArithmeticError(f"all {reps} replications diverged") from exc
+    diverged = sorted(traj.diverged)
+    kept = [r for r in range(reps) if r not in traj.diverged]
+    states = traj.states[:, kept]  # (K+1, reps_ok, p)
+    diffs = states - x_star
+    # per-replication rows, C-ordered so the reductions over axis 0 below
+    # accumulate in the same order as a stack of separate rows
+    d_mat = np.ascontiguousarray(np.sum(diffs * diffs, axis=2).T)
+    if track_objective:
+        g_mat = np.ascontiguousarray((model.objective(states) - g_star).T)
+    else:
+        g_mat = np.zeros_like(d_mat)
     count = g_mat.shape[0]
     scale = math.sqrt(count)
     return ConvergenceCurve(

@@ -99,13 +99,12 @@ def _sample_subset(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
     """
     draws = gen.integers(low=np.arange(m), high=n)  # j_i uniform on [i, n)
     swapped: dict[int, int] = {}
-    out = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        j = int(draws[i])
+    out = []
+    for i, j in enumerate(draws.tolist()):
         value_i = swapped.get(i, i)
-        out[i] = swapped.get(j, j)
+        out.append(swapped.get(j, j))
         swapped[j] = value_i
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 def sample_minibatch_weights(stream: RngStream, scheme: WeightScheme) -> WeightVector:
@@ -145,9 +144,10 @@ def sample_dirichlet_weights(stream: RngStream, scheme: WeightScheme) -> WeightV
 
     If every gamma variate underflows to zero (possible in principle at
     tiny concentrations), the draw is retried on fresh derived substreams,
-    capped at 10 attempts.  Retries share the substream address across
-    calls, which is acceptable because a single underflow already has
-    probability far below 1e-60 at the shapes this package uses.
+    capped at 10 attempts.  Each retry substream is keyed by a value drawn
+    from `stream` at the time of the retry, so retries at different steps of
+    a reused stream get different addresses, and a draw that needs no retry
+    consumes nothing extra.
     """
     if scheme.kind != "dirichlet":
         raise ValueError(f"scheme kind must be 'dirichlet', got {scheme.kind!r}")
@@ -162,7 +162,7 @@ def sample_dirichlet_weights(stream: RngStream, scheme: WeightScheme) -> WeightV
                 f"all gamma draws underflowed to zero in {attempt - 1} retries "
                 f"(n={scheme.n}, alpha={alpha})"
             )
-        retry = stream.child("dirichlet_retry", attempt)
+        retry = stream.child("dirichlet_retry", int(stream.generator.integers(2**63)))
         raw = sample_gamma(retry, alpha, size=scheme.n)
         total = raw.sum()
     return WeightVector(raw / total, scheme)

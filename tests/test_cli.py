@@ -8,7 +8,9 @@ import pytest
 
 from msgdlab.cli import (
     COMMANDS,
+    CheckResult,
     ConfigError,
+    ExperimentReport,
     histogram_rows,
     main,
     run_experiment,
@@ -174,7 +176,7 @@ class TestRunExperiment:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
-        cfg = tiny_config("converge")
+        cfg = tiny_config("clt")
         run_experiment(validate_config(cfg), tmp_path / "t1", threads=1)
         run_experiment(validate_config(cfg), tmp_path / "t8", threads=8)
         names = sorted(p.name for p in (tmp_path / "t1").iterdir())
@@ -213,6 +215,40 @@ class TestMain:
         code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("converge", "runs"),
+            ("weights-moments", "schemes"),
+            ("weighting-gap", "schemes"),
+            ("weighting-gap", "pairs"),
+        ],
+    )
+    def test_empty_list_exit_two(self, command, key, tmp_path, capsys):
+        # an empty list would run no check at all
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(tiny_config(command) | {key: []}))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{command}.{key}: must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["wass-scaling", "gd-ode"])
+    @pytest.mark.parametrize("gammas", [[0.1], [0.1, 0.1]])
+    def test_slope_needs_two_distinct_gammas(self, command, gammas, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(tiny_config(command) | {"gammas": gammas}))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{command}.gammas: need at least 2 distinct" in capsys.readouterr().err
+
+    def test_report_without_checks_fails(self):
+        empty = ExperimentReport(command="gd-ode", seed=1, config={}, resolved={}, checks=[])
+        assert not empty.overall_pass
+        assert empty.as_dict()["overall_pass"] is False
+        passing = CheckResult("c", observed=0.0, target=0.0, tolerance=1.0)
+        assert ExperimentReport("gd-ode", 1, {}, {}, [passing]).overall_pass
 
     def test_missing_config_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -107,16 +107,16 @@ class TestGaussianSgd:
     def test_zero_noise_equals_gd(self):
         model = zero_noise_quadratic()
         config = RunConfig(gamma=0.2, num_steps=25, m=3, n=9, x0=[1.5])
-        noisy = run_gaussian_sgd(model, config, derive_stream(5, ["z"]))
+        noisy = run_gaussian_sgd(model, config, [derive_stream(5, ["z"])])
         plain = run_gd(model, config)
-        np.testing.assert_array_equal(noisy.states, plain.states)
+        np.testing.assert_array_equal(noisy.states[:, 0], plain.states)
 
     def test_huge_minibatch_tracks_gd(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=10, m=10**8, n=10**8, x0=[1.0])
-        noisy = run_gaussian_sgd(model, config, derive_stream(7, ["big"]))
+        noisy = run_gaussian_sgd(model, config, [derive_stream(7, ["big"])])
         plain = run_gd(model, config)
-        assert np.max(np.abs(noisy.states - plain.states)) <= 1e-2
+        assert np.max(np.abs(noisy.states[:, 0] - plain.states)) <= 1e-2
 
     def test_one_step_noise_variance(self):
         model = make_quadratic_model(1, [0.0], 1.0)
@@ -124,10 +124,8 @@ class TestGaussianSgd:
         config = RunConfig(gamma=0.1, num_steps=1, m=m, n=m, x0=[1.0])
         stream = derive_stream(11, ["var"])
         deterministic = 1.0 - 0.1 * 1.0
-        draws = np.array([
-            run_gaussian_sgd(model, config, stream.child(r)).states[1, 0] - deterministic
-            for r in range(10**4)
-        ])
+        streams = [stream.child(r) for r in range(10**4)]
+        draws = run_gaussian_sgd(model, config, streams).states[1, :, 0] - deterministic
         assert draws.var() == pytest.approx(0.1**2 / m, rel=0.06)
 
 
@@ -139,26 +137,24 @@ class TestMsgd:
         for kind in ("minibatch", "gaussian", "dirichlet"):
             scheme = WeightScheme(kind, n=32, m=8)
             config = RunConfig(gamma=0.25, num_steps=20, m=8, n=32, x0=[2.0])
-            traj = run_msgd(model, scheme, config, derive_stream(13, [kind]))
+            traj = run_msgd(model, scheme, config, [derive_stream(13, [kind])])
             plain = run_gd(model, config)
-            np.testing.assert_allclose(traj.states, plain.states, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(traj.states[:, 0], plain.states, rtol=1e-12, atol=1e-14)
 
     def test_scheme_config_mismatch_rejected(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         scheme = WeightScheme("minibatch", n=64, m=8)
         config = RunConfig(gamma=0.1, num_steps=5, m=4, n=64, x0=[1.0])
         with pytest.raises(ValueError):
-            run_msgd(model, scheme, config, derive_stream(1, []))
+            run_msgd(model, scheme, config, [derive_stream(1, [])])
 
     def test_ensemble_mean_tracks_gd(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         scheme = WeightScheme("minibatch", n=1000, m=100)
         config = RunConfig(gamma=0.1, num_steps=50, m=100, n=1000, x0=[1.0])
         stream = derive_stream(17, ["ens"])
-        finals = np.array([
-            run_msgd(model, scheme, config, stream.child(r)).states[-1, 0]
-            for r in range(200)
-        ])
+        streams = [stream.child(r) for r in range(200)]
+        finals = run_msgd(model, scheme, config, streams).states[-1, :, 0]
         target = run_gd(model, config).states[-1, 0]
         se = finals.std(ddof=1) / math.sqrt(200)
         assert abs(finals.mean() - target) <= 4 * se
@@ -171,19 +167,96 @@ class TestMsgd:
         scheme = WeightScheme("dirichlet", n=200, m=40)
         config = RunConfig(gamma=0.1, num_steps=steps, m=40, n=200, x0=[1.0])
         stream = derive_stream(83, ["unbiased"])
-        msgd = np.array([
-            run_msgd(model, scheme, config, stream.child("m", r)).states[:, 0]
-            for r in range(reps)
-        ])
-        gauss = np.array([
-            run_gaussian_sgd(model, config, stream.child("g", r)).states[:, 0]
-            for r in range(reps)
-        ])
+        msgd = run_msgd(
+            model, scheme, config, [stream.child("m", r) for r in range(reps)]
+        ).states[:, :, 0].T
+        gauss = run_gaussian_sgd(
+            model, config, [stream.child("g", r) for r in range(reps)]
+        ).states[:, :, 0].T
         gd_path = run_gd(model, config).states[:, 0]
         for ensemble in (msgd, gauss):
             se = ensemble.std(axis=0, ddof=1) / math.sqrt(reps)
             gaps = np.abs(ensemble.mean(axis=0) - gd_path)
             np.testing.assert_array_less(gaps, 4 * se + 1e-12)
+
+
+class TestEnsemble:
+    """Replication r of an ensemble is the run a one-replication ensemble
+    on the same stream makes, to the last bit."""
+
+    REPS = 5
+
+    def _model(self, name):
+        if name == "quadratic":
+            return make_quadratic_model(2, [0.5, -0.5], 1.0)
+        dataset = generate_logistic_dataset(derive_stream(97, ["ld"]), 3, 150, 0.1)
+        return make_logistic_model(dataset)
+
+    def _assert_replications_match(self, run, label):
+        streams = [derive_stream(101, [label, r]) for r in range(self.REPS)]
+        ensemble = run(streams)
+        assert ensemble.states.shape[1] == self.REPS
+        for r in range(self.REPS):
+            single = run([derive_stream(101, [label, r])])
+            np.testing.assert_array_equal(ensemble.states[:, r], single.states[:, 0])
+            for name in ("drift_record", "noise_record"):
+                if getattr(single, name) is not None:
+                    np.testing.assert_array_equal(
+                        getattr(ensemble, name)[:, r], getattr(single, name)[:, 0]
+                    )
+
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
+    def test_msgd(self, kind, model_name):
+        model = self._model(model_name)
+        scheme = WeightScheme(kind, n=64, m=16)
+        config = RunConfig(gamma=0.2, num_steps=12, m=16, n=64, x0=np.ones(model.dim))
+        self._assert_replications_match(
+            lambda streams: run_msgd(model, scheme, config, streams), f"msgd-{kind}"
+        )
+
+    @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
+    def test_gaussian_sgd(self, model_name):
+        model = self._model(model_name)
+        config = RunConfig(gamma=0.2, num_steps=12, m=4, n=16, x0=np.ones(model.dim))
+        self._assert_replications_match(
+            lambda streams: run_gaussian_sgd(model, config, streams), "gaussian"
+        )
+
+    @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
+    def test_diffusion_em(self, model_name):
+        model = self._model(model_name)
+        config = RunConfig(gamma=0.2, num_steps=6, m=4, n=16, x0=np.ones(model.dim))
+        self._assert_replications_match(
+            lambda streams: run_diffusion_em(model, config, 7, streams), "em"
+        )
+
+    def test_single_stream_rejected(self):
+        model = make_quadratic_model(1, [0.0], 1.0)
+        config = RunConfig(gamma=0.1, num_steps=3, m=1, n=1, x0=[1.0])
+        with pytest.raises(TypeError, match="sequence"):
+            run_gaussian_sgd(model, config, derive_stream(1, []))
+
+    def test_diverged_replication_dropped_and_recorded(self, repelling_for_stream):
+        # replication 1 draws data that makes its gradient repel
+        model = repelling_for_stream(1)
+        scheme = WeightScheme("minibatch", n=4, m=2)
+        config = RunConfig(gamma=0.5, num_steps=400, m=2, n=4, x0=[1.0])
+        streams = [derive_stream(103, [r]) for r in range(3)]
+        traj = run_msgd(model, scheme, config, streams)
+        k = traj.diverged[1]
+        assert list(traj.diverged) == [1] and 0 < k <= 400
+        assert np.all(np.isfinite(traj.states[:k, 1])) and np.all(np.isnan(traj.states[k:, 1]))
+        for r in (0, 2):
+            single = run_msgd(model, scheme, config, [streams[r]])
+            np.testing.assert_array_equal(traj.states[:, r], single.states[:, 0])
+
+    def test_all_diverged_raises(self, repelling_for_stream):
+        model = repelling_for_stream(0)
+        scheme = WeightScheme("minibatch", n=4, m=2)
+        config = RunConfig(gamma=0.5, num_steps=400, m=2, n=4, x0=[1.0])
+        with pytest.raises(DivergenceError):
+            run_msgd(model, scheme, config, [derive_stream(103, [0])])
 
 
 class TestOde:
@@ -223,8 +296,8 @@ class TestDiffusionEm:
     def test_zero_noise_is_explicit_euler(self):
         model = zero_noise_quadratic()
         config = RunConfig(gamma=0.1, num_steps=10, m=1, n=1, x0=[1.0])
-        traj = run_diffusion_em(model, config, substeps=100, stream=derive_stream(19, ["em"]))
-        assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
+        traj = run_diffusion_em(model, config, 100, [derive_stream(19, ["em"])])
+        assert traj.states[-1, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
 
     def test_single_substep_variance(self):
         model = make_quadratic_model(1, [0.0], 1.0)
@@ -233,20 +306,17 @@ class TestDiffusionEm:
         stream = derive_stream(23, ["emvar"])
         h = gamma / substeps
         deterministic = 1.0 - h
-        draws = np.array([
-            run_diffusion_em(model, config, substeps, stream.child(r)).states[1, 0]
-            - deterministic
-            for r in range(10**4)
-        ])
+        streams = [stream.child(r) for r in range(10**4)]
+        draws = run_diffusion_em(model, config, substeps, streams).states[1, :, 0] - deterministic
         assert draws.var() == pytest.approx((gamma / m) * h, rel=0.06)
 
     def test_huge_minibatch_tracks_ode(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=10, m=10**8, n=10**8, x0=[1.0])
-        traj = run_diffusion_em(model, config, substeps=50, stream=derive_stream(29, ["big"]))
+        traj = run_diffusion_em(model, config, 50, [derive_stream(29, ["big"])])
         ode = run_ode(model, [1.0], h=0.1 / 50, horizon=1.0)
         gaps = [
-            abs(traj.states[k, 0] - ode.state_at_time(k * 0.1)[0]) for k in range(11)
+            abs(traj.states[k, 0, 0] - ode.state_at_time(k * 0.1)[0]) for k in range(11)
         ]
         assert max(gaps) <= 1e-2
 
@@ -263,21 +333,21 @@ class TestLogisticNoiseDimension:
         model = self._model()
         assert model.noise_dim == 200
         config = RunConfig(gamma=0.2, num_steps=80, m=20, n=100, x0=np.ones(3))
-        traj = run_gaussian_sgd(model, config, derive_stream(79, ["run"]))
-        assert model.objective(traj.states[-1]) < model.objective(traj.states[0])
+        traj = run_gaussian_sgd(model, config, [derive_stream(79, ["run"])])
+        assert model.objective(traj.states[-1, 0]) < model.objective(traj.states[0, 0])
 
     def test_diffusion_em_contracts(self):
         model = self._model()
         config = RunConfig(gamma=0.2, num_steps=40, m=20, n=100, x0=np.ones(3))
-        traj = run_diffusion_em(model, config, substeps=10, stream=derive_stream(79, ["em"]))
-        assert model.objective(traj.states[-1]) < model.objective(traj.states[0])
+        traj = run_diffusion_em(model, config, 10, [derive_stream(79, ["em"])])
+        assert model.objective(traj.states[-1, 0]) < model.objective(traj.states[0, 0])
 
     def test_bridge_interpolation_runs(self):
         model = self._model()
         config = RunConfig(gamma=0.2, num_steps=5, m=20, n=100, x0=np.ones(3))
-        traj = run_gaussian_sgd(model, config, derive_stream(79, ["path"]))
+        traj = run_gaussian_sgd(model, config, [derive_stream(79, ["path"])])
         value = interpolate_gaussian_piece(traj, 0.3, derive_stream(79, ["br"]))
-        assert value.shape == (3,)
+        assert value.shape == (1, 3)
         assert np.all(np.isfinite(value))
 
 
@@ -286,7 +356,7 @@ class TestInterpolation:
         model = make_quadratic_model(2, [0.0, 0.0], 1.0)
         scheme = WeightScheme("gaussian", n=64, m=16)
         config = RunConfig(gamma=0.125, num_steps=8, m=16, n=64, x0=[1.0, -1.0])
-        return run_msgd(model, scheme, config, derive_stream(31, ["interp"]))
+        return run_msgd(model, scheme, config, [derive_stream(31, ["interp"])])
 
     def test_msgd_grid_points_exact(self):
         traj = self._msgd_traj()
@@ -300,7 +370,7 @@ class TestInterpolation:
 
     def test_msgd_time_zero(self):
         traj = self._msgd_traj()
-        np.testing.assert_array_equal(interpolate_msgd(traj, 0.0), [1.0, -1.0])
+        np.testing.assert_array_equal(interpolate_msgd(traj, 0.0), [[1.0, -1.0]])
 
     def test_msgd_out_of_range(self):
         traj = self._msgd_traj()
@@ -312,7 +382,7 @@ class TestInterpolation:
     def _gaussian_traj(self, model=None):
         model = model or make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.2, num_steps=5, m=4, n=4, x0=[1.0])
-        return run_gaussian_sgd(model, config, derive_stream(37, ["gi"]))
+        return run_gaussian_sgd(model, config, [derive_stream(37, ["gi"])])
 
     def test_gaussian_grid_points_exact(self):
         traj = self._gaussian_traj()
@@ -335,11 +405,11 @@ class TestInterpolation:
         model = make_quadratic_model(1, [0.0], 1.0)
         gamma, m = 0.2, 4
         config = RunConfig(gamma=gamma, num_steps=1, m=m, n=m, x0=[1.0])
-        traj = run_gaussian_sgd(model, config, derive_stream(41, ["path"]))
+        traj = run_gaussian_sgd(model, config, [derive_stream(41, ["path"])])
         stream = derive_stream(41, ["bridges"])
         mid = gamma / 2
         values = np.array([
-            interpolate_gaussian_piece(traj, mid, stream.child(r))[0] for r in range(10**4)
+            interpolate_gaussian_piece(traj, mid, stream.child(r))[0, 0] for r in range(10**4)
         ])
         # Var = (gamma/m) * s(gamma-s)/gamma * sigma^2 = (gamma/m) * gamma/4
         assert values.var() == pytest.approx((gamma / m) * (gamma / 4), rel=0.06)
@@ -381,3 +451,10 @@ class TestCsvExport:
         assert lines[0] == "k,t,x1,x2"
         assert lines[1].startswith("0,0,1,")
         assert len(lines) == 4
+
+    def test_ensemble_rejected(self, tmp_path):
+        model = make_quadratic_model(1, [0.0], 1.0)
+        config = RunConfig(gamma=0.5, num_steps=2, m=1, n=1, x0=[1.0])
+        traj = run_gaussian_sgd(model, config, [derive_stream(1, [])])
+        with pytest.raises(ValueError, match="ensemble"):
+            trajectory_to_csv(traj, tmp_path / "traj.csv")

@@ -50,6 +50,14 @@ class TestQuadratic:
             num = np.linalg.norm(model.grad_loss(t1, u)[0] - model.grad_loss(t2, u)[0])
             assert num == pytest.approx(np.linalg.norm(t1 - t2), rel=1e-12)
 
+    def test_noise_factor_built_once_read_only(self):
+        model = make_quadratic_model(2, [0.0, 0.0], 0.5)
+        factor = model.noise_factor(np.zeros(2))
+        assert model.noise_factor(np.ones((3, 2))) is factor
+        np.testing.assert_array_equal(factor, 0.5 * np.eye(2))
+        with pytest.raises(ValueError):
+            factor[0, 0] = 1.0
+
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             make_quadratic_model(2, np.zeros(2), 0.0)
@@ -212,6 +220,33 @@ class TestSharedInvariants:
             np.testing.assert_array_less(
                 np.abs(grads.mean(axis=0) - model.grad_objective(theta)), 4 * se + 1e-9
             )
+
+    def test_replication_axis_matches_one_call_per_replication(self, model):
+        # the ensemble runners rely on a batched call reproducing the
+        # per-replication calls to the last bit
+        gen = derive_stream(47, [model.name]).generator
+        thetas = gen.standard_normal((4, model.dim))
+        stream = derive_stream(47, [model.name, "data"])
+        data = np.stack([model.sample_data(stream.child(r), 50) for r in range(4)])
+        batched = {
+            "objective": model.objective(thetas),
+            "grad_objective": model.grad_objective(thetas),
+            "grad_loss": model.grad_loss(thetas, data),
+            "noise_factor": np.broadcast_to(
+                model.noise_factor(thetas), (4, model.dim, model.noise_dim)
+            ),
+        }
+        for r in range(4):
+            single = {
+                "objective": model.objective(thetas[r]),
+                "grad_objective": model.grad_objective(thetas[r]),
+                "grad_loss": model.grad_loss(thetas[r], data[r]),
+                "noise_factor": model.noise_factor(thetas[r]),
+            }
+            for name, value in single.items():
+                np.testing.assert_array_equal(batched[name][r], value, err_msg=name)
+        # a (time, replication) grid of states is accepted too
+        assert model.objective(thetas.reshape(2, 2, model.dim)).shape == (2, 2)
 
 
 class TestTopEigenvalue:

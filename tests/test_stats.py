@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from msgdlab.dynamics import DivergenceError, RunConfig, run_gaussian_sgd, run_gd
+from msgdlab.dynamics import RunConfig, Trajectory, run_gaussian_sgd, run_gd, run_msgd
 from msgdlab.models import make_quadratic_model, make_uniform_clt_model
 from msgdlab.numerics import derive_stream, sample_std_normal
 from msgdlab.stats import (
@@ -271,13 +271,18 @@ class TestContractionBound:
             contraction_bound(lam=0.5, gamma=0.1, L=1.0, L1=40.0, p=6, m=2000)
 
 
+def gd_ensemble(model, config, streams) -> Trajectory:
+    """Deterministic GD copied into every replication of an ensemble."""
+    gd = run_gd(model, config)
+    states = np.repeat(gd.states[:, None, :], len(streams), axis=1)
+    return Trajectory(kind="gd", states=states, config=config, model=model)
+
+
 class TestConvergenceCurve:
     def test_gd_closed_form(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=30, m=1, n=1, x0=[1.0])
-        curve = convergence_curve(
-            model, lambda mo, co, st: run_gd(mo, co), config, 1, derive_stream(53, ["gd"])
-        )
+        curve = convergence_curve(model, gd_ensemble, config, 1, derive_stream(53, ["gd"]))
         expected = 0.5 * (1 - 0.1) ** (2 * np.arange(31))
         np.testing.assert_allclose(curve.g_gap_mean, expected, rtol=1e-10)
 
@@ -296,18 +301,37 @@ class TestConvergenceCurve:
         deviation = np.abs(curve.g_gap_mean - oracle)
         np.testing.assert_array_less(deviation, 4 * curve.g_gap_se + 1e-12)
 
-    def test_divergence_recorded_not_dropped(self):
-        model = make_quadratic_model(1, [0.0], 1.0)
-        config = RunConfig(gamma=0.1, num_steps=3, m=1, n=1, x0=[1.0])
+    def test_divergence_recorded_not_dropped(self, repelling_for_stream):
+        # replication 2 of the ensemble diverges; the others keep the curves
+        # they have in a run without it
+        model = repelling_for_stream(2)
+        scheme = WeightScheme("gaussian", n=4, m=2)
+        config = RunConfig(gamma=0.5, num_steps=300, m=2, n=4, x0=[1.0])
 
-        def flaky_runner(mo, co, st):
-            if st.path[-1] == 2:
-                raise DivergenceError("test", 1)
-            return run_gd(mo, co)
+        def runner(mo, co, streams):
+            return run_msgd(mo, scheme, co, streams)
 
-        curve = convergence_curve(model, flaky_runner, config, 5, derive_stream(61, ["d"]))
+        stream = derive_stream(61, ["d"])
+        curve = convergence_curve(model, runner, config, 5, stream)
         assert curve.diverged == [2]
         assert curve.reps == 4
+        for row, r in enumerate((0, 1, 3, 4)):
+            alone = convergence_curve(
+                model, lambda mo, co, streams: runner(mo, co, [stream.child("rep", r)]),
+                config, 1, stream,
+            )
+            np.testing.assert_array_equal(curve.sq_dist_reps[row], alone.sq_dist_reps[0])
+            np.testing.assert_array_equal(curve.g_gap_reps[row], alone.g_gap_reps[0])
+
+    def test_all_diverged_raises(self, repelling_for_stream):
+        model = repelling_for_stream(0)
+        scheme = WeightScheme("gaussian", n=4, m=2)
+        config = RunConfig(gamma=0.5, num_steps=300, m=2, n=4, x0=[1.0])
+        with pytest.raises(ArithmeticError, match="all 1 replications diverged"):
+            convergence_curve(
+                model, lambda mo, co, streams: run_msgd(mo, scheme, co, streams),
+                config, 1, derive_stream(61, ["all"]),
+            )
 
     def test_reference_minimum_by_descent(self):
         from msgdlab.models import generate_logistic_dataset, make_logistic_model

@@ -87,6 +87,13 @@ class TestMinibatch:
         assert np.count_nonzero(w) == 100
         assert set(np.unique(w)) == {0.0, 0.01}
 
+    def test_subset_pinned_for_fixed_seed(self):
+        # any change to how the partial Fisher-Yates consumes the stream
+        # changes this subset and every minibatch artifact with it
+        subset = weights_mod._sample_subset(derive_stream(20260808, ["subset"]).generator, 50, 8)
+        assert subset.dtype == np.int64
+        assert subset.tolist() == [39, 22, 0, 34, 46, 6, 43, 8]
+
     def test_variance_matches_target_large(self):
         # target Var(w_1) = (n-m)/(m n^2) = 4e-8 at n=1e4, m=2000
         scheme = WeightScheme("minibatch", n=10**4, m=2000)
@@ -174,6 +181,26 @@ class TestDirichlet:
         w = sample_dirichlet_weights(derive_stream(1, ["u"]), scheme).values
         assert calls["count"] == 2
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_retries_differ_across_draws_of_one_stream(self, monkeypatch):
+        # every draw underflows once; the retry address must not repeat
+        # when the same stream is reused, as it is across steps of a run
+        scheme = WeightScheme("dirichlet", n=16, m=4)
+        real = weights_mod.sample_gamma
+        calls = {"count": 0}
+
+        def underflow_first(stream, shape, size=None):
+            calls["count"] += 1
+            if calls["count"] % 2 == 1:
+                return np.zeros(size)
+            return real(stream, shape, size)
+
+        monkeypatch.setattr(weights_mod, "sample_gamma", underflow_first)
+        stream = derive_stream(2, ["reused"])
+        first = sample_dirichlet_weights(stream, scheme).values
+        second = sample_dirichlet_weights(stream, scheme).values
+        assert calls["count"] == 4
+        assert not np.array_equal(first, second)
 
 
 class TestEmpiricalMoments:
