@@ -50,7 +50,6 @@ from .stats import (
 from .weights import (
     MomentReport,
     WeightScheme,
-    WeightVector,
     dirichlet_mixed_moment,
     empirical_weight_moments,
     sample_dirichlet_weights,

@@ -62,7 +62,13 @@ from .stats import (
     sliced_w2,
     weighting_gap,
 )
-from .weights import WeightScheme, empirical_weight_moments, sigma_entries
+from .weights import (
+    GAUSSIAN_BASES,
+    SCHEME_KINDS,
+    WeightScheme,
+    empirical_weight_moments,
+    sigma_entries,
+)
 
 COMMANDS = {
     "weights-moments": "check weight-scheme means, variances, covariances, and m*sum(w^2)",
@@ -230,18 +236,43 @@ def _check_keys(obj: dict, allowed: dict, where: str, diags: list[str]) -> None:
             diags.append(f"{where}.{key}: expected {names}, got {type(value).__name__}")
 
 
-def _check_scheme(spec: dict, where: str, diags: list[str]) -> None:
+def _check_scheme(spec, where: str, diags: list[str], sizes=()) -> None:
+    """A weight-scheme object, and the ``WeightScheme`` it makes at each
+    valid (n, m) in `sizes`, whose own rules (such as Dirichlet's
+    2 <= m < n) are reported against `where`."""
+    if not isinstance(spec, dict):
+        diags.append(f"{where}: expected an object, got {type(spec).__name__}")
+        return
     _check_keys(spec, _SCHEME_KEYS, where, diags)
     kind = spec.get("kind")
-    if kind not in ("minibatch", "gaussian", "dirichlet"):
+    if kind not in SCHEME_KINDS:
         diags.append(f"{where}.kind: expected minibatch/gaussian/dirichlet, got {kind!r}")
-    if "base" in spec and spec["base"] not in ("normal", "rademacher", "uniform"):
+        return
+    if "base" in spec and spec["base"] not in GAUSSIAN_BASES:
         diags.append(f"{where}.base: expected normal/rademacher/uniform, got {spec['base']!r}")
+        return
+    for n, m in sizes:
+        try:
+            _scheme_from_spec(spec, n, m)
+        except ValueError as exc:
+            diags.append(f"{where}: {exc}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_gamma(value, where: str, diags: list[str]) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < 1:
+    if not _is_number(value) or not 0 < value < 1:
         diags.append(f"{where}: step size must satisfy 0 < gamma < 1, got {value!r}")
+
+
+def _check_vector(value, dim, where: str, diags: list[str]) -> None:
+    """A point of the model's space: a list of ``dim`` numbers."""
+    if value is None or not isinstance(dim, int):
+        return
+    if not (isinstance(value, list) and len(value) == dim and all(map(_is_number, value))):
+        diags.append(f"{where}: expected a list of p={dim} numbers, got {value!r}")
 
 
 def _check_nonempty(resolved: dict, key: str, command: str, diags: list[str]) -> None:
@@ -315,10 +346,16 @@ def _require(resolved: dict, keys: list[str], command: str, diags: list[str]) ->
     return not missing
 
 
-def _validate_nm(resolved: dict, command: str, diags: list[str]) -> None:
+def _validate_nm(resolved: dict, command: str, diags: list[str]) -> list[tuple[int, int]]:
+    """[(n, m)] when both are integers with 1 <= m <= n, else [] (diagnosed
+    when both are integers)."""
     n, m = resolved.get("n"), resolved.get("m")
-    if isinstance(n, int) and isinstance(m, int) and not 1 <= m <= n:
+    if not (isinstance(n, int) and isinstance(m, int)):
+        return []
+    if not 1 <= m <= n:
         diags.append(f"{command}: need 1 <= m <= n, got m={m}, n={n}")
+        return []
+    return [(n, m)]
 
 
 def _validate_model(spec, where: str, diags: list[str], kinds=("quadratic", "logistic")) -> None:
@@ -335,48 +372,79 @@ def _validate_model(spec, where: str, diags: list[str], kinds=("quadratic", "log
             diags.append(f"{where}.s: must be positive")
         if spec.get("p", 1) < 1:
             diags.append(f"{where}.p: must be >= 1")
+        else:
+            _check_vector(spec.get("theta_star"), spec.get("p", 1), f"{where}.theta_star", diags)
     if kind == "logistic":
         if "t" not in spec or "p" not in spec:
             diags.append(f"{where}: logistic model needs p and t")
 
 
+def _model_dim(spec):
+    """The model dimension p a config's points must have, when it is known."""
+    if isinstance(spec, dict):
+        return spec.get("p", 1 if spec.get("kind") == "quadratic" else None)
+    return None
+
+
+def _check_at_least(resolved: dict, key: str, low: int, command: str, diags: list[str]) -> None:
+    if _is_number(resolved.get(key)) and resolved[key] < low:
+        diags.append(f"{command}.{key}: must be >= {low}")
+
+
+def _validate_step_grid(resolved: dict, command: str, diags: list[str]) -> None:
+    """Step sizes that each divide a positive horizon, and the slope range
+    their log-log fit is checked against."""
+    _check_slope_gammas(resolved, command, diags)
+    horizon = resolved["horizon"]
+    if _is_number(horizon) and not horizon > 0:
+        diags.append(f"{command}.horizon: must be positive")
+    for i, gamma in enumerate(resolved["gammas"]):
+        _check_gamma(gamma, f"gammas[{i}]", diags)
+        if _is_number(gamma) and 0 < gamma < 1:
+            steps = horizon / gamma
+            if abs(steps - round(steps)) > 1e-9:
+                diags.append(f"gammas[{i}]: horizon must be a multiple of gamma")
+    bounds = resolved["slope_range"]
+    if not (
+        isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))
+        and bounds[0] < bounds[1]
+    ):
+        diags.append(f"{command}.slope_range: expected [low, high] with low < high, got {bounds!r}")
+
+
 def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
     if command == "weights-moments":
+        sizes = []
         if _require(resolved, ["n", "m", "reps"], command, diags):
-            _validate_nm(resolved, command, diags)
+            sizes = _validate_nm(resolved, command, diags)
             if resolved["reps"] < 100:
                 diags.append("weights-moments.reps: must be >= 100")
         sigma_keys = {
             "mean_sigmas": (int, float), "var_sigmas": (int, float),
             "cov_sigmas": (int, float), "sumsq_sigmas": (int, float),
         }
-        _check_keys(resolved["thresholds"], sigma_keys, "thresholds", diags)
-        resolved["thresholds"] = (
-            _DEFAULTS["weights-moments"]["thresholds"] | resolved["thresholds"]
-        )
+        if isinstance(resolved["thresholds"], dict):
+            _check_keys(resolved["thresholds"], sigma_keys, "thresholds", diags)
+            resolved["thresholds"] = (
+                _DEFAULTS["weights-moments"]["thresholds"] | resolved["thresholds"]
+            )
         _check_nonempty(resolved, "schemes", command, diags)
         for i, spec in enumerate(resolved.get("schemes", [])):
-            _check_scheme(spec, f"schemes[{i}]", diags)
-            if spec.get("kind") == "dirichlet" and isinstance(resolved.get("m"), int):
-                if resolved["m"] < 2 or resolved["m"] >= resolved.get("n", 0):
-                    diags.append(
-                        f"schemes[{i}]: dirichlet needs 2 <= m < n so (m-1)/(n-m) is "
-                        f"positive, got m={resolved.get('m')}, n={resolved.get('n')}"
-                    )
+            _check_scheme(spec, f"schemes[{i}]", diags, sizes)
 
     elif command == "clt":
+        sizes = []
         if _require(resolved, ["n", "m", "samples"], command, diags):
-            _validate_nm(resolved, command, diags)
+            sizes = _validate_nm(resolved, command, diags)
             if resolved["samples"] < 100:
                 diags.append("clt.samples: must be >= 100")
-        _check_scheme(resolved["scheme"], "scheme", diags)
-        if resolved["scheme"].get("kind") == "dirichlet" and isinstance(resolved.get("m"), int):
-            if resolved["m"] < 2 or resolved["m"] >= resolved.get("n", 0):
-                diags.append("scheme: dirichlet needs 2 <= m < n ((m-1)/(n-m) must be positive)")
+        _check_scheme(resolved["scheme"], "scheme", diags, sizes)
         if resolved["bins"] < 1:
             diags.append("clt.bins: must be >= 1")
+        _check_at_least(resolved, "p", 1, command, diags)
 
     elif command == "weighting-gap":
+        sizes = []
         if _require(resolved, ["pairs", "reps"], command, diags):
             if resolved["reps"] < 1000:
                 diags.append("weighting-gap.reps: must be >= 1000")
@@ -389,23 +457,22 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
                     or not 1 <= pair[1] <= pair[0]
                 ):
                     diags.append(f"pairs[{i}]: expected [n, m] with 1 <= m <= n, got {pair!r}")
+                else:
+                    sizes.append(tuple(pair))
         _check_nonempty(resolved, "schemes", command, diags)
         for i, spec in enumerate(resolved.get("schemes", [])):
-            _check_scheme(spec, f"schemes[{i}]", diags)
+            _check_scheme(spec, f"schemes[{i}]", diags, sizes)
         _validate_model(resolved["model"], "model", diags, kinds=("quadratic",))
+        _check_vector(resolved.get("theta"), _model_dim(resolved["model"]), "weighting-gap.theta", diags)
 
     elif command == "wass-scaling":
         if _require(resolved, ["gammas", "reps"], command, diags):
-            _check_slope_gammas(resolved, command, diags)
-            for i, gamma in enumerate(resolved["gammas"]):
-                _check_gamma(gamma, f"gammas[{i}]", diags)
-                if isinstance(gamma, (int, float)) and 0 < gamma < 1:
-                    steps = resolved["horizon"] / gamma
-                    if abs(steps - round(steps)) > 1e-9:
-                        diags.append(f"gammas[{i}]: horizon must be a multiple of gamma")
-        _check_scheme(resolved["scheme"], "scheme", diags)
+            _validate_step_grid(resolved, command, diags)
+            _check_at_least(resolved, "reps", 1, command, diags)
+        _check_at_least(resolved, "n_directions", 1, command, diags)
+        _check_scheme(resolved["scheme"], "scheme", diags, _validate_nm(resolved, command, diags))
         _validate_model(resolved["model"], "model", diags, kinds=("quadratic",))
-        _validate_nm(resolved, command, diags)
+        _check_vector(resolved.get("x0"), _model_dim(resolved["model"]), "wass-scaling.x0", diags)
         if resolved["em_substeps"] < 1:
             diags.append("wass-scaling.em_substeps: must be >= 1")
 
@@ -413,8 +480,9 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
         if not _require(resolved, ["model", "n", "m", "reps", "runs"], command, diags):
             return
         _validate_model(resolved["model"], "model", diags)
-        _check_scheme(resolved["scheme"], "scheme", diags)
-        _validate_nm(resolved, command, diags)
+        _check_vector(resolved.get("x0"), _model_dim(resolved["model"]), "converge.x0", diags)
+        _check_scheme(resolved["scheme"], "scheme", diags, _validate_nm(resolved, command, diags))
+        _check_at_least(resolved, "reps", 1, command, diags)
         _check_nonempty(resolved, "runs", command, diags)
         for i, run in enumerate(resolved["runs"]):
             if not isinstance(run, dict):
@@ -430,7 +498,15 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
                 diags.append(f"runs[{i}]: needs gamma and num_steps")
             else:
                 _check_gamma(run["gamma"], f"runs[{i}].gamma", diags)
-        if resolved["model"].get("kind") == "logistic":
+        model_kind = resolved["model"].get("kind") if isinstance(resolved["model"], dict) else None
+        if model_kind == "logistic":
+            # block means compare consecutive windows of the num_steps + 1 iterates
+            if resolved["blocks"] < 2:
+                diags.append("converge.blocks: must be >= 2")
+            for i, run in enumerate(resolved["runs"]):
+                steps = run.get("num_steps") if isinstance(run, dict) else None
+                if isinstance(steps, int) and steps + 1 < resolved["blocks"]:
+                    diags.append(f"runs[{i}].num_steps: needs num_steps + 1 >= blocks")
             if "kappas" not in resolved:
                 diags.append("converge.kappas: required for the logistic model")
             else:
@@ -443,14 +519,9 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
 
     elif command == "gd-ode":
         if _require(resolved, ["gammas"], command, diags):
-            _check_slope_gammas(resolved, command, diags)
-            for i, gamma in enumerate(resolved["gammas"]):
-                _check_gamma(gamma, f"gammas[{i}]", diags)
-                if isinstance(gamma, (int, float)) and 0 < gamma < 1:
-                    steps = resolved["horizon"] / gamma
-                    if abs(steps - round(steps)) > 1e-9:
-                        diags.append(f"gammas[{i}]: horizon must be a multiple of gamma")
+            _validate_step_grid(resolved, command, diags)
         _validate_model(resolved["model"], "model", diags, kinds=("quadratic",))
+        _check_vector(resolved.get("x0"), _model_dim(resolved["model"]), "gd-ode.x0", diags)
         if resolved["ode_substeps"] < 10:
             diags.append("gd-ode.ode_substeps: must be >= 10 (inner step h <= gamma/10)")
 

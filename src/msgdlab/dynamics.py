@@ -49,6 +49,10 @@ from .weights import WeightScheme, sample_weights
 
 DIVERGENCE_LIMIT = 1e150
 
+# Payload elements (replications x n x payload width) M-SGD draws and reduces
+# at once: about 512 KiB of float64, so a chunk's data block stays in cache.
+CHUNK_ELEMENTS = 2**16
+
 
 class DivergenceError(ArithmeticError):
     """A trajectory left the representable range."""
@@ -220,11 +224,15 @@ def run_msgd(
 ) -> Trajectory:
     """Weighted-gradient descent with fresh data and weights every step.
 
-    Each step, every replication draws its data and then its weight vector
-    from its own stream and reduces its n per-datum gradients to one drift
-    at once, so no (R, n, payload) block is ever held; that measured faster
-    than one batched ``grad_loss`` call on every model here, as the draws
-    are per replication anyway.
+    Each step walks the live replications in chunks of
+    ``CHUNK_ELEMENTS // (n * payload_dim)`` (at least one): a chunk draws
+    its data block and then its weight block, each row from its own stream,
+    so every stream still draws data before weights; one batched
+    ``grad_loss`` call and a stacked ``np.matmul`` then reduce each
+    replication's n per-datum gradients to its drift.  Rows never mix, so
+    the chunk size cannot change a bit of the result; it only keeps the
+    (chunk, n, payload) block in cache, which measured faster than both one
+    replication and all of them at a time.
     """
     if scheme.n != config.n or scheme.m != config.m:
         raise ValueError(
@@ -232,12 +240,16 @@ def run_msgd(
             f"config (n={config.n}, m={config.m})"
         )
 
+    chunk = max(1, CHUNK_ELEMENTS // (config.n * model.payload_dim))
+
     def advance(x, live_streams):
         drift = np.empty_like(x)
-        for i, stream in enumerate(live_streams):
-            data = model.sample_data(stream, config.n)
-            w = sample_weights(stream, scheme).values
-            drift[i] = w @ model.grad_loss(x[i], data)
+        for start in range(0, len(live_streams), chunk):
+            part = live_streams[start : start + chunk]
+            data = model.sample_data(part, config.n)
+            w = sample_weights(part, scheme)
+            grads = model.grad_loss(x[start : start + len(part)], data)
+            drift[start : start + len(part)] = (w[:, None, :] @ grads)[:, 0, :]
         return x - config.gamma * drift, drift
 
     states, drift_record, diverged = _run_ensemble(

@@ -3,20 +3,26 @@
 A :class:`LossModel` bundles everything the dynamics need:
 
 * ``objective(theta)`` and its analytic ``grad_objective(theta)``;
-* ``sample_data(stream, count)`` drawing iid data as a (count, payload) array;
+* ``sample_data(streams, count)`` drawing ``count`` iid data per stream as
+  an (R, count, payload) block, R = len(streams), payload = ``payload_dim``;
 * ``grad_loss(theta, data)`` mapping a (count, payload) batch to per-datum
   gradients (count, p), unbiased for ``grad_objective``;
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
   ``sigma sigma^T = Cov(grad_loss(theta, .))``.
 
-Every callable but ``sample_data`` also accepts theta with leading
-replication axes, shape (..., p): ``objective`` then returns shape (...),
-``grad_objective`` (..., p), ``grad_loss`` maps data of shape
-(..., count, payload) to (..., count, p), and ``noise_factor`` returns
-(..., p, q), or one shared (p, q) matrix when sigma does not depend on
-theta.  Inner products go through stacked ``np.matmul``, which runs the same
-kernel on every replication as on a lone theta, so a batched call is
-bit-identical to one call per replication.
+``sample_data`` makes only the raw generator calls per stream, in the order
+a lone draw would, writing into one preallocated block, and then applies
+its deterministic transform once to the whole block, so row r consumes only
+``streams[r]`` and equals a one-stream draw on that stream.
+
+Every other callable accepts theta with leading replication axes, shape
+(..., p): ``objective`` then returns shape (...), ``grad_objective``
+(..., p), ``grad_loss`` maps data of shape (..., count, payload) to
+(..., count, p), and ``noise_factor`` returns (..., p, q), or one shared
+(p, q) matrix when sigma does not depend on theta.  Inner products go
+through stacked ``np.matmul``, which runs the same kernel on every
+replication as on a lone theta, so a batched call is bit-identical to one
+call per replication.
 
 Three concrete models are provided: a quadratic with Gaussian data (every
 quantity in closed form, the main oracle model), a mean-zero uniform-data
@@ -30,7 +36,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,9 +48,10 @@ class LossModel:
     name: str
     dim: int
     noise_dim: int
+    payload_dim: int                         # width of one datum in sample_data blocks
     objective: Callable[[np.ndarray], float]
     grad_objective: Callable[[np.ndarray], np.ndarray]
-    sample_data: Callable[[RngStream, int], np.ndarray]
+    sample_data: Callable[[Sequence[RngStream], int], np.ndarray]
     grad_loss: Callable[[np.ndarray, np.ndarray], np.ndarray]
     noise_factor: Callable[[np.ndarray], np.ndarray]
     lipschitz_grad: float                    # L: Lipschitz modulus of grad_objective
@@ -52,12 +59,6 @@ class LossModel:
     strong_convexity: Optional[float] = None # lambda, when g is strongly convex
     e_h1_sq: Optional[float] = None          # E[h1(u)^2] for the per-datum gradient modulus
     minimizer: Optional[np.ndarray] = None   # known argmin of the objective, if any
-
-    def sample_datum(self, stream: RngStream) -> np.ndarray:
-        return self.sample_data(stream, 1)[0]
-
-    def grad_loss_one(self, theta: np.ndarray, datum: np.ndarray) -> np.ndarray:
-        return self.grad_loss(theta, np.asarray(datum, dtype=float)[None, :])[0]
 
     def noise_trace(self, theta: np.ndarray) -> float:
         """Tr sigma^2(theta) = ||sigma(theta)||_F^2."""
@@ -88,8 +89,13 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     def grad_objective(theta):
         return np.asarray(theta, dtype=float) - theta_star
 
-    def sample_data(stream, count):
-        return theta_star + s * stream.generator.standard_normal((count, p))
+    def sample_data(streams, count):
+        block = np.empty((len(streams), count, p))
+        for row, stream in zip(block, streams):
+            stream.generator.standard_normal(out=row)
+        block *= s
+        block += theta_star
+        return block
 
     def grad_loss(theta, data):
         return np.asarray(theta, dtype=float)[..., None, :] - data
@@ -101,6 +107,7 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
         name="quadratic",
         dim=p,
         noise_dim=p,
+        payload_dim=p,
         objective=objective,
         grad_objective=grad_objective,
         sample_data=sample_data,
@@ -133,8 +140,14 @@ def make_uniform_clt_model(p: int) -> LossModel:
     def grad_objective(theta):
         return np.zeros(np.shape(theta))
 
-    def sample_data(stream, count):
-        return stream.generator.uniform(-1.0, 1.0, size=(count, p))
+    def sample_data(streams, count):
+        # Generator.uniform(-1, 1) is -1 + 2 * random(), bit for bit
+        block = np.empty((len(streams), count, p))
+        for row, stream in zip(block, streams):
+            stream.generator.random(out=row)
+        block *= 2.0
+        block -= 1.0
+        return block
 
     def grad_loss(theta, data):
         return np.asarray(data, dtype=float)
@@ -146,6 +159,7 @@ def make_uniform_clt_model(p: int) -> LossModel:
         name="uniform_clt",
         dim=p,
         noise_dim=p,
+        payload_dim=p,
         objective=objective,
         grad_objective=grad_objective,
         sample_data=sample_data,
@@ -220,38 +234,16 @@ def load_logistic_dataset(path, kappa: float) -> LogisticDataset:
     return LogisticDataset(labels=data[:, 0], covariates=data[:, 1:], kappa=kappa)
 
 
-def top_eigenvalue(matrix: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    matrix = np.asarray(matrix, dtype=float)
-    p = matrix.shape[0]
-    v = np.ones(p) / np.sqrt(p)
-    value = 0.0
-    for _ in range(max_iter):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_value = float(v @ (matrix @ v))
-        if abs(new_value - value) <= rel_tol * max(abs(new_value), 1e-300):
-            return new_value
-        value = new_value
-    return value
+def logistic_lipschitz_constant(dataset: LogisticDataset) -> float:
+    """Lipschitz modulus of the logistic objective gradient.
 
-
-def logistic_lipschitz_constants(dataset: LogisticDataset) -> tuple[float, float]:
-    """(tight, loose) Lipschitz bounds for the logistic objective gradient.
-
-    The tight bound uses the 1/4 cap on the sigmoid derivative:
-    lambda_max(X X^T) / (4t) + 2 kappa.  The loose variant drops the 1/4
-    and is retained for comparison.
+    Uses the 1/4 cap on the sigmoid derivative:
+    lambda_max(X X^T) / (4t) + 2 kappa, with the top eigenvalue computed
+    exactly from the p x p Gram matrix.
     """
     x = dataset.covariates
-    lam_max = top_eigenvalue(x.T @ x)  # = lambda_max(X X^T)
-    t = dataset.size
-    tight = lam_max / (4.0 * t) + 2.0 * dataset.kappa
-    loose = lam_max / t + 2.0 * dataset.kappa
-    return tight, loose
+    lam_max = float(np.linalg.eigvalsh(x.T @ x)[-1])  # = lambda_max(X X^T)
+    return lam_max / (4.0 * dataset.size) + 2.0 * dataset.kappa
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -274,7 +266,9 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
     t = dataset.size
     p = dataset.dim
     kappa = dataset.kappa
-    lipschitz_tight, _ = logistic_lipschitz_constants(dataset)
+    lipschitz = logistic_lipschitz_constant(dataset)
+    table = np.column_stack([y, x])  # one [y | x] payload row per datum
+    table.setflags(write=False)
 
     def objective(beta):
         beta = np.asarray(beta, dtype=float)
@@ -287,9 +281,11 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
         resid = _sigmoid((x @ beta[..., None])[..., 0]) - y
         return (x.T @ resid[..., None])[..., 0] / t + 2.0 * kappa * beta
 
-    def sample_data(stream, count):
-        idx = stream.generator.integers(0, t, size=count)
-        return np.column_stack([y[idx], x[idx]])
+    def sample_data(streams, count):
+        idx = np.empty((len(streams), count), dtype=np.int64)
+        for row, stream in zip(idx, streams):
+            row[:] = stream.generator.integers(0, t, size=count)
+        return table.take(idx, axis=0)
 
     def grad_loss(beta, data):
         beta = np.asarray(beta, dtype=float)
@@ -311,18 +307,19 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
     # each noise-factor column moves at most (h1 + L)/sqrt(t), giving a
     # Frobenius (hence spectral) bound on the factor's modulus.
     h1 = np.sum(x * x, axis=1) / 4.0 + 2.0 * kappa
-    lipschitz_noise = float(np.sqrt(np.mean((h1 + lipschitz_tight) ** 2)))
+    lipschitz_noise = float(np.sqrt(np.mean((h1 + lipschitz) ** 2)))
 
     return LossModel(
         name="logistic",
         dim=p,
         noise_dim=t,
+        payload_dim=p + 1,
         objective=objective,
         grad_objective=grad_objective,
         sample_data=sample_data,
         grad_loss=grad_loss,
         noise_factor=noise_factor,
-        lipschitz_grad=lipschitz_tight,
+        lipschitz_grad=lipschitz,
         lipschitz_noise=lipschitz_noise,
         strong_convexity=2.0 * kappa,
         e_h1_sq=float(np.mean(h1**2)),

@@ -58,9 +58,9 @@ def clt_error_samples(
 
     def one_row(r: int) -> np.ndarray:
         sub = stream.child("rep", r)
-        data = model.sample_data(sub, scheme.n)
+        data = model.sample_data([sub], scheme.n)[0]
         grads = model.grad_loss(theta, data)
-        w = sample_weights(sub, scheme).values
+        w = sample_weights([sub], scheme)[0]
         return sqrt_m * (w @ grads - grad_mean)
 
     samples = np.asarray(parallel_map(one_row, reps, threads))
@@ -189,9 +189,9 @@ def weighting_gap(
 
     def one_rep(r: int) -> float:
         sub = stream.child("rep", r)
-        data = model.sample_data(sub, n)
+        data = model.sample_data([sub], n)[0]
         grads = model.grad_loss(theta, data)
-        w = sample_weights(sub, scheme).values
+        w = sample_weights([sub], scheme)[0]
         weighted = sqrt_m * (w @ grads - grad_mean)
         plain = sqrt_n * (grads.mean(axis=0) - grad_mean)
         diff = weighted - plain
@@ -214,9 +214,6 @@ class RateReport:
     rho_bound: float
     gamma_ok: bool
     m_ok: bool
-    rho_hat: Optional[float] = None
-    rho_hat_se: Optional[float] = None
-    plateau_hat: Optional[float] = None
 
 
 def contraction_bound(

@@ -27,6 +27,7 @@ dirichlet
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -61,14 +62,6 @@ class WeightScheme:
             raise ValueError("gaussian-structured weights need n >= 2")
         if self.base not in GAUSSIAN_BASES:
             raise ValueError(f"unknown base {self.base!r}, expected one of {GAUSSIAN_BASES}")
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """One realized weight draw together with the scheme that produced it."""
-
-    values: np.ndarray
-    scheme: WeightScheme
 
 
 def sigma_entries(n: int, m: int) -> tuple[float, float]:
@@ -107,17 +100,19 @@ def _sample_subset(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def sample_minibatch_weights(stream: RngStream, scheme: WeightScheme) -> WeightVector:
+def sample_minibatch_weights(streams: Sequence[RngStream], scheme: WeightScheme) -> np.ndarray:
     """1/m on a uniform random m-subset of the n coordinates, 0 elsewhere."""
     if scheme.kind != "minibatch":
         raise ValueError(f"scheme kind must be 'minibatch', got {scheme.kind!r}")
-    values = np.zeros(scheme.n)
-    chosen = _sample_subset(stream.generator, scheme.n, scheme.m)
-    values[chosen] = 1.0 / scheme.m
-    return WeightVector(values, scheme)
+    block = np.zeros((len(streams), scheme.n))
+    for row, stream in zip(block, streams):
+        row[_sample_subset(stream.generator, scheme.n, scheme.m)] = 1.0 / scheme.m
+    return block
 
 
-def sample_gaussian_structured_weights(stream: RngStream, scheme: WeightScheme) -> WeightVector:
+def sample_gaussian_structured_weights(
+    streams: Sequence[RngStream], scheme: WeightScheme
+) -> np.ndarray:
     """Centered-and-scaled iid base draws shifted to mean 1/n.
 
     Computes ``c * (X - mean(X)) + 1/n`` in O(n) without forming the
@@ -127,45 +122,61 @@ def sample_gaussian_structured_weights(stream: RngStream, scheme: WeightScheme) 
     if scheme.kind != "gaussian":
         raise ValueError(f"scheme kind must be 'gaussian', got {scheme.kind!r}")
     n, m = scheme.n, scheme.m
-    gen = stream.generator
-    if scheme.base == "normal":
-        x = gen.standard_normal(n)
-    elif scheme.base == "rademacher":
-        x = gen.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-    else:  # uniform, scaled to unit variance
-        x = np.sqrt(3.0) * gen.uniform(-1.0, 1.0, size=n)
-    scale = np.sqrt((n - m) / (m * n * (n - 1)))
-    values = scale * (x - x.mean()) + 1.0 / n
-    return WeightVector(values, scheme)
+    x = np.empty((len(streams), n))
+    for row, stream in zip(x, streams):
+        gen = stream.generator
+        if scheme.base == "normal":
+            gen.standard_normal(out=row)
+        elif scheme.base == "rademacher":
+            row[:] = gen.integers(0, 2, size=n)
+        else:
+            row[:] = gen.uniform(-1.0, 1.0, size=n)
+    if scheme.base == "rademacher":
+        x *= 2.0
+        x -= 1.0
+    elif scheme.base == "uniform":  # scaled to unit variance
+        x *= np.sqrt(3.0)
+    mean = np.add.reduce(x, axis=1, keepdims=True)
+    mean /= n  # what x.mean(axis=1) computes, without its Python-level wrapper
+    x -= mean
+    x *= np.sqrt((n - m) / (m * n * (n - 1)))
+    x += 1.0 / n
+    return x
 
 
-def sample_dirichlet_weights(stream: RngStream, scheme: WeightScheme) -> WeightVector:
-    """Symmetric Dirichlet draw via normalized Gamma((m-1)/(n-m)) variates.
+def sample_dirichlet_weights(streams: Sequence[RngStream], scheme: WeightScheme) -> np.ndarray:
+    """Symmetric Dirichlet draws via normalized Gamma((m-1)/(n-m)) variates.
 
-    If every gamma variate underflows to zero (possible in principle at
-    tiny concentrations), the draw is retried on fresh derived substreams,
-    capped at 10 attempts.  Each retry substream is keyed by a value drawn
-    from `stream` at the time of the retry, so retries at different steps of
-    a reused stream get different addresses, and a draw that needs no retry
-    consumes nothing extra.
+    If every gamma variate of a row underflows to zero (possible in
+    principle at tiny concentrations), that row is redrawn on fresh derived
+    substreams, capped at 10 attempts.  Each retry substream is keyed by a
+    value drawn from the row's stream at the time of the retry, so retries
+    at different steps of a reused stream get different addresses, and a
+    draw that needs no retry consumes nothing extra.
     """
     if scheme.kind != "dirichlet":
         raise ValueError(f"scheme kind must be 'dirichlet', got {scheme.kind!r}")
     alpha = dirichlet_alpha(scheme.n, scheme.m)
-    raw = sample_gamma(stream, alpha, size=scheme.n)
-    total = raw.sum()
-    attempt = 0
-    while not total > 0.0:
-        attempt += 1
-        if attempt > 10:
-            raise ArithmeticError(
-                f"all gamma draws underflowed to zero in {attempt - 1} retries "
-                f"(n={scheme.n}, alpha={alpha})"
-            )
-        retry = stream.child("dirichlet_retry", int(stream.generator.integers(2**63)))
-        raw = sample_gamma(retry, alpha, size=scheme.n)
+    block = np.empty((len(streams), scheme.n))
+    totals = np.empty((len(streams), 1))
+    for r, stream in enumerate(streams):
+        raw = sample_gamma(stream, alpha, size=scheme.n)
         total = raw.sum()
-    return WeightVector(raw / total, scheme)
+        attempt = 0
+        while not total > 0.0:
+            attempt += 1
+            if attempt > 10:
+                raise ArithmeticError(
+                    f"all gamma draws underflowed to zero in {attempt - 1} retries "
+                    f"(n={scheme.n}, alpha={alpha})"
+                )
+            retry = stream.child("dirichlet_retry", int(stream.generator.integers(2**63)))
+            raw = sample_gamma(retry, alpha, size=scheme.n)
+            total = raw.sum()
+        block[r] = raw
+        totals[r] = total
+    block /= totals
+    return block
 
 
 _SAMPLERS = {
@@ -175,9 +186,13 @@ _SAMPLERS = {
 }
 
 
-def sample_weights(stream: RngStream, scheme: WeightScheme) -> WeightVector:
-    """Draw one weight vector from whichever scheme is configured."""
-    return _SAMPLERS[scheme.kind](stream, scheme)
+def sample_weights(streams: Sequence[RngStream], scheme: WeightScheme) -> np.ndarray:
+    """Draw one weight vector per stream from whichever scheme is configured.
+
+    Returns an (R, n) block whose row r consumes only ``streams[r]``, in the
+    order a lone draw would, so row r equals a one-stream draw on that stream.
+    """
+    return _SAMPLERS[scheme.kind](streams, scheme)
 
 
 @dataclass
@@ -240,7 +255,7 @@ def empirical_weight_moments(
     n, m = scheme.n, scheme.m
 
     def one_draw(r: int):
-        w = sample_weights(stream.child("rep", r), scheme).values
+        w = sample_weights([stream.child("rep", r)], scheme)[0]
         return (
             w,
             w[0],

@@ -11,14 +11,18 @@ def _repelling_for_stream(bad: int):
     whose stream path ends in `bad`, where they are -10, so that replication
     grows by a factor 6 each step of size 1/2 while the others contract."""
 
-    def sample_data(stream, count):
-        stream.generator.standard_normal(count)  # consume like a real data law
-        return np.full((count, 1), -10.0 if stream.path[-1] == bad else 1.0)
+    def sample_data(streams, count):
+        block = np.empty((len(streams), count, 1))
+        for row, stream in zip(block, streams):
+            stream.generator.standard_normal(count)  # consume like a real data law
+            row[:] = -10.0 if stream.path[-1] == bad else 1.0
+        return block
 
     return LossModel(
         name="repelling_for_stream",
         dim=1,
         noise_dim=1,
+        payload_dim=1,
         objective=lambda theta: 0.5 * np.sum(np.square(theta), axis=-1),
         grad_objective=lambda theta: np.asarray(theta, dtype=float),
         sample_data=sample_data,

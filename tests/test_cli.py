@@ -234,6 +234,37 @@ class TestMain:
         assert f"{command}.{key}: must not be empty" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (tiny_config("weights-moments") | {"thresholds": 3}, "weights-moments.thresholds"),
+            (tiny_config("weights-moments") | {"schemes": [3]}, "schemes[0]"),
+            (tiny_config("clt") | {"scheme": 3}, "clt.scheme"),
+            (
+                {"command": "converge", "seed": 9, "model": {"kind": "logistic", "p": 2, "t": 50},
+                 "n": 20, "m": 4, "reps": 3, "kappas": [0.1], "blocks": 1,
+                 "runs": [{"gamma": 0.5, "num_steps": 10}]},
+                "converge.blocks",
+            ),
+            (tiny_config("gd-ode") | {"x0": [1.0, 2.0]}, "gd-ode.x0"),
+            (tiny_config("wass-scaling") | {"slope_range": [2.0]}, "wass-scaling.slope_range"),
+            (tiny_config("wass-scaling") | {"scheme": {"kind": "dirichlet"}, "m": 128}, "scheme"),
+            (tiny_config("weighting-gap") | {"pairs": [[400, 400]]}, "schemes[2]"),
+        ],
+        ids=[
+            "thresholds", "schemes-entry", "scheme", "blocks", "x0-length", "slope-range",
+            "dirichlet-m-equals-n", "dirichlet-pair",
+        ],
+    )
+    def test_malformed_value_exit_two(self, config, key, tmp_path, capsys):
+        # each of these used to end in a traceback instead of a diagnostic
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["wass-scaling", "gd-ode"])
     @pytest.mark.parametrize("gammas", [[0.1], [0.1, 0.1]])
     def test_slope_needs_two_distinct_gammas(self, command, gammas, tmp_path, capsys):

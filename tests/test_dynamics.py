@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import msgdlab.dynamics as dynamics_mod
 from msgdlab.dynamics import (
     DivergenceError,
     RunConfig,
@@ -28,10 +29,13 @@ def zero_noise_quadratic(p=1):
         name="zero_noise",
         dim=p,
         noise_dim=p,
+        payload_dim=p,
         objective=lambda theta: 0.5 * float(np.dot(theta, theta)),
         grad_objective=lambda theta: np.asarray(theta, dtype=float),
-        sample_data=lambda stream, count: np.zeros((count, p)),
-        grad_loss=lambda theta, data: np.broadcast_to(theta, data.shape).astype(float),
+        sample_data=lambda streams, count: np.zeros((len(streams), count, p)),
+        grad_loss=lambda theta, data: np.broadcast_to(
+            np.asarray(theta)[..., None, :], data.shape
+        ).astype(float),
         noise_factor=lambda theta: np.zeros((p, p)),
         lipschitz_grad=1.0,
         lipschitz_noise=0.0,
@@ -47,10 +51,13 @@ def repelling_model(p=1):
         name="repelling",
         dim=p,
         noise_dim=p,
+        payload_dim=p,
         objective=lambda theta: -0.5 * float(np.dot(theta, theta)),
         grad_objective=lambda theta: -np.asarray(theta, dtype=float),
-        sample_data=lambda stream, count: np.zeros((count, p)),
-        grad_loss=lambda theta, data: np.broadcast_to(-theta, data.shape).astype(float),
+        sample_data=lambda streams, count: np.zeros((len(streams), count, p)),
+        grad_loss=lambda theta, data: np.broadcast_to(
+            -np.asarray(theta)[..., None, :], data.shape
+        ).astype(float),
         noise_factor=lambda theta: np.zeros((p, p)),
         lipschitz_grad=1.0,
         lipschitz_noise=0.0,
@@ -58,6 +65,13 @@ def repelling_model(p=1):
         e_h1_sq=1.0,
         minimizer=None,
     )
+
+
+def ensemble_model(name):
+    if name == "quadratic":
+        return make_quadratic_model(2, [0.5, -0.5], 1.0)
+    dataset = generate_logistic_dataset(derive_stream(97, ["ld"]), 3, 150, 0.1)
+    return make_logistic_model(dataset)
 
 
 class TestRunConfig:
@@ -186,12 +200,6 @@ class TestEnsemble:
 
     REPS = 5
 
-    def _model(self, name):
-        if name == "quadratic":
-            return make_quadratic_model(2, [0.5, -0.5], 1.0)
-        dataset = generate_logistic_dataset(derive_stream(97, ["ld"]), 3, 150, 0.1)
-        return make_logistic_model(dataset)
-
     def _assert_replications_match(self, run, label):
         streams = [derive_stream(101, [label, r]) for r in range(self.REPS)]
         ensemble = run(streams)
@@ -208,7 +216,7 @@ class TestEnsemble:
     @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
     @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
     def test_msgd(self, kind, model_name):
-        model = self._model(model_name)
+        model = ensemble_model(model_name)
         scheme = WeightScheme(kind, n=64, m=16)
         config = RunConfig(gamma=0.2, num_steps=12, m=16, n=64, x0=np.ones(model.dim))
         self._assert_replications_match(
@@ -217,7 +225,7 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
     def test_gaussian_sgd(self, model_name):
-        model = self._model(model_name)
+        model = ensemble_model(model_name)
         config = RunConfig(gamma=0.2, num_steps=12, m=4, n=16, x0=np.ones(model.dim))
         self._assert_replications_match(
             lambda streams: run_gaussian_sgd(model, config, streams), "gaussian"
@@ -225,7 +233,7 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
     def test_diffusion_em(self, model_name):
-        model = self._model(model_name)
+        model = ensemble_model(model_name)
         config = RunConfig(gamma=0.2, num_steps=6, m=4, n=16, x0=np.ones(model.dim))
         self._assert_replications_match(
             lambda streams: run_diffusion_em(model, config, 7, streams), "em"
@@ -257,6 +265,50 @@ class TestEnsemble:
         config = RunConfig(gamma=0.5, num_steps=400, m=2, n=4, x0=[1.0])
         with pytest.raises(DivergenceError):
             run_msgd(model, scheme, config, [derive_stream(103, [0])])
+
+
+class TestMsgdChunking:
+    """The replications M-SGD draws and reduces together cannot change a bit:
+    one at a time, a few at a time and the default chunk agree."""
+
+    N = 64
+
+    def _assert_chunk_invariant(self, monkeypatch, model, kind, streams_fn, steps=12):
+        scheme = WeightScheme(kind, n=self.N, m=16)
+        config = RunConfig(gamma=0.2, num_steps=steps, m=16, n=self.N, x0=np.ones(model.dim))
+        runs = []
+        # the default chunk, then chunks of 1 and of 3 replications
+        for elements in (dynamics_mod.CHUNK_ELEMENTS, self.N * model.payload_dim,
+                         3 * self.N * model.payload_dim):
+            monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
+            runs.append(run_msgd(model, scheme, config, streams_fn()))
+        for traj in runs[1:]:
+            np.testing.assert_array_equal(traj.states, runs[0].states)
+            np.testing.assert_array_equal(traj.drift_record, runs[0].drift_record)
+            assert traj.diverged == runs[0].diverged
+        return runs[0]
+
+    @pytest.mark.parametrize("reps", [1, 7])
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
+    def test_chunk_size_leaves_bytes(self, monkeypatch, model_name, kind, reps):
+        model = ensemble_model(model_name)
+        traj = self._assert_chunk_invariant(
+            monkeypatch, model, kind,
+            lambda: [derive_stream(107, [model_name, kind, r]) for r in range(reps)],
+        )
+        assert traj.states.shape == (13, reps, model.dim)
+
+    def test_divergence_mid_chunk(self, monkeypatch, repelling_for_stream):
+        # replication 4 sits in the middle of the second chunk of 3; after it
+        # is dropped, the later replications move to earlier chunks
+        model = repelling_for_stream(4)
+        traj = self._assert_chunk_invariant(
+            monkeypatch, model, "minibatch",
+            lambda: [derive_stream(109, [r]) for r in range(7)], steps=400,
+        )
+        assert list(traj.diverged) == [4]
+        assert np.all(np.isfinite(traj.states[:, [0, 1, 2, 3, 5, 6]]))
 
 
 class TestOde:

@@ -9,12 +9,11 @@ from msgdlab.models import (
     LogisticDataset,
     generate_logistic_dataset,
     load_logistic_dataset,
-    logistic_lipschitz_constants,
+    logistic_lipschitz_constant,
     make_logistic_model,
     make_quadratic_model,
     make_uniform_clt_model,
     save_logistic_dataset,
-    top_eigenvalue,
 )
 from msgdlab.numerics import derive_stream, finite_diff_gradient
 
@@ -31,7 +30,7 @@ class TestQuadratic:
 
     def test_grad_loss_unbiased_at_origin(self):
         model = make_quadratic_model(2, [1.0, 0.0], 1.0)
-        data = model.sample_data(derive_stream(3, ["mc"]), 10**5)
+        data = model.sample_data([derive_stream(3, ["mc"])], 10**5)[0]
         mc_mean = model.grad_loss(np.zeros(2), data).mean(axis=0)
         np.testing.assert_allclose(mc_mean, [-1.0, 0.0], atol=0.02)
 
@@ -74,9 +73,17 @@ class TestUniform:
         sigma_sq = model.noise_factor(np.zeros(2)) @ model.noise_factor(np.zeros(2)).T
         np.testing.assert_allclose(sigma_sq, np.eye(2) / 3.0, rtol=1e-12)
 
+    def test_data_match_generator_uniform(self):
+        # the block is filled by random() and mapped to -1 + 2u, which is what
+        # Generator.uniform(-1, 1) computes draw by draw
+        model = make_uniform_clt_model(3)
+        data = model.sample_data([derive_stream(7, ["bits"])], 500)[0]
+        expected = derive_stream(7, ["bits"]).generator.uniform(-1.0, 1.0, size=(500, 3))
+        np.testing.assert_array_equal(data, expected)
+
     def test_gradient_coordinate_variance(self):
         model = make_uniform_clt_model(1)
-        data = model.sample_data(derive_stream(7, ["u"]), 10**5)
+        data = model.sample_data([derive_stream(7, ["u"])], 10**5)[0]
         grads = model.grad_loss(np.zeros(1), data)
         assert abs(grads.var() - 1.0 / 3.0) < 0.01
 
@@ -99,11 +106,18 @@ class TestLogistic:
             direct = np.mean(np.sum((grads - model.grad_objective(beta)) ** 2, axis=1))
             assert model.noise_trace(beta) == pytest.approx(direct, rel=1e-12)
 
+    def test_data_gather_rows_of_the_dataset(self):
+        model, dataset = small_logistic()
+        data = model.sample_data([derive_stream(13, ["gather"])], 200)[0]
+        idx = derive_stream(13, ["gather"]).generator.integers(0, dataset.size, size=200)
+        expected = np.column_stack([dataset.labels[idx], dataset.covariates[idx]])
+        np.testing.assert_array_equal(data, expected)
+
     def test_grad_loss_unbiased(self):
         model, _ = small_logistic()
         gen = derive_stream(13, ["beta"]).generator
         beta = gen.standard_normal(3)
-        data = model.sample_data(derive_stream(13, ["resample"]), 10**5)
+        data = model.sample_data([derive_stream(13, ["resample"])], 10**5)[0]
         grads = model.grad_loss(beta, data)
         mc_mean = grads.mean(axis=0)
         se = grads.std(axis=0, ddof=1) / math.sqrt(grads.shape[0])
@@ -116,7 +130,7 @@ class TestLogistic:
         gen = derive_stream(17, ["beta"]).generator
         for _ in range(3):
             beta = gen.standard_normal(3)
-            data = model.sample_data(derive_stream(17, ["cov"]), 2 * 10**4)
+            data = model.sample_data([derive_stream(17, ["cov"])], 2 * 10**4)[0]
             grads = model.grad_loss(beta, data)
             centered = grads - grads.mean(axis=0)
             mc_cov = centered.T @ centered / grads.shape[0]
@@ -158,11 +172,22 @@ class TestLogistic:
             h1 = np.sum(z[0, 1:] ** 2) / 4 + 2 * dataset.kappa
             assert increment <= h1 * np.linalg.norm(b1 - b2) + 1e-12
 
-    def test_lipschitz_constants_ordered(self):
-        _, dataset = small_logistic()
-        tight, loose = logistic_lipschitz_constants(dataset)
-        assert 2 * dataset.kappa < tight < loose
-        assert loose == pytest.approx(4 * (tight - 2 * dataset.kappa) + 2 * dataset.kappa)
+    def test_lipschitz_constant_bounds_curvature(self):
+        model, dataset = small_logistic()
+        lipschitz = logistic_lipschitz_constant(dataset)
+        assert lipschitz == model.lipschitz_grad > 2 * dataset.kappa
+        gen = derive_stream(19, ["curvature"]).generator
+        h = 1e-4
+        for _ in range(10):
+            beta = gen.standard_normal(3)
+            v = gen.standard_normal(3)
+            v /= np.linalg.norm(v)
+            second = (
+                model.objective(beta + h * v)
+                - 2 * model.objective(beta)
+                + model.objective(beta - h * v)
+            ) / h**2
+            assert second <= lipschitz + 1e-6
 
     def test_kappa_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -215,11 +240,20 @@ class TestSharedInvariants:
         stream = derive_stream(41, [model.name, "data"])
         for rep in range(10):
             theta = gen.standard_normal(model.dim)
-            grads = model.grad_loss(theta, model.sample_data(stream.child(rep), 10**4))
+            grads = model.grad_loss(theta, model.sample_data([stream.child(rep)], 10**4)[0])
             se = grads.std(axis=0, ddof=1) / 100.0
             np.testing.assert_array_less(
                 np.abs(grads.mean(axis=0) - model.grad_objective(theta)), 4 * se + 1e-9
             )
+
+    def test_sample_data_row_equals_one_stream_draw(self, model):
+        streams = [derive_stream(53, [model.name, r]) for r in range(4)]
+        block = model.sample_data(streams, 30)
+        assert block.shape == (4, 30, model.payload_dim)
+        for r in range(4):
+            lone = derive_stream(53, [model.name, r])
+            np.testing.assert_array_equal(block[r], model.sample_data([lone], 30)[0])
+            assert streams[r].generator.random() == lone.generator.random()
 
     def test_replication_axis_matches_one_call_per_replication(self, model):
         # the ensemble runners rely on a batched call reproducing the
@@ -227,7 +261,7 @@ class TestSharedInvariants:
         gen = derive_stream(47, [model.name]).generator
         thetas = gen.standard_normal((4, model.dim))
         stream = derive_stream(47, [model.name, "data"])
-        data = np.stack([model.sample_data(stream.child(r), 50) for r in range(4)])
+        data = np.stack([model.sample_data([stream.child(r)], 50)[0] for r in range(4)])
         batched = {
             "objective": model.objective(thetas),
             "grad_objective": model.grad_objective(thetas),
@@ -248,10 +282,3 @@ class TestSharedInvariants:
         # a (time, replication) grid of states is accepted too
         assert model.objective(thetas.reshape(2, 2, model.dim)).shape == (2, 2)
 
-
-class TestTopEigenvalue:
-    def test_agrees_with_dense_solver(self):
-        gen = derive_stream(43, ["eig"]).generator
-        a = gen.standard_normal((6, 6))
-        sym = a @ a.T
-        assert top_eigenvalue(sym) == pytest.approx(np.linalg.eigvalsh(sym)[-1], rel=1e-5)

@@ -65,25 +65,83 @@ class TestSchemeValidation:
             WeightScheme("gaussian", n=10, m=2, base="cauchy")
 
 
+class TestEnsembleSamplers:
+    """Row r of a block draw is the one-stream draw on ``streams[r]``, and it
+    leaves that stream where the one-stream draw leaves it."""
+
+    @pytest.mark.parametrize("base", ["normal", "rademacher", "uniform"])
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    def test_row_equals_one_stream_draw(self, kind, base):
+        scheme = WeightScheme(kind, n=37, m=9, base=base)
+        streams = [derive_stream(211, [kind, base, r]) for r in range(5)]
+        block = sample_weights(streams, scheme)
+        assert block.shape == (5, 37)
+        for r in range(5):
+            lone = derive_stream(211, [kind, base, r])
+            np.testing.assert_array_equal(block[r], sample_weights([lone], scheme)[0])
+            assert streams[r].generator.random() == lone.generator.random()
+
+    @pytest.mark.parametrize("base", ["normal", "rademacher", "uniform"])
+    @pytest.mark.parametrize("n", [2, 37, 512, 10**4])
+    def test_gaussian_block_matches_vector_formula(self, n, base):
+        # the block transform reduces each row exactly as c * (x - x.mean()) + 1/n
+        # does on the lone vector
+        m = max(n // 5, 1)
+        scheme = WeightScheme("gaussian", n=n, m=m, base=base)
+        block = sample_gaussian_structured_weights(
+            [derive_stream(223, [n, r]) for r in range(3)], scheme
+        )
+        for r in range(3):
+            gen = derive_stream(223, [n, r]).generator
+            if base == "normal":
+                x = gen.standard_normal(n)
+            elif base == "rademacher":
+                x = gen.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+            else:
+                x = np.sqrt(3.0) * gen.uniform(-1.0, 1.0, size=n)
+            scale = np.sqrt((n - m) / (m * n * (n - 1)))
+            np.testing.assert_array_equal(block[r], scale * (x - x.mean()) + 1.0 / n)
+
+    def test_dirichlet_retry_stays_in_its_row(self, monkeypatch):
+        scheme = WeightScheme("dirichlet", n=16, m=4)
+        real = weights_mod.sample_gamma
+        calls = {"count": 0}
+
+        def underflow_second_call(stream, shape, size=None):
+            calls["count"] += 1
+            if calls["count"] == 2:
+                return np.zeros(size)
+            return real(stream, shape, size)
+
+        monkeypatch.setattr(weights_mod, "sample_gamma", underflow_second_call)
+        streams = [derive_stream(227, [r]) for r in range(3)]
+        block = sample_dirichlet_weights(streams, scheme)
+        monkeypatch.setattr(weights_mod, "sample_gamma", real)
+        for r in (0, 2):
+            lone = sample_dirichlet_weights([derive_stream(227, [r])], scheme)[0]
+            np.testing.assert_array_equal(block[r], lone)
+        assert block[1].sum() == pytest.approx(1.0, abs=1e-12)
+
+
 class TestMinibatch:
     def test_two_choose_one_frequencies(self):
         scheme = WeightScheme("minibatch", n=2, m=1)
         stream = derive_stream(5, ["mb2"])
         hits = 0
         for r in range(10**4):
-            w = sample_minibatch_weights(stream.child(r), scheme).values
+            w = sample_minibatch_weights([stream.child(r)], scheme)[0]
             assert sorted(w) == [0.0, 1.0]
             hits += w[0] == 1.0
         assert abs(hits / 10**4 - 0.5) < 0.02
 
     def test_full_batch_exactly_uniform(self):
         scheme = WeightScheme("minibatch", n=64, m=64)
-        w = sample_minibatch_weights(derive_stream(5, ["full"]), scheme).values
+        w = sample_minibatch_weights([derive_stream(5, ["full"])], scheme)[0]
         np.testing.assert_array_equal(w, np.full(64, 1.0 / 64))
 
     def test_structure_of_one_draw(self):
         scheme = WeightScheme("minibatch", n=1000, m=100)
-        w = sample_minibatch_weights(derive_stream(5, ["one"]), scheme).values
+        w = sample_minibatch_weights([derive_stream(5, ["one"])], scheme)[0]
         assert np.count_nonzero(w) == 100
         assert set(np.unique(w)) == {0.0, 0.01}
 
@@ -101,24 +159,24 @@ class TestMinibatch:
         reps = 2 * 10**4
         first = np.empty(reps)
         for r in range(reps):
-            first[r] = sample_minibatch_weights(stream.child(r), scheme).values[0]
+            first[r] = sample_minibatch_weights([stream.child(r)], scheme)[0][0]
         assert np.var(first, ddof=1) == pytest.approx(4.0e-8, rel=0.05)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            sample_minibatch_weights(derive_stream(1, []), WeightScheme("dirichlet", 10, 3))
+            sample_minibatch_weights([derive_stream(1, [])], WeightScheme("dirichlet", 10, 3))
 
 
 class TestGaussianStructured:
     def test_full_batch_collapses_to_uniform(self):
         scheme = WeightScheme("gaussian", n=50, m=50)
-        w = sample_gaussian_structured_weights(derive_stream(6, ["g"]), scheme).values
+        w = sample_gaussian_structured_weights([derive_stream(6, ["g"])], scheme)[0]
         np.testing.assert_array_equal(w, np.full(50, 0.02))
 
     def test_sum_to_one_within_accumulation_tolerance(self):
         for base in ("normal", "rademacher", "uniform"):
             scheme = WeightScheme("gaussian", n=10**4, m=2000, base=base)
-            w = sample_gaussian_structured_weights(derive_stream(6, [base]), scheme).values
+            w = sample_gaussian_structured_weights([derive_stream(6, [base])], scheme)[0]
             assert abs(w.sum() - 1.0) <= 1e-10 * scheme.n
 
     def test_pooled_covariance_matches_target(self):
@@ -134,7 +192,7 @@ class TestGaussianStructured:
 
     def test_rademacher_base_values(self):
         scheme = WeightScheme("gaussian", n=100, m=10, base="rademacher")
-        w = sample_gaussian_structured_weights(derive_stream(6, ["r"]), scheme).values
+        w = sample_gaussian_structured_weights([derive_stream(6, ["r"])], scheme)[0]
         # base is +-1, so after centering/scaling only a few distinct values occur
         assert len(np.unique(np.round(w, 15))) <= 4
 
@@ -145,7 +203,7 @@ class TestDirichlet:
 
     def test_draw_is_simplex_point(self):
         scheme = WeightScheme("dirichlet", n=500, m=100)
-        w = sample_dirichlet_weights(derive_stream(8, ["d"]), scheme).values
+        w = sample_dirichlet_weights([derive_stream(8, ["d"])], scheme)[0]
         assert w.min() >= 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -155,7 +213,7 @@ class TestDirichlet:
         reps = 2 * 10**4
         first = np.empty(reps)
         for r in range(reps):
-            first[r] = sample_dirichlet_weights(stream.child(r), scheme).values[0]
+            first[r] = sample_dirichlet_weights([stream.child(r)], scheme)[0][0]
         assert np.var(first, ddof=1) == pytest.approx(4.0e-8, rel=0.05)
 
     def test_underflow_exhausts_retries(self, monkeypatch):
@@ -164,7 +222,7 @@ class TestDirichlet:
             weights_mod, "sample_gamma", lambda stream, shape, size=None: np.zeros(size)
         )
         with pytest.raises(ArithmeticError, match="underflow"):
-            sample_dirichlet_weights(derive_stream(1, ["u"]), scheme)
+            sample_dirichlet_weights([derive_stream(1, ["u"])], scheme)
 
     def test_underflow_recovers_on_retry(self, monkeypatch):
         scheme = WeightScheme("dirichlet", n=16, m=4)
@@ -178,7 +236,7 @@ class TestDirichlet:
             return real(stream, shape, size)
 
         monkeypatch.setattr(weights_mod, "sample_gamma", flaky)
-        w = sample_dirichlet_weights(derive_stream(1, ["u"]), scheme).values
+        w = sample_dirichlet_weights([derive_stream(1, ["u"])], scheme)[0]
         assert calls["count"] == 2
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -197,8 +255,8 @@ class TestDirichlet:
 
         monkeypatch.setattr(weights_mod, "sample_gamma", underflow_first)
         stream = derive_stream(2, ["reused"])
-        first = sample_dirichlet_weights(stream, scheme).values
-        second = sample_dirichlet_weights(stream, scheme).values
+        first = sample_dirichlet_weights([stream], scheme)[0]
+        second = sample_dirichlet_weights([stream], scheme)[0]
         assert calls["count"] == 4
         assert not np.array_equal(first, second)
 
@@ -260,7 +318,7 @@ class TestEmpiricalMoments:
             stream = derive_stream(53, ["surr", m])
             max_devs, sumsq = [], []
             for r in range(200):
-                w = sample_weights(stream.child(r), scheme).values
+                w = sample_weights([stream.child(r)], scheme)[0]
                 max_devs.append(math.sqrt(m) * np.max(np.abs(w - 1 / n)))
                 sumsq.append(m * np.sum((w - 1 / n) ** 2))
             means[m] = np.mean(max_devs)
@@ -307,7 +365,7 @@ class TestDirichletMixedMoment:
         stream = derive_stream(59, ["mc3"])
         cubes = np.empty(4000)
         for r in range(4000):
-            cubes[r] = sample_weights(stream.child(r), scheme).values[0] ** 3
+            cubes[r] = sample_weights([stream.child(r)], scheme)[0][0] ** 3
         betas = np.zeros(n)
         betas[0] = 3
         exact = dirichlet_mixed_moment(np.full(n, alpha), betas)
@@ -321,7 +379,7 @@ class TestDirichletMixedMoment:
         stream = derive_stream(61, ["mc4"])
         values = np.empty(4000)
         for r in range(4000):
-            w = sample_weights(stream.child(r), scheme).values
+            w = sample_weights([stream.child(r)], scheme)[0]
             values[r] = w[0] ** 2 * w[1] ** 2
         betas = np.zeros(n)
         betas[0] = 2
