@@ -14,10 +14,9 @@ a ``report.json`` into the output directory:
 
 Configs are strict JSON: unknown keys are rejected and every violation is
 reported with the offending key.  Given the same config and seed, outputs
-are byte-identical regardless of ``--threads`` because every replication
-draws from a stream derived from its own index and reductions happen in
-index order.  ``wass-scaling`` and ``converge`` advance their replications
-as one ensemble, so ``--threads`` does not affect them.
+are byte-identical: every replication draws from a stream derived from its
+own index, and reductions happen in index order, whatever chunk of
+replications a step draws and reduces together.
 """
 
 from __future__ import annotations
@@ -482,7 +481,9 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
         _validate_model(resolved["model"], "model", diags)
         _check_vector(resolved.get("x0"), _model_dim(resolved["model"]), "converge.x0", diags)
         _check_scheme(resolved["scheme"], "scheme", diags, _validate_nm(resolved, command, diags))
-        _check_at_least(resolved, "reps", 1, command, diags)
+        model_kind = resolved["model"].get("kind") if isinstance(resolved["model"], dict) else None
+        # logistic block SEs are spreads across replications, so they need two
+        _check_at_least(resolved, "reps", 2 if model_kind == "logistic" else 1, command, diags)
         _check_nonempty(resolved, "runs", command, diags)
         for i, run in enumerate(resolved["runs"]):
             if not isinstance(run, dict):
@@ -498,7 +499,6 @@ def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
                 diags.append(f"runs[{i}]: needs gamma and num_steps")
             else:
                 _check_gamma(run["gamma"], f"runs[{i}].gamma", diags)
-        model_kind = resolved["model"].get("kind") if isinstance(resolved["model"], dict) else None
         if model_kind == "logistic":
             # block means compare consecutive windows of the num_steps + 1 iterates
             if resolved["blocks"] < 2:
@@ -607,7 +607,7 @@ def _model_from_spec(spec: dict):
 # ----------------------------------------------------------------------
 
 
-def _run_weights_moments(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> list[CheckResult]:
+def _run_weights_moments(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
     params = cfg.params
     n, m, reps = params["n"], params["m"], params["reps"]
     thresholds = params["thresholds"]
@@ -618,9 +618,7 @@ def _run_weights_moments(cfg: ExperimentConfig, out: _OutputDir, threads: int) -
     for spec in params["schemes"]:
         label = _scheme_label(spec)
         scheme = _scheme_from_spec(spec, n, m)
-        report = empirical_weight_moments(
-            scheme, root.child(label), reps, threads=threads
-        )
+        report = empirical_weight_moments(scheme, root.child(label), reps)
         checks.append(CheckResult(
             f"{label}:coord_mean", report.coord_mean[0], 1.0 / n,
             thresholds["mean_sigmas"] * report.coord_mean_se[0],
@@ -659,15 +657,13 @@ def _run_weights_moments(cfg: ExperimentConfig, out: _OutputDir, threads: int) -
     return checks
 
 
-def _run_clt(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> list[CheckResult]:
+def _run_clt(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
     params = cfg.params
     n, m, count, p = params["n"], params["m"], params["samples"], params["p"]
     model = make_uniform_clt_model(p)
     scheme = _scheme_from_spec(params["scheme"], n, m)
     root = derive_stream(cfg.seed, ("clt",))
-    sample_set = clt_error_samples(
-        model, scheme, np.zeros(p), count, root.child("samples"), threads=threads
-    )
+    sample_set = clt_error_samples(model, scheme, np.zeros(p), count, root.child("samples"))
     target_var = 1.0 / 3.0  # Var Unif(-1, 1)
     checks: list[CheckResult] = []
     for j in range(p):
@@ -698,7 +694,7 @@ def _run_clt(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> list[Check
     return checks
 
 
-def _run_weighting_gap(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> list[CheckResult]:
+def _run_weighting_gap(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
     params = cfg.params
     model = _model_from_spec(params["model"])
     theta = np.asarray(params.get("theta", np.ones(model.dim)), dtype=float)
@@ -709,10 +705,7 @@ def _run_weighting_gap(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> 
         label = _scheme_label(spec)
         for n, m in params["pairs"]:
             scheme = _scheme_from_spec(spec, n, m)
-            gap = weighting_gap(
-                model, scheme, theta, params["reps"], root.child(label, n, m),
-                threads=threads,
-            )
+            gap = weighting_gap(model, scheme, theta, params["reps"], root.child(label, n, m))
             checks.append(CheckResult(
                 f"{label}:n{n}:m{m}", gap.estimate, gap.analytic,
                 params["sigmas"] * gap.se,
@@ -734,7 +727,7 @@ def _final_states(trajectory) -> np.ndarray:
     return trajectory.states[-1]
 
 
-def _run_wass_scaling(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> list[CheckResult]:
+def _run_wass_scaling(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
     params = cfg.params
     model = _model_from_spec(params["model"])
     n, m = params["n"], params["m"]
@@ -751,10 +744,10 @@ def _run_wass_scaling(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> l
             gamma=gamma, num_steps=int(round(horizon / gamma)), m=m, n=n, x0=x0
         )
         msgd_ensemble = _final_states(run_msgd(
-            model, scheme, config, [root.child(i, "msgd", r) for r in range(reps)]
+            model, scheme, config, root.children(i, "msgd", stop=reps)
         ))
         em_ensemble = _final_states(run_diffusion_em(
-            model, config, params["em_substeps"], [root.child(i, "em", r) for r in range(reps)]
+            model, config, params["em_substeps"], root.children(i, "em", stop=reps)
         ))
         estimate = sliced_w2(
             msgd_ensemble, em_ensemble, params["n_directions"], root.child(i, "directions")
@@ -935,13 +928,13 @@ def _run_converge_logistic(cfg, out: _OutputDir) -> list[CheckResult]:
     return checks
 
 
-def _run_converge(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> list[CheckResult]:
+def _run_converge(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
     if cfg.params["model"]["kind"] == "quadratic":
         return _run_converge_quadratic(cfg, out)
     return _run_converge_logistic(cfg, out)
 
 
-def _run_gd_ode(cfg: ExperimentConfig, out: _OutputDir, threads: int) -> list[CheckResult]:
+def _run_gd_ode(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
     params = cfg.params
     model = _model_from_spec(params["model"])
     x0 = np.asarray(params.get("x0", np.ones(model.dim)), dtype=float)
@@ -985,9 +978,13 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> ExperimentReport:
-    """Execute one validated config, writing CSV artifacts and report.json."""
+    """Execute one validated config, writing CSV artifacts and report.json.
+
+    ``threads`` is accepted and ignored, for callers written when
+    replications could run on a thread pool.
+    """
     out = _OutputDir(out_dir, config)
-    checks = _RUNNERS[config.command](config, out, threads)
+    checks = _RUNNERS[config.command](config, out)
     echo = {k: v for k, v in config.params.items()}
     report = ExperimentReport(
         command=config.command,
@@ -1019,10 +1016,6 @@ def main(argv=None) -> int:
         help="output directory (default: the config's 'out', else msgdlab-out)",
     )
     parser.add_argument(
-        "--threads", type=int, default=1,
-        help="replication thread count for clt, weights-moments and weighting-gap",
-    )
-    parser.add_argument(
         "--list-commands", action="store_true", help="list commands and exit"
     )
     args = parser.parse_args(argv)
@@ -1047,7 +1040,7 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = args.out or config.params.get("out") or "msgdlab-out"
-    report = run_experiment(config, out_dir, threads=max(args.threads, 1))
+    report = run_experiment(config, out_dir)
     for check in report.checks:
         verdict = "PASS" if check.passed else "FAIL"
         print(

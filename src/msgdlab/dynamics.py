@@ -49,9 +49,15 @@ from .weights import WeightScheme, sample_weights
 
 DIVERGENCE_LIMIT = 1e150
 
-# Payload elements (replications x n x payload width) M-SGD draws and reduces
-# at once: about 512 KiB of float64, so a chunk's data block stays in cache.
+# Payload elements (replications x n x payload width) drawn and reduced at
+# once by M-SGD and the sampling statistics: about 512 KiB of float64, so a
+# chunk's data block stays in cache.
 CHUNK_ELEMENTS = 2**16
+
+
+def chunk_rows(row_elements: int) -> int:
+    """Replications per chunk when each holds `row_elements` payload elements."""
+    return max(1, CHUNK_ELEMENTS // row_elements)
 
 
 class DivergenceError(ArithmeticError):
@@ -240,7 +246,7 @@ def run_msgd(
             f"config (n={config.n}, m={config.m})"
         )
 
-    chunk = max(1, CHUNK_ELEMENTS // (config.n * model.payload_dim))
+    chunk = chunk_rows(config.n * model.payload_dim)
 
     def advance(x, live_streams):
         drift = np.empty_like(x)

@@ -5,24 +5,30 @@ addressed by ``(master_seed, path)`` where ``path`` is a sequence of labels
 such as ``("rep", 17, "weights", 3)``.  Two streams with the same address
 produce bit-identical output; streams with different addresses are
 statistically independent.  This makes replicated Monte Carlo runs
-reproducible regardless of execution order or thread count: every logical
-task derives its own stream from its index instead of sharing generator
-state.
+reproducible regardless of execution order or batching: every logical task
+derives its own stream from its index instead of sharing generator state.
 
-The bit source is numpy's Philox counter-based generator, keyed through a
-``SeedSequence`` whose spawn key encodes the path.  String labels enter the
-key via a SHA-256 prefix (Python's builtin ``hash`` is salted per process
-and must not be used here); integer labels pass through tagged, so the int
-``5`` and the string ``"5"`` derive different streams.
+The bit source is numpy's Philox counter-based generator.  Its key is what
+``SeedSequence(master_seed, spawn_key=<encoded path>).generate_state(2,
+uint64)`` returns, computed here with numpy's published SeedSequence
+algorithm (NEP 19 keeps it stable), so a stream draws exactly what
+``Philox(SeedSequence(...))`` would.  Owning the computation lets
+:meth:`RngStream.children` derive many replications' streams at once: the
+shared path prefix is mixed once and only the trailing index is mixed as an
+array.  String labels enter the key via a SHA-256 prefix (Python's builtin
+``hash`` is salted per process and must not be used here); integer labels
+pass through tagged, so the int ``5`` and the string ``"5"`` derive
+different streams.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 PathLabel = Union[int, str]
 
@@ -49,6 +55,112 @@ def _encode_path(path: Sequence[PathLabel]) -> tuple[int, ...]:
     return tuple(words)
 
 
+# Constants of numpy's SeedSequence (NEP 19 keeps its algorithm stable).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int; 0 is one word."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+# The mixing steps below take Python ints or uint64 arrays holding 32-bit
+# values, masking after every product, so one code path serves the scalar
+# prefix of a path and the vector of trailing replication indices.
+
+
+def _hashmix(value, const: int):
+    value = value ^ const
+    const = (const * _MULT_A) & _MASK32
+    value = (value * const) & _MASK32
+    return value ^ (value >> 16), const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _absorb(pool: list, const: int, word) -> tuple[list, int]:
+    """Mix one entropy word beyond the pool size into every pool word."""
+    mixed = []
+    for value in pool:
+        hashed, const = _hashmix(word, const)
+        mixed.append(_mix(value, hashed))
+    return mixed, const
+
+
+def _seed_pool(master_seed: int) -> tuple[list, int]:
+    """SeedSequence's entropy pool and hash constant after ``master_seed``.
+
+    A non-empty spawn key pads the seed words to the pool size; an empty
+    one leaves them unpadded, which mixes the same pool because the missing
+    words hash as zeros.  A seed below 2**64 never fills the pool, so the
+    spawn-key words, absorbed next, always follow it.
+    """
+    seed_words = _uint32_words(master_seed)
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        value, const = _hashmix(seed_words[i] if i < len(seed_words) else 0, const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    return pool, const
+
+
+def _absorb_path(state: tuple[list, int], path: Sequence[PathLabel]) -> tuple[list, int]:
+    """Absorb the spawn-key words that encode ``path`` into a pool state."""
+    pool, const = state
+    for label in _encode_path(path):
+        for word in _uint32_words(label):
+            pool, const = _absorb(pool, const, word)
+    return pool, const
+
+
+def _philox_key(pool: list):
+    """``generate_state(2, np.uint64)`` of the pool: the 128-bit Philox key."""
+    const = _INIT_B
+    state = []
+    for value in pool:
+        value = value ^ const
+        const = (const * _MULT_B) & _MASK32
+        value = (value * const) & _MASK32
+        state.append(value ^ (value >> 16))
+    return state[0] | (state[1] << 32), state[2] | (state[3] << 32)
+
+
+class _PhiloxKey(ISeedSequence):
+    """A seed sequence that hands Philox a key derived in this module.
+
+    ``np.random.Philox(seed_sequence)`` asks it for ``generate_state(2,
+    np.uint64)`` and keys itself with the result, so the generator equals
+    one seeded by the ``SeedSequence`` the key was computed from.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a derived Philox key answers only generate_state(2, uint64)")
+        return np.array(self.key, dtype=np.uint64)
+
+
 class RngStream:
     """Immutable handle for one deterministic random stream.
 
@@ -58,24 +170,93 @@ class RngStream:
     work instead of sharing an instance.
     """
 
-    __slots__ = ("master_seed", "path", "generator")
+    __slots__ = ("master_seed", "path", "generator", "_pool")
 
     def __init__(self, master_seed: int, path: Sequence[PathLabel] = ()):
         if not isinstance(master_seed, (int, np.integer)) or isinstance(master_seed, bool):
             raise TypeError("master_seed must be an integer")
         if not 0 <= master_seed < _MAX_SEED:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "master_seed", int(master_seed))
-        object.__setattr__(self, "path", tuple(path))
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=_encode_path(self.path))
-        object.__setattr__(self, "generator", np.random.Generator(np.random.Philox(seq)))
+        path = tuple(path)
+        pool = _absorb_path(_seed_pool(int(master_seed)), path)
+        self._set(int(master_seed), path, _philox_key(pool[0]), pool)
+
+    def _set(self, master_seed: int, path: tuple, key, pool) -> None:
+        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "path", path)
+        generator = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "_pool", pool)
 
     def __setattr__(self, name, value):
         raise AttributeError("RngStream handles are immutable after derivation")
 
+    def _pool_state(self) -> tuple[list, int]:
+        """The SeedSequence pool state after this stream's path; streams
+        built by ``children`` compute it on first use."""
+        if self._pool is None:
+            pool = _absorb_path(_seed_pool(self.master_seed), self.path)
+            object.__setattr__(self, "_pool", pool)
+        return self._pool
+
     def child(self, *labels: PathLabel) -> "RngStream":
         """Derive the stream addressed by this path extended with `labels`."""
-        return RngStream(self.master_seed, self.path + labels)
+        pool = _absorb_path(self._pool_state(), labels)
+        stream = object.__new__(RngStream)
+        stream._set(self.master_seed, self.path + labels, _philox_key(pool[0]), pool)
+        return stream
+
+    def _child_keys(self, labels: tuple, start: int, stop: int) -> np.ndarray:
+        """Philox keys of ``child(*labels, r)`` for r in range(start, stop),
+        as a (stop - start, 2) uint64 array.
+
+        The path prefix is mixed once as scalars; only the words of the
+        trailing index r run as arrays over r.
+        """
+        if not 0 <= start <= stop <= _MAX_SEED:
+            raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
+        pool, const = _absorb_path(self._pool_state(), labels)
+        pool, const = _absorb(pool, const, 0)  # the int tag of r
+        keys = np.empty((stop - start, 2), dtype=np.uint64)
+        # r is one 32-bit word below 2**32 and two from there on
+        for low, high, width in ((start, min(stop, 2**32), 1), (max(start, 2**32), stop, 2)):
+            if low >= high:
+                continue
+            index = np.arange(low, high, dtype=np.uint64)
+            part, part_const = pool, const
+            for shift in range(0, 32 * width, 32):
+                part, part_const = _absorb(part, part_const, (index >> shift) & _MASK32)
+            keys[low - start : high - start] = np.column_stack(_philox_key(part))
+        return keys
+
+    def _keyed_children(self, labels: tuple, start: int, keys: np.ndarray) -> list["RngStream"]:
+        """The streams ``child(*labels, start + i)`` keyed by ``keys[i]``."""
+        streams = []
+        base = self.path + labels
+        for i, key in enumerate(keys.tolist()):
+            stream = object.__new__(RngStream)
+            stream._set(self.master_seed, base + (start + i,), key, None)
+            streams.append(stream)
+        return streams
+
+    def children(self, *labels: PathLabel, start: int = 0, stop: int) -> list["RngStream"]:
+        """``[child(*labels, r) for r in range(start, stop)]``, bit for bit,
+        with the derivation batched over r."""
+        return self._keyed_children(labels, start, self._child_keys(labels, start, stop))
+
+    def child_chunks(
+        self, *labels: PathLabel, stop: int, size: int
+    ) -> Iterator[tuple[int, list["RngStream"]]]:
+        """Yield ``(start, children(*labels, start=start, stop=start + size))``
+        for start = 0, size, 2 size, ... below `stop` (the last chunk may be
+        shorter).  Every key is derived in one batch up front; only one
+        chunk's generators are alive at a time.
+        """
+        if size < 1:
+            raise ValueError(f"chunk size must be >= 1, got {size}")
+        keys = self._child_keys(labels, 0, stop)
+        for start in range(0, stop, size):
+            yield start, self._keyed_children(labels, start, keys[start : start + size])
 
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, path={self.path!r})"
@@ -111,21 +292,6 @@ def sample_gamma(stream: RngStream, shape: float, size=None):
         u = gen.random(size)
         out = g * u ** (1.0 / shape)
     return float(out) if size is None else out
-
-
-def parallel_map(fn: Callable[[int], object], count: int, threads: int = 1) -> list:
-    """Evaluate ``fn(0..count-1)``, optionally on a thread pool.
-
-    Results always come back in index order, so reductions over them are
-    bit-identical whatever the thread count.  Safe only when each call
-    touches its own derived stream (the convention everywhere here).
-    """
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def finite_diff_gradient(

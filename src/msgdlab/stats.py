@@ -25,9 +25,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .dynamics import DivergenceError, RunConfig, Trajectory
+from .dynamics import DivergenceError, RunConfig, Trajectory, chunk_rows
 from .models import LossModel
-from .numerics import RngStream, parallel_map
+from .numerics import RngStream
 from .weights import WeightScheme, sample_weights
 
 
@@ -43,27 +43,29 @@ class ErrorSampleSet:
 
 
 def clt_error_samples(
-    model: LossModel, scheme: WeightScheme, theta, reps: int, stream: RngStream,
-    threads: int = 1,
+    model: LossModel, scheme: WeightScheme, theta, reps: int, stream: RngStream
 ) -> ErrorSampleSet:
     """Draw `reps` independent weighted-error samples, fresh data and weights each.
 
-    Row r consumes the derived stream ``stream.child("rep", r)``.
+    Row r consumes the derived stream ``stream.child("rep", r)``, data before
+    weights.  The rows are drawn and reduced in chunks of
+    ``dynamics.chunk_rows(n * payload_dim)`` replications, as in M-SGD; rows
+    never mix, so the chunk size cannot change a bit of the result.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     grad_mean = model.grad_objective(theta)
     sqrt_m = math.sqrt(scheme.m)
-
-    def one_row(r: int) -> np.ndarray:
-        sub = stream.child("rep", r)
-        data = model.sample_data([sub], scheme.n)[0]
+    samples = np.empty((reps, theta.size))
+    chunk = chunk_rows(scheme.n * model.payload_dim)
+    for start, streams in stream.child_chunks("rep", stop=reps, size=chunk):
+        data = model.sample_data(streams, scheme.n)
+        w = sample_weights(streams, scheme)
         grads = model.grad_loss(theta, data)
-        w = sample_weights([sub], scheme)[0]
-        return sqrt_m * (w @ grads - grad_mean)
-
-    samples = np.asarray(parallel_map(one_row, reps, threads))
+        errors = (w[:, None, :] @ grads)[:, 0, :] - grad_mean
+        samples[start : start + len(streams)] = sqrt_m * errors
+        del data, w, grads  # free the blocks before the next chunk draws its own
     return ErrorSampleSet(samples=samples, theta=theta, scheme=scheme, n=scheme.n, m=scheme.m)
 
 
@@ -171,14 +173,16 @@ class GapEstimate:
 
 
 def weighting_gap(
-    model: LossModel, scheme: WeightScheme, theta, reps: int, stream: RngStream,
-    threads: int = 1,
+    model: LossModel, scheme: WeightScheme, theta, reps: int, stream: RngStream
 ) -> GapEstimate:
     """Estimate E|sqrt(m)(sum w_i grad l - grad g) - sqrt(n)(avg grad l - grad g)|^2.
 
     The expectation equals 2 (1 - sqrt(m/n)) Tr sigma^2(theta) exactly, for
     any weight law with the minibatch mean/covariance structure and any n;
-    the analytic value is returned alongside the estimate.
+    the analytic value is returned alongside the estimate.  Replication r
+    consumes ``stream.child("rep", r)``; replications are drawn in chunks as
+    in :func:`clt_error_samples`, and the plain average and squared norm are
+    taken per replication, where a batched reduction would round differently.
     """
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000, got {reps}")
@@ -186,18 +190,17 @@ def weighting_gap(
     n, m = scheme.n, scheme.m
     grad_mean = model.grad_objective(theta)
     sqrt_m, sqrt_n = math.sqrt(m), math.sqrt(n)
-
-    def one_rep(r: int) -> float:
-        sub = stream.child("rep", r)
-        data = model.sample_data([sub], n)[0]
+    values = np.empty(reps)
+    chunk = chunk_rows(n * model.payload_dim)
+    for start, streams in stream.child_chunks("rep", stop=reps, size=chunk):
+        data = model.sample_data(streams, n)
+        w = sample_weights(streams, scheme)
         grads = model.grad_loss(theta, data)
-        w = sample_weights([sub], scheme)[0]
-        weighted = sqrt_m * (w @ grads - grad_mean)
-        plain = sqrt_n * (grads.mean(axis=0) - grad_mean)
-        diff = weighted - plain
-        return float(diff @ diff)
-
-    values = np.asarray(parallel_map(one_rep, reps, threads))
+        weighted = sqrt_m * ((w[:, None, :] @ grads)[:, 0, :] - grad_mean)
+        for r, (row_grads, row_weighted) in enumerate(zip(grads, weighted), start):
+            diff = row_weighted - sqrt_n * (row_grads.mean(axis=0) - grad_mean)
+            values[r] = diff @ diff
+        del data, w, grads, row_grads  # free the blocks before the next chunk draws
     analytic = 2.0 * (1.0 - math.sqrt(m / n)) * model.noise_trace(theta)
     return GapEstimate(
         estimate=float(values.mean()),
@@ -300,7 +303,7 @@ def convergence_curve(
     x_star, g_star = reference if reference is not None else reference_minimum(model)
     x_star = np.asarray(x_star, dtype=float)
     try:
-        traj = runner(model, config, [stream.child("rep", r) for r in range(reps)])
+        traj = runner(model, config, stream.children("rep", stop=reps))
     except DivergenceError as exc:
         raise ArithmeticError(f"all {reps} replications diverged") from exc
     diverged = sorted(traj.diverged)

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .numerics import RngStream, parallel_map, sample_gamma
+from .numerics import RngStream, sample_gamma
 
 SCHEME_KINDS = ("minibatch", "gaussian", "dirichlet")
 GAUSSIAN_BASES = ("normal", "rademacher", "uniform")
@@ -85,19 +85,41 @@ def dirichlet_alpha(n: int, m: int) -> float:
 
 
 def _sample_subset(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """Uniform random m-subset of range(n) by partial Fisher-Yates.
+    """Uniform random m-subset of range(n) by partial Fisher-Yates, in the
+    order the swap loop visits it.
 
-    Only the m swapped positions are materialized (a dict), so memory is
-    O(m) even for n up to 10^6.
+    Step i draws j_i uniform on [i, n), outputs the value at position j_i
+    and moves the value at position i there.  Position i is never read
+    after step i, so the value at i before step i (the chain value c_i) is
+    the value the last earlier step targeting i moved there, that step's own
+    chain value, or i itself; pointer doubling resolves these chains.  Step
+    i then outputs the chain value of the last earlier step with the same
+    target, else j_i.  Memory is O(m) even for n up to 10^6, and the output
+    equals the swap loop's exactly.
     """
-    draws = gen.integers(low=np.arange(m), high=n)  # j_i uniform on [i, n)
-    swapped: dict[int, int] = {}
-    out = []
-    for i, j in enumerate(draws.tolist()):
-        value_i = swapped.get(i, i)
-        out.append(swapped.get(j, j))
-        swapped[j] = value_i
-    return np.array(out, dtype=np.int64)
+    steps = np.arange(m)
+    draws = gen.integers(low=steps, high=n)  # j_i uniform on [i, n)
+    target, step = np.divmod(np.sort(draws * m + steps), m)  # by target, then step
+    first = np.empty(m + 1, dtype=bool)  # entry opens a target group; sentinel at m
+    first[0] = first[m] = True
+    np.not_equal(target[1:], target[:-1], out=first[1:m])
+    # the last step before s targeting position s is the entry just before the
+    # end of group s or before step s itself, which sorts last in its group
+    closes = first[1:].copy()
+    closes[:-1] |= step[1:] == target[1:]
+    writes = closes & (step < target) & (target < m)
+    chain = steps.copy()
+    chain[target[writes]] = step[writes]
+    while True:
+        nxt = chain[chain]
+        if np.array_equal(nxt, chain):
+            break
+        chain = nxt
+    out = np.empty(m, dtype=np.int64)
+    previous = np.empty(m, dtype=np.int64)
+    previous[1:] = chain[step[:-1]]
+    out[step] = np.where(first[:m], target, previous)
+    return out
 
 
 def sample_minibatch_weights(streams: Sequence[RngStream], scheme: WeightScheme) -> np.ndarray:
@@ -242,46 +264,35 @@ def _covariance_se(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(max(np.mean((cx * cy) ** 2) - cov**2, 0.0) / n))
 
 
-def empirical_weight_moments(
-    scheme: WeightScheme, stream: RngStream, reps: int, threads: int = 1
-) -> MomentReport:
+def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int) -> MomentReport:
     """Estimate the scheme's moment targets from `reps` independent draws.
 
-    Draw r consumes the derived stream ``stream.child("rep", r)``, so the
-    report does not depend on execution order or thread count.
+    Draw r consumes the derived stream ``stream.child("rep", r)``.  Draws
+    come in blocks of ``dynamics.chunk_rows(n)`` replications and are
+    accumulated row by row in replication order, so the report does not
+    depend on the block size.
     """
+    from .dynamics import chunk_rows  # dynamics imports this module
+
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
     n, m = scheme.n, scheme.m
-
-    def one_draw(r: int):
-        w = sample_weights([stream.child("rep", r)], scheme)[0]
-        return (
-            w,
-            w[0],
-            w[1] if n > 1 else w[0],
-            m * np.sum(w * w),
-            m**1.5 * np.sum(np.abs(w) ** 3),
-        )
-
     sum_w = np.zeros(n)
     sum_w2 = np.zeros(n)
     first = np.empty(reps)
     second = np.empty(reps)
     m_sum_sq = np.empty(reps)
     m32_cube = np.empty(reps)
-    chunk = 256  # bounds live weight vectors; accumulation order stays fixed
-    for start in range(0, reps, chunk):
-        stop = min(start + chunk, reps)
-        draws = parallel_map(lambda i: one_draw(start + i), stop - start, threads)
-        for offset, (w, w0, w1, msum, mcube) in enumerate(draws):
-            r = start + offset
+    for start, streams in stream.child_chunks("rep", stop=reps, size=chunk_rows(n)):
+        block = sample_weights(streams, scheme)
+        for r, w in enumerate(block, start):
             sum_w += w
             sum_w2 += w * w
-            first[r] = w0
-            second[r] = w1
-            m_sum_sq[r] = msum
-            m32_cube[r] = mcube
+            first[r] = w[0]
+            second[r] = w[1] if n > 1 else w[0]
+            m_sum_sq[r] = m * np.sum(w * w)
+            m32_cube[r] = m**1.5 * np.sum(np.abs(w) ** 3)
+        del block, w  # free the block before the next chunk draws its own
     coord_mean = sum_w / reps
     coord_var = np.maximum(sum_w2 / reps - coord_mean**2, 0.0)
     coord_mean_se = np.sqrt(coord_var / reps)

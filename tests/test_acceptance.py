@@ -9,13 +9,14 @@ pinned here; nothing is recalibrated at runtime.
 import json
 from pathlib import Path
 
+import msgdlab.dynamics as dynamics_mod
 from msgdlab.cli import run_experiment, validate_config
 
 SEED = 20260808
 
 
-def _run(label: str, raw: dict, out_dir: Path, threads: int = 1):
-    report = run_experiment(validate_config(raw), out_dir, threads=threads)
+def _run(label: str, raw: dict, out_dir: Path):
+    report = run_experiment(validate_config(raw), out_dir)
     verdict = "PASS" if report.overall_pass else "FAIL"
     worst = ""
     if not report.overall_pass:
@@ -204,22 +205,26 @@ DETERMINISM_CONFIGS = {
 }
 
 
-def test_a10_byte_determinism_across_threads(tmp_path):
-    """Every command, rerun with the same seed at --threads 1 and
-    --threads 8, produces byte-identical CSV and JSON artifacts."""
+def test_a10_byte_determinism_across_threads(tmp_path, monkeypatch):
+    """Every command, rerun with the same seed at the default chunk size and
+    with one replication per chunk, produces byte-identical CSV and JSON
+    artifacts.  (The name predates the thread pool's removal; the chunk size
+    is now the execution setting that varies.)"""
     for command, raw in DETERMINISM_CONFIGS.items():
-        dir_single = tmp_path / command / "t1"
-        dir_pool = tmp_path / command / "t8"
-        run_experiment(validate_config(raw), dir_single, threads=1)
-        run_experiment(validate_config(raw), dir_pool, threads=8)
-        names = sorted(p.name for p in dir_single.iterdir())
-        assert names == sorted(p.name for p in dir_pool.iterdir())
+        dir_default = tmp_path / command / "default"
+        dir_single = tmp_path / command / "one"
+        run_experiment(validate_config(raw), dir_default)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics_mod, "CHUNK_ELEMENTS", 1)
+            run_experiment(validate_config(raw), dir_single)
+        names = sorted(p.name for p in dir_default.iterdir())
+        assert names == sorted(p.name for p in dir_single.iterdir())
         assert names, f"{command} wrote no artifacts"
         for name in names:
-            a = (dir_single / name).read_bytes()
-            b = (dir_pool / name).read_bytes()
-            assert a == b, f"{command}/{name} differs between thread counts"
-    print(f"[A10 determinism] PASS ({len(DETERMINISM_CONFIGS)} commands, threads 1 vs 8)")
+            a = (dir_default / name).read_bytes()
+            b = (dir_single / name).read_bytes()
+            assert a == b, f"{command}/{name} differs between chunk sizes"
+    print(f"[A10 determinism] PASS ({len(DETERMINISM_CONFIGS)} commands, default chunk vs 1)")
 
 
 def test_reports_expose_tolerances(tmp_path):

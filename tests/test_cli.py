@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import msgdlab.dynamics as dynamics_mod
 from msgdlab.cli import (
     COMMANDS,
     CheckResult,
@@ -175,14 +176,18 @@ class TestRunExperiment:
         for name in ("report.json", "weight_moments.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # named for the retired thread pool: the setting that varies is now
+        # the chunk size, default against one replication per chunk
         cfg = tiny_config("clt")
-        run_experiment(validate_config(cfg), tmp_path / "t1", threads=1)
-        run_experiment(validate_config(cfg), tmp_path / "t8", threads=8)
-        names = sorted(p.name for p in (tmp_path / "t1").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "t8").iterdir())
+        default, one = tmp_path / "default", tmp_path / "one"
+        run_experiment(validate_config(cfg), default)
+        monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", 1)
+        run_experiment(validate_config(cfg), one)
+        names = sorted(p.name for p in default.iterdir())
+        assert names == sorted(p.name for p in one.iterdir())
         for name in names:
-            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
+            assert (default / name).read_bytes() == (one / name).read_bytes()
 
     def test_different_seed_changes_results(self, tmp_path):
         base = tiny_config("clt")
@@ -246,14 +251,20 @@ class TestMain:
                  "runs": [{"gamma": 0.5, "num_steps": 10}]},
                 "converge.blocks",
             ),
+            (
+                {"command": "converge", "seed": 9, "model": {"kind": "logistic", "p": 2, "t": 50},
+                 "n": 20, "m": 4, "reps": 1, "kappas": [0.1], "blocks": 2,
+                 "runs": [{"gamma": 0.5, "num_steps": 10}]},
+                "converge.reps",
+            ),
             (tiny_config("gd-ode") | {"x0": [1.0, 2.0]}, "gd-ode.x0"),
             (tiny_config("wass-scaling") | {"slope_range": [2.0]}, "wass-scaling.slope_range"),
             (tiny_config("wass-scaling") | {"scheme": {"kind": "dirichlet"}, "m": 128}, "scheme"),
             (tiny_config("weighting-gap") | {"pairs": [[400, 400]]}, "schemes[2]"),
         ],
         ids=[
-            "thresholds", "schemes-entry", "scheme", "blocks", "x0-length", "slope-range",
-            "dirichlet-m-equals-n", "dirichlet-pair",
+            "thresholds", "schemes-entry", "scheme", "blocks", "logistic-reps", "x0-length",
+            "slope-range", "dirichlet-m-equals-n", "dirichlet-pair",
         ],
     )
     def test_malformed_value_exit_two(self, config, key, tmp_path, capsys):

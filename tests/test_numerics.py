@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from msgdlab.numerics import (
+    _encode_path,
     derive_stream,
     finite_diff_gradient,
-    parallel_map,
     sample_gamma,
     sample_std_normal,
 )
@@ -125,14 +125,69 @@ class TestFiniteDiff:
             finite_diff_gradient(lambda x: 0.0, np.array([1.0]), h=0.0)
 
 
-class TestParallelMap:
-    def test_results_in_index_order(self):
-        assert parallel_map(lambda i: i * i, 10, threads=4) == [i * i for i in range(10)]
+def _seed_sequence_draws(seed, path, count=4):
+    """The first draws of numpy's own SeedSequence-keyed Philox for an address."""
+    seq = np.random.SeedSequence(seed, spawn_key=_encode_path(path))
+    return np.random.Generator(np.random.Philox(seq)).random(count)
 
-    def test_thread_count_does_not_change_stream_output(self):
-        def draw(i):
-            return sample_std_normal(derive_stream(1, ["par", i]), 5)
 
-        serial = np.asarray(parallel_map(draw, 16, threads=1))
-        threaded = np.asarray(parallel_map(draw, 16, threads=8))
-        np.testing.assert_array_equal(serial, threaded)
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+PATHS = [(), ("rep",), (7,), (2**32,), (2**40 + 5, "weights"), ("clt", 3, 2**63)]
+
+
+class TestInModuleDerivation:
+    """Keys are computed in the module with SeedSequence's algorithm; every
+    stream must equal the SeedSequence-keyed Philox of its address."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("path", PATHS)
+    def test_stream_equals_seed_sequence(self, seed, path):
+        np.testing.assert_array_equal(
+            derive_stream(seed, path).generator.random(4), _seed_sequence_draws(seed, path)
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("labels", [(), ("rep",), (3, "msgd")])
+    def test_children_equal_child_and_seed_sequence(self, seed, labels):
+        parent = derive_stream(seed, ("clt", 2**33))
+        # r = 0, a chunk-sized run, and runs across the one- to two-word step of r
+        for start, stop in [(0, 1), (0, 9), (2**32 - 2, 2**32 + 2), (2**64 - 3, 2**64)]:
+            streams = parent.children(*labels, start=start, stop=stop)
+            assert [s.path for s in streams] == [
+                parent.path + labels + (r,) for r in range(start, stop)
+            ]
+            for r, stream in zip(range(start, stop), streams):
+                expected = _seed_sequence_draws(seed, parent.path + labels + (r,))
+                np.testing.assert_array_equal(stream.generator.random(4), expected)
+                np.testing.assert_array_equal(
+                    parent.child(*labels, r).generator.random(4), expected
+                )
+
+    @pytest.mark.parametrize("size", [1, 3, 10, 11])
+    def test_child_chunks_cover_children(self, size):
+        parent = derive_stream(20260808, ("weights-moments", "minibatch"))
+        chunks = list(parent.child_chunks("rep", stop=10, size=size))
+        assert [start for start, _ in chunks] == list(range(0, 10, size))
+        assert all(len(streams) == min(size, 10 - start) for start, streams in chunks)
+        drawn = np.array([s.generator.random(2) for _, streams in chunks for s in streams])
+        reference = np.array([s.generator.random(2) for s in parent.children("rep", stop=10)])
+        np.testing.assert_array_equal(drawn, reference)
+
+    def test_children_of_a_child_built_in_batch(self):
+        # a stream from children() derives its own children on demand
+        batched = derive_stream(5, ["a"]).children("rep", start=3, stop=4)[0]
+        np.testing.assert_array_equal(
+            batched.child("dirichlet_retry", 2**62).generator.random(3),
+            _seed_sequence_draws(5, ("a", "rep", 3, "dirichlet_retry", 2**62), 3),
+        )
+
+    def test_empty_and_bad_ranges(self):
+        parent = derive_stream(1, ["x"])
+        assert parent.children("rep", start=4, stop=4) == []
+        assert list(parent.child_chunks("rep", stop=0, size=3)) == []
+        with pytest.raises(ValueError):
+            parent.children("rep", start=5, stop=4)
+        with pytest.raises(ValueError):
+            parent.children("rep", stop=2**64 + 1)
+        with pytest.raises(ValueError):
+            list(parent.child_chunks("rep", stop=4, size=0))

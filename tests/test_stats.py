@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import msgdlab.dynamics as dynamics_mod
 from msgdlab.dynamics import RunConfig, Trajectory, run_gaussian_sgd, run_gd, run_msgd
 from msgdlab.models import make_quadratic_model, make_uniform_clt_model
 from msgdlab.numerics import derive_stream, sample_std_normal
@@ -24,7 +25,7 @@ from msgdlab.stats import (
     w2_1d,
     weighting_gap,
 )
-from msgdlab.weights import WeightScheme
+from msgdlab.weights import WeightScheme, sample_weights
 
 
 class TestErrorSamples:
@@ -70,6 +71,57 @@ class TestErrorSamples:
         scheme = WeightScheme("minibatch", n=10, m=2)
         with pytest.raises(ValueError):
             clt_error_samples(model, scheme, [0.0], 50, derive_stream(1, []))
+
+
+class TestChunkedSampling:
+    """clt_error_samples and weighting_gap draw and reduce chunks of
+    replications; the chunk size cannot change a bit, and row r is the
+    one-replication formula on stream.child("rep", r)."""
+
+    N, M = 40, 8
+    DEFAULT_ELEMENTS = dynamics_mod.CHUNK_ELEMENTS
+
+    def _models(self):
+        return [make_uniform_clt_model(2), make_quadratic_model(2, [0.5, -1.0], 1.5)]
+
+    def _by_chunk(self, monkeypatch, model, rows_fn):
+        results = []
+        # the default, then chunks of one and of seven replications
+        for rows in (None, 1, 7):
+            elements = self.DEFAULT_ELEMENTS if rows is None else rows * self.N * model.payload_dim
+            monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
+            results.append(rows_fn())
+        return results
+
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    def test_clt_rows(self, monkeypatch, kind):
+        scheme = WeightScheme(kind, n=self.N, m=self.M)
+        theta = np.array([0.3, 0.1])
+        for model in self._models():
+            stream = derive_stream(61, [kind, model.name])
+            runs = self._by_chunk(
+                monkeypatch, model,
+                lambda: clt_error_samples(model, scheme, theta, 100, stream).samples,
+            )
+            for samples in runs[1:]:
+                np.testing.assert_array_equal(samples, runs[0])
+            for r in (0, 6, 7, 99):
+                sub = stream.child("rep", r)
+                grads = model.grad_loss(theta, model.sample_data([sub], self.N)[0])
+                w = sample_weights([sub], scheme)[0]
+                expected = math.sqrt(self.M) * (w @ grads - model.grad_objective(theta))
+                np.testing.assert_array_equal(runs[0][r], expected)
+
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    def test_weighting_gap(self, monkeypatch, kind):
+        scheme = WeightScheme(kind, n=self.N, m=self.M)
+        model = self._models()[1]
+        runs = self._by_chunk(
+            monkeypatch, model,
+            lambda: weighting_gap(model, scheme, [1.0, 0.0], 1000, derive_stream(67, [kind])),
+        )
+        for gap in runs[1:]:
+            assert (gap.estimate, gap.se) == (runs[0].estimate, runs[0].se)
 
 
 class TestKsNormality:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import msgdlab.dynamics as dynamics_mod
 import msgdlab.weights as weights_mod
 from msgdlab.numerics import derive_stream
 from msgdlab.weights import (
@@ -151,6 +152,31 @@ class TestMinibatch:
         subset = weights_mod._sample_subset(derive_stream(20260808, ["subset"]).generator, 50, 8)
         assert subset.dtype == np.int64
         assert subset.tolist() == [39, 22, 0, 34, 46, 6, 43, 8]
+
+    @staticmethod
+    def _swap_loop_subset(gen, n, m):
+        """The partial Fisher-Yates as a swap loop over a dict: the oracle."""
+        draws = gen.integers(low=np.arange(m), high=n)
+        swapped = {}
+        out = []
+        for i, j in enumerate(draws.tolist()):
+            value_i = swapped.get(i, i)
+            out.append(swapped.get(j, j))
+            swapped[j] = value_i
+        return np.array(out, dtype=np.int64)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 400, 10**4])
+    def test_subset_equals_swap_loop(self, n):
+        sizes = sorted({1, 2, n // 3, n // 2, n - 1, n} & set(range(1, n + 1)))
+        for m in sizes:
+            for seed in range(40 if n <= 400 else 3):
+                stream = derive_stream(seed, ["swap-loop", n, m])
+                expected = self._swap_loop_subset(stream.generator, n, m)
+                again = derive_stream(seed, ["swap-loop", n, m])
+                subset = weights_mod._sample_subset(again.generator, n, m)
+                np.testing.assert_array_equal(subset, expected)
+                # and both leave the stream in the same state
+                assert again.generator.random() == stream.generator.random()
 
     def test_variance_matches_target_large(self):
         # target Var(w_1) = (n-m)/(m n^2) = 4e-8 at n=1e4, m=2000
@@ -329,6 +355,18 @@ class TestEmpiricalMoments:
     def test_reps_floor(self):
         with pytest.raises(ValueError):
             empirical_weight_moments(WeightScheme("minibatch", 10, 2), derive_stream(1, []), 50)
+
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    def test_chunk_size_leaves_report_unchanged(self, monkeypatch, kind):
+        # the default (all 250 replications in one block), then blocks of 1 and 7
+        scheme = WeightScheme(kind, n=30, m=6)
+        reports = []
+        for elements in (dynamics_mod.CHUNK_ELEMENTS, 1, 7 * 30):
+            monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
+            reports.append(empirical_weight_moments(scheme, derive_stream(59, [kind]), 250))
+        for report in reports[1:]:
+            for name in vars(report):
+                np.testing.assert_array_equal(getattr(report, name), getattr(reports[0], name))
 
 
 class TestDirichletMixedMoment:
