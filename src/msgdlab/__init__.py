@@ -25,11 +25,9 @@ from .models import (
     LogisticDataset,
     LossModel,
     generate_logistic_dataset,
-    load_logistic_dataset,
     make_logistic_model,
     make_quadratic_model,
     make_uniform_clt_model,
-    save_logistic_dataset,
 )
 from .numerics import RngStream, derive_stream, finite_diff_gradient, sample_gamma, sample_std_normal
 from .stats import (

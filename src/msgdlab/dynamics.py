@@ -102,12 +102,13 @@ class Trajectory:
     """States x_0..x_K on the grid, plus per-step records for interpolation.
 
     Single paths (``gd``, ``ode``) have states of shape (K+1, p); ensembles
-    have (K+1, R, p) and records of shape (K, R, p).
+    have (K+1, R, p) and records of shape (K, R, p).  An ``ode`` path has no
+    ``config``: its grid is its ``step_size``.
     """
 
     kind: str
     states: np.ndarray                      # (K+1, p) or (K+1, R, p)
-    config: RunConfig
+    config: Optional[RunConfig]
     model: LossModel
     scheme: Optional[WeightScheme] = None
     drift_record: Optional[np.ndarray] = None   # (K, R, p): aggregate drift per step
@@ -136,7 +137,7 @@ class Trajectory:
 
 
 def _checked(x: np.ndarray, kind: str, iteration: int) -> np.ndarray:
-    if not np.all(np.isfinite(x)) or np.any(np.abs(x) > DIVERGENCE_LIMIT):
+    if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # False for NaN and inf
         raise DivergenceError(kind, iteration)
     return x
 
@@ -155,9 +156,9 @@ def run_gd(model: LossModel, config: RunConfig) -> Trajectory:
 def _drop_diverged(x, streams, live, kind, iteration, diverged):
     """Remove the replications whose state left the range, recording each in
     ``diverged``; raise once none is left."""
-    ok = np.all(np.abs(x) <= DIVERGENCE_LIMIT, axis=1)  # False for NaN and inf
-    if ok.all():
+    if np.abs(x).max() <= DIVERGENCE_LIMIT:  # False for NaN and inf
         return x, streams, live
+    ok = np.all(np.abs(x) <= DIVERGENCE_LIMIT, axis=1)
     for r in live[~ok]:
         diverged[int(r)] = iteration
     if not ok.any():
@@ -191,13 +192,17 @@ def _run_ensemble(
     x, streams, live = _drop_diverged(
         np.tile(config.x0, (reps, 1)), streams, live, kind, 0, diverged
     )
-    states[0, live] = x
+    # while every replication is live, write the rows through a basic slice,
+    # which numpy assigns faster than an index array
+    rows = slice(None) if len(live) == reps else live
+    states[0, rows] = x
     for k in range(steps):
         x, step_record = advance(x, streams)
         if recorded:
-            record[k, live] = step_record
+            record[k, rows] = step_record
         x, streams, live = _drop_diverged(x, streams, live, kind, k + 1, diverged)
-        states[k + 1, live] = x
+        rows = slice(None) if len(live) == reps else live
+        states[k + 1, rows] = x
     return states, record, diverged
 
 
@@ -286,7 +291,6 @@ def run_ode(model: LossModel, x0, h: float, horizon: float) -> Trajectory:
     if steps < 1 or abs(steps_float - steps) > 1e-9 * max(steps, 1):
         raise ValueError(f"h={h} does not divide the horizon {horizon}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    config = RunConfig(gamma=min(h, 0.5), num_steps=steps, m=1, n=1, x0=x0)
 
     def rhs(x):
         return -model.grad_objective(x)
@@ -301,7 +305,7 @@ def run_ode(model: LossModel, x0, h: float, horizon: float) -> Trajectory:
         k4 = rhs(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[k + 1] = _checked(x, "ode", k + 1)
-    return Trajectory(kind="ode", states=states, config=config, model=model, step_size=h)
+    return Trajectory(kind="ode", states=states, config=None, model=model, step_size=h)
 
 
 def run_diffusion_em(

@@ -4,20 +4,22 @@ A :class:`LossModel` bundles everything the dynamics need:
 
 * ``objective(theta)`` and its analytic ``grad_objective(theta)``;
 * ``sample_data(streams, count)`` drawing ``count`` iid data per stream as
-  an (R, count, payload) block, R = len(streams), payload = ``payload_dim``;
-* ``grad_loss(theta, data)`` mapping a (count, payload) batch to per-datum
+  one block with leading axes (R, count), R = len(streams): (R, count, p)
+  float rows for the quadratic and uniform models, (R, count) int64 row
+  indices into the dataset for the logistic model;
+* ``grad_loss(theta, data)`` mapping a batch of ``count`` data to per-datum
   gradients (count, p), unbiased for ``grad_objective``;
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
   ``sigma sigma^T = Cov(grad_loss(theta, .))``.
 
 ``sample_data`` makes only the raw generator calls per stream, in the order
 a lone draw would, writing into one preallocated block, and then applies
-its deterministic transform once to the whole block, so row r consumes only
-``streams[r]`` and equals a one-stream draw on that stream.
+its deterministic transform, if any, once to the whole block, so row r
+consumes only ``streams[r]`` and equals a one-stream draw on that stream.
 
 Every other callable accepts theta with leading replication axes, shape
 (..., p): ``objective`` then returns shape (...), ``grad_objective``
-(..., p), ``grad_loss`` maps data of shape (..., count, payload) to
+(..., p), ``grad_loss`` maps a data block with leading axes (..., count) to
 (..., count, p), and ``noise_factor`` returns (..., p, q), or one shared
 (p, q) matrix when sigma does not depend on theta.  Inner products go
 through stacked ``np.matmul``, which runs the same kernel on every
@@ -33,9 +35,7 @@ with replacement.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ class LossModel:
     name: str
     dim: int
     noise_dim: int
-    payload_dim: int                         # width of one datum in sample_data blocks
+    payload_dim: int                         # per-datum working width that chunk_rows sizes by
     objective: Callable[[np.ndarray], float]
     grad_objective: Callable[[np.ndarray], np.ndarray]
     sample_data: Callable[[Sequence[RngStream], int], np.ndarray]
@@ -212,28 +212,6 @@ def generate_logistic_dataset(stream: RngStream, p: int, t: int, kappa: float) -
     return LogisticDataset(labels=labels, covariates=covariates, kappa=kappa)
 
 
-def save_logistic_dataset(dataset: LogisticDataset, path) -> None:
-    """Write the dataset as CSV with header y, x1..xp (kappa is not data)."""
-    p = dataset.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y"] + [f"x{j + 1}" for j in range(p)])
-        for yi, xi in zip(dataset.labels, dataset.covariates):
-            writer.writerow([f"{yi:.17g}"] + [f"{v:.17g}" for v in xi])
-
-
-def load_logistic_dataset(path, kappa: float) -> LogisticDataset:
-    """Read a dataset written by :func:`save_logistic_dataset`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "y":
-            raise ValueError(f"unexpected header in {Path(path).name}: {header!r}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows, dtype=float)
-    return LogisticDataset(labels=data[:, 0], covariates=data[:, 1:], kappa=kappa)
-
-
 def logistic_lipschitz_constant(dataset: LogisticDataset) -> float:
     """Lipschitz modulus of the logistic objective gradient.
 
@@ -247,19 +225,24 @@ def logistic_lipschitz_constant(dataset: LogisticDataset) -> float:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows."""
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows.
+
+    One divide serves both branches: its numerator is 1 or e^-|z|.
+    """
     e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    d = e + 1.0
+    return np.where(z >= 0, 1.0, e) / d
 
 
 def make_logistic_model(dataset: LogisticDataset) -> LossModel:
     """Ridge-logistic model over a fixed dataset, resampled with replacement.
 
-    Data are payloads ``[y, x_1..x_p]`` drawn uniformly from the dataset,
-    refreshed at every iteration by the dynamics.  The noise factor is the
-    p x t matrix with columns ``(grad_loss(beta, z_i) - grad_objective(beta)) / sqrt(t)``,
-    an exact square root of the gradient covariance over the data law.
+    A datum is a row index drawn uniformly from the dataset, refreshed at
+    every iteration by the dynamics: ``sample_data`` returns an (R, count)
+    int64 block and ``grad_loss`` gathers the rows it names.  The noise
+    factor is the p x t matrix with columns
+    ``(grad_loss(beta, i) - grad_objective(beta)) / sqrt(t)``, an exact
+    square root of the gradient covariance over the data law.
     """
     y = dataset.labels
     x = dataset.covariates
@@ -267,8 +250,7 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
     p = dataset.dim
     kappa = dataset.kappa
     lipschitz = logistic_lipschitz_constant(dataset)
-    table = np.column_stack([y, x])  # one [y | x] payload row per datum
-    table.setflags(write=False)
+    every_row = np.arange(t)
 
     def objective(beta):
         beta = np.asarray(beta, dtype=float)
@@ -285,22 +267,23 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
         idx = np.empty((len(streams), count), dtype=np.int64)
         for row, stream in zip(idx, streams):
             row[:] = stream.generator.integers(0, t, size=count)
-        return table.take(idx, axis=0)
+        return idx
 
-    def grad_loss(beta, data):
+    def grad_loss(beta, idx):
+        # The gather gives a C-contiguous (..., n, p) block, and the gradient
+        # resid_i x_i + 2 kappa beta is assembled in flat passes over n * p
+        # elements rather than broadcast loops of length p.
         beta = np.asarray(beta, dtype=float)
-        yd = data[..., 0]
-        xd = data[..., 1:]
-        resid = _sigmoid((xd @ beta[..., None])[..., 0]) - yd
-        return resid[..., None] * xd + 2.0 * kappa * beta[..., None, :]
-
-    def per_datum_gradients(beta):
-        resid = _sigmoid((x @ beta[..., None])[..., 0]) - y
-        return resid[..., None] * x + 2.0 * kappa * beta[..., None, :]
+        xd = x.take(idx, axis=0)
+        resid = _sigmoid((xd @ beta[..., None])[..., 0]) - y.take(idx)
+        grads = np.repeat(resid, p, axis=-1).reshape(resid.shape + (p,))
+        grads *= xd
+        grads += np.repeat(2.0 * kappa * beta[..., None, :], resid.shape[-1], axis=-2)
+        return grads
 
     def noise_factor(beta):
         beta = np.asarray(beta, dtype=float)
-        grads = per_datum_gradients(beta)
+        grads = grad_loss(beta, every_row)
         return np.swapaxes(grads - grad_objective(beta)[..., None, :], -1, -2) / np.sqrt(t)
 
     # h1(z_i) = |x_i|^2 / 4 + 2 kappa bounds the per-datum gradient modulus;
@@ -313,7 +296,7 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
         name="logistic",
         dim=p,
         noise_dim=t,
-        payload_dim=p + 1,
+        payload_dim=p + 1,                   # y and x_i: the floats one index gathers
         objective=objective,
         grad_objective=grad_objective,
         sample_data=sample_data,

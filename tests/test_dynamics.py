@@ -18,7 +18,13 @@ from msgdlab.dynamics import (
     run_ode,
     trajectory_to_csv,
 )
-from msgdlab.models import LossModel, generate_logistic_dataset, make_logistic_model, make_quadratic_model
+from msgdlab.models import (
+    LossModel,
+    generate_logistic_dataset,
+    make_logistic_model,
+    make_quadratic_model,
+    make_uniform_clt_model,
+)
 from msgdlab.numerics import derive_stream
 from msgdlab.weights import WeightScheme
 
@@ -309,6 +315,104 @@ class TestMsgdChunking:
         )
         assert list(traj.diverged) == [4]
         assert np.all(np.isfinite(traj.states[:, [0, 1, 2, 3, 5, 6]]))
+
+
+LIMIT = dynamics_mod.DIVERGENCE_LIMIT
+BOUNDARY_STATES = (
+    np.nan, np.inf, -np.inf, LIMIT, -LIMIT, np.nextafter(LIMIT, np.inf),
+    -np.nextafter(LIMIT, np.inf),
+)
+
+
+def _out_of_range(value):
+    return not abs(value) <= LIMIT
+
+
+def jump_model(values):
+    """One-dimensional model under which a step of size 1/2 from 0 lands
+    exactly on ``values[r]``: the gradient is the constant -2 values[r], and
+    every replication's datum is that constant, chosen by its stream's last
+    path label.  ``run_gd`` uses ``values[0]``."""
+
+    def sample_data(streams, count):
+        block = np.empty((len(streams), count, 1))
+        for row, stream in zip(block, streams):
+            row[:] = -2.0 * values[stream.path[-1]]
+        return block
+
+    return LossModel(
+        name="jump",
+        dim=1,
+        noise_dim=1,
+        payload_dim=1,
+        objective=lambda theta: np.zeros(np.shape(theta)[:-1]),
+        grad_objective=lambda theta: np.full(np.shape(theta), -2.0 * values[0]),
+        sample_data=sample_data,
+        grad_loss=lambda theta, data: data + 0.0 * np.asarray(theta)[..., None, :],
+        noise_factor=lambda theta: np.zeros((1, 1)),
+        lipschitz_grad=0.0,
+        lipschitz_noise=0.0,
+    )
+
+
+class TestDivergenceGuards:
+    """A state diverges when |x| > DIVERGENCE_LIMIT in some coordinate or is
+    not finite: the limit itself is kept, the next float above it is not."""
+
+    @pytest.mark.parametrize("value", BOUNDARY_STATES)
+    def test_single_paths_at_the_start(self, value):
+        # a zero gradient keeps the path at its start
+        model = make_uniform_clt_model(2)
+        x0 = [0.5, value]
+        config = RunConfig(gamma=0.5, num_steps=3, m=1, n=1, x0=x0)
+        runs = (lambda: run_gd(model, config), lambda: run_ode(model, x0, 0.5, 1.5))
+        for run in runs:
+            if _out_of_range(value):
+                with pytest.raises(DivergenceError) as info:
+                    run()
+                assert info.value.iteration == 0
+            else:
+                np.testing.assert_array_equal(run().states, np.tile(x0, (4, 1)))
+
+    @pytest.mark.parametrize("value", BOUNDARY_STATES)
+    def test_gd_after_a_step(self, value):
+        config = RunConfig(gamma=0.5, num_steps=1, m=1, n=1, x0=[0.0])
+        if _out_of_range(value):
+            with pytest.raises(DivergenceError) as info:
+                run_gd(jump_model([value]), config)
+            assert info.value.iteration == 1
+        else:
+            assert run_gd(jump_model([value]), config).states[1, 0] == value
+
+    # each boundary state next to an in-range row, then all of them at once
+    @pytest.mark.parametrize(
+        "values", [(1.0, v) for v in BOUNDARY_STATES] + [(1.0,) + BOUNDARY_STATES]
+    )
+    def test_msgd_ensemble_drops_exactly_the_out_of_range_rows(self, values):
+        scheme = WeightScheme("minibatch", n=1, m=1)
+        config = RunConfig(gamma=0.5, num_steps=2, m=1, n=1, x0=[0.0])
+        streams = [derive_stream(113, [r]) for r in range(len(values))]
+        traj = run_msgd(jump_model(values), scheme, config, streams)
+        # a second identical step doubles the rows at +-LIMIT out of range
+        expected = {r: 1 for r, v in enumerate(values) if _out_of_range(v)}
+        expected.update({r: 2 for r, v in enumerate(values) if abs(v) == LIMIT})
+        assert traj.diverged == expected
+        for r, v in enumerate(values):
+            if expected.get(r) == 1:
+                assert np.isnan(traj.states[1:, r, 0]).all()
+            else:
+                assert traj.states[1, r, 0] == v
+        assert traj.states[2, 0, 0] == 2.0
+        assert np.isnan(traj.states[2, 1:, 0]).all()
+
+    def test_msgd_ensemble_raises_when_every_row_diverges(self):
+        values = [v for v in BOUNDARY_STATES if _out_of_range(v)]
+        scheme = WeightScheme("minibatch", n=1, m=1)
+        config = RunConfig(gamma=0.5, num_steps=2, m=1, n=1, x0=[0.0])
+        streams = [derive_stream(113, [r]) for r in range(len(values))]
+        with pytest.raises(DivergenceError) as info:
+            run_msgd(jump_model(values), scheme, config, streams)
+        assert info.value.iteration == 1
 
 
 class TestOde:

@@ -7,13 +7,12 @@ import pytest
 
 from msgdlab.models import (
     LogisticDataset,
+    _sigmoid,
     generate_logistic_dataset,
-    load_logistic_dataset,
     logistic_lipschitz_constant,
     make_logistic_model,
     make_quadratic_model,
     make_uniform_clt_model,
-    save_logistic_dataset,
 )
 from msgdlab.numerics import derive_stream, finite_diff_gradient
 
@@ -21,6 +20,23 @@ from msgdlab.numerics import derive_stream, finite_diff_gradient
 def small_logistic(seed=101, p=3, t=400, kappa=0.05):
     dataset = generate_logistic_dataset(derive_stream(seed, ["data"]), p, t, kappa)
     return make_logistic_model(dataset), dataset
+
+
+def payload_sigmoid(z):
+    """The two-divide sigmoid the logistic model used before its one-divide form."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def payload_grad_loss(dataset, beta, payloads):
+    """Reference per-datum gradients on gathered ``[y | x]`` payload rows, the
+    form the logistic model computed before its data became row indices."""
+    beta = np.asarray(beta, dtype=float)
+    yd = payloads[..., 0]
+    xd = payloads[..., 1:]
+    resid = payload_sigmoid((xd @ beta[..., None])[..., 0]) - yd
+    return resid[..., None] * xd + 2.0 * dataset.kappa * beta[..., None, :]
 
 
 class TestQuadratic:
@@ -99,19 +115,26 @@ class TestLogistic:
         # holds by construction; check it at random points
         model, dataset = small_logistic()
         gen = derive_stream(11, ["beta"]).generator
-        payloads = np.column_stack([dataset.labels, dataset.covariates])
+        every_row = np.arange(dataset.size)
         for _ in range(5):
             beta = gen.standard_normal(3)
-            grads = model.grad_loss(beta, payloads)
+            grads = model.grad_loss(beta, every_row)
             direct = np.mean(np.sum((grads - model.grad_objective(beta)) ** 2, axis=1))
             assert model.noise_trace(beta) == pytest.approx(direct, rel=1e-12)
 
     def test_data_gather_rows_of_the_dataset(self):
+        # the data are the drawn row indices, and grad_loss reads exactly
+        # those rows of the dataset
         model, dataset = small_logistic()
         data = model.sample_data([derive_stream(13, ["gather"])], 200)[0]
         idx = derive_stream(13, ["gather"]).generator.integers(0, dataset.size, size=200)
-        expected = np.column_stack([dataset.labels[idx], dataset.covariates[idx]])
-        np.testing.assert_array_equal(data, expected)
+        assert data.dtype == np.int64
+        np.testing.assert_array_equal(data, idx)
+        beta = derive_stream(13, ["beta"]).generator.standard_normal(3)
+        expected = payload_grad_loss(
+            dataset, beta, np.column_stack([dataset.labels[idx], dataset.covariates[idx]])
+        )
+        np.testing.assert_array_equal(model.grad_loss(beta, data), expected)
 
     def test_grad_loss_unbiased(self):
         model, _ = small_logistic()
@@ -161,15 +184,14 @@ class TestLogistic:
     def test_h1_bound_on_gradient_increments(self):
         model, dataset = small_logistic()
         gen = derive_stream(23, ["pairs"]).generator
-        payloads = np.column_stack([dataset.labels, dataset.covariates])
         for _ in range(20):
             b1, b2 = gen.standard_normal(3), gen.standard_normal(3)
             idx = gen.integers(0, dataset.size)
-            z = payloads[idx][None, :]
+            z = np.array([idx])
             increment = np.linalg.norm(
                 model.grad_loss(b1, z)[0] - model.grad_loss(b2, z)[0]
             )
-            h1 = np.sum(z[0, 1:] ** 2) / 4 + 2 * dataset.kappa
+            h1 = np.sum(dataset.covariates[idx] ** 2) / 4 + 2 * dataset.kappa
             assert increment <= h1 * np.linalg.norm(b1 - b2) + 1e-12
 
     def test_lipschitz_constant_bounds_curvature(self):
@@ -194,6 +216,78 @@ class TestLogistic:
             LogisticDataset(np.array([0.0, 1.0]), np.zeros((2, 2)), kappa=0.0)
 
 
+def assert_same_bits(new, old, beta):
+    """Bit-for-bit equality of two gradient blocks computed at `beta`.
+
+    Where a NaN entry of beta meets the NaN residual it causes, both operands
+    of the final add are NaN, and which one's sign survives depends on where
+    numpy's loop tails fall (the payload form's broadcast add ran in buffered
+    chunks), so there only NaN-ness is compared.  Every other element, NaNs
+    included, is compared bit for bit.
+    """
+    assert new.shape == old.shape
+    both_nan = np.broadcast_to(np.isnan(beta)[..., None, :], new.shape)
+    np.testing.assert_array_equal(
+        new.view(np.uint64)[~both_nan], old.view(np.uint64)[~both_nan]
+    )
+    assert np.isnan(new[both_nan]).all() and np.isnan(old[both_nan]).all()
+
+
+class TestLogisticMatchesPayloadForm:
+    """Row-index data and the one-divide sigmoid reproduce the ``[y | x]``
+    payload form to the last bit, up to the sign of a NaN made from two NaN
+    operands (see :func:`assert_same_bits`), which no artifact can show."""
+
+    KAPPAS = (0.2, 0.1, 0.05, 0.01, 0.001)  # the canonical converge_logistic kappas
+
+    def test_sigmoid_bitwise(self):
+        gen = derive_stream(61, ["z"]).generator
+        nan_payloads = np.array(
+            [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0xFFF0000000000001],
+            dtype=np.uint64,
+        ).view(float)
+        z = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, 36.0, -36.0, 745.0, -745.0, 1e300, -1e300,
+             np.inf, -np.inf],
+            nan_payloads,
+            gen.standard_normal(1000) * 10.0 ** gen.integers(-8, 4, 1000),
+        ])
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(
+                _sigmoid(z).view(np.uint64), payload_sigmoid(z).view(np.uint64)
+            )
+
+    @pytest.mark.parametrize("reps", [1, 3, 9])
+    def test_grad_loss_and_noise_factor_bitwise(self, reps):
+        p, n = 6, 1000
+        base = generate_logistic_dataset(derive_stream(59, ["data"]), p, 10**4, 0.2)
+        payloads = np.column_stack([base.labels, base.covariates])
+        gen = derive_stream(59, ["beta", reps]).generator
+        for kappa in self.KAPPAS:
+            dataset = LogisticDataset(base.labels, base.covariates, kappa)
+            model = make_logistic_model(dataset)
+            for scale in (1e-8, 1.0, 1e3, 1e150, 1e300):
+                for special in (None, np.nan, np.inf, -np.inf):
+                    beta = scale * gen.standard_normal((reps, p))
+                    if special is not None:
+                        beta[gen.integers(reps), gen.integers(p)] = special
+                    idx = gen.integers(0, dataset.size, size=(reps, n))
+                    # per-replication beta, one beta for a block, one for a batch
+                    for b, i in ((beta, idx), (beta[0], idx), (beta[0], idx[0])):
+                        with np.errstate(all="ignore"):
+                            new = model.grad_loss(b, i)
+                            old = payload_grad_loss(dataset, b, payloads[i])
+                        assert_same_bits(new, old, b)
+            beta = gen.standard_normal((reps, p))
+            every_datum = payload_grad_loss(dataset, beta, payloads)
+            expected = np.swapaxes(
+                every_datum - model.grad_objective(beta)[..., None, :], -1, -2
+            ) / np.sqrt(dataset.size)
+            np.testing.assert_array_equal(
+                model.noise_factor(beta).view(np.uint64), expected.view(np.uint64)
+            )
+
+
 class TestDatasetGeneration:
     def test_label_frequency(self):
         dataset = generate_logistic_dataset(derive_stream(29, ["gen"]), 6, 10**4, 0.1)
@@ -203,16 +297,6 @@ class TestDatasetGeneration:
         dataset = generate_logistic_dataset(derive_stream(29, ["gen"]), 6, 10**4, 0.1)
         cov = np.cov(dataset.covariates.T)
         np.testing.assert_allclose(cov, np.eye(6), atol=0.05)
-
-    def test_csv_round_trip(self, tmp_path):
-        dataset = generate_logistic_dataset(derive_stream(31, ["io"]), 4, 50, 0.2)
-        path = tmp_path / "data.csv"
-        save_logistic_dataset(dataset, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "y,x1,x2,x3,x4"
-        loaded = load_logistic_dataset(path, kappa=0.2)
-        np.testing.assert_array_equal(loaded.labels, dataset.labels)
-        np.testing.assert_array_equal(loaded.covariates, dataset.covariates)
 
 
 class TestSharedInvariants:
@@ -249,7 +333,9 @@ class TestSharedInvariants:
     def test_sample_data_row_equals_one_stream_draw(self, model):
         streams = [derive_stream(53, [model.name, r]) for r in range(4)]
         block = model.sample_data(streams, 30)
-        assert block.shape == (4, 30, model.payload_dim)
+        # logistic data are row indices; the other models draw float rows
+        expected = (4, 30) if model.name == "logistic" else (4, 30, model.payload_dim)
+        assert block.shape == expected
         for r in range(4):
             lone = derive_stream(53, [model.name, r])
             np.testing.assert_array_equal(block[r], model.sample_data([lone], 30)[0])
