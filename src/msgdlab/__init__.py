@@ -13,8 +13,6 @@ from .dynamics import (
     DivergenceError,
     RunConfig,
     Trajectory,
-    interpolate_gaussian_piece,
-    interpolate_msgd,
     run_diffusion_em,
     run_gaussian_sgd,
     run_gd,
@@ -29,7 +27,7 @@ from .models import (
     make_quadratic_model,
     make_uniform_clt_model,
 )
-from .numerics import RngStream, derive_stream, finite_diff_gradient, sample_gamma, sample_std_normal
+from .numerics import RngStream, derive_stream, sample_gamma
 from .stats import (
     ConvergenceCurve,
     DistanceEstimate,
@@ -42,13 +40,11 @@ from .stats import (
     convergence_curve,
     ks_normality,
     sliced_w2,
-    w2_1d,
     weighting_gap,
 )
 from .weights import (
     MomentReport,
     WeightScheme,
-    dirichlet_mixed_moment,
     empirical_weight_moments,
     sample_dirichlet_weights,
     sample_gaussian_structured_weights,

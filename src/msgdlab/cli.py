@@ -12,8 +12,9 @@ a ``report.json`` into the output directory:
 * ``converge``         geometric convergence under strong convexity
 * ``gd-ode``           gradient descent against its gradient-flow limit
 
-Configs are strict JSON: unknown keys are rejected and every violation is
-reported with the offending key.  Given the same config and seed, outputs
+Configs are strict JSON, checked against the command's schema in
+``SCHEMAS``: unknown keys are rejected and every violation is reported with
+the offending key.  Given the same config and seed, outputs
 are byte-identical: every replication draws from a stream derived from its
 own index, and reductions happen in index order, whatever chunk of
 replications a step draws and reduces together.
@@ -27,7 +28,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,13 +57,13 @@ from .stats import (
     convergence_curve,
     coordinate_avg_w2,
     covariance_with_se,
+    fit_segment,
     ks_normality,
     plateau_bound,
     sliced_w2,
     weighting_gap,
 )
 from .weights import (
-    GAUSSIAN_BASES,
     SCHEME_KINDS,
     WeightScheme,
     empirical_weight_moments,
@@ -150,156 +151,261 @@ class ExperimentReport:
 
 
 # ----------------------------------------------------------------------
-# config validation
+# config schema
 # ----------------------------------------------------------------------
 
-_SCHEME_KEYS = {"kind": str, "base": str}
-_MODEL_KEYS = {"kind": str, "p": int, "s": (int, float), "theta_star": list, "t": int}
+REQUIRED = object()  # the default of a key the config must give
+OPTIONAL = object()  # the default of a key echoed in ``resolved`` only when given
 
-_COMMAND_KEYS: dict[str, dict] = {
+
+class Field(NamedTuple):
+    """One config key: its type, its default and its lower bound.
+
+    ``type`` is int, float (any number), str, ``[item type]`` for a list,
+    or a declaration for an object: a dict of Fields by key, or a
+    :class:`Kinds`.  ``default`` is what a left-out key resolves to, or
+    REQUIRED or OPTIONAL.  ``low`` bounds a number, or a list's length.
+    """
+
+    type: object
+    default: object = OPTIONAL
+    low: Optional[float] = None
+
+
+class Kinds(dict):
+    """The declaration of an object whose keys depend on its ``kind``."""
+
+
+_SCHEME = Kinds({kind: {} for kind in SCHEME_KINDS} | {"gaussian": {"base": Field(str)}})
+_QUADRATIC = {"p": Field(int, low=1), "s": Field(float), "theta_star": Field([float])}
+_LOGISTIC = {"p": Field(int, REQUIRED), "t": Field(int, REQUIRED)}
+_RUN = {
+    "gamma": Field(float, REQUIRED), "num_steps": Field(int, REQUIRED),
+    "fit_burn_in": Field(int), "fit_window": Field(int),
+}
+_SIGMAS = {
+    "mean_sigmas": Field(float, 4), "var_sigmas": Field(float, 4),
+    "cov_sigmas": Field(float, 4), "sumsq_sigmas": Field(float, 3),
+}
+_EVERY_SCHEME = [{"kind": "minibatch"}, {"kind": "gaussian"}, {"kind": "dirichlet"}]
+_PLANE = {"kind": "quadratic", "p": 2, "s": 1.0}
+_LINE = {"kind": "quadratic", "p": 1, "s": 1.0, "theta_star": [0.0]}
+
+# Each command's keys beside ``command``, ``seed`` and ``out`` (the default
+# output directory, which the --out flag overrides).
+SCHEMAS: dict[str, dict[str, Field]] = {
     "weights-moments": {
-        "n": int, "m": int, "reps": int, "schemes": list, "thresholds": dict,
+        "n": Field(int, REQUIRED), "m": Field(int, REQUIRED), "reps": Field(int, REQUIRED, 100),
+        "schemes": Field([_SCHEME], _EVERY_SCHEME, 1), "thresholds": Field(_SIGMAS, {}),
     },
     "clt": {
-        "n": int, "m": int, "samples": int, "p": int, "scheme": dict,
-        "bins": int, "ks_threshold": (int, float), "cov_sigmas": (int, float),
+        "n": Field(int, REQUIRED), "m": Field(int, REQUIRED),
+        "samples": Field(int, REQUIRED, 100), "p": Field(int, 1, 1),
+        "scheme": Field(_SCHEME, {"kind": "dirichlet"}), "bins": Field(int, 50, 1),
+        "ks_threshold": Field(float, 0.03), "cov_sigmas": Field(float, 4),
     },
     "weighting-gap": {
-        "pairs": list, "reps": int, "schemes": list, "model": dict,
-        "theta": list, "sigmas": (int, float),
+        "pairs": Field([[int]], REQUIRED, 1), "reps": Field(int, REQUIRED, 1000),
+        "schemes": Field([_SCHEME], _EVERY_SCHEME, 1),
+        "model": Field(Kinds(quadratic=_QUADRATIC), _PLANE),
+        "theta": Field([float]), "sigmas": Field(float, 3),
     },
     "wass-scaling": {
-        "gammas": list, "reps": int, "n": int, "m": int, "horizon": (int, float),
-        "scheme": dict, "model": dict, "em_substeps": int, "n_directions": int,
-        "x0": list, "slack": (int, float), "slope_range": list,
+        "gammas": Field([float], REQUIRED), "reps": Field(int, REQUIRED, 1),
+        "n": Field(int, 512), "m": Field(int, 64), "horizon": Field(float, 1.0),
+        "scheme": Field(_SCHEME, {"kind": "gaussian"}),
+        "model": Field(Kinds(quadratic=_QUADRATIC), _PLANE),
+        "em_substeps": Field(int, 50, 1), "n_directions": Field(int, 128, 1),
+        "x0": Field([float]), "slack": Field(float, 0.1),
+        "slope_range": Field([float], [0.8, 2.2]),
     },
     "converge": {
-        "model": dict, "scheme": dict, "n": int, "m": int, "reps": int,
-        "runs": list, "kappas": list, "x0": list,
-        "rho_tolerance": (int, float), "blocks": int,
+        "model": Field(Kinds(quadratic=_QUADRATIC, logistic=_LOGISTIC), REQUIRED),
+        "scheme": Field(_SCHEME, {"kind": "gaussian"}),
+        "n": Field(int, REQUIRED), "m": Field(int, REQUIRED), "reps": Field(int, REQUIRED, 1),
+        "runs": Field([_RUN], REQUIRED, 1), "kappas": Field([float], low=1),
+        "x0": Field([float]), "rho_tolerance": Field(float, 0.02), "blocks": Field(int, 8),
     },
     "gd-ode": {
-        "gammas": list, "x0": list, "horizon": (int, float), "ode_substeps": int,
-        "slope_range": list, "model": dict,
+        "gammas": Field([float], REQUIRED), "x0": Field([float]), "horizon": Field(float, 1.0),
+        "ode_substeps": Field(int, 20, 10), "slope_range": Field([float], [0.8, 1.2]),
+        "model": Field(Kinds(quadratic=_QUADRATIC), _LINE),
     },
 }
-
-_DEFAULTS: dict[str, dict] = {
-    "weights-moments": {
-        "schemes": [{"kind": "minibatch"}, {"kind": "gaussian"}, {"kind": "dirichlet"}],
-        "thresholds": {"mean_sigmas": 4, "var_sigmas": 4, "cov_sigmas": 4, "sumsq_sigmas": 3},
-    },
-    "clt": {
-        "p": 1,
-        "scheme": {"kind": "dirichlet"},
-        "bins": 50,
-        "ks_threshold": 0.03,
-        "cov_sigmas": 4,
-    },
-    "weighting-gap": {
-        "schemes": [{"kind": "minibatch"}, {"kind": "gaussian"}, {"kind": "dirichlet"}],
-        "model": {"kind": "quadratic", "p": 2, "s": 1.0},
-        "sigmas": 3,
-    },
-    "wass-scaling": {
-        "n": 512, "m": 64, "horizon": 1.0,
-        "scheme": {"kind": "gaussian"},
-        "model": {"kind": "quadratic", "p": 2, "s": 1.0},
-        "em_substeps": 50, "n_directions": 128,
-        "slack": 0.1, "slope_range": [0.8, 2.2],
-    },
-    "converge": {
-        "scheme": {"kind": "gaussian"},
-        "rho_tolerance": 0.02,
-        "blocks": 8,
-    },
-    "gd-ode": {
-        "horizon": 1.0, "ode_substeps": 20, "slope_range": [0.8, 1.2],
-        "model": {"kind": "quadratic", "p": 1, "s": 1.0, "theta_star": [0.0]},
-    },
-}
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
 
 
-def _check_keys(obj: dict, allowed: dict, where: str, diags: list[str]) -> None:
-    for key, value in obj.items():
-        if key not in allowed:
-            diags.append(f"{where}: unknown key {key!r}")
+def _walk(obj: dict, decl, where: str, inner: str, diags: list[str]) -> dict:
+    """`obj` resolved against its declaration: each declared key's value,
+    else its default, checked and resolved, or None if it is missing or
+    violates the schema.  A key is reported as ``where.key`` and its
+    contents under ``inner + key``."""
+    if isinstance(decl, Kinds):
+        kind = obj.get("kind")
+        if not (isinstance(kind, str) and kind in decl):
+            diags.append(f"{where}.kind: expected one of {list(decl)}, got {kind!r}")
+            return obj
+        decl = {"kind": Field(str)} | decl[kind]
+    diags.extend(f"{where}: unknown key {key!r}" for key in obj if key not in decl)
+    resolved = {}
+    for key, spec in decl.items():
+        value = obj.get(key, spec.default)
+        if value is OPTIONAL:
             continue
-        expected = allowed[key]
-        if not isinstance(value, expected) or isinstance(value, bool):
-            names = (
-                expected.__name__
-                if isinstance(expected, type)
-                else "/".join(t.__name__ for t in expected)
-            )
-            diags.append(f"{where}.{key}: expected {names}, got {type(value).__name__}")
-
-
-def _check_scheme(spec, where: str, diags: list[str], sizes=()) -> None:
-    """A weight-scheme object, and the ``WeightScheme`` it makes at each
-    valid (n, m) in `sizes`, whose own rules (such as Dirichlet's
-    2 <= m < n) are reported against `where`."""
-    if not isinstance(spec, dict):
-        diags.append(f"{where}: expected an object, got {type(spec).__name__}")
-        return
-    _check_keys(spec, _SCHEME_KEYS, where, diags)
-    kind = spec.get("kind")
-    if kind not in SCHEME_KINDS:
-        diags.append(f"{where}.kind: expected minibatch/gaussian/dirichlet, got {kind!r}")
-        return
-    if "base" in spec and spec["base"] not in GAUSSIAN_BASES:
-        diags.append(f"{where}.base: expected normal/rademacher/uniform, got {spec['base']!r}")
-        return
-    for n, m in sizes:
-        try:
-            _scheme_from_spec(spec, n, m)
-        except ValueError as exc:
-            diags.append(f"{where}: {exc}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_gamma(value, where: str, diags: list[str]) -> None:
-    if not _is_number(value) or not 0 < value < 1:
-        diags.append(f"{where}: step size must satisfy 0 < gamma < 1, got {value!r}")
-
-
-def _check_vector(value, dim, where: str, diags: list[str]) -> None:
-    """A point of the model's space: a list of ``dim`` numbers."""
-    if value is None or not isinstance(dim, int):
-        return
-    if not (isinstance(value, list) and len(value) == dim and all(map(_is_number, value))):
-        diags.append(f"{where}: expected a list of p={dim} numbers, got {value!r}")
-
-
-def _check_nonempty(resolved: dict, key: str, command: str, diags: list[str]) -> None:
-    if isinstance(resolved.get(key), list) and not resolved[key]:
-        diags.append(f"{command}.{key}: must not be empty")
-
-
-def _check_slope_gammas(resolved: dict, command: str, diags: list[str]) -> None:
-    """A log-log slope needs at least two distinct step sizes."""
-    gammas = resolved["gammas"]
-    if isinstance(gammas, list) and len({g for g in gammas if isinstance(g, (int, float))}) < 2:
-        diags.append(f"{command}.gammas: need at least 2 distinct step sizes for the slope fit")
-
-
-def _merge_defaults(command: str, raw: dict) -> dict:
-    resolved = dict(_DEFAULTS.get(command, {}))
-    for key, value in raw.items():
-        if key in ("command", "seed"):
-            continue
-        resolved[key] = value
+        count = len(diags)
+        if value is REQUIRED:
+            diags.append(f"{where}.{key}: required")
+        else:
+            value = _resolve(value, spec, f"{where}.{key}", inner + key, diags)
+        resolved[key] = value if len(diags) == count else None
     return resolved
+
+
+def _resolve(value, spec: Field, where: str, path: str, diags: list[str]):
+    typ = spec.type
+    if isinstance(typ, list):
+        if not isinstance(value, list):
+            diags.append(f"{where}: expected a list, got {type(value).__name__}")
+        elif spec.low is not None and len(value) < spec.low:
+            diags.append(f"{where}: must not be empty")
+        else:
+            return [
+                _resolve(v, Field(typ[0]), f"{path}[{i}]", f"{path}[{i}]", diags)
+                for i, v in enumerate(value)
+            ]
+    elif isinstance(typ, dict):
+        if not isinstance(value, dict):
+            diags.append(f"{where}: expected an object, got {type(value).__name__}")
+        else:
+            return _walk(value, typ, path, path + ".", diags)
+    else:
+        accepted, name = _SCALARS[typ]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            diags.append(f"{where}: expected {name}, got {type(value).__name__}")
+        elif spec.low is not None and value < spec.low:
+            diags.append(f"{where}: must be >= {spec.low}")
+    return value
+
+
+# Rules between keys, given None for a key that is missing or broke the schema.
+# They build the domain objects the run builds, so that those objects' own
+# rules, such as a Dirichlet scheme's 2 <= m < n, are reported against the key.
+
+
+def _build(where: str, diags: list[str], make, *args):
+    try:
+        return make(*args)
+    except ValueError as exc:
+        diags.append(f"{where}: {exc}")
+        return None
+
+
+def _check_sizes(params: dict, command: str, diags: list[str]) -> list[tuple[int, int]]:
+    """Each valid (n, m) the config runs at; each weight scheme is built at each."""
+    if "pairs" in params:
+        named = [(f"pairs[{i}]", pair) for i, pair in enumerate(params["pairs"] or [])]
+    else:
+        n, m = params["n"], params["m"]
+        named = [(command, [n, m])] if n is not None and m is not None else []
+    sizes = []
+    for where, pair in named:
+        if len(pair) == 2 and 1 <= pair[1] <= pair[0]:
+            sizes.append(tuple(pair))
+        else:
+            diags.append(f"{where}: need [n, m] with 1 <= m <= n, got {pair}")
+    if "scheme" in params:
+        schemes = [("scheme", params["scheme"])]
+    else:
+        schemes = [(f"schemes[{i}]", spec) for i, spec in enumerate(params["schemes"] or [])]
+    for where, spec in schemes:
+        for n, m in sizes if spec is not None else []:
+            _build(where, diags, _scheme_from_spec, spec, n, m)
+    return sizes
+
+
+def _check_model(params: dict, command: str, diags: list[str]):
+    """The model, or a logistic model's dataset; each given point must have its dimension."""
+    spec = params["model"]
+    if spec is None:
+        return None
+    if spec["kind"] == "logistic":  # drawn from a fixed stream: only its rules matter here
+        made = _build(
+            "model", diags, generate_logistic_dataset, derive_stream(0), spec["p"], spec["t"], 1.0
+        )
+    else:
+        made = _build("model", diags, _model_from_spec, spec)
+    for point in ("x0", "theta"):
+        if made is not None and params.get(point) is not None and len(params[point]) != made.dim:
+            diags.append(f"{command}.{point}: expected p={made.dim} numbers, got {params[point]}")
+    return made
+
+
+def _check_step_grid(params: dict, command: str, sizes, diags: list[str]) -> None:
+    """At least 2 distinct step sizes, each dividing a positive horizon, and
+    the slope range their log-log fit is checked against."""
+    gammas, horizon, bounds = params["gammas"], params["horizon"], params["slope_range"]
+    x0 = params.get("x0") or ()
+    if gammas is not None and len(set(gammas)) < 2:
+        diags.append(f"{command}.gammas: need at least 2 distinct step sizes for the slope fit")
+    if horizon is not None and not horizon > 0:
+        diags.append(f"{command}.horizon: must be positive")
+    elif gammas is not None and horizon is not None:
+        for i, gamma in enumerate(gammas):
+            steps = horizon / gamma if gamma else 0.0
+            if abs(steps - round(steps)) > 1e-9:
+                diags.append(f"gammas[{i}]: horizon must be a multiple of gamma")
+            for n, m in sizes:
+                _build(f"gammas[{i}]", diags, RunConfig, gamma, round(steps), m, n, x0)
+    if bounds is not None and not (len(bounds) == 2 and bounds[0] < bounds[1]):
+        diags.append(f"{command}.slope_range: expected [low, high] with low < high, got {bounds}")
+
+
+def _check_runs(params: dict, sizes, made, diags: list[str]) -> None:
+    """converge's runs, and the logistic model's blocks, reps and kappas."""
+    runs, x0 = params["runs"] or [], params.get("x0") or ()
+    for i, run in enumerate(runs):
+        for n, m in sizes:
+            _build(f"runs[{i}]", diags, RunConfig, run["gamma"], run["num_steps"], m, n, x0)
+        fit = (run["num_steps"] + 1, run.get("fit_burn_in", 0), run.get("fit_window"))
+        _build(f"runs[{i}]", diags, fit_segment, *fit)
+    kind = params["model"] and params["model"]["kind"]
+    if kind == "quadratic" and "kappas" in params:
+        diags.append("converge.kappas: only valid for the logistic model")
+    if kind != "logistic":
+        return
+    # logistic block SEs are spreads across replications, so they need two
+    if params["reps"] is not None and params["reps"] < 2:
+        diags.append("converge.reps: must be >= 2")
+    # block means compare consecutive windows of the num_steps + 1 iterates
+    blocks = params["blocks"]
+    if blocks is not None and blocks < 2:
+        diags.append("converge.blocks: must be >= 2")
+    for i, run in enumerate(runs if blocks is not None else []):
+        if run["num_steps"] + 1 < blocks:
+            diags.append(f"runs[{i}].num_steps: needs num_steps + 1 >= blocks")
+    if "kappas" not in params:
+        diags.append("converge.kappas: required for the logistic model")
+    elif made is not None:
+        for i, kappa in enumerate(params["kappas"] or []):
+            _build(f"kappas[{i}]", diags, LogisticDataset, made.labels, made.covariates, kappa)
+
+
+def _check_cross(params: dict, command: str, diags: list[str]) -> None:
+    # gd-ode runs gradient descent at m = n = 1
+    sizes = [(1, 1)] if command == "gd-ode" else _check_sizes(params, command, diags)
+    made = _check_model(params, command, diags) if "model" in params else None
+    if "gammas" in params:
+        _check_step_grid(params, command, sizes, diags)
+    if command == "converge":
+        _check_runs(params, sizes, made, diags)
 
 
 def validate_config(raw, seed_override: Optional[int] = None) -> ExperimentConfig:
     """Parse and strictly validate a config (JSON text or dict).
 
     Every violation is collected and raised as a :class:`ConfigError`
-    naming the offending key.
+    naming the offending key.  ``params`` is the config resolved against
+    its command's schema, without ``command`` and ``seed``.
     """
     if isinstance(raw, (str, bytes)):
         try:
@@ -311,7 +417,7 @@ def validate_config(raw, seed_override: Optional[int] = None) -> ExperimentConfi
 
     diags: list[str] = []
     command = raw.get("command")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ConfigError([f"command: expected one of {sorted(COMMANDS)}, got {command!r}"])
 
     seed = seed_override if seed_override is not None else raw.get("seed")
@@ -320,210 +426,12 @@ def validate_config(raw, seed_override: Optional[int] = None) -> ExperimentConfi
     elif not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         diags.append(f"seed: expected a 64-bit unsigned integer, got {seed!r}")
 
-    allowed = dict(_COMMAND_KEYS[command])
-    allowed["command"] = str
-    allowed["seed"] = int
-    allowed["out"] = str  # default output directory; the --out flag wins
-    _check_keys(raw, allowed, command, diags)
-
-    resolved = _merge_defaults(command, raw)
-    try:
-        _validate_command(command, resolved, diags)
-    except TypeError:
-        # a wrong-typed value was already diagnosed by name above
-        if not diags:
-            raise
+    given = {key: value for key, value in raw.items() if key not in ("command", "seed")}
+    resolved = _walk(given, {"out": Field(str)} | SCHEMAS[command], command, "", diags)
+    _check_cross(resolved, command, diags)
     if diags:
         raise ConfigError(diags)
     return ExperimentConfig(command=command, seed=int(seed), params=resolved, raw=dict(raw))
-
-
-def _require(resolved: dict, keys: list[str], command: str, diags: list[str]) -> bool:
-    missing = [key for key in keys if key not in resolved]
-    for key in missing:
-        diags.append(f"{command}.{key}: required")
-    return not missing
-
-
-def _validate_nm(resolved: dict, command: str, diags: list[str]) -> list[tuple[int, int]]:
-    """[(n, m)] when both are integers with 1 <= m <= n, else [] (diagnosed
-    when both are integers)."""
-    n, m = resolved.get("n"), resolved.get("m")
-    if not (isinstance(n, int) and isinstance(m, int)):
-        return []
-    if not 1 <= m <= n:
-        diags.append(f"{command}: need 1 <= m <= n, got m={m}, n={n}")
-        return []
-    return [(n, m)]
-
-
-def _validate_model(spec, where: str, diags: list[str], kinds=("quadratic", "logistic")) -> None:
-    if not isinstance(spec, dict):
-        diags.append(f"{where}: expected an object")
-        return
-    _check_keys(spec, _MODEL_KEYS, where, diags)
-    kind = spec.get("kind")
-    if kind not in kinds:
-        diags.append(f"{where}.kind: expected one of {list(kinds)}, got {kind!r}")
-        return
-    if kind == "quadratic":
-        if spec.get("s", 1.0) <= 0:
-            diags.append(f"{where}.s: must be positive")
-        if spec.get("p", 1) < 1:
-            diags.append(f"{where}.p: must be >= 1")
-        else:
-            _check_vector(spec.get("theta_star"), spec.get("p", 1), f"{where}.theta_star", diags)
-    if kind == "logistic":
-        if "t" not in spec or "p" not in spec:
-            diags.append(f"{where}: logistic model needs p and t")
-
-
-def _model_dim(spec):
-    """The model dimension p a config's points must have, when it is known."""
-    if isinstance(spec, dict):
-        return spec.get("p", 1 if spec.get("kind") == "quadratic" else None)
-    return None
-
-
-def _check_at_least(resolved: dict, key: str, low: int, command: str, diags: list[str]) -> None:
-    if _is_number(resolved.get(key)) and resolved[key] < low:
-        diags.append(f"{command}.{key}: must be >= {low}")
-
-
-def _validate_step_grid(resolved: dict, command: str, diags: list[str]) -> None:
-    """Step sizes that each divide a positive horizon, and the slope range
-    their log-log fit is checked against."""
-    _check_slope_gammas(resolved, command, diags)
-    horizon = resolved["horizon"]
-    if _is_number(horizon) and not horizon > 0:
-        diags.append(f"{command}.horizon: must be positive")
-    for i, gamma in enumerate(resolved["gammas"]):
-        _check_gamma(gamma, f"gammas[{i}]", diags)
-        if _is_number(gamma) and 0 < gamma < 1:
-            steps = horizon / gamma
-            if abs(steps - round(steps)) > 1e-9:
-                diags.append(f"gammas[{i}]: horizon must be a multiple of gamma")
-    bounds = resolved["slope_range"]
-    if not (
-        isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))
-        and bounds[0] < bounds[1]
-    ):
-        diags.append(f"{command}.slope_range: expected [low, high] with low < high, got {bounds!r}")
-
-
-def _validate_command(command: str, resolved: dict, diags: list[str]) -> None:
-    if command == "weights-moments":
-        sizes = []
-        if _require(resolved, ["n", "m", "reps"], command, diags):
-            sizes = _validate_nm(resolved, command, diags)
-            if resolved["reps"] < 100:
-                diags.append("weights-moments.reps: must be >= 100")
-        sigma_keys = {
-            "mean_sigmas": (int, float), "var_sigmas": (int, float),
-            "cov_sigmas": (int, float), "sumsq_sigmas": (int, float),
-        }
-        if isinstance(resolved["thresholds"], dict):
-            _check_keys(resolved["thresholds"], sigma_keys, "thresholds", diags)
-            resolved["thresholds"] = (
-                _DEFAULTS["weights-moments"]["thresholds"] | resolved["thresholds"]
-            )
-        _check_nonempty(resolved, "schemes", command, diags)
-        for i, spec in enumerate(resolved.get("schemes", [])):
-            _check_scheme(spec, f"schemes[{i}]", diags, sizes)
-
-    elif command == "clt":
-        sizes = []
-        if _require(resolved, ["n", "m", "samples"], command, diags):
-            sizes = _validate_nm(resolved, command, diags)
-            if resolved["samples"] < 100:
-                diags.append("clt.samples: must be >= 100")
-        _check_scheme(resolved["scheme"], "scheme", diags, sizes)
-        if resolved["bins"] < 1:
-            diags.append("clt.bins: must be >= 1")
-        _check_at_least(resolved, "p", 1, command, diags)
-
-    elif command == "weighting-gap":
-        sizes = []
-        if _require(resolved, ["pairs", "reps"], command, diags):
-            if resolved["reps"] < 1000:
-                diags.append("weighting-gap.reps: must be >= 1000")
-            _check_nonempty(resolved, "pairs", command, diags)
-            for i, pair in enumerate(resolved["pairs"]):
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not all(isinstance(v, int) for v in pair)
-                    or not 1 <= pair[1] <= pair[0]
-                ):
-                    diags.append(f"pairs[{i}]: expected [n, m] with 1 <= m <= n, got {pair!r}")
-                else:
-                    sizes.append(tuple(pair))
-        _check_nonempty(resolved, "schemes", command, diags)
-        for i, spec in enumerate(resolved.get("schemes", [])):
-            _check_scheme(spec, f"schemes[{i}]", diags, sizes)
-        _validate_model(resolved["model"], "model", diags, kinds=("quadratic",))
-        _check_vector(resolved.get("theta"), _model_dim(resolved["model"]), "weighting-gap.theta", diags)
-
-    elif command == "wass-scaling":
-        if _require(resolved, ["gammas", "reps"], command, diags):
-            _validate_step_grid(resolved, command, diags)
-            _check_at_least(resolved, "reps", 1, command, diags)
-        _check_at_least(resolved, "n_directions", 1, command, diags)
-        _check_scheme(resolved["scheme"], "scheme", diags, _validate_nm(resolved, command, diags))
-        _validate_model(resolved["model"], "model", diags, kinds=("quadratic",))
-        _check_vector(resolved.get("x0"), _model_dim(resolved["model"]), "wass-scaling.x0", diags)
-        if resolved["em_substeps"] < 1:
-            diags.append("wass-scaling.em_substeps: must be >= 1")
-
-    elif command == "converge":
-        if not _require(resolved, ["model", "n", "m", "reps", "runs"], command, diags):
-            return
-        _validate_model(resolved["model"], "model", diags)
-        _check_vector(resolved.get("x0"), _model_dim(resolved["model"]), "converge.x0", diags)
-        _check_scheme(resolved["scheme"], "scheme", diags, _validate_nm(resolved, command, diags))
-        model_kind = resolved["model"].get("kind") if isinstance(resolved["model"], dict) else None
-        # logistic block SEs are spreads across replications, so they need two
-        _check_at_least(resolved, "reps", 2 if model_kind == "logistic" else 1, command, diags)
-        _check_nonempty(resolved, "runs", command, diags)
-        for i, run in enumerate(resolved["runs"]):
-            if not isinstance(run, dict):
-                diags.append(f"runs[{i}]: expected an object")
-                continue
-            _check_keys(
-                run,
-                {"gamma": (int, float), "num_steps": int, "fit_burn_in": int, "fit_window": int},
-                f"runs[{i}]",
-                diags,
-            )
-            if "gamma" not in run or "num_steps" not in run:
-                diags.append(f"runs[{i}]: needs gamma and num_steps")
-            else:
-                _check_gamma(run["gamma"], f"runs[{i}].gamma", diags)
-        if model_kind == "logistic":
-            # block means compare consecutive windows of the num_steps + 1 iterates
-            if resolved["blocks"] < 2:
-                diags.append("converge.blocks: must be >= 2")
-            for i, run in enumerate(resolved["runs"]):
-                steps = run.get("num_steps") if isinstance(run, dict) else None
-                if isinstance(steps, int) and steps + 1 < resolved["blocks"]:
-                    diags.append(f"runs[{i}].num_steps: needs num_steps + 1 >= blocks")
-            if "kappas" not in resolved:
-                diags.append("converge.kappas: required for the logistic model")
-            else:
-                _check_nonempty(resolved, "kappas", command, diags)
-                for i, kappa in enumerate(resolved["kappas"]):
-                    if not isinstance(kappa, (int, float)) or kappa <= 0:
-                        diags.append(f"kappas[{i}]: must be a positive number")
-        elif "kappas" in resolved:
-            diags.append("converge.kappas: only valid for the logistic model")
-
-    elif command == "gd-ode":
-        if _require(resolved, ["gammas"], command, diags):
-            _validate_step_grid(resolved, command, diags)
-        _validate_model(resolved["model"], "model", diags, kinds=("quadratic",))
-        _check_vector(resolved.get("x0"), _model_dim(resolved["model"]), "gd-ode.x0", diags)
-        if resolved["ode_substeps"] < 10:
-            diags.append("gd-ode.ode_substeps: must be >= 10 (inner step h <= gamma/10)")
 
 
 # ----------------------------------------------------------------------
@@ -595,11 +503,9 @@ def _scheme_label(spec: dict) -> str:
 
 
 def _model_from_spec(spec: dict):
-    if spec["kind"] == "quadratic":
-        p = spec.get("p", 1)
-        theta_star = np.asarray(spec.get("theta_star", np.zeros(p)), dtype=float)
-        return make_quadratic_model(p, theta_star, float(spec.get("s", 1.0)))
-    raise ValueError(f"unsupported model spec {spec!r}")
+    p = spec.get("p", 1)
+    theta_star = np.asarray(spec.get("theta_star", np.zeros(p)), dtype=float)
+    return make_quadratic_model(p, theta_star, float(spec.get("s", 1.0)))
 
 
 # ----------------------------------------------------------------------
@@ -643,7 +549,6 @@ def _run_weights_moments(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckRe
             report.var_first, report.var_first_se, diag,
             report.cov_pair, report.cov_pair_se, offdiag,
             report.m_sum_sq_mean, report.m_sum_sq_se,
-            report.m32_sum_cube_mean, report.m32_sum_cube_se,
         ])
     out.write_csv(
         "weight_moments.csv",
@@ -651,7 +556,7 @@ def _run_weights_moments(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckRe
          "mean", "mean_se", "mean_target",
          "var", "var_se", "var_target",
          "cov", "cov_se", "cov_target",
-         "m_sum_sq", "m_sum_sq_se", "m32_sum_cube", "m32_sum_cube_se"],
+         "m_sum_sq", "m_sum_sq_se"],
         rows,
     )
     return checks
@@ -760,9 +665,7 @@ def _run_wass_scaling(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResul
         "wass_scaling.csv", ["gamma", "w2sq", "method", "n_directions", "reps"], rows
     )
     checks = []
-    worst_ratio = max(
-        values[i + 1] / values[i] for i in range(len(values) - 1)
-    ) if len(values) > 1 else 0.0
+    worst_ratio = max(values[i + 1] / values[i] for i in range(len(values) - 1))
     checks.append(CheckResult(
         "monotone_ratio", worst_ratio, 1.0, params["slack"], comparison="le",
     ))
@@ -867,6 +770,7 @@ def _run_converge_logistic(cfg, out: _OutputDir) -> list[CheckResult]:
     base = generate_logistic_dataset(root.child("dataset"), p, t, kappa=kappas[0])
     x0 = np.asarray(params.get("x0", np.ones(p) / math.sqrt(p)), dtype=float)
     blocks = params["blocks"]
+    scheme = _scheme_from_spec(params["scheme"], n, m)
     checks: list[CheckResult] = []
     for run_idx, run in enumerate(params["runs"]):
         gamma, steps = run["gamma"], run["num_steps"]
@@ -875,13 +779,8 @@ def _run_converge_logistic(cfg, out: _OutputDir) -> list[CheckResult]:
         for kappa_idx, kappa in enumerate(kappas):
             dataset = LogisticDataset(base.labels, base.covariates, kappa)
             model = make_logistic_model(dataset)
-            scheme = _scheme_from_spec(params["scheme"], n, m)
-
-            def runner(mo, co, st, scheme=scheme):
-                return run_msgd(mo, scheme, co, st)
-
             curve = convergence_curve(
-                model, runner, config, reps,
+                model, lambda mo, co, st: run_msgd(mo, scheme, co, st), config, reps,
                 root.child(run_idx, kappa_idx),
                 reference=(np.zeros(p), 0.0),
                 track_objective=False,
@@ -985,24 +884,15 @@ def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> Exper
     """
     out = _OutputDir(out_dir, config)
     checks = _RUNNERS[config.command](config, out)
-    echo = {k: v for k, v in config.params.items()}
     report = ExperimentReport(
         command=config.command,
         seed=config.seed,
         config=config.raw,
-        resolved=json.loads(json.dumps(echo, sort_keys=True, default=_json_default)),
+        resolved=config.params,
         checks=checks,
     )
     out.write_report(report)
     return report
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value)}")
 
 
 def main(argv=None) -> int:

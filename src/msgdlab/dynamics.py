@@ -1,4 +1,4 @@
-"""The five processes under comparison and their interpolants.
+"""The five processes under comparison.
 
 Discrete iterations on the grid k*gamma, k = 0..K:
 
@@ -12,11 +12,6 @@ Continuous-time references:
 * ``run_ode``           dX = -grad g(X) dt, classical 4th-order one-step method
 * ``run_diffusion_em``  dX = -grad g(X) dt + sqrt(gamma/m) sigma(X) dB,
                         Euler-Maruyama with substeps gamma/R
-
-Trajectories retain what exact interpolation needs: M-SGD keeps each
-step's aggregate drift, Gaussian SGD keeps each step's realized noise
-increment so interior times can be filled in with a Brownian bridge
-conditioned on the path that was actually taken.
 
 ``run_gaussian_sgd``, ``run_msgd`` and ``run_diffusion_em`` are ensemble
 runners: they take one ``RngStream`` per replication and advance all R
@@ -36,7 +31,6 @@ run raises only when every replication has diverged.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -99,33 +93,23 @@ class RunConfig:
 
 @dataclass
 class Trajectory:
-    """States x_0..x_K on the grid, plus per-step records for interpolation.
+    """States x_0..x_K on the grid.
 
     Single paths (``gd``, ``ode``) have states of shape (K+1, p); ensembles
-    have (K+1, R, p) and records of shape (K, R, p).  An ``ode`` path has no
-    ``config``: its grid is its ``step_size``.
+    have (K+1, R, p).  An ``ode`` path has no ``config``: its grid is its
+    ``step_size``.
     """
 
     kind: str
     states: np.ndarray                      # (K+1, p) or (K+1, R, p)
     config: Optional[RunConfig]
     model: LossModel
-    scheme: Optional[WeightScheme] = None
-    drift_record: Optional[np.ndarray] = None   # (K, R, p): aggregate drift per step
-    noise_record: Optional[np.ndarray] = None   # (K, R, p): realized noise increment per step
     step_size: Optional[float] = None           # grid spacing when it differs from config.gamma
     diverged: dict[int, int] = field(default_factory=dict)  # replication -> iteration
 
     @property
     def grid(self) -> float:
         return self.step_size if self.step_size is not None else self.config.gamma
-
-    @property
-    def horizon(self) -> float:
-        return (self.states.shape[0] - 1) * self.grid
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.states.shape[0]) * self.grid
 
     def state_at_time(self, t: float) -> np.ndarray:
         """State at a grid time; raises if t does not sit on the grid."""
@@ -170,14 +154,12 @@ def _run_ensemble(
     kind: str,
     config: RunConfig,
     streams: Sequence[RngStream],
-    advance: Callable[[np.ndarray, list], tuple[np.ndarray, Optional[np.ndarray]]],
-    recorded: bool,
+    advance: Callable[[np.ndarray, list], np.ndarray],
 ):
-    """Advance every replication K steps; returns (states, record, diverged).
+    """Advance every replication K steps; returns (states, diverged).
 
     ``advance(x, streams)`` maps the (live, p) states of the live
-    replications and their streams, in replication order, to the next states
-    and the per-step record, which is kept when ``recorded``.
+    replications and their streams, in replication order, to the next states.
     """
     if isinstance(streams, RngStream):
         raise TypeError("expected a sequence of per-replication RngStreams, got one stream")
@@ -186,7 +168,6 @@ def _run_ensemble(
         raise ValueError("need at least one replication stream")
     reps, p, steps = len(streams), config.x0.size, config.num_steps
     states = np.full((steps + 1, reps, p), np.nan)
-    record = np.full((steps, reps, p), np.nan) if recorded else None
     diverged: dict[int, int] = {}
     live = np.arange(reps)
     x, streams, live = _drop_diverged(
@@ -197,13 +178,11 @@ def _run_ensemble(
     rows = slice(None) if len(live) == reps else live
     states[0, rows] = x
     for k in range(steps):
-        x, step_record = advance(x, streams)
-        if recorded:
-            record[k, rows] = step_record
+        x = advance(x, streams)
         x, streams, live = _drop_diverged(x, streams, live, kind, k + 1, diverged)
         rows = slice(None) if len(live) == reps else live
         states[k + 1, rows] = x
-    return states, record, diverged
+    return states, diverged
 
 
 def run_gaussian_sgd(
@@ -215,17 +194,14 @@ def run_gaussian_sgd(
     def advance(x, live_streams):
         xi = np.stack([s.generator.standard_normal(model.noise_dim) for s in live_streams])
         noise = scale * (model.noise_factor(x) @ xi[:, :, None])[:, :, 0]
-        return x - config.gamma * model.grad_objective(x) + noise, noise
+        return x - config.gamma * model.grad_objective(x) + noise
 
-    states, noise_record, diverged = _run_ensemble(
-        "gaussian_sgd", config, streams, advance, recorded=True
-    )
+    states, diverged = _run_ensemble("gaussian_sgd", config, streams, advance)
     return Trajectory(
         kind="gaussian_sgd",
         states=states,
         config=config,
         model=model,
-        noise_record=noise_record,
         diverged=diverged,
     )
 
@@ -261,18 +237,14 @@ def run_msgd(
             w = sample_weights(part, scheme)
             grads = model.grad_loss(x[start : start + len(part)], data)
             drift[start : start + len(part)] = (w[:, None, :] @ grads)[:, 0, :]
-        return x - config.gamma * drift, drift
+        return x - config.gamma * drift
 
-    states, drift_record, diverged = _run_ensemble(
-        "msgd", config, streams, advance, recorded=True
-    )
+    states, diverged = _run_ensemble("msgd", config, streams, advance)
     return Trajectory(
         kind="msgd",
         states=states,
         config=config,
         model=model,
-        scheme=scheme,
-        drift_record=drift_record,
         diverged=diverged,
     )
 
@@ -334,84 +306,10 @@ def run_diffusion_em(
                 - h * model.grad_objective(x)
                 + diffusion_scale * sqrt_h * (model.noise_factor(x) @ z[:, j, :, None])[:, :, 0]
             )
-        return x, None
+        return x
 
-    states, _, diverged = _run_ensemble(
-        "diffusion_em", config, streams, advance, recorded=False
-    )
+    states, diverged = _run_ensemble("diffusion_em", config, streams, advance)
     return Trajectory(
         kind="diffusion_em", states=states, config=config, model=model, diverged=diverged
     )
 
-
-def _locate(trajectory: Trajectory, t: float) -> tuple[int, float]:
-    """Map t in [0, T] to (step index k, offset s in [0, gamma)); s = 0 on grid."""
-    gamma = trajectory.grid
-    horizon = trajectory.horizon
-    if not 0.0 <= t <= horizon * (1.0 + 1e-12):
-        raise ValueError(f"t={t} outside [0, {horizon}]")
-    ratio = t / gamma
-    nearest = int(round(ratio))
-    if abs(ratio - nearest) <= 1e-9:
-        return nearest, 0.0
-    k = int(math.floor(ratio))
-    return k, t - k * gamma
-
-
-def interpolate_msgd(trajectory: Trajectory, t: float) -> np.ndarray:
-    """Piecewise-linear interpolant along the recorded per-step drifts.
-
-    Exactly reproduces the discrete iterates at grid times.
-    """
-    if trajectory.kind != "msgd" or trajectory.drift_record is None:
-        raise ValueError("expected an msgd trajectory with a drift record")
-    k, s = _locate(trajectory, t)
-    if s == 0.0:
-        return trajectory.states[k].copy()
-    return trajectory.states[k] - s * trajectory.drift_record[k]
-
-
-def interpolate_gaussian_piece(trajectory: Trajectory, t: float, stream: RngStream) -> np.ndarray:
-    """Interior value of the piecewise Gaussian interpolant.
-
-    On [k*gamma, (k+1)*gamma] the interpolant follows the frozen drift
-    -grad g(x_k) plus sigma(x_k) times the Brownian path.  Conditioned on
-    the stored full-step increment, the interior Brownian value is the
-    bridge: mean (s/gamma) * (full increment), variance s*(gamma-s)/gamma
-    per coordinate.  Grid times return the discrete iterates exactly.
-    Returns the (R, p) ensemble at time t; row r of one (R, q) block drawn
-    from `stream` drives replication r's bridge.
-    """
-    if trajectory.kind != "gaussian_sgd" or trajectory.noise_record is None:
-        raise ValueError("expected a gaussian_sgd trajectory with a noise record")
-    k, s = _locate(trajectory, t)
-    if s == 0.0:
-        return trajectory.states[k].copy()
-    config = trajectory.config
-    model = trajectory.model
-    gamma = config.gamma
-    x_k = trajectory.states[k]
-    mean_part = (
-        x_k - s * model.grad_objective(x_k) + (s / gamma) * trajectory.noise_record[k]
-    )
-    bridge_sd = math.sqrt(s * (gamma - s) / gamma)
-    eta = stream.generator.standard_normal((x_k.shape[0], model.noise_dim))
-    bridge = (
-        math.sqrt(gamma / config.m) * bridge_sd
-        * (model.noise_factor(x_k) @ eta[:, :, None])[:, :, 0]
-    )
-    return mean_part + bridge
-
-
-def trajectory_to_csv(trajectory: Trajectory, path) -> None:
-    """Write the grid states of a single path (``gd``, ``ode``) as CSV with
-    columns k, t, x1..xp."""
-    if trajectory.states.ndim != 2:
-        raise ValueError(f"{trajectory.kind} is an ensemble; only single paths are written")
-    p = trajectory.states.shape[1]
-    grid = trajectory.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "t"] + [f"x{j + 1}" for j in range(p)])
-        for k, row in enumerate(trajectory.states):
-            writer.writerow([k, f"{k * grid:.17g}"] + [f"{v:.17g}" for v in row])

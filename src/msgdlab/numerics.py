@@ -1,4 +1,4 @@
-"""Deterministic seeded randomness and small numeric utilities.
+"""Deterministic seeded randomness: addressed streams and gamma sampling.
 
 Randomness is organized around :class:`RngStream`: an immutable handle
 addressed by ``(master_seed, path)`` where ``path`` is a sequence of labels
@@ -24,8 +24,7 @@ different streams.
 from __future__ import annotations
 
 import hashlib
-import math
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -267,13 +266,6 @@ def derive_stream(master_seed: int, path: Sequence[PathLabel] = ()) -> RngStream
     return RngStream(master_seed, path)
 
 
-def sample_std_normal(stream: RngStream, d: int) -> np.ndarray:
-    """Draw a vector of ``d`` iid standard-normal values from `stream`."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return stream.generator.standard_normal(int(d))
-
-
 def sample_gamma(stream: RngStream, shape: float, size=None):
     """Draw Gamma(shape, scale=1) variates.
 
@@ -293,28 +285,3 @@ def sample_gamma(stream: RngStream, shape: float, size=None):
         out = g * u ** (1.0 / shape)
     return float(out) if size is None else out
 
-
-def finite_diff_gradient(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient ``(f(x+h*e_i) - f(x-h*e_i)) / (2h)``.
-
-    The default step balances truncation against roundoff for unit-scale
-    problems in double precision.  Used as the independent oracle for
-    analytic gradients throughout the test suite.
-    """
-    if not h > 0:
-        raise ValueError(f"step h must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        f_plus = float(f(x + step))
-        f_minus = float(f(x - step))
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise ArithmeticError(
-                f"objective returned a non-finite value near coordinate {i}"
-            )
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad

@@ -6,8 +6,9 @@ This module turns simulations into numbers that can be checked:
   sqrt(m) * sum_i w_i (grad l(theta, u_i) - grad g(theta)) whose limit is
   N(0, sigma^2(theta));
 * ``ks_normality`` measures sup-distance to a centered normal CDF;
-* ``w2_1d`` / ``sliced_w2`` estimate squared Wasserstein-2 distances via
-  the exact sorted coupling in 1-D and random projections in R^p;
+* ``sliced_w2`` estimates the squared Wasserstein-2 distance by the exact
+  sorted coupling along random 1-D projections, and ``coordinate_avg_w2``
+  along each coordinate;
 * ``weighting_gap`` checks the exact identity
   E|scaled weighted error - scaled plain-average error|^2
   = 2 (1 - sqrt(m/n)) Tr sigma^2(theta), which holds at finite n for every
@@ -36,10 +37,6 @@ class ErrorSampleSet:
     """Rows of sqrt(m) * sum_i w_i (grad l(theta, u_i) - grad g(theta))."""
 
     samples: np.ndarray  # (reps, p)
-    theta: np.ndarray
-    scheme: WeightScheme
-    n: int
-    m: int
 
 
 def clt_error_samples(
@@ -66,7 +63,7 @@ def clt_error_samples(
         errors = (w[:, None, :] @ grads)[:, 0, :] - grad_mean
         samples[start : start + len(streams)] = sqrt_m * errors
         del data, w, grads  # free the blocks before the next chunk draws its own
-    return ErrorSampleSet(samples=samples, theta=theta, scheme=scheme, n=scheme.n, m=scheme.m)
+    return ErrorSampleSet(samples=samples)
 
 
 def ks_normality(samples, variance: float) -> tuple[float, int]:
@@ -88,26 +85,8 @@ class DistanceEstimate:
     """A squared Wasserstein-2 estimate and how it was computed."""
 
     value: float
-    method: str  # "exact_1d" | "sliced"
+    method: str  # "sliced" | "coordinate_average"
     sample_size: int
-    n_directions: Optional[int] = None
-
-
-def w2_1d(samples_a, samples_b) -> DistanceEstimate:
-    """Exact squared W2 between two equal-size 1-D empirical measures.
-
-    The optimal coupling in one dimension is the sorted (quantile)
-    coupling, so the distance is just the mean squared gap between order
-    statistics.
-    """
-    a = np.asarray(samples_a, dtype=float).ravel()
-    b = np.asarray(samples_b, dtype=float).ravel()
-    if a.size != b.size:
-        raise ValueError(f"sample sizes differ: {a.size} vs {b.size} (subsample first)")
-    if a.size < 2:
-        raise ValueError("need at least 2 samples")
-    value = float(np.mean((np.sort(a) - np.sort(b)) ** 2))
-    return DistanceEstimate(value=value, method="exact_1d", sample_size=a.size)
 
 
 def sliced_w2(samples_a, samples_b, n_directions: int, stream: RngStream) -> DistanceEstimate:
@@ -137,9 +116,7 @@ def sliced_w2(samples_a, samples_b, n_directions: int, stream: RngStream) -> Dis
     proj_a = np.sort(a @ directions.T, axis=0)
     proj_b = np.sort(b @ directions.T, axis=0)
     value = float(np.mean((proj_a - proj_b) ** 2))
-    return DistanceEstimate(
-        value=value, method="sliced", sample_size=a.shape[0], n_directions=n_directions
-    )
+    return DistanceEstimate(value=value, method="sliced", sample_size=a.shape[0])
 
 
 def coordinate_avg_w2(samples_a, samples_b) -> DistanceEstimate:
@@ -331,20 +308,28 @@ def convergence_curve(
     )
 
 
+def fit_segment(length: int, burn_in: int = 0, window: Optional[int] = None) -> slice:
+    """The iterations ``burn_in : burn_in + window``, at least 2, that a fit uses out of
+    a curve of `length` points.  The default window is the first third of the
+    curve, where the geometric phase dominates before any noise plateau."""
+    if window is None:
+        window = max(length // 3, 2)
+    if burn_in < 0 or window < 2 or burn_in + 2 > length:
+        raise ValueError(
+            f"fit window must contain at least 2 points, got burn-in {burn_in} and "
+            f"window {window} over {length} iterates"
+        )
+    return slice(burn_in, burn_in + window)
+
+
 def contraction_fit(curve, burn_in: int = 0, window: Optional[int] = None) -> float:
     """Geometric decay factor fitted to a positive curve segment.
 
-    Least-squares slope of log(curve[burn_in : burn_in + window]) against
-    the iteration index, exponentiated.  The default window is the first
-    third of the curve, where the geometric phase dominates before any
-    noise plateau.
+    Least-squares slope of log(curve[fit_segment(...)]) against the
+    iteration index, exponentiated.
     """
     curve = np.asarray(curve, dtype=float)
-    if window is None:
-        window = max(curve.size // 3, 2)
-    segment = curve[burn_in : burn_in + window]
-    if segment.size < 2:
-        raise ValueError("fit window must contain at least 2 points")
+    segment = curve[fit_segment(curve.size, burn_in, window)]
     if not np.all(segment > 0):
         raise ValueError("curve must be positive over the fit window")
     k = np.arange(segment.size, dtype=float)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .numerics import RngStream, sample_gamma
 
@@ -225,12 +224,9 @@ class MomentReport:
     estimates track the first coordinate and the (0, 1) pair, which
     suffices because the coordinates are exchangeable (itself checked via
     ``coord_mean``).  ``m_sum_sq`` estimates E[m * sum(w^2)], which equals
-    1 exactly for every scheme here; ``m32_sum_cube`` estimates
-    E[m^(3/2) * sum(|w|^3)], which vanishes as n grows.
+    1 exactly for every scheme here.
     """
 
-    scheme: WeightScheme
-    reps: int
     coord_mean: np.ndarray
     coord_mean_se: np.ndarray
     var_first: float
@@ -241,8 +237,6 @@ class MomentReport:
     pooled_offdiag_se: float
     m_sum_sq_mean: float
     m_sum_sq_se: float
-    m32_sum_cube_mean: float
-    m32_sum_cube_se: float
     first_coords: np.ndarray = field(repr=False)
     second_coords: np.ndarray = field(repr=False)
 
@@ -282,7 +276,6 @@ def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int)
     first = np.empty(reps)
     second = np.empty(reps)
     m_sum_sq = np.empty(reps)
-    m32_cube = np.empty(reps)
     for start, streams in stream.child_chunks("rep", stop=reps, size=chunk_rows(n)):
         block = sample_weights(streams, scheme)
         for r, w in enumerate(block, start):
@@ -291,7 +284,6 @@ def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int)
             first[r] = w[0]
             second[r] = w[1] if n > 1 else w[0]
             m_sum_sq[r] = m * np.sum(w * w)
-            m32_cube[r] = m**1.5 * np.sum(np.abs(w) ** 3)
         del block, w  # free the block before the next chunk draws its own
     coord_mean = sum_w / reps
     coord_var = np.maximum(sum_w2 / reps - coord_mean**2, 0.0)
@@ -308,8 +300,6 @@ def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int)
     else:
         pooled_offdiag, pooled_offdiag_se = 0.0, 0.0
     return MomentReport(
-        scheme=scheme,
-        reps=reps,
         coord_mean=coord_mean,
         coord_mean_se=coord_mean_se,
         var_first=float(np.var(first, ddof=1)),
@@ -320,36 +310,7 @@ def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int)
         pooled_offdiag_se=pooled_offdiag_se,
         m_sum_sq_mean=float(m_sum_sq.mean()),
         m_sum_sq_se=float(m_sum_sq.std(ddof=1) / np.sqrt(reps)),
-        m32_sum_cube_mean=float(m32_cube.mean()),
-        m32_sum_cube_se=float(m32_cube.std(ddof=1) / np.sqrt(reps)),
         first_coords=first,
         second_coords=second,
     )
 
-
-def dirichlet_mixed_moment(alpha, beta) -> float:
-    """Exact Dirichlet mixed moment E[prod_i X_i^beta_i].
-
-    For ``X ~ Dir(alpha)`` the moment equals
-
-        Gamma(sum alpha) / Gamma(sum(alpha + beta))
-            * prod_i Gamma(alpha_i + beta_i) / Gamma(alpha_i),
-
-    evaluated in log space so huge parameter vectors (n ~ 1e4) stay exact
-    to double precision.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if alpha.shape != beta.shape:
-        raise ValueError(f"alpha and beta lengths differ: {alpha.shape} vs {beta.shape}")
-    if not np.all(alpha > 0):
-        raise ValueError("all alpha entries must be positive")
-    if not np.all(beta >= 0):
-        raise ValueError("all beta entries must be nonnegative")
-    active = beta > 0  # terms with beta_i = 0 cancel exactly
-    log_value = (
-        gammaln(alpha.sum())
-        - gammaln(alpha.sum() + beta.sum())
-        + np.sum(gammaln(alpha[active] + beta[active]) - gammaln(alpha[active]))
-    )
-    return float(np.exp(log_value))

@@ -1,6 +1,7 @@
 """Config validation, experiment runner plumbing, and the CLI surface."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,176 @@ def tiny_config(command: str) -> dict:
             "command": "gd-ode", "seed": 9, "gammas": [0.1, 0.05], "x0": [1.0],
         },
     }[command]
+
+
+def tiny_logistic() -> dict:
+    return {
+        "command": "converge", "seed": 9, "model": {"kind": "logistic", "p": 2, "t": 50},
+        "n": 20, "m": 4, "reps": 3, "kappas": [0.1], "runs": [{"gamma": 0.5, "num_steps": 10}],
+    }
+
+
+def with_run(config: dict, **changes) -> dict:
+    """`config` with its first run's keys changed."""
+    return config | {"runs": [config["runs"][0] | changes]}
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# validate_config(raw, seed_override).params before the one-schema rewrite of
+# the validation, serialised with sorted keys as report.json echoes it under
+# "resolved"; a shipped config is named by its file in configs/.
+RESOLVED = {
+    "weights-moments": (
+        tiny_config("weights-moments"),
+        None, 9,
+        '{"m":20,"n":100,"reps":200,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"thresholds":{"cov_sigmas":4,"mean_sigmas":4,"sumsq_sigmas":3,"var_sigmas":4}}',
+    ),
+    "clt": (
+        tiny_config("clt"),
+        None, 9,
+        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":100,"n":500,"p":1,"samples":400,"scheme":{"kind":"dirichlet"}}',
+    ),
+    "weighting-gap": (
+        tiny_config("weighting-gap"),
+        None, 9,
+        '{"model":{"kind":"quadratic","p":2,"s":1.0},"pairs":[[400,100]],"reps":1000,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"sigmas":3}',
+    ),
+    "wass-scaling": (
+        tiny_config("wass-scaling"),
+        None, 9,
+        '{"em_substeps":20,"gammas":[0.2,0.1],"horizon":1.0,"m":16,"model":{"kind":"quadratic","p":2,"s":1.0},"n":128,"n_directions":32,"reps":40,"scheme":{"kind":"gaussian"},"slack":0.1,"slope_range":[0.8,2.2]}',
+    ),
+    "converge": (
+        tiny_config("converge"),
+        None, 9,
+        '{"blocks":8,"m":20,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"n":100,"reps":50,"rho_tolerance":0.02,"runs":[{"fit_window":15,"gamma":0.1,"num_steps":60}],"scheme":{"kind":"gaussian"}}',
+    ),
+    "gd-ode": (
+        tiny_config("gd-ode"),
+        None, 9,
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"slope_range":[0.8,1.2],"x0":[1.0]}',
+    ),
+    "weights-moments-partial-thresholds": (
+        tiny_config("weights-moments") | {"thresholds": {"var_sigmas": 6}},
+        None, 9,
+        '{"m":20,"n":100,"reps":200,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"thresholds":{"cov_sigmas":4,"mean_sigmas":4,"sumsq_sigmas":3,"var_sigmas":6}}',
+    ),
+    "weights-moments-given": (
+        tiny_config("weights-moments") | {
+            "schemes": [{"kind": "gaussian", "base": "rademacher"}, {"kind": "minibatch"}],
+            "thresholds": {"mean_sigmas": 3.5, "var_sigmas": 4, "cov_sigmas": 5.0,
+                           "sumsq_sigmas": 2},
+        },
+        None, 9,
+        '{"m":20,"n":100,"reps":200,"schemes":[{"base":"rademacher","kind":"gaussian"},{"kind":"minibatch"}],"thresholds":{"cov_sigmas":5.0,"mean_sigmas":3.5,"sumsq_sigmas":2,"var_sigmas":4}}',
+    ),
+    "clt-seed-override": (
+        tiny_config("clt"),
+        123, 123,
+        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":100,"n":500,"p":1,"samples":400,"scheme":{"kind":"dirichlet"}}',
+    ),
+    "clt-given": (
+        tiny_config("clt") | {
+            "p": 2, "scheme": {"kind": "gaussian", "base": "uniform"}, "bins": 10,
+            "ks_threshold": 1, "cov_sigmas": 3.5,
+        },
+        None, 9,
+        '{"bins":10,"cov_sigmas":3.5,"ks_threshold":1,"m":100,"n":500,"p":2,"samples":400,"scheme":{"base":"uniform","kind":"gaussian"}}',
+    ),
+    "gd-ode-out": (
+        tiny_config("gd-ode") | {"out": "elsewhere"},
+        None, 9,
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"out":"elsewhere","slope_range":[0.8,1.2],"x0":[1.0]}',
+    ),
+    "gd-ode-x0-omitted": (
+        {k: v for k, v in tiny_config("gd-ode").items() if k != "x0"},
+        None, 9,
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"slope_range":[0.8,1.2]}',
+    ),
+    "wass-scaling-x0": (
+        tiny_config("wass-scaling") | {"x0": [0.5, -0.5], "horizon": 2},
+        None, 9,
+        '{"em_substeps":20,"gammas":[0.2,0.1],"horizon":2,"m":16,"model":{"kind":"quadratic","p":2,"s":1.0},"n":128,"n_directions":32,"reps":40,"scheme":{"kind":"gaussian"},"slack":0.1,"slope_range":[0.8,2.2],"x0":[0.5,-0.5]}',
+    ),
+    "weighting-gap-theta": (
+        tiny_config("weighting-gap") | {
+            "theta": [1.0, 0.0], "model": {"kind": "quadratic", "p": 2, "s": 2},
+        },
+        None, 9,
+        '{"model":{"kind":"quadratic","p":2,"s":2},"pairs":[[400,100]],"reps":1000,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"sigmas":3,"theta":[1.0,0.0]}',
+    ),
+    "converge-x0": (
+        tiny_config("converge") | {
+            "x0": [2.0], "runs": [{"gamma": 0.1, "num_steps": 60, "fit_burn_in": 3}],
+        },
+        None, 9,
+        '{"blocks":8,"m":20,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"n":100,"reps":50,"rho_tolerance":0.02,"runs":[{"fit_burn_in":3,"gamma":0.1,"num_steps":60}],"scheme":{"kind":"gaussian"},"x0":[2.0]}',
+    ),
+    "converge-logistic": (
+        {"command": "converge", "seed": 11, "model": {"kind": "logistic", "p": 3, "t": 500},
+         "n": 2000, "m": 20, "reps": 10, "kappas": [0.2, 0.05], "blocks": 4,
+         "x0": [0.1, 0.2, 0.3], "scheme": {"kind": "minibatch"},
+         "runs": [{"gamma": 0.5, "num_steps": 16, "fit_window": 4}]},
+        None, 11,
+        '{"blocks":4,"kappas":[0.2,0.05],"m":20,"model":{"kind":"logistic","p":3,"t":500},"n":2000,"reps":10,"rho_tolerance":0.02,"runs":[{"fit_window":4,"gamma":0.5,"num_steps":16}],"scheme":{"kind":"minibatch"},"x0":[0.1,0.2,0.3]}',
+    ),
+    "converge-logistic-defaults": (
+        tiny_logistic(),
+        None, 9,
+        '{"blocks":8,"kappas":[0.1],"m":4,"model":{"kind":"logistic","p":2,"t":50},"n":20,"reps":3,"rho_tolerance":0.02,"runs":[{"gamma":0.5,"num_steps":10}],"scheme":{"kind":"gaussian"}}',
+    ),
+    "configs/clt_dirichlet_p1.json": (
+        'clt_dirichlet_p1.json',
+        None, 20260808,
+        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":2000,"n":10000,"p":1,"samples":10000,"scheme":{"kind":"dirichlet"}}',
+    ),
+    "configs/clt_gaussian_p6.json": (
+        'clt_gaussian_p6.json',
+        None, 20260808,
+        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":2000,"n":10000,"p":6,"samples":10000,"scheme":{"kind":"gaussian"}}',
+    ),
+    "configs/clt_minibatch_p1.json": (
+        'clt_minibatch_p1.json',
+        None, 20260808,
+        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":2000,"n":10000,"p":1,"samples":10000,"scheme":{"kind":"minibatch"}}',
+    ),
+    "configs/clt_rademacher_p1.json": (
+        'clt_rademacher_p1.json',
+        None, 20260808,
+        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":2000,"n":10000,"p":1,"samples":10000,"scheme":{"base":"rademacher","kind":"gaussian"}}',
+    ),
+    "configs/converge_logistic.json": (
+        'converge_logistic.json',
+        None, 20260808,
+        '{"blocks":8,"kappas":[0.2,0.1,0.05,0.01,0.001],"m":10,"model":{"kind":"logistic","p":6,"t":10000},"n":1000,"reps":100,"rho_tolerance":0.02,"runs":[{"fit_window":8,"gamma":0.5,"num_steps":60},{"fit_window":25,"gamma":0.1,"num_steps":300}],"scheme":{"kind":"gaussian"}}',
+    ),
+    "configs/converge_quadratic.json": (
+        'converge_quadratic.json',
+        None, 20260808,
+        '{"blocks":8,"m":50,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"n":500,"reps":500,"rho_tolerance":0.02,"runs":[{"fit_window":20,"gamma":0.1,"num_steps":200}],"scheme":{"kind":"gaussian"}}',
+    ),
+    "configs/gd_ode.json": (
+        'gd_ode.json',
+        None, 20260808,
+        '{"gammas":[0.1,0.05,0.025,0.0125],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"slope_range":[0.8,1.2],"x0":[1.0]}',
+    ),
+    "configs/wass_scaling.json": (
+        'wass_scaling.json',
+        None, 20260808,
+        '{"em_substeps":50,"gammas":[0.2,0.1,0.05,0.025],"horizon":1.0,"m":64,"model":{"kind":"quadratic","p":2,"s":1.0},"n":512,"n_directions":128,"reps":500,"scheme":{"kind":"gaussian"},"slack":0.1,"slope_range":[0.8,2.2]}',
+    ),
+    "configs/weight_moments.json": (
+        'weight_moments.json',
+        None, 20260808,
+        '{"m":400,"n":2000,"reps":20000,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"thresholds":{"cov_sigmas":4,"mean_sigmas":4,"sumsq_sigmas":3,"var_sigmas":4}}',
+    ),
+    "configs/weighting_gap.json": (
+        'weighting_gap.json',
+        None, 20260808,
+        '{"model":{"kind":"quadratic","p":2,"s":1.0},"pairs":[[10000,2500],[10000,9000]],"reps":1500,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"sigmas":3}',
+    ),
+}
 
 
 class TestValidateConfig:
@@ -261,10 +432,42 @@ class TestMain:
             (tiny_config("wass-scaling") | {"slope_range": [2.0]}, "wass-scaling.slope_range"),
             (tiny_config("wass-scaling") | {"scheme": {"kind": "dirichlet"}, "m": 128}, "scheme"),
             (tiny_config("weighting-gap") | {"pairs": [[400, 400]]}, "schemes[2]"),
+            (with_run(tiny_config("converge"), num_steps=0), "runs[0]"),
+            (with_run(tiny_config("converge"), num_steps=-1), "runs[0]"),
+            (with_run(tiny_config("converge"), fit_window=0), "runs[0]"),
+            (with_run(tiny_config("converge"), fit_window=1), "runs[0]"),
+            (with_run(tiny_config("converge"), fit_burn_in=-5), "runs[0]"),
+            (with_run(tiny_config("converge"), fit_burn_in=60), "runs[0]"),
+            (with_run(tiny_logistic(), fit_window=0), "runs[0]"),
+            (with_run(tiny_logistic(), fit_window=1), "runs[0]"),
+            (with_run(tiny_logistic(), fit_burn_in=-5), "runs[0]"),
+            (with_run(tiny_logistic(), fit_burn_in=10), "runs[0]"),
+            (tiny_logistic() | {"model": {"kind": "logistic", "p": 0, "t": 50}}, "model"),
+            (tiny_logistic() | {"model": {"kind": "logistic", "p": 2, "t": 0}}, "model"),
+            (tiny_config("clt") | {"scheme": {"kind": "minibatch", "base": "normal"}}, "scheme"),
+            (tiny_config("clt") | {"scheme": {"kind": "dirichlet", "base": "normal"}}, "scheme"),
+            (tiny_logistic() | {"model": {"kind": "logistic", "p": 2, "t": 50, "s": 1.0}}, "model"),
+            (
+                tiny_logistic() | {"model": {"kind": "logistic", "p": 2, "t": 50,
+                                             "theta_star": [0.0, 0.0]}},
+                "model",
+            ),
+            (
+                tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "t": 50}},
+                "model",
+            ),
+            (tiny_logistic() | {"kappas": [True]}, "kappas[0]"),
+            (tiny_config("weighting-gap") | {"pairs": [[True, 1]]}, "pairs[0]"),
         ],
         ids=[
             "thresholds", "schemes-entry", "scheme", "blocks", "logistic-reps", "x0-length",
             "slope-range", "dirichlet-m-equals-n", "dirichlet-pair",
+            "num-steps-zero", "num-steps-negative", "fit-window-zero", "fit-window-one",
+            "fit-burn-in-negative", "fit-burn-in-too-late",
+            "logistic-fit-window-zero", "logistic-fit-window-one",
+            "logistic-fit-burn-in-negative", "logistic-fit-burn-in-too-late",
+            "logistic-p-zero", "logistic-t-zero", "minibatch-base", "dirichlet-base",
+            "logistic-s", "logistic-theta-star", "quadratic-t", "bool-kappa", "bool-pair",
         ],
     )
     def test_malformed_value_exit_two(self, config, key, tmp_path, capsys):
@@ -322,3 +525,22 @@ class TestMain:
         )
         main(["--config", str(config_path)])
         assert (tmp_path / "from_config" / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVED))
+def test_resolved_echo_pinned(name):
+    raw, seed_override, seed, expected = RESOLVED[name]
+    if isinstance(raw, str):
+        raw = (REPO / "configs" / raw).read_text()
+    cfg = validate_config(raw, seed_override=seed_override)
+    assert cfg.seed == seed
+    assert json.dumps(cfg.params, sort_keys=True, separators=(",", ":")) == expected
+
+
+def test_readme_example_and_commands():
+    readme = (REPO / "README.md").read_text()
+    example = re.search(r"Example config \(`clt`\):\n+```json\n(.*?)```", readme, re.S)
+    assert validate_config(example.group(1)).command == "clt"
+    section = readme.split("\nCommands:\n", 1)[1].split("\nExample config", 1)[0]
+    bullets = re.findall(r"^\* `([a-z-]+)` - ", section, re.M)
+    assert sorted(bullets) == sorted(COMMANDS) and len(set(bullets)) == len(bullets)

@@ -1,4 +1,4 @@
-"""Process runners, interpolants, and divergence handling."""
+"""Process runners and divergence handling."""
 
 import math
 
@@ -9,14 +9,11 @@ import msgdlab.dynamics as dynamics_mod
 from msgdlab.dynamics import (
     DivergenceError,
     RunConfig,
-    interpolate_gaussian_piece,
-    interpolate_msgd,
     run_diffusion_em,
     run_gaussian_sgd,
     run_gd,
     run_msgd,
     run_ode,
-    trajectory_to_csv,
 )
 from msgdlab.models import (
     LossModel,
@@ -213,11 +210,6 @@ class TestEnsemble:
         for r in range(self.REPS):
             single = run([derive_stream(101, [label, r])])
             np.testing.assert_array_equal(ensemble.states[:, r], single.states[:, 0])
-            for name in ("drift_record", "noise_record"):
-                if getattr(single, name) is not None:
-                    np.testing.assert_array_equal(
-                        getattr(ensemble, name)[:, r], getattr(single, name)[:, 0]
-                    )
 
     @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
     @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
@@ -290,7 +282,6 @@ class TestMsgdChunking:
             runs.append(run_msgd(model, scheme, config, streams_fn()))
         for traj in runs[1:]:
             np.testing.assert_array_equal(traj.states, runs[0].states)
-            np.testing.assert_array_equal(traj.drift_record, runs[0].drift_record)
             assert traj.diverged == runs[0].diverged
         return runs[0]
 
@@ -498,78 +489,6 @@ class TestLogisticNoiseDimension:
         traj = run_diffusion_em(model, config, 10, [derive_stream(79, ["em"])])
         assert model.objective(traj.states[-1, 0]) < model.objective(traj.states[0, 0])
 
-    def test_bridge_interpolation_runs(self):
-        model = self._model()
-        config = RunConfig(gamma=0.2, num_steps=5, m=20, n=100, x0=np.ones(3))
-        traj = run_gaussian_sgd(model, config, [derive_stream(79, ["path"])])
-        value = interpolate_gaussian_piece(traj, 0.3, derive_stream(79, ["br"]))
-        assert value.shape == (1, 3)
-        assert np.all(np.isfinite(value))
-
-
-class TestInterpolation:
-    def _msgd_traj(self):
-        model = make_quadratic_model(2, [0.0, 0.0], 1.0)
-        scheme = WeightScheme("gaussian", n=64, m=16)
-        config = RunConfig(gamma=0.125, num_steps=8, m=16, n=64, x0=[1.0, -1.0])
-        return run_msgd(model, scheme, config, [derive_stream(31, ["interp"])])
-
-    def test_msgd_grid_points_exact(self):
-        traj = self._msgd_traj()
-        for k in range(9):
-            np.testing.assert_array_equal(interpolate_msgd(traj, k * 0.125), traj.states[k])
-
-    def test_msgd_midpoint_is_segment_midpoint(self):
-        traj = self._msgd_traj()
-        mid = interpolate_msgd(traj, 2.5 * 0.125)
-        np.testing.assert_allclose(mid, 0.5 * (traj.states[2] + traj.states[3]), rtol=1e-12)
-
-    def test_msgd_time_zero(self):
-        traj = self._msgd_traj()
-        np.testing.assert_array_equal(interpolate_msgd(traj, 0.0), [[1.0, -1.0]])
-
-    def test_msgd_out_of_range(self):
-        traj = self._msgd_traj()
-        with pytest.raises(ValueError):
-            interpolate_msgd(traj, 1.0 + 1e-6)
-        with pytest.raises(ValueError):
-            interpolate_msgd(traj, -0.01)
-
-    def _gaussian_traj(self, model=None):
-        model = model or make_quadratic_model(1, [0.0], 1.0)
-        config = RunConfig(gamma=0.2, num_steps=5, m=4, n=4, x0=[1.0])
-        return run_gaussian_sgd(model, config, [derive_stream(37, ["gi"])])
-
-    def test_gaussian_grid_points_exact(self):
-        traj = self._gaussian_traj()
-        bridge = derive_stream(37, ["bridge"])
-        for k in range(6):
-            np.testing.assert_array_equal(
-                interpolate_gaussian_piece(traj, k * 0.2, bridge), traj.states[k]
-            )
-
-    def test_gaussian_zero_noise_is_linear(self):
-        traj = self._gaussian_traj(zero_noise_quadratic())
-        bridge = derive_stream(37, ["bridge"])
-        value = interpolate_gaussian_piece(traj, 0.3, bridge)
-        expected = 0.5 * (traj.states[1] + traj.states[2])
-        np.testing.assert_allclose(value, expected, rtol=1e-12)
-
-    def test_bridge_midpoint_variance(self):
-        # conditional variance of the Brownian value at the segment midpoint
-        # is s(gamma-s)/gamma = gamma/4 per coordinate
-        model = make_quadratic_model(1, [0.0], 1.0)
-        gamma, m = 0.2, 4
-        config = RunConfig(gamma=gamma, num_steps=1, m=m, n=m, x0=[1.0])
-        traj = run_gaussian_sgd(model, config, [derive_stream(41, ["path"])])
-        stream = derive_stream(41, ["bridges"])
-        mid = gamma / 2
-        values = np.array([
-            interpolate_gaussian_piece(traj, mid, stream.child(r))[0, 0] for r in range(10**4)
-        ])
-        # Var = (gamma/m) * s(gamma-s)/gamma * sigma^2 = (gamma/m) * gamma/4
-        assert values.var() == pytest.approx((gamma / m) * (gamma / 4), rel=0.06)
-
 
 class TestGdOdeGap:
     def test_uniform_gap_bound_and_first_order_slope(self):
@@ -594,23 +513,3 @@ class TestGdOdeGap:
             finals.append(errors[-1])
         slope = np.polyfit(np.log(gammas), np.log(finals), 1)[0]
         assert 0.8 <= slope <= 1.2
-
-
-class TestCsvExport:
-    def test_columns_and_values(self, tmp_path):
-        model = make_quadratic_model(2, [0.0, 0.0], 1.0)
-        config = RunConfig(gamma=0.5, num_steps=2, m=1, n=1, x0=[1.0, 2.0])
-        traj = run_gd(model, config)
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,t,x1,x2"
-        assert lines[1].startswith("0,0,1,")
-        assert len(lines) == 4
-
-    def test_ensemble_rejected(self, tmp_path):
-        model = make_quadratic_model(1, [0.0], 1.0)
-        config = RunConfig(gamma=0.5, num_steps=2, m=1, n=1, x0=[1.0])
-        traj = run_gaussian_sgd(model, config, [derive_stream(1, [])])
-        with pytest.raises(ValueError, match="ensemble"):
-            trajectory_to_csv(traj, tmp_path / "traj.csv")

@@ -4,7 +4,9 @@ Each config runs through ``validate_config`` + ``run_experiment`` and the
 whole output directory is hashed (file names and contents, in name order).
 The digests were recorded before the samplers drew whole ensembles at once,
 so a change to any sampler, runner or reduction that moves a single bit of
-any artifact fails here.  ``weighting-gap`` is in no benchmark workload, so
+any artifact fails here.  ``weights-moments`` was re-recorded when
+``weight_moments.csv`` lost its two ``m32_sum_cube`` columns; its
+``report.json`` and every other column kept their bytes.  ``weighting-gap`` is in no benchmark workload, so
 this is its only byte guard.
 """
 
@@ -29,7 +31,7 @@ GOLDEN = {
              {"kind": "gaussian", "base": "rademacher"},
              {"kind": "gaussian", "base": "uniform"}, {"kind": "dirichlet"},
          ]},
-        "c97605b7d3df60fc927985cd623834d255d05e78d624cc5df20c0e9dc94b7d60",
+        "82b607b5fb0b9f64d217123f32739b0caa8e231f103e99a0eb7aa4fc869a3089",
     ),
     "weighting-gap": (
         {"command": "weighting-gap", "seed": 11, "pairs": [[80, 20], [80, 70]],

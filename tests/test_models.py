@@ -14,7 +14,8 @@ from msgdlab.models import (
     make_quadratic_model,
     make_uniform_clt_model,
 )
-from msgdlab.numerics import derive_stream, finite_diff_gradient
+from msgdlab.numerics import derive_stream
+from oracles import finite_diff_gradient
 
 
 def small_logistic(seed=101, p=3, t=400, kappa=0.05):

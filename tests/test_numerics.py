@@ -3,44 +3,39 @@
 import numpy as np
 import pytest
 
-from msgdlab.numerics import (
-    _encode_path,
-    derive_stream,
-    finite_diff_gradient,
-    sample_gamma,
-    sample_std_normal,
-)
+from msgdlab.numerics import _encode_path, derive_stream, sample_gamma
 from msgdlab.stats import ks_normality
+from oracles import finite_diff_gradient
 
 
 class TestStreamDerivation:
     def test_same_address_same_bits(self):
-        a = sample_std_normal(derive_stream(42, ["a"]), 1000)
-        b = sample_std_normal(derive_stream(42, ["a"]), 1000)
+        a = derive_stream(42, ["a"]).generator.standard_normal(1000)
+        b = derive_stream(42, ["a"]).generator.standard_normal(1000)
         np.testing.assert_array_equal(a, b)
 
     def test_sibling_streams_uncorrelated(self):
         # recorded pilot: r = -0.00474 for this seed pair
-        a = sample_std_normal(derive_stream(42, ["a"]), 10**4)
-        b = sample_std_normal(derive_stream(42, ["b"]), 10**4)
+        a = derive_stream(42, ["a"]).generator.standard_normal(10**4)
+        b = derive_stream(42, ["b"]).generator.standard_normal(10**4)
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) < 0.05
 
     def test_different_seeds_differ(self):
-        a = sample_std_normal(derive_stream(42, ["a"]), 100)
-        b = sample_std_normal(derive_stream(43, ["a"]), 100)
+        a = derive_stream(42, ["a"]).generator.standard_normal(100)
+        b = derive_stream(43, ["a"]).generator.standard_normal(100)
         assert not np.array_equal(a, b)
 
     def test_int_and_str_labels_are_distinct(self):
-        a = sample_std_normal(derive_stream(1, [5]), 100)
-        b = sample_std_normal(derive_stream(1, ["5"]), 100)
+        a = derive_stream(1, [5]).generator.standard_normal(100)
+        b = derive_stream(1, ["5"]).generator.standard_normal(100)
         assert not np.array_equal(a, b)
 
     def test_child_matches_full_path(self):
         via_child = derive_stream(9, ["rep"]).child(3, "weights")
         direct = derive_stream(9, ["rep", 3, "weights"])
         np.testing.assert_array_equal(
-            sample_std_normal(via_child, 50), sample_std_normal(direct, 50)
+            via_child.generator.standard_normal(50), direct.generator.standard_normal(50)
         )
 
     def test_handle_is_immutable(self):
@@ -61,25 +56,21 @@ class TestStreamDerivation:
 
 class TestStdNormal:
     def test_moments(self):
-        draws = sample_std_normal(derive_stream(42, ["moments"]), 10**5)
+        draws = derive_stream(42, ["moments"]).generator.standard_normal(10**5)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_single_draw_reproducible(self):
         stream = derive_stream(11, ["one"])
-        value = sample_std_normal(stream, 1)
-        again = sample_std_normal(derive_stream(11, ["one"]), 1)
+        value = stream.generator.standard_normal(1)
+        again = derive_stream(11, ["one"]).generator.standard_normal(1)
         np.testing.assert_array_equal(value, again)
 
     def test_ks_against_normal_cdf(self):
         # asymptotic 1% critical value for 1e4 samples is ~0.0163
-        draws = sample_std_normal(derive_stream(42, ["ks"]), 10**4)
+        draws = derive_stream(42, ["ks"]).generator.standard_normal(10**4)
         stat, _ = ks_normality(draws, 1.0)
         assert stat <= 0.02
-
-    def test_d_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sample_std_normal(derive_stream(1, []), 0)
 
 
 class TestGamma:

@@ -9,7 +9,7 @@ from scipy.special import ndtr
 import msgdlab.dynamics as dynamics_mod
 from msgdlab.dynamics import RunConfig, Trajectory, run_gaussian_sgd, run_gd, run_msgd
 from msgdlab.models import make_quadratic_model, make_uniform_clt_model
-from msgdlab.numerics import derive_stream, sample_std_normal
+from msgdlab.numerics import derive_stream
 from msgdlab.stats import (
     clt_error_samples,
     contraction_bound,
@@ -22,10 +22,10 @@ from msgdlab.stats import (
     plateau_bound,
     reference_minimum,
     sliced_w2,
-    w2_1d,
     weighting_gap,
 )
 from msgdlab.weights import WeightScheme, sample_weights
+from oracles import w2_1d
 
 
 class TestErrorSamples:
@@ -126,7 +126,7 @@ class TestChunkedSampling:
 
 class TestKsNormality:
     def test_true_normals_small_statistic(self):
-        draws = sample_std_normal(derive_stream(11, ["ks"]), 10**4)
+        draws = derive_stream(11, ["ks"]).generator.standard_normal(10**4)
         stat, count = ks_normality(draws, 1.0)
         assert count == 10**4
         assert stat <= 0.02
@@ -140,7 +140,7 @@ class TestKsNormality:
         # x^2 = (8/3) ln 2; computed here by grid maximization
         grid = np.linspace(-8, 8, 400_001)
         oracle = np.max(np.abs(ndtr(grid) - ndtr(grid / 2)))
-        draws = sample_std_normal(derive_stream(13, ["ks4"]), 10**4)
+        draws = derive_stream(13, ["ks4"]).generator.standard_normal(10**4)
         stat, _ = ks_normality(draws, 4.0)
         assert stat >= 0.15
         assert stat == pytest.approx(oracle, abs=0.02)
