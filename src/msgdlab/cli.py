@@ -300,17 +300,25 @@ def _build(where: str, diags: list[str], make, *args):
         return None
 
 
+# At m = n every weight scheme draws the constant 1/n, so these commands'
+# checks would compare roundoff against a zero spread.
+_M_BELOW_N = ("weights-moments", "weighting-gap")
+
+
 def _check_sizes(params: dict, command: str, diags: list[str]) -> list[tuple[int, int]]:
     """Each valid (n, m) the config runs at; each weight scheme is built at each."""
     if "pairs" in params:
         named = [(f"pairs[{i}]", pair) for i, pair in enumerate(params["pairs"] or [])]
     else:
         n, m = params["n"], params["m"]
-        named = [(command, [n, m])] if n is not None and m is not None else []
+        named = [(f"{command}.m", [n, m])] if n is not None and m is not None else []
     sizes = []
     for where, pair in named:
         if len(pair) == 2 and 1 <= pair[1] <= pair[0]:
             sizes.append(tuple(pair))
+            if command in _M_BELOW_N and pair[1] == pair[0]:
+                diags.append(f"{where}: m = n makes every weight 1/n, leaving no spread to "
+                             f"check; need m < n, got {pair}")
         else:
             diags.append(f"{where}: need [n, m] with 1 <= m <= n, got {pair}")
     if "scheme" in params:
@@ -324,7 +332,8 @@ def _check_sizes(params: dict, command: str, diags: list[str]) -> list[tuple[int
 
 
 def _check_model(params: dict, command: str, diags: list[str]):
-    """The model, or a logistic model's dataset; each given point must have its dimension."""
+    """The model, or a logistic model's dataset; each given point must have its
+    dimension, and converge and gd-ode must not start at the minimiser."""
     spec = params["model"]
     if spec is None:
         return None
@@ -337,6 +346,14 @@ def _check_model(params: dict, command: str, diags: list[str]):
     for point in ("x0", "theta"):
         if made is not None and params.get(point) is not None and len(params[point]) != made.dim:
             diags.append(f"{command}.{point}: expected p={made.dim} numbers, got {params[point]}")
+    # a start at the minimiser leaves a zero curve or error, which has no logarithm to fit
+    if (
+        command in ("converge", "gd-ode") and spec["kind"] == "quadratic" and made is not None
+        and params.get("x0", ()) is not None
+        and np.array_equal(_start(params, made), made.minimizer)
+    ):
+        diags.append(f"{command}.x0: starts at the minimiser theta_star (x0 defaults to "
+                     "ones), leaving no convergence to measure")
     return made
 
 
@@ -502,6 +519,11 @@ def _scheme_label(spec: dict) -> str:
     return spec["kind"]
 
 
+def _start(params: dict, model) -> np.ndarray:
+    """The configured x0, else a quadratic model's default start of ones."""
+    return np.asarray(params.get("x0", np.ones(model.dim)), dtype=float)
+
+
 def _model_from_spec(spec: dict):
     p = spec.get("p", 1)
     theta_star = np.asarray(spec.get("theta_star", np.zeros(p)), dtype=float)
@@ -639,7 +661,7 @@ def _run_wass_scaling(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResul
     horizon = params["horizon"]
     reps = params["reps"]
     scheme = _scheme_from_spec(params["scheme"], n, m)
-    x0 = np.asarray(params.get("x0", np.ones(model.dim)), dtype=float)
+    x0 = _start(params, model)
     root = derive_stream(cfg.seed, ("wass-scaling",))
     gammas = sorted(params["gammas"], reverse=True)
     values = []
@@ -693,7 +715,7 @@ def _run_converge_quadratic(cfg, out: _OutputDir) -> list[CheckResult]:
     model = _model_from_spec(params["model"])
     n, m, reps = params["n"], params["m"], params["reps"]
     scheme = _scheme_from_spec(params["scheme"], n, m)
-    x0 = np.asarray(params.get("x0", np.ones(model.dim)), dtype=float)
+    x0 = _start(params, model)
     root = derive_stream(cfg.seed, ("converge",))
     trace = model.noise_trace(model.minimizer)
     checks: list[CheckResult] = []
@@ -836,7 +858,7 @@ def _run_converge(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
 def _run_gd_ode(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
     params = cfg.params
     model = _model_from_spec(params["model"])
-    x0 = np.asarray(params.get("x0", np.ones(model.dim)), dtype=float)
+    x0 = _start(params, model)
     horizon = params["horizon"]
     L = model.lipschitz_grad
     grad0 = float(np.linalg.norm(model.grad_objective(x0)))

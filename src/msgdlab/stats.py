@@ -5,7 +5,9 @@ This module turns simulations into numbers that can be checked:
 * ``clt_error_samples`` draws the scaled weighted gradient error
   sqrt(m) * sum_i w_i (grad l(theta, u_i) - grad g(theta)) whose limit is
   N(0, sigma^2(theta));
-* ``ks_normality`` measures sup-distance to a centered normal CDF;
+* ``ks_normality`` measures sup-distance to a centered normal CDF, with
+  scipy's ``ndtr``; it imports ``scipy.special`` on its first call, because
+  that import is about half of a cold start and no other verdict needs it;
 * ``sliced_w2`` estimates the squared Wasserstein-2 distance by the exact
   sorted coupling along random 1-D projections, and ``coordinate_avg_w2``
   along each coordinate;
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .dynamics import DivergenceError, RunConfig, Trajectory, chunk_rows
 from .models import LossModel
@@ -68,6 +69,7 @@ def clt_error_samples(
 
 def ks_normality(samples, variance: float) -> tuple[float, int]:
     """Kolmogorov-Smirnov sup-distance of `samples` from N(0, variance)."""
+    from scipy.special import ndtr  # imported here: see the module docstring
     if not variance > 0:
         raise ValueError(f"variance must be positive, got {variance}")
     samples = np.sort(np.asarray(samples, dtype=float))

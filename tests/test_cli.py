@@ -54,6 +54,10 @@ def tiny_logistic() -> dict:
     }
 
 
+# a quadratic model whose minimiser is the default start of ones
+AT_ONE = {"kind": "quadratic", "p": 1, "s": 1.0, "theta_star": [1.0]}
+
+
 def with_run(config: dict, **changes) -> dict:
     """`config` with its first run's keys changed."""
     return config | {"runs": [config["runs"][0] | changes]}
@@ -458,6 +462,17 @@ class TestMain:
             ),
             (tiny_logistic() | {"kappas": [True]}, "kappas[0]"),
             (tiny_config("weighting-gap") | {"pairs": [[True, 1]]}, "pairs[0]"),
+            # a start at the minimiser: a zero g-gap curve, and a zero gd-ode error
+            (tiny_config("converge") | {"model": AT_ONE}, "converge.x0"),
+            (with_run(tiny_config("converge") | {"model": AT_ONE}, fit_burn_in=1), "converge.x0"),
+            (tiny_config("gd-ode") | {"x0": [0.0]}, "gd-ode.x0"),
+            # at m = n every weight is 1/n, so the checks would compare roundoff
+            (
+                tiny_config("weights-moments") | {"n": 50, "m": 50,
+                                                  "schemes": [{"kind": "gaussian"}]},
+                "weights-moments.m",
+            ),
+            (tiny_config("weighting-gap") | {"pairs": [[100, 100]]}, "pairs[0]"),
         ],
         ids=[
             "thresholds", "schemes-entry", "scheme", "blocks", "logistic-reps", "x0-length",
@@ -468,6 +483,8 @@ class TestMain:
             "logistic-fit-burn-in-negative", "logistic-fit-burn-in-too-late",
             "logistic-p-zero", "logistic-t-zero", "minibatch-base", "dirichlet-base",
             "logistic-s", "logistic-theta-star", "quadratic-t", "bool-kappa", "bool-pair",
+            "x0-at-minimiser", "x0-at-minimiser-burn-in", "gd-ode-x0-at-minimiser",
+            "moments-m-equals-n", "gap-m-equals-n",
         ],
     )
     def test_malformed_value_exit_two(self, config, key, tmp_path, capsys):
