@@ -11,6 +11,7 @@ these processes stay to one another.
 
 from .dynamics import (
     DivergenceError,
+    Lockstep,
     RunConfig,
     Trajectory,
     run_diffusion_em,

@@ -33,6 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dynamics import (
+    DIVERGENCE_LIMIT,
     DivergenceError,
     RunConfig,
     run_diffusion_em,
@@ -410,6 +411,10 @@ def _check_runs(params: dict, sizes, made, diags: list[str]) -> None:
 def _check_cross(params: dict, command: str, diags: list[str]) -> None:
     # gd-ode runs gradient descent at m = n = 1
     sizes = [(1, 1)] if command == "gd-ode" else _check_sizes(params, command, diags)
+    x0 = params.get("x0")
+    if x0 is not None and not np.all(np.abs(x0) <= DIVERGENCE_LIMIT):
+        diags.append(f"{command}.x0: every entry must lie within +-{DIVERGENCE_LIMIT:g}, "
+                     f"beyond which a run counts as diverged, got {x0}")
     made = _check_model(params, command, diags) if "model" in params else None
     if "gammas" in params:
         _check_step_grid(params, command, sizes, diags)
@@ -646,12 +651,16 @@ def _run_weighting_gap(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResu
     return checks
 
 
-def _final_states(trajectory) -> np.ndarray:
-    """The (R, p) ensemble at the horizon; a diverged replication is an error."""
+def _finished(trajectory):
+    """The trajectory, when none of its paths diverged; else the error of the
+    first to diverge, naming its process, step size and iteration."""
     if trajectory.diverged:
         r, k = next(iter(trajectory.diverged.items()))  # recorded in step order
-        raise DivergenceError(f"{trajectory.kind} replication {r}", k)
-    return trajectory.states[-1]
+        process = trajectory.kind
+        if trajectory.states.ndim == 3:  # an ensemble
+            process += f" replication {r}"
+        raise DivergenceError(process, k, trajectory.grid)
+    return trajectory
 
 
 def _run_wass_scaling(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
@@ -664,18 +673,23 @@ def _run_wass_scaling(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResul
     x0 = _start(params, model)
     root = derive_stream(cfg.seed, ("wass-scaling",))
     gammas = sorted(params["gammas"], reverse=True)
+    configs = [
+        RunConfig(gamma=gamma, num_steps=int(round(horizon / gamma)), m=m, n=n, x0=x0)
+        for gamma in gammas
+    ]
+    # every gamma advances in lockstep; group i keeps the streams of gamma index i
+    msgd = run_msgd(model, scheme, configs, [
+        root.children(i, "msgd", stop=reps) for i in range(len(gammas))
+    ])
+    for run in msgd.runs:
+        _finished(run)
+    em = run_diffusion_em(model, configs, params["em_substeps"], [
+        root.children(i, "em", stop=reps) for i in range(len(gammas))
+    ])
     values = []
     rows = []
-    for i, gamma in enumerate(gammas):
-        config = RunConfig(
-            gamma=gamma, num_steps=int(round(horizon / gamma)), m=m, n=n, x0=x0
-        )
-        msgd_ensemble = _final_states(run_msgd(
-            model, scheme, config, root.children(i, "msgd", stop=reps)
-        ))
-        em_ensemble = _final_states(run_diffusion_em(
-            model, config, params["em_substeps"], root.children(i, "em", stop=reps)
-        ))
+    for i, (gamma, msgd_run, em_run) in enumerate(zip(gammas, msgd.runs, em.runs)):
+        msgd_ensemble, em_ensemble = msgd_run.states[-1], _finished(em_run).states[-1]
         estimate = sliced_w2(
             msgd_ensemble, em_ensemble, params["n_directions"], root.child(i, "directions")
         )
@@ -863,16 +877,21 @@ def _run_gd_ode(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
     L = model.lipschitz_grad
     grad0 = float(np.linalg.norm(model.grad_objective(x0)))
     gammas = sorted(params["gammas"], reverse=True)
+    configs = [
+        RunConfig(gamma=gamma, num_steps=int(round(horizon / gamma)), m=1, n=1, x0=x0)
+        for gamma in gammas
+    ]
+    # every gamma, and every inner ODE step, advances in lockstep
+    gd = run_gd(model, configs)
+    ode = run_ode(model, x0, [gamma / params["ode_substeps"] for gamma in gammas], horizon)
     rows = []
     final_errors = []
     checks: list[CheckResult] = []
-    for gamma in gammas:
-        steps = int(round(horizon / gamma))
-        config = RunConfig(gamma=gamma, num_steps=steps, m=1, n=1, x0=x0)
-        gd = run_gd(model, config)
-        ode = run_ode(model, x0, gamma / params["ode_substeps"], horizon)
+    for gamma, config, gd_run, ode_run in zip(gammas, configs, gd.runs, ode.runs):
+        steps = config.num_steps
+        gd_run, ode_run = _finished(gd_run), _finished(ode_run)
         errors = np.array([
-            np.linalg.norm(gd.states[k] - ode.state_at_time(k * gamma))
+            np.linalg.norm(gd_run.states[k] - ode_run.state_at_time(k * gamma))
             for k in range(steps + 1)
         ])
         bound = grad0 * math.exp(L * horizon) * steps * gamma * gamma * (1 + L * gamma) ** steps
@@ -952,7 +971,11 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = args.out or config.params.get("out") or "msgdlab-out"
-    report = run_experiment(config, out_dir)
+    try:
+        report = run_experiment(config, out_dir)
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for check in report.checks:
         verdict = "PASS" if check.passed else "FAIL"
         print(

@@ -20,20 +20,30 @@ replications together as an (R, p) array, so their states have shape
 lone run would, and the per-replication arithmetic is unchanged (stacked
 ``np.matmul`` runs the same kernel on each replication as on a single
 path), so replication r of an ensemble is bit-identical to a one-replication
-ensemble on the same stream.
+ensemble on the same stream.  ``run_gd`` and ``run_ode`` draw nothing and
+run one path per config, of shape (K+1, p).
 
-A non-finite or absurdly large state aborts a single path (``run_gd``,
-``run_ode``) with the offending iteration index instead of propagating NaNs.
-In an ensemble the replication is dropped from further steps, its states
-from that iteration on are NaN, and ``Trajectory.diverged`` records it; the
-run raises only when every replication has diverged.
+Every runner also takes a step-size grid: a sequence of configs (with one
+sequence of streams per config), or for ``run_ode`` a sequence of inner
+steps.  All rows of all configs then advance in lockstep, each row with its
+own step size, and a config's rows leave the live set after its last step,
+so the loop runs max K steps instead of their sum.  The result is a
+:class:`Lockstep` whose ``runs`` hold one :class:`Trajectory` per config,
+bit-identical to running that config alone.  A single config is a grid of
+one, on the same code path, and returns its Trajectory.
+
+A state that is not finite or exceeds ``DIVERGENCE_LIMIT`` drops its row from
+further steps: its states from that iteration on are NaN and
+``Trajectory.diverged`` records it.  A run raises :class:`DivergenceError`
+only when every row of every config has diverged, so a lone path raises
+with the offending iteration index instead of propagating NaNs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,13 +64,36 @@ def chunk_rows(row_elements: int) -> int:
     return max(1, CHUNK_ELEMENTS // row_elements)
 
 
+class ChunkBlock:
+    """A sampler that draws every chunk into one block, allocated once.
+
+    The first call allocates the block by drawing without ``out``; later
+    calls pass the block's leading rows as ``out``, so a loop over chunks of
+    shrinking size reuses the memory instead of freeing and reallocating
+    (and page-faulting on) a fresh block each time.  The draws are the same
+    bytes either way.
+    """
+
+    def __init__(self, draw: Callable[..., np.ndarray]):
+        self.draw = draw
+        self.block: Optional[np.ndarray] = None
+
+    def __call__(self, streams: Sequence[RngStream], *args) -> np.ndarray:
+        if self.block is None or len(streams) > len(self.block):
+            self.block = self.draw(streams, *args)
+            return self.block
+        return self.draw(streams, *args, out=self.block[: len(streams)])
+
+
 class DivergenceError(ArithmeticError):
     """A trajectory left the representable range."""
 
-    def __init__(self, process: str, iteration: int):
+    def __init__(self, process: str, iteration: int, step_size: Optional[float] = None):
         self.process = process
         self.iteration = iteration
-        super().__init__(f"{process} diverged at iteration {iteration}")
+        self.step_size = step_size
+        at = "" if step_size is None else f" with step size {step_size:g}"
+        super().__init__(f"{process} diverged at iteration {iteration}{at}")
 
 
 @dataclass(frozen=True)
@@ -120,95 +153,160 @@ class Trajectory:
         return self.states[k]
 
 
-def _checked(x: np.ndarray, kind: str, iteration: int) -> np.ndarray:
-    if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # False for NaN and inf
-        raise DivergenceError(kind, iteration)
-    return x
+@dataclass
+class Lockstep:
+    """A step-size grid advanced together.
 
-
-def run_gd(model: LossModel, config: RunConfig) -> Trajectory:
-    """Deterministic gradient descent."""
-    states = np.empty((config.num_steps + 1, model.dim))
-    states[0] = _checked(config.x0, "gd", 0)
-    x = config.x0
-    for k in range(config.num_steps):
-        x = x - config.gamma * model.grad_objective(x)
-        states[k + 1] = _checked(x, "gd", k + 1)
-    return Trajectory(kind="gd", states=states, config=config, model=model)
-
-
-def _drop_diverged(x, streams, live, kind, iteration, diverged):
-    """Remove the replications whose state left the range, recording each in
-    ``diverged``; raise once none is left."""
-    if np.abs(x).max() <= DIVERGENCE_LIMIT:  # False for NaN and inf
-        return x, streams, live
-    ok = np.all(np.abs(x) <= DIVERGENCE_LIMIT, axis=1)
-    for r in live[~ok]:
-        diverged[int(r)] = iteration
-    if not ok.any():
-        raise DivergenceError(kind, iteration)
-    return x[ok], [s for s, keep in zip(streams, ok) if keep], live[ok]
-
-
-def _run_ensemble(
-    kind: str,
-    config: RunConfig,
-    streams: Sequence[RngStream],
-    advance: Callable[[np.ndarray, list], np.ndarray],
-):
-    """Advance every replication K steps; returns (states, diverged).
-
-    ``advance(x, streams)`` maps the (live, p) states of the live
-    replications and their streams, in replication order, to the next states.
+    ``states`` is the (max K + 1, rows, p) lockstep block, NaN where a row
+    was not live; ``runs[i]`` is config i's Trajectory, whose states are a
+    view of its rows up to its own last step.
     """
+
+    states: np.ndarray
+    runs: list[Trajectory]
+
+
+def _keep(mask, x, streams, live, columns):
+    """The live rows selected by `mask`."""
+    return (
+        x[mask],
+        [s for s, keep in zip(streams, mask) if keep],
+        live[mask],
+        [column[mask] for column in columns],
+    )
+
+
+def _rows(live: np.ndarray):
+    """Index of the live rows: a basic slice while they are contiguous, which
+    numpy assigns faster than an index array."""
+    if live.size and live[-1] - live[0] + 1 == live.size:
+        return slice(live[0], live[-1] + 1)
+    return live
+
+
+def _lockstep(kind, x, last, step, streams, advance, columns):
+    """Advance every row to its own last step, all rows together; returns
+    (states, diverged).
+
+    Row r starts at ``x[r]``, takes ``last[r]`` steps and names its step size
+    ``step[r]`` in a divergence error.  ``advance(x, streams, *columns)``
+    maps the (live, p) states of the live rows, their streams and their
+    (live, 1) coefficient columns, in row order, to the next states.  A row
+    leaves the live set when it diverges (recorded in ``diverged``) or after
+    its last step; the run raises only once every row has diverged.
+    """
+    rows = x.shape[0]
+    states = np.full((int(last.max()) + 1, rows, x.shape[1]), np.nan)
+    diverged: dict[int, int] = {}
+    live = np.arange(rows)
+    index = slice(None)
+    exits = iter(sorted(set(last.tolist())))
+    exit_step = next(exits)
+    k = 0
+    while True:
+        if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # False for NaN and inf
+            ok = np.all(np.abs(x) <= DIVERGENCE_LIMIT, axis=1)
+            for r in live[~ok]:
+                diverged[int(r)] = k
+            if len(diverged) == rows:
+                raise DivergenceError(kind, k, float(step[live[~ok][0]]))
+            x, streams, live, columns = _keep(ok, x, streams, live, columns)
+            index = _rows(live)
+        states[k, index] = x
+        if k == exit_step:
+            x, streams, live, columns = _keep(last[live] > k, x, streams, live, columns)
+            index = _rows(live)
+            exit_step = next(exits, None)
+        if not live.size:
+            return states, diverged
+        x = advance(x, streams, *columns)
+        k += 1
+
+
+def _stream_list(streams) -> list:
     if isinstance(streams, RngStream):
         raise TypeError("expected a sequence of per-replication RngStreams, got one stream")
     streams = list(streams)
     if not streams:
         raise ValueError("need at least one replication stream")
-    reps, p, steps = len(streams), config.x0.size, config.num_steps
-    states = np.full((steps + 1, reps, p), np.nan)
-    diverged: dict[int, int] = {}
-    live = np.arange(reps)
-    x, streams, live = _drop_diverged(
-        np.tile(config.x0, (reps, 1)), streams, live, kind, 0, diverged
+    return streams
+
+
+def _run_ensemble(
+    kind: str,
+    model: LossModel,
+    config: Union[RunConfig, Sequence[RunConfig]],
+    streams,
+    advance: Callable[..., np.ndarray],
+    coefficients: Callable[[RunConfig], tuple],
+):
+    """Advance every config's replications in lockstep.
+
+    ``streams`` holds one stream per replication for a single config, one
+    such sequence per config for a grid, or None for a runner that draws
+    nothing and runs one path per config.  ``coefficients(config)`` gives
+    the config's per-row numbers, passed to ``advance`` as (live, 1)
+    columns.  Returns the Trajectory of a single config, else a Lockstep.
+    """
+    single = isinstance(config, RunConfig)
+    configs = [config] if single else list(config)
+    if streams is None:
+        groups = [[None]] * len(configs)
+    else:
+        groups = [_stream_list(streams)] if single else [_stream_list(g) for g in streams]
+    if not configs or len(groups) != len(configs):
+        raise ValueError(f"need one stream sequence per config, got {len(groups)} "
+                         f"for {len(configs)} configs")
+    sizes = [len(group) for group in groups]
+    states, diverged = _lockstep(
+        kind,
+        np.concatenate([np.tile(c.x0, (size, 1)) for c, size in zip(configs, sizes)]),
+        np.repeat([c.num_steps for c in configs], sizes),
+        np.repeat([c.gamma for c in configs], sizes),
+        [s for group in groups for s in group],
+        advance,
+        [np.repeat(column, sizes)[:, None] for column in zip(*map(coefficients, configs))],
     )
-    # while every replication is live, write the rows through a basic slice,
-    # which numpy assigns faster than an index array
-    rows = slice(None) if len(live) == reps else live
-    states[0, rows] = x
-    for k in range(steps):
-        x = advance(x, streams)
-        x, streams, live = _drop_diverged(x, streams, live, kind, k + 1, diverged)
-        rows = slice(None) if len(live) == reps else live
-        states[k + 1, rows] = x
-    return states, diverged
+    runs, start = [], 0
+    for c, size in zip(configs, sizes):
+        block = states[: c.num_steps + 1, start : start + size]
+        runs.append(Trajectory(
+            kind=kind,
+            states=block[:, 0] if streams is None else block,
+            config=c,
+            model=model,
+            diverged={r - start: k for r, k in diverged.items() if start <= r < start + size},
+        ))
+        start += size
+    return runs[0] if single else Lockstep(states=states, runs=runs)
 
 
-def run_gaussian_sgd(
-    model: LossModel, config: RunConfig, streams: Sequence[RngStream]
-) -> Trajectory:
+def run_gd(model: LossModel, config) -> Union[Trajectory, Lockstep]:
+    """Deterministic gradient descent, one path per config."""
+
+    def advance(x, _streams, gamma):
+        return x - gamma * model.grad_objective(x)
+
+    return _run_ensemble("gd", model, config, None, advance, lambda c: (c.gamma,))
+
+
+def run_gaussian_sgd(model: LossModel, config, streams) -> Union[Trajectory, Lockstep]:
     """Gradient descent plus scaled Gaussian noise (gamma/sqrt(m)) sigma(x) xi."""
-    scale = config.gamma / math.sqrt(config.m)
 
-    def advance(x, live_streams):
+    def advance(x, live_streams, gamma, scale):
         xi = np.stack([s.generator.standard_normal(model.noise_dim) for s in live_streams])
         noise = scale * (model.noise_factor(x) @ xi[:, :, None])[:, :, 0]
-        return x - config.gamma * model.grad_objective(x) + noise
+        return x - gamma * model.grad_objective(x) + noise
 
-    states, diverged = _run_ensemble("gaussian_sgd", config, streams, advance)
-    return Trajectory(
-        kind="gaussian_sgd",
-        states=states,
-        config=config,
-        model=model,
-        diverged=diverged,
+    return _run_ensemble(
+        "gaussian_sgd", model, config, streams, advance,
+        lambda c: (c.gamma, c.gamma / math.sqrt(c.m)),
     )
 
 
 def run_msgd(
-    model: LossModel, scheme: WeightScheme, config: RunConfig, streams: Sequence[RngStream]
-) -> Trajectory:
+    model: LossModel, scheme: WeightScheme, config, streams
+) -> Union[Trajectory, Lockstep]:
     """Weighted-gradient descent with fresh data and weights every step.
 
     Each step walks the live replications in chunks of
@@ -219,97 +317,110 @@ def run_msgd(
     replication's n per-datum gradients to its drift.  Rows never mix, so
     the chunk size cannot change a bit of the result; it only keeps the
     (chunk, n, payload) block in cache, which measured faster than both one
-    replication and all of them at a time.
+    replication and all of them at a time.  The data and weight blocks are
+    allocated once per run and refilled by every chunk.
     """
-    if scheme.n != config.n or scheme.m != config.m:
-        raise ValueError(
-            f"scheme (n={scheme.n}, m={scheme.m}) disagrees with "
-            f"config (n={config.n}, m={config.m})"
-        )
+    for c in [config] if isinstance(config, RunConfig) else config:
+        if scheme.n != c.n or scheme.m != c.m:
+            raise ValueError(
+                f"scheme (n={scheme.n}, m={scheme.m}) disagrees with "
+                f"config (n={c.n}, m={c.m})"
+            )
 
-    chunk = chunk_rows(config.n * model.payload_dim)
+    chunk = chunk_rows(scheme.n * model.payload_dim)
+    draw_data, draw_weights = ChunkBlock(model.sample_data), ChunkBlock(sample_weights)
 
-    def advance(x, live_streams):
+    def advance(x, live_streams, gamma):
         drift = np.empty_like(x)
         for start in range(0, len(live_streams), chunk):
             part = live_streams[start : start + chunk]
-            data = model.sample_data(part, config.n)
-            w = sample_weights(part, scheme)
+            data = draw_data(part, scheme.n)
+            w = draw_weights(part, scheme)
             grads = model.grad_loss(x[start : start + len(part)], data)
             drift[start : start + len(part)] = (w[:, None, :] @ grads)[:, 0, :]
-        return x - config.gamma * drift
+        return x - gamma * drift
 
-    states, diverged = _run_ensemble("msgd", config, streams, advance)
-    return Trajectory(
-        kind="msgd",
-        states=states,
-        config=config,
-        model=model,
-        diverged=diverged,
-    )
+    return _run_ensemble("msgd", model, config, streams, advance, lambda c: (c.gamma,))
 
 
-def run_ode(model: LossModel, x0, h: float, horizon: float) -> Trajectory:
+def run_ode(model: LossModel, x0, h, horizon: float) -> Union[Trajectory, Lockstep]:
     """Gradient flow dX = -grad g(X) dt by the classical 4th-order method.
 
-    The grid spacing h must divide the horizon.  Callers comparing against
-    a discrete process with step gamma should choose h <= gamma / 10 so the
+    The grid spacing h must divide the horizon; a sequence of spacings runs
+    one path per spacing in lockstep.  Callers comparing against a discrete
+    process with step gamma should choose h <= gamma / 10 so the
     integration error is negligible next to the effects under study.
     """
-    if not h > 0:
-        raise ValueError(f"inner step h must be positive, got {h}")
-    steps_float = horizon / h
-    steps = int(round(steps_float))
-    if steps < 1 or abs(steps_float - steps) > 1e-9 * max(steps, 1):
-        raise ValueError(f"h={h} does not divide the horizon {horizon}")
+    spacings = [h] if np.ndim(h) == 0 else list(h)
+    counts = []
+    for spacing in spacings:
+        if not spacing > 0:
+            raise ValueError(f"inner step h must be positive, got {spacing}")
+        steps_float = horizon / spacing
+        steps = int(round(steps_float))
+        if steps < 1 or abs(steps_float - steps) > 1e-9 * max(steps, 1):
+            raise ValueError(f"h={spacing} does not divide the horizon {horizon}")
+        counts.append(steps)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
     def rhs(x):
         return -model.grad_objective(x)
 
-    states = np.empty((steps + 1, model.dim))
-    states[0] = _checked(x0, "ode", 0)
-    x = x0
-    for k in range(steps):
+    def advance(x, _streams, half, full, sixth):
         k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k + 1] = _checked(x, "ode", k + 1)
-    return Trajectory(kind="ode", states=states, config=None, model=model, step_size=h)
+        k2 = rhs(x + half * k1)
+        k3 = rhs(x + half * k2)
+        k4 = rhs(x + full * k3)
+        return x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    full = np.array(spacings, dtype=float)[:, None]
+    states, diverged = _lockstep(
+        "ode", np.tile(x0, (len(spacings), 1)), np.array(counts), full[:, 0],
+        [None] * len(spacings), advance, [0.5 * full, full, full / 6.0],
+    )
+    runs = [
+        Trajectory(
+            kind="ode", states=states[: steps + 1, i], config=None, model=model,
+            step_size=spacing, diverged={0: diverged[i]} if i in diverged else {},
+        )
+        for i, (spacing, steps) in enumerate(zip(spacings, counts))
+    ]
+    return runs[0] if np.ndim(h) == 0 else Lockstep(states=states, runs=runs)
 
 
 def run_diffusion_em(
-    model: LossModel, config: RunConfig, substeps: int, streams: Sequence[RngStream]
-) -> Trajectory:
+    model: LossModel, config, substeps: int, streams
+) -> Union[Trajectory, Lockstep]:
     """Euler-Maruyama for dX = -grad g(X) dt + sqrt(gamma/m) sigma(X) dB.
 
     Integrates with inner step h = gamma/substeps and records states at
     multiples of gamma only, so the output grid matches the discrete
     processes.  Each replication draws one (substeps, q) block of normals
-    per recorded step, the same values as one draw per substep.
+    per recorded step, the same values as one draw per substep.  When the
+    noise factor is one shared (p, q) matrix, the whole block is multiplied
+    by it in one stacked matmul before the substeps.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    h = config.gamma / substeps
-    sqrt_h = math.sqrt(h)
-    diffusion_scale = math.sqrt(config.gamma / config.m)
 
-    def advance(x, live_streams):
+    def advance(x, live_streams, h, scale):
         z = np.stack([
             s.generator.standard_normal((substeps, model.noise_dim)) for s in live_streams
         ])
+        factor = model.noise_factor(x)
+        if factor.ndim == 2:  # shared by every state
+            noise = scale[:, :, None] * (factor @ z[..., None])[..., 0]
+            for j in range(substeps):
+                x = x - h * model.grad_objective(x) + noise[:, j]
+            return x
         for j in range(substeps):
-            x = (
-                x
-                - h * model.grad_objective(x)
-                + diffusion_scale * sqrt_h * (model.noise_factor(x) @ z[:, j, :, None])[:, :, 0]
-            )
+            if j:
+                factor = model.noise_factor(x)
+            x = x - h * model.grad_objective(x) + scale * (factor @ z[:, j, :, None])[:, :, 0]
         return x
 
-    states, diverged = _run_ensemble("diffusion_em", config, streams, advance)
-    return Trajectory(
-        kind="diffusion_em", states=states, config=config, model=model, diverged=diverged
-    )
+    def coefficients(c):
+        h = c.gamma / substeps
+        return h, math.sqrt(c.gamma / c.m) * math.sqrt(h)
 
+    return _run_ensemble("diffusion_em", model, config, streams, advance, coefficients)

@@ -3,19 +3,22 @@
 A :class:`LossModel` bundles everything the dynamics need:
 
 * ``objective(theta)`` and its analytic ``grad_objective(theta)``;
-* ``sample_data(streams, count)`` drawing ``count`` iid data per stream as
-  one block with leading axes (R, count), R = len(streams): (R, count, p)
-  float rows for the quadratic and uniform models, (R, count) int64 row
-  indices into the dataset for the logistic model;
+* ``sample_data(streams, count, out=None)`` drawing ``count`` iid data per
+  stream as one block with leading axes (R, count), R = len(streams):
+  (R, count, p) float rows for the quadratic and uniform models,
+  (R, count) int64 row indices into the dataset for the logistic model;
+  given ``out``, a block of that shape and type, it draws into it and
+  returns it;
 * ``grad_loss(theta, data)`` mapping a batch of ``count`` data to per-datum
   gradients (count, p), unbiased for ``grad_objective``;
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
   ``sigma sigma^T = Cov(grad_loss(theta, .))``.
 
 ``sample_data`` makes only the raw generator calls per stream, in the order
-a lone draw would, writing into one preallocated block, and then applies
-its deterministic transform, if any, once to the whole block, so row r
-consumes only ``streams[r]`` and equals a one-stream draw on that stream.
+a lone draw would, writing into one block (``out``, or a fresh one), and
+then applies its deterministic transform, if any, once to the whole block,
+so row r consumes only ``streams[r]`` and equals a one-stream draw on that
+stream.
 
 Every other callable accepts theta with leading replication axes, shape
 (..., p): ``objective`` then returns shape (...), ``grad_objective``
@@ -36,7 +39,7 @@ with replacement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,7 +54,7 @@ class LossModel:
     payload_dim: int                         # per-datum working width that chunk_rows sizes by
     objective: Callable[[np.ndarray], float]
     grad_objective: Callable[[np.ndarray], np.ndarray]
-    sample_data: Callable[[Sequence[RngStream], int], np.ndarray]
+    sample_data: Callable[..., np.ndarray]   # (streams, count, out=None)
     grad_loss: Callable[[np.ndarray, np.ndarray], np.ndarray]
     noise_factor: Callable[[np.ndarray], np.ndarray]
     lipschitz_grad: float                    # L: Lipschitz modulus of grad_objective
@@ -89,8 +92,8 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     def grad_objective(theta):
         return np.asarray(theta, dtype=float) - theta_star
 
-    def sample_data(streams, count):
-        block = np.empty((len(streams), count, p))
+    def sample_data(streams, count, out=None):
+        block = np.empty((len(streams), count, p)) if out is None else out
         for row, stream in zip(block, streams):
             stream.generator.standard_normal(out=row)
         block *= s
@@ -140,9 +143,9 @@ def make_uniform_clt_model(p: int) -> LossModel:
     def grad_objective(theta):
         return np.zeros(np.shape(theta))
 
-    def sample_data(streams, count):
+    def sample_data(streams, count, out=None):
         # Generator.uniform(-1, 1) is -1 + 2 * random(), bit for bit
-        block = np.empty((len(streams), count, p))
+        block = np.empty((len(streams), count, p)) if out is None else out
         for row, stream in zip(block, streams):
             stream.generator.random(out=row)
         block *= 2.0
@@ -263,8 +266,8 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
         resid = _sigmoid((x @ beta[..., None])[..., 0]) - y
         return (x.T @ resid[..., None])[..., 0] / t + 2.0 * kappa * beta
 
-    def sample_data(streams, count):
-        idx = np.empty((len(streams), count), dtype=np.int64)
+    def sample_data(streams, count, out=None):
+        idx = np.empty((len(streams), count), dtype=np.int64) if out is None else out
         for row, stream in zip(idx, streams):
             row[:] = stream.generator.integers(0, t, size=count)
         return idx

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import DivergenceError, RunConfig, Trajectory, chunk_rows
+from .dynamics import ChunkBlock, DivergenceError, RunConfig, Trajectory, chunk_rows
 from .models import LossModel
 from .numerics import RngStream
 from .weights import WeightScheme, sample_weights
@@ -48,7 +48,8 @@ def clt_error_samples(
     Row r consumes the derived stream ``stream.child("rep", r)``, data before
     weights.  The rows are drawn and reduced in chunks of
     ``dynamics.chunk_rows(n * payload_dim)`` replications, as in M-SGD; rows
-    never mix, so the chunk size cannot change a bit of the result.
+    never mix, so the chunk size cannot change a bit of the result.  Every
+    chunk draws into the same data and weight blocks.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
@@ -57,13 +58,14 @@ def clt_error_samples(
     sqrt_m = math.sqrt(scheme.m)
     samples = np.empty((reps, theta.size))
     chunk = chunk_rows(scheme.n * model.payload_dim)
+    draw_data, draw_weights = ChunkBlock(model.sample_data), ChunkBlock(sample_weights)
     for start, streams in stream.child_chunks("rep", stop=reps, size=chunk):
-        data = model.sample_data(streams, scheme.n)
-        w = sample_weights(streams, scheme)
+        data = draw_data(streams, scheme.n)
+        w = draw_weights(streams, scheme)
         grads = model.grad_loss(theta, data)
         errors = (w[:, None, :] @ grads)[:, 0, :] - grad_mean
         samples[start : start + len(streams)] = sqrt_m * errors
-        del data, w, grads  # free the blocks before the next chunk draws its own
+        del grads  # free a gradient block grad_loss made before the next chunk
     return ErrorSampleSet(samples=samples)
 
 
@@ -171,15 +173,16 @@ def weighting_gap(
     sqrt_m, sqrt_n = math.sqrt(m), math.sqrt(n)
     values = np.empty(reps)
     chunk = chunk_rows(n * model.payload_dim)
+    draw_data, draw_weights = ChunkBlock(model.sample_data), ChunkBlock(sample_weights)
     for start, streams in stream.child_chunks("rep", stop=reps, size=chunk):
-        data = model.sample_data(streams, n)
-        w = sample_weights(streams, scheme)
+        data = draw_data(streams, n)
+        w = draw_weights(streams, scheme)
         grads = model.grad_loss(theta, data)
         weighted = sqrt_m * ((w[:, None, :] @ grads)[:, 0, :] - grad_mean)
         for r, (row_grads, row_weighted) in enumerate(zip(grads, weighted), start):
             diff = row_weighted - sqrt_n * (row_grads.mean(axis=0) - grad_mean)
             values[r] = diff @ diff
-        del data, w, grads, row_grads  # free the blocks before the next chunk draws
+        del grads, row_grads  # free the gradient block before the next chunk
     analytic = 2.0 * (1.0 - math.sqrt(m / n)) * model.noise_trace(theta)
     return GapEstimate(
         estimate=float(values.mean()),
@@ -284,7 +287,9 @@ def convergence_curve(
     try:
         traj = runner(model, config, stream.children("rep", stop=reps))
     except DivergenceError as exc:
-        raise ArithmeticError(f"all {reps} replications diverged") from exc
+        raise DivergenceError(
+            f"{exc.process}: all {reps} replications", exc.iteration, exc.step_size
+        ) from exc
     diverged = sorted(traj.diverged)
     kept = [r for r in range(reps) if r not in traj.diverged]
     states = traj.states[:, kept]  # (K+1, reps_ok, p)

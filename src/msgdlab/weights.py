@@ -27,7 +27,7 @@ dirichlet
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -121,18 +121,22 @@ def _sample_subset(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
     return out
 
 
-def sample_minibatch_weights(streams: Sequence[RngStream], scheme: WeightScheme) -> np.ndarray:
+def sample_minibatch_weights(
+    streams: Sequence[RngStream], scheme: WeightScheme, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """1/m on a uniform random m-subset of the n coordinates, 0 elsewhere."""
     if scheme.kind != "minibatch":
         raise ValueError(f"scheme kind must be 'minibatch', got {scheme.kind!r}")
-    block = np.zeros((len(streams), scheme.n))
+    block = np.zeros((len(streams), scheme.n)) if out is None else out
+    if out is not None:
+        block.fill(0.0)  # a reused block still holds its last draw
     for row, stream in zip(block, streams):
         row[_sample_subset(stream.generator, scheme.n, scheme.m)] = 1.0 / scheme.m
     return block
 
 
 def sample_gaussian_structured_weights(
-    streams: Sequence[RngStream], scheme: WeightScheme
+    streams: Sequence[RngStream], scheme: WeightScheme, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Centered-and-scaled iid base draws shifted to mean 1/n.
 
@@ -143,7 +147,7 @@ def sample_gaussian_structured_weights(
     if scheme.kind != "gaussian":
         raise ValueError(f"scheme kind must be 'gaussian', got {scheme.kind!r}")
     n, m = scheme.n, scheme.m
-    x = np.empty((len(streams), n))
+    x = np.empty((len(streams), n)) if out is None else out
     for row, stream in zip(x, streams):
         gen = stream.generator
         if scheme.base == "normal":
@@ -165,7 +169,9 @@ def sample_gaussian_structured_weights(
     return x
 
 
-def sample_dirichlet_weights(streams: Sequence[RngStream], scheme: WeightScheme) -> np.ndarray:
+def sample_dirichlet_weights(
+    streams: Sequence[RngStream], scheme: WeightScheme, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Symmetric Dirichlet draws via normalized Gamma((m-1)/(n-m)) variates.
 
     If every gamma variate of a row underflows to zero (possible in
@@ -178,7 +184,7 @@ def sample_dirichlet_weights(streams: Sequence[RngStream], scheme: WeightScheme)
     if scheme.kind != "dirichlet":
         raise ValueError(f"scheme kind must be 'dirichlet', got {scheme.kind!r}")
     alpha = dirichlet_alpha(scheme.n, scheme.m)
-    block = np.empty((len(streams), scheme.n))
+    block = np.empty((len(streams), scheme.n)) if out is None else out
     totals = np.empty((len(streams), 1))
     for r, stream in enumerate(streams):
         raw = sample_gamma(stream, alpha, size=scheme.n)
@@ -207,13 +213,17 @@ _SAMPLERS = {
 }
 
 
-def sample_weights(streams: Sequence[RngStream], scheme: WeightScheme) -> np.ndarray:
+def sample_weights(
+    streams: Sequence[RngStream], scheme: WeightScheme, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Draw one weight vector per stream from whichever scheme is configured.
 
     Returns an (R, n) block whose row r consumes only ``streams[r]``, in the
     order a lone draw would, so row r equals a one-stream draw on that stream.
+    Given ``out``, an (R, n) float block, every sampler draws into it (its
+    old contents are never read) and returns it.
     """
-    return _SAMPLERS[scheme.kind](streams, scheme)
+    return _SAMPLERS[scheme.kind](streams, scheme, out=out)
 
 
 @dataclass
@@ -264,9 +274,9 @@ def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int)
     Draw r consumes the derived stream ``stream.child("rep", r)``.  Draws
     come in blocks of ``dynamics.chunk_rows(n)`` replications and are
     accumulated row by row in replication order, so the report does not
-    depend on the block size.
+    depend on the block size.  Every block is drawn into the same memory.
     """
-    from .dynamics import chunk_rows  # dynamics imports this module
+    from .dynamics import ChunkBlock, chunk_rows  # dynamics imports this module
 
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
@@ -276,15 +286,14 @@ def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int)
     first = np.empty(reps)
     second = np.empty(reps)
     m_sum_sq = np.empty(reps)
+    draw = ChunkBlock(sample_weights)
     for start, streams in stream.child_chunks("rep", stop=reps, size=chunk_rows(n)):
-        block = sample_weights(streams, scheme)
-        for r, w in enumerate(block, start):
+        for r, w in enumerate(draw(streams, scheme), start):
             sum_w += w
             sum_w2 += w * w
             first[r] = w[0]
             second[r] = w[1] if n > 1 else w[0]
             m_sum_sq[r] = m * np.sum(w * w)
-        del block, w  # free the block before the next chunk draws its own
     coord_mean = sum_w / reps
     coord_var = np.maximum(sum_w2 / reps - coord_mean**2, 0.0)
     coord_mean_se = np.sqrt(coord_var / reps)

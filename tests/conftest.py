@@ -11,8 +11,8 @@ def _repelling_for_stream(bad: int):
     whose stream path ends in `bad`, where they are -10, so that replication
     grows by a factor 6 each step of size 1/2 while the others contract."""
 
-    def sample_data(streams, count):
-        block = np.empty((len(streams), count, 1))
+    def sample_data(streams, count, out=None):
+        block = np.empty((len(streams), count, 1)) if out is None else out
         for row, stream in zip(block, streams):
             stream.generator.standard_normal(count)  # consume like a real data law
             row[:] = -10.0 if stream.path[-1] == bad else 1.0

@@ -1,6 +1,7 @@
 """Config validation, experiment runner plumbing, and the CLI surface."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -504,6 +505,57 @@ class TestMain:
         code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"{command}.gammas: need at least 2 distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (tiny_config("gd-ode") | {"gammas": [0.2, 0.1], "x0": [1e151]}, "gd-ode.x0"),
+            (tiny_config("gd-ode") | {"x0": [-math.inf]}, "gd-ode.x0"),
+            (tiny_config("wass-scaling") | {"x0": [0.0, math.nan]}, "wass-scaling.x0"),
+            (tiny_config("converge") | {"x0": [2e150]}, "converge.x0"),
+            (tiny_logistic() | {"x0": [1.0, 1e200]}, "converge.x0"),
+        ],
+        ids=["gd-ode", "gd-ode-inf", "wass-scaling-nan", "converge", "logistic"],
+    )
+    def test_start_beyond_divergence_limit_exit_two(self, config, key, tmp_path, capsys):
+        # a start the runners count as diverged used to raise at iteration 0
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config error: {key}: every entry must lie within +-1e+150" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, line",
+        [
+            (
+                tiny_config("wass-scaling") | {"model": {"kind": "quadratic", "p": 2, "s": 1e160}},
+                "error: msgd diverged at iteration 1 with step size 0.2",
+            ),
+            (
+                tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "s": 1e160}},
+                "error: gaussian_sgd: all 50 replications diverged at iteration 1 "
+                "with step size 0.1",
+            ),
+            (
+                tiny_config("gd-ode") | {"model": {"kind": "quadratic", "p": 1,
+                                                   "theta_star": [1e160]}},
+                "error: gd diverged at iteration 1 with step size 0.1",
+            ),
+        ],
+        ids=["wass-scaling", "converge", "gd-ode"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing set-up sums
+    def test_divergence_exit_one(self, config, line, tmp_path, capsys):
+        # each of these used to end in a traceback
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_report_without_checks_fails(self):
         empty = ExperimentReport(command="gd-ode", seed=1, config={}, resolved={}, checks=[])

@@ -1,5 +1,6 @@
 """Process runners and divergence handling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ def zero_noise_quadratic(p=1):
         payload_dim=p,
         objective=lambda theta: 0.5 * float(np.dot(theta, theta)),
         grad_objective=lambda theta: np.asarray(theta, dtype=float),
-        sample_data=lambda streams, count: np.zeros((len(streams), count, p)),
+        sample_data=lambda streams, count, out=None: np.zeros((len(streams), count, p)),
         grad_loss=lambda theta, data: np.broadcast_to(
             np.asarray(theta)[..., None, :], data.shape
         ).astype(float),
@@ -57,7 +58,7 @@ def repelling_model(p=1):
         payload_dim=p,
         objective=lambda theta: -0.5 * float(np.dot(theta, theta)),
         grad_objective=lambda theta: -np.asarray(theta, dtype=float),
-        sample_data=lambda streams, count: np.zeros((len(streams), count, p)),
+        sample_data=lambda streams, count, out=None: np.zeros((len(streams), count, p)),
         grad_loss=lambda theta, data: np.broadcast_to(
             -np.asarray(theta)[..., None, :], data.shape
         ).astype(float),
@@ -325,8 +326,8 @@ def jump_model(values):
     every replication's datum is that constant, chosen by its stream's last
     path label.  ``run_gd`` uses ``values[0]``."""
 
-    def sample_data(streams, count):
-        block = np.empty((len(streams), count, 1))
+    def sample_data(streams, count, out=None):
+        block = np.empty((len(streams), count, 1)) if out is None else out
         for row, stream in zip(block, streams):
             row[:] = -2.0 * values[stream.path[-1]]
         return block
@@ -513,3 +514,221 @@ class TestGdOdeGap:
             finals.append(errors[-1])
         slope = np.polyfit(np.log(gammas), np.log(finals), 1)[0]
         assert 0.8 <= slope <= 1.2
+
+
+def stiff_model(lam):
+    """g(x) = lam |x|^2 / 2: the 4th-order method is unstable for h lam > 2.79."""
+    return LossModel(
+        name="stiff",
+        dim=1,
+        noise_dim=1,
+        payload_dim=1,
+        objective=lambda theta: 0.5 * lam * np.sum(np.square(theta), axis=-1),
+        grad_objective=lambda theta: lam * np.asarray(theta, dtype=float),
+        sample_data=lambda streams, count, out=None: np.zeros((len(streams), count, 1)),
+        grad_loss=lambda theta, data: lam * np.asarray(theta)[..., None, :] + data,
+        noise_factor=lambda theta: np.zeros((1, 1)),
+        lipschitz_grad=lam,
+        lipschitz_noise=0.0,
+    )
+
+
+def cliff_model():
+    """Attracts to 0 inside |x| <= 5 and repels steeply beyond, with noise
+    factor 5: a diffusion row started near the cliff diverges or not by its
+    draws, one started beyond it always diverges, one at 0 never does."""
+    return LossModel(
+        name="cliff",
+        dim=1,
+        noise_dim=1,
+        payload_dim=1,
+        objective=lambda theta: np.zeros(np.shape(theta)[:-1]),
+        grad_objective=lambda theta: np.where(np.abs(theta) > 5.0, -1e3 * theta, theta),
+        sample_data=lambda streams, count, out=None: np.zeros((len(streams), count, 1)),
+        grad_loss=lambda theta, data: data + 0.0 * np.asarray(theta)[..., None, :],
+        noise_factor=lambda theta: np.full((1, 1), 5.0),
+        lipschitz_grad=1.0,
+        lipschitz_noise=0.0,
+    )
+
+
+class TestLockstep:
+    """A step-size grid advances every config together, each row with its own
+    step size and last step; each config's run equals running it alone, bit
+    for bit, including its divergences.  A config whose rows all diverge
+    raises when run alone, so its grid run is compared with a lone run that
+    stops one step before its last row diverged.  Streams are stateful, so
+    every run gets fresh ones from ``streams()``."""
+
+    @staticmethod
+    def _assert_equal_runs(grid_run, alone):
+        np.testing.assert_array_equal(grid_run.states, alone.states)
+        assert grid_run.diverged == alone.diverged
+        assert grid_run.config == alone.config and grid_run.step_size == alone.step_size
+
+    def _assert_grid_matches(self, run, configs, streams, entirely=()):
+        """run(configs, streams()) against run(config, streams()[i]) per
+        config i; the configs indexed by `entirely` must diverge in every row."""
+        grid = run(configs, streams())
+        steps = max(c.num_steps for c in configs)
+        assert grid.states.shape[0] == steps + 1 and len(grid.runs) == len(configs)
+        start = 0
+        for i, config in enumerate(configs):
+            grid_run = grid.runs[i]
+            # a config's rows leave the ensemble after its last step
+            size = 1 if streams()[i] is None else len(streams()[i])
+            assert np.isnan(grid.states[config.num_steps + 1 :, start : start + size]).all()
+            start += size
+            if i not in entirely:
+                self._assert_equal_runs(grid_run, run(config, streams()[i]))
+                continue
+            rows = grid_run.states.shape[1] if grid_run.states.ndim == 3 else 1
+            assert len(grid_run.diverged) == rows
+            with pytest.raises(DivergenceError) as info:
+                run(config, streams()[i])
+            last = max(grid_run.diverged.values())
+            assert info.value.iteration == last
+            assert info.value.step_size == config.gamma
+            assert np.isnan(grid_run.states[last:]).all()
+            shorter = dataclasses.replace(config, num_steps=last - 1)
+            alone = run(shorter, streams()[i])
+            np.testing.assert_array_equal(grid_run.states[:last], alone.states)
+            assert alone.diverged == {r: k for r, k in grid_run.diverged.items() if k < last}
+        return grid
+
+    def test_msgd(self, repelling_for_stream):
+        # the rows whose stream path ends in "x" grow 1 + 10 gamma per step
+        model = repelling_for_stream("x")
+        scheme = WeightScheme("minibatch", n=4, m=2)
+        configs = [
+            RunConfig(gamma=0.5, num_steps=300, m=2, n=4, x0=[1.0]),
+            RunConfig(gamma=0.2, num_steps=30, m=2, n=4, x0=[2.0]),
+            RunConfig(gamma=0.3, num_steps=400, m=2, n=4, x0=[1.0]),
+        ]
+        def streams():
+            return [
+                [derive_stream(5, ["a", label]) for label in (0, "x", 2)],
+                [derive_stream(5, ["c", r]) for r in range(3)],
+                [derive_stream(5, ["b", r, "x"]) for r in range(2)],
+            ]
+
+        grid = self._assert_grid_matches(
+            lambda c, s: run_msgd(model, scheme, c, s), configs, streams, entirely=(2,)
+        )
+        assert list(grid.runs[0].diverged) == [1] and not grid.runs[1].diverged
+
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    def test_msgd_logistic_chunks(self, monkeypatch, kind):
+        # rows of different configs share chunks, two replications per chunk
+        model = ensemble_model("logistic")
+        monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", 2 * 16 * model.payload_dim)
+        scheme = WeightScheme(kind, n=16, m=4)
+        configs = [RunConfig(gamma=g, num_steps=k, m=4, n=16, x0=np.ones(3))
+                   for g, k in ((0.3, 5), (0.1, 12), (0.2, 8))]
+        self._assert_grid_matches(
+            lambda c, s: run_msgd(model, scheme, c, s), configs,
+            lambda: [[derive_stream(7, [kind, i, r]) for r in range(3)] for i in range(3)],
+        )
+
+    def test_gaussian_sgd(self):
+        model = ensemble_model("logistic")
+        configs = [RunConfig(gamma=g, num_steps=k, m=m, n=50, x0=np.ones(3))
+                   for g, k, m in ((0.1, 9, 4), (0.4, 3, 25), (0.2, 6, 50))]
+        self._assert_grid_matches(
+            lambda c, s: run_gaussian_sgd(model, c, s), configs,
+            lambda: [[derive_stream(11, [i, r]) for r in range(2)] for i in range(3)],
+        )
+
+    def test_diffusion_em(self):
+        model = cliff_model()
+        configs = [
+            RunConfig(gamma=0.2, num_steps=40, m=1, n=1, x0=[4.6]),
+            RunConfig(gamma=0.1, num_steps=10, m=1, n=1, x0=[0.0]),
+            RunConfig(gamma=0.25, num_steps=50, m=1, n=1, x0=[10.0]),
+        ]
+        grid = self._assert_grid_matches(
+            lambda c, s: run_diffusion_em(model, c, 4, s), configs,
+            lambda: [[derive_stream(13, [i, r]) for r in range(6)] for i in range(3)],
+            entirely=(2,),
+        )
+        assert 0 < len(grid.runs[0].diverged) < 6 and not grid.runs[1].diverged
+
+    @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
+    def test_diffusion_em_noise_factor(self, model_name):
+        # a shared (p, q) factor multiplies the whole block at once; the
+        # logistic factor depends on the state and is taken every substep
+        model = ensemble_model(model_name)
+        configs = [RunConfig(gamma=g, num_steps=k, m=4, n=16, x0=np.ones(model.dim))
+                   for g, k in ((0.1, 6), (0.3, 2))]
+        self._assert_grid_matches(
+            lambda c, s: run_diffusion_em(model, c, 5, s), configs,
+            lambda: [[derive_stream(17, [i, r]) for r in range(3)] for i in range(2)],
+        )
+
+    def test_diffusion_em_shared_factor_matches_each_substep(self):
+        # the old per-substep form x - h grad + c (sigma @ z_j), on a dense sigma
+        sigma = np.array([[1.0, 0.3], [-0.7, 2.0]]) / 3.0
+        base = make_quadratic_model(2, [0.5, -0.5], 1.0)
+        model = dataclasses.replace(base, noise_factor=lambda theta: sigma)
+        config = RunConfig(gamma=0.2, num_steps=5, m=3, n=9, x0=[1.0, -2.0])
+        streams = [derive_stream(19, [r]) for r in range(4)]
+        substeps = 7
+        h = config.gamma / substeps
+        scale = math.sqrt(config.gamma / config.m) * math.sqrt(h)
+        x = np.tile(config.x0, (4, 1))
+        replay = [derive_stream(19, [r]) for r in range(4)]
+        for k in range(config.num_steps):
+            z = np.stack([s.generator.standard_normal((substeps, 2)) for s in replay])
+            for j in range(substeps):
+                x = x - h * base.grad_objective(x) + scale * (sigma @ z[:, j, :, None])[:, :, 0]
+        traj = run_diffusion_em(model, config, substeps, streams)
+        np.testing.assert_array_equal(traj.states[-1], x)
+
+    def test_gd(self):
+        # x grows by 1 + gamma per step: only gamma = 0.9 reaches the limit
+        model = repelling_model()
+        configs = [RunConfig(gamma=g, num_steps=k, m=1, n=1, x0=[1.0])
+                   for g, k in ((0.5, 50), (0.9, 600), (0.3, 80))]
+        grid = self._assert_grid_matches(
+            lambda c, s: run_gd(model, c), configs, lambda: [None] * 3, entirely=(1,)
+        )
+        assert grid.runs[0].states.shape == (51, 1)
+
+    def test_ode(self):
+        # h lam = 5 is outside the method's stability interval, 1 and 2.5 inside
+        model = stiff_model(10.0)
+        spacings, horizon = [0.1, 0.5, 0.25], 100.0
+        grid = run_ode(model, [1.0], spacings, horizon)
+        assert grid.states.shape == (1001, 3, 1)
+        for i in (0, 2):
+            self._assert_equal_runs(grid.runs[i], run_ode(model, [1.0], spacings[i], horizon))
+        unstable = grid.runs[1]
+        last = unstable.diverged[0]
+        with pytest.raises(DivergenceError) as info:
+            run_ode(model, [1.0], 0.5, horizon)
+        assert info.value.iteration == last and info.value.step_size == 0.5
+        alone = run_ode(model, [1.0], 0.5, 0.5 * (last - 1))
+        np.testing.assert_array_equal(unstable.states[:last], alone.states)
+        assert np.isnan(unstable.states[last:]).all()
+
+    def test_every_row_diverged_raises(self):
+        model = repelling_model()
+        configs = [RunConfig(gamma=g, num_steps=900, m=1, n=1, x0=[1.0]) for g in (0.9, 0.8)]
+        with pytest.raises(DivergenceError) as info:
+            run_gd(model, configs)
+        iterations = []
+        for config in configs:
+            with pytest.raises(DivergenceError) as alone:
+                run_gd(model, config)
+            iterations.append(alone.value.iteration)
+        # the error names the rows that diverged last
+        assert info.value.iteration == max(iterations)
+        assert info.value.step_size == configs[iterations.index(max(iterations))].gamma
+
+    def test_one_stream_sequence_per_config(self):
+        model = make_quadratic_model(1, [0.0], 1.0)
+        configs = [RunConfig(gamma=0.1, num_steps=2, m=1, n=1, x0=[1.0])] * 2
+        with pytest.raises(ValueError, match="one stream sequence per config"):
+            run_gaussian_sgd(model, configs, [[derive_stream(1, [0])]])
+        with pytest.raises(TypeError, match="sequence"):
+            run_gaussian_sgd(model, configs, [derive_stream(1, [0]), derive_stream(1, [1])])

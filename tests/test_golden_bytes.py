@@ -7,7 +7,9 @@ so a change to any sampler, runner or reduction that moves a single bit of
 any artifact fails here.  ``weights-moments`` was re-recorded when
 ``weight_moments.csv`` lost its two ``m32_sum_cube`` columns; its
 ``report.json`` and every other column kept their bytes.  ``weighting-gap`` is in no benchmark workload, so
-this is its only byte guard.
+this is its only byte guard.  The two ``-grid`` configs were recorded
+while every step size still ran on its own, before the runners advanced a
+step-size grid in lockstep.
 """
 
 from __future__ import annotations
@@ -60,6 +62,19 @@ GOLDEN = {
     "gd-ode": (
         {"command": "gd-ode", "seed": 11, "gammas": [0.1, 0.05], "x0": [1.0]},
         "6624a980812420407e40ea3070932a913dff59d05bbfa683e9f6e056f57c0c24",
+    ),
+    # unsorted grids of three step sizes with unequal step counts
+    "wass-scaling-grid": (
+        {"command": "wass-scaling", "seed": 11, "gammas": [0.125, 0.25, 0.0625], "reps": 20,
+         "n": 48, "m": 6, "n_directions": 8, "em_substeps": 6, "scheme": {"kind": "minibatch"},
+         "model": {"kind": "quadratic", "p": 2, "s": 0.5, "theta_star": [0.5, -0.5]}},
+        "2ce32251eb6a7c3d89cca5e976f0bfca243b97444220928027796e99da5eb22b",
+    ),
+    "gd-ode-grid": (
+        {"command": "gd-ode", "seed": 11, "gammas": [0.05, 0.2, 0.1], "x0": [2.0, -1.0],
+         "horizon": 0.8, "ode_substeps": 12,
+         "model": {"kind": "quadratic", "p": 2, "s": 1.0, "theta_star": [0.5, 0.0]}},
+        "15b6c0a7831744edeec093da79d6e4f01c0fbdf724840fefc821a2c4c560783f",
     ),
 }
 

@@ -342,6 +342,16 @@ class TestSharedInvariants:
             np.testing.assert_array_equal(block[r], model.sample_data([lone], 30)[0])
             assert streams[r].generator.random() == lone.generator.random()
 
+    def test_dirty_out_block_equals_fresh_draw(self, model):
+        fresh_streams = [derive_stream(59, [model.name, r]) for r in range(3)]
+        fresh = model.sample_data(fresh_streams, 30)
+        streams = [derive_stream(59, [model.name, r]) for r in range(3)]
+        dirty = np.full_like(fresh, 7)
+        assert model.sample_data(streams, 30, out=dirty) is dirty
+        np.testing.assert_array_equal(dirty, fresh)
+        for stream, fresh_stream in zip(streams, fresh_streams):
+            assert stream.generator.random() == fresh_stream.generator.random()
+
     def test_replication_axis_matches_one_call_per_replication(self, model):
         # the ensemble runners rely on a batched call reproducing the
         # per-replication calls to the last bit

@@ -82,6 +82,24 @@ class TestEnsembleSamplers:
             np.testing.assert_array_equal(block[r], sample_weights([lone], scheme)[0])
             assert streams[r].generator.random() == lone.generator.random()
 
+    @pytest.mark.parametrize("dispatch", [True, False], ids=["sample_weights", "own"])
+    @pytest.mark.parametrize("kind, base", [
+        ("minibatch", "normal"), ("gaussian", "normal"), ("gaussian", "rademacher"),
+        ("gaussian", "uniform"), ("dirichlet", "normal"),
+    ])
+    def test_dirty_out_block_equals_fresh_draw(self, kind, base, dispatch):
+        # a reused block holds the last chunk's weights; none of them may survive
+        sampler = sample_weights if dispatch else weights_mod._SAMPLERS[kind]
+        scheme = WeightScheme(kind, n=37, m=9, base=base)
+        fresh_streams = [derive_stream(229, [kind, base, r]) for r in range(4)]
+        fresh = sampler(fresh_streams, scheme)
+        streams = [derive_stream(229, [kind, base, r]) for r in range(4)]
+        dirty = np.full((4, 37), 7.0)
+        assert sampler(streams, scheme, out=dirty) is dirty
+        np.testing.assert_array_equal(dirty, fresh)
+        for stream, fresh_stream in zip(streams, fresh_streams):
+            assert stream.generator.random() == fresh_stream.generator.random()
+
     @pytest.mark.parametrize("base", ["normal", "rademacher", "uniform"])
     @pytest.mark.parametrize("n", [2, 37, 512, 10**4])
     def test_gaussian_block_matches_vector_formula(self, n, base):
