@@ -34,7 +34,6 @@ from .stats import (
     DistanceEstimate,
     ErrorSampleSet,
     GapEstimate,
-    RateReport,
     clt_error_samples,
     contraction_bound,
     contraction_fit,

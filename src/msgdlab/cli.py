@@ -14,10 +14,12 @@ a ``report.json`` into the output directory:
 
 Configs are strict JSON, checked against the command's schema in
 ``SCHEMAS``: unknown keys are rejected and every violation is reported with
-the offending key.  Given the same config and seed, outputs
-are byte-identical: every replication draws from a stream derived from its
-own index, and reductions happen in index order, whatever chunk of
-replications a step draws and reduces together.
+the offending key.  Validation builds the domain objects the run uses (the
+config's ``plan``), and each command runs what validation built, from the
+one root stream ``run_experiment`` derives for it.  Given the same config
+and seed, outputs are byte-identical: every replication draws from a stream
+derived from its own index, and reductions happen in index order, whatever
+chunk of replications a step draws and reduces together.
 """
 
 from __future__ import annotations
@@ -91,10 +93,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config.  ``params`` is the config resolved against its
+    command's schema; ``plan`` holds the domain objects validation built
+    for the run: the weight schemes as (label, scheme) pairs, the model, the
+    resolved start, the run configs and the logistic datasets."""
+
     command: str
     seed: int
     params: dict
     raw: dict
+    plan: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass
@@ -289,8 +297,10 @@ def _resolve(value, spec: Field, where: str, path: str, diags: list[str]):
 
 
 # Rules between keys, given None for a key that is missing or broke the schema.
-# They build the domain objects the run builds, so that those objects' own
-# rules, such as a Dirichlet scheme's 2 <= m < n, are reported against the key.
+# They build the domain objects the run uses into the config's plan, so that
+# those objects' own rules, such as a Dirichlet scheme's 2 <= m < n, are
+# reported against the key.  A broken value builds None: the plan is read only
+# when there is no diagnostic.
 
 
 def _build(where: str, diags: list[str], make, *args):
@@ -301,13 +311,30 @@ def _build(where: str, diags: list[str], make, *args):
         return None
 
 
+def _scheme_from_spec(spec: dict, n: int, m: int) -> WeightScheme:
+    return WeightScheme(kind=spec["kind"], n=n, m=m, base=spec.get("base", "normal"))
+
+
+def _scheme_label(spec: dict) -> str:
+    if spec["kind"] == "gaussian":
+        return f"gaussian[{spec.get('base', 'normal')}]"
+    return spec["kind"]
+
+
+def _model_from_spec(spec: dict):
+    p = spec.get("p", 1)
+    theta_star = np.asarray(spec.get("theta_star", np.zeros(p)), dtype=float)
+    return make_quadratic_model(p, theta_star, float(spec.get("s", 1.0)))
+
+
 # At m = n every weight scheme draws the constant 1/n, so these commands'
 # checks would compare roundoff against a zero spread.
 _M_BELOW_N = ("weights-moments", "weighting-gap")
 
 
-def _check_sizes(params: dict, command: str, diags: list[str]) -> list[tuple[int, int]]:
-    """Each valid (n, m) the config runs at; each weight scheme is built at each."""
+def _check_sizes(params: dict, command: str, plan: dict, diags: list[str]):
+    """Each valid (n, m) the config runs at.  Each weight scheme is built at
+    each, into ``plan["schemes"]`` as (label, scheme) pairs, spec by spec."""
     if "pairs" in params:
         named = [(f"pairs[{i}]", pair) for i, pair in enumerate(params["pairs"] or [])]
     else:
@@ -326,64 +353,79 @@ def _check_sizes(params: dict, command: str, diags: list[str]) -> list[tuple[int
         schemes = [("scheme", params["scheme"])]
     else:
         schemes = [(f"schemes[{i}]", spec) for i, spec in enumerate(params["schemes"] or [])]
-    for where, spec in schemes:
-        for n, m in sizes if spec is not None else []:
-            _build(where, diags, _scheme_from_spec, spec, n, m)
+    plan["schemes"] = [
+        (_scheme_label(spec), _build(where, diags, _scheme_from_spec, spec, n, m))
+        for where, spec in schemes if spec is not None for n, m in sizes
+    ]
     return sizes
 
 
-def _check_model(params: dict, command: str, diags: list[str]):
-    """The model, or a logistic model's dataset; each given point must have its
-    dimension, and converge and gd-ode must not start at the minimiser."""
+def _check_model(params: dict, command: str, seed: int, plan: dict, diags: list[str]):
+    """The model, or a logistic model's dataset, and the resolved start (the
+    point, for weighting-gap).  A given point must have the model's dimension,
+    and converge and gd-ode must not start at the minimiser."""
     spec = params["model"]
     if spec is None:
         return None
-    if spec["kind"] == "logistic":  # drawn from a fixed stream: only its rules matter here
-        made = _build(
-            "model", diags, generate_logistic_dataset, derive_stream(0), spec["p"], spec["t"], 1.0
-        )
+    if spec["kind"] == "logistic":  # the run's own draw; _check_runs sets each kappa
+        stream = derive_stream(seed, (command,)).child("dataset")
+        made = _build("model", diags, generate_logistic_dataset, stream, spec["p"], spec["t"], 1.0)
     else:
-        made = _build("model", diags, _model_from_spec, spec)
-    for point in ("x0", "theta"):
-        if made is not None and params.get(point) is not None and len(params[point]) != made.dim:
-            diags.append(f"{command}.{point}: expected p={made.dim} numbers, got {params[point]}")
+        made = plan["model"] = _build("model", diags, _model_from_spec, spec)
+    key = "theta" if command == "weighting-gap" else "x0"
+    if made is None or (key in params and params[key] is None):
+        return made
+    point = params.get(key)
+    if point is not None and len(point) != made.dim:
+        diags.append(f"{command}.{key}: expected p={made.dim} numbers, got {point}")
+    if point is None:  # ones, scaled to unit length for the logistic model
+        point = np.ones(made.dim) / math.sqrt(made.dim if spec["kind"] == "logistic" else 1)
+    start = plan["start"] = np.asarray(point, dtype=float)
     # a start at the minimiser leaves a zero curve or error, which has no logarithm to fit
     if (
-        command in ("converge", "gd-ode") and spec["kind"] == "quadratic" and made is not None
-        and params.get("x0", ()) is not None
-        and np.array_equal(_start(params, made), made.minimizer)
+        command in ("converge", "gd-ode") and spec["kind"] == "quadratic"
+        and np.array_equal(start, made.minimizer)
     ):
         diags.append(f"{command}.x0: starts at the minimiser theta_star (x0 defaults to "
                      "ones), leaving no convergence to measure")
     return made
 
 
-def _check_step_grid(params: dict, command: str, sizes, diags: list[str]) -> None:
+def _check_step_grid(params: dict, command: str, sizes, plan: dict, diags: list[str]) -> None:
     """At least 2 distinct step sizes, each dividing a positive horizon, and
-    the slope range their log-log fit is checked against."""
+    the slope range their log-log fit is checked against.  The configs go
+    into ``plan["configs"]`` in decreasing step size."""
     gammas, horizon, bounds = params["gammas"], params["horizon"], params["slope_range"]
-    x0 = params.get("x0") or ()
     if gammas is not None and len(set(gammas)) < 2:
         diags.append(f"{command}.gammas: need at least 2 distinct step sizes for the slope fit")
     if horizon is not None and not horizon > 0:
         diags.append(f"{command}.horizon: must be positive")
     elif gammas is not None and horizon is not None:
-        for i, gamma in enumerate(gammas):
+        plan["configs"] = []
+        for i, gamma in sorted(enumerate(gammas), key=lambda item: item[1], reverse=True):
             steps = horizon / gamma if gamma else 0.0
             if abs(steps - round(steps)) > 1e-9:
                 diags.append(f"gammas[{i}]: horizon must be a multiple of gamma")
             for n, m in sizes:
-                _build(f"gammas[{i}]", diags, RunConfig, gamma, round(steps), m, n, x0)
+                plan["configs"].append(_build(
+                    f"gammas[{i}]", diags, RunConfig, gamma, round(steps), m, n, plan.get("start")
+                ))
     if bounds is not None and not (len(bounds) == 2 and bounds[0] < bounds[1]):
         diags.append(f"{command}.slope_range: expected [low, high] with low < high, got {bounds}")
 
 
-def _check_runs(params: dict, sizes, made, diags: list[str]) -> None:
-    """converge's runs, and the logistic model's blocks, reps and kappas."""
-    runs, x0 = params["runs"] or [], params.get("x0") or ()
+def _check_runs(params: dict, sizes, made, plan: dict, diags: list[str]) -> None:
+    """converge's runs, into ``plan["configs"]`` in run order, and the
+    logistic model's blocks, reps and kappas: one dataset per kappa, into
+    ``plan["datasets"]`` in decreasing kappa."""
+    runs = params["runs"] or []
+    plan["configs"] = []
     for i, run in enumerate(runs):
         for n, m in sizes:
-            _build(f"runs[{i}]", diags, RunConfig, run["gamma"], run["num_steps"], m, n, x0)
+            plan["configs"].append(_build(
+                f"runs[{i}]", diags, RunConfig, run["gamma"], run["num_steps"], m, n,
+                plan.get("start"),
+            ))
         fit = (run["num_steps"] + 1, run.get("fit_burn_in", 0), run.get("fit_window"))
         _build(f"runs[{i}]", diags, fit_segment, *fit)
     kind = params["model"] and params["model"]["kind"]
@@ -404,22 +446,28 @@ def _check_runs(params: dict, sizes, made, diags: list[str]) -> None:
     if "kappas" not in params:
         diags.append("converge.kappas: required for the logistic model")
     elif made is not None:
-        for i, kappa in enumerate(params["kappas"] or []):
+        kappas = sorted(enumerate(params["kappas"] or []), key=lambda item: item[1], reverse=True)
+        plan["datasets"] = [
             _build(f"kappas[{i}]", diags, LogisticDataset, made.labels, made.covariates, kappa)
+            for i, kappa in kappas
+        ]
 
 
-def _check_cross(params: dict, command: str, diags: list[str]) -> None:
+def _check_cross(params: dict, command: str, seed: int, diags: list[str]) -> dict:
+    """The plan: what the cross-key rules built for the run."""
+    plan: dict = {}
     # gd-ode runs gradient descent at m = n = 1
-    sizes = [(1, 1)] if command == "gd-ode" else _check_sizes(params, command, diags)
+    sizes = [(1, 1)] if command == "gd-ode" else _check_sizes(params, command, plan, diags)
     x0 = params.get("x0")
     if x0 is not None and not np.all(np.abs(x0) <= DIVERGENCE_LIMIT):
         diags.append(f"{command}.x0: every entry must lie within +-{DIVERGENCE_LIMIT:g}, "
                      f"beyond which a run counts as diverged, got {x0}")
-    made = _check_model(params, command, diags) if "model" in params else None
+    made = _check_model(params, command, seed, plan, diags) if "model" in params else None
     if "gammas" in params:
-        _check_step_grid(params, command, sizes, diags)
+        _check_step_grid(params, command, sizes, plan, diags)
     if command == "converge":
-        _check_runs(params, sizes, made, diags)
+        _check_runs(params, sizes, made, plan, diags)
+    return plan
 
 
 def validate_config(raw, seed_override: Optional[int] = None) -> ExperimentConfig:
@@ -450,10 +498,12 @@ def validate_config(raw, seed_override: Optional[int] = None) -> ExperimentConfi
 
     given = {key: value for key, value in raw.items() if key not in ("command", "seed")}
     resolved = _walk(given, {"out": Field(str)} | SCHEMAS[command], command, "", diags)
-    _check_cross(resolved, command, diags)
+    plan = _check_cross(resolved, command, seed if not diags else 0, diags)
     if diags:
         raise ConfigError(diags)
-    return ExperimentConfig(command=command, seed=int(seed), params=resolved, raw=dict(raw))
+    return ExperimentConfig(
+        command=command, seed=int(seed), params=resolved, raw=dict(raw), plan=plan
+    )
 
 
 # ----------------------------------------------------------------------
@@ -514,43 +564,19 @@ def histogram_rows(samples, bin_count: int) -> list[tuple[float, float, int]]:
     ]
 
 
-def _scheme_from_spec(spec: dict, n: int, m: int) -> WeightScheme:
-    return WeightScheme(kind=spec["kind"], n=n, m=m, base=spec.get("base", "normal"))
-
-
-def _scheme_label(spec: dict) -> str:
-    if spec["kind"] == "gaussian":
-        return f"gaussian[{spec.get('base', 'normal')}]"
-    return spec["kind"]
-
-
-def _start(params: dict, model) -> np.ndarray:
-    """The configured x0, else a quadratic model's default start of ones."""
-    return np.asarray(params.get("x0", np.ones(model.dim)), dtype=float)
-
-
-def _model_from_spec(spec: dict):
-    p = spec.get("p", 1)
-    theta_star = np.asarray(spec.get("theta_star", np.zeros(p)), dtype=float)
-    return make_quadratic_model(p, theta_star, float(spec.get("s", 1.0)))
-
-
 # ----------------------------------------------------------------------
 # command runners
 # ----------------------------------------------------------------------
 
 
-def _run_weights_moments(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
+def _run_weights_moments(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
     params = cfg.params
     n, m, reps = params["n"], params["m"], params["reps"]
     thresholds = params["thresholds"]
-    root = derive_stream(cfg.seed, ("weights-moments",))
     diag, offdiag = sigma_entries(n, m)
     checks: list[CheckResult] = []
     rows = []
-    for spec in params["schemes"]:
-        label = _scheme_label(spec)
-        scheme = _scheme_from_spec(spec, n, m)
+    for label, scheme in cfg.plan["schemes"]:
         report = empirical_weight_moments(scheme, root.child(label), reps)
         checks.append(CheckResult(
             f"{label}:coord_mean", report.coord_mean[0], 1.0 / n,
@@ -589,12 +615,11 @@ def _run_weights_moments(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckRe
     return checks
 
 
-def _run_clt(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
+def _run_clt(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
     params = cfg.params
-    n, m, count, p = params["n"], params["m"], params["samples"], params["p"]
+    count, p = params["samples"], params["p"]
     model = make_uniform_clt_model(p)
-    scheme = _scheme_from_spec(params["scheme"], n, m)
-    root = derive_stream(cfg.seed, ("clt",))
+    [(_, scheme)] = cfg.plan["schemes"]
     sample_set = clt_error_samples(model, scheme, np.zeros(p), count, root.child("samples"))
     target_var = 1.0 / 3.0  # Var Unif(-1, 1)
     checks: list[CheckResult] = []
@@ -626,23 +651,19 @@ def _run_clt(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
     return checks
 
 
-def _run_weighting_gap(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
-    params = cfg.params
-    model = _model_from_spec(params["model"])
-    theta = np.asarray(params.get("theta", np.ones(model.dim)), dtype=float)
-    root = derive_stream(cfg.seed, ("weighting-gap",))
+def _run_weighting_gap(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
+    params, plan = cfg.params, cfg.plan
     checks: list[CheckResult] = []
     rows = []
-    for spec in params["schemes"]:
-        label = _scheme_label(spec)
-        for n, m in params["pairs"]:
-            scheme = _scheme_from_spec(spec, n, m)
-            gap = weighting_gap(model, scheme, theta, params["reps"], root.child(label, n, m))
-            checks.append(CheckResult(
-                f"{label}:n{n}:m{m}", gap.estimate, gap.analytic,
-                params["sigmas"] * gap.se,
-            ))
-            rows.append([label, n, m, gap.reps, gap.estimate, gap.se, gap.analytic])
+    for label, scheme in plan["schemes"]:  # each spec at each pair
+        n, m = scheme.n, scheme.m
+        gap = weighting_gap(plan["model"], scheme, plan["start"], params["reps"],
+                            root.child(label, n, m))
+        checks.append(CheckResult(
+            f"{label}:n{n}:m{m}", gap.estimate, gap.analytic,
+            params["sigmas"] * gap.se,
+        ))
+        rows.append([label, n, m, gap.reps, gap.estimate, gap.se, gap.analytic])
     out.write_csv(
         "weighting_gap.csv",
         ["scheme", "n", "m", "reps", "estimate", "se", "analytic"],
@@ -659,24 +680,15 @@ def _finished(trajectory):
         process = trajectory.kind
         if trajectory.states.ndim == 3:  # an ensemble
             process += f" replication {r}"
-        raise DivergenceError(process, k, trajectory.grid)
+        raise DivergenceError(process, k, trajectory.config.gamma)
     return trajectory
 
 
-def _run_wass_scaling(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
-    params = cfg.params
-    model = _model_from_spec(params["model"])
-    n, m = params["n"], params["m"]
-    horizon = params["horizon"]
-    reps = params["reps"]
-    scheme = _scheme_from_spec(params["scheme"], n, m)
-    x0 = _start(params, model)
-    root = derive_stream(cfg.seed, ("wass-scaling",))
-    gammas = sorted(params["gammas"], reverse=True)
-    configs = [
-        RunConfig(gamma=gamma, num_steps=int(round(horizon / gamma)), m=m, n=n, x0=x0)
-        for gamma in gammas
-    ]
+def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
+    params, plan = cfg.params, cfg.plan
+    model, configs, reps = plan["model"], plan["configs"], params["reps"]
+    [(_, scheme)] = plan["schemes"]
+    gammas = [config.gamma for config in configs]
     # every gamma advances in lockstep; group i keeps the streams of gamma index i
     msgd = run_msgd(model, scheme, configs, [
         root.children(i, "msgd", stop=reps) for i in range(len(gammas))
@@ -724,25 +736,22 @@ def _quadratic_gap_recursion(gamma: float, m: int, trace: float, start: float, k
     return out
 
 
-def _run_converge_quadratic(cfg, out: _OutputDir) -> list[CheckResult]:
-    params = cfg.params
-    model = _model_from_spec(params["model"])
-    n, m, reps = params["n"], params["m"], params["reps"]
-    scheme = _scheme_from_spec(params["scheme"], n, m)
-    x0 = _start(params, model)
-    root = derive_stream(cfg.seed, ("converge",))
+def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[CheckResult]:
+    params, plan = cfg.params, cfg.plan
+    model, x0, reps = plan["model"], plan["start"], params["reps"]
+    [(_, scheme)] = plan["schemes"]
+    m = scheme.m
     trace = model.noise_trace(model.minimizer)
     checks: list[CheckResult] = []
-    for run_idx, run in enumerate(params["runs"]):
-        gamma, steps = run["gamma"], run["num_steps"]
-        config = RunConfig(gamma=gamma, num_steps=steps, m=m, n=n, x0=x0)
+    for run_idx, (run, config) in enumerate(zip(params["runs"], plan["configs"])):
+        gamma, steps = config.gamma, config.num_steps
         oracle = _quadratic_gap_recursion(
             gamma, m, trace, model.objective(x0) - model.objective(model.minimizer), steps
         )
         rho = contraction_bound(
             lam=model.strong_convexity, gamma=gamma, L=model.lipschitz_grad,
             L1=model.lipschitz_noise, p=model.dim, m=m,
-        ).rho_bound
+        )
         level = plateau_bound(
             model.strong_convexity, gamma, model.lipschitz_grad, m, trace
         )
@@ -757,9 +766,12 @@ def _run_converge_quadratic(cfg, out: _OutputDir) -> list[CheckResult]:
             checks.append(CheckResult(
                 f"{kind}:recursion_max_dev", float(dev.max()), 1.0, 0.0, comparison="le",
             ))
-            rho_hat = contraction_fit(
-                curve.g_gap_mean, run.get("fit_burn_in", 0), run.get("fit_window"),
-            )
+            try:
+                rho_hat = contraction_fit(
+                    curve.g_gap_mean, run.get("fit_burn_in", 0), run.get("fit_window"),
+                )
+            except ValueError:  # a curve that is not positive over the window has no rate
+                rho_hat = math.nan
             checks.append(CheckResult(
                 f"{kind}:rho_hat", rho_hat, rho, params["rho_tolerance"],
             ))
@@ -796,29 +808,20 @@ def _block_means(per_rep_curves: np.ndarray, blocks: int):
     return means, errs
 
 
-def _run_converge_logistic(cfg, out: _OutputDir) -> list[CheckResult]:
-    params = cfg.params
-    spec = params["model"]
-    p, t = spec["p"], spec["t"]
-    n, m, reps = params["n"], params["m"], params["reps"]
-    kappas = sorted(params["kappas"], reverse=True)
-    root = derive_stream(cfg.seed, ("converge",))
-    base = generate_logistic_dataset(root.child("dataset"), p, t, kappa=kappas[0])
-    x0 = np.asarray(params.get("x0", np.ones(p) / math.sqrt(p)), dtype=float)
-    blocks = params["blocks"]
-    scheme = _scheme_from_spec(params["scheme"], n, m)
+def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[CheckResult]:
+    params, plan = cfg.params, cfg.plan
+    reps, blocks = params["reps"], params["blocks"]
+    [(_, scheme)] = plan["schemes"]
     checks: list[CheckResult] = []
-    for run_idx, run in enumerate(params["runs"]):
-        gamma, steps = run["gamma"], run["num_steps"]
-        config = RunConfig(gamma=gamma, num_steps=steps, m=m, n=n, x0=x0)
+    for run_idx, (run, config) in enumerate(zip(params["runs"], plan["configs"])):
+        steps = config.num_steps
         rho_hats = []
-        for kappa_idx, kappa in enumerate(kappas):
-            dataset = LogisticDataset(base.labels, base.covariates, kappa)
-            model = make_logistic_model(dataset)
+        for kappa_idx, dataset in enumerate(plan["datasets"]):
+            kappa = dataset.kappa
             curve = convergence_curve(
-                model, lambda mo, co, st: run_msgd(mo, scheme, co, st), config, reps,
-                root.child(run_idx, kappa_idx),
-                reference=(np.zeros(p), 0.0),
+                make_logistic_model(dataset), lambda mo, co, st: run_msgd(mo, scheme, co, st),
+                config, reps, root.child(run_idx, kappa_idx),
+                reference=(np.zeros(dataset.dim), 0.0),
                 track_objective=False,
             )
             mse, mse_se = curve.sq_dist_mean, curve.sq_dist_se
@@ -863,27 +866,22 @@ def _run_converge_logistic(cfg, out: _OutputDir) -> list[CheckResult]:
     return checks
 
 
-def _run_converge(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
+def _run_converge(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
     if cfg.params["model"]["kind"] == "quadratic":
-        return _run_converge_quadratic(cfg, out)
-    return _run_converge_logistic(cfg, out)
+        return _run_converge_quadratic(cfg, root, out)
+    return _run_converge_logistic(cfg, root, out)
 
 
-def _run_gd_ode(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
-    params = cfg.params
-    model = _model_from_spec(params["model"])
-    x0 = _start(params, model)
+def _run_gd_ode(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
+    params, plan = cfg.params, cfg.plan
+    model, configs = plan["model"], plan["configs"]
     horizon = params["horizon"]
     L = model.lipschitz_grad
-    grad0 = float(np.linalg.norm(model.grad_objective(x0)))
-    gammas = sorted(params["gammas"], reverse=True)
-    configs = [
-        RunConfig(gamma=gamma, num_steps=int(round(horizon / gamma)), m=1, n=1, x0=x0)
-        for gamma in gammas
-    ]
-    # every gamma, and every inner ODE step, advances in lockstep
+    grad0 = float(np.linalg.norm(model.grad_objective(plan["start"])))
+    gammas = [config.gamma for config in configs]
+    # every gamma advances in lockstep; the ODE records its state at each multiple of gamma
     gd = run_gd(model, configs)
-    ode = run_ode(model, x0, [gamma / params["ode_substeps"] for gamma in gammas], horizon)
+    ode = run_ode(model, configs, params["ode_substeps"])
     rows = []
     final_errors = []
     checks: list[CheckResult] = []
@@ -891,8 +889,7 @@ def _run_gd_ode(cfg: ExperimentConfig, out: _OutputDir) -> list[CheckResult]:
         steps = config.num_steps
         gd_run, ode_run = _finished(gd_run), _finished(ode_run)
         errors = np.array([
-            np.linalg.norm(gd_run.states[k] - ode_run.state_at_time(k * gamma))
-            for k in range(steps + 1)
+            np.linalg.norm(gd_run.states[k] - ode_run.states[k]) for k in range(steps + 1)
         ])
         bound = grad0 * math.exp(L * horizon) * steps * gamma * gamma * (1 + L * gamma) ** steps
         checks.append(CheckResult(
@@ -924,7 +921,8 @@ def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> Exper
     replications could run on a thread pool.
     """
     out = _OutputDir(out_dir, config)
-    checks = _RUNNERS[config.command](config, out)
+    root = derive_stream(config.seed, (config.command,))
+    checks = _RUNNERS[config.command](config, root, out)
     report = ExperimentReport(
         command=config.command,
         seed=config.seed,

@@ -10,8 +10,12 @@ Discrete iterations on the grid k*gamma, k = 0..K:
 Continuous-time references:
 
 * ``run_ode``           dX = -grad g(X) dt, classical 4th-order one-step method
+                        with substeps gamma/R
 * ``run_diffusion_em``  dX = -grad g(X) dt + sqrt(gamma/m) sigma(X) dB,
                         Euler-Maruyama with substeps gamma/R
+
+Both continuous-time references record their states at multiples of gamma
+only, so every runner's output grid is the config's.
 
 ``run_gaussian_sgd``, ``run_msgd`` and ``run_diffusion_em`` are ensemble
 runners: they take one ``RngStream`` per replication and advance all R
@@ -23,17 +27,17 @@ path), so replication r of an ensemble is bit-identical to a one-replication
 ensemble on the same stream.  ``run_gd`` and ``run_ode`` draw nothing and
 run one path per config, of shape (K+1, p).
 
-Every runner also takes a step-size grid: a sequence of configs (with one
-sequence of streams per config), or for ``run_ode`` a sequence of inner
-steps.  All rows of all configs then advance in lockstep, each row with its
-own step size, and a config's rows leave the live set after its last step,
-so the loop runs max K steps instead of their sum.  The result is a
+Every runner also takes a step-size grid: a sequence of configs, with one
+sequence of streams per config for the runners that draw.  All rows of all
+configs then advance in lockstep, each row with its own step size, and a
+config's rows leave the live set after its last step, so the loop runs
+max K steps instead of their sum.  The result is a
 :class:`Lockstep` whose ``runs`` hold one :class:`Trajectory` per config,
 bit-identical to running that config alone.  A single config is a grid of
 one, on the same code path, and returns its Trajectory.
 
-A state that is not finite or exceeds ``DIVERGENCE_LIMIT`` drops its row from
-further steps: its states from that iteration on are NaN and
+A recorded state that is not finite or exceeds ``DIVERGENCE_LIMIT`` drops its
+row from further steps: its states from that iteration on are NaN and
 ``Trajectory.diverged`` records it.  A run raises :class:`DivergenceError`
 only when every row of every config has diverged, so a lone path raises
 with the offending iteration index instead of propagating NaNs.
@@ -88,17 +92,17 @@ class ChunkBlock:
 class DivergenceError(ArithmeticError):
     """A trajectory left the representable range."""
 
-    def __init__(self, process: str, iteration: int, step_size: Optional[float] = None):
+    def __init__(self, process: str, iteration: int, step_size: float):
         self.process = process
         self.iteration = iteration
         self.step_size = step_size
-        at = "" if step_size is None else f" with step size {step_size:g}"
-        super().__init__(f"{process} diverged at iteration {iteration}{at}")
+        super().__init__(f"{process} diverged at iteration {iteration} "
+                         f"with step size {step_size:g}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Shared run parameters: step size, iteration count, and (n, m).
+    """Shared run parameters: step size, iteration count, (n, m) and the start.
 
     The horizon is T = num_steps * gamma.  All processes given the same
     config start at the same x0.
@@ -119,38 +123,19 @@ class RunConfig:
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
 
-    @property
-    def horizon(self) -> float:
-        return self.num_steps * self.gamma
-
 
 @dataclass
 class Trajectory:
-    """States x_0..x_K on the grid.
+    """States x_0..x_K on the grid k * config.gamma.
 
     Single paths (``gd``, ``ode``) have states of shape (K+1, p); ensembles
-    have (K+1, R, p).  An ``ode`` path has no ``config``: its grid is its
-    ``step_size``.
+    have (K+1, R, p).
     """
 
     kind: str
     states: np.ndarray                      # (K+1, p) or (K+1, R, p)
-    config: Optional[RunConfig]
-    model: LossModel
-    step_size: Optional[float] = None           # grid spacing when it differs from config.gamma
+    config: RunConfig
     diverged: dict[int, int] = field(default_factory=dict)  # replication -> iteration
-
-    @property
-    def grid(self) -> float:
-        return self.step_size if self.step_size is not None else self.config.gamma
-
-    def state_at_time(self, t: float) -> np.ndarray:
-        """State at a grid time; raises if t does not sit on the grid."""
-        ratio = t / self.grid
-        k = int(round(ratio))
-        if not 0 <= k < self.states.shape[0] or abs(ratio - k) > 1e-9:
-            raise ValueError(f"t={t} is not on the grid of spacing {self.grid}")
-        return self.states[k]
 
 
 @dataclass
@@ -184,45 +169,6 @@ def _rows(live: np.ndarray):
     return live
 
 
-def _lockstep(kind, x, last, step, streams, advance, columns):
-    """Advance every row to its own last step, all rows together; returns
-    (states, diverged).
-
-    Row r starts at ``x[r]``, takes ``last[r]`` steps and names its step size
-    ``step[r]`` in a divergence error.  ``advance(x, streams, *columns)``
-    maps the (live, p) states of the live rows, their streams and their
-    (live, 1) coefficient columns, in row order, to the next states.  A row
-    leaves the live set when it diverges (recorded in ``diverged``) or after
-    its last step; the run raises only once every row has diverged.
-    """
-    rows = x.shape[0]
-    states = np.full((int(last.max()) + 1, rows, x.shape[1]), np.nan)
-    diverged: dict[int, int] = {}
-    live = np.arange(rows)
-    index = slice(None)
-    exits = iter(sorted(set(last.tolist())))
-    exit_step = next(exits)
-    k = 0
-    while True:
-        if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # False for NaN and inf
-            ok = np.all(np.abs(x) <= DIVERGENCE_LIMIT, axis=1)
-            for r in live[~ok]:
-                diverged[int(r)] = k
-            if len(diverged) == rows:
-                raise DivergenceError(kind, k, float(step[live[~ok][0]]))
-            x, streams, live, columns = _keep(ok, x, streams, live, columns)
-            index = _rows(live)
-        states[k, index] = x
-        if k == exit_step:
-            x, streams, live, columns = _keep(last[live] > k, x, streams, live, columns)
-            index = _rows(live)
-            exit_step = next(exits, None)
-        if not live.size:
-            return states, diverged
-        x = advance(x, streams, *columns)
-        k += 1
-
-
 def _stream_list(streams) -> list:
     if isinstance(streams, RngStream):
         raise TypeError("expected a sequence of per-replication RngStreams, got one stream")
@@ -234,19 +180,24 @@ def _stream_list(streams) -> list:
 
 def _run_ensemble(
     kind: str,
-    model: LossModel,
     config: Union[RunConfig, Sequence[RunConfig]],
     streams,
     advance: Callable[..., np.ndarray],
     coefficients: Callable[[RunConfig], tuple],
 ):
-    """Advance every config's replications in lockstep.
+    """Advance every config's replications in lockstep, each to its config's
+    last step.
 
     ``streams`` holds one stream per replication for a single config, one
     such sequence per config for a grid, or None for a runner that draws
     nothing and runs one path per config.  ``coefficients(config)`` gives
-    the config's per-row numbers, passed to ``advance`` as (live, 1)
-    columns.  Returns the Trajectory of a single config, else a Lockstep.
+    the config's per-row numbers.  ``advance(x, streams, *columns)`` maps
+    the (live, p) states of the live rows, their streams and their (live, 1)
+    coefficient columns, in row order, to the next states.  A row leaves the
+    live set when it diverges or after its config's last step; the run
+    raises only once every row has diverged, naming the step size of a row
+    that diverged last.  Returns the Trajectory of a single config, else a
+    Lockstep.
     """
     single = isinstance(config, RunConfig)
     configs = [config] if single else list(config)
@@ -258,15 +209,36 @@ def _run_ensemble(
         raise ValueError(f"need one stream sequence per config, got {len(groups)} "
                          f"for {len(configs)} configs")
     sizes = [len(group) for group in groups]
-    states, diverged = _lockstep(
-        kind,
-        np.concatenate([np.tile(c.x0, (size, 1)) for c, size in zip(configs, sizes)]),
-        np.repeat([c.num_steps for c in configs], sizes),
-        np.repeat([c.gamma for c in configs], sizes),
-        [s for group in groups for s in group],
-        advance,
-        [np.repeat(column, sizes)[:, None] for column in zip(*map(coefficients, configs))],
-    )
+    x = np.concatenate([np.tile(c.x0, (size, 1)) for c, size in zip(configs, sizes)])
+    last = np.repeat([c.num_steps for c in configs], sizes)
+    step = np.repeat([c.gamma for c in configs], sizes)
+    row_streams = [s for group in groups for s in group]
+    columns = [np.repeat(column, sizes)[:, None] for column in zip(*map(coefficients, configs))]
+    states = np.full((int(last.max()) + 1, x.shape[0], x.shape[1]), np.nan)
+    diverged: dict[int, int] = {}
+    live = np.arange(x.shape[0])
+    index = slice(None)
+    exits = iter(sorted(set(last.tolist())))
+    exit_step = next(exits)
+    k = 0
+    while True:
+        if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # False for NaN and inf
+            ok = np.all(np.abs(x) <= DIVERGENCE_LIMIT, axis=1)
+            for r in live[~ok]:
+                diverged[int(r)] = k
+            if len(diverged) == len(last):
+                raise DivergenceError(kind, k, float(step[live[~ok][0]]))
+            x, row_streams, live, columns = _keep(ok, x, row_streams, live, columns)
+            index = _rows(live)
+        states[k, index] = x
+        if k == exit_step:
+            x, row_streams, live, columns = _keep(last[live] > k, x, row_streams, live, columns)
+            index = _rows(live)
+            exit_step = next(exits, None)
+        if not live.size:
+            break
+        x = advance(x, row_streams, *columns)
+        k += 1
     runs, start = [], 0
     for c, size in zip(configs, sizes):
         block = states[: c.num_steps + 1, start : start + size]
@@ -274,7 +246,6 @@ def _run_ensemble(
             kind=kind,
             states=block[:, 0] if streams is None else block,
             config=c,
-            model=model,
             diverged={r - start: k for r, k in diverged.items() if start <= r < start + size},
         ))
         start += size
@@ -287,7 +258,7 @@ def run_gd(model: LossModel, config) -> Union[Trajectory, Lockstep]:
     def advance(x, _streams, gamma):
         return x - gamma * model.grad_objective(x)
 
-    return _run_ensemble("gd", model, config, None, advance, lambda c: (c.gamma,))
+    return _run_ensemble("gd", config, None, advance, lambda c: (c.gamma,))
 
 
 def run_gaussian_sgd(model: LossModel, config, streams) -> Union[Trajectory, Lockstep]:
@@ -299,7 +270,7 @@ def run_gaussian_sgd(model: LossModel, config, streams) -> Union[Trajectory, Loc
         return x - gamma * model.grad_objective(x) + noise
 
     return _run_ensemble(
-        "gaussian_sgd", model, config, streams, advance,
+        "gaussian_sgd", config, streams, advance,
         lambda c: (c.gamma, c.gamma / math.sqrt(c.m)),
     )
 
@@ -340,52 +311,39 @@ def run_msgd(
             drift[start : start + len(part)] = (w[:, None, :] @ grads)[:, 0, :]
         return x - gamma * drift
 
-    return _run_ensemble("msgd", model, config, streams, advance, lambda c: (c.gamma,))
+    return _run_ensemble("msgd", config, streams, advance, lambda c: (c.gamma,))
 
 
-def run_ode(model: LossModel, x0, h, horizon: float) -> Union[Trajectory, Lockstep]:
+def run_ode(model: LossModel, config, substeps: int) -> Union[Trajectory, Lockstep]:
     """Gradient flow dX = -grad g(X) dt by the classical 4th-order method.
 
-    The grid spacing h must divide the horizon; a sequence of spacings runs
-    one path per spacing in lockstep.  Callers comparing against a discrete
-    process with step gamma should choose h <= gamma / 10 so the
-    integration error is negligible next to the effects under study.
+    Integrates with inner step h = gamma/substeps and records states at
+    multiples of gamma only, as :func:`run_diffusion_em` does; a path that
+    leaves the range is caught at the next recorded step.  Callers
+    comparing against a discrete process with step gamma should take
+    substeps >= 10 so the integration error is negligible next to the
+    effects under study.
     """
-    spacings = [h] if np.ndim(h) == 0 else list(h)
-    counts = []
-    for spacing in spacings:
-        if not spacing > 0:
-            raise ValueError(f"inner step h must be positive, got {spacing}")
-        steps_float = horizon / spacing
-        steps = int(round(steps_float))
-        if steps < 1 or abs(steps_float - steps) > 1e-9 * max(steps, 1):
-            raise ValueError(f"h={spacing} does not divide the horizon {horizon}")
-        counts.append(steps)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
 
     def rhs(x):
         return -model.grad_objective(x)
 
     def advance(x, _streams, half, full, sixth):
-        k1 = rhs(x)
-        k2 = rhs(x + half * k1)
-        k3 = rhs(x + half * k2)
-        k4 = rhs(x + full * k3)
-        return x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for _ in range(substeps):
+            k1 = rhs(x)
+            k2 = rhs(x + half * k1)
+            k3 = rhs(x + half * k2)
+            k4 = rhs(x + full * k3)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return x
 
-    full = np.array(spacings, dtype=float)[:, None]
-    states, diverged = _lockstep(
-        "ode", np.tile(x0, (len(spacings), 1)), np.array(counts), full[:, 0],
-        [None] * len(spacings), advance, [0.5 * full, full, full / 6.0],
-    )
-    runs = [
-        Trajectory(
-            kind="ode", states=states[: steps + 1, i], config=None, model=model,
-            step_size=spacing, diverged={0: diverged[i]} if i in diverged else {},
-        )
-        for i, (spacing, steps) in enumerate(zip(spacings, counts))
-    ]
-    return runs[0] if np.ndim(h) == 0 else Lockstep(states=states, runs=runs)
+    def coefficients(c):
+        h = c.gamma / substeps
+        return 0.5 * h, h, h / 6.0
+
+    return _run_ensemble("ode", config, None, advance, coefficients)
 
 
 def run_diffusion_em(
@@ -423,4 +381,4 @@ def run_diffusion_em(
         h = c.gamma / substeps
         return h, math.sqrt(c.gamma / c.m) * math.sqrt(h)
 
-    return _run_ensemble("diffusion_em", model, config, streams, advance, coefficients)
+    return _run_ensemble("diffusion_em", config, streams, advance, coefficients)

@@ -38,6 +38,7 @@ with replacement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -60,7 +61,6 @@ class LossModel:
     lipschitz_grad: float                    # L: Lipschitz modulus of grad_objective
     lipschitz_noise: float                   # L1: Lipschitz modulus of noise_factor, spectral norm
     strong_convexity: Optional[float] = None # lambda, when g is strongly convex
-    e_h1_sq: Optional[float] = None          # E[h1(u)^2] for the per-datum gradient modulus
     minimizer: Optional[np.ndarray] = None   # known argmin of the objective, if any
 
     def noise_trace(self, theta: np.ndarray) -> float:
@@ -73,8 +73,8 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     """Quadratic oracle model: l(theta, u) = |theta - u|^2 / 2, u ~ N(theta*, s^2 I).
 
     Then g(theta) = |theta - theta*|^2 / 2 + p s^2 / 2, grad_loss is
-    theta - u, and the noise factor is the constant s*I, so L = lambda = 1,
-    L1 = 0, and h1 = 1 identically.
+    theta - u, and the noise factor is the constant s*I, so L = lambda = 1
+    and L1 = 0.  The noise level p s^2 / 2 must be finite.
     """
     if not s > 0:
         raise ValueError(f"noise scale s must be positive, got {s}")
@@ -82,6 +82,8 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     if theta_star.shape != (p,):
         raise ValueError(f"theta_star must have shape ({p},), got {theta_star.shape}")
     const = 0.5 * p * s * s
+    if not math.isfinite(const):
+        raise ValueError(f"noise level p s^2 / 2 overflows at s = {s:g} and p = {p}")
     factor = s * np.eye(p)
     factor.setflags(write=False)
 
@@ -119,7 +121,6 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
         lipschitz_grad=1.0,
         lipschitz_noise=0.0,
         strong_convexity=1.0,
-        e_h1_sq=1.0,
         minimizer=theta_star,
     )
 
@@ -171,7 +172,6 @@ def make_uniform_clt_model(p: int) -> LossModel:
         lipschitz_grad=0.0,
         lipschitz_noise=0.0,
         strong_convexity=None,
-        e_h1_sq=0.0,
         minimizer=None,
     )
 
@@ -308,6 +308,5 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
         lipschitz_grad=lipschitz,
         lipschitz_noise=lipschitz_noise,
         strong_convexity=2.0 * kappa,
-        e_h1_sq=float(np.mean(h1**2)),
         minimizer=None,
     )

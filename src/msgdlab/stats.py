@@ -15,8 +15,9 @@ This module turns simulations into numbers that can be checked:
   E|scaled weighted error - scaled plain-average error|^2
   = 2 (1 - sqrt(m/n)) Tr sigma^2(theta), which holds at finite n for every
   weight law with the minibatch moment structure;
-* ``contraction_bound`` / ``contraction_fit`` / ``convergence_curve``
-  quantify geometric convergence under strong convexity.
+* ``contraction_bound`` (the predicted factor rho), ``contraction_fit`` and
+  ``convergence_curve`` (gaps to the model's known minimizer, or to a given
+  reference) quantify geometric convergence under strong convexity.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ class DistanceEstimate:
 
     value: float
     method: str  # "sliced" | "coordinate_average"
-    sample_size: int
 
 
 def sliced_w2(samples_a, samples_b, n_directions: int, stream: RngStream) -> DistanceEstimate:
@@ -120,7 +120,7 @@ def sliced_w2(samples_a, samples_b, n_directions: int, stream: RngStream) -> Dis
     proj_a = np.sort(a @ directions.T, axis=0)
     proj_b = np.sort(b @ directions.T, axis=0)
     value = float(np.mean((proj_a - proj_b) ** 2))
-    return DistanceEstimate(value=value, method="sliced", sample_size=a.shape[0])
+    return DistanceEstimate(value=value, method="sliced")
 
 
 def coordinate_avg_w2(samples_a, samples_b) -> DistanceEstimate:
@@ -140,7 +140,7 @@ def coordinate_avg_w2(samples_a, samples_b) -> DistanceEstimate:
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"sample sizes differ: {a.shape[0]} vs {b.shape[0]}")
     value = float(np.mean((np.sort(a, axis=0) - np.sort(b, axis=0)) ** 2))
-    return DistanceEstimate(value=value, method="coordinate_average", sample_size=a.shape[0])
+    return DistanceEstimate(value=value, method="coordinate_average")
 
 
 @dataclass
@@ -192,36 +192,27 @@ def weighting_gap(
     )
 
 
-@dataclass
-class RateReport:
-    """Strong-convexity contraction factor and the regime checks behind it."""
-
-    rho_bound: float
-    gamma_ok: bool
-    m_ok: bool
-
-
-def contraction_bound(
-    lam: float, gamma: float, L: float, L1: float, p: int, m: int
-) -> RateReport:
+def contraction_bound(lam: float, gamma: float, L: float, L1: float, p: int, m: int) -> float:
     """rho = 1 - lam*gamma*(2 - L*gamma) + 2 p L L1^2 gamma^2 / (m lam).
 
-    ``gamma_ok`` checks 0 < gamma < min(1/L, 1); ``m_ok`` checks
-    m > 2 p L L1 gamma / (lam^2 (2 - L*gamma)).  When both hold, rho < 1 is
-    verified defensively (it can fail for L1 > 1, where the m condition as
-    stated is weaker than what rho < 1 requires).
+    In the regime 0 < gamma < min(1/L, 1) and
+    m > 2 p L L1 gamma / (lam^2 (2 - L*gamma)), rho < 1 is verified
+    defensively (it can fail for L1 > 1, where the m condition as stated is
+    weaker than what rho < 1 requires).
     """
     if min(lam, gamma, L) <= 0 or L1 < 0 or p < 1 or m < 1:
         raise ValueError("lam, gamma, L must be positive; L1 >= 0; p, m >= 1")
     rho = 1.0 - lam * gamma * (2.0 - L * gamma) + 2.0 * p * L * L1**2 * gamma**2 / (m * lam)
-    gamma_ok = 0.0 < gamma < min(1.0 / L, 1.0)
-    m_ok = m > 2.0 * p * L * L1 * gamma / (lam**2 * (2.0 - L * gamma))
-    if gamma_ok and m_ok and not rho < 1.0:
+    in_regime = (
+        0.0 < gamma < min(1.0 / L, 1.0)
+        and m > 2.0 * p * L * L1 * gamma / (lam**2 * (2.0 - L * gamma))
+    )
+    if in_regime and not rho < 1.0:
         raise ArithmeticError(
             f"regime conditions hold but rho = {rho} >= 1; the minibatch condition "
             "is insufficient for this L1"
         )
-    return RateReport(rho_bound=rho, gamma_ok=gamma_ok, m_ok=m_ok)
+    return rho
 
 
 def plateau_bound(lam: float, gamma: float, L: float, m: int, noise_floor: float) -> float:
@@ -239,27 +230,7 @@ class ConvergenceCurve:
     sq_dist_se: np.ndarray
     reps: int
     diverged: list[int]
-    g_gap_reps: np.ndarray = field(repr=False)     # (reps_ok, K+1)
     sq_dist_reps: np.ndarray = field(repr=False)   # (reps_ok, K+1)
-
-
-def reference_minimum(
-    model: LossModel, tol: float = 1e-10, max_iter: int = 1_000_000
-) -> tuple[np.ndarray, float]:
-    """(x*, g(x*)): the known minimizer, else GD to gradient norm <= tol."""
-    if model.minimizer is not None:
-        x_star = np.asarray(model.minimizer, dtype=float)
-        return x_star, float(model.objective(x_star))
-    if not model.lipschitz_grad > 0:
-        raise ValueError("cannot locate a minimizer: model has no positive gradient modulus")
-    step = 1.0 / model.lipschitz_grad
-    x = np.zeros(model.dim)
-    for _ in range(max_iter):
-        grad = model.grad_objective(x)
-        if np.linalg.norm(grad) <= tol:
-            return x, float(model.objective(x))
-        x = x - step * grad
-    raise ArithmeticError(f"reference minimum not located within {max_iter} iterations")
 
 
 def convergence_curve(
@@ -273,7 +244,8 @@ def convergence_curve(
 ) -> ConvergenceCurve:
     """Replicate a process and average g(x_k) - g* and |x_k - x*|^2 over reps.
 
-    The runner advances all replications as one ensemble; replication r
+    The reference (x*, g*) defaults to the model's known minimizer.  The
+    runner advances all replications as one ensemble; replication r
     consumes the derived stream ``stream.child("rep", r)``.  Diverged
     replications are recorded by index and excluded from the averages; they
     are never silently dropped.  ``track_objective=False`` skips the
@@ -282,8 +254,11 @@ def convergence_curve(
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    x_star, g_star = reference if reference is not None else reference_minimum(model)
-    x_star = np.asarray(x_star, dtype=float)
+    if reference is None:
+        if model.minimizer is None:
+            raise ValueError(f"model {model.name!r} has no known minimizer; pass a reference")
+        reference = model.minimizer, float(model.objective(model.minimizer))
+    x_star, g_star = np.asarray(reference[0], dtype=float), reference[1]
     try:
         traj = runner(model, config, stream.children("rep", stop=reps))
     except DivergenceError as exc:
@@ -310,7 +285,6 @@ def convergence_curve(
         sq_dist_se=d_mat.std(axis=0, ddof=1) / scale if count > 1 else np.zeros(d_mat.shape[1]),
         reps=count,
         diverged=diverged,
-        g_gap_reps=g_mat,
         sq_dist_reps=d_mat,
     )
 

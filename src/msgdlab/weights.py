@@ -26,7 +26,7 @@ dirichlet
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -243,12 +243,8 @@ class MomentReport:
     var_first_se: float
     cov_pair: float
     cov_pair_se: float
-    pooled_offdiag: float
-    pooled_offdiag_se: float
     m_sum_sq_mean: float
     m_sum_sq_se: float
-    first_coords: np.ndarray = field(repr=False)
-    second_coords: np.ndarray = field(repr=False)
 
 
 def _variance_se(values: np.ndarray) -> float:
@@ -297,17 +293,6 @@ def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int)
     coord_mean = sum_w / reps
     coord_var = np.maximum(sum_w2 / reps - coord_mean**2, 0.0)
     coord_mean_se = np.sqrt(coord_var / reps)
-    # Pooling every (i, j) pair: since sum(w) = 1 a.s., per draw
-    # sum_{i != j} (w_i - 1/n)(w_j - 1/n) = -sum_i (w_i - 1/n)^2, and
-    # sum_i (w_i - 1/n)^2 = sum w^2 - 1/n, so the pooled off-diagonal
-    # estimate falls out of the m*sum(w^2) record with n^2 / 2 the noise
-    # of the single-pair estimator.
-    if n > 1:
-        pooled_draws = -(m_sum_sq / m - 1.0 / n) / (n * (n - 1))
-        pooled_offdiag = float(pooled_draws.mean())
-        pooled_offdiag_se = float(pooled_draws.std(ddof=1) / np.sqrt(reps))
-    else:
-        pooled_offdiag, pooled_offdiag_se = 0.0, 0.0
     return MomentReport(
         coord_mean=coord_mean,
         coord_mean_se=coord_mean_se,
@@ -315,11 +300,7 @@ def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int)
         var_first_se=_variance_se(first),
         cov_pair=float(np.cov(first, second, ddof=1)[0, 1]),
         cov_pair_se=_covariance_se(first, second),
-        pooled_offdiag=pooled_offdiag,
-        pooled_offdiag_se=pooled_offdiag_se,
         m_sum_sq_mean=float(m_sum_sq.mean()),
         m_sum_sq_se=float(m_sum_sq.std(ddof=1) / np.sqrt(reps)),
-        first_coords=first,
-        second_coords=second,
     )
 

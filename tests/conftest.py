@@ -31,7 +31,6 @@ def _repelling_for_stream(bad: int):
         lipschitz_grad=1.0,
         lipschitz_noise=0.0,
         strong_convexity=1.0,
-        e_h1_sq=1.0,
         minimizer=np.zeros(1),
     )
 

@@ -49,7 +49,7 @@ def w2_1d(samples_a, samples_b) -> DistanceEstimate:
     if a.size < 2:
         raise ValueError("need at least 2 samples")
     value = float(np.mean((np.sort(a) - np.sort(b)) ** 2))
-    return DistanceEstimate(value=value, method="exact_1d", sample_size=a.size)
+    return DistanceEstimate(value=value, method="exact_1d")
 
 
 def dirichlet_mixed_moment(alpha, beta) -> float:
@@ -78,3 +78,23 @@ def dirichlet_mixed_moment(alpha, beta) -> float:
         + np.sum(gammaln(alpha[active] + beta[active]) - gammaln(alpha[active]))
     )
     return float(np.exp(log_value))
+
+
+def rk4_path(grad: Callable[[np.ndarray], np.ndarray], x0, h: float, steps: int) -> np.ndarray:
+    """States x_0..x_steps of the classical 4th-order method for
+    dx/dt = -grad(x) at step h, one plain step at a time.
+
+    The oracle for ``run_ode``, which takes substeps of h inside each step
+    of its config and records only every substeps-th state; the coefficients
+    are formed as 0.5*h, h and h/6, so the two agree to the last bit.
+    """
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    states = [x]
+    for _ in range(steps):
+        k1 = -grad(x)
+        k2 = -grad(x + (0.5 * h) * k1)
+        k3 = -grad(x + (0.5 * h) * k2)
+        k4 = -grad(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return np.array(states)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import msgdlab.dynamics as dynamics_mod
+from msgdlab.numerics import derive_stream
 from msgdlab.cli import (
     COMMANDS,
     CheckResult,
@@ -290,6 +291,44 @@ class TestValidateConfig:
         assert cfg.params["thresholds"]["var_sigmas"] == 6
         assert cfg.params["thresholds"]["mean_sigmas"] == 4
 
+    @pytest.mark.parametrize(
+        "raw, start",
+        [
+            (tiny_config("wass-scaling"), [1.0, 1.0]),
+            (tiny_config("converge"), [1.0]),
+            (tiny_logistic(), [1.0 / math.sqrt(2.0)] * 2),
+            (tiny_logistic() | {"x0": [0.5, -2.0]}, [0.5, -2.0]),
+        ],
+        ids=["wass-scaling", "converge", "logistic", "given"],
+    )
+    def test_configs_carry_the_resolved_start(self, raw, start):
+        # x0 defaults to ones, scaled to unit length for the logistic model
+        configs = validate_config(raw).plan["configs"]
+        assert configs
+        for config in configs:
+            np.testing.assert_array_equal(config.x0, start)
+
+    def test_step_grid_planned_in_decreasing_gamma(self):
+        raw = tiny_config("gd-ode") | {"gammas": [0.05, 0.2, 0.1]}
+        assert [c.gamma for c in validate_config(raw).plan["configs"]] == [0.2, 0.1, 0.05]
+
+    def test_logistic_dataset_drawn_once(self, tmp_path, monkeypatch):
+        # validation draws the run's own dataset, and the run uses it
+        import msgdlab.cli as cli_mod
+
+        draws = []
+
+        def counted(*args):
+            draws.append(generate(*args))
+            return draws[-1]
+
+        generate = cli_mod.generate_logistic_dataset
+        monkeypatch.setattr(cli_mod, "generate_logistic_dataset", counted)
+        run_experiment(validate_config(tiny_logistic() | {"kappas": [0.1, 0.3]}), tmp_path)
+        assert len(draws) == 1
+        own = generate(derive_stream(9, ["converge"]).child("dataset"), 2, 50, 1.0)
+        np.testing.assert_array_equal(draws[0].covariates, own.covariates)
+
     def test_unknown_threshold_key_rejected(self):
         raw = tiny_config("weights-moments") | {"thresholds": {"sigma": 2}}
         with pytest.raises(ConfigError, match="sigma"):
@@ -474,6 +513,9 @@ class TestMain:
                 "weights-moments.m",
             ),
             (tiny_config("weighting-gap") | {"pairs": [[100, 100]]}, "pairs[0]"),
+            # the noise level p s^2 / 2 overflows
+            (tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "s": 1e160}},
+             "model"),
         ],
         ids=[
             "thresholds", "schemes-entry", "scheme", "blocks", "logistic-reps", "x0-length",
@@ -485,7 +527,7 @@ class TestMain:
             "logistic-p-zero", "logistic-t-zero", "minibatch-base", "dirichlet-base",
             "logistic-s", "logistic-theta-star", "quadratic-t", "bool-kappa", "bool-pair",
             "x0-at-minimiser", "x0-at-minimiser-burn-in", "gd-ode-x0-at-minimiser",
-            "moments-m-equals-n", "gap-m-equals-n",
+            "moments-m-equals-n", "gap-m-equals-n", "s-overflows",
         ],
     )
     def test_malformed_value_exit_two(self, config, key, tmp_path, capsys):
@@ -532,11 +574,13 @@ class TestMain:
         "config, line",
         [
             (
-                tiny_config("wass-scaling") | {"model": {"kind": "quadratic", "p": 2, "s": 1e160}},
+                tiny_config("wass-scaling") | {"model": {"kind": "quadratic", "p": 2,
+                                                         "theta_star": [1e152, 1e152]}},
                 "error: msgd diverged at iteration 1 with step size 0.2",
             ),
             (
-                tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "s": 1e160}},
+                tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1,
+                                                     "theta_star": [1e152]}},
                 "error: gaussian_sgd: all 50 replications diverged at iteration 1 "
                 "with step size 0.1",
             ),
@@ -556,6 +600,19 @@ class TestMain:
         code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [line]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge noise overflows on purpose
+    def test_rate_of_a_curve_that_is_not_positive_fails(self, tmp_path, capsys):
+        # some replications survive, and their g-gap cancels against p s^2 / 2,
+        # so the fit window holds values that are not positive: no rate to fit
+        config_path = tmp_path / "cfg.json"
+        config = tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "s": 1e151}}
+        config_path.write_text(json.dumps(config))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "FAIL gaussian_sgd:rho_hat: observed=nan" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert not payload["overall_pass"]
 
     def test_report_without_checks_fails(self):
         empty = ExperimentReport(command="gd-ode", seed=1, config={}, resolved={}, checks=[])

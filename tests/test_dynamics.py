@@ -25,6 +25,7 @@ from msgdlab.models import (
 )
 from msgdlab.numerics import derive_stream
 from msgdlab.weights import WeightScheme
+from oracles import rk4_path
 
 
 def zero_noise_quadratic(p=1):
@@ -44,7 +45,6 @@ def zero_noise_quadratic(p=1):
         lipschitz_grad=1.0,
         lipschitz_noise=0.0,
         strong_convexity=1.0,
-        e_h1_sq=1.0,
         minimizer=np.zeros(p),
     )
 
@@ -66,7 +66,6 @@ def repelling_model(p=1):
         lipschitz_grad=1.0,
         lipschitz_noise=0.0,
         strong_convexity=None,
-        e_h1_sq=1.0,
         minimizer=None,
     )
 
@@ -83,10 +82,6 @@ class TestRunConfig:
         for gamma in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ValueError):
                 RunConfig(gamma=gamma, num_steps=5, m=1, n=1, x0=[0.0])
-
-    def test_horizon(self):
-        config = RunConfig(gamma=0.1, num_steps=10, m=2, n=4, x0=[0.0])
-        assert config.horizon == pytest.approx(1.0)
 
     def test_m_not_above_n(self):
         with pytest.raises(ValueError):
@@ -357,7 +352,7 @@ class TestDivergenceGuards:
         model = make_uniform_clt_model(2)
         x0 = [0.5, value]
         config = RunConfig(gamma=0.5, num_steps=3, m=1, n=1, x0=x0)
-        runs = (lambda: run_gd(model, config), lambda: run_ode(model, x0, 0.5, 1.5))
+        runs = (lambda: run_gd(model, config), lambda: run_ode(model, config, 2))
         for run in runs:
             if _out_of_range(value):
                 with pytest.raises(DivergenceError) as info:
@@ -407,37 +402,62 @@ class TestDivergenceGuards:
         assert info.value.iteration == 1
 
 
+def ode_config(gamma, num_steps, x0):
+    return RunConfig(gamma=gamma, num_steps=num_steps, m=1, n=1, x0=x0)
+
+
 class TestOde:
     def test_exponential_decay(self):
         model = make_quadratic_model(1, [0.0], 1.0)
-        traj = run_ode(model, [1.0], h=1e-3, horizon=1.0)
+        traj = run_ode(model, ode_config(0.1, 10, [1.0]), 100)
         assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_fixed_point(self):
         model = make_quadratic_model(2, [1.0, 1.0], 1.0)
-        traj = run_ode(model, [1.0, 1.0], h=0.01, horizon=0.5)
+        traj = run_ode(model, ode_config(0.1, 5, [1.0, 1.0]), 10)
         np.testing.assert_array_equal(traj.states[-1], [1.0, 1.0])
 
     def test_fourth_order_convergence(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         errors = {}
-        for h in (0.2, 0.1):
-            traj = run_ode(model, [1.0], h=h, horizon=1.0)
-            errors[h] = abs(traj.states[-1, 0] - math.exp(-1.0))
-        ratio = errors[0.2] / errors[0.1]
+        for substeps in (1, 2):  # h = 0.2 and 0.1
+            traj = run_ode(model, ode_config(0.2, 5, [1.0]), substeps)
+            errors[substeps] = abs(traj.states[-1, 0] - math.exp(-1.0))
+        ratio = errors[1] / errors[2]
         assert 10 <= ratio <= 22  # halving h cuts the error ~16x at order 4
 
-    def test_step_must_divide_horizon(self):
+    def test_substeps_must_be_positive(self):
         model = make_quadratic_model(1, [0.0], 1.0)
-        with pytest.raises(ValueError):
-            run_ode(model, [1.0], h=0.3, horizon=1.0)
+        with pytest.raises(ValueError, match="substeps"):
+            run_ode(model, ode_config(0.1, 5, [1.0]), 0)
 
-    def test_state_at_time_lookup(self):
-        model = make_quadratic_model(1, [0.0], 1.0)
-        traj = run_ode(model, [1.0], h=0.005, horizon=1.0)
-        assert traj.state_at_time(0.1)[0] == traj.states[20, 0]
-        with pytest.raises(ValueError):
-            traj.state_at_time(0.0033)
+    def test_records_every_multiple_of_gamma_of_plain_rk4(self):
+        # a grid and each config alone equal plain RK4 at step gamma/substeps,
+        # sampled at every multiple of gamma, to the last bit
+        model = make_quadratic_model(2, [0.5, -1.0], 1.0)
+        substeps = 7
+        configs = [ode_config(g, k, [2.0, 1.0]) for g, k in ((0.3, 4), (0.1, 12), (0.2, 6))]
+        grid = run_ode(model, configs, substeps)
+        for config, grid_run in zip(configs, grid.runs):
+            path = rk4_path(model.grad_objective, config.x0, config.gamma / substeps,
+                            config.num_steps * substeps)
+            np.testing.assert_array_equal(grid_run.states, path[::substeps])
+            np.testing.assert_array_equal(run_ode(model, config, substeps).states, grid_run.states)
+
+    @pytest.mark.parametrize("substeps", [1, 2, 10])
+    def test_divergence_reported_at_the_recorded_step(self, substeps):
+        # h lam = 5 is outside the method's stability interval: each inner
+        # step multiplies |x| by about 13.7, so |x| first passes the limit at
+        # some inner step, and the error names the recorded step that ends it
+        model = stiff_model(10.0 * substeps)
+        config = ode_config(0.5, 150, [1.0])
+        inner = rk4_path(model.grad_objective, config.x0, config.gamma / substeps, 150)
+        first = int(np.argmax(np.abs(inner[:, 0]) > LIMIT))
+        assert first > 0
+        with pytest.raises(DivergenceError) as info:
+            run_ode(model, config, substeps)
+        assert info.value.iteration == -(-first // substeps)
+        assert info.value.step_size == config.gamma
 
 
 class TestDiffusionEm:
@@ -462,11 +482,8 @@ class TestDiffusionEm:
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=10, m=10**8, n=10**8, x0=[1.0])
         traj = run_diffusion_em(model, config, 50, [derive_stream(29, ["big"])])
-        ode = run_ode(model, [1.0], h=0.1 / 50, horizon=1.0)
-        gaps = [
-            abs(traj.states[k, 0, 0] - ode.state_at_time(k * 0.1)[0]) for k in range(11)
-        ]
-        assert max(gaps) <= 1e-2
+        ode = run_ode(model, config, 50)
+        assert np.max(np.abs(traj.states[:, 0] - ode.states)) <= 1e-2
 
 
 class TestLogisticNoiseDimension:
@@ -504,11 +521,8 @@ class TestGdOdeGap:
             steps = int(round(horizon / gamma))
             config = RunConfig(gamma=gamma, num_steps=steps, m=1, n=1, x0=[1.0])
             gd = run_gd(model, config)
-            ode = run_ode(model, [1.0], h=gamma / 20, horizon=horizon)
-            errors = [
-                abs(gd.states[k, 0] - ode.state_at_time(k * gamma)[0])
-                for k in range(steps + 1)
-            ]
+            ode = run_ode(model, config, 20)
+            errors = np.abs(gd.states[:, 0] - ode.states[:, 0])
             for k in range(1, steps + 1):
                 assert errors[k] <= c1 * k * gamma * (1 + L * gamma) ** k
             finals.append(errors[-1])
@@ -564,7 +578,7 @@ class TestLockstep:
     def _assert_equal_runs(grid_run, alone):
         np.testing.assert_array_equal(grid_run.states, alone.states)
         assert grid_run.diverged == alone.diverged
-        assert grid_run.config == alone.config and grid_run.step_size == alone.step_size
+        assert grid_run.config == alone.config
 
     def _assert_grid_matches(self, run, configs, streams, entirely=()):
         """run(configs, streams()) against run(config, streams()[i]) per
@@ -696,20 +710,13 @@ class TestLockstep:
 
     def test_ode(self):
         # h lam = 5 is outside the method's stability interval, 1 and 2.5 inside
-        model = stiff_model(10.0)
-        spacings, horizon = [0.1, 0.5, 0.25], 100.0
-        grid = run_ode(model, [1.0], spacings, horizon)
-        assert grid.states.shape == (1001, 3, 1)
-        for i in (0, 2):
-            self._assert_equal_runs(grid.runs[i], run_ode(model, [1.0], spacings[i], horizon))
-        unstable = grid.runs[1]
-        last = unstable.diverged[0]
-        with pytest.raises(DivergenceError) as info:
-            run_ode(model, [1.0], 0.5, horizon)
-        assert info.value.iteration == last and info.value.step_size == 0.5
-        alone = run_ode(model, [1.0], 0.5, 0.5 * (last - 1))
-        np.testing.assert_array_equal(unstable.states[:last], alone.states)
-        assert np.isnan(unstable.states[last:]).all()
+        model = stiff_model(20.0)
+        configs = [RunConfig(gamma=g, num_steps=k, m=1, n=1, x0=[1.0])
+                   for g, k in ((0.1, 500), (0.5, 100), (0.25, 200))]
+        grid = self._assert_grid_matches(
+            lambda c, s: run_ode(model, c, 2), configs, lambda: [None] * 3, entirely=(1,)
+        )
+        assert grid.states.shape == (501, 3, 1)
 
     def test_every_row_diverged_raises(self):
         model = repelling_model()

@@ -20,7 +20,6 @@ from msgdlab.stats import (
     covariance_with_se,
     ks_normality,
     plateau_bound,
-    reference_minimum,
     sliced_w2,
     weighting_gap,
 )
@@ -293,27 +292,18 @@ class TestWeightingGap:
 
 class TestContractionBound:
     def test_noiseless_quadratic_rate(self):
-        report = contraction_bound(lam=1.0, gamma=0.1, L=1.0, L1=0.0, p=1, m=10)
-        assert report.rho_bound == pytest.approx(0.81)
-        assert report.gamma_ok and report.m_ok
-
-    def test_gamma_regime_flag(self):
-        report = contraction_bound(lam=1.0, gamma=0.6, L=2.0, L1=0.0, p=1, m=10)
-        assert not report.gamma_ok
+        rho = contraction_bound(lam=1.0, gamma=0.1, L=1.0, L1=0.0, p=1, m=10)
+        assert rho == pytest.approx(0.81)
 
     def test_worked_arithmetic(self):
         # by hand: 1 - 0.1*1.9 + 2*6*1*1*0.01/(10*1) = 0.81 + 0.012 = 0.822
-        # m condition: m > 12*0.1/(1*1.9) = 0.6316
-        report = contraction_bound(lam=1.0, gamma=0.1, L=1.0, L1=1.0, p=6, m=10)
-        assert report.rho_bound == pytest.approx(0.822)
-        assert report.m_ok
+        rho = contraction_bound(lam=1.0, gamma=0.1, L=1.0, L1=1.0, p=6, m=10)
+        assert rho == pytest.approx(0.822)
 
     def test_monotone_in_m_and_flat_when_noiseless(self):
-        values = [
-            contraction_bound(1.0, 0.1, 1.0, 0.5, 4, m).rho_bound for m in (2, 8, 32)
-        ]
+        values = [contraction_bound(1.0, 0.1, 1.0, 0.5, 4, m) for m in (2, 8, 32)]
         assert values[0] >= values[1] >= values[2]
-        flat = [contraction_bound(1.0, 0.1, 1.0, 0.0, 4, m).rho_bound for m in (2, 32)]
+        flat = [contraction_bound(1.0, 0.1, 1.0, 0.0, 4, m) for m in (2, 32)]
         assert flat[0] == flat[1]
 
     def test_defensive_check_fires_for_large_l1(self):
@@ -327,7 +317,7 @@ def gd_ensemble(model, config, streams) -> Trajectory:
     """Deterministic GD copied into every replication of an ensemble."""
     gd = run_gd(model, config)
     states = np.repeat(gd.states[:, None, :], len(streams), axis=1)
-    return Trajectory(kind="gd", states=states, config=config, model=model)
+    return Trajectory(kind="gd", states=states, config=config)
 
 
 class TestConvergenceCurve:
@@ -373,7 +363,6 @@ class TestConvergenceCurve:
                 config, 1, stream,
             )
             np.testing.assert_array_equal(curve.sq_dist_reps[row], alone.sq_dist_reps[0])
-            np.testing.assert_array_equal(curve.g_gap_reps[row], alone.g_gap_reps[0])
 
     def test_all_diverged_raises(self, repelling_for_stream):
         model = repelling_for_stream(0)
@@ -385,14 +374,14 @@ class TestConvergenceCurve:
                 config, 1, derive_stream(61, ["all"]),
             )
 
-    def test_reference_minimum_by_descent(self):
+    def test_reference_needed_without_a_known_minimizer(self):
         from msgdlab.models import generate_logistic_dataset, make_logistic_model
 
         dataset = generate_logistic_dataset(derive_stream(67, ["ref"]), 2, 200, 0.1)
         model = make_logistic_model(dataset)
-        x_star, g_star = reference_minimum(model)
-        assert np.linalg.norm(model.grad_objective(x_star)) <= 1e-10
-        assert g_star <= model.objective(np.zeros(2))
+        config = RunConfig(gamma=0.1, num_steps=3, m=1, n=1, x0=[1.0, 1.0])
+        with pytest.raises(ValueError, match="no known minimizer"):
+            convergence_curve(model, gd_ensemble, config, 1, derive_stream(67, ["run"]))
 
 
 class TestContractionFit:

@@ -6,6 +6,9 @@ by the third positional argument (the substeps).  A fresh interpreter
 installs it unchanged, runs the golden step-size grids, and checks that the
 bytes are the golden ones and that each runner ran once per config with
 the lockstep step count: the longest grid member's steps, not their sum.
+The ODE, like EM, records one state per step of gamma, but the tracer
+multiplies only EM's count by its substeps, so the ODE counts its recorded
+steps.
 """
 
 from __future__ import annotations
@@ -55,13 +58,13 @@ def test_tracer_counts_lockstep_steps_and_keeps_bytes(tmp_path):
         assert directory_digest(tmp_path / name) == GOLDEN[name][1], name
     assert traced["absent"] == []
     # wass-scaling: gammas 0.25, 0.125, 0.0625 take 4, 8 and 16 steps of 6 substeps;
-    # gd-ode: gammas 0.2, 0.1, 0.05 take 4, 8 and 16 steps, the ODE 12 times as many
+    # gd-ode: gammas 0.2, 0.1, 0.05 take 4, 8 and 16 steps, GD and the ODE alike
     assert {key: value for key, value in traced["counters"].items()
             if key.startswith("dynamics.")} == {
         "dynamics.msgd.steps": 16,
         "dynamics.diffusion_em.steps": 16 * 6,
         "dynamics.gd.steps": 16,
-        "dynamics.ode.steps": 16 * 12,
+        "dynamics.ode.steps": 16,
     }
     for runner in ("msgd", "diffusion_em", "gd", "ode"):
         assert traced["spans"][f"dynamics.{runner}"] == 1, runner

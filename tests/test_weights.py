@@ -224,15 +224,21 @@ class TestGaussianStructured:
             assert abs(w.sum() - 1.0) <= 1e-10 * scheme.n
 
     def test_pooled_covariance_matches_target(self):
-        # single-pair covariance is unresolvable at this scale; the pooled
-        # estimator (exact pair identity via sum(w)=1) is negative in every
-        # draw and pins the target -4.0004e-12 to a few percent
-        n, m = 10**4, 2000
+        # single-pair covariance is unresolvable at this scale; pooling every
+        # (i, j) pair is exact via sum(w) = 1: per draw
+        # sum_{i != j} (w_i - 1/n)(w_j - 1/n) = -(sum w^2 - 1/n), so the pooled
+        # estimate is negative in every draw and pins the target -4.0004e-12
+        # to a few percent
+        n, m, reps = 10**4, 2000, 2 * 10**4
         scheme = WeightScheme("gaussian", n=n, m=m)
-        report = empirical_weight_moments(scheme, derive_stream(23, ["gcov"]), 2 * 10**4)
+        chunks = derive_stream(23, ["gcov"]).child_chunks("rep", stop=reps, size=50)
+        pooled = np.concatenate([
+            -(np.sum(sample_weights(streams, scheme) ** 2, axis=1) - 1.0 / n) / (n * (n - 1))
+            for _, streams in chunks
+        ])
         _, offdiag = sigma_entries(n, m)
-        assert report.pooled_offdiag < 0
-        assert abs(report.pooled_offdiag - offdiag) <= 3 * report.pooled_offdiag_se
+        assert pooled.mean() < 0
+        assert abs(pooled.mean() - offdiag) <= 3 * pooled.std(ddof=1) / math.sqrt(reps)
 
     def test_rademacher_base_values(self):
         scheme = WeightScheme("gaussian", n=100, m=10, base="rademacher")
@@ -350,9 +356,10 @@ class TestEmpiricalMoments:
         for i, j in [(0, 1), (0, n // 2), (1, n - 1), (n // 2, n - 1)]:
             joint = math.hypot(report.coord_mean_se[i], report.coord_mean_se[j])
             assert abs(report.coord_mean[i] - report.coord_mean[j]) <= 3 * joint
-        # variances of the two tracked coordinates agree
-        var0 = np.var(report.first_coords, ddof=1)
-        var1 = np.var(report.second_coords, ddof=1)
+        # variances of the two tracked coordinates agree, on the report's draws
+        w = sample_weights(derive_stream(47, [kind]).children("rep", stop=4000), scheme)
+        var0 = np.var(w[:, 0], ddof=1)
+        var1 = np.var(w[:, 1], ddof=1)
         joint = math.hypot(report.var_first_se, report.var_first_se)
         assert abs(var0 - var1) <= 3 * joint
 
