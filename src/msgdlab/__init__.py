@@ -31,8 +31,6 @@ from .models import (
 from .numerics import RngStream, derive_stream, sample_gamma
 from .stats import (
     ConvergenceCurve,
-    DistanceEstimate,
-    ErrorSampleSet,
     GapEstimate,
     clt_error_samples,
     contraction_bound,

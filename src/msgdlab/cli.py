@@ -415,11 +415,12 @@ def _check_step_grid(params: dict, command: str, sizes, plan: dict, diags: list[
 
 
 def _check_runs(params: dict, sizes, made, plan: dict, diags: list[str]) -> None:
-    """converge's runs, into ``plan["configs"]`` in run order, and the
-    logistic model's blocks, reps and kappas: one dataset per kappa, into
-    ``plan["datasets"]`` in decreasing kappa."""
+    """converge's runs, into ``plan["configs"]`` and their fit windows, as
+    slices of the curve, into ``plan["segments"]``, both in run order, and
+    the logistic model's blocks, reps and kappas: one dataset per kappa,
+    into ``plan["datasets"]`` in decreasing kappa."""
     runs = params["runs"] or []
-    plan["configs"] = []
+    plan["configs"], plan["segments"] = [], []
     for i, run in enumerate(runs):
         for n, m in sizes:
             plan["configs"].append(_build(
@@ -427,7 +428,7 @@ def _check_runs(params: dict, sizes, made, plan: dict, diags: list[str]) -> None
                 plan.get("start"),
             ))
         fit = (run["num_steps"] + 1, run.get("fit_burn_in", 0), run.get("fit_window"))
-        _build(f"runs[{i}]", diags, fit_segment, *fit)
+        plan["segments"].append(_build(f"runs[{i}]", diags, fit_segment, *fit))
     kind = params["model"] and params["model"]["kind"]
     if kind == "quadratic" and "kappas" in params:
         diags.append("converge.kappas: only valid for the logistic model")
@@ -620,20 +621,20 @@ def _run_clt(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
     count, p = params["samples"], params["p"]
     model = make_uniform_clt_model(p)
     [(_, scheme)] = cfg.plan["schemes"]
-    sample_set = clt_error_samples(model, scheme, np.zeros(p), count, root.child("samples"))
+    samples = clt_error_samples(model, scheme, np.zeros(p), count, root.child("samples"))
     target_var = 1.0 / 3.0  # Var Unif(-1, 1)
     checks: list[CheckResult] = []
     for j in range(p):
-        stat, _ = ks_normality(sample_set.samples[:, j], target_var)
         checks.append(CheckResult(
-            f"ks_coord{j + 1}", stat, 0.0, params["ks_threshold"], comparison="le",
+            f"ks_coord{j + 1}", ks_normality(samples[:, j], target_var), 0.0,
+            params["ks_threshold"], comparison="le",
         ))
         out.write_csv(
             f"hist_coord{j + 1}.csv",
             ["bin_left", "bin_right", "count"],
-            histogram_rows(sample_set.samples[:, j], params["bins"]),
+            histogram_rows(samples[:, j], params["bins"]),
         )
-    cov, cov_se = covariance_with_se(sample_set.samples)
+    cov, cov_se = covariance_with_se(samples)
     target = target_var * np.eye(p)
     worst = 0.0
     for i in range(p):
@@ -663,13 +664,20 @@ def _run_weighting_gap(cfg: ExperimentConfig, root, out: _OutputDir) -> list[Che
             f"{label}:n{n}:m{m}", gap.estimate, gap.analytic,
             params["sigmas"] * gap.se,
         ))
-        rows.append([label, n, m, gap.reps, gap.estimate, gap.se, gap.analytic])
+        rows.append([label, n, m, params["reps"], gap.estimate, gap.se, gap.analytic])
     out.write_csv(
         "weighting_gap.csv",
         ["scheme", "n", "m", "reps", "estimate", "se", "analytic"],
         rows,
     )
     return checks
+
+
+def _loglog_slope(gammas, values, bounds) -> CheckResult:
+    """The slope of log(values) against log(gammas), checked to lie in `bounds`."""
+    slope = float(np.polyfit(np.log(gammas), np.log(values), 1)[0])
+    low, high = bounds
+    return CheckResult("loglog_slope", slope, (low + high) / 2.0, (high - low) / 2.0)
 
 
 def _finished(trajectory):
@@ -702,13 +710,13 @@ def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[Chec
     rows = []
     for i, (gamma, msgd_run, em_run) in enumerate(zip(gammas, msgd.runs, em.runs)):
         msgd_ensemble, em_ensemble = msgd_run.states[-1], _finished(em_run).states[-1]
-        estimate = sliced_w2(
+        sliced = sliced_w2(
             msgd_ensemble, em_ensemble, params["n_directions"], root.child(i, "directions")
         )
         by_coord = coordinate_avg_w2(msgd_ensemble, em_ensemble)
-        values.append(estimate.value)
-        rows.append([gamma, estimate.value, estimate.method, params["n_directions"], reps])
-        rows.append([gamma, by_coord.value, by_coord.method, 0, reps])
+        values.append(sliced)
+        rows.append([gamma, sliced, "sliced", params["n_directions"], reps])
+        rows.append([gamma, by_coord, "coordinate_average", 0, reps])
     out.write_csv(
         "wass_scaling.csv", ["gamma", "w2sq", "method", "n_directions", "reps"], rows
     )
@@ -717,11 +725,7 @@ def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[Chec
     checks.append(CheckResult(
         "monotone_ratio", worst_ratio, 1.0, params["slack"], comparison="le",
     ))
-    slope = float(np.polyfit(np.log(gammas), np.log(values), 1)[0])
-    low, high = params["slope_range"]
-    checks.append(CheckResult(
-        "loglog_slope", slope, (low + high) / 2.0, (high - low) / 2.0,
-    ))
+    checks.append(_loglog_slope(gammas, values, params["slope_range"]))
     return checks
 
 
@@ -743,7 +747,7 @@ def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[CheckResult]:
     m = scheme.m
     trace = model.noise_trace(model.minimizer)
     checks: list[CheckResult] = []
-    for run_idx, (run, config) in enumerate(zip(params["runs"], plan["configs"])):
+    for run_idx, (config, segment) in enumerate(zip(plan["configs"], plan["segments"])):
         gamma, steps = config.gamma, config.num_steps
         oracle = _quadratic_gap_recursion(
             gamma, m, trace, model.objective(x0) - model.objective(model.minimizer), steps
@@ -761,15 +765,17 @@ def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[CheckResult]:
         }
         for kind, runner in runners.items():
             curve = convergence_curve(model, runner, config, reps, root.child(run_idx, kind))
-            # worst deviation from the recursion oracle in SE units
-            dev = np.abs(curve.g_gap_mean - oracle) / (4.0 * curve.g_gap_se + 1e-15)
+            # worst deviation from the recursion oracle in SE units; an SE
+            # that overflowed bounds nothing
+            dev = math.nan
+            if np.all(np.isfinite(curve.g_gap_se)):
+                scale = 4.0 * curve.g_gap_se + 1e-15
+                dev = float(np.max(np.abs(curve.g_gap_mean - oracle) / scale))
             checks.append(CheckResult(
-                f"{kind}:recursion_max_dev", float(dev.max()), 1.0, 0.0, comparison="le",
+                f"{kind}:recursion_max_dev", dev, 1.0, 0.0, comparison="le",
             ))
             try:
-                rho_hat = contraction_fit(
-                    curve.g_gap_mean, run.get("fit_burn_in", 0), run.get("fit_window"),
-                )
+                rho_hat = contraction_fit(curve.g_gap_mean[segment])
             except ValueError:  # a curve that is not positive over the window has no rate
                 rho_hat = math.nan
             checks.append(CheckResult(
@@ -813,16 +819,14 @@ def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[CheckResult]:
     reps, blocks = params["reps"], params["blocks"]
     [(_, scheme)] = plan["schemes"]
     checks: list[CheckResult] = []
-    for run_idx, (run, config) in enumerate(zip(params["runs"], plan["configs"])):
+    for run_idx, (config, segment) in enumerate(zip(plan["configs"], plan["segments"])):
         steps = config.num_steps
         rho_hats = []
         for kappa_idx, dataset in enumerate(plan["datasets"]):
             kappa = dataset.kappa
             curve = convergence_curve(
                 make_logistic_model(dataset), lambda mo, co, st: run_msgd(mo, scheme, co, st),
-                config, reps, root.child(run_idx, kappa_idx),
-                reference=(np.zeros(dataset.dim), 0.0),
-                track_objective=False,
+                config, reps, root.child(run_idx, kappa_idx), reference=np.zeros(dataset.dim),
             )
             mse, mse_se = curve.sq_dist_mean, curve.sq_dist_se
             label = f"run{run_idx}:kappa{kappa:g}"
@@ -843,9 +847,7 @@ def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[CheckResult]:
             checks.append(CheckResult(
                 f"{label}:plateau_flat", plateau_gap, 0.0, 0.0, comparison="le",
             ))
-            rho_hat, rho_se = contraction_fit_jackknife(
-                curve.sq_dist_reps, run.get("fit_burn_in", 0), run.get("fit_window"),
-            )
+            rho_hat, rho_se = contraction_fit_jackknife(curve.sq_dist_reps[:, segment])
             rho_hats.append((kappa, rho_hat, rho_se))
             out.write_csv(
                 f"mse_run{run_idx}_kappa{kappa_idx}.csv",
@@ -877,11 +879,12 @@ def _run_gd_ode(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResul
     model, configs = plan["model"], plan["configs"]
     horizon = params["horizon"]
     L = model.lipschitz_grad
-    grad0 = float(np.linalg.norm(model.grad_objective(plan["start"])))
     gammas = [config.gamma for config in configs]
     # every gamma advances in lockstep; the ODE records its state at each multiple of gamma
     gd = run_gd(model, configs)
     ode = run_ode(model, configs, params["ode_substeps"])
+    # after the runs, which report a start too far out as a divergence instead
+    grad0 = float(np.linalg.norm(model.grad_objective(plan["start"])))
     rows = []
     final_errors = []
     checks: list[CheckResult] = []
@@ -898,9 +901,7 @@ def _run_gd_ode(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResul
         final_errors.append(float(errors[-1]))
         rows.append([gamma, float(errors.max()), bound, float(errors[-1])])
     out.write_csv("gd_ode.csv", ["gamma", "max_error", "bound", "final_error"], rows)
-    slope = float(np.polyfit(np.log(gammas), np.log(final_errors), 1)[0])
-    low, high = params["slope_range"]
-    checks.append(CheckResult("loglog_slope", slope, (low + high) / 2.0, (high - low) / 2.0))
+    checks.append(_loglog_slope(gammas, final_errors, params["slope_range"]))
     return checks
 
 

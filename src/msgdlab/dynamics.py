@@ -15,7 +15,9 @@ Continuous-time references:
                         Euler-Maruyama with substeps gamma/R
 
 Both continuous-time references record their states at multiples of gamma
-only, so every runner's output grid is the config's.
+only, so every runner's output grid is the config's.  Gaussian SGD runs the
+Euler-Maruyama step itself, as one substep of size gamma, and M-SGD draws
+its noise from :class:`WeightedGradient`, as the sampling statistics do.
 
 ``run_gaussian_sgd``, ``run_msgd`` and ``run_diffusion_em`` are ensemble
 runners: they take one ``RngStream`` per replication and advance all R
@@ -261,18 +263,70 @@ def run_gd(model: LossModel, config) -> Union[Trajectory, Lockstep]:
     return _run_ensemble("gd", config, None, advance, lambda c: (c.gamma,))
 
 
+def _run_noisy(kind: str, model: LossModel, config, substeps: int, streams, coefficients):
+    """Euler-Maruyama steps x <- x - h grad g(x) + scale sigma(x) z, `substeps`
+    of them per recorded step, with (h, scale) = ``coefficients(config)``.
+
+    Each replication draws one (substeps, q) block of normals per recorded
+    step, the same values as one draw per substep.  When the noise factor is
+    one shared (p, q) matrix, the whole block is multiplied by it in one
+    stacked matmul before the substeps.
+    """
+
+    def advance(x, live_streams, h, scale):
+        z = np.stack([
+            s.generator.standard_normal((substeps, model.noise_dim)) for s in live_streams
+        ])
+        factor = model.noise_factor(x)
+        if factor.ndim == 2:  # shared by every state
+            noise = scale[:, :, None] * (factor @ z[..., None])[..., 0]
+            for j in range(substeps):
+                x = x - h * model.grad_objective(x) + noise[:, j]
+            return x
+        for j in range(substeps):
+            if j:
+                factor = model.noise_factor(x)
+            x = x - h * model.grad_objective(x) + scale * (factor @ z[:, j, :, None])[:, :, 0]
+        return x
+
+    return _run_ensemble(kind, config, streams, advance, coefficients)
+
+
 def run_gaussian_sgd(model: LossModel, config, streams) -> Union[Trajectory, Lockstep]:
-    """Gradient descent plus scaled Gaussian noise (gamma/sqrt(m)) sigma(x) xi."""
-
-    def advance(x, live_streams, gamma, scale):
-        xi = np.stack([s.generator.standard_normal(model.noise_dim) for s in live_streams])
-        noise = scale * (model.noise_factor(x) @ xi[:, :, None])[:, :, 0]
-        return x - gamma * model.grad_objective(x) + noise
-
-    return _run_ensemble(
-        "gaussian_sgd", config, streams, advance,
+    """Gradient descent plus scaled Gaussian noise (gamma/sqrt(m)) sigma(x) xi: the
+    Euler-Maruyama step of :func:`run_diffusion_em` taken as one substep of
+    size gamma."""
+    return _run_noisy(
+        "gaussian_sgd", model, config, 1, streams,
         lambda c: (c.gamma, c.gamma / math.sqrt(c.m)),
     )
+
+
+class WeightedGradient:
+    """The M-SGD noise: per replication, n fresh data and a fresh weight vector.
+
+    Called as ``(theta, streams)``, it draws every stream's data and then
+    every stream's weights, makes one batched ``grad_loss`` call at theta
+    (one (p,) point, or one (R, p) row per stream) and reduces the (R, n, p)
+    per-datum gradients with a stacked ``np.matmul``; it returns them with
+    the (R, p) weighted gradients sum_i w_i grad l(theta, u_i).  Callers
+    walk their replications in chunks of ``rows`` = ``chunk_rows(n *
+    payload_dim)``, which keeps a chunk's block in cache; rows never mix, so
+    the chunk size cannot change a bit.  The data and weight blocks are
+    allocated once and refilled by every chunk.
+    """
+
+    def __init__(self, model: LossModel, scheme: WeightScheme):
+        self.model, self.scheme = model, scheme
+        self.rows = chunk_rows(scheme.n * model.payload_dim)
+        self.draw_data = ChunkBlock(model.sample_data)
+        self.draw_weights = ChunkBlock(sample_weights)
+
+    def __call__(self, theta, streams: Sequence[RngStream]) -> tuple[np.ndarray, np.ndarray]:
+        data = self.draw_data(streams, self.scheme.n)
+        w = self.draw_weights(streams, self.scheme)
+        grads = self.model.grad_loss(theta, data)
+        return grads, (w[:, None, :] @ grads)[:, 0, :]
 
 
 def run_msgd(
@@ -280,16 +334,8 @@ def run_msgd(
 ) -> Union[Trajectory, Lockstep]:
     """Weighted-gradient descent with fresh data and weights every step.
 
-    Each step walks the live replications in chunks of
-    ``CHUNK_ELEMENTS // (n * payload_dim)`` (at least one): a chunk draws
-    its data block and then its weight block, each row from its own stream,
-    so every stream still draws data before weights; one batched
-    ``grad_loss`` call and a stacked ``np.matmul`` then reduce each
-    replication's n per-datum gradients to its drift.  Rows never mix, so
-    the chunk size cannot change a bit of the result; it only keeps the
-    (chunk, n, payload) block in cache, which measured faster than both one
-    replication and all of them at a time.  The data and weight blocks are
-    allocated once per run and refilled by every chunk.
+    Each step draws the live replications' weighted gradients with one
+    :class:`WeightedGradient`, chunk by chunk.
     """
     for c in [config] if isinstance(config, RunConfig) else config:
         if scheme.n != c.n or scheme.m != c.m:
@@ -297,18 +343,13 @@ def run_msgd(
                 f"scheme (n={scheme.n}, m={scheme.m}) disagrees with "
                 f"config (n={c.n}, m={c.m})"
             )
-
-    chunk = chunk_rows(scheme.n * model.payload_dim)
-    draw_data, draw_weights = ChunkBlock(model.sample_data), ChunkBlock(sample_weights)
+    draw = WeightedGradient(model, scheme)
 
     def advance(x, live_streams, gamma):
         drift = np.empty_like(x)
-        for start in range(0, len(live_streams), chunk):
-            part = live_streams[start : start + chunk]
-            data = draw_data(part, scheme.n)
-            w = draw_weights(part, scheme)
-            grads = model.grad_loss(x[start : start + len(part)], data)
-            drift[start : start + len(part)] = (w[:, None, :] @ grads)[:, 0, :]
+        for start in range(0, len(live_streams), draw.rows):
+            part = live_streams[start : start + draw.rows]
+            drift[start : start + len(part)] = draw(x[start : start + len(part)], part)[1]
         return x - gamma * drift
 
     return _run_ensemble("msgd", config, streams, advance, lambda c: (c.gamma,))
@@ -353,32 +394,13 @@ def run_diffusion_em(
 
     Integrates with inner step h = gamma/substeps and records states at
     multiples of gamma only, so the output grid matches the discrete
-    processes.  Each replication draws one (substeps, q) block of normals
-    per recorded step, the same values as one draw per substep.  When the
-    noise factor is one shared (p, q) matrix, the whole block is multiplied
-    by it in one stacked matmul before the substeps.
+    processes.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-
-    def advance(x, live_streams, h, scale):
-        z = np.stack([
-            s.generator.standard_normal((substeps, model.noise_dim)) for s in live_streams
-        ])
-        factor = model.noise_factor(x)
-        if factor.ndim == 2:  # shared by every state
-            noise = scale[:, :, None] * (factor @ z[..., None])[..., 0]
-            for j in range(substeps):
-                x = x - h * model.grad_objective(x) + noise[:, j]
-            return x
-        for j in range(substeps):
-            if j:
-                factor = model.noise_factor(x)
-            x = x - h * model.grad_objective(x) + scale * (factor @ z[:, j, :, None])[:, :, 0]
-        return x
 
     def coefficients(c):
         h = c.gamma / substeps
         return h, math.sqrt(c.gamma / c.m) * math.sqrt(h)
 
-    return _run_ensemble("diffusion_em", config, streams, advance, coefficients)
+    return _run_noisy("diffusion_em", model, config, substeps, streams, coefficients)

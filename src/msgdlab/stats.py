@@ -4,7 +4,8 @@ This module turns simulations into numbers that can be checked:
 
 * ``clt_error_samples`` draws the scaled weighted gradient error
   sqrt(m) * sum_i w_i (grad l(theta, u_i) - grad g(theta)) whose limit is
-  N(0, sigma^2(theta));
+  N(0, sigma^2(theta)), from the draw M-SGD steps with
+  (``dynamics.WeightedGradient``);
 * ``ks_normality`` measures sup-distance to a centered normal CDF, with
   scipy's ``ndtr``; it imports ``scipy.special`` on its first call, because
   that import is about half of a cold start and no other verdict needs it;
@@ -16,8 +17,9 @@ This module turns simulations into numbers that can be checked:
   = 2 (1 - sqrt(m/n)) Tr sigma^2(theta), which holds at finite n for every
   weight law with the minibatch moment structure;
 * ``contraction_bound`` (the predicted factor rho), ``contraction_fit`` and
-  ``convergence_curve`` (gaps to the model's known minimizer, or to a given
-  reference) quantify geometric convergence under strong convexity.
+  ``convergence_curve`` (squared distances to the model's known minimizer
+  or to a given point, and g-gaps when the minimizer is known) quantify
+  geometric convergence under strong convexity.
 """
 
 from __future__ import annotations
@@ -28,29 +30,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import ChunkBlock, DivergenceError, RunConfig, Trajectory, chunk_rows
+from .dynamics import DivergenceError, RunConfig, Trajectory, WeightedGradient
 from .models import LossModel
 from .numerics import RngStream
-from .weights import WeightScheme, sample_weights
-
-
-@dataclass
-class ErrorSampleSet:
-    """Rows of sqrt(m) * sum_i w_i (grad l(theta, u_i) - grad g(theta))."""
-
-    samples: np.ndarray  # (reps, p)
+from .weights import WeightScheme
 
 
 def clt_error_samples(
     model: LossModel, scheme: WeightScheme, theta, reps: int, stream: RngStream
-) -> ErrorSampleSet:
-    """Draw `reps` independent weighted-error samples, fresh data and weights each.
+) -> np.ndarray:
+    """The (reps, p) rows sqrt(m) * (sum_i w_i grad l(theta, u_i) - grad g(theta)).
 
-    Row r consumes the derived stream ``stream.child("rep", r)``, data before
-    weights.  The rows are drawn and reduced in chunks of
-    ``dynamics.chunk_rows(n * payload_dim)`` replications, as in M-SGD; rows
-    never mix, so the chunk size cannot change a bit of the result.  Every
-    chunk draws into the same data and weight blocks.
+    Row r is the :class:`~msgdlab.dynamics.WeightedGradient` draw M-SGD
+    takes, on the derived stream ``stream.child("rep", r)``.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
@@ -58,19 +50,13 @@ def clt_error_samples(
     grad_mean = model.grad_objective(theta)
     sqrt_m = math.sqrt(scheme.m)
     samples = np.empty((reps, theta.size))
-    chunk = chunk_rows(scheme.n * model.payload_dim)
-    draw_data, draw_weights = ChunkBlock(model.sample_data), ChunkBlock(sample_weights)
-    for start, streams in stream.child_chunks("rep", stop=reps, size=chunk):
-        data = draw_data(streams, scheme.n)
-        w = draw_weights(streams, scheme)
-        grads = model.grad_loss(theta, data)
-        errors = (w[:, None, :] @ grads)[:, 0, :] - grad_mean
-        samples[start : start + len(streams)] = sqrt_m * errors
-        del grads  # free a gradient block grad_loss made before the next chunk
-    return ErrorSampleSet(samples=samples)
+    draw = WeightedGradient(model, scheme)
+    for start, streams in stream.child_chunks("rep", stop=reps, size=draw.rows):
+        samples[start : start + len(streams)] = sqrt_m * (draw(theta, streams)[1] - grad_mean)
+    return samples
 
 
-def ks_normality(samples, variance: float) -> tuple[float, int]:
+def ks_normality(samples, variance: float) -> float:
     """Kolmogorov-Smirnov sup-distance of `samples` from N(0, variance)."""
     from scipy.special import ndtr  # imported here: see the module docstring
     if not variance > 0:
@@ -82,25 +68,12 @@ def ks_normality(samples, variance: float) -> tuple[float, int]:
     cdf = ndtr(samples / math.sqrt(variance))
     upper = np.arange(1, count + 1) / count - cdf
     lower = cdf - np.arange(0, count) / count
-    return float(max(upper.max(), lower.max())), count
+    return float(max(upper.max(), lower.max()))
 
 
-@dataclass
-class DistanceEstimate:
-    """A squared Wasserstein-2 estimate and how it was computed."""
-
-    value: float
-    method: str  # "sliced" | "coordinate_average"
-
-
-def sliced_w2(samples_a, samples_b, n_directions: int, stream: RngStream) -> DistanceEstimate:
-    """Squared W2 averaged over random 1-D projections.
-
-    Projects both sample sets onto `n_directions` uniform unit vectors and
-    averages the exact 1-D squared distances.  Deterministic given the
-    stream; calling with the arguments swapped but the same stream state
-    gives exactly the same value.
-    """
+def _sample_pair(samples_a, samples_b) -> tuple[np.ndarray, np.ndarray]:
+    """Two (count, p) sample sets of the same count and p >= 1; 1-D input is
+    one coordinate."""
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
     if a.ndim == 1:
@@ -113,34 +86,35 @@ def sliced_w2(samples_a, samples_b, n_directions: int, stream: RngStream) -> Dis
         raise ValueError("samples must have at least one coordinate")
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"sample sizes differ: {a.shape[0]} vs {b.shape[0]}")
+    return a, b
+
+
+def sliced_w2(samples_a, samples_b, n_directions: int, stream: RngStream) -> float:
+    """Squared W2 averaged over random 1-D projections.
+
+    Projects both sample sets onto `n_directions` uniform unit vectors and
+    averages the exact 1-D squared distances.  Deterministic given the
+    stream; calling with the arguments swapped but the same stream state
+    gives exactly the same value.
+    """
+    a, b = _sample_pair(samples_a, samples_b)
     if n_directions < 1:
         raise ValueError(f"n_directions must be >= 1, got {n_directions}")
     directions = stream.generator.standard_normal((n_directions, a.shape[1]))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     proj_a = np.sort(a @ directions.T, axis=0)
     proj_b = np.sort(b @ directions.T, axis=0)
-    value = float(np.mean((proj_a - proj_b) ** 2))
-    return DistanceEstimate(value=value, method="sliced")
+    return float(np.mean((proj_a - proj_b) ** 2))
 
 
-def coordinate_avg_w2(samples_a, samples_b) -> DistanceEstimate:
+def coordinate_avg_w2(samples_a, samples_b) -> float:
     """Squared W2 of each coordinate marginal, averaged over coordinates.
 
     A cheap axis-aligned companion to :func:`sliced_w2`, reported alongside
     it; it sees only marginal mismatches, not cross-coordinate structure.
     """
-    a = np.asarray(samples_a, dtype=float)
-    b = np.asarray(samples_b, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"sample sizes differ: {a.shape[0]} vs {b.shape[0]}")
-    value = float(np.mean((np.sort(a, axis=0) - np.sort(b, axis=0)) ** 2))
-    return DistanceEstimate(value=value, method="coordinate_average")
+    a, b = _sample_pair(samples_a, samples_b)
+    return float(np.mean((np.sort(a, axis=0) - np.sort(b, axis=0)) ** 2))
 
 
 @dataclass
@@ -150,7 +124,6 @@ class GapEstimate:
     estimate: float
     se: float
     analytic: float
-    reps: int
 
 
 def weighting_gap(
@@ -161,9 +134,10 @@ def weighting_gap(
     The expectation equals 2 (1 - sqrt(m/n)) Tr sigma^2(theta) exactly, for
     any weight law with the minibatch mean/covariance structure and any n;
     the analytic value is returned alongside the estimate.  Replication r
-    consumes ``stream.child("rep", r)``; replications are drawn in chunks as
-    in :func:`clt_error_samples`, and the plain average and squared norm are
-    taken per replication, where a batched reduction would round differently.
+    takes the :class:`~msgdlab.dynamics.WeightedGradient` draw on
+    ``stream.child("rep", r)``; the plain average and squared norm are
+    taken per replication, where a batched reduction would round
+    differently.
     """
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000, got {reps}")
@@ -172,13 +146,10 @@ def weighting_gap(
     grad_mean = model.grad_objective(theta)
     sqrt_m, sqrt_n = math.sqrt(m), math.sqrt(n)
     values = np.empty(reps)
-    chunk = chunk_rows(n * model.payload_dim)
-    draw_data, draw_weights = ChunkBlock(model.sample_data), ChunkBlock(sample_weights)
-    for start, streams in stream.child_chunks("rep", stop=reps, size=chunk):
-        data = draw_data(streams, n)
-        w = draw_weights(streams, scheme)
-        grads = model.grad_loss(theta, data)
-        weighted = sqrt_m * ((w[:, None, :] @ grads)[:, 0, :] - grad_mean)
+    draw = WeightedGradient(model, scheme)
+    for start, streams in stream.child_chunks("rep", stop=reps, size=draw.rows):
+        grads, weighted = draw(theta, streams)
+        weighted = sqrt_m * (weighted - grad_mean)
         for r, (row_grads, row_weighted) in enumerate(zip(grads, weighted), start):
             diff = row_weighted - sqrt_n * (row_grads.mean(axis=0) - grad_mean)
             values[r] = diff @ diff
@@ -188,7 +159,6 @@ def weighting_gap(
         estimate=float(values.mean()),
         se=float(values.std(ddof=1) / math.sqrt(reps)),
         analytic=analytic,
-        reps=reps,
     )
 
 
@@ -222,10 +192,11 @@ def plateau_bound(lam: float, gamma: float, L: float, m: int, noise_floor: float
 
 @dataclass
 class ConvergenceCurve:
-    """Per-iteration Monte Carlo optimality gaps with standard errors."""
+    """Per-iteration Monte Carlo optimality gaps with standard errors.  The
+    g-gap rows are None for a model without a known minimizer."""
 
-    g_gap_mean: np.ndarray
-    g_gap_se: np.ndarray
+    g_gap_mean: Optional[np.ndarray]
+    g_gap_se: Optional[np.ndarray]
     sq_dist_mean: np.ndarray
     sq_dist_se: np.ndarray
     reps: int
@@ -239,26 +210,24 @@ def convergence_curve(
     config: RunConfig,
     reps: int,
     stream: RngStream,
-    reference: Optional[tuple[np.ndarray, float]] = None,
-    track_objective: bool = True,
+    reference: Optional[np.ndarray] = None,
 ) -> ConvergenceCurve:
-    """Replicate a process and average g(x_k) - g* and |x_k - x*|^2 over reps.
+    """Replicate a process and average |x_k - x*|^2 and, when the model's
+    minimizer is known, g(x_k) - g(minimizer) over reps.
 
-    The reference (x*, g*) defaults to the model's known minimizer.  The
-    runner advances all replications as one ensemble; replication r
-    consumes the derived stream ``stream.child("rep", r)``.  Diverged
-    replications are recorded by index and excluded from the averages; they
-    are never silently dropped.  ``track_objective=False`` skips the
-    objective evaluations (the g-gap rows come back as zeros), which matters
-    for models whose objective sweeps a large dataset.
+    The point x* defaults to the model's known minimizer.  The runner
+    advances all replications as one ensemble; replication r consumes the
+    derived stream ``stream.child("rep", r)``.  Diverged replications are
+    recorded by index and excluded from the averages; they are never
+    silently dropped.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if reference is None:
         if model.minimizer is None:
             raise ValueError(f"model {model.name!r} has no known minimizer; pass a reference")
-        reference = model.minimizer, float(model.objective(model.minimizer))
-    x_star, g_star = np.asarray(reference[0], dtype=float), reference[1]
+        reference = model.minimizer
+    x_star = np.asarray(reference, dtype=float)
     try:
         traj = runner(model, config, stream.children("rep", stop=reps))
     except DivergenceError as exc:
@@ -272,17 +241,23 @@ def convergence_curve(
     # per-replication rows, C-ordered so the reductions over axis 0 below
     # accumulate in the same order as a stack of separate rows
     d_mat = np.ascontiguousarray(np.sum(diffs * diffs, axis=2).T)
-    if track_objective:
-        g_mat = np.ascontiguousarray((model.objective(states) - g_star).T)
-    else:
-        g_mat = np.zeros_like(d_mat)
-    count = g_mat.shape[0]
-    scale = math.sqrt(count)
+    count = d_mat.shape[0]
+
+    def mean_and_se(rows):
+        se = rows.std(axis=0, ddof=1) / math.sqrt(count) if count > 1 else np.zeros(rows.shape[1])
+        return rows.mean(axis=0), se
+
+    g_gap_mean = g_gap_se = None
+    if model.minimizer is not None:
+        g_star = float(model.objective(model.minimizer))
+        g_rows = np.ascontiguousarray((model.objective(states) - g_star).T)
+        g_gap_mean, g_gap_se = mean_and_se(g_rows)
+    sq_dist_mean, sq_dist_se = mean_and_se(d_mat)
     return ConvergenceCurve(
-        g_gap_mean=g_mat.mean(axis=0),
-        g_gap_se=g_mat.std(axis=0, ddof=1) / scale if count > 1 else np.zeros(g_mat.shape[1]),
-        sq_dist_mean=d_mat.mean(axis=0),
-        sq_dist_se=d_mat.std(axis=0, ddof=1) / scale if count > 1 else np.zeros(d_mat.shape[1]),
+        g_gap_mean=g_gap_mean,
+        g_gap_se=g_gap_se,
+        sq_dist_mean=sq_dist_mean,
+        sq_dist_se=sq_dist_se,
         reps=count,
         diverged=diverged,
         sq_dist_reps=d_mat,
@@ -303,14 +278,16 @@ def fit_segment(length: int, burn_in: int = 0, window: Optional[int] = None) -> 
     return slice(burn_in, burn_in + window)
 
 
-def contraction_fit(curve, burn_in: int = 0, window: Optional[int] = None) -> float:
+def contraction_fit(segment) -> float:
     """Geometric decay factor fitted to a positive curve segment.
 
-    Least-squares slope of log(curve[fit_segment(...)]) against the
-    iteration index, exponentiated.
+    Least-squares slope of log(segment) against the iteration index,
+    exponentiated.  The segment is what the fit uses, such as
+    ``curve[fit_segment(...)]``.
     """
-    curve = np.asarray(curve, dtype=float)
-    segment = curve[fit_segment(curve.size, burn_in, window)]
+    segment = np.asarray(segment, dtype=float)
+    if segment.size < 2:
+        raise ValueError(f"need at least 2 points to fit a rate, got {segment.size}")
     if not np.all(segment > 0):
         raise ValueError("curve must be positive over the fit window")
     k = np.arange(segment.size, dtype=float)
@@ -318,20 +295,18 @@ def contraction_fit(curve, burn_in: int = 0, window: Optional[int] = None) -> fl
     return float(np.exp(slope))
 
 
-def contraction_fit_jackknife(
-    per_rep_curves: np.ndarray, burn_in: int = 0, window: Optional[int] = None
-) -> tuple[float, float]:
-    """(rho_hat, jackknife SE) of the fit on the mean curve over replications."""
-    per_rep_curves = np.asarray(per_rep_curves, dtype=float)
-    reps = per_rep_curves.shape[0]
-    rho = contraction_fit(per_rep_curves.mean(axis=0), burn_in, window)
+def contraction_fit_jackknife(per_rep_segments: np.ndarray) -> tuple[float, float]:
+    """(rho_hat, jackknife SE) of the fit on the mean of per-replication
+    segments, (reps, window)."""
+    per_rep_segments = np.asarray(per_rep_segments, dtype=float)
+    reps = per_rep_segments.shape[0]
+    rho = contraction_fit(per_rep_segments.mean(axis=0))
     if reps < 2:
         return rho, 0.0
-    total = per_rep_curves.sum(axis=0)
+    total = per_rep_segments.sum(axis=0)
     leave_one_out = np.empty(reps)
     for r in range(reps):
-        loo_mean = (total - per_rep_curves[r]) / (reps - 1)
-        leave_one_out[r] = contraction_fit(loo_mean, burn_in, window)
+        leave_one_out[r] = contraction_fit((total - per_rep_segments[r]) / (reps - 1))
     se = math.sqrt((reps - 1) / reps * np.sum((leave_one_out - leave_one_out.mean()) ** 2))
     return rho, se
 

@@ -6,8 +6,6 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from msgdlab.stats import DistanceEstimate
-
 
 def finite_diff_gradient(
     f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
@@ -35,7 +33,7 @@ def finite_diff_gradient(
     return grad
 
 
-def w2_1d(samples_a, samples_b) -> DistanceEstimate:
+def w2_1d(samples_a, samples_b) -> float:
     """Exact squared W2 between two equal-size 1-D empirical measures.
 
     The optimal coupling in one dimension is the sorted (quantile)
@@ -48,8 +46,7 @@ def w2_1d(samples_a, samples_b) -> DistanceEstimate:
         raise ValueError(f"sample sizes differ: {a.size} vs {b.size} (subsample first)")
     if a.size < 2:
         raise ValueError("need at least 2 samples")
-    value = float(np.mean((np.sort(a) - np.sort(b)) ** 2))
-    return DistanceEstimate(value=value, method="exact_1d")
+    return float(np.mean((np.sort(a) - np.sort(b)) ** 2))
 
 
 def dirichlet_mixed_moment(alpha, beta) -> float:

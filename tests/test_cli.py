@@ -312,6 +312,13 @@ class TestValidateConfig:
         raw = tiny_config("gd-ode") | {"gammas": [0.05, 0.2, 0.1]}
         assert [c.gamma for c in validate_config(raw).plan["configs"]] == [0.2, 0.1, 0.05]
 
+    def test_fit_windows_planned_in_run_order(self):
+        raw = tiny_config("converge") | {"runs": [
+            {"gamma": 0.1, "num_steps": 60, "fit_window": 15},
+            {"gamma": 0.2, "num_steps": 29, "fit_burn_in": 3},
+        ]}
+        assert validate_config(raw).plan["segments"] == [slice(0, 15), slice(3, 13)]
+
     def test_logistic_dataset_drawn_once(self, tmp_path, monkeypatch):
         # validation draws the run's own dataset, and the run uses it
         import msgdlab.cli as cli_mod
@@ -592,7 +599,6 @@ class TestMain:
         ],
         ids=["wass-scaling", "converge", "gd-ode"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing set-up sums
     def test_divergence_exit_one(self, config, line, tmp_path, capsys):
         # each of these used to end in a traceback
         config_path = tmp_path / "cfg.json"
@@ -613,6 +619,17 @@ class TestMain:
         assert "FAIL gaussian_sgd:rho_hat: observed=nan" in capsys.readouterr().out
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert not payload["overall_pass"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge noise overflows on purpose
+    def test_recursion_deviation_of_an_overflowed_spread_fails(self, tmp_path, capsys):
+        # the g-gap SE overflows to inf, and a deviation in units of it would read 0
+        config_path = tmp_path / "cfg.json"
+        config = tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "s": 1e151}}
+        config_path.write_text(json.dumps(config))
+        main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert "FAIL gaussian_sgd:recursion_max_dev: observed=nan" in out
+        assert "FAIL msgd:recursion_max_dev: observed=nan" in out
 
     def test_report_without_checks_fails(self):
         empty = ExperimentReport(command="gd-ode", seed=1, config={}, resolved={}, checks=[])

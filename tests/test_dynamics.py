@@ -478,6 +478,17 @@ class TestDiffusionEm:
         draws = run_diffusion_em(model, config, substeps, streams).states[1, :, 0] - deterministic
         assert draws.var() == pytest.approx((gamma / m) * h, rel=0.06)
 
+    @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
+    def test_one_substep_is_gaussian_sgd(self, model_name):
+        # the same step on the same normals; the noise scales sqrt(gamma/m)*sqrt(gamma)
+        # and gamma/sqrt(m) differ only in rounding
+        model = ensemble_model(model_name)
+        config = RunConfig(gamma=0.2, num_steps=8, m=4, n=16, x0=np.full(model.dim, 0.5))
+        stream = derive_stream(31, ["one-substep", model_name])
+        em = run_diffusion_em(model, config, 1, stream.children("rep", stop=5))
+        sgd = run_gaussian_sgd(model, config, stream.children("rep", stop=5))
+        np.testing.assert_allclose(em.states, sgd.states, rtol=1e-12, atol=1e-14)
+
     def test_huge_minibatch_tracks_ode(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=10, m=10**8, n=10**8, x0=[1.0])
