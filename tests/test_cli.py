@@ -68,157 +68,148 @@ def with_run(config: dict, **changes) -> dict:
 REPO = Path(__file__).resolve().parents[1]
 
 # validate_config(raw, seed_override).params before the one-schema rewrite of
-# the validation, serialised with sorted keys as report.json echoes it under
+# the validation, less the bound keys that later left the schema for
+# cli.BOUNDS, serialised with sorted keys as report.json echoes it under
 # "resolved"; a shipped config is named by its file in configs/.
 RESOLVED = {
     "weights-moments": (
         tiny_config("weights-moments"),
         None, 9,
-        '{"m":20,"n":100,"reps":200,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"thresholds":{"cov_sigmas":4,"mean_sigmas":4,"sumsq_sigmas":3,"var_sigmas":4}}',
+        '{"m":20,"n":100,"reps":200,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}]}',
     ),
     "clt": (
         tiny_config("clt"),
         None, 9,
-        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":100,"n":500,"p":1,"samples":400,"scheme":{"kind":"dirichlet"}}',
+        '{"m":100,"n":500,"p":1,"samples":400,"scheme":{"kind":"dirichlet"}}',
     ),
     "weighting-gap": (
         tiny_config("weighting-gap"),
         None, 9,
-        '{"model":{"kind":"quadratic","p":2,"s":1.0},"pairs":[[400,100]],"reps":1000,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"sigmas":3}',
+        '{"model":{"kind":"quadratic","p":2,"s":1.0},"pairs":[[400,100]],"reps":1000,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}]}',
     ),
     "wass-scaling": (
         tiny_config("wass-scaling"),
         None, 9,
-        '{"em_substeps":20,"gammas":[0.2,0.1],"horizon":1.0,"m":16,"model":{"kind":"quadratic","p":2,"s":1.0},"n":128,"n_directions":32,"reps":40,"scheme":{"kind":"gaussian"},"slack":0.1,"slope_range":[0.8,2.2]}',
+        '{"em_substeps":20,"gammas":[0.2,0.1],"horizon":1.0,"m":16,"model":{"kind":"quadratic","p":2,"s":1.0},"n":128,"n_directions":32,"reps":40,"scheme":{"kind":"gaussian"}}',
     ),
     "converge": (
         tiny_config("converge"),
         None, 9,
-        '{"blocks":8,"m":20,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"n":100,"reps":50,"rho_tolerance":0.02,"runs":[{"fit_window":15,"gamma":0.1,"num_steps":60}],"scheme":{"kind":"gaussian"}}',
+        '{"m":20,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"n":100,"reps":50,"runs":[{"fit_window":15,"gamma":0.1,"num_steps":60}],"scheme":{"kind":"gaussian"}}',
     ),
     "gd-ode": (
         tiny_config("gd-ode"),
         None, 9,
-        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"slope_range":[0.8,1.2],"x0":[1.0]}',
-    ),
-    "weights-moments-partial-thresholds": (
-        tiny_config("weights-moments") | {"thresholds": {"var_sigmas": 6}},
-        None, 9,
-        '{"m":20,"n":100,"reps":200,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"thresholds":{"cov_sigmas":4,"mean_sigmas":4,"sumsq_sigmas":3,"var_sigmas":6}}',
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"x0":[1.0]}',
     ),
     "weights-moments-given": (
         tiny_config("weights-moments") | {
             "schemes": [{"kind": "gaussian", "base": "rademacher"}, {"kind": "minibatch"}],
-            "thresholds": {"mean_sigmas": 3.5, "var_sigmas": 4, "cov_sigmas": 5.0,
-                           "sumsq_sigmas": 2},
         },
         None, 9,
-        '{"m":20,"n":100,"reps":200,"schemes":[{"base":"rademacher","kind":"gaussian"},{"kind":"minibatch"}],"thresholds":{"cov_sigmas":5.0,"mean_sigmas":3.5,"sumsq_sigmas":2,"var_sigmas":4}}',
+        '{"m":20,"n":100,"reps":200,"schemes":[{"base":"rademacher","kind":"gaussian"},{"kind":"minibatch"}]}',
     ),
     "clt-seed-override": (
         tiny_config("clt"),
         123, 123,
-        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":100,"n":500,"p":1,"samples":400,"scheme":{"kind":"dirichlet"}}',
+        '{"m":100,"n":500,"p":1,"samples":400,"scheme":{"kind":"dirichlet"}}',
     ),
     "clt-given": (
-        tiny_config("clt") | {
-            "p": 2, "scheme": {"kind": "gaussian", "base": "uniform"}, "bins": 10,
-            "ks_threshold": 1, "cov_sigmas": 3.5,
-        },
+        tiny_config("clt") | {"p": 2, "scheme": {"kind": "gaussian", "base": "uniform"}},
         None, 9,
-        '{"bins":10,"cov_sigmas":3.5,"ks_threshold":1,"m":100,"n":500,"p":2,"samples":400,"scheme":{"base":"uniform","kind":"gaussian"}}',
+        '{"m":100,"n":500,"p":2,"samples":400,"scheme":{"base":"uniform","kind":"gaussian"}}',
     ),
     "gd-ode-out": (
         tiny_config("gd-ode") | {"out": "elsewhere"},
         None, 9,
-        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"out":"elsewhere","slope_range":[0.8,1.2],"x0":[1.0]}',
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"out":"elsewhere","x0":[1.0]}',
     ),
     "gd-ode-x0-omitted": (
         {k: v for k, v in tiny_config("gd-ode").items() if k != "x0"},
         None, 9,
-        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"slope_range":[0.8,1.2]}',
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20}',
     ),
     "wass-scaling-x0": (
         tiny_config("wass-scaling") | {"x0": [0.5, -0.5], "horizon": 2},
         None, 9,
-        '{"em_substeps":20,"gammas":[0.2,0.1],"horizon":2,"m":16,"model":{"kind":"quadratic","p":2,"s":1.0},"n":128,"n_directions":32,"reps":40,"scheme":{"kind":"gaussian"},"slack":0.1,"slope_range":[0.8,2.2],"x0":[0.5,-0.5]}',
+        '{"em_substeps":20,"gammas":[0.2,0.1],"horizon":2,"m":16,"model":{"kind":"quadratic","p":2,"s":1.0},"n":128,"n_directions":32,"reps":40,"scheme":{"kind":"gaussian"},"x0":[0.5,-0.5]}',
     ),
     "weighting-gap-theta": (
         tiny_config("weighting-gap") | {
             "theta": [1.0, 0.0], "model": {"kind": "quadratic", "p": 2, "s": 2},
         },
         None, 9,
-        '{"model":{"kind":"quadratic","p":2,"s":2},"pairs":[[400,100]],"reps":1000,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"sigmas":3,"theta":[1.0,0.0]}',
+        '{"model":{"kind":"quadratic","p":2,"s":2},"pairs":[[400,100]],"reps":1000,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"theta":[1.0,0.0]}',
     ),
     "converge-x0": (
         tiny_config("converge") | {
             "x0": [2.0], "runs": [{"gamma": 0.1, "num_steps": 60, "fit_burn_in": 3}],
         },
         None, 9,
-        '{"blocks":8,"m":20,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"n":100,"reps":50,"rho_tolerance":0.02,"runs":[{"fit_burn_in":3,"gamma":0.1,"num_steps":60}],"scheme":{"kind":"gaussian"},"x0":[2.0]}',
+        '{"m":20,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"n":100,"reps":50,"runs":[{"fit_burn_in":3,"gamma":0.1,"num_steps":60}],"scheme":{"kind":"gaussian"},"x0":[2.0]}',
     ),
     "converge-logistic": (
         {"command": "converge", "seed": 11, "model": {"kind": "logistic", "p": 3, "t": 500},
-         "n": 2000, "m": 20, "reps": 10, "kappas": [0.2, 0.05], "blocks": 4,
+         "n": 2000, "m": 20, "reps": 10, "kappas": [0.2, 0.05],
          "x0": [0.1, 0.2, 0.3], "scheme": {"kind": "minibatch"},
          "runs": [{"gamma": 0.5, "num_steps": 16, "fit_window": 4}]},
         None, 11,
-        '{"blocks":4,"kappas":[0.2,0.05],"m":20,"model":{"kind":"logistic","p":3,"t":500},"n":2000,"reps":10,"rho_tolerance":0.02,"runs":[{"fit_window":4,"gamma":0.5,"num_steps":16}],"scheme":{"kind":"minibatch"},"x0":[0.1,0.2,0.3]}',
+        '{"kappas":[0.2,0.05],"m":20,"model":{"kind":"logistic","p":3,"t":500},"n":2000,"reps":10,"runs":[{"fit_window":4,"gamma":0.5,"num_steps":16}],"scheme":{"kind":"minibatch"},"x0":[0.1,0.2,0.3]}',
     ),
     "converge-logistic-defaults": (
         tiny_logistic(),
         None, 9,
-        '{"blocks":8,"kappas":[0.1],"m":4,"model":{"kind":"logistic","p":2,"t":50},"n":20,"reps":3,"rho_tolerance":0.02,"runs":[{"gamma":0.5,"num_steps":10}],"scheme":{"kind":"gaussian"}}',
+        '{"kappas":[0.1],"m":4,"model":{"kind":"logistic","p":2,"t":50},"n":20,"reps":3,"runs":[{"gamma":0.5,"num_steps":10}],"scheme":{"kind":"gaussian"}}',
     ),
     "configs/clt_dirichlet_p1.json": (
         'clt_dirichlet_p1.json',
         None, 20260808,
-        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":2000,"n":10000,"p":1,"samples":10000,"scheme":{"kind":"dirichlet"}}',
+        '{"m":2000,"n":10000,"p":1,"samples":10000,"scheme":{"kind":"dirichlet"}}',
     ),
     "configs/clt_gaussian_p6.json": (
         'clt_gaussian_p6.json',
         None, 20260808,
-        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":2000,"n":10000,"p":6,"samples":10000,"scheme":{"kind":"gaussian"}}',
+        '{"m":2000,"n":10000,"p":6,"samples":10000,"scheme":{"kind":"gaussian"}}',
     ),
     "configs/clt_minibatch_p1.json": (
         'clt_minibatch_p1.json',
         None, 20260808,
-        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":2000,"n":10000,"p":1,"samples":10000,"scheme":{"kind":"minibatch"}}',
+        '{"m":2000,"n":10000,"p":1,"samples":10000,"scheme":{"kind":"minibatch"}}',
     ),
     "configs/clt_rademacher_p1.json": (
         'clt_rademacher_p1.json',
         None, 20260808,
-        '{"bins":50,"cov_sigmas":4,"ks_threshold":0.03,"m":2000,"n":10000,"p":1,"samples":10000,"scheme":{"base":"rademacher","kind":"gaussian"}}',
+        '{"m":2000,"n":10000,"p":1,"samples":10000,"scheme":{"base":"rademacher","kind":"gaussian"}}',
     ),
     "configs/converge_logistic.json": (
         'converge_logistic.json',
         None, 20260808,
-        '{"blocks":8,"kappas":[0.2,0.1,0.05,0.01,0.001],"m":10,"model":{"kind":"logistic","p":6,"t":10000},"n":1000,"reps":100,"rho_tolerance":0.02,"runs":[{"fit_window":8,"gamma":0.5,"num_steps":60},{"fit_window":25,"gamma":0.1,"num_steps":300}],"scheme":{"kind":"gaussian"}}',
+        '{"kappas":[0.2,0.1,0.05,0.01,0.001],"m":10,"model":{"kind":"logistic","p":6,"t":10000},"n":1000,"reps":100,"runs":[{"fit_window":8,"gamma":0.5,"num_steps":60},{"fit_window":25,"gamma":0.1,"num_steps":300}],"scheme":{"kind":"gaussian"}}',
     ),
     "configs/converge_quadratic.json": (
         'converge_quadratic.json',
         None, 20260808,
-        '{"blocks":8,"m":50,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"n":500,"reps":500,"rho_tolerance":0.02,"runs":[{"fit_window":20,"gamma":0.1,"num_steps":200}],"scheme":{"kind":"gaussian"}}',
+        '{"m":50,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"n":500,"reps":500,"runs":[{"fit_window":20,"gamma":0.1,"num_steps":200}],"scheme":{"kind":"gaussian"}}',
     ),
     "configs/gd_ode.json": (
         'gd_ode.json',
         None, 20260808,
-        '{"gammas":[0.1,0.05,0.025,0.0125],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"slope_range":[0.8,1.2],"x0":[1.0]}',
+        '{"gammas":[0.1,0.05,0.025,0.0125],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"x0":[1.0]}',
     ),
     "configs/wass_scaling.json": (
         'wass_scaling.json',
         None, 20260808,
-        '{"em_substeps":50,"gammas":[0.2,0.1,0.05,0.025],"horizon":1.0,"m":64,"model":{"kind":"quadratic","p":2,"s":1.0},"n":512,"n_directions":128,"reps":500,"scheme":{"kind":"gaussian"},"slack":0.1,"slope_range":[0.8,2.2]}',
+        '{"em_substeps":50,"gammas":[0.2,0.1,0.05,0.025],"horizon":1.0,"m":64,"model":{"kind":"quadratic","p":2,"s":1.0},"n":512,"n_directions":128,"reps":500,"scheme":{"kind":"gaussian"}}',
     ),
     "configs/weight_moments.json": (
         'weight_moments.json',
         None, 20260808,
-        '{"m":400,"n":2000,"reps":20000,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"thresholds":{"cov_sigmas":4,"mean_sigmas":4,"sumsq_sigmas":3,"var_sigmas":4}}',
+        '{"m":400,"n":2000,"reps":20000,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}]}',
     ),
     "configs/weighting_gap.json": (
         'weighting_gap.json',
         None, 20260808,
-        '{"model":{"kind":"quadratic","p":2,"s":1.0},"pairs":[[10000,2500],[10000,9000]],"reps":1500,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}],"sigmas":3}',
+        '{"model":{"kind":"quadratic","p":2,"s":1.0},"pairs":[[10000,2500],[10000,9000]],"reps":1500,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}]}',
     ),
 }
 
@@ -237,8 +228,7 @@ class TestValidateConfig:
 
     def test_minimal_config_gets_documented_defaults(self):
         cfg = validate_config(tiny_config("clt"))
-        assert cfg.params["bins"] == 50
-        assert cfg.params["ks_threshold"] == 0.03
+        assert cfg.params["p"] == 1
         assert cfg.params["scheme"] == {"kind": "dirichlet"}
 
     def test_unknown_key_rejected(self):
@@ -265,9 +255,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="command"):
             validate_config({"command": "simulate", "seed": 1})
 
-    def test_invalid_json_text(self):
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", '{"command": "clt", "n": ' + "1" * 5000 + "}", "[" * 100_000],
+        ids=["syntax", "int-too-long", "too-deep"],
+    )
+    def test_invalid_json_text(self, text):
+        # json.loads raises ValueError past Python's 4300-digit limit, RecursionError when deep
         with pytest.raises(ConfigError, match="JSON"):
-            validate_config("{not json")
+            validate_config(text)
 
     def test_wrong_type_reports_key(self):
         raw = tiny_config("clt") | {"samples": "many"}
@@ -284,12 +280,6 @@ class TestValidateConfig:
         raw = tiny_config("gd-ode") | {"gammas": [0.3]}
         with pytest.raises(ConfigError, match="multiple"):
             validate_config(raw)
-
-    def test_partial_thresholds_merge_with_defaults(self):
-        raw = tiny_config("weights-moments") | {"thresholds": {"var_sigmas": 6}}
-        cfg = validate_config(raw)
-        assert cfg.params["thresholds"]["var_sigmas"] == 6
-        assert cfg.params["thresholds"]["mean_sigmas"] == 4
 
     @pytest.mark.parametrize(
         "raw, start",
@@ -335,11 +325,6 @@ class TestValidateConfig:
         assert len(draws) == 1
         own = generate(derive_stream(9, ["converge"]).child("dataset"), 2, 50, 1.0)
         np.testing.assert_array_equal(draws[0].covariates, own.covariates)
-
-    def test_unknown_threshold_key_rejected(self):
-        raw = tiny_config("weights-moments") | {"thresholds": {"sigma": 2}}
-        with pytest.raises(ConfigError, match="sigma"):
-            validate_config(raw)
 
 
 class TestHistogramRows:
@@ -464,23 +449,19 @@ class TestMain:
     @pytest.mark.parametrize(
         "config, key",
         [
-            (tiny_config("weights-moments") | {"thresholds": 3}, "weights-moments.thresholds"),
+            (
+                tiny_config("weights-moments") | {"thresholds": 3},
+                "weights-moments: unknown key 'thresholds'",
+            ),
             (tiny_config("weights-moments") | {"schemes": [3]}, "schemes[0]"),
             (tiny_config("clt") | {"scheme": 3}, "clt.scheme"),
-            (
-                {"command": "converge", "seed": 9, "model": {"kind": "logistic", "p": 2, "t": 50},
-                 "n": 20, "m": 4, "reps": 3, "kappas": [0.1], "blocks": 1,
-                 "runs": [{"gamma": 0.5, "num_steps": 10}]},
-                "converge.blocks",
-            ),
-            (
-                {"command": "converge", "seed": 9, "model": {"kind": "logistic", "p": 2, "t": 50},
-                 "n": 20, "m": 4, "reps": 1, "kappas": [0.1], "blocks": 2,
-                 "runs": [{"gamma": 0.5, "num_steps": 10}]},
-                "converge.reps",
-            ),
+            (tiny_logistic() | {"blocks": 1}, "converge: unknown key 'blocks'"),
+            (tiny_logistic() | {"reps": 1}, "converge.reps"),
             (tiny_config("gd-ode") | {"x0": [1.0, 2.0]}, "gd-ode.x0"),
-            (tiny_config("wass-scaling") | {"slope_range": [2.0]}, "wass-scaling.slope_range"),
+            (
+                tiny_config("wass-scaling") | {"slope_range": [2.0]},
+                "wass-scaling: unknown key 'slope_range'",
+            ),
             (tiny_config("wass-scaling") | {"scheme": {"kind": "dirichlet"}, "m": 128}, "scheme"),
             (tiny_config("weighting-gap") | {"pairs": [[400, 400]]}, "schemes[2]"),
             (with_run(tiny_config("converge"), num_steps=0), "runs[0]"),
@@ -523,6 +504,28 @@ class TestMain:
             # the noise level p s^2 / 2 overflows
             (tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "s": 1e160}},
              "model"),
+            # JSON admits NaN and Infinity, and an integer too large for a float
+            (tiny_config("gd-ode") | {"horizon": math.inf}, "gd-ode.horizon"),
+            (tiny_config("wass-scaling") | {"horizon": math.inf}, "wass-scaling.horizon"),
+            (tiny_config("gd-ode") | {"horizon": 10**400}, "gd-ode.horizon"),
+            (
+                tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1,
+                                                     "theta_star": [math.inf]}},
+                "model.theta_star[0]",
+            ),
+            (tiny_logistic() | {"kappas": [math.inf]}, "kappas[0]"),
+            (
+                tiny_config("gd-ode") | {"model": {"kind": "quadratic", "p": 1,
+                                                   "theta_star": [math.nan]}},
+                "model.theta_star[0]",
+            ),
+            (tiny_config("weighting-gap") | {"theta": [math.nan, 0.0]}, "theta[0]"),
+            (tiny_config("gd-ode") | {"x0": [-math.inf]}, "x0[0]"),
+            (tiny_config("wass-scaling") | {"x0": [0.0, math.nan]}, "x0[1]"),
+            # a start beyond the divergence limit, whichever key gives it
+            (tiny_config("weighting-gap") | {"theta": [1e200, 0.0]}, "weighting-gap.theta"),
+            # the logistic block means need a curve of at least 8 points
+            (with_run(tiny_logistic(), num_steps=6), "runs[0].num_steps"),
         ],
         ids=[
             "thresholds", "schemes-entry", "scheme", "blocks", "logistic-reps", "x0-length",
@@ -535,6 +538,9 @@ class TestMain:
             "logistic-s", "logistic-theta-star", "quadratic-t", "bool-kappa", "bool-pair",
             "x0-at-minimiser", "x0-at-minimiser-burn-in", "gd-ode-x0-at-minimiser",
             "moments-m-equals-n", "gap-m-equals-n", "s-overflows",
+            "gd-ode-horizon-inf", "wass-scaling-horizon-inf", "horizon-huge-int",
+            "theta-star-inf", "kappa-inf", "theta-star-nan", "theta-nan", "x0-inf", "x0-nan",
+            "theta-beyond-limit", "logistic-fewer-steps-than-blocks",
         ],
     )
     def test_malformed_value_exit_two(self, config, key, tmp_path, capsys):
@@ -545,6 +551,55 @@ class TestMain:
         assert code == 2
         assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("weights-moments", "thresholds", {"mean_sigmas": 4}),
+            ("weights-moments", "thresholds", {"var_sigmas": 4}),
+            ("weights-moments", "thresholds", {"cov_sigmas": 4}),
+            ("weights-moments", "thresholds", {"sumsq_sigmas": 3}),
+            ("clt", "ks_threshold", 0.03),
+            ("clt", "cov_sigmas", 4),
+            ("clt", "bins", 50),
+            ("weighting-gap", "sigmas", 3),
+            ("wass-scaling", "slack", 0.1),
+            ("wass-scaling", "slope_range", [0.8, 2.2]),
+            ("converge", "rho_tolerance", 0.02),
+            ("converge", "blocks", 8),
+            ("gd-ode", "slope_range", [0.8, 1.2]),
+        ],
+        ids=[
+            "mean-sigmas", "var-sigmas", "cov-sigmas", "sumsq-sigmas", "ks-threshold",
+            "clt-cov-sigmas", "bins", "sigmas", "slack", "wass-slope-range", "rho-tolerance",
+            "blocks", "gd-ode-slope-range",
+        ],
+    )
+    def test_bound_keys_rejected(self, command, key, value, tmp_path, capsys):
+        # a bound is declared once, in cli.BOUNDS: a config cannot move it, even to its value
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(tiny_config(command) | {key: value}))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {command}: unknown key {key!r}\n"
+
+    @pytest.mark.parametrize("horizon", [400, 710], ids=["product-overflows", "exp-overflows"])
+    def test_gd_ode_bound_that_overflows_fails(self, horizon, tmp_path, capsys):
+        # exp(L * horizon) overflows beyond 709.78, and at 400 its product with the
+        # gradient at x0 = 1e150 does: a bound that is not finite bounds nothing
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({
+            "command": "gd-ode", "seed": 1, "gammas": [0.5, 0.25], "horizon": horizon,
+            "x0": [1e150], "ode_substeps": 10,
+        }))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = [line for line in capsys.readouterr().out.splitlines() if " bound_gamma" in line]
+        assert len(lines) == 2
+        for line in lines:
+            assert line.startswith("FAIL bound_gamma") and " target=nan " in line
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert not payload["overall_pass"]
 
     @pytest.mark.parametrize("command", ["wass-scaling", "gd-ode"])
     @pytest.mark.parametrize("gammas", [[0.1], [0.1, 0.1]])
@@ -559,12 +614,10 @@ class TestMain:
         "config, key",
         [
             (tiny_config("gd-ode") | {"gammas": [0.2, 0.1], "x0": [1e151]}, "gd-ode.x0"),
-            (tiny_config("gd-ode") | {"x0": [-math.inf]}, "gd-ode.x0"),
-            (tiny_config("wass-scaling") | {"x0": [0.0, math.nan]}, "wass-scaling.x0"),
             (tiny_config("converge") | {"x0": [2e150]}, "converge.x0"),
             (tiny_logistic() | {"x0": [1.0, 1e200]}, "converge.x0"),
         ],
-        ids=["gd-ode", "gd-ode-inf", "wass-scaling-nan", "converge", "logistic"],
+        ids=["gd-ode", "converge", "logistic"],
     )
     def test_start_beyond_divergence_limit_exit_two(self, config, key, tmp_path, capsys):
         # a start the runners count as diverged used to raise at iteration 0
@@ -642,9 +695,14 @@ class TestMain:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_unreadable_config_exit_two(self, tmp_path, capsys):
-        code = main(["--config", str(tmp_path / "nope.json")])
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["missing", "not-utf8"])
+    def test_unreadable_config_exit_two(self, content, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        if content is not None:
+            config_path.write_bytes(content)
+        code = main(["--config", str(config_path)])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config: ")
 
     def test_seed_flag_overrides(self, tmp_path):
         config_path = tmp_path / "cfg.json"

@@ -10,6 +10,14 @@ any artifact fails here.  ``weights-moments`` was re-recorded when
 this is its only byte guard.  The two ``-grid`` configs were recorded
 while every step size still ran on its own, before the runners advanced a
 step-size grid in lockstep.
+
+Every digest was re-recorded once more when the check bounds left the
+config schema for ``cli.BOUNDS``: each ``report.json`` echoes the resolved
+config under ``resolved``, which lost the bound keys (``thresholds``,
+``ks_threshold``, ``cov_sigmas``, ``bins``, ``sigmas``, ``slack``,
+``slope_range``, ``rho_tolerance``, ``blocks``).  Every CSV and every check
+record kept its bytes, and each ``report.json`` equals the old one with
+those keys deleted from ``resolved`` and re-dumped.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ GOLDEN = {
     "clt": (
         {"command": "clt", "seed": 11, "n": 300, "m": 60, "samples": 200, "p": 2,
          "scheme": {"kind": "minibatch"}},
-        "fc034a675bf310fa153a498f69e79aa66f2c9242bf039f56db25e2e27ef5dfc9",
+        "5cac533675dcde688093df7d05ce713c3cd679ba1474ce7eaaea73d45a9bc921",
     ),
     "weights-moments": (
         {"command": "weights-moments", "seed": 11, "n": 60, "m": 12, "reps": 150,
@@ -33,48 +41,48 @@ GOLDEN = {
              {"kind": "gaussian", "base": "rademacher"},
              {"kind": "gaussian", "base": "uniform"}, {"kind": "dirichlet"},
          ]},
-        "82b607b5fb0b9f64d217123f32739b0caa8e231f103e99a0eb7aa4fc869a3089",
+        "0e002f6a901d690cddb7c6e9bfc04e425e558a01447858419afd093568c90e1d",
     ),
     "weighting-gap": (
         {"command": "weighting-gap", "seed": 11, "pairs": [[80, 20], [80, 70]],
          "reps": 1000},
-        "35a7002e5f70199132d5ad1c4c4b735e0f9bac0577800ffb7abfb84e1b3f40cb",
+        "b57b7a6a08c8ae0e2366b4ba9d4e3b942bdbf81fa522da990dcfbc5dfc069e9a",
     ),
     "wass-scaling": (
         {"command": "wass-scaling", "seed": 11, "gammas": [0.25, 0.125], "reps": 30,
          "n": 64, "m": 8, "n_directions": 16, "em_substeps": 10,
          "scheme": {"kind": "dirichlet"}},
-        "616b8cc4fbc1be4760ae1f1e411410ec20ec1db06219d1bdfe9894a2aa31b900",
+        "a734c46f4affd64648424aad863503e7997ca5f14e06b1b4d1952f49ad05f3ea",
     ),
     "converge-quadratic": (
         {"command": "converge", "seed": 11,
          "model": {"kind": "quadratic", "p": 2, "s": 1.0, "theta_star": [0.0, 0.5]},
          "n": 5000, "m": 50, "reps": 20, "scheme": {"kind": "minibatch"},
          "runs": [{"gamma": 0.2, "num_steps": 30, "fit_window": 8}]},
-        "dc6aba4b99969ecc2b84073288c5ad59f8061592a7e1d741c9136b8bc425c9d0",
+        "80d57cc9093d0cd9a10363f341aa539b3c7500545213a6225df691a9fb40d64f",
     ),
     "converge-logistic": (
         {"command": "converge", "seed": 11, "model": {"kind": "logistic", "p": 3, "t": 500},
          "n": 2000, "m": 20, "reps": 10, "kappas": [0.2, 0.05],
          "runs": [{"gamma": 0.5, "num_steps": 16, "fit_window": 4}]},
-        "2bd45ff20e8d9483191912a20580ec773c18080781a4969a25256bdbe58658c8",
+        "795bb854b72f205f29969f8d979cfc9c1ab12d05aa25bcbdc5e0b9452908d5d1",
     ),
     "gd-ode": (
         {"command": "gd-ode", "seed": 11, "gammas": [0.1, 0.05], "x0": [1.0]},
-        "6624a980812420407e40ea3070932a913dff59d05bbfa683e9f6e056f57c0c24",
+        "231a467fef043651d85ab66da24aa1ff768bbba29d92c17f5a71483d9515628d",
     ),
     # unsorted grids of three step sizes with unequal step counts
     "wass-scaling-grid": (
         {"command": "wass-scaling", "seed": 11, "gammas": [0.125, 0.25, 0.0625], "reps": 20,
          "n": 48, "m": 6, "n_directions": 8, "em_substeps": 6, "scheme": {"kind": "minibatch"},
          "model": {"kind": "quadratic", "p": 2, "s": 0.5, "theta_star": [0.5, -0.5]}},
-        "2ce32251eb6a7c3d89cca5e976f0bfca243b97444220928027796e99da5eb22b",
+        "89ba2b1de2cec5ecf2f6a67deb33d4bea2a9dfb543356847e595eddde6ce09c0",
     ),
     "gd-ode-grid": (
         {"command": "gd-ode", "seed": 11, "gammas": [0.05, 0.2, 0.1], "x0": [2.0, -1.0],
          "horizon": 0.8, "ode_substeps": 12,
          "model": {"kind": "quadratic", "p": 2, "s": 1.0, "theta_star": [0.5, 0.0]}},
-        "15b6c0a7831744edeec093da79d6e4f01c0fbdf724840fefc821a2c4c560783f",
+        "61c1b0ec5ccb8ba3bdd909ffeea02fc0e95638c63163f1f6d5b67a04c35634a0",
     ),
 }
 
