@@ -20,8 +20,10 @@ one root stream ``run_experiment`` derives for it.  Given the same config
 and seed, outputs are byte-identical: every replication draws from a stream
 derived from its own index, and reductions happen in index order, whatever
 chunk of replications a step draws and reduces together.  A config sets
-what runs, never how it is judged: every bound a check applies is declared
-once, in ``BOUNDS``.
+what runs, never how it is judged: each runner returns its checks'
+statistics as (key, name, statistic, reference, scale) tuples, and
+``judge``, the one place a check is built, judges each as ``BOUNDS``
+declares for its command and key.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 
 from .dynamics import (
     DIVERGENCE_LIMIT,
+    MAX_STEPS,
     DivergenceError,
     RunConfig,
     run_diffusion_em,
@@ -64,6 +67,7 @@ from .stats import (
     covariance_with_se,
     fit_segment,
     ks_normality,
+    log_slope,
     plateau_bound,
     sliced_w2,
     weighting_gap,
@@ -84,18 +88,21 @@ COMMANDS = {
     "gd-ode": "gradient descent against the gradient-flow solution across step sizes",
 }
 
-# Every bound a check applies, by command and check name, with two roundoff floors and
-# the histogram's and logistic curve's shapes; README.md's "Bounds" says what each bounds.
+# How each check is judged, by command and key, in one of judge's forms; the plain numbers
+# are what three statistics fold in, the logistic blocks and the histogram bins.
 BOUNDS = {
-    "weights-moments": {"coord_mean": 4, "coord_var": 4, "coord_cov": 4, "m_sum_sq": 3,
-                        "m_sum_sq_floor": 1e-12},
-    "clt": {"ks_coord": 0.03, "covariance_max_sigmas": 4, "hist_bins": 50},
-    "weighting-gap": {"gap": 3},
-    "wass-scaling": {"monotone_ratio": 0.1, "loglog_slope": (0.8, 2.2)},
-    "converge": {"recursion_max_dev": 4.0, "recursion_floor": 1e-15, "rho_hat": 0.02,
-                 "blocks": 8, "block_decrease": 2.0, "tail_below_start": 0.5,
-                 "plateau_flat": 2.0, "plateau_flat_frac": 0.05, "rho_order": 2.0},
-    "gd-ode": {"loglog_slope": (0.8, 1.2)},
+    "weights-moments": {"coord_mean": ("abs", 4), "coord_var": ("abs", 4),
+                        "coord_cov": ("abs", 4), "m_sum_sq": ("abs", 3, 1e-12)},
+    "clt": {"ks_coord": ("le", 0.03), "covariance_max_sigmas": ("le", 4), "hist_bins": 50},
+    "weighting-gap": {"gap": ("abs", 3)},
+    "wass-scaling": {"monotone_ratio": ("le", 0.1), "loglog_slope": ("in", (0.8, 2.2))},
+    "converge": {"recursion_max_dev": ("le", 0), "recursion_sigmas": 4.0,
+                 "recursion_floor": 1e-15, "rho_hat": ("abs", 0.02), "plateau": ("le", 0),
+                 "blocks": 8, "block_decrease": ("le", 0), "block_decrease_sigmas": 2.0,
+                 "tail_below_start": ("le", 0), "tail_below_start_frac": 0.5,
+                 "plateau_flat": ("le", 0), "plateau_flat_sigmas": 2.0,
+                 "plateau_flat_frac": 0.05, "rho_order": ("le", 2.0)},
+    "gd-ode": {"bound_gamma": ("le", 0), "loglog_slope": ("in", (0.8, 1.2))},
 }
 
 
@@ -123,8 +130,8 @@ class ExperimentConfig:
 
 @dataclass
 class CheckResult:
-    """One named verdict.  ``comparison`` is "abs" (|observed - target| <=
-    tolerance) or "le" (observed <= target + tolerance)."""
+    """One named verdict, built by :func:`judge`.  ``comparison`` is "abs"
+    (|observed - target| <= tolerance) or "le" (observed <= target + tolerance)."""
 
     name: str
     observed: float
@@ -147,6 +154,20 @@ class CheckResult:
             "comparison": self.comparison,
             "pass": bool(self.passed),
         }
+
+
+def judge(command: str, key: str, name: str, statistic: float, reference: float = 0.0,
+          scale: float = 1.0) -> CheckResult:
+    """The check `name`, judged as ``BOUNDS[command][key]`` declares; the one place a
+    check is built.  ("abs", k) passes when |statistic - reference| <= k * scale, and
+    ("abs", k, floor) adds the floor; ("le", k) when statistic <= reference + k * scale;
+    ("in", (low, high)) when low <= statistic <= high.  `scale` is an SE, or 1 for a
+    fixed bound; README.md's "Bounds" says what each check bounds."""
+    form, k, *floor = BOUNDS[command][key]
+    if form == "in":
+        low, high = k
+        return CheckResult(name, statistic, (low + high) / 2.0, (high - low) / 2.0)
+    return CheckResult(name, statistic, reference, k * scale + sum(floor, 0.0), form)
 
 
 @dataclass
@@ -418,11 +439,13 @@ def _check_step_grid(params: dict, command: str, sizes, plan: dict, diags: list[
         plan["configs"] = []
         for i, gamma in sorted(enumerate(gammas), key=lambda item: item[1], reverse=True):
             steps = horizon / gamma if gamma else 0.0
-            if abs(steps - round(steps)) > 1e-9:
+            # too many steps, even infinitely many, is RunConfig's to report
+            whole = round(steps) if steps <= MAX_STEPS else steps
+            if abs(steps - whole) > 1e-9:
                 diags.append(f"gammas[{i}]: horizon must be a multiple of gamma")
             for n, m in sizes:
                 plan["configs"].append(_build(
-                    f"gammas[{i}]", diags, RunConfig, gamma, round(steps), m, n, plan.get("start")
+                    f"gammas[{i}]", diags, RunConfig, gamma, whole, m, n, plan.get("start")
                 ))
 
 
@@ -576,34 +599,24 @@ def histogram_rows(samples, bin_count: int) -> list[tuple[float, float, int]]:
 # ----------------------------------------------------------------------
 
 
-def _run_weights_moments(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
-    params = cfg.params
-    n, m, reps = params["n"], params["m"], params["reps"]
-    bound = BOUNDS["weights-moments"]
+def _run_weights_moments(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
+    n, m, reps = cfg.params["n"], cfg.params["m"], cfg.params["reps"]
     diag, offdiag = sigma_entries(n, m)
-    checks: list[CheckResult] = []
-    rows = []
+    checks, rows = [], []
     for label, scheme in cfg.plan["schemes"]:
         report = empirical_weight_moments(scheme, root.child(label), reps)
-        for name, observed, target, se in [
+        row = [label, n, m, reps]
+        # the m*sum(w^2) identity is exact in expectation; its bound's tiny floor
+        # absorbs roundoff for schemes where it holds draw-by-draw (SE = 0)
+        for key, observed, target, se in [
             ("coord_mean", report.coord_mean[0], 1.0 / n, report.coord_mean_se[0]),
             ("coord_var", report.var_first, diag, report.var_first_se),
             ("coord_cov", report.cov_pair, offdiag, report.cov_pair_se),
+            ("m_sum_sq", report.m_sum_sq_mean, 1.0, report.m_sum_sq_se),
         ]:
-            checks.append(CheckResult(f"{label}:{name}", observed, target, bound[name] * se))
-        # the m*sum(w^2) identity is exact in expectation; the tiny floor
-        # absorbs roundoff for schemes where it holds draw-by-draw (SE = 0)
-        checks.append(CheckResult(
-            f"{label}:m_sum_sq", report.m_sum_sq_mean, 1.0,
-            bound["m_sum_sq"] * report.m_sum_sq_se + bound["m_sum_sq_floor"],
-        ))
-        rows.append([
-            label, n, m, reps,
-            report.coord_mean[0], report.coord_mean_se[0], 1.0 / n,
-            report.var_first, report.var_first_se, diag,
-            report.cov_pair, report.cov_pair_se, offdiag,
-            report.m_sum_sq_mean, report.m_sum_sq_se,
-        ])
+            checks.append((key, f"{label}:{key}", observed, target, se))
+            row += [observed, se, target]
+        rows.append(row[:-1])  # m_sum_sq's target, 1, has no column
     out.write_csv(
         "weight_moments.csv",
         ["scheme", "n", "m", "reps",
@@ -616,34 +629,24 @@ def _run_weights_moments(cfg: ExperimentConfig, root, out: _OutputDir) -> list[C
     return checks
 
 
-def _run_clt(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
-    params, bound = cfg.params, BOUNDS["clt"]
-    count, p = params["samples"], params["p"]
+def _run_clt(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
+    count, p = cfg.params["samples"], cfg.params["p"]
     model = make_uniform_clt_model(p)
     [(_, scheme)] = cfg.plan["schemes"]
     samples = clt_error_samples(model, scheme, np.zeros(p), count, root.child("samples"))
     target_var = 1.0 / 3.0  # Var Unif(-1, 1)
-    checks: list[CheckResult] = []
+    checks = []
     for j in range(p):
-        checks.append(CheckResult(
-            f"ks_coord{j + 1}", ks_normality(samples[:, j], target_var), 0.0,
-            bound["ks_coord"], comparison="le",
-        ))
+        checks.append(("ks_coord", f"ks_coord{j + 1}", ks_normality(samples[:, j], target_var)))
         out.write_csv(
             f"hist_coord{j + 1}.csv",
             ["bin_left", "bin_right", "count"],
-            histogram_rows(samples[:, j], bound["hist_bins"]),
+            histogram_rows(samples[:, j], BOUNDS["clt"]["hist_bins"]),
         )
     cov, cov_se = covariance_with_se(samples)
     target = target_var * np.eye(p)
-    worst = 0.0
-    for i in range(p):
-        for j in range(p):
-            sigmas = abs(cov[i, j] - target[i, j]) / cov_se[i, j]
-            worst = max(worst, sigmas)
-    checks.append(CheckResult(
-        "covariance_max_sigmas", worst, 0.0, bound["covariance_max_sigmas"], comparison="le",
-    ))
+    worst = float(np.max(np.abs(cov - target) / cov_se))  # NaN, so FAIL, if any entry is
+    checks.append(("covariance_max_sigmas", "covariance_max_sigmas", worst))
     cov_rows = [
         [i + 1, j + 1, cov[i, j], cov_se[i, j], target[i, j]]
         for i in range(p) for j in range(p)
@@ -652,18 +655,14 @@ def _run_clt(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
     return checks
 
 
-def _run_weighting_gap(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
+def _run_weighting_gap(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
     params, plan = cfg.params, cfg.plan
-    checks: list[CheckResult] = []
-    rows = []
+    checks, rows = [], []
     for label, scheme in plan["schemes"]:  # each spec at each pair
         n, m = scheme.n, scheme.m
         gap = weighting_gap(plan["model"], scheme, plan["start"], params["reps"],
                             root.child(label, n, m))
-        checks.append(CheckResult(
-            f"{label}:n{n}:m{m}", gap.estimate, gap.analytic,
-            BOUNDS["weighting-gap"]["gap"] * gap.se,
-        ))
+        checks.append(("gap", f"{label}:n{n}:m{m}", gap.estimate, gap.analytic, gap.se))
         rows.append([label, n, m, params["reps"], gap.estimate, gap.se, gap.analytic])
     out.write_csv(
         "weighting_gap.csv",
@@ -671,13 +670,6 @@ def _run_weighting_gap(cfg: ExperimentConfig, root, out: _OutputDir) -> list[Che
         rows,
     )
     return checks
-
-
-def _loglog_slope(gammas, values, bounds) -> CheckResult:
-    """The slope of log(values) against log(gammas), checked to lie in `bounds`."""
-    slope = float(np.polyfit(np.log(gammas), np.log(values), 1)[0])
-    low, high = bounds
-    return CheckResult("loglog_slope", slope, (low + high) / 2.0, (high - low) / 2.0)
 
 
 def _finished(trajectory):
@@ -692,8 +684,8 @@ def _finished(trajectory):
     return trajectory
 
 
-def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
-    params, plan, bound = cfg.params, cfg.plan, BOUNDS["wass-scaling"]
+def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
+    params, plan = cfg.params, cfg.plan
     model, configs, reps = plan["model"], plan["configs"], params["reps"]
     [(_, scheme)] = plan["schemes"]
     gammas = [config.gamma for config in configs]
@@ -720,13 +712,11 @@ def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[Chec
     out.write_csv(
         "wass_scaling.csv", ["gamma", "w2sq", "method", "n_directions", "reps"], rows
     )
-    checks = []
     worst_ratio = max(values[i + 1] / values[i] for i in range(len(values) - 1))
-    checks.append(CheckResult(
-        "monotone_ratio", worst_ratio, 1.0, bound["monotone_ratio"], comparison="le",
-    ))
-    checks.append(_loglog_slope(gammas, values, bound["loglog_slope"]))
-    return checks
+    return [
+        ("monotone_ratio", "monotone_ratio", worst_ratio, 1.0),
+        ("loglog_slope", "loglog_slope", log_slope(np.log(gammas), values)),
+    ]
 
 
 def _quadratic_gap_recursion(gamma: float, m: int, trace: float, start: float, k: int) -> np.ndarray:
@@ -740,13 +730,13 @@ def _quadratic_gap_recursion(gamma: float, m: int, trace: float, start: float, k
     return out
 
 
-def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[CheckResult]:
+def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[tuple]:
     params, plan, bound = cfg.params, cfg.plan, BOUNDS["converge"]
     model, x0, reps = plan["model"], plan["start"], params["reps"]
     [(_, scheme)] = plan["schemes"]
     m = scheme.m
     trace = model.noise_trace(model.minimizer)
-    checks: list[CheckResult] = []
+    checks = []
     for run_idx, (config, segment) in enumerate(zip(plan["configs"], plan["segments"])):
         gamma, steps = config.gamma, config.num_steps
         oracle = _quadratic_gap_recursion(
@@ -769,22 +759,14 @@ def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[CheckResult]:
             # that overflowed bounds nothing
             dev = math.nan
             if np.all(np.isfinite(curve.g_gap_se)):
-                scale = bound["recursion_max_dev"] * curve.g_gap_se + bound["recursion_floor"]
+                scale = bound["recursion_sigmas"] * curve.g_gap_se + bound["recursion_floor"]
                 dev = float(np.max(np.abs(curve.g_gap_mean - oracle) / scale))
-            checks.append(CheckResult(
-                f"{kind}:recursion_max_dev", dev, 1.0, 0.0, comparison="le",
-            ))
-            try:
-                rho_hat = contraction_fit(curve.g_gap_mean[segment])
-            except ValueError:  # a curve that is not positive over the window has no rate
-                rho_hat = math.nan
-            checks.append(CheckResult(
-                f"{kind}:rho_hat", rho_hat, rho, bound["rho_hat"],
-            ))
             tail = curve.g_gap_mean[-max(steps // 4, 1):]
-            checks.append(CheckResult(
-                f"{kind}:plateau", float(tail.mean()), level, 0.0, comparison="le",
-            ))
+            checks += [
+                ("recursion_max_dev", f"{kind}:recursion_max_dev", dev, 1.0),
+                ("rho_hat", f"{kind}:rho_hat", contraction_fit(curve.g_gap_mean[segment]), rho),
+                ("plateau", f"{kind}:plateau", float(tail.mean()), level),
+            ]
             out.write_csv(
                 f"converge_{kind}_run{run_idx}.csv",
                 ["k", "g_gap_mean", "g_gap_se", "sq_dist_mean", "sq_dist_se", "oracle"],
@@ -814,11 +796,11 @@ def _block_means(per_rep_curves: np.ndarray, blocks: int):
     return means, errs
 
 
-def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[CheckResult]:
+def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[tuple]:
     params, plan, bound = cfg.params, cfg.plan, BOUNDS["converge"]
     reps, blocks = params["reps"], bound["blocks"]
     [(_, scheme)] = plan["schemes"]
-    checks: list[CheckResult] = []
+    checks = []
     for run_idx, (config, segment) in enumerate(zip(plan["configs"], plan["segments"])):
         steps = config.num_steps
         rho_hats = []
@@ -828,40 +810,34 @@ def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[CheckResult]:
                 make_logistic_model(dataset), lambda mo, co, st: run_msgd(mo, scheme, co, st),
                 config, reps, root.child(run_idx, kappa_idx), reference=np.zeros(dataset.dim),
             )
-            mse, mse_se = curve.sq_dist_mean, curve.sq_dist_se
             label = f"run{run_idx}:kappa{kappa:g}"
             means, errs = _block_means(curve.sq_dist_reps, blocks)
-            worst = max(
-                means[j + 1] - means[j] - bound["block_decrease"] * math.hypot(errs[j], errs[j + 1])
+            rise = max(
+                means[j + 1] - means[j]
+                - bound["block_decrease_sigmas"] * math.hypot(errs[j], errs[j + 1])
                 for j in range(blocks - 1)
             )
-            checks.append(CheckResult(
-                f"{label}:block_decrease", worst, 0.0, 0.0, comparison="le",
-            ))
-            checks.append(CheckResult(
-                f"{label}:tail_below_start", means[-1], bound["tail_below_start"] * means[0], 0.0,
-                comparison="le",
-            ))
             # flat up to noise plus a fraction of the plateau level itself
-            slack = (bound["plateau_flat"] * math.hypot(errs[-1], errs[-2])
+            slack = (bound["plateau_flat_sigmas"] * math.hypot(errs[-1], errs[-2])
                      + bound["plateau_flat_frac"] * means[-1])
-            plateau_gap = abs(means[-1] - means[-2]) - slack
-            checks.append(CheckResult(
-                f"{label}:plateau_flat", plateau_gap, 0.0, 0.0, comparison="le",
-            ))
+            checks += [
+                ("block_decrease", f"{label}:block_decrease", rise),
+                ("tail_below_start", f"{label}:tail_below_start", means[-1],
+                 bound["tail_below_start_frac"] * means[0]),
+                ("plateau_flat", f"{label}:plateau_flat", abs(means[-1] - means[-2]) - slack),
+            ]
             rho_hat, rho_se = contraction_fit_jackknife(curve.sq_dist_reps[:, segment])
             rho_hats.append((kappa, rho_hat, rho_se))
             out.write_csv(
                 f"mse_run{run_idx}_kappa{kappa_idx}.csv",
                 ["k", "mse_mean", "mse_se"],
-                [[k, mse[k], mse_se[k]] for k in range(steps + 1)],
+                [[k, curve.sq_dist_mean[k], curve.sq_dist_se[k]] for k in range(steps + 1)],
             )
-        for (k_hi, r_hi, s_hi), (k_lo, r_lo, s_lo) in zip(rho_hats, rho_hats[1:]):
-            margin = bound["rho_order"] * math.hypot(s_hi, s_lo)
-            checks.append(CheckResult(
-                f"run{run_idx}:rho_order:kappa{k_hi:g}<=kappa{k_lo:g}",
-                r_hi - r_lo, 0.0, margin, comparison="le",
-            ))
+        checks += [
+            ("rho_order", f"run{run_idx}:rho_order:kappa{k_hi:g}<=kappa{k_lo:g}",
+             r_hi - r_lo, 0.0, math.hypot(s_hi, s_lo))
+            for (k_hi, r_hi, s_hi), (k_lo, r_lo, s_lo) in zip(rho_hats, rho_hats[1:])
+        ]
         out.write_csv(
             f"rho_hats_run{run_idx}.csv",
             ["kappa", "rho_hat", "rho_hat_se"],
@@ -870,13 +846,13 @@ def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[CheckResult]:
     return checks
 
 
-def _run_converge(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
+def _run_converge(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
     if cfg.params["model"]["kind"] == "quadratic":
         return _run_converge_quadratic(cfg, root, out)
     return _run_converge_logistic(cfg, root, out)
 
 
-def _run_gd_ode(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResult]:
+def _run_gd_ode(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
     params, plan = cfg.params, cfg.plan
     model, configs = plan["model"], plan["configs"]
     horizon = params["horizon"]
@@ -887,9 +863,7 @@ def _run_gd_ode(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResul
     ode = run_ode(model, configs, params["ode_substeps"])
     # after the runs, which report a start too far out as a divergence instead
     grad0 = float(np.linalg.norm(model.grad_objective(plan["start"])))
-    rows = []
-    final_errors = []
-    checks: list[CheckResult] = []
+    checks, rows = [], []
     for gamma, config, gd_run, ode_run in zip(gammas, configs, gd.runs, ode.runs):
         steps = config.num_steps
         gd_run, ode_run = _finished(gd_run), _finished(ode_run)
@@ -902,13 +876,12 @@ def _run_gd_ode(cfg: ExperimentConfig, root, out: _OutputDir) -> list[CheckResul
             bound = math.inf
         if not math.isfinite(bound):  # a bound that overflowed bounds nothing: NaN FAILs
             bound = math.nan
-        checks.append(CheckResult(
-            f"bound_gamma{gamma:g}", float(errors.max()), bound, 0.0, comparison="le",
-        ))
-        final_errors.append(float(errors[-1]))
-        rows.append([gamma, float(errors.max()), bound, float(errors[-1])])
+        max_error = float(errors.max())
+        checks.append(("bound_gamma", f"bound_gamma{gamma:g}", max_error, bound))
+        rows.append([gamma, max_error, bound, float(errors[-1])])
     out.write_csv("gd_ode.csv", ["gamma", "max_error", "bound", "final_error"], rows)
-    checks.append(_loglog_slope(gammas, final_errors, BOUNDS["gd-ode"]["loglog_slope"]))
+    final_errors = [row[3] for row in rows]
+    checks.append(("loglog_slope", "loglog_slope", log_slope(np.log(gammas), final_errors)))
     return checks
 
 
@@ -930,7 +903,8 @@ def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> Exper
     """
     out = _OutputDir(out_dir, config)
     root = derive_stream(config.seed, (config.command,))
-    checks = _RUNNERS[config.command](config, root, out)
+    statistics = _RUNNERS[config.command](config, root, out)
+    checks = [judge(config.command, *statistic) for statistic in statistics]
     report = ExperimentReport(
         command=config.command,
         seed=config.seed,

@@ -59,6 +59,10 @@ from .weights import WeightScheme, sample_weights
 
 DIVERGENCE_LIMIT = 1e150
 
+# The most steps a run may take: a cap on grids no run could allocate, far above
+# any shipped run (300 steps), not a memory budget.
+MAX_STEPS = 10**6
+
 # Payload elements (replications x n x payload width) drawn and reduced at
 # once by M-SGD and the sampling statistics: about 512 KiB of float64, so a
 # chunk's data block stays in cache.
@@ -119,8 +123,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"step size must satisfy 0 < gamma < 1, got {self.gamma}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
+        if not 1 <= self.num_steps <= MAX_STEPS:
+            raise ValueError(f"num_steps must be in [1, {MAX_STEPS}], got {self.num_steps}")
         if not 1 <= self.m <= self.n:
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))

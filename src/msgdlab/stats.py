@@ -16,6 +16,7 @@ This module turns simulations into numbers that can be checked:
   E|scaled weighted error - scaled plain-average error|^2
   = 2 (1 - sqrt(m/n)) Tr sigma^2(theta), which holds at finite n for every
   weight law with the minibatch moment structure;
+* ``log_slope`` is the one log-linear fit, NaN unless every value is positive;
 * ``contraction_bound`` (the predicted factor rho), ``contraction_fit`` and
   ``convergence_curve`` (squared distances to the model's known minimizer
   or to a given point, and g-gaps when the minimizer is known) quantify
@@ -278,21 +279,21 @@ def fit_segment(length: int, burn_in: int = 0, window: Optional[int] = None) -> 
     return slice(burn_in, burn_in + window)
 
 
-def contraction_fit(segment) -> float:
-    """Geometric decay factor fitted to a positive curve segment.
+def log_slope(x, values) -> float:
+    """Least-squares slope of log(values) against `x`; NaN unless every value
+    is positive and finite, since such a curve has no logarithm to fit."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise ValueError(f"need at least 2 points to fit a slope, got {values.size}")
+    if not np.all((values > 0) & (values < math.inf)):
+        return math.nan
+    return float(np.polyfit(x, np.log(values), 1)[0])
 
-    Least-squares slope of log(segment) against the iteration index,
-    exponentiated.  The segment is what the fit uses, such as
-    ``curve[fit_segment(...)]``.
-    """
-    segment = np.asarray(segment, dtype=float)
-    if segment.size < 2:
-        raise ValueError(f"need at least 2 points to fit a rate, got {segment.size}")
-    if not np.all(segment > 0):
-        raise ValueError("curve must be positive over the fit window")
-    k = np.arange(segment.size, dtype=float)
-    slope = np.polyfit(k, np.log(segment), 1)[0]
-    return float(np.exp(slope))
+
+def contraction_fit(segment) -> float:
+    """Geometric decay factor of a curve segment, such as ``curve[fit_segment(...)]``:
+    the exponentiated :func:`log_slope` against the iteration index."""
+    return float(np.exp(log_slope(np.arange(len(segment), dtype=float), segment)))
 
 
 def contraction_fit_jackknife(per_rep_segments: np.ndarray) -> tuple[float, float]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import msgdlab.cli as cli
 import msgdlab.dynamics as dynamics_mod
 from msgdlab.numerics import derive_stream
 from msgdlab.cli import (
@@ -16,10 +17,12 @@ from msgdlab.cli import (
     ConfigError,
     ExperimentReport,
     histogram_rows,
+    judge,
     main,
     run_experiment,
     validate_config,
 )
+from test_golden_bytes import GOLDEN
 
 
 def tiny_config(command: str) -> dict:
@@ -526,6 +529,17 @@ class TestMain:
             (tiny_config("weighting-gap") | {"theta": [1e200, 0.0]}, "weighting-gap.theta"),
             # the logistic block means need a curve of at least 8 points
             (with_run(tiny_logistic(), num_steps=6), "runs[0].num_steps"),
+            # a step grid no run could allocate, or an infinite one
+            (tiny_config("gd-ode") | {"horizon": 1e12},
+             "gammas[1]: num_steps must be in [1, 1000000], got 20000000000000.0"),
+            (tiny_config("wass-scaling") | {"horizon": 1e300},
+             "gammas[0]: num_steps must be in [1, 1000000], got 5e+300"),
+            (with_run(tiny_config("converge"), num_steps=10**7),
+             "runs[0]: num_steps must be in [1, 1000000], got 10000000"),
+            (with_run(tiny_config("converge"), num_steps=10**400),
+             "runs[0]: num_steps must be in [1, 1000000], got 1000"),
+            (tiny_config("gd-ode") | {"gammas": [0.1, 1e-320]},
+             "gammas[1]: num_steps must be in [1, 1000000], got inf"),
         ],
         ids=[
             "thresholds", "schemes-entry", "scheme", "blocks", "logistic-reps", "x0-length",
@@ -541,6 +555,8 @@ class TestMain:
             "gd-ode-horizon-inf", "wass-scaling-horizon-inf", "horizon-huge-int",
             "theta-star-inf", "kappa-inf", "theta-star-nan", "theta-nan", "x0-inf", "x0-nan",
             "theta-beyond-limit", "logistic-fewer-steps-than-blocks",
+            "gd-ode-steps-beyond-cap", "wass-scaling-steps-beyond-cap",
+            "converge-steps-beyond-cap", "converge-steps-huge-int", "infinitely-many-steps",
         ],
     )
     def test_malformed_value_exit_two(self, config, key, tmp_path, capsys):
@@ -600,6 +616,34 @@ class TestMain:
             assert line.startswith("FAIL bound_gamma") and " target=nan " in line
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert not payload["overall_pass"]
+
+    def test_slope_through_a_zero_error_fails(self, tmp_path, capsys):
+        # GD and the flow both reach 0 within the horizon, so the final errors are 0:
+        # no logarithm to fit, and no warning on the way to the FAIL
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({
+            "command": "gd-ode", "seed": 1, "gammas": [0.5, 0.25], "horizon": 710,
+            "x0": [1.0], "ode_substeps": 10,
+        }))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "FAIL loglog_slope: observed=nan " in capsys.readouterr().out
+
+    def test_covariance_ratio_that_is_nan_fails(self, tmp_path, capsys, monkeypatch):
+        # one NaN entry among finite ones: a running max from 0 would skip it
+        covariance_with_se = cli.covariance_with_se
+
+        def with_nan_se(samples):
+            cov, se = covariance_with_se(samples)
+            se[0, 1] = math.nan
+            return cov, se
+
+        monkeypatch.setattr(cli, "covariance_with_se", with_nan_se)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(tiny_config("clt") | {"p": 2}))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "FAIL covariance_max_sigmas: observed=nan " in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["wass-scaling", "gd-ode"])
     @pytest.mark.parametrize("gammas", [[0.1], [0.1, 0.1]])
@@ -726,6 +770,76 @@ class TestMain:
         )
         main(["--config", str(config_path)])
         assert (tmp_path / "from_config" / "report.json").exists()
+
+
+class TestJudge:
+    @pytest.mark.parametrize(
+        "args, inline",
+        [
+            (
+                ("weights-moments", "coord_mean", "minibatch:coord_mean", 0.0102, 0.01, 4e-5),
+                CheckResult("minibatch:coord_mean", 0.0102, 0.01, 4 * 4e-5),
+            ),
+            (
+                ("weights-moments", "m_sum_sq", "dirichlet:m_sum_sq", 1.003, 1.0, 0.0017),
+                CheckResult("dirichlet:m_sum_sq", 1.003, 1.0, 3 * 0.0017 + 1e-12),
+            ),
+            (
+                ("clt", "ks_coord", "ks_coord1", 0.021),
+                CheckResult("ks_coord1", 0.021, 0.0, 0.03, comparison="le"),
+            ),
+            (
+                ("gd-ode", "bound_gamma", "bound_gamma0.1", 0.05, 0.07),
+                CheckResult("bound_gamma0.1", 0.05, 0.07, 0.0, comparison="le"),
+            ),
+            (
+                ("converge", "rho_order", "run0:rho_order:kappa0.2<=kappa0.05", -0.01, 0.0,
+                 math.hypot(0.003, 0.0045)),
+                CheckResult("run0:rho_order:kappa0.2<=kappa0.05", -0.01, 0.0,
+                            2.0 * math.hypot(0.003, 0.0045), comparison="le"),
+            ),
+            (  # target 1.5 and tolerance 0.7, as (low + high) / 2 and (high - low) / 2 round
+                ("wass-scaling", "loglog_slope", "loglog_slope", 2.01),
+                CheckResult("loglog_slope", 2.01, (0.8 + 2.2) / 2, (2.2 - 0.8) / 2),
+            ),
+        ],
+        ids=["abs-se", "abs-se-floor", "le-fixed", "le-zero", "le-hypot", "in"],
+    )
+    def test_builds_the_record_the_runner_built(self, args, inline):
+        # each record is the one the runners built inline before judge existed,
+        # bit for bit, so reports keep their bytes
+        check = judge(*args)
+        assert check == inline
+        assert json.dumps(check.as_dict()) == json.dumps(inline.as_dict())
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for command, bounds in cli.BOUNDS.items()
+         for key, bound in bounds.items() if isinstance(bound, tuple)],
+    )
+    def test_nan_statistic_fails(self, command, key):
+        assert not judge(command, key, "c", math.nan, 0.0, 1.0).passed
+
+    def test_no_dead_bound(self, tmp_path, monkeypatch):
+        # the golden configs read every BOUNDS entry, so none outlives its check
+        class Reads(dict):
+            """One command's entries, recording each key read."""
+
+            def __init__(self, bounds):
+                super().__init__(bounds)
+                self.read = set()
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+        for command, bounds in list(cli.BOUNDS.items()):
+            monkeypatch.setitem(cli.BOUNDS, command, Reads(bounds))
+        for name, (raw, _) in GOLDEN.items():
+            run_experiment(validate_config(raw), tmp_path / name)
+        assert {command: bounds.read for command, bounds in cli.BOUNDS.items()} == {
+            command: set(bounds) for command, bounds in cli.BOUNDS.items()
+        }
 
 
 @pytest.mark.parametrize("name", sorted(RESOLVED))

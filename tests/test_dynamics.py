@@ -8,6 +8,7 @@ import pytest
 
 import msgdlab.dynamics as dynamics_mod
 from msgdlab.dynamics import (
+    MAX_STEPS,
     DivergenceError,
     RunConfig,
     run_diffusion_em,
@@ -86,6 +87,14 @@ class TestRunConfig:
     def test_m_not_above_n(self):
         with pytest.raises(ValueError):
             RunConfig(gamma=0.1, num_steps=5, m=5, n=4, x0=[0.0])
+
+    def test_step_count_capped(self):
+        # a step count no run could allocate is rejected before any state is
+        longest = RunConfig(gamma=0.1, num_steps=MAX_STEPS, m=1, n=1, x0=[0.0])
+        assert longest.num_steps == MAX_STEPS == 10**6
+        for steps in (0, MAX_STEPS + 1, math.inf):
+            with pytest.raises(ValueError, match=r"num_steps must be in \[1, 1000000\]"):
+                RunConfig(gamma=0.1, num_steps=steps, m=1, n=1, x0=[0.0])
 
 
 class TestGd:

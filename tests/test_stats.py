@@ -20,6 +20,7 @@ from msgdlab.stats import (
     covariance_with_se,
     fit_segment,
     ks_normality,
+    log_slope,
     plateau_bound,
     sliced_w2,
     weighting_gap,
@@ -421,8 +422,8 @@ class TestContractionFit:
         assert contraction_fit(gaps) == pytest.approx(0.81, abs=1e-6)
 
     def test_nonpositive_entries_in_window_rejected(self):
-        with pytest.raises(ValueError):
-            contraction_fit(np.array([1.0, 0.5, 0.0, 0.25])[fit_segment(4, 0, 4)])
+        # a curve that is not positive over the window has no rate: NaN, so its check FAILs
+        assert math.isnan(contraction_fit(np.array([1.0, 0.5, 0.0, 0.25])[fit_segment(4, 0, 4)]))
         # entries outside the window do not matter
         assert contraction_fit(np.array([1.0, 0.5, 0.0, 0.25])[fit_segment(4, 0, 2)]) > 0
 
@@ -433,6 +434,21 @@ class TestContractionFit:
         rho, se = contraction_fit_jackknife(curves)
         assert 0.75 <= rho <= 0.85
         assert se > 0
+
+
+class TestLogSlope:
+    def test_power_law_slope(self):
+        gammas = np.array([0.2, 0.1, 0.05])
+        assert log_slope(np.log(gammas), 3.0 * gammas**2) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, math.inf, math.nan])
+    def test_value_that_is_not_positive_and_finite_gives_nan(self, bad):
+        # no log-of-zero warning: the fit is skipped, and a NaN slope FAILs its check
+        assert math.isnan(log_slope([0.0, 1.0, 2.0], [1.0, bad, 0.5]))
+
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            log_slope([0.0], [1.0])
 
 
 class TestPlateauBound:
