@@ -13,9 +13,11 @@ a ``report.json`` into the output directory:
 * ``gd-ode``           gradient descent against its gradient-flow limit
 
 Configs are strict JSON, checked against the command's schema in
-``SCHEMAS``: unknown keys are rejected and every violation is reported with
-the offending key.  Validation builds the domain objects the run uses (the
-config's ``plan``), and each command runs what validation built, from the
+``SCHEMAS``: unknown keys are rejected, no integer may exceed
+``dynamics.MAX_STEPS``, and every violation is reported with the offending
+key.  Validation builds the domain objects the run uses (the config's
+``plan``: each weight scheme at its own (n, m), and run configs, which carry
+no sizes), and each command runs what validation built, from the
 one root stream ``run_experiment`` derives for it.  Given the same config
 and seed, outputs are byte-identical: every replication draws from a stream
 derived from its own index, and reductions happen in index order, whatever
@@ -75,6 +77,7 @@ from .stats import (
 from .weights import (
     SCHEME_KINDS,
     WeightScheme,
+    check_batch,
     empirical_weight_moments,
     sigma_entries,
 )
@@ -118,7 +121,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """A validated config.  ``params`` is the config resolved against its
     command's schema; ``plan`` holds the domain objects validation built
-    for the run: the weight schemes as (label, scheme) pairs, the model, the
+    for the run: the weight schemes, each at its own (n, m), the model, the
     resolved start, the run configs and the logistic datasets."""
 
     command: str
@@ -326,32 +329,24 @@ def _resolve(value, spec: Field, where: str, path: str, diags: list[str]):
             diags.append(f"{where}: expected a finite number, got {value}")
         elif spec.low is not None and value < spec.low:
             diags.append(f"{where}: must be >= {spec.low}")
+        elif typ is int and value > MAX_STEPS:  # a count no run could allocate
+            diags.append(f"{where}: must be <= {MAX_STEPS}")
     return value
 
 
 # Rules between keys, given None for a key that is missing or broke the schema.
 # They build the domain objects the run uses into the config's plan, so that
-# those objects' own rules, such as a Dirichlet scheme's 2 <= m < n, are
+# those objects' own rules, such as a Dirichlet scheme's sizes, are
 # reported against the key.  A broken value builds None: the plan is read only
 # when there is no diagnostic.
 
 
-def _build(where: str, diags: list[str], make, *args):
+def _build(where: str, diags: list[str], make, *args, **kwargs):
     try:
-        return make(*args)
-    except ValueError as exc:
+        return make(*args, **kwargs)
+    except (ValueError, MemoryError) as exc:
         diags.append(f"{where}: {exc}")
         return None
-
-
-def _scheme_from_spec(spec: dict, n: int, m: int) -> WeightScheme:
-    return WeightScheme(kind=spec["kind"], n=n, m=m, base=spec.get("base", "normal"))
-
-
-def _scheme_label(spec: dict) -> str:
-    if spec["kind"] == "gaussian":
-        return f"gaussian[{spec.get('base', 'normal')}]"
-    return spec["kind"]
 
 
 def _model_from_spec(spec: dict):
@@ -365,9 +360,9 @@ def _model_from_spec(spec: dict):
 _M_BELOW_N = ("weights-moments", "weighting-gap")
 
 
-def _check_sizes(params: dict, command: str, plan: dict, diags: list[str]):
-    """Each valid (n, m) the config runs at.  Each weight scheme is built at
-    each, into ``plan["schemes"]`` as (label, scheme) pairs, spec by spec."""
+def _check_schemes(params: dict, command: str, plan: dict, diags: list[str]) -> None:
+    """Each weight scheme at each valid (n, m) the config runs at, into
+    ``plan["schemes"]``, spec by spec."""
     if "pairs" in params:
         named = [(f"pairs[{i}]", pair) for i, pair in enumerate(params["pairs"] or [])]
     else:
@@ -375,22 +370,21 @@ def _check_sizes(params: dict, command: str, plan: dict, diags: list[str]):
         named = [(f"{command}.m", [n, m])] if n is not None and m is not None else []
     sizes = []
     for where, pair in named:
-        if len(pair) == 2 and 1 <= pair[1] <= pair[0]:
-            sizes.append(tuple(pair))
+        if len(pair) != 2:
+            diags.append(f"{where}: need [n, m], got {pair}")
+        elif _build(where, diags, check_batch, *pair):
+            sizes.append(pair)
             if command in _M_BELOW_N and pair[1] == pair[0]:
                 diags.append(f"{where}: m = n makes every weight 1/n, leaving no spread to "
                              f"check; need m < n, got {pair}")
-        else:
-            diags.append(f"{where}: need [n, m] with 1 <= m <= n, got {pair}")
     if "scheme" in params:
         schemes = [("scheme", params["scheme"])]
     else:
         schemes = [(f"schemes[{i}]", spec) for i, spec in enumerate(params["schemes"] or [])]
     plan["schemes"] = [
-        (_scheme_label(spec), _build(where, diags, _scheme_from_spec, spec, n, m))
+        _build(where, diags, WeightScheme, n=n, m=m, **spec)
         for where, spec in schemes if spec is not None for n, m in sizes
     ]
-    return sizes
 
 
 def _check_model(params: dict, command: str, seed: int, plan: dict, diags: list[str]):
@@ -427,9 +421,10 @@ def _check_model(params: dict, command: str, seed: int, plan: dict, diags: list[
     return made
 
 
-def _check_step_grid(params: dict, command: str, sizes, plan: dict, diags: list[str]) -> None:
-    """At least 2 distinct step sizes, each dividing a positive horizon.  The
-    configs go into ``plan["configs"]`` in decreasing step size."""
+def _check_step_grid(params: dict, command: str, plan: dict, diags: list[str]) -> None:
+    """At least 2 distinct step sizes, each dividing a positive horizon, and
+    at most MAX_STEPS inner steps for the reference.  The configs go into
+    ``plan["configs"]`` in decreasing step size."""
     gammas, horizon = params["gammas"], params["horizon"]
     if gammas is not None and len(set(gammas)) < 2:
         diags.append(f"{command}.gammas: need at least 2 distinct step sizes for the slope fit")
@@ -443,13 +438,18 @@ def _check_step_grid(params: dict, command: str, sizes, plan: dict, diags: list[
             whole = round(steps) if steps <= MAX_STEPS else steps
             if abs(steps - whole) > 1e-9:
                 diags.append(f"gammas[{i}]: horizon must be a multiple of gamma")
-            for n, m in sizes:
-                plan["configs"].append(_build(
-                    f"gammas[{i}]", diags, RunConfig, gamma, whole, m, n, plan.get("start")
-                ))
+            plan["configs"].append(
+                _build(f"gammas[{i}]", diags, RunConfig, gamma, whole, plan.get("start"))
+            )
+        # the reference integrates num_steps * substeps inner steps
+        key = "em_substeps" if command == "wass-scaling" else "ode_substeps"
+        inner = max((c.num_steps for c in plan["configs"] if c), default=0) * (params[key] or 0)
+        if inner > MAX_STEPS:
+            diags.append(f"{command}.{key}: num_steps * {key} must be <= {MAX_STEPS}, "
+                         f"got {inner} inner steps")
 
 
-def _check_runs(params: dict, sizes, made, plan: dict, diags: list[str]) -> None:
+def _check_runs(params: dict, made, plan: dict, diags: list[str]) -> None:
     """converge's runs, into ``plan["configs"]`` and their fit windows, as
     slices of the curve, into ``plan["segments"]``, both in run order, and
     the logistic model's run lengths, reps and kappas: one dataset per kappa,
@@ -457,11 +457,9 @@ def _check_runs(params: dict, sizes, made, plan: dict, diags: list[str]) -> None
     runs = params["runs"] or []
     plan["configs"], plan["segments"] = [], []
     for i, run in enumerate(runs):
-        for n, m in sizes:
-            plan["configs"].append(_build(
-                f"runs[{i}]", diags, RunConfig, run["gamma"], run["num_steps"], m, n,
-                plan.get("start"),
-            ))
+        plan["configs"].append(_build(
+            f"runs[{i}]", diags, RunConfig, run["gamma"], run["num_steps"], plan.get("start")
+        ))
         fit = (run["num_steps"] + 1, run.get("fit_burn_in", 0), run.get("fit_window"))
         plan["segments"].append(_build(f"runs[{i}]", diags, fit_segment, *fit))
     kind = params["model"] and params["model"]["kind"]
@@ -490,13 +488,13 @@ def _check_runs(params: dict, sizes, made, plan: dict, diags: list[str]) -> None
 def _check_cross(params: dict, command: str, seed: int, diags: list[str]) -> dict:
     """The plan: what the cross-key rules built for the run."""
     plan: dict = {}
-    # gd-ode runs gradient descent at m = n = 1
-    sizes = [(1, 1)] if command == "gd-ode" else _check_sizes(params, command, plan, diags)
+    if command != "gd-ode":  # the one command that draws no weights
+        _check_schemes(params, command, plan, diags)
     made = _check_model(params, command, seed, plan, diags) if "model" in params else None
     if "gammas" in params:
-        _check_step_grid(params, command, sizes, plan, diags)
+        _check_step_grid(params, command, plan, diags)
     if command == "converge":
-        _check_runs(params, sizes, made, plan, diags)
+        _check_runs(params, made, plan, diags)
     return plan
 
 
@@ -603,7 +601,8 @@ def _run_weights_moments(cfg: ExperimentConfig, root, out: _OutputDir) -> list[t
     n, m, reps = cfg.params["n"], cfg.params["m"], cfg.params["reps"]
     diag, offdiag = sigma_entries(n, m)
     checks, rows = [], []
-    for label, scheme in cfg.plan["schemes"]:
+    for scheme in cfg.plan["schemes"]:
+        label = scheme.label
         report = empirical_weight_moments(scheme, root.child(label), reps)
         row = [label, n, m, reps]
         # the m*sum(w^2) identity is exact in expectation; its bound's tiny floor
@@ -632,7 +631,7 @@ def _run_weights_moments(cfg: ExperimentConfig, root, out: _OutputDir) -> list[t
 def _run_clt(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
     count, p = cfg.params["samples"], cfg.params["p"]
     model = make_uniform_clt_model(p)
-    [(_, scheme)] = cfg.plan["schemes"]
+    [scheme] = cfg.plan["schemes"]
     samples = clt_error_samples(model, scheme, np.zeros(p), count, root.child("samples"))
     target_var = 1.0 / 3.0  # Var Unif(-1, 1)
     checks = []
@@ -658,8 +657,8 @@ def _run_clt(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
 def _run_weighting_gap(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
     params, plan = cfg.params, cfg.plan
     checks, rows = [], []
-    for label, scheme in plan["schemes"]:  # each spec at each pair
-        n, m = scheme.n, scheme.m
+    for scheme in plan["schemes"]:  # each spec at each pair
+        label, n, m = scheme.label, scheme.n, scheme.m
         gap = weighting_gap(plan["model"], scheme, plan["start"], params["reps"],
                             root.child(label, n, m))
         checks.append(("gap", f"{label}:n{n}:m{m}", gap.estimate, gap.analytic, gap.se))
@@ -687,7 +686,7 @@ def _finished(trajectory):
 def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
     params, plan = cfg.params, cfg.plan
     model, configs, reps = plan["model"], plan["configs"], params["reps"]
-    [(_, scheme)] = plan["schemes"]
+    [scheme] = plan["schemes"]
     gammas = [config.gamma for config in configs]
     # every gamma advances in lockstep; group i keeps the streams of gamma index i
     msgd = run_msgd(model, scheme, configs, [
@@ -697,7 +696,7 @@ def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tupl
         _finished(run)
     em = run_diffusion_em(model, configs, params["em_substeps"], [
         root.children(i, "em", stop=reps) for i in range(len(gammas))
-    ])
+    ], scheme.m)
     values = []
     rows = []
     for i, (gamma, msgd_run, em_run) in enumerate(zip(gammas, msgd.runs, em.runs)):
@@ -733,7 +732,7 @@ def _quadratic_gap_recursion(gamma: float, m: int, trace: float, start: float, k
 def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[tuple]:
     params, plan, bound = cfg.params, cfg.plan, BOUNDS["converge"]
     model, x0, reps = plan["model"], plan["start"], params["reps"]
-    [(_, scheme)] = plan["schemes"]
+    [scheme] = plan["schemes"]
     m = scheme.m
     trace = model.noise_trace(model.minimizer)
     checks = []
@@ -750,7 +749,7 @@ def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[tuple]:
             model.strong_convexity, gamma, model.lipschitz_grad, m, trace
         )
         runners = {
-            "gaussian_sgd": run_gaussian_sgd,
+            "gaussian_sgd": lambda mo, co, st: run_gaussian_sgd(mo, co, st, m),
             "msgd": lambda mo, co, st: run_msgd(mo, scheme, co, st),
         }
         for kind, runner in runners.items():
@@ -799,7 +798,7 @@ def _block_means(per_rep_curves: np.ndarray, blocks: int):
 def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[tuple]:
     params, plan, bound = cfg.params, cfg.plan, BOUNDS["converge"]
     reps, blocks = params["reps"], bound["blocks"]
-    [(_, scheme)] = plan["schemes"]
+    [scheme] = plan["schemes"]
     checks = []
     for run_idx, (config, segment) in enumerate(zip(plan["configs"], plan["segments"])):
         steps = config.num_steps
@@ -953,8 +952,8 @@ def main(argv=None) -> int:
     out_dir = args.out or config.params.get("out") or "msgdlab-out"
     try:
         report = run_experiment(config, out_dir)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DivergenceError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     for check in report.checks:
         verdict = "PASS" if check.passed else "FAIL"

@@ -15,9 +15,12 @@ Continuous-time references:
                         Euler-Maruyama with substeps gamma/R
 
 Both continuous-time references record their states at multiples of gamma
-only, so every runner's output grid is the config's.  Gaussian SGD runs the
-Euler-Maruyama step itself, as one substep of size gamma, and M-SGD draws
-its noise from :class:`WeightedGradient`, as the sampling statistics do.
+only, so every runner's output grid is the config's.  A :class:`RunConfig`
+is one point of a step grid: M-SGD reads (n, m) from its scheme, and the
+Gaussian runners, whose noise depends on m alone, take m last.  Gaussian
+SGD runs the Euler-Maruyama step itself, as one substep of size gamma, and
+M-SGD draws its noise from :class:`WeightedGradient`, as the sampling
+statistics do.
 
 ``run_gaussian_sgd``, ``run_msgd`` and ``run_diffusion_em`` are ensemble
 runners: they take one ``RngStream`` per replication and advance all R
@@ -108,7 +111,7 @@ class DivergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Shared run parameters: step size, iteration count, (n, m) and the start.
+    """Shared run parameters: step size, iteration count and the start.
 
     The horizon is T = num_steps * gamma.  All processes given the same
     config start at the same x0.
@@ -116,8 +119,6 @@ class RunConfig:
 
     gamma: float
     num_steps: int
-    m: int
-    n: int
     x0: np.ndarray
 
     def __post_init__(self):
@@ -125,8 +126,6 @@ class RunConfig:
             raise ValueError(f"step size must satisfy 0 < gamma < 1, got {self.gamma}")
         if not 1 <= self.num_steps <= MAX_STEPS:
             raise ValueError(f"num_steps must be in [1, {MAX_STEPS}], got {self.num_steps}")
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
 
 
@@ -296,13 +295,13 @@ def _run_noisy(kind: str, model: LossModel, config, substeps: int, streams, coef
     return _run_ensemble(kind, config, streams, advance, coefficients)
 
 
-def run_gaussian_sgd(model: LossModel, config, streams) -> Union[Trajectory, Lockstep]:
+def run_gaussian_sgd(model: LossModel, config, streams, m: int) -> Union[Trajectory, Lockstep]:
     """Gradient descent plus scaled Gaussian noise (gamma/sqrt(m)) sigma(x) xi: the
     Euler-Maruyama step of :func:`run_diffusion_em` taken as one substep of
     size gamma."""
     return _run_noisy(
         "gaussian_sgd", model, config, 1, streams,
-        lambda c: (c.gamma, c.gamma / math.sqrt(c.m)),
+        lambda c: (c.gamma, c.gamma / math.sqrt(m)),
     )
 
 
@@ -338,15 +337,9 @@ def run_msgd(
 ) -> Union[Trajectory, Lockstep]:
     """Weighted-gradient descent with fresh data and weights every step.
 
-    Each step draws the live replications' weighted gradients with one
-    :class:`WeightedGradient`, chunk by chunk.
+    The scheme gives the shape (n, m).  Each step draws the live replications'
+    weighted gradients with one :class:`WeightedGradient`, chunk by chunk.
     """
-    for c in [config] if isinstance(config, RunConfig) else config:
-        if scheme.n != c.n or scheme.m != c.m:
-            raise ValueError(
-                f"scheme (n={scheme.n}, m={scheme.m}) disagrees with "
-                f"config (n={c.n}, m={c.m})"
-            )
     draw = WeightedGradient(model, scheme)
 
     def advance(x, live_streams, gamma):
@@ -392,7 +385,7 @@ def run_ode(model: LossModel, config, substeps: int) -> Union[Trajectory, Lockst
 
 
 def run_diffusion_em(
-    model: LossModel, config, substeps: int, streams
+    model: LossModel, config, substeps: int, streams, m: int
 ) -> Union[Trajectory, Lockstep]:
     """Euler-Maruyama for dX = -grad g(X) dt + sqrt(gamma/m) sigma(X) dB.
 
@@ -405,6 +398,6 @@ def run_diffusion_em(
 
     def coefficients(c):
         h = c.gamma / substeps
-        return h, math.sqrt(c.gamma / c.m) * math.sqrt(h)
+        return h, math.sqrt(c.gamma / m) * math.sqrt(h)
 
     return _run_noisy("diffusion_em", model, config, substeps, streams, coefficients)

@@ -8,7 +8,8 @@ All three schemes draw a length-``n`` vector ``W`` with
 
 which is exactly the moment structure of averaging a uniform size-``m``
 minibatch.  The covariance is singular along the all-ones direction, so
-``sum(w) = 1`` almost surely for every scheme.
+``sum(w) = 1`` almost surely for every scheme.  :func:`check_batch` is the
+one rule on that shape; a :class:`WeightScheme` carries it and its name.
 
 Schemes
 -------
@@ -37,6 +38,13 @@ SCHEME_KINDS = ("minibatch", "gaussian", "dirichlet")
 GAUSSIAN_BASES = ("normal", "rademacher", "uniform")
 
 
+def check_batch(n: int, m: int) -> tuple[int, int]:
+    """The minibatch shape (n, m), when m of the n data can make a batch."""
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    return n, m
+
+
 @dataclass(frozen=True)
 class WeightScheme:
     """Parameters identifying one weight law: kind, (n, m), and, for the
@@ -50,17 +58,18 @@ class WeightScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}, expected one of {SCHEME_KINDS}")
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
-        if self.kind == "dirichlet" and not 2 <= self.m < self.n:
-            raise ValueError(
-                f"dirichlet weights need 2 <= m < n so (m-1)/(n-m) is positive and "
-                f"finite, got m={self.m}, n={self.n}"
-            )
+        check_batch(self.n, self.m)
+        if self.kind == "dirichlet":
+            dirichlet_alpha(self.n, self.m)
         if self.kind == "gaussian" and self.n < 2:
             raise ValueError("gaussian-structured weights need n >= 2")
         if self.base not in GAUSSIAN_BASES:
             raise ValueError(f"unknown base {self.base!r}, expected one of {GAUSSIAN_BASES}")
+
+    @property
+    def label(self) -> str:
+        """The scheme's name: its kind, with the base for the gaussian kind."""
+        return f"gaussian[{self.base}]" if self.kind == "gaussian" else self.kind
 
 
 def sigma_entries(n: int, m: int) -> tuple[float, float]:
@@ -69,8 +78,7 @@ def sigma_entries(n: int, m: int) -> tuple[float, float]:
     Returns ``((n-m)/(m n^2), -(n-m)/(m n^2 (n-1)))``; the off-diagonal is
     defined as 0 for the degenerate case n = 1.
     """
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    check_batch(n, m)
     diag = (n - m) / (m * n**2)
     offdiag = 0.0 if n == 1 else -(n - m) / (m * n**2 * (n - 1))
     return diag, offdiag
@@ -79,7 +87,7 @@ def sigma_entries(n: int, m: int) -> tuple[float, float]:
 def dirichlet_alpha(n: int, m: int) -> float:
     """Per-coordinate Dirichlet concentration (m-1)/(n-m)."""
     if not 2 <= m < n:
-        raise ValueError(f"need 2 <= m < n, got m={m}, n={n}")
+        raise ValueError(f"dirichlet weights need 2 <= m < n, got m={m}, n={n}")
     return (m - 1) / (n - m)
 
 

@@ -535,11 +535,36 @@ class TestMain:
             (tiny_config("wass-scaling") | {"horizon": 1e300},
              "gammas[0]: num_steps must be in [1, 1000000], got 5e+300"),
             (with_run(tiny_config("converge"), num_steps=10**7),
-             "runs[0]: num_steps must be in [1, 1000000], got 10000000"),
+             "runs[0].num_steps: must be <= 1000000"),
             (with_run(tiny_config("converge"), num_steps=10**400),
-             "runs[0]: num_steps must be in [1, 1000000], got 1000"),
+             "runs[0].num_steps: must be <= 1000000"),
             (tiny_config("gd-ode") | {"gammas": [0.1, 1e-320]},
              "gammas[1]: num_steps must be in [1, 1000000], got inf"),
+            # a count no run could allocate, from 7 TiB of clt data to past numpy's limit
+            (tiny_config("clt") | {"n": 10**12}, "clt.n: must be <= 1000000"),
+            (tiny_config("weights-moments") | {"n": 10**11}, "weights-moments.n: must be <="),
+            (tiny_config("weights-moments") | {"n": 10**23}, "weights-moments.n: must be <="),
+            (tiny_config("clt") | {"p": 10**8}, "clt.p: must be <= 1000000"),
+            (tiny_config("clt") | {"p": 10**23}, "clt.p: must be <= 1000000"),
+            (tiny_config("clt") | {"samples": 10**11}, "clt.samples: must be <= 1000000"),
+            (tiny_config("wass-scaling") | {"reps": 10**10}, "wass-scaling.reps: must be <="),
+            (tiny_config("wass-scaling") | {"em_substeps": 10**9},
+             "wass-scaling.em_substeps: must be <= 1000000"),
+            (tiny_config("wass-scaling") | {"model": {"kind": "quadratic", "p": 10**7}},
+             "model.p: must be <= 1000000"),
+            (tiny_logistic() | {"model": {"kind": "logistic", "p": 2, "t": 10**10}},
+             "model.t: must be <= 1000000"),
+            (tiny_config("weighting-gap") | {"model": {"kind": "quadratic", "p": 10**8}},
+             "model.p: must be <= 1000000"),
+            # a reference whose inner steps no run could finish
+            (tiny_config("gd-ode") | {"ode_substeps": 10**6},
+             "gd-ode.ode_substeps: num_steps * ode_substeps must be <= 1000000, "
+             "got 20000000 inner steps"),
+            (tiny_config("wass-scaling") | {"em_substeps": 200_000},
+             "wass-scaling.em_substeps: num_steps * em_substeps must be <= 1000000, "
+             "got 2000000 inner steps"),
+            (tiny_config("weighting-gap") | {"pairs": [[400, 100, 7]]},
+             "pairs[0]: need [n, m], got [400, 100, 7]"),
         ],
         ids=[
             "thresholds", "schemes-entry", "scheme", "blocks", "logistic-reps", "x0-length",
@@ -557,6 +582,10 @@ class TestMain:
             "theta-beyond-limit", "logistic-fewer-steps-than-blocks",
             "gd-ode-steps-beyond-cap", "wass-scaling-steps-beyond-cap",
             "converge-steps-beyond-cap", "converge-steps-huge-int", "infinitely-many-steps",
+            "clt-n-huge", "moments-n-huge", "moments-n-past-numpy", "clt-p-huge",
+            "clt-p-past-numpy", "clt-samples-huge", "wass-reps-huge", "em-substeps-huge",
+            "wass-p-huge", "logistic-t-huge", "gap-p-huge", "ode-inner-steps",
+            "em-inner-steps", "pair-of-three",
         ],
     )
     def test_malformed_value_exit_two(self, config, key, tmp_path, capsys):
@@ -567,6 +596,61 @@ class TestMain:
         assert code == 2
         assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_counts_capped_at_max_steps(self):
+        # the cap is one constant, MAX_STEPS, for every count and every reference
+        validate_config(tiny_config("weights-moments") | {"n": 10**6, "m": 10})
+        validate_config(tiny_config("gd-ode") | {"ode_substeps": 50_000})  # 20 steps each
+        for raw in (
+            tiny_config("weights-moments") | {"n": 10**6 + 1, "m": 10},
+            tiny_config("gd-ode") | {"ode_substeps": 50_001},
+        ):
+            with pytest.raises(ConfigError, match="must be <= 1000000"):
+                validate_config(raw)
+
+    def test_m_above_n_reported_once(self, tmp_path, capsys):
+        # three default schemes, one size: one diagnostic, not one per scheme
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(tiny_config("weights-moments") | {"n": 50, "m": 60}))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: weights-moments.m: need 1 <= m <= n, got m=60, n=50"
+        ]
+
+    def test_model_that_cannot_allocate_exit_two(self, tmp_path, capsys, monkeypatch):
+        # a quadratic model at p = 200000 asks np.eye for 298 GiB during validation
+        def unable(*args):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr(cli, "make_quadratic_model", unable)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(tiny_config("wass-scaling")))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: model: Unable to allocate 298. GiB\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (MemoryError("Unable to allocate 74.5 GiB"), "error: Unable to allocate 74.5 GiB"),
+            (MemoryError(), "error: out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_run_that_cannot_allocate_exit_one(self, error, line, tmp_path, capsys,
+                                               monkeypatch):
+        # 100000 reps projected on 100000 directions need a 74.5 GiB block
+        def unable(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "sliced_w2", unable)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(tiny_config("wass-scaling")))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [line]
 
     @pytest.mark.parametrize(
         "command, key, value",

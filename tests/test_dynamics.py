@@ -82,31 +82,27 @@ class TestRunConfig:
     def test_gamma_range_enforced(self):
         for gamma in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ValueError):
-                RunConfig(gamma=gamma, num_steps=5, m=1, n=1, x0=[0.0])
-
-    def test_m_not_above_n(self):
-        with pytest.raises(ValueError):
-            RunConfig(gamma=0.1, num_steps=5, m=5, n=4, x0=[0.0])
+                RunConfig(gamma=gamma, num_steps=5, x0=[0.0])
 
     def test_step_count_capped(self):
         # a step count no run could allocate is rejected before any state is
-        longest = RunConfig(gamma=0.1, num_steps=MAX_STEPS, m=1, n=1, x0=[0.0])
+        longest = RunConfig(gamma=0.1, num_steps=MAX_STEPS, x0=[0.0])
         assert longest.num_steps == MAX_STEPS == 10**6
         for steps in (0, MAX_STEPS + 1, math.inf):
             with pytest.raises(ValueError, match=r"num_steps must be in \[1, 1000000\]"):
-                RunConfig(gamma=0.1, num_steps=steps, m=1, n=1, x0=[0.0])
+                RunConfig(gamma=0.1, num_steps=steps, x0=[0.0])
 
 
 class TestGd:
     def test_linear_contraction_exact(self):
         model = make_quadratic_model(1, [0.0], 1.0)
-        config = RunConfig(gamma=0.1, num_steps=20, m=1, n=1, x0=[1.0])
+        config = RunConfig(gamma=0.1, num_steps=20, x0=[1.0])
         states = run_gd(model, config).states[:, 0]
         np.testing.assert_allclose(states, 0.9 ** np.arange(21), rtol=1e-12)
 
     def test_fixed_point_stays(self):
         model = make_quadratic_model(2, [2.0, -1.0], 1.0)
-        config = RunConfig(gamma=0.3, num_steps=15, m=1, n=1, x0=[2.0, -1.0])
+        config = RunConfig(gamma=0.3, num_steps=15, x0=[2.0, -1.0])
         states = run_gd(model, config).states
         np.testing.assert_array_equal(states, np.tile([2.0, -1.0], (16, 1)))
 
@@ -114,12 +110,12 @@ class TestGd:
         dataset = generate_logistic_dataset(derive_stream(3, ["d"]), 3, 500, 0.05)
         model = make_logistic_model(dataset)
         assert 0.1 < 1.0 / model.lipschitz_grad  # descent regime
-        config = RunConfig(gamma=0.1, num_steps=60, m=1, n=1, x0=np.ones(3))
+        config = RunConfig(gamma=0.1, num_steps=60, x0=np.ones(3))
         values = [model.objective(x) for x in run_gd(model, config).states]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_divergence_reports_iteration(self):
-        config = RunConfig(gamma=0.99, num_steps=2000, m=1, n=1, x0=[1.0])
+        config = RunConfig(gamma=0.99, num_steps=2000, x0=[1.0])
         with pytest.raises(DivergenceError) as info:
             run_gd(repelling_model(), config)
         assert 0 < info.value.iteration <= 2000
@@ -128,26 +124,26 @@ class TestGd:
 class TestGaussianSgd:
     def test_zero_noise_equals_gd(self):
         model = zero_noise_quadratic()
-        config = RunConfig(gamma=0.2, num_steps=25, m=3, n=9, x0=[1.5])
-        noisy = run_gaussian_sgd(model, config, [derive_stream(5, ["z"])])
+        config = RunConfig(gamma=0.2, num_steps=25, x0=[1.5])
+        noisy = run_gaussian_sgd(model, config, [derive_stream(5, ["z"])], 3)
         plain = run_gd(model, config)
         np.testing.assert_array_equal(noisy.states[:, 0], plain.states)
 
     def test_huge_minibatch_tracks_gd(self):
         model = make_quadratic_model(1, [0.0], 1.0)
-        config = RunConfig(gamma=0.1, num_steps=10, m=10**8, n=10**8, x0=[1.0])
-        noisy = run_gaussian_sgd(model, config, [derive_stream(7, ["big"])])
+        config = RunConfig(gamma=0.1, num_steps=10, x0=[1.0])
+        noisy = run_gaussian_sgd(model, config, [derive_stream(7, ["big"])], 10**8)
         plain = run_gd(model, config)
         assert np.max(np.abs(noisy.states[:, 0] - plain.states)) <= 1e-2
 
     def test_one_step_noise_variance(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         m = 4
-        config = RunConfig(gamma=0.1, num_steps=1, m=m, n=m, x0=[1.0])
+        config = RunConfig(gamma=0.1, num_steps=1, x0=[1.0])
         stream = derive_stream(11, ["var"])
         deterministic = 1.0 - 0.1 * 1.0
         streams = [stream.child(r) for r in range(10**4)]
-        draws = run_gaussian_sgd(model, config, streams).states[1, :, 0] - deterministic
+        draws = run_gaussian_sgd(model, config, streams, m).states[1, :, 0] - deterministic
         assert draws.var() == pytest.approx(0.1**2 / m, rel=0.06)
 
 
@@ -158,22 +154,15 @@ class TestMsgd:
         model = zero_noise_quadratic()
         for kind in ("minibatch", "gaussian", "dirichlet"):
             scheme = WeightScheme(kind, n=32, m=8)
-            config = RunConfig(gamma=0.25, num_steps=20, m=8, n=32, x0=[2.0])
+            config = RunConfig(gamma=0.25, num_steps=20, x0=[2.0])
             traj = run_msgd(model, scheme, config, [derive_stream(13, [kind])])
             plain = run_gd(model, config)
             np.testing.assert_allclose(traj.states[:, 0], plain.states, rtol=1e-12, atol=1e-14)
 
-    def test_scheme_config_mismatch_rejected(self):
-        model = make_quadratic_model(1, [0.0], 1.0)
-        scheme = WeightScheme("minibatch", n=64, m=8)
-        config = RunConfig(gamma=0.1, num_steps=5, m=4, n=64, x0=[1.0])
-        with pytest.raises(ValueError):
-            run_msgd(model, scheme, config, [derive_stream(1, [])])
-
     def test_ensemble_mean_tracks_gd(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         scheme = WeightScheme("minibatch", n=1000, m=100)
-        config = RunConfig(gamma=0.1, num_steps=50, m=100, n=1000, x0=[1.0])
+        config = RunConfig(gamma=0.1, num_steps=50, x0=[1.0])
         stream = derive_stream(17, ["ens"])
         streams = [stream.child(r) for r in range(200)]
         finals = run_msgd(model, scheme, config, streams).states[-1, :, 0]
@@ -187,13 +176,13 @@ class TestMsgd:
         model = make_quadratic_model(1, [0.0], 1.0)
         reps, steps = 300, 30
         scheme = WeightScheme("dirichlet", n=200, m=40)
-        config = RunConfig(gamma=0.1, num_steps=steps, m=40, n=200, x0=[1.0])
+        config = RunConfig(gamma=0.1, num_steps=steps, x0=[1.0])
         stream = derive_stream(83, ["unbiased"])
         msgd = run_msgd(
             model, scheme, config, [stream.child("m", r) for r in range(reps)]
         ).states[:, :, 0].T
         gauss = run_gaussian_sgd(
-            model, config, [stream.child("g", r) for r in range(reps)]
+            model, config, [stream.child("g", r) for r in range(reps)], scheme.m
         ).states[:, :, 0].T
         gd_path = run_gd(model, config).states[:, 0]
         for ensemble in (msgd, gauss):
@@ -221,7 +210,7 @@ class TestEnsemble:
     def test_msgd(self, kind, model_name):
         model = ensemble_model(model_name)
         scheme = WeightScheme(kind, n=64, m=16)
-        config = RunConfig(gamma=0.2, num_steps=12, m=16, n=64, x0=np.ones(model.dim))
+        config = RunConfig(gamma=0.2, num_steps=12, x0=np.ones(model.dim))
         self._assert_replications_match(
             lambda streams: run_msgd(model, scheme, config, streams), f"msgd-{kind}"
         )
@@ -229,30 +218,30 @@ class TestEnsemble:
     @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
     def test_gaussian_sgd(self, model_name):
         model = ensemble_model(model_name)
-        config = RunConfig(gamma=0.2, num_steps=12, m=4, n=16, x0=np.ones(model.dim))
+        config = RunConfig(gamma=0.2, num_steps=12, x0=np.ones(model.dim))
         self._assert_replications_match(
-            lambda streams: run_gaussian_sgd(model, config, streams), "gaussian"
+            lambda streams: run_gaussian_sgd(model, config, streams, 4), "gaussian"
         )
 
     @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
     def test_diffusion_em(self, model_name):
         model = ensemble_model(model_name)
-        config = RunConfig(gamma=0.2, num_steps=6, m=4, n=16, x0=np.ones(model.dim))
+        config = RunConfig(gamma=0.2, num_steps=6, x0=np.ones(model.dim))
         self._assert_replications_match(
-            lambda streams: run_diffusion_em(model, config, 7, streams), "em"
+            lambda streams: run_diffusion_em(model, config, 7, streams, 4), "em"
         )
 
     def test_single_stream_rejected(self):
         model = make_quadratic_model(1, [0.0], 1.0)
-        config = RunConfig(gamma=0.1, num_steps=3, m=1, n=1, x0=[1.0])
+        config = RunConfig(gamma=0.1, num_steps=3, x0=[1.0])
         with pytest.raises(TypeError, match="sequence"):
-            run_gaussian_sgd(model, config, derive_stream(1, []))
+            run_gaussian_sgd(model, config, derive_stream(1, []), 1)
 
     def test_diverged_replication_dropped_and_recorded(self, repelling_for_stream):
         # replication 1 draws data that makes its gradient repel
         model = repelling_for_stream(1)
         scheme = WeightScheme("minibatch", n=4, m=2)
-        config = RunConfig(gamma=0.5, num_steps=400, m=2, n=4, x0=[1.0])
+        config = RunConfig(gamma=0.5, num_steps=400, x0=[1.0])
         streams = [derive_stream(103, [r]) for r in range(3)]
         traj = run_msgd(model, scheme, config, streams)
         k = traj.diverged[1]
@@ -265,7 +254,7 @@ class TestEnsemble:
     def test_all_diverged_raises(self, repelling_for_stream):
         model = repelling_for_stream(0)
         scheme = WeightScheme("minibatch", n=4, m=2)
-        config = RunConfig(gamma=0.5, num_steps=400, m=2, n=4, x0=[1.0])
+        config = RunConfig(gamma=0.5, num_steps=400, x0=[1.0])
         with pytest.raises(DivergenceError):
             run_msgd(model, scheme, config, [derive_stream(103, [0])])
 
@@ -278,7 +267,7 @@ class TestMsgdChunking:
 
     def _assert_chunk_invariant(self, monkeypatch, model, kind, streams_fn, steps=12):
         scheme = WeightScheme(kind, n=self.N, m=16)
-        config = RunConfig(gamma=0.2, num_steps=steps, m=16, n=self.N, x0=np.ones(model.dim))
+        config = RunConfig(gamma=0.2, num_steps=steps, x0=np.ones(model.dim))
         runs = []
         # the default chunk, then chunks of 1 and of 3 replications
         for elements in (dynamics_mod.CHUNK_ELEMENTS, self.N * model.payload_dim,
@@ -360,7 +349,7 @@ class TestDivergenceGuards:
         # a zero gradient keeps the path at its start
         model = make_uniform_clt_model(2)
         x0 = [0.5, value]
-        config = RunConfig(gamma=0.5, num_steps=3, m=1, n=1, x0=x0)
+        config = RunConfig(gamma=0.5, num_steps=3, x0=x0)
         runs = (lambda: run_gd(model, config), lambda: run_ode(model, config, 2))
         for run in runs:
             if _out_of_range(value):
@@ -372,7 +361,7 @@ class TestDivergenceGuards:
 
     @pytest.mark.parametrize("value", BOUNDARY_STATES)
     def test_gd_after_a_step(self, value):
-        config = RunConfig(gamma=0.5, num_steps=1, m=1, n=1, x0=[0.0])
+        config = RunConfig(gamma=0.5, num_steps=1, x0=[0.0])
         if _out_of_range(value):
             with pytest.raises(DivergenceError) as info:
                 run_gd(jump_model([value]), config)
@@ -386,7 +375,7 @@ class TestDivergenceGuards:
     )
     def test_msgd_ensemble_drops_exactly_the_out_of_range_rows(self, values):
         scheme = WeightScheme("minibatch", n=1, m=1)
-        config = RunConfig(gamma=0.5, num_steps=2, m=1, n=1, x0=[0.0])
+        config = RunConfig(gamma=0.5, num_steps=2, x0=[0.0])
         streams = [derive_stream(113, [r]) for r in range(len(values))]
         traj = run_msgd(jump_model(values), scheme, config, streams)
         # a second identical step doubles the rows at +-LIMIT out of range
@@ -404,7 +393,7 @@ class TestDivergenceGuards:
     def test_msgd_ensemble_raises_when_every_row_diverges(self):
         values = [v for v in BOUNDARY_STATES if _out_of_range(v)]
         scheme = WeightScheme("minibatch", n=1, m=1)
-        config = RunConfig(gamma=0.5, num_steps=2, m=1, n=1, x0=[0.0])
+        config = RunConfig(gamma=0.5, num_steps=2, x0=[0.0])
         streams = [derive_stream(113, [r]) for r in range(len(values))]
         with pytest.raises(DivergenceError) as info:
             run_msgd(jump_model(values), scheme, config, streams)
@@ -412,7 +401,7 @@ class TestDivergenceGuards:
 
 
 def ode_config(gamma, num_steps, x0):
-    return RunConfig(gamma=gamma, num_steps=num_steps, m=1, n=1, x0=x0)
+    return RunConfig(gamma=gamma, num_steps=num_steps, x0=x0)
 
 
 class TestOde:
@@ -472,19 +461,20 @@ class TestOde:
 class TestDiffusionEm:
     def test_zero_noise_is_explicit_euler(self):
         model = zero_noise_quadratic()
-        config = RunConfig(gamma=0.1, num_steps=10, m=1, n=1, x0=[1.0])
-        traj = run_diffusion_em(model, config, 100, [derive_stream(19, ["em"])])
+        config = RunConfig(gamma=0.1, num_steps=10, x0=[1.0])
+        traj = run_diffusion_em(model, config, 100, [derive_stream(19, ["em"])], 1)
         assert traj.states[-1, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
 
     def test_single_substep_variance(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         gamma, m, substeps = 0.1, 4, 1
-        config = RunConfig(gamma=gamma, num_steps=1, m=m, n=m, x0=[1.0])
+        config = RunConfig(gamma=gamma, num_steps=1, x0=[1.0])
         stream = derive_stream(23, ["emvar"])
         h = gamma / substeps
         deterministic = 1.0 - h
         streams = [stream.child(r) for r in range(10**4)]
-        draws = run_diffusion_em(model, config, substeps, streams).states[1, :, 0] - deterministic
+        draws = run_diffusion_em(model, config, substeps, streams, m).states[1, :, 0]
+        draws -= deterministic
         assert draws.var() == pytest.approx((gamma / m) * h, rel=0.06)
 
     @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
@@ -492,16 +482,16 @@ class TestDiffusionEm:
         # the same step on the same normals; the noise scales sqrt(gamma/m)*sqrt(gamma)
         # and gamma/sqrt(m) differ only in rounding
         model = ensemble_model(model_name)
-        config = RunConfig(gamma=0.2, num_steps=8, m=4, n=16, x0=np.full(model.dim, 0.5))
+        config = RunConfig(gamma=0.2, num_steps=8, x0=np.full(model.dim, 0.5))
         stream = derive_stream(31, ["one-substep", model_name])
-        em = run_diffusion_em(model, config, 1, stream.children("rep", stop=5))
-        sgd = run_gaussian_sgd(model, config, stream.children("rep", stop=5))
+        em = run_diffusion_em(model, config, 1, stream.children("rep", stop=5), 4)
+        sgd = run_gaussian_sgd(model, config, stream.children("rep", stop=5), 4)
         np.testing.assert_allclose(em.states, sgd.states, rtol=1e-12, atol=1e-14)
 
     def test_huge_minibatch_tracks_ode(self):
         model = make_quadratic_model(1, [0.0], 1.0)
-        config = RunConfig(gamma=0.1, num_steps=10, m=10**8, n=10**8, x0=[1.0])
-        traj = run_diffusion_em(model, config, 50, [derive_stream(29, ["big"])])
+        config = RunConfig(gamma=0.1, num_steps=10, x0=[1.0])
+        traj = run_diffusion_em(model, config, 50, [derive_stream(29, ["big"])], 10**8)
         ode = run_ode(model, config, 50)
         assert np.max(np.abs(traj.states[:, 0] - ode.states)) <= 1e-2
 
@@ -517,14 +507,14 @@ class TestLogisticNoiseDimension:
     def test_gaussian_sgd_contracts(self):
         model = self._model()
         assert model.noise_dim == 200
-        config = RunConfig(gamma=0.2, num_steps=80, m=20, n=100, x0=np.ones(3))
-        traj = run_gaussian_sgd(model, config, [derive_stream(79, ["run"])])
+        config = RunConfig(gamma=0.2, num_steps=80, x0=np.ones(3))
+        traj = run_gaussian_sgd(model, config, [derive_stream(79, ["run"])], 20)
         assert model.objective(traj.states[-1, 0]) < model.objective(traj.states[0, 0])
 
     def test_diffusion_em_contracts(self):
         model = self._model()
-        config = RunConfig(gamma=0.2, num_steps=40, m=20, n=100, x0=np.ones(3))
-        traj = run_diffusion_em(model, config, 10, [derive_stream(79, ["em"])])
+        config = RunConfig(gamma=0.2, num_steps=40, x0=np.ones(3))
+        traj = run_diffusion_em(model, config, 10, [derive_stream(79, ["em"])], 20)
         assert model.objective(traj.states[-1, 0]) < model.objective(traj.states[0, 0])
 
 
@@ -539,7 +529,7 @@ class TestGdOdeGap:
         gammas = [0.1, 0.05, 0.025, 0.0125]
         for gamma in gammas:
             steps = int(round(horizon / gamma))
-            config = RunConfig(gamma=gamma, num_steps=steps, m=1, n=1, x0=[1.0])
+            config = RunConfig(gamma=gamma, num_steps=steps, x0=[1.0])
             gd = run_gd(model, config)
             ode = run_ode(model, config, 20)
             errors = np.abs(gd.states[:, 0] - ode.states[:, 0])
@@ -635,9 +625,9 @@ class TestLockstep:
         model = repelling_for_stream("x")
         scheme = WeightScheme("minibatch", n=4, m=2)
         configs = [
-            RunConfig(gamma=0.5, num_steps=300, m=2, n=4, x0=[1.0]),
-            RunConfig(gamma=0.2, num_steps=30, m=2, n=4, x0=[2.0]),
-            RunConfig(gamma=0.3, num_steps=400, m=2, n=4, x0=[1.0]),
+            RunConfig(gamma=0.5, num_steps=300, x0=[1.0]),
+            RunConfig(gamma=0.2, num_steps=30, x0=[2.0]),
+            RunConfig(gamma=0.3, num_steps=400, x0=[1.0]),
         ]
         def streams():
             return [
@@ -657,7 +647,7 @@ class TestLockstep:
         model = ensemble_model("logistic")
         monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", 2 * 16 * model.payload_dim)
         scheme = WeightScheme(kind, n=16, m=4)
-        configs = [RunConfig(gamma=g, num_steps=k, m=4, n=16, x0=np.ones(3))
+        configs = [RunConfig(gamma=g, num_steps=k, x0=np.ones(3))
                    for g, k in ((0.3, 5), (0.1, 12), (0.2, 8))]
         self._assert_grid_matches(
             lambda c, s: run_msgd(model, scheme, c, s), configs,
@@ -666,22 +656,22 @@ class TestLockstep:
 
     def test_gaussian_sgd(self):
         model = ensemble_model("logistic")
-        configs = [RunConfig(gamma=g, num_steps=k, m=m, n=50, x0=np.ones(3))
-                   for g, k, m in ((0.1, 9, 4), (0.4, 3, 25), (0.2, 6, 50))]
+        configs = [RunConfig(gamma=g, num_steps=k, x0=np.ones(3))
+                   for g, k in ((0.1, 9), (0.4, 3), (0.2, 6))]
         self._assert_grid_matches(
-            lambda c, s: run_gaussian_sgd(model, c, s), configs,
+            lambda c, s: run_gaussian_sgd(model, c, s, 25), configs,
             lambda: [[derive_stream(11, [i, r]) for r in range(2)] for i in range(3)],
         )
 
     def test_diffusion_em(self):
         model = cliff_model()
         configs = [
-            RunConfig(gamma=0.2, num_steps=40, m=1, n=1, x0=[4.6]),
-            RunConfig(gamma=0.1, num_steps=10, m=1, n=1, x0=[0.0]),
-            RunConfig(gamma=0.25, num_steps=50, m=1, n=1, x0=[10.0]),
+            RunConfig(gamma=0.2, num_steps=40, x0=[4.6]),
+            RunConfig(gamma=0.1, num_steps=10, x0=[0.0]),
+            RunConfig(gamma=0.25, num_steps=50, x0=[10.0]),
         ]
         grid = self._assert_grid_matches(
-            lambda c, s: run_diffusion_em(model, c, 4, s), configs,
+            lambda c, s: run_diffusion_em(model, c, 4, s, 1), configs,
             lambda: [[derive_stream(13, [i, r]) for r in range(6)] for i in range(3)],
             entirely=(2,),
         )
@@ -692,10 +682,10 @@ class TestLockstep:
         # a shared (p, q) factor multiplies the whole block at once; the
         # logistic factor depends on the state and is taken every substep
         model = ensemble_model(model_name)
-        configs = [RunConfig(gamma=g, num_steps=k, m=4, n=16, x0=np.ones(model.dim))
+        configs = [RunConfig(gamma=g, num_steps=k, x0=np.ones(model.dim))
                    for g, k in ((0.1, 6), (0.3, 2))]
         self._assert_grid_matches(
-            lambda c, s: run_diffusion_em(model, c, 5, s), configs,
+            lambda c, s: run_diffusion_em(model, c, 5, s, 4), configs,
             lambda: [[derive_stream(17, [i, r]) for r in range(3)] for i in range(2)],
         )
 
@@ -704,24 +694,24 @@ class TestLockstep:
         sigma = np.array([[1.0, 0.3], [-0.7, 2.0]]) / 3.0
         base = make_quadratic_model(2, [0.5, -0.5], 1.0)
         model = dataclasses.replace(base, noise_factor=lambda theta: sigma)
-        config = RunConfig(gamma=0.2, num_steps=5, m=3, n=9, x0=[1.0, -2.0])
+        config = RunConfig(gamma=0.2, num_steps=5, x0=[1.0, -2.0])
         streams = [derive_stream(19, [r]) for r in range(4)]
-        substeps = 7
+        substeps, m = 7, 3
         h = config.gamma / substeps
-        scale = math.sqrt(config.gamma / config.m) * math.sqrt(h)
+        scale = math.sqrt(config.gamma / m) * math.sqrt(h)
         x = np.tile(config.x0, (4, 1))
         replay = [derive_stream(19, [r]) for r in range(4)]
         for k in range(config.num_steps):
             z = np.stack([s.generator.standard_normal((substeps, 2)) for s in replay])
             for j in range(substeps):
                 x = x - h * base.grad_objective(x) + scale * (sigma @ z[:, j, :, None])[:, :, 0]
-        traj = run_diffusion_em(model, config, substeps, streams)
+        traj = run_diffusion_em(model, config, substeps, streams, m)
         np.testing.assert_array_equal(traj.states[-1], x)
 
     def test_gd(self):
         # x grows by 1 + gamma per step: only gamma = 0.9 reaches the limit
         model = repelling_model()
-        configs = [RunConfig(gamma=g, num_steps=k, m=1, n=1, x0=[1.0])
+        configs = [RunConfig(gamma=g, num_steps=k, x0=[1.0])
                    for g, k in ((0.5, 50), (0.9, 600), (0.3, 80))]
         grid = self._assert_grid_matches(
             lambda c, s: run_gd(model, c), configs, lambda: [None] * 3, entirely=(1,)
@@ -731,7 +721,7 @@ class TestLockstep:
     def test_ode(self):
         # h lam = 5 is outside the method's stability interval, 1 and 2.5 inside
         model = stiff_model(20.0)
-        configs = [RunConfig(gamma=g, num_steps=k, m=1, n=1, x0=[1.0])
+        configs = [RunConfig(gamma=g, num_steps=k, x0=[1.0])
                    for g, k in ((0.1, 500), (0.5, 100), (0.25, 200))]
         grid = self._assert_grid_matches(
             lambda c, s: run_ode(model, c, 2), configs, lambda: [None] * 3, entirely=(1,)
@@ -740,7 +730,7 @@ class TestLockstep:
 
     def test_every_row_diverged_raises(self):
         model = repelling_model()
-        configs = [RunConfig(gamma=g, num_steps=900, m=1, n=1, x0=[1.0]) for g in (0.9, 0.8)]
+        configs = [RunConfig(gamma=g, num_steps=900, x0=[1.0]) for g in (0.9, 0.8)]
         with pytest.raises(DivergenceError) as info:
             run_gd(model, configs)
         iterations = []
@@ -754,8 +744,8 @@ class TestLockstep:
 
     def test_one_stream_sequence_per_config(self):
         model = make_quadratic_model(1, [0.0], 1.0)
-        configs = [RunConfig(gamma=0.1, num_steps=2, m=1, n=1, x0=[1.0])] * 2
+        configs = [RunConfig(gamma=0.1, num_steps=2, x0=[1.0])] * 2
         with pytest.raises(ValueError, match="one stream sequence per config"):
-            run_gaussian_sgd(model, configs, [[derive_stream(1, [0])]])
+            run_gaussian_sgd(model, configs, [[derive_stream(1, [0])]], 1)
         with pytest.raises(TypeError, match="sequence"):
-            run_gaussian_sgd(model, configs, [derive_stream(1, [0]), derive_stream(1, [1])])
+            run_gaussian_sgd(model, configs, [derive_stream(1, [0]), derive_stream(1, [1])], 1)

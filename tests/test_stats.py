@@ -138,7 +138,7 @@ class TestSharedDraw:
         theta = np.array([0.5, -0.25])
         stream = derive_stream(79, ["shared", kind])
         samples = clt_error_samples(model, scheme, theta, reps, stream)
-        config = RunConfig(gamma=gamma, num_steps=1, m=m, n=n, x0=theta)
+        config = RunConfig(gamma=gamma, num_steps=1, x0=theta)
         streams = [stream.child("rep", r) for r in range(reps)]
         step = run_msgd(model, scheme, config, streams).states[1]
         np.testing.assert_allclose(step, theta - gamma * samples / math.sqrt(m), rtol=1e-12)
@@ -343,7 +343,7 @@ def gd_ensemble(model, config, streams) -> Trajectory:
 class TestConvergenceCurve:
     def test_gd_closed_form(self):
         model = make_quadratic_model(1, [0.0], 1.0)
-        config = RunConfig(gamma=0.1, num_steps=30, m=1, n=1, x0=[1.0])
+        config = RunConfig(gamma=0.1, num_steps=30, x0=[1.0])
         curve = convergence_curve(model, gd_ensemble, config, 1, derive_stream(53, ["gd"]))
         expected = 0.5 * (1 - 0.1) ** (2 * np.arange(31))
         np.testing.assert_allclose(curve.g_gap_mean, expected, rtol=1e-10)
@@ -352,9 +352,10 @@ class TestConvergenceCurve:
         # oracle: a_{k+1} = (1-gamma)^2 a_k + gamma^2 s^2 / (2m)
         model = make_quadratic_model(1, [0.0], 1.0)
         gamma, m, steps, reps = 0.1, 50, 100, 300
-        config = RunConfig(gamma=gamma, num_steps=steps, m=m, n=m, x0=[1.0])
+        config = RunConfig(gamma=gamma, num_steps=steps, x0=[1.0])
         curve = convergence_curve(
-            model, run_gaussian_sgd, config, reps, derive_stream(59, ["gs"])
+            model, lambda mo, co, st: run_gaussian_sgd(mo, co, st, m), config, reps,
+            derive_stream(59, ["gs"]),
         )
         oracle = np.empty(steps + 1)
         oracle[0] = 0.5
@@ -368,7 +369,7 @@ class TestConvergenceCurve:
         # they have in a run without it
         model = repelling_for_stream(2)
         scheme = WeightScheme("gaussian", n=4, m=2)
-        config = RunConfig(gamma=0.5, num_steps=300, m=2, n=4, x0=[1.0])
+        config = RunConfig(gamma=0.5, num_steps=300, x0=[1.0])
 
         def runner(mo, co, streams):
             return run_msgd(mo, scheme, co, streams)
@@ -387,7 +388,7 @@ class TestConvergenceCurve:
     def test_all_diverged_raises(self, repelling_for_stream):
         model = repelling_for_stream(0)
         scheme = WeightScheme("gaussian", n=4, m=2)
-        config = RunConfig(gamma=0.5, num_steps=300, m=2, n=4, x0=[1.0])
+        config = RunConfig(gamma=0.5, num_steps=300, x0=[1.0])
         with pytest.raises(ArithmeticError, match="all 1 replications diverged"):
             convergence_curve(
                 model, lambda mo, co, streams: run_msgd(mo, scheme, co, streams),
@@ -399,7 +400,7 @@ class TestConvergenceCurve:
 
         dataset = generate_logistic_dataset(derive_stream(67, ["ref"]), 2, 200, 0.1)
         model = make_logistic_model(dataset)
-        config = RunConfig(gamma=0.1, num_steps=3, m=1, n=1, x0=[1.0, 1.0])
+        config = RunConfig(gamma=0.1, num_steps=3, x0=[1.0, 1.0])
         with pytest.raises(ValueError, match="no known minimizer"):
             convergence_curve(model, gd_ensemble, config, 1, derive_stream(67, ["run"]))
 
@@ -414,7 +415,7 @@ class TestContractionFit:
 
     def test_gd_quadratic_rate(self):
         model = make_quadratic_model(1, [0.0], 1.0)
-        config = RunConfig(gamma=0.1, num_steps=40, m=1, n=1, x0=[1.0])
+        config = RunConfig(gamma=0.1, num_steps=40, x0=[1.0])
         gaps = [
             model.objective(x) - model.objective(model.minimizer)
             for x in run_gd(model, config).states

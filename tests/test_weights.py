@@ -65,6 +65,22 @@ class TestSchemeValidation:
         with pytest.raises(ValueError):
             WeightScheme("gaussian", n=10, m=2, base="cauchy")
 
+    @pytest.mark.parametrize("n, m", [(10, 11), (10, 0)])
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    def test_m_not_above_n(self, kind, n, m):
+        with pytest.raises(ValueError, match=r"need 1 <= m <= n"):
+            WeightScheme(kind, n=n, m=m)
+
+    def test_labels(self):
+        # the names the golden configs' CSV rows and stream labels carry
+        schemes = [WeightScheme("minibatch", n=10, m=2), WeightScheme("dirichlet", n=10, m=2)]
+        schemes += [WeightScheme("gaussian", n=10, m=2, base=base)
+                    for base in ("normal", "rademacher", "uniform")]
+        assert [scheme.label for scheme in schemes] == [
+            "minibatch", "dirichlet", "gaussian[normal]", "gaussian[rademacher]",
+            "gaussian[uniform]",
+        ]
+
 
 class TestEnsembleSamplers:
     """Row r of a block draw is the one-stream draw on ``streams[r]``, and it

@@ -6,10 +6,12 @@ Runs the configs in ``configs/`` and the ``GOLDEN`` configs of
 ``tests/test_golden_bytes.py`` through ``python -m msgdlab``, once with
 PARENT_TREE's ``src`` on ``PYTHONPATH`` and once with this checkout's, BLAS
 on one thread, and compares exit codes, stdout, stderr, artifact names and
-artifact bytes.  Prints ``configs: N differences: D`` and then every
-difference; exits 0 when there is none.  Both trees run this checkout's
-configs.  The canonical configs take about a minute per tree, so the tests
-do not run this.
+artifact bytes.  First prints, for both trees, the line count of each
+``src/msgdlab/*.py`` and their total, and the number of settable config
+values in that tree's ``cli.SCHEMAS``; then ``configs: N differences: D``
+and every difference.  Exits 0 when there is none.  Both trees run this
+checkout's configs.  The canonical configs take about a minute per tree, so
+the tests do not run this.
 """
 
 from __future__ import annotations
@@ -24,6 +26,48 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 BLAS_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# Settable config values: a scalar or a list of scalars counts 1, an object
+# counts its fields, a Kinds counts the fields of every kind, and ``out``
+# (not in SCHEMAS) is not counted.
+COUNT_SETTABLE = """
+from msgdlab.cli import SCHEMAS, Kinds
+
+def count(typ):
+    if isinstance(typ, Kinds):
+        return sum(count(kind) for kind in typ.values())
+    if isinstance(typ, dict):
+        return sum(count(field.type) for field in typ.values())
+    if isinstance(typ, list):
+        return count(typ[0])
+    return 1
+
+print(sum(count(schema) for schema in SCHEMAS.values()))
+"""
+
+
+def line_counts(tree: Path) -> dict[str, int]:
+    """Lines of each ``src/msgdlab/*.py`` of `tree`, by file name."""
+    return {path.name: len(path.read_text().splitlines())
+            for path in sorted((tree / "src" / "msgdlab").glob("*.py"))}
+
+
+def settable_values(tree: Path) -> str:
+    """The settable config values of `tree`, counted with its own ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **BLAS_ENV)
+    done = subprocess.run([sys.executable, "-c", COUNT_SETTABLE], env=env,
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else "?"
+
+
+def size_report(parent: Path) -> list[str]:
+    """Per-module lines, their total and settable values, parent -> this tree."""
+    old, new = line_counts(parent), line_counts(REPO)
+    lines = [f"{name}: {old.get(name, 0)} -> {new.get(name, 0)}"
+             for name in sorted(old.keys() | new.keys())]
+    lines.append(f"src total: {sum(old.values())} -> {sum(new.values())}")
+    lines.append(f"settable config values: {settable_values(parent)} -> {settable_values(REPO)}")
+    return lines
 
 
 def golden_configs() -> dict[str, dict]:
@@ -81,6 +125,8 @@ def main(argv=None) -> int:
         print("usage: python tools/artifact_diff.py PARENT_TREE", file=sys.stderr)
         return 2
     parent = Path(args[0]).resolve()
+    for line in size_report(parent):
+        print(line)
     named = configs()
     found = []
     with tempfile.TemporaryDirectory() as temp:
