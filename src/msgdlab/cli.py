@@ -109,6 +109,11 @@ BOUNDS = {
 }
 
 
+# The most values wass-scaling's sliced W2 projects per ensemble, reps * n_directions: a cap
+# on projections no run could allocate, far above any shipped run (64,000), not a memory budget.
+MAX_PROJECTED = 10**7
+
+
 class ConfigError(ValueError):
     """Invalid experiment config; ``diagnostics`` lists every violation."""
 
@@ -449,6 +454,15 @@ def _check_step_grid(params: dict, command: str, plan: dict, diags: list[str]) -
                          f"got {inner} inner steps")
 
 
+def _check_projection(params: dict, diags: list[str]) -> None:
+    """At most MAX_PROJECTED values in each ensemble's sliced W2 projection,
+    which is allocated only after both ensembles have run."""
+    projected = (params["reps"] or 0) * (params["n_directions"] or 0)
+    if projected > MAX_PROJECTED:
+        diags.append(f"wass-scaling.n_directions: reps * n_directions must be <= "
+                     f"{MAX_PROJECTED}, got {projected} projected values")
+
+
 def _check_runs(params: dict, made, plan: dict, diags: list[str]) -> None:
     """converge's runs, into ``plan["configs"]`` and their fit windows, as
     slices of the curve, into ``plan["segments"]``, both in run order, and
@@ -493,6 +507,8 @@ def _check_cross(params: dict, command: str, seed: int, diags: list[str]) -> dic
     made = _check_model(params, command, seed, plan, diags) if "model" in params else None
     if "gammas" in params:
         _check_step_grid(params, command, plan, diags)
+    if command == "wass-scaling":
+        _check_projection(params, diags)
     if command == "converge":
         _check_runs(params, made, plan, diags)
     return plan

@@ -84,7 +84,8 @@ class ChunkBlock:
     calls pass the block's leading rows as ``out``, so a loop over chunks of
     shrinking size reuses the memory instead of freeing and reallocating
     (and page-faulting on) a fresh block each time.  The draws are the same
-    bytes either way.
+    bytes either way.  Any `draw` that fills one row per stream and takes
+    ``out`` will do, such as Euler-Maruyama's product of its normals.
     """
 
     def __init__(self, draw: Callable[..., np.ndarray]):
@@ -266,23 +267,33 @@ def run_gd(model: LossModel, config) -> Union[Trajectory, Lockstep]:
     return _run_ensemble("gd", config, None, advance, lambda c: (c.gamma,))
 
 
+def _standard_normals(streams, shape, out=None) -> np.ndarray:
+    """One `shape` block of standard normals per stream, stacked."""
+    block = np.empty((len(streams),) + shape) if out is None else out
+    for row, stream in zip(block, streams):
+        stream.generator.standard_normal(out=row)
+    return block
+
+
 def _run_noisy(kind: str, model: LossModel, config, substeps: int, streams, coefficients):
     """Euler-Maruyama steps x <- x - h grad g(x) + scale sigma(x) z, `substeps`
     of them per recorded step, with (h, scale) = ``coefficients(config)``.
 
     Each replication draws one (substeps, q) block of normals per recorded
-    step, the same values as one draw per substep.  When the noise factor is
-    one shared (p, q) matrix, the whole block is multiplied by it in one
-    stacked matmul before the substeps.
+    step, the same values as one draw per substep, into a block reused by
+    every step.  When the noise factor is one shared (p, q) matrix, the whole
+    block is multiplied by it in one stacked matmul, into a second reused
+    block, and scaled in place before the substeps.
     """
+    normals = ChunkBlock(_standard_normals)
+    products = ChunkBlock(lambda _streams, factor, z, out=None: np.matmul(factor, z, out=out))
 
     def advance(x, live_streams, h, scale):
-        z = np.stack([
-            s.generator.standard_normal((substeps, model.noise_dim)) for s in live_streams
-        ])
+        z = normals(live_streams, (substeps, model.noise_dim))
         factor = model.noise_factor(x)
         if factor.ndim == 2:  # shared by every state
-            noise = scale[:, :, None] * (factor @ z[..., None])[..., 0]
+            noise = products(live_streams, factor, z[..., None])[..., 0]
+            noise *= scale[:, :, None]
             for j in range(substeps):
                 x = x - h * model.grad_objective(x) + noise[:, j]
             return x
@@ -308,15 +319,14 @@ def run_gaussian_sgd(model: LossModel, config, streams, m: int) -> Union[Traject
 class WeightedGradient:
     """The M-SGD noise: per replication, n fresh data and a fresh weight vector.
 
-    Called as ``(theta, streams)``, it draws every stream's data and then
-    every stream's weights, makes one batched ``grad_loss`` call at theta
-    (one (p,) point, or one (R, p) row per stream) and reduces the (R, n, p)
-    per-datum gradients with a stacked ``np.matmul``; it returns them with
-    the (R, p) weighted gradients sum_i w_i grad l(theta, u_i).  Callers
-    walk their replications in chunks of ``rows`` = ``chunk_rows(n *
-    payload_dim)``, which keeps a chunk's block in cache; rows never mix, so
-    the chunk size cannot change a bit.  The data and weight blocks are
-    allocated once and refilled by every chunk.
+    ``sample(streams)`` draws every stream's data and then every stream's
+    weights.  Called as ``(theta, streams)``, it samples and returns the
+    (R, p) weighted gradients sum_i w_i grad l(theta, u_i) from one batched
+    ``model.weighted_grad`` call at theta (one (p,) point, or one (R, p) row
+    per stream).  Callers walk their replications in chunks of ``rows`` =
+    ``chunk_rows(n * payload_dim)``, which keeps a chunk's block in cache;
+    rows never mix, so the chunk size cannot change a bit.  The data and
+    weight blocks are allocated once and refilled by every chunk.
     """
 
     def __init__(self, model: LossModel, scheme: WeightScheme):
@@ -325,11 +335,12 @@ class WeightedGradient:
         self.draw_data = ChunkBlock(model.sample_data)
         self.draw_weights = ChunkBlock(sample_weights)
 
-    def __call__(self, theta, streams: Sequence[RngStream]) -> tuple[np.ndarray, np.ndarray]:
-        data = self.draw_data(streams, self.scheme.n)
-        w = self.draw_weights(streams, self.scheme)
-        grads = self.model.grad_loss(theta, data)
-        return grads, (w[:, None, :] @ grads)[:, 0, :]
+    def sample(self, streams: Sequence[RngStream]) -> tuple[np.ndarray, np.ndarray]:
+        """The (R, n, ...) data and (R, n) weights of `streams`."""
+        return self.draw_data(streams, self.scheme.n), self.draw_weights(streams, self.scheme)
+
+    def __call__(self, theta, streams: Sequence[RngStream]) -> np.ndarray:
+        return self.model.weighted_grad(theta, *self.sample(streams))
 
 
 def run_msgd(
@@ -346,7 +357,7 @@ def run_msgd(
         drift = np.empty_like(x)
         for start in range(0, len(live_streams), draw.rows):
             part = live_streams[start : start + draw.rows]
-            drift[start : start + len(part)] = draw(x[start : start + len(part)], part)[1]
+            drift[start : start + len(part)] = draw(x[start : start + len(part)], part)
         return x - gamma * drift
 
     return _run_ensemble("msgd", config, streams, advance, lambda c: (c.gamma,))

@@ -11,6 +11,13 @@ A :class:`LossModel` bundles everything the dynamics need:
   returns it;
 * ``grad_loss(theta, data)`` mapping a batch of ``count`` data to per-datum
   gradients (count, p), unbiased for ``grad_objective``;
+* ``weighted_grad(theta, data, w)``, the weighted gradient
+  sum_i w_i grad l(theta, u_i) for (..., count) weights, the one reduction
+  ``dynamics.WeightedGradient`` makes: by default
+  ``weighted_sum(w, grad_loss(theta, data))``, one stacked ``np.matmul``
+  over the per-datum gradients; the logistic model supplies the fused form
+  X_d^T (w * (sigmoid(X_d beta) - y_d)) + 2 kappa beta sum_i w_i, which
+  never builds them;
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
   ``sigma sigma^T = Cov(grad_loss(theta, .))``.
 
@@ -23,11 +30,11 @@ stream.
 Every other callable accepts theta with leading replication axes, shape
 (..., p): ``objective`` then returns shape (...), ``grad_objective``
 (..., p), ``grad_loss`` maps a data block with leading axes (..., count) to
-(..., count, p), and ``noise_factor`` returns (..., p, q), or one shared
-(p, q) matrix when sigma does not depend on theta.  Inner products go
-through stacked ``np.matmul``, which runs the same kernel on every
-replication as on a lone theta, so a batched call is bit-identical to one
-call per replication.
+(..., count, p), ``weighted_grad`` returns (..., p), and ``noise_factor``
+returns (..., p, q), or one shared (p, q) matrix when sigma does not depend
+on theta.  Inner products go through stacked ``np.matmul``, which runs the
+same kernel on every replication as on a lone theta, so a batched call is
+bit-identical to one call per replication.
 
 Three concrete models are provided: a quadratic with Gaussian data (every
 quantity in closed form, the main oracle model), a mean-zero uniform-data
@@ -62,11 +69,24 @@ class LossModel:
     lipschitz_noise: float                   # L1: Lipschitz modulus of noise_factor, spectral norm
     strong_convexity: Optional[float] = None # lambda, when g is strongly convex
     minimizer: Optional[np.ndarray] = None   # known argmin of the objective, if any
+    fused_weighted_grad: Optional[Callable[..., np.ndarray]] = None  # (theta, data, w)
+
+    def weighted_grad(self, theta, data, w) -> np.ndarray:
+        """sum_i w_i grad l(theta, u_i) over the data's last axis, shape (..., p)."""
+        if self.fused_weighted_grad is not None:
+            return self.fused_weighted_grad(theta, data, w)
+        return weighted_sum(w, self.grad_loss(theta, data))
 
     def noise_trace(self, theta: np.ndarray) -> float:
         """Tr sigma^2(theta) = ||sigma(theta)||_F^2."""
         factor = self.noise_factor(np.asarray(theta, dtype=float))
         return float(np.sum(factor * factor))
+
+
+def weighted_sum(w: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """The (..., p) sums sum_i w_i grads_i of (..., count) weights and
+    (..., count, p) per-datum gradients, one stacked ``np.matmul``."""
+    return (w[..., None, :] @ grads)[..., 0, :]
 
 
 def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
@@ -242,7 +262,10 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
 
     A datum is a row index drawn uniformly from the dataset, refreshed at
     every iteration by the dynamics: ``sample_data`` returns an (R, count)
-    int64 block and ``grad_loss`` gathers the rows it names.  The noise
+    int64 block and ``grad_loss`` gathers the rows it names.  The fused
+    weighted gradient makes one (1, count) @ (count, p) product per
+    replication and rounds differently from ``weighted_sum`` over
+    ``grad_loss``.  The noise
     factor is the p x t matrix with columns
     ``(grad_loss(beta, i) - grad_objective(beta)) / sqrt(t)``, an exact
     square root of the gradient covariance over the data law.
@@ -284,6 +307,14 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
         grads += np.repeat(2.0 * kappa * beta[..., None, :], resid.shape[-1], axis=-2)
         return grads
 
+    def fused_weighted_grad(beta, idx, w):
+        beta = np.asarray(beta, dtype=float)
+        xd = x.take(idx, axis=0)
+        resid = _sigmoid((xd @ beta[..., None])[..., 0]) - y.take(idx)
+        resid *= w
+        ridge = 2.0 * kappa * beta * w.sum(axis=-1)[..., None]
+        return (resid[..., None, :] @ xd)[..., 0, :] + ridge
+
     def noise_factor(beta):
         beta = np.asarray(beta, dtype=float)
         grads = grad_loss(beta, every_row)
@@ -309,4 +340,5 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
         lipschitz_noise=lipschitz_noise,
         strong_convexity=2.0 * kappa,
         minimizer=None,
+        fused_weighted_grad=fused_weighted_grad,
     )

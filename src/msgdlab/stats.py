@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import DivergenceError, RunConfig, Trajectory, WeightedGradient
-from .models import LossModel
+from .models import LossModel, weighted_sum
 from .numerics import RngStream
 from .weights import WeightScheme
 
@@ -53,7 +53,7 @@ def clt_error_samples(
     samples = np.empty((reps, theta.size))
     draw = WeightedGradient(model, scheme)
     for start, streams in stream.child_chunks("rep", stop=reps, size=draw.rows):
-        samples[start : start + len(streams)] = sqrt_m * (draw(theta, streams)[1] - grad_mean)
+        samples[start : start + len(streams)] = sqrt_m * (draw(theta, streams) - grad_mean)
     return samples
 
 
@@ -135,8 +135,10 @@ def weighting_gap(
     The expectation equals 2 (1 - sqrt(m/n)) Tr sigma^2(theta) exactly, for
     any weight law with the minibatch mean/covariance structure and any n;
     the analytic value is returned alongside the estimate.  Replication r
-    takes the :class:`~msgdlab.dynamics.WeightedGradient` draw on
-    ``stream.child("rep", r)``; the plain average and squared norm are
+    takes the :class:`~msgdlab.dynamics.WeightedGradient` sample on
+    ``stream.child("rep", r)`` and, as it needs the per-datum gradients for
+    the plain average, reduces them itself with ``models.weighted_sum``,
+    the default weighted gradient; the plain average and squared norm are
     taken per replication, where a batched reduction would round
     differently.
     """
@@ -149,8 +151,9 @@ def weighting_gap(
     values = np.empty(reps)
     draw = WeightedGradient(model, scheme)
     for start, streams in stream.child_chunks("rep", stop=reps, size=draw.rows):
-        grads, weighted = draw(theta, streams)
-        weighted = sqrt_m * (weighted - grad_mean)
+        data, w = draw.sample(streams)
+        grads = model.grad_loss(theta, data)
+        weighted = sqrt_m * (weighted_sum(w, grads) - grad_mean)
         for r, (row_grads, row_weighted) in enumerate(zip(grads, weighted), start):
             diff = row_weighted - sqrt_n * (row_grads.mean(axis=0) - grad_mean)
             values[r] = diff @ diff

@@ -565,6 +565,10 @@ class TestMain:
              "got 2000000 inner steps"),
             (tiny_config("weighting-gap") | {"pairs": [[400, 100, 7]]},
              "pairs[0]: need [n, m], got [400, 100, 7]"),
+            # a sliced W2 projection of 74.5 GiB, which used to fail after both ensembles ran
+            (tiny_config("wass-scaling") | {"reps": 100_000, "n_directions": 100_000},
+             "wass-scaling.n_directions: reps * n_directions must be <= 10000000, "
+             "got 10000000000 projected values"),
         ],
         ids=[
             "thresholds", "schemes-entry", "scheme", "blocks", "logistic-reps", "x0-length",
@@ -585,7 +589,7 @@ class TestMain:
             "clt-n-huge", "moments-n-huge", "moments-n-past-numpy", "clt-p-huge",
             "clt-p-past-numpy", "clt-samples-huge", "wass-reps-huge", "em-substeps-huge",
             "wass-p-huge", "logistic-t-huge", "gap-p-huge", "ode-inner-steps",
-            "em-inner-steps", "pair-of-three",
+            "em-inner-steps", "pair-of-three", "projection-huge",
         ],
     )
     def test_malformed_value_exit_two(self, config, key, tmp_path, capsys):
@@ -607,6 +611,21 @@ class TestMain:
         ):
             with pytest.raises(ConfigError, match="must be <= 1000000"):
                 validate_config(raw)
+
+    def test_projection_capped(self):
+        # reps * n_directions is capped by MAX_PROJECTED, whichever key makes it large
+        validate_config(tiny_config("wass-scaling") | {"reps": 100_000, "n_directions": 100})
+        validate_config(tiny_config("wass-scaling") | {"reps": 100, "n_directions": 100_000})
+        for raw in (
+            tiny_config("wass-scaling") | {"reps": 100_000, "n_directions": 101},
+            tiny_config("wass-scaling") | {"reps": 101, "n_directions": 100_000},
+        ):
+            with pytest.raises(ConfigError) as caught:
+                validate_config(raw)
+            assert caught.value.diagnostics == [
+                "wass-scaling.n_directions: reps * n_directions must be <= 10000000, "
+                "got 10100000 projected values"
+            ]
 
     def test_m_above_n_reported_once(self, tmp_path, capsys):
         # three default schemes, one size: one diagnostic, not one per scheme
@@ -641,7 +660,7 @@ class TestMain:
     )
     def test_run_that_cannot_allocate_exit_one(self, error, line, tmp_path, capsys,
                                                monkeypatch):
-        # 100000 reps projected on 100000 directions need a 74.5 GiB block
+        # a projection block the host cannot allocate, though within MAX_PROJECTED
         def unable(*args):
             raise error
 

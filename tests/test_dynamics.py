@@ -190,6 +190,27 @@ class TestMsgd:
             gaps = np.abs(ensemble.mean(axis=0) - gd_path)
             np.testing.assert_array_less(gaps, 4 * se + 1e-12)
 
+    def test_steps_only_through_weighted_grad(self):
+        # the logistic model's fused weighted gradient is M-SGD's one reduction:
+        # a model whose grad_loss raises steps to the same bytes
+        def unreachable(theta, data):
+            raise AssertionError("run_msgd called grad_loss")
+
+        model = ensemble_model("logistic")
+        scheme = WeightScheme("gaussian", n=40, m=8)
+        config = RunConfig(gamma=0.5, num_steps=6, x0=np.ones(model.dim))
+        runs = [
+            run_msgd(m, scheme, config, [derive_stream(89, [r]) for r in range(4)]).states
+            for m in (model, dataclasses.replace(model, grad_loss=unreachable))
+        ]
+        np.testing.assert_array_equal(runs[1], runs[0])
+        # and replacing weighted_grad's reduction replaces the drift
+        zero = dataclasses.replace(
+            model, fused_weighted_grad=lambda theta, data, w: np.zeros(np.shape(theta))
+        )
+        frozen = run_msgd(zero, scheme, config, [derive_stream(89, [r]) for r in range(4)])
+        np.testing.assert_array_equal(frozen.states, np.ones((7, 4, model.dim)))
+
 
 class TestEnsemble:
     """Replication r of an ensemble is the run a one-replication ensemble

@@ -18,6 +18,11 @@ config under ``resolved``, which lost the bound keys (``thresholds``,
 ``slope_range``, ``rho_tolerance``, ``blocks``).  Every CSV and every check
 record kept its bytes, and each ``report.json`` equals the old one with
 those keys deleted from ``resolved`` and re-dumped.
+
+``converge-logistic`` was re-recorded alone when logistic M-SGD began to
+reduce its weighted gradient in the fused form X_d^T (w * r) + 2 kappa beta
+sum_i w_i instead of summing the per-datum gradients: only the summation
+order moved, and its CSVs moved by at most 1.9e-15 relative.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ GOLDEN = {
         {"command": "converge", "seed": 11, "model": {"kind": "logistic", "p": 3, "t": 500},
          "n": 2000, "m": 20, "reps": 10, "kappas": [0.2, 0.05],
          "runs": [{"gamma": 0.5, "num_steps": 16, "fit_window": 4}]},
-        "795bb854b72f205f29969f8d979cfc9c1ab12d05aa25bcbdc5e0b9452908d5d1",
+        "fdf58af2e7f9114c67012b5bbae6364ee0904bd88fc9971a0b7a1b2623ed6da8",
     ),
     "gd-ode": (
         {"command": "gd-ode", "seed": 11, "gammas": [0.1, 0.05], "x0": [1.0]},

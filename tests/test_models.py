@@ -15,6 +15,7 @@ from msgdlab.models import (
     make_uniform_clt_model,
 )
 from msgdlab.numerics import derive_stream
+from msgdlab.weights import SCHEME_KINDS, WeightScheme, sample_weights
 from oracles import finite_diff_gradient
 
 
@@ -286,6 +287,97 @@ class TestLogisticMatchesPayloadForm:
             ) / np.sqrt(dataset.size)
             np.testing.assert_array_equal(
                 model.noise_factor(beta).view(np.uint64), expected.view(np.uint64)
+            )
+
+
+class TestWeightedGradient:
+    """``weighted_grad`` is sum_i w_i grad l(theta, u_i): the default reduces
+    ``grad_loss`` with the stacked matmul bit for bit, and the fused logistic
+    form agrees with it up to summation order."""
+
+    P, N = 6, 1000
+
+    def weights(self, kind, reps, label):
+        scheme = WeightScheme(kind, n=self.N, m=10)
+        return sample_weights([derive_stream(71, [label, kind, r]) for r in range(reps)], scheme)
+
+    @pytest.mark.parametrize("reps", [1, 3, 9])
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_logistic_fused_matches_per_datum_sum(self, kind, reps):
+        base = generate_logistic_dataset(derive_stream(71, ["data"]), self.P, 10**4, 0.2)
+        payloads = np.column_stack([base.labels, base.covariates])
+        w = self.weights(kind, reps, "sum")
+        gen = derive_stream(71, ["beta", kind, reps]).generator
+        for kappa in TestLogisticMatchesPayloadForm.KAPPAS:
+            dataset = LogisticDataset(base.labels, base.covariates, kappa)
+            model = make_logistic_model(dataset)
+            for scale in (1e-8, 1e-4, 1.0, 1e3):
+                beta = scale * gen.standard_normal((reps, self.P))
+                idx = gen.integers(0, dataset.size, size=(reps, self.N))
+                grads = payload_grad_loss(dataset, beta, payloads[idx])
+                expected = (w[:, None, :] @ grads)[:, 0, :]
+                # relative to the sum of the terms' magnitudes, which bounds
+                # what reordering the sum can move: n * eps = 2.2e-13 at worst
+                magnitude = (np.abs(w)[:, None, :] @ np.abs(grads))[:, 0, :]
+                fused = model.weighted_grad(beta, idx, w)
+                assert fused.shape == (reps, self.P)
+                assert np.all(np.abs(fused - expected) <= 1e-12 * magnitude), (kappa, scale)
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_logistic_row_equals_one_row_call(self, kind):
+        model, dataset = small_logistic(p=self.P, t=10**4)
+        reps = 9
+        w = self.weights(kind, reps, "rows")
+        gen = derive_stream(73, [kind]).generator
+        beta = gen.standard_normal((reps, self.P))
+        idx = gen.integers(0, dataset.size, size=(reps, self.N))
+        batched = model.weighted_grad(beta, idx, w)
+        shared = model.weighted_grad(beta[0], idx, w)  # one beta for the whole batch
+        for r in range(reps):
+            for row, lone in ((batched[r], model.weighted_grad(beta[r], idx[r], w[r])),
+                              (batched[r], model.weighted_grad(beta[r:r + 1], idx[r:r + 1],
+                                                               w[r:r + 1])[0]),
+                              (shared[r], model.weighted_grad(beta[0], idx[r], w[r]))):
+                np.testing.assert_array_equal(row.view(np.uint64), lone.view(np.uint64))
+
+    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+    def test_logistic_non_finite_beta_stays_in_its_row(self, special):
+        model, dataset = small_logistic(p=self.P, t=10**4)
+        reps = 9
+        w = self.weights("gaussian", reps, "special")
+        gen = derive_stream(79, ["special"]).generator
+        beta = gen.standard_normal((reps, self.P))
+        idx = gen.integers(0, dataset.size, size=(reps, self.N))
+        clean = model.weighted_grad(beta, idx, w)
+        for bad in (0, 4, reps - 1):
+            dirty = beta.copy()
+            dirty[bad, gen.integers(self.P)] = special
+            with np.errstate(all="ignore"):
+                result = model.weighted_grad(dirty, idx, w)
+                per_datum = (w[:, None, :] @ model.grad_loss(dirty, idx))[:, 0, :]
+            # the coordinates the per-datum sum makes non-finite, and only that row
+            assert not np.isfinite(result[bad]).all()
+            np.testing.assert_array_equal(np.isfinite(result), np.isfinite(per_datum))
+            others = np.arange(reps) != bad
+            np.testing.assert_array_equal(
+                result[others].view(np.uint64), clean[others].view(np.uint64)
+            )
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    @pytest.mark.parametrize("name", ["quadratic", "uniform"])
+    def test_default_is_the_stacked_matmul(self, name, kind):
+        model = (make_quadratic_model(3, [0.2, -0.4, 1.0], 0.8) if name == "quadratic"
+                 else make_uniform_clt_model(3))
+        assert model.fused_weighted_grad is None
+        reps = 5
+        streams = [derive_stream(83, [name, kind, r]) for r in range(reps)]
+        data = model.sample_data(streams, self.N)
+        w = self.weights(kind, reps, name)
+        theta = derive_stream(83, [name]).generator.standard_normal((reps, 3))
+        for point in (theta, theta[0]):
+            expected = (w[:, None, :] @ model.grad_loss(point, data))[:, 0, :]
+            np.testing.assert_array_equal(
+                model.weighted_grad(point, data, w).view(np.uint64), expected.view(np.uint64)
             )
 
 

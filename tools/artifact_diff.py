@@ -9,7 +9,10 @@ on one thread, and compares exit codes, stdout, stderr, artifact names and
 artifact bytes.  First prints, for both trees, the line count of each
 ``src/msgdlab/*.py`` and their total, and the number of settable config
 values in that tree's ``cli.SCHEMAS``; then ``configs: N differences: D``
-and every difference.  Exits 0 when there is none.  Both trees run this
+and every difference.  A CSV that differs also gets the largest relative
+difference |a - b| / max(|a|, |b|) over its numeric cells, so a change at
+roundoff (about 1e-15) reads apart from a real one.  Exits 0 when there is
+none.  Both trees run this
 checkout's configs.  The canonical configs take about a minute per tree, so
 the tests do not run this.
 """
@@ -17,7 +20,10 @@ the tests do not run this.
 from __future__ import annotations
 
 import ast
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,6 +110,28 @@ def outcome(proc: subprocess.Popen, work: Path) -> dict:
     return {"exit": proc.returncode, "stdout": stdout, "stderr": stderr, "files": files}
 
 
+def csv_change(old: bytes, new: bytes) -> str:
+    """How far two CSVs' numeric cells moved: the largest relative difference,
+    or why the cells cannot be paired."""
+    tables = [list(csv.reader(io.StringIO(data.decode()))) for data in (old, new)]
+    if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
+        return "its rows or columns differ"
+    largest, numeric, text = 0.0, 0, 0
+    for row_a, row_b in zip(*tables):
+        for a, b in zip(row_a, row_b):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                text += a != b
+                continue
+            numeric += 1
+            if x != y and not (math.isnan(x) and math.isnan(y)):
+                scale = max(abs(x), abs(y))
+                largest = max(largest, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    return (f"largest relative difference {largest:.3g} over {numeric} numeric cells"
+            + (f", text cells differing: {text}" if text else ""))
+
+
 def differences(label: str, old: dict, new: dict) -> list[str]:
     found = []
     if old["exit"] != new["exit"]:
@@ -115,7 +143,10 @@ def differences(label: str, old: dict, new: dict) -> list[str]:
         found.append(f"{label}: {name} only in {'parent' if name in old['files'] else 'this tree'}")
     for name in sorted(old["files"].keys() & new["files"].keys()):
         if old["files"][name] != new["files"][name]:
-            found.append(f"{label}: {name} differs")
+            change = ""
+            if name.endswith(".csv"):
+                change = f" ({csv_change(old['files'][name], new['files'][name])})"
+            found.append(f"{label}: {name} differs{change}")
     return found
 
 
