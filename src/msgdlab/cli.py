@@ -52,7 +52,6 @@ from .dynamics import (
     run_ode,
 )
 from .models import (
-    LogisticDataset,
     generate_logistic_dataset,
     make_logistic_model,
     make_quadratic_model,
@@ -127,7 +126,7 @@ class ExperimentConfig:
     """A validated config.  ``params`` is the config resolved against its
     command's schema; ``plan`` holds the domain objects validation built
     for the run: the weight schemes, each at its own (n, m), the model, the
-    resolved start, the run configs and the logistic datasets."""
+    resolved start, the run configs and one logistic model per kappa."""
 
     command: str
     seed: int
@@ -399,9 +398,9 @@ def _check_model(params: dict, command: str, seed: int, plan: dict, diags: list[
     spec = params["model"]
     if spec is None:
         return None
-    if spec["kind"] == "logistic":  # the run's own draw; _check_runs sets each kappa
+    if spec["kind"] == "logistic":  # the run's own draw; _check_runs builds a model per kappa
         stream = derive_stream(seed, (command,)).child("dataset")
-        made = _build("model", diags, generate_logistic_dataset, stream, spec["p"], spec["t"], 1.0)
+        made = _build("model", diags, generate_logistic_dataset, stream, spec["p"], spec["t"])
     else:
         made = plan["model"] = _build("model", diags, _model_from_spec, spec)
     key = "theta" if command == "weighting-gap" else "x0"
@@ -466,8 +465,8 @@ def _check_projection(params: dict, diags: list[str]) -> None:
 def _check_runs(params: dict, made, plan: dict, diags: list[str]) -> None:
     """converge's runs, into ``plan["configs"]`` and their fit windows, as
     slices of the curve, into ``plan["segments"]``, both in run order, and
-    the logistic model's run lengths, reps and kappas: one dataset per kappa,
-    into ``plan["datasets"]`` in decreasing kappa."""
+    the logistic model's run lengths, reps and kappas: one (kappa, model)
+    pair per kappa, into ``plan["models"]`` in decreasing kappa."""
     runs = params["runs"] or []
     plan["configs"], plan["segments"] = [], []
     for i, run in enumerate(runs):
@@ -493,8 +492,8 @@ def _check_runs(params: dict, made, plan: dict, diags: list[str]) -> None:
         diags.append("converge.kappas: required for the logistic model")
     elif made is not None:
         kappas = sorted(enumerate(params["kappas"] or []), key=lambda item: item[1], reverse=True)
-        plan["datasets"] = [
-            _build(f"kappas[{i}]", diags, LogisticDataset, made.labels, made.covariates, kappa)
+        plan["models"] = [
+            (kappa, _build(f"kappas[{i}]", diags, make_logistic_model, made, kappa))
             for i, kappa in kappas
         ]
 
@@ -687,18 +686,6 @@ def _run_weighting_gap(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tup
     return checks
 
 
-def _finished(trajectory):
-    """The trajectory, when none of its paths diverged; else the error of the
-    first to diverge, naming its process, step size and iteration."""
-    if trajectory.diverged:
-        r, k = next(iter(trajectory.diverged.items()))  # recorded in step order
-        process = trajectory.kind
-        if trajectory.states.ndim == 3:  # an ensemble
-            process += f" replication {r}"
-        raise DivergenceError(process, k, trajectory.config.gamma)
-    return trajectory
-
-
 def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
     params, plan = cfg.params, cfg.plan
     model, configs, reps = plan["model"], plan["configs"], params["reps"]
@@ -708,15 +695,13 @@ def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tupl
     msgd = run_msgd(model, scheme, configs, [
         root.children(i, "msgd", stop=reps) for i in range(len(gammas))
     ])
-    for run in msgd.runs:
-        _finished(run)
     em = run_diffusion_em(model, configs, params["em_substeps"], [
         root.children(i, "em", stop=reps) for i in range(len(gammas))
     ], scheme.m)
     values = []
     rows = []
     for i, (gamma, msgd_run, em_run) in enumerate(zip(gammas, msgd.runs, em.runs)):
-        msgd_ensemble, em_ensemble = msgd_run.states[-1], _finished(em_run).states[-1]
+        msgd_ensemble, em_ensemble = msgd_run.states[-1], em_run.states[-1]
         sliced = sliced_w2(
             msgd_ensemble, em_ensemble, params["n_directions"], root.child(i, "directions")
         )
@@ -747,12 +732,21 @@ def _quadratic_gap_recursion(gamma: float, m: int, trace: float, start: float, k
 
 def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[tuple]:
     params, plan, bound = cfg.params, cfg.plan, BOUNDS["converge"]
-    model, x0, reps = plan["model"], plan["start"], params["reps"]
+    model, x0, reps, configs = plan["model"], plan["start"], params["reps"], plan["configs"]
     [scheme] = plan["schemes"]
     m = scheme.m
     trace = model.noise_trace(model.minimizer)
+
+    def streams(kind):  # group i keeps the streams of run i
+        return [root.child(i, kind).children("rep", stop=reps) for i in range(len(configs))]
+
+    # every run advances in lockstep, one call per process
+    processes = {
+        "gaussian_sgd": run_gaussian_sgd(model, configs, streams("gaussian_sgd"), m).runs,
+        "msgd": run_msgd(model, scheme, configs, streams("msgd")).runs,
+    }
     checks = []
-    for run_idx, (config, segment) in enumerate(zip(plan["configs"], plan["segments"])):
+    for run_idx, (config, segment) in enumerate(zip(configs, plan["segments"])):
         gamma, steps = config.gamma, config.num_steps
         oracle = _quadratic_gap_recursion(
             gamma, m, trace, model.objective(x0) - model.objective(model.minimizer), steps
@@ -764,12 +758,8 @@ def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[tuple]:
         level = plateau_bound(
             model.strong_convexity, gamma, model.lipschitz_grad, m, trace
         )
-        runners = {
-            "gaussian_sgd": lambda mo, co, st: run_gaussian_sgd(mo, co, st, m),
-            "msgd": lambda mo, co, st: run_msgd(mo, scheme, co, st),
-        }
-        for kind, runner in runners.items():
-            curve = convergence_curve(model, runner, config, reps, root.child(run_idx, kind))
+        for kind, runs in processes.items():
+            curve = convergence_curve(model, runs[run_idx])
             # worst deviation from the recursion oracle in SE units; an SE
             # that overflowed bounds nothing
             dev = math.nan
@@ -813,18 +803,19 @@ def _block_means(per_rep_curves: np.ndarray, blocks: int):
 
 def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[tuple]:
     params, plan, bound = cfg.params, cfg.plan, BOUNDS["converge"]
-    reps, blocks = params["reps"], bound["blocks"]
+    reps, blocks, configs = params["reps"], bound["blocks"], plan["configs"]
     [scheme] = plan["schemes"]
+    curves = []  # curves[kappa_idx][run_idx]; every run advances in lockstep, one call per kappa
+    for kappa_idx, (_, model) in enumerate(plan["models"]):
+        streams = [root.child(i, kappa_idx).children("rep", stop=reps) for i in range(len(configs))]
+        grid = run_msgd(model, scheme, configs, streams)
+        curves.append([convergence_curve(model, run, np.zeros(model.dim)) for run in grid.runs])
     checks = []
-    for run_idx, (config, segment) in enumerate(zip(plan["configs"], plan["segments"])):
+    for run_idx, (config, segment) in enumerate(zip(configs, plan["segments"])):
         steps = config.num_steps
         rho_hats = []
-        for kappa_idx, dataset in enumerate(plan["datasets"]):
-            kappa = dataset.kappa
-            curve = convergence_curve(
-                make_logistic_model(dataset), lambda mo, co, st: run_msgd(mo, scheme, co, st),
-                config, reps, root.child(run_idx, kappa_idx), reference=np.zeros(dataset.dim),
-            )
+        for kappa_idx, (kappa, _) in enumerate(plan["models"]):
+            curve = curves[kappa_idx][run_idx]
             label = f"run{run_idx}:kappa{kappa:g}"
             means, errs = _block_means(curve.sq_dist_reps, blocks)
             rise = max(
@@ -881,7 +872,6 @@ def _run_gd_ode(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
     checks, rows = [], []
     for gamma, config, gd_run, ode_run in zip(gammas, configs, gd.runs, ode.runs):
         steps = config.num_steps
-        gd_run, ode_run = _finished(gd_run), _finished(ode_run)
         errors = np.array([
             np.linalg.norm(gd_run.states[k] - ode_run.states[k]) for k in range(steps + 1)
         ])
@@ -971,6 +961,9 @@ def main(argv=None) -> int:
     except (DivergenceError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     for check in report.checks:
         verdict = "PASS" if check.passed else "FAIL"
         print(

@@ -41,17 +41,19 @@ max K steps instead of their sum.  The result is a
 bit-identical to running that config alone.  A single config is a grid of
 one, on the same code path, and returns its Trajectory.
 
-A recorded state that is not finite or exceeds ``DIVERGENCE_LIMIT`` drops its
-row from further steps: its states from that iteration on are NaN and
-``Trajectory.diverged`` records it.  A run raises :class:`DivergenceError`
-only when every row of every config has diverged, so a lone path raises
-with the offending iteration index instead of propagating NaNs.
+The first recorded state that is not finite or exceeds ``DIVERGENCE_LIMIT``
+ends the run with a :class:`DivergenceError` naming its process, its
+replication within its config (for an ensemble), its config's step size and
+the iteration; of rows out of range at the same step, the first in row order
+is named.  No replication is ever dropped: the claims under test are about
+the law of the whole process, and a statistic over the survivors would
+describe that law conditioned on survival.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -141,7 +143,6 @@ class Trajectory:
     kind: str
     states: np.ndarray                      # (K+1, p) or (K+1, R, p)
     config: RunConfig
-    diverged: dict[int, int] = field(default_factory=dict)  # replication -> iteration
 
 
 @dataclass
@@ -200,10 +201,8 @@ def _run_ensemble(
     the config's per-row numbers.  ``advance(x, streams, *columns)`` maps
     the (live, p) states of the live rows, their streams and their (live, 1)
     coefficient columns, in row order, to the next states.  A row leaves the
-    live set when it diverges or after its config's last step; the run
-    raises only once every row has diverged, naming the step size of a row
-    that diverged last.  Returns the Trajectory of a single config, else a
-    Lockstep.
+    live set after its config's last step.  The first row out of range
+    raises.  Returns the Trajectory of a single config, else a Lockstep.
     """
     single = isinstance(config, RunConfig)
     configs = [config] if single else list(config)
@@ -217,11 +216,10 @@ def _run_ensemble(
     sizes = [len(group) for group in groups]
     x = np.concatenate([np.tile(c.x0, (size, 1)) for c, size in zip(configs, sizes)])
     last = np.repeat([c.num_steps for c in configs], sizes)
-    step = np.repeat([c.gamma for c in configs], sizes)
+    starts = np.cumsum([0] + sizes)
     row_streams = [s for group in groups for s in group]
     columns = [np.repeat(column, sizes)[:, None] for column in zip(*map(coefficients, configs))]
     states = np.full((int(last.max()) + 1, x.shape[0], x.shape[1]), np.nan)
-    diverged: dict[int, int] = {}
     live = np.arange(x.shape[0])
     index = slice(None)
     exits = iter(sorted(set(last.tolist())))
@@ -229,13 +227,10 @@ def _run_ensemble(
     k = 0
     while True:
         if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # False for NaN and inf
-            ok = np.all(np.abs(x) <= DIVERGENCE_LIMIT, axis=1)
-            for r in live[~ok]:
-                diverged[int(r)] = k
-            if len(diverged) == len(last):
-                raise DivergenceError(kind, k, float(step[live[~ok][0]]))
-            x, row_streams, live, columns = _keep(ok, x, row_streams, live, columns)
-            index = _rows(live)
+            row = int(live[np.argmin(np.all(np.abs(x) <= DIVERGENCE_LIMIT, axis=1))])
+            i = int(np.searchsorted(starts, row, side="right")) - 1
+            process = kind if streams is None else f"{kind} replication {row - starts[i]}"
+            raise DivergenceError(process, k, configs[i].gamma)
         states[k, index] = x
         if k == exit_step:
             x, row_streams, live, columns = _keep(last[live] > k, x, row_streams, live, columns)
@@ -245,16 +240,10 @@ def _run_ensemble(
             break
         x = advance(x, row_streams, *columns)
         k += 1
-    runs, start = [], 0
-    for c, size in zip(configs, sizes):
-        block = states[: c.num_steps + 1, start : start + size]
-        runs.append(Trajectory(
-            kind=kind,
-            states=block[:, 0] if streams is None else block,
-            config=c,
-            diverged={r - start: k for r, k in diverged.items() if start <= r < start + size},
-        ))
-        start += size
+    runs = []
+    for c, start, stop in zip(configs, starts, starts[1:]):
+        block = states[: c.num_steps + 1, start:stop]
+        runs.append(Trajectory(kind, block[:, 0] if streams is None else block, c))
     return runs[0] if single else Lockstep(states=states, runs=runs)
 
 

@@ -198,11 +198,10 @@ def make_uniform_clt_model(p: int) -> LossModel:
 
 @dataclass(frozen=True)
 class LogisticDataset:
-    """Fixed binary-response dataset with a ridge penalty kappa > 0."""
+    """Fixed binary-response dataset; the ridge penalty belongs to the model."""
 
     labels: np.ndarray    # (t,) in {0, 1}
     covariates: np.ndarray  # (t, p)
-    kappa: float
 
     def __post_init__(self):
         if self.labels.ndim != 1 or self.covariates.ndim != 2:
@@ -213,8 +212,6 @@ class LogisticDataset:
             raise ValueError("dataset must contain at least one point")
         if not np.all((self.labels == 0) | (self.labels == 1)):
             raise ValueError("labels must be 0/1")
-        if not self.kappa > 0:
-            raise ValueError(f"ridge penalty kappa must be positive, got {self.kappa}")
 
     @property
     def size(self) -> int:
@@ -225,17 +222,17 @@ class LogisticDataset:
         return self.covariates.shape[1]
 
 
-def generate_logistic_dataset(stream: RngStream, p: int, t: int, kappa: float) -> LogisticDataset:
+def generate_logistic_dataset(stream: RngStream, p: int, t: int) -> LogisticDataset:
     """y_i ~ Bernoulli(1/2) iid, x_i ~ N(0, I_p); labels independent of x."""
     if p < 1 or t < 1:
         raise ValueError(f"need p >= 1 and t >= 1, got p={p}, t={t}")
     gen = stream.generator
     labels = gen.integers(0, 2, size=t).astype(float)
     covariates = gen.standard_normal((t, p))
-    return LogisticDataset(labels=labels, covariates=covariates, kappa=kappa)
+    return LogisticDataset(labels=labels, covariates=covariates)
 
 
-def logistic_lipschitz_constant(dataset: LogisticDataset) -> float:
+def logistic_lipschitz_constant(dataset: LogisticDataset, kappa: float) -> float:
     """Lipschitz modulus of the logistic objective gradient.
 
     Uses the 1/4 cap on the sigmoid derivative:
@@ -244,7 +241,7 @@ def logistic_lipschitz_constant(dataset: LogisticDataset) -> float:
     """
     x = dataset.covariates
     lam_max = float(np.linalg.eigvalsh(x.T @ x)[-1])  # = lambda_max(X X^T)
-    return lam_max / (4.0 * dataset.size) + 2.0 * dataset.kappa
+    return lam_max / (4.0 * dataset.size) + 2.0 * kappa
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -257,8 +254,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / d
 
 
-def make_logistic_model(dataset: LogisticDataset) -> LossModel:
-    """Ridge-logistic model over a fixed dataset, resampled with replacement.
+def make_logistic_model(dataset: LogisticDataset, kappa: float) -> LossModel:
+    """Ridge-logistic model over a fixed dataset, resampled with replacement,
+    with ridge penalty kappa > 0.
 
     A datum is a row index drawn uniformly from the dataset, refreshed at
     every iteration by the dynamics: ``sample_data`` returns an (R, count)
@@ -274,8 +272,9 @@ def make_logistic_model(dataset: LogisticDataset) -> LossModel:
     x = dataset.covariates
     t = dataset.size
     p = dataset.dim
-    kappa = dataset.kappa
-    lipschitz = logistic_lipschitz_constant(dataset)
+    if not kappa > 0:
+        raise ValueError(f"ridge penalty kappa must be positive, got {kappa}")
+    lipschitz = logistic_lipschitz_constant(dataset, kappa)
     every_row = np.arange(t)
 
     def objective(beta):

@@ -19,19 +19,20 @@ This module turns simulations into numbers that can be checked:
 * ``log_slope`` is the one log-linear fit, NaN unless every value is positive;
 * ``contraction_bound`` (the predicted factor rho), ``contraction_fit`` and
   ``convergence_curve`` (squared distances to the model's known minimizer
-  or to a given point, and g-gaps when the minimizer is known) quantify
-  geometric convergence under strong convexity.
+  or to a given point, and g-gaps when the minimizer is known, averaged over
+  every replication of a run) quantify geometric convergence under strong
+  convexity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .dynamics import DivergenceError, RunConfig, Trajectory, WeightedGradient
+from .dynamics import Trajectory, WeightedGradient
 from .models import LossModel, weighted_sum
 from .numerics import RngStream
 from .weights import WeightScheme
@@ -203,45 +204,26 @@ class ConvergenceCurve:
     g_gap_se: Optional[np.ndarray]
     sq_dist_mean: np.ndarray
     sq_dist_se: np.ndarray
-    reps: int
-    diverged: list[int]
-    sq_dist_reps: np.ndarray = field(repr=False)   # (reps_ok, K+1)
+    sq_dist_reps: np.ndarray = field(repr=False)   # (reps, K+1)
 
 
 def convergence_curve(
-    model: LossModel,
-    runner: Callable[[LossModel, RunConfig, list[RngStream]], Trajectory],
-    config: RunConfig,
-    reps: int,
-    stream: RngStream,
-    reference: Optional[np.ndarray] = None,
+    model: LossModel, trajectory: Trajectory, reference: Optional[np.ndarray] = None
 ) -> ConvergenceCurve:
-    """Replicate a process and average |x_k - x*|^2 and, when the model's
-    minimizer is known, g(x_k) - g(minimizer) over reps.
+    """Average |x_k - x*|^2 and, when the model's minimizer is known,
+    g(x_k) - g(minimizer) over the replications of an ensemble trajectory,
+    whose states are (K+1, reps, p).
 
-    The point x* defaults to the model's known minimizer.  The runner
-    advances all replications as one ensemble; replication r consumes the
-    derived stream ``stream.child("rep", r)``.  Diverged replications are
-    recorded by index and excluded from the averages; they are never
-    silently dropped.
+    The point x* defaults to the model's known minimizer.  Every replication
+    counts: a run that diverged has raised in ``dynamics`` and left no
+    trajectory.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     if reference is None:
         if model.minimizer is None:
             raise ValueError(f"model {model.name!r} has no known minimizer; pass a reference")
         reference = model.minimizer
-    x_star = np.asarray(reference, dtype=float)
-    try:
-        traj = runner(model, config, stream.children("rep", stop=reps))
-    except DivergenceError as exc:
-        raise DivergenceError(
-            f"{exc.process}: all {reps} replications", exc.iteration, exc.step_size
-        ) from exc
-    diverged = sorted(traj.diverged)
-    kept = [r for r in range(reps) if r not in traj.diverged]
-    states = traj.states[:, kept]  # (K+1, reps_ok, p)
-    diffs = states - x_star
+    states = trajectory.states
+    diffs = states - np.asarray(reference, dtype=float)
     # per-replication rows, C-ordered so the reductions over axis 0 below
     # accumulate in the same order as a stack of separate rows
     d_mat = np.ascontiguousarray(np.sum(diffs * diffs, axis=2).T)
@@ -262,8 +244,6 @@ def convergence_curve(
         g_gap_se=g_gap_se,
         sq_dist_mean=sq_dist_mean,
         sq_dist_se=sq_dist_se,
-        reps=count,
-        diverged=diverged,
         sq_dist_reps=d_mat,
     )
 

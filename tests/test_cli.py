@@ -326,7 +326,7 @@ class TestValidateConfig:
         monkeypatch.setattr(cli_mod, "generate_logistic_dataset", counted)
         run_experiment(validate_config(tiny_logistic() | {"kappas": [0.1, 0.3]}), tmp_path)
         assert len(draws) == 1
-        own = generate(derive_stream(9, ["converge"]).child("dataset"), 2, 50, 1.0)
+        own = generate(derive_stream(9, ["converge"]).child("dataset"), 2, 50)
         np.testing.assert_array_equal(draws[0].covariates, own.covariates)
 
 
@@ -783,13 +783,12 @@ class TestMain:
             (
                 tiny_config("wass-scaling") | {"model": {"kind": "quadratic", "p": 2,
                                                          "theta_star": [1e152, 1e152]}},
-                "error: msgd diverged at iteration 1 with step size 0.2",
+                "error: msgd replication 0 diverged at iteration 1 with step size 0.2",
             ),
             (
                 tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1,
                                                      "theta_star": [1e152]}},
-                "error: gaussian_sgd: all 50 replications diverged at iteration 1 "
-                "with step size 0.1",
+                "error: gaussian_sgd replication 0 diverged at iteration 1 with step size 0.1",
             ),
             (
                 tiny_config("gd-ode") | {"model": {"kind": "quadratic", "p": 1,
@@ -807,12 +806,41 @@ class TestMain:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [line]
 
+    def test_wass_scaling_divergence_starts_no_diffusion(self, tmp_path, capsys, monkeypatch):
+        # M-SGD runs first, and its divergence ends the run before Euler-Maruyama starts
+        calls = []
+        monkeypatch.setattr(cli, "run_diffusion_em", lambda *args: calls.append(args))
+        config = tiny_config("wass-scaling") | {
+            "model": {"kind": "quadratic", "p": 2, "theta_star": [1e152, 1e152]}
+        }
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: msgd replication 0 diverged")
+
+    def test_converge_logistic_runs_msgd_once_per_kappa(self, tmp_path, monkeypatch):
+        # each kappa's two runs advance in lockstep: 5 calls over both, not 10;
+        # the canonical config at 2 reps keeps the test cheap
+        config_dir = Path(__file__).resolve().parents[1] / "configs"
+        raw = json.loads((config_dir / "converge_logistic.json").read_text()) | {"reps": 2}
+        calls = []
+
+        def counted(model, scheme, configs, streams):
+            calls.append(len(configs))
+            return run_msgd(model, scheme, configs, streams)
+
+        run_msgd = cli.run_msgd
+        monkeypatch.setattr(cli, "run_msgd", counted)
+        run_experiment(validate_config(raw), tmp_path)
+        assert calls == [2] * 5
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge noise overflows on purpose
     def test_rate_of_a_curve_that_is_not_positive_fails(self, tmp_path, capsys):
-        # some replications survive, and their g-gap cancels against p s^2 / 2,
-        # so the fit window holds values that are not positive: no rate to fit
+        # the states stay near 1e77, in range, but the start's g-gap of 1/2
+        # is lost against p s^2 / 2, so the fit window holds a 0: no rate to fit
         config_path = tmp_path / "cfg.json"
-        config = tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "s": 1e151}}
+        config = tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "s": 1e78}}
         config_path.write_text(json.dumps(config))
         code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 1
@@ -824,7 +852,7 @@ class TestMain:
     def test_recursion_deviation_of_an_overflowed_spread_fails(self, tmp_path, capsys):
         # the g-gap SE overflows to inf, and a deviation in units of it would read 0
         config_path = tmp_path / "cfg.json"
-        config = tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "s": 1e151}}
+        config = tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "s": 1e78}}
         config_path.write_text(json.dumps(config))
         main(["--config", str(config_path), "--out", str(tmp_path / "out")])
         out = capsys.readouterr().out
@@ -850,6 +878,21 @@ class TestMain:
         code = main(["--config", str(config_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+    @pytest.mark.parametrize(
+        "out, reason", [("file", "File exists"), ("file/sub", "Not a directory")],
+        ids=["a-file", "under-a-file"],
+    )
+    def test_unwritable_output_exit_two(self, out, reason, tmp_path, capsys):
+        # each of these used to end in a traceback
+        (tmp_path / "file").write_text("kept")
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(tiny_config("gd-ode")))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / out)])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot write output: ") and reason in line
+        assert (tmp_path / "file").read_text() == "kept"
 
     def test_seed_flag_overrides(self, tmp_path):
         config_path = tmp_path / "cfg.json"

@@ -74,8 +74,8 @@ def repelling_model(p=1):
 def ensemble_model(name):
     if name == "quadratic":
         return make_quadratic_model(2, [0.5, -0.5], 1.0)
-    dataset = generate_logistic_dataset(derive_stream(97, ["ld"]), 3, 150, 0.1)
-    return make_logistic_model(dataset)
+    dataset = generate_logistic_dataset(derive_stream(97, ["ld"]), 3, 150)
+    return make_logistic_model(dataset, 0.1)
 
 
 class TestRunConfig:
@@ -107,8 +107,8 @@ class TestGd:
         np.testing.assert_array_equal(states, np.tile([2.0, -1.0], (16, 1)))
 
     def test_logistic_descent_monotone(self):
-        dataset = generate_logistic_dataset(derive_stream(3, ["d"]), 3, 500, 0.05)
-        model = make_logistic_model(dataset)
+        dataset = generate_logistic_dataset(derive_stream(3, ["d"]), 3, 500)
+        model = make_logistic_model(dataset, 0.05)
         assert 0.1 < 1.0 / model.lipschitz_grad  # descent regime
         config = RunConfig(gamma=0.1, num_steps=60, x0=np.ones(3))
         values = [model.objective(x) for x in run_gd(model, config).states]
@@ -119,6 +119,7 @@ class TestGd:
         with pytest.raises(DivergenceError) as info:
             run_gd(repelling_model(), config)
         assert 0 < info.value.iteration <= 2000
+        assert info.value.process == "gd" and info.value.step_size == 0.99
 
 
 class TestGaussianSgd:
@@ -258,26 +259,34 @@ class TestEnsemble:
         with pytest.raises(TypeError, match="sequence"):
             run_gaussian_sgd(model, config, derive_stream(1, []), 1)
 
-    def test_diverged_replication_dropped_and_recorded(self, repelling_for_stream):
-        # replication 1 draws data that makes its gradient repel
+    def test_diverged_replication_raises(self, repelling_for_stream):
+        # replication 1 draws data that makes its gradient repel; the
+        # ensemble raises where that replication alone does, naming it
         model = repelling_for_stream(1)
         scheme = WeightScheme("minibatch", n=4, m=2)
         config = RunConfig(gamma=0.5, num_steps=400, x0=[1.0])
-        streams = [derive_stream(103, [r]) for r in range(3)]
-        traj = run_msgd(model, scheme, config, streams)
-        k = traj.diverged[1]
-        assert list(traj.diverged) == [1] and 0 < k <= 400
-        assert np.all(np.isfinite(traj.states[:k, 1])) and np.all(np.isnan(traj.states[k:, 1]))
-        for r in (0, 2):
-            single = run_msgd(model, scheme, config, [streams[r]])
-            np.testing.assert_array_equal(traj.states[:, r], single.states[:, 0])
+        with pytest.raises(DivergenceError) as info:
+            run_msgd(model, scheme, config, [derive_stream(103, [r]) for r in range(3)])
+        with pytest.raises(DivergenceError) as alone:
+            run_msgd(model, scheme, config, [derive_stream(103, [1])])
+        assert info.value.process == "msgd replication 1"
+        assert 0 < info.value.iteration == alone.value.iteration <= 400
+        assert info.value.step_size == 0.5
+        assert str(info.value) == (
+            f"msgd replication 1 diverged at iteration {info.value.iteration} "
+            "with step size 0.5"
+        )
+        for r in (0, 2):  # the others stay in range alone
+            lone = run_msgd(model, scheme, config, [derive_stream(103, [r])])
+            assert np.isfinite(lone.states).all()
 
     def test_all_diverged_raises(self, repelling_for_stream):
         model = repelling_for_stream(0)
         scheme = WeightScheme("minibatch", n=4, m=2)
         config = RunConfig(gamma=0.5, num_steps=400, x0=[1.0])
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as info:
             run_msgd(model, scheme, config, [derive_stream(103, [0])])
+        assert info.value.process == "msgd replication 0"
 
 
 class TestMsgdChunking:
@@ -297,7 +306,6 @@ class TestMsgdChunking:
             runs.append(run_msgd(model, scheme, config, streams_fn()))
         for traj in runs[1:]:
             np.testing.assert_array_equal(traj.states, runs[0].states)
-            assert traj.diverged == runs[0].diverged
         return runs[0]
 
     @pytest.mark.parametrize("reps", [1, 7])
@@ -312,15 +320,19 @@ class TestMsgdChunking:
         assert traj.states.shape == (13, reps, model.dim)
 
     def test_divergence_mid_chunk(self, monkeypatch, repelling_for_stream):
-        # replication 4 sits in the middle of the second chunk of 3; after it
-        # is dropped, the later replications move to earlier chunks
+        # replication 4 sits in the middle of the second chunk of 3; every
+        # chunk size names it, at the iteration it diverges alone
         model = repelling_for_stream(4)
-        traj = self._assert_chunk_invariant(
-            monkeypatch, model, "minibatch",
-            lambda: [derive_stream(109, [r]) for r in range(7)], steps=400,
-        )
-        assert list(traj.diverged) == [4]
-        assert np.all(np.isfinite(traj.states[:, [0, 1, 2, 3, 5, 6]]))
+        scheme = WeightScheme("minibatch", n=self.N, m=16)
+        config = RunConfig(gamma=0.2, num_steps=400, x0=[1.0])
+        with pytest.raises(DivergenceError) as alone:
+            run_msgd(model, scheme, config, [derive_stream(109, [4])])
+        for elements in (dynamics_mod.CHUNK_ELEMENTS, self.N, 3 * self.N):
+            monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
+            with pytest.raises(DivergenceError) as info:
+                run_msgd(model, scheme, config, [derive_stream(109, [r]) for r in range(7)])
+            assert info.value.process == "msgd replication 4"
+            assert 0 < info.value.iteration == alone.value.iteration
 
 
 LIMIT = dynamics_mod.DIVERGENCE_LIMIT
@@ -377,6 +389,7 @@ class TestDivergenceGuards:
                 with pytest.raises(DivergenceError) as info:
                     run()
                 assert info.value.iteration == 0
+                assert info.value.process in ("gd", "ode")
             else:
                 np.testing.assert_array_equal(run().states, np.tile(x0, (4, 1)))
 
@@ -386,30 +399,33 @@ class TestDivergenceGuards:
         if _out_of_range(value):
             with pytest.raises(DivergenceError) as info:
                 run_gd(jump_model([value]), config)
-            assert info.value.iteration == 1
+            assert info.value.iteration == 1 and info.value.process == "gd"
         else:
             assert run_gd(jump_model([value]), config).states[1, 0] == value
 
-    # each boundary state next to an in-range row, then all of them at once
+    # each boundary state next to an in-range row, then all of them at once,
+    # in both orders, so that several rows leave the range at the same step
     @pytest.mark.parametrize(
-        "values", [(1.0, v) for v in BOUNDARY_STATES] + [(1.0,) + BOUNDARY_STATES]
+        "values",
+        [(1.0, v) for v in BOUNDARY_STATES]
+        + [(1.0,) + BOUNDARY_STATES, (1.0,) + BOUNDARY_STATES[::-1], (1.0, LIMIT, -LIMIT)],
     )
-    def test_msgd_ensemble_drops_exactly_the_out_of_range_rows(self, values):
+    def test_msgd_first_out_of_range_row_raises(self, values):
         scheme = WeightScheme("minibatch", n=1, m=1)
         config = RunConfig(gamma=0.5, num_steps=2, x0=[0.0])
         streams = [derive_stream(113, [r]) for r in range(len(values))]
-        traj = run_msgd(jump_model(values), scheme, config, streams)
-        # a second identical step doubles the rows at +-LIMIT out of range
-        expected = {r: 1 for r, v in enumerate(values) if _out_of_range(v)}
-        expected.update({r: 2 for r, v in enumerate(values) if abs(v) == LIMIT})
-        assert traj.diverged == expected
-        for r, v in enumerate(values):
-            if expected.get(r) == 1:
-                assert np.isnan(traj.states[1:, r, 0]).all()
-            else:
-                assert traj.states[1, r, 0] == v
-        assert traj.states[2, 0, 0] == 2.0
-        assert np.isnan(traj.states[2, 1:, 0]).all()
+        # row r is at k * values[r] after step k: +-LIMIT itself stays in
+        # range at step 1 and leaves it at step 2; of rows leaving at the same
+        # step, the first in row order is named
+        k, r = min((k, r) for k in (1, 2) for r, v in enumerate(values) if _out_of_range(k * v))
+        with pytest.raises(DivergenceError) as info:
+            run_msgd(jump_model(values), scheme, config, streams)
+        assert (info.value.process, info.value.iteration) == (f"msgd replication {r}", k)
+        assert info.value.step_size == 0.5
+        if k == 2:  # one step stays in range, on the boundary
+            one = dataclasses.replace(config, num_steps=1)
+            states = run_msgd(jump_model(values), scheme, one, streams).states
+            np.testing.assert_array_equal(states[1, :, 0], values)
 
     def test_msgd_ensemble_raises_when_every_row_diverges(self):
         values = [v for v in BOUNDARY_STATES if _out_of_range(v)]
@@ -419,6 +435,7 @@ class TestDivergenceGuards:
         with pytest.raises(DivergenceError) as info:
             run_msgd(jump_model(values), scheme, config, streams)
         assert info.value.iteration == 1
+        assert info.value.process == "msgd replication 0"
 
 
 def ode_config(gamma, num_steps, x0):
@@ -522,8 +539,8 @@ class TestLogisticNoiseDimension:
     runs exercise noise_dim far above the parameter dimension."""
 
     def _model(self):
-        dataset = generate_logistic_dataset(derive_stream(79, ["ld"]), 3, 200, 0.1)
-        return make_logistic_model(dataset)
+        dataset = generate_logistic_dataset(derive_stream(79, ["ld"]), 3, 200)
+        return make_logistic_model(dataset, 0.1)
 
     def test_gaussian_sgd_contracts(self):
         model = self._model()
@@ -600,46 +617,42 @@ def cliff_model():
 class TestLockstep:
     """A step-size grid advances every config together, each row with its own
     step size and last step; each config's run equals running it alone, bit
-    for bit, including its divergences.  A config whose rows all diverge
-    raises when run alone, so its grid run is compared with a lone run that
-    stops one step before its last row diverged.  Streams are stateful, so
-    every run gets fresh ones from ``streams()``."""
+    for bit.  A grid that diverges raises the error of the config that
+    diverges first alone, the earlier config on a tie, as rows are in config
+    order.  Streams are stateful, so every run gets fresh ones from
+    ``streams()``."""
 
-    @staticmethod
-    def _assert_equal_runs(grid_run, alone):
-        np.testing.assert_array_equal(grid_run.states, alone.states)
-        assert grid_run.diverged == alone.diverged
-        assert grid_run.config == alone.config
-
-    def _assert_grid_matches(self, run, configs, streams, entirely=()):
-        """run(configs, streams()) against run(config, streams()[i]) per
-        config i; the configs indexed by `entirely` must diverge in every row."""
+    def _assert_grid_matches(self, run, configs, streams):
+        """run(configs, streams()) against run(config, streams()[i]) per config i."""
         grid = run(configs, streams())
         steps = max(c.num_steps for c in configs)
         assert grid.states.shape[0] == steps + 1 and len(grid.runs) == len(configs)
         start = 0
         for i, config in enumerate(configs):
-            grid_run = grid.runs[i]
             # a config's rows leave the ensemble after its last step
             size = 1 if streams()[i] is None else len(streams()[i])
             assert np.isnan(grid.states[config.num_steps + 1 :, start : start + size]).all()
             start += size
-            if i not in entirely:
-                self._assert_equal_runs(grid_run, run(config, streams()[i]))
-                continue
-            rows = grid_run.states.shape[1] if grid_run.states.ndim == 3 else 1
-            assert len(grid_run.diverged) == rows
-            with pytest.raises(DivergenceError) as info:
-                run(config, streams()[i])
-            last = max(grid_run.diverged.values())
-            assert info.value.iteration == last
-            assert info.value.step_size == config.gamma
-            assert np.isnan(grid_run.states[last:]).all()
-            shorter = dataclasses.replace(config, num_steps=last - 1)
-            alone = run(shorter, streams()[i])
-            np.testing.assert_array_equal(grid_run.states[:last], alone.states)
-            assert alone.diverged == {r: k for r, k in grid_run.diverged.items() if k < last}
+            alone = run(config, streams()[i])
+            np.testing.assert_array_equal(grid.runs[i].states, alone.states)
+            assert grid.runs[i].config == alone.config
         return grid
+
+    @staticmethod
+    def _assert_grid_raises_first(run, configs, streams):
+        """The grid's error is that of the config that diverges first alone;
+        returns that config's index and the error."""
+        alone = []
+        for i, config in enumerate(configs):
+            try:
+                run(config, streams()[i])
+            except DivergenceError as exc:
+                alone.append((exc.iteration, i, str(exc)))
+        with pytest.raises(DivergenceError) as info:
+            run(configs, streams())
+        _, i, line = min(alone)
+        assert str(info.value) == line
+        return i, info.value
 
     def test_msgd(self, repelling_for_stream):
         # the rows whose stream path ends in "x" grow 1 + 10 gamma per step
@@ -650,17 +663,22 @@ class TestLockstep:
             RunConfig(gamma=0.2, num_steps=30, x0=[2.0]),
             RunConfig(gamma=0.3, num_steps=400, x0=[1.0]),
         ]
-        def streams():
+
+        def streams(bad="x"):
             return [
-                [derive_stream(5, ["a", label]) for label in (0, "x", 2)],
+                [derive_stream(5, ["a", label]) for label in (0, bad, 2)],
                 [derive_stream(5, ["c", r]) for r in range(3)],
-                [derive_stream(5, ["b", r, "x"]) for r in range(2)],
+                [derive_stream(5, ["b", r, bad]) for r in range(2)],
             ]
 
-        grid = self._assert_grid_matches(
-            lambda c, s: run_msgd(model, scheme, c, s), configs, streams, entirely=(2,)
-        )
-        assert list(grid.runs[0].diverged) == [1] and not grid.runs[1].diverged
+        def run(c, s):
+            return run_msgd(model, scheme, c, s)
+
+        self._assert_grid_matches(run, configs, lambda: streams(bad=1))
+        # config 0's row 1 grows 6x a step and passes the limit at step 193;
+        # config 2's rows grow 4x and would pass it at step 250
+        i, error = self._assert_grid_raises_first(run, configs, streams)
+        assert (i, error.process, error.iteration) == (0, "msgd replication 1", 193)
 
     @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
     def test_msgd_logistic_chunks(self, monkeypatch, kind):
@@ -691,12 +709,21 @@ class TestLockstep:
             RunConfig(gamma=0.1, num_steps=10, x0=[0.0]),
             RunConfig(gamma=0.25, num_steps=50, x0=[10.0]),
         ]
-        grid = self._assert_grid_matches(
-            lambda c, s: run_diffusion_em(model, c, 4, s, 1), configs,
-            lambda: [[derive_stream(13, [i, r]) for r in range(6)] for i in range(3)],
-            entirely=(2,),
+
+        def streams():
+            return [[derive_stream(13, [i, r]) for r in range(6)] for i in range(3)]
+
+        # at m = 10^4 the noise is too small to carry a row across the cliff
+        calm = configs[:2] + [dataclasses.replace(configs[2], x0=[-4.9])]
+        self._assert_grid_matches(
+            lambda c, s: run_diffusion_em(model, c, 4, s, 10**4), calm, streams
         )
-        assert 0 < len(grid.runs[0].diverged) < 6 and not grid.runs[1].diverged
+        # at m = 1 config 0's replication 5 crosses it and passes the limit at
+        # step 23, but config 2, which starts beyond it, passes it first, at 21
+        i, error = self._assert_grid_raises_first(
+            lambda c, s: run_diffusion_em(model, c, 4, s, 1), configs, streams
+        )
+        assert (i, error.process, error.iteration) == (2, "diffusion_em replication 0", 21)
 
     @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
     def test_diffusion_em_noise_factor(self, model_name):
@@ -730,38 +757,44 @@ class TestLockstep:
         np.testing.assert_array_equal(traj.states[-1], x)
 
     def test_gd(self):
-        # x grows by 1 + gamma per step: only gamma = 0.9 reaches the limit
+        # x grows by 1 + gamma per step: only gamma = 0.9 over 600 steps reaches the limit
         model = repelling_model()
         configs = [RunConfig(gamma=g, num_steps=k, x0=[1.0])
-                   for g, k in ((0.5, 50), (0.9, 600), (0.3, 80))]
-        grid = self._assert_grid_matches(
-            lambda c, s: run_gd(model, c), configs, lambda: [None] * 3, entirely=(1,)
-        )
+                   for g, k in ((0.5, 50), (0.9, 100), (0.3, 80))]
+
+        def run(c, _s):
+            return run_gd(model, c)
+
+        grid = self._assert_grid_matches(run, configs, lambda: [None] * 3)
         assert grid.runs[0].states.shape == (51, 1)
+        configs[1] = dataclasses.replace(configs[1], num_steps=600)
+        i, error = self._assert_grid_raises_first(run, configs, lambda: [None] * 3)
+        assert (i, error.process, error.step_size) == (1, "gd", 0.9)
 
     def test_ode(self):
-        # h lam = 5 is outside the method's stability interval, 1 and 2.5 inside
+        # h lam = 5 is outside the method's stability interval, 1 and 2.5 inside;
+        # the unstable config grows about 190x a step, passing the limit within 100 steps
         model = stiff_model(20.0)
         configs = [RunConfig(gamma=g, num_steps=k, x0=[1.0])
-                   for g, k in ((0.1, 500), (0.5, 100), (0.25, 200))]
-        grid = self._assert_grid_matches(
-            lambda c, s: run_ode(model, c, 2), configs, lambda: [None] * 3, entirely=(1,)
-        )
+                   for g, k in ((0.1, 500), (0.5, 30), (0.25, 200))]
+
+        def run(c, _s):
+            return run_ode(model, c, 2)
+
+        grid = self._assert_grid_matches(run, configs, lambda: [None] * 3)
         assert grid.states.shape == (501, 3, 1)
+        configs[1] = dataclasses.replace(configs[1], num_steps=100)
+        i, error = self._assert_grid_raises_first(run, configs, lambda: [None] * 3)
+        assert (i, error.process, error.step_size) == (1, "ode", 0.5)
 
     def test_every_row_diverged_raises(self):
+        # both configs diverge; the error names the later row, which diverges first
         model = repelling_model()
-        configs = [RunConfig(gamma=g, num_steps=900, x0=[1.0]) for g in (0.9, 0.8)]
-        with pytest.raises(DivergenceError) as info:
-            run_gd(model, configs)
-        iterations = []
-        for config in configs:
-            with pytest.raises(DivergenceError) as alone:
-                run_gd(model, config)
-            iterations.append(alone.value.iteration)
-        # the error names the rows that diverged last
-        assert info.value.iteration == max(iterations)
-        assert info.value.step_size == configs[iterations.index(max(iterations))].gamma
+        configs = [RunConfig(gamma=g, num_steps=900, x0=[1.0]) for g in (0.8, 0.9)]
+        i, error = self._assert_grid_raises_first(
+            lambda c, _s: run_gd(model, c), configs, lambda: [None] * 2
+        )
+        assert (i, error.step_size) == (1, 0.9)
 
     def test_one_stream_sequence_per_config(self):
         model = make_quadratic_model(1, [0.0], 1.0)

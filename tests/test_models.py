@@ -19,9 +19,12 @@ from msgdlab.weights import SCHEME_KINDS, WeightScheme, sample_weights
 from oracles import finite_diff_gradient
 
 
-def small_logistic(seed=101, p=3, t=400, kappa=0.05):
-    dataset = generate_logistic_dataset(derive_stream(seed, ["data"]), p, t, kappa)
-    return make_logistic_model(dataset), dataset
+KAPPA = 0.05  # the ridge penalty of small_logistic
+
+
+def small_logistic(seed=101, p=3, t=400):
+    dataset = generate_logistic_dataset(derive_stream(seed, ["data"]), p, t)
+    return make_logistic_model(dataset, KAPPA), dataset
 
 
 def payload_sigmoid(z):
@@ -31,14 +34,14 @@ def payload_sigmoid(z):
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def payload_grad_loss(dataset, beta, payloads):
+def payload_grad_loss(kappa, beta, payloads):
     """Reference per-datum gradients on gathered ``[y | x]`` payload rows, the
     form the logistic model computed before its data became row indices."""
     beta = np.asarray(beta, dtype=float)
     yd = payloads[..., 0]
     xd = payloads[..., 1:]
     resid = payload_sigmoid((xd @ beta[..., None])[..., 0]) - yd
-    return resid[..., None] * xd + 2.0 * dataset.kappa * beta[..., None, :]
+    return resid[..., None] * xd + 2.0 * kappa * beta[..., None, :]
 
 
 class TestQuadratic:
@@ -134,7 +137,7 @@ class TestLogistic:
         np.testing.assert_array_equal(data, idx)
         beta = derive_stream(13, ["beta"]).generator.standard_normal(3)
         expected = payload_grad_loss(
-            dataset, beta, np.column_stack([dataset.labels[idx], dataset.covariates[idx]])
+            KAPPA, beta, np.column_stack([dataset.labels[idx], dataset.covariates[idx]])
         )
         np.testing.assert_array_equal(model.grad_loss(beta, data), expected)
 
@@ -181,7 +184,7 @@ class TestLogistic:
                 - 2 * model.objective(beta)
                 + model.objective(beta - h * v)
             ) / h**2
-            assert second >= 2 * dataset.kappa - 1e-6
+            assert second >= 2 * KAPPA - 1e-6
 
     def test_h1_bound_on_gradient_increments(self):
         model, dataset = small_logistic()
@@ -193,13 +196,13 @@ class TestLogistic:
             increment = np.linalg.norm(
                 model.grad_loss(b1, z)[0] - model.grad_loss(b2, z)[0]
             )
-            h1 = np.sum(dataset.covariates[idx] ** 2) / 4 + 2 * dataset.kappa
+            h1 = np.sum(dataset.covariates[idx] ** 2) / 4 + 2 * KAPPA
             assert increment <= h1 * np.linalg.norm(b1 - b2) + 1e-12
 
     def test_lipschitz_constant_bounds_curvature(self):
         model, dataset = small_logistic()
-        lipschitz = logistic_lipschitz_constant(dataset)
-        assert lipschitz == model.lipschitz_grad > 2 * dataset.kappa
+        lipschitz = logistic_lipschitz_constant(dataset, KAPPA)
+        assert lipschitz == model.lipschitz_grad > 2 * KAPPA
         gen = derive_stream(19, ["curvature"]).generator
         h = 1e-4
         for _ in range(10):
@@ -214,8 +217,10 @@ class TestLogistic:
             assert second <= lipschitz + 1e-6
 
     def test_kappa_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LogisticDataset(np.array([0.0, 1.0]), np.zeros((2, 2)), kappa=0.0)
+        dataset = LogisticDataset(np.array([0.0, 1.0]), np.zeros((2, 2)))
+        for kappa in (0.0, -0.1):
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                make_logistic_model(dataset, kappa)
 
 
 def assert_same_bits(new, old, beta):
@@ -262,12 +267,11 @@ class TestLogisticMatchesPayloadForm:
     @pytest.mark.parametrize("reps", [1, 3, 9])
     def test_grad_loss_and_noise_factor_bitwise(self, reps):
         p, n = 6, 1000
-        base = generate_logistic_dataset(derive_stream(59, ["data"]), p, 10**4, 0.2)
-        payloads = np.column_stack([base.labels, base.covariates])
+        dataset = generate_logistic_dataset(derive_stream(59, ["data"]), p, 10**4)
+        payloads = np.column_stack([dataset.labels, dataset.covariates])
         gen = derive_stream(59, ["beta", reps]).generator
         for kappa in self.KAPPAS:
-            dataset = LogisticDataset(base.labels, base.covariates, kappa)
-            model = make_logistic_model(dataset)
+            model = make_logistic_model(dataset, kappa)
             for scale in (1e-8, 1.0, 1e3, 1e150, 1e300):
                 for special in (None, np.nan, np.inf, -np.inf):
                     beta = scale * gen.standard_normal((reps, p))
@@ -278,10 +282,10 @@ class TestLogisticMatchesPayloadForm:
                     for b, i in ((beta, idx), (beta[0], idx), (beta[0], idx[0])):
                         with np.errstate(all="ignore"):
                             new = model.grad_loss(b, i)
-                            old = payload_grad_loss(dataset, b, payloads[i])
+                            old = payload_grad_loss(kappa, b, payloads[i])
                         assert_same_bits(new, old, b)
             beta = gen.standard_normal((reps, p))
-            every_datum = payload_grad_loss(dataset, beta, payloads)
+            every_datum = payload_grad_loss(kappa, beta, payloads)
             expected = np.swapaxes(
                 every_datum - model.grad_objective(beta)[..., None, :], -1, -2
             ) / np.sqrt(dataset.size)
@@ -304,17 +308,16 @@ class TestWeightedGradient:
     @pytest.mark.parametrize("reps", [1, 3, 9])
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
     def test_logistic_fused_matches_per_datum_sum(self, kind, reps):
-        base = generate_logistic_dataset(derive_stream(71, ["data"]), self.P, 10**4, 0.2)
-        payloads = np.column_stack([base.labels, base.covariates])
+        dataset = generate_logistic_dataset(derive_stream(71, ["data"]), self.P, 10**4)
+        payloads = np.column_stack([dataset.labels, dataset.covariates])
         w = self.weights(kind, reps, "sum")
         gen = derive_stream(71, ["beta", kind, reps]).generator
         for kappa in TestLogisticMatchesPayloadForm.KAPPAS:
-            dataset = LogisticDataset(base.labels, base.covariates, kappa)
-            model = make_logistic_model(dataset)
+            model = make_logistic_model(dataset, kappa)
             for scale in (1e-8, 1e-4, 1.0, 1e3):
                 beta = scale * gen.standard_normal((reps, self.P))
                 idx = gen.integers(0, dataset.size, size=(reps, self.N))
-                grads = payload_grad_loss(dataset, beta, payloads[idx])
+                grads = payload_grad_loss(kappa, beta, payloads[idx])
                 expected = (w[:, None, :] @ grads)[:, 0, :]
                 # relative to the sum of the terms' magnitudes, which bounds
                 # what reordering the sum can move: n * eps = 2.2e-13 at worst
@@ -383,11 +386,11 @@ class TestWeightedGradient:
 
 class TestDatasetGeneration:
     def test_label_frequency(self):
-        dataset = generate_logistic_dataset(derive_stream(29, ["gen"]), 6, 10**4, 0.1)
+        dataset = generate_logistic_dataset(derive_stream(29, ["gen"]), 6, 10**4)
         assert abs(dataset.labels.mean() - 0.5) < 0.02
 
     def test_covariate_covariance_near_identity(self):
-        dataset = generate_logistic_dataset(derive_stream(29, ["gen"]), 6, 10**4, 0.1)
+        dataset = generate_logistic_dataset(derive_stream(29, ["gen"]), 6, 10**4)
         cov = np.cov(dataset.covariates.T)
         np.testing.assert_allclose(cov, np.eye(6), atol=0.05)
 

@@ -333,10 +333,10 @@ class TestContractionBound:
             contraction_bound(lam=0.5, gamma=0.1, L=1.0, L1=40.0, p=6, m=2000)
 
 
-def gd_ensemble(model, config, streams) -> Trajectory:
+def gd_ensemble(model, config, reps=1) -> Trajectory:
     """Deterministic GD copied into every replication of an ensemble."""
     gd = run_gd(model, config)
-    states = np.repeat(gd.states[:, None, :], len(streams), axis=1)
+    states = np.repeat(gd.states[:, None, :], reps, axis=1)
     return Trajectory(kind="gd", states=states, config=config)
 
 
@@ -344,7 +344,7 @@ class TestConvergenceCurve:
     def test_gd_closed_form(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=30, x0=[1.0])
-        curve = convergence_curve(model, gd_ensemble, config, 1, derive_stream(53, ["gd"]))
+        curve = convergence_curve(model, gd_ensemble(model, config))
         expected = 0.5 * (1 - 0.1) ** (2 * np.arange(31))
         np.testing.assert_allclose(curve.g_gap_mean, expected, rtol=1e-10)
 
@@ -353,10 +353,8 @@ class TestConvergenceCurve:
         model = make_quadratic_model(1, [0.0], 1.0)
         gamma, m, steps, reps = 0.1, 50, 100, 300
         config = RunConfig(gamma=gamma, num_steps=steps, x0=[1.0])
-        curve = convergence_curve(
-            model, lambda mo, co, st: run_gaussian_sgd(mo, co, st, m), config, reps,
-            derive_stream(59, ["gs"]),
-        )
+        streams = derive_stream(59, ["gs"]).children("rep", stop=reps)
+        curve = convergence_curve(model, run_gaussian_sgd(model, config, streams, m))
         oracle = np.empty(steps + 1)
         oracle[0] = 0.5
         for k in range(steps):
@@ -364,45 +362,54 @@ class TestConvergenceCurve:
         deviation = np.abs(curve.g_gap_mean - oracle)
         np.testing.assert_array_less(deviation, 4 * curve.g_gap_se + 1e-12)
 
-    def test_divergence_recorded_not_dropped(self, repelling_for_stream):
-        # replication 2 of the ensemble diverges; the others keep the curves
-        # they have in a run without it
-        model = repelling_for_stream(2)
+    def test_every_replication_counts(self):
+        # one row per replication, each the curve of that replication run
+        # alone, and the mean and SE over all of them
+        model = make_quadratic_model(1, [0.0], 1.0)
         scheme = WeightScheme("gaussian", n=4, m=2)
-        config = RunConfig(gamma=0.5, num_steps=300, x0=[1.0])
-
-        def runner(mo, co, streams):
-            return run_msgd(mo, scheme, co, streams)
-
+        config = RunConfig(gamma=0.5, num_steps=30, x0=[1.0])
         stream = derive_stream(61, ["d"])
-        curve = convergence_curve(model, runner, config, 5, stream)
-        assert curve.diverged == [2]
-        assert curve.reps == 4
-        for row, r in enumerate((0, 1, 3, 4)):
-            alone = convergence_curve(
-                model, lambda mo, co, streams: runner(mo, co, [stream.child("rep", r)]),
-                config, 1, stream,
+        curve = convergence_curve(
+            model, run_msgd(model, scheme, config, stream.children("rep", stop=5))
+        )
+        assert curve.sq_dist_reps.shape == (5, 31)
+        for r in range(5):
+            alone = run_msgd(model, scheme, config, [stream.child("rep", r)])
+            np.testing.assert_array_equal(
+                curve.sq_dist_reps[r], convergence_curve(model, alone).sq_dist_reps[0]
             )
-            np.testing.assert_array_equal(curve.sq_dist_reps[row], alone.sq_dist_reps[0])
+        np.testing.assert_array_equal(curve.sq_dist_mean, curve.sq_dist_reps.mean(axis=0))
+        np.testing.assert_array_equal(
+            curve.sq_dist_se, curve.sq_dist_reps.std(axis=0, ddof=1) / math.sqrt(5)
+        )
 
-    def test_all_diverged_raises(self, repelling_for_stream):
-        model = repelling_for_stream(0)
-        scheme = WeightScheme("gaussian", n=4, m=2)
-        config = RunConfig(gamma=0.5, num_steps=300, x0=[1.0])
-        with pytest.raises(ArithmeticError, match="all 1 replications diverged"):
-            convergence_curve(
-                model, lambda mo, co, streams: run_msgd(mo, scheme, co, streams),
-                config, 1, derive_stream(61, ["all"]),
-            )
+    def test_a_grid_run_gives_its_lone_curve(self):
+        # a config's run is a strided view of the lockstep block, and its
+        # curve is the lone run's, bit for bit
+        model = make_quadratic_model(2, [0.5, -0.5], 1.0)
+        scheme = WeightScheme("minibatch", n=16, m=4)
+        configs = [RunConfig(gamma=g, num_steps=k, x0=[1.0, 1.0]) for g, k in ((0.2, 9), (0.1, 20))]
+
+        def streams(i):
+            return derive_stream(63, [i]).children("rep", stop=3)
+
+        grid = run_msgd(model, scheme, configs, [streams(i) for i in range(2)])
+        for i, config in enumerate(configs):
+            curve = convergence_curve(model, grid.runs[i])
+            alone = convergence_curve(model, run_msgd(model, scheme, config, streams(i)))
+            for name in ("g_gap_mean", "g_gap_se", "sq_dist_mean", "sq_dist_se", "sq_dist_reps"):
+                np.testing.assert_array_equal(getattr(curve, name), getattr(alone, name))
 
     def test_reference_needed_without_a_known_minimizer(self):
         from msgdlab.models import generate_logistic_dataset, make_logistic_model
 
-        dataset = generate_logistic_dataset(derive_stream(67, ["ref"]), 2, 200, 0.1)
-        model = make_logistic_model(dataset)
+        dataset = generate_logistic_dataset(derive_stream(67, ["ref"]), 2, 200)
+        model = make_logistic_model(dataset, 0.1)
         config = RunConfig(gamma=0.1, num_steps=3, x0=[1.0, 1.0])
         with pytest.raises(ValueError, match="no known minimizer"):
-            convergence_curve(model, gd_ensemble, config, 1, derive_stream(67, ["run"]))
+            convergence_curve(model, gd_ensemble(model, config))
+        curve = convergence_curve(model, gd_ensemble(model, config), reference=np.zeros(2))
+        assert curve.g_gap_mean is None and curve.sq_dist_mean[0] == 2.0
 
 
 class TestContractionFit:
