@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -835,7 +838,6 @@ class TestMain:
         run_experiment(validate_config(raw), tmp_path)
         assert calls == [2] * 5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge noise overflows on purpose
     def test_rate_of_a_curve_that_is_not_positive_fails(self, tmp_path, capsys):
         # the states stay near 1e77, in range, but the start's g-gap of 1/2
         # is lost against p s^2 / 2, so the fit window holds a 0: no rate to fit
@@ -848,7 +850,6 @@ class TestMain:
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert not payload["overall_pass"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge noise overflows on purpose
     def test_recursion_deviation_of_an_overflowed_spread_fails(self, tmp_path, capsys):
         # the g-gap SE overflows to inf, and a deviation in units of it would read 0
         config_path = tmp_path / "cfg.json"
@@ -858,6 +859,24 @@ class TestMain:
         out = capsys.readouterr().out
         assert "FAIL gaussian_sgd:recursion_max_dev: observed=nan" in out
         assert "FAIL msgd:recursion_max_dev: observed=nan" in out
+
+    def test_overflowed_spread_fails_quietly_under_warnings_as_errors(self, tmp_path):
+        # the overflow in the g-gap spread is part of the verdict, not a warning:
+        # `-W error` still ends in the FAIL lines and exit 1, with nothing on stderr
+        config_path = tmp_path / "cfg.json"
+        config = tiny_config("converge") | {"model": {"kind": "quadratic", "p": 1, "s": 1e78}}
+        config_path.write_text(json.dumps(config))
+        path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "msgdlab",
+             "--config", str(config_path), "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert "FAIL gaussian_sgd:recursion_max_dev: observed=nan" in result.stdout
+        assert "FAIL msgd:recursion_max_dev: observed=nan" in result.stdout
+        assert result.stderr == ""
 
     def test_report_without_checks_fails(self):
         empty = ExperimentReport(command="gd-ode", seed=1, config={}, resolved={}, checks=[])

@@ -1,10 +1,10 @@
-"""The cold start: importing the CLI and validating configs loads no scipy.special.
+"""The whole runtime needs numpy alone: no command loads scipy.
 
-``scipy.special`` is about half of a fresh interpreter's import time, and
-only ``clt``'s KS statistic needs it, so ``stats.ks_normality`` imports it
-on its first call.  A fresh interpreter checks both halves of that: nothing
-before the clt run loads it, and the clt run, which does, still writes the
-golden bytes.
+``clt``'s KS statistic takes its normal CDF from ``math.erfc``, so neither
+importing the CLI, nor validating a config, nor running any command imports
+scipy.  One fresh interpreter validates every canonical config and runs every
+golden-bytes config, then reports the scipy modules it loaded; each output
+directory must still hold its golden bytes.
 """
 
 from __future__ import annotations
@@ -25,26 +25,27 @@ from pathlib import Path
 
 import msgdlab.cli
 
-configs, clt, out = sys.argv[1:]
+configs, golden, out = sys.argv[1:]
 paths = sorted(Path(configs).glob("*.json"))
 for path in paths:
     msgdlab.cli.validate_config(path.read_text())
-before = "scipy.special" in sys.modules
-msgdlab.cli.run_experiment(msgdlab.cli.validate_config(clt), out)
-print(json.dumps([len(paths), before, "scipy.special" in sys.modules]))
+for name, raw in json.loads(golden).items():
+    msgdlab.cli.run_experiment(msgdlab.cli.validate_config(raw), Path(out) / name)
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps([len(paths), scipy]))
 """
 
 
-def test_validation_leaves_scipy_special_unloaded(tmp_path):
-    raw, expected = GOLDEN["clt"]
+def test_no_command_loads_scipy(tmp_path):
+    golden = {name: raw for name, (raw, _) in GOLDEN.items()}
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
-        [sys.executable, "-c", CHILD, str(REPO / "configs"), json.dumps(raw), str(tmp_path)],
+        [sys.executable, "-c", CHILD, str(REPO / "configs"), json.dumps(golden), str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
         capture_output=True, text=True, check=True,
     )
-    validated, before, after = json.loads(result.stdout)
+    validated, scipy = json.loads(result.stdout)
     assert validated == 10
-    assert not before
-    assert after  # clt's KS statistic loaded it
-    assert directory_digest(tmp_path) == expected
+    assert scipy == []
+    for name, (_, expected) in GOLDEN.items():
+        assert directory_digest(tmp_path / name) == expected, name

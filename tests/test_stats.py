@@ -144,6 +144,14 @@ class TestSharedDraw:
         np.testing.assert_allclose(step, theta - gamma * samples / math.sqrt(m), rtol=1e-12)
 
 
+def ks_with_ndtr(samples, variance):
+    """The KS statistic of `samples` against N(0, variance), with scipy's ``ndtr`` as the CDF."""
+    samples = np.sort(samples)
+    count = samples.size
+    cdf = ndtr(samples / math.sqrt(variance))
+    return max(np.max(np.arange(1, count + 1) / count - cdf), np.max(cdf - np.arange(count) / count))
+
+
 class TestKsNormality:
     def test_true_normals_small_statistic(self):
         draws = derive_stream(11, ["ks"]).generator.standard_normal(10**4)
@@ -163,6 +171,21 @@ class TestKsNormality:
         stat = ks_normality(draws, 4.0)
         assert stat >= 0.15
         assert stat == pytest.approx(oracle, abs=0.02)
+
+    @pytest.mark.parametrize("count", [100, 250, 10_000])
+    @pytest.mark.parametrize("variance", [1 / 3, 4.0])
+    def test_matches_scipy_ndtr(self, variance, count):
+        # oracle: the same statistic with scipy's normal CDF, a test-only reference
+        draws = derive_stream(17, ["ks-oracle", count]).generator.standard_normal(count)
+        samples = 1.2 * math.sqrt(variance) * draws
+        assert abs(ks_normality(samples, variance) - ks_with_ndtr(samples, variance)) <= 1e-15
+
+    def test_matches_scipy_ndtr_in_the_tails(self):
+        # a spread four times too wide puts samples past |x| = 8, where the
+        # CDF is within 1e-15 of 0 or 1
+        samples = 4.0 * derive_stream(19, ["ks-tails"]).generator.standard_normal(10_000)
+        assert np.sum(np.abs(samples) > 8) > 100
+        assert abs(ks_normality(samples, 1.0) - ks_with_ndtr(samples, 1.0)) <= 1e-15
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
