@@ -1,7 +1,9 @@
 """Config-driven experiment runner with pass/fail verdicts.
 
-Each command exercises one family of claims and writes CSV artifacts plus
-a ``report.json`` into the output directory:
+Each command exercises one family of claims, whose runner measures it and
+returns its checks' statistics and its CSV tables; ``run_experiment`` alone
+judges them and writes the CSV artifacts plus a ``report.json`` into the
+output directory:
 
 * ``weights-moments``  weight-scheme moment targets
 * ``clt``              normality of the scaled weighted gradient error
@@ -22,10 +24,11 @@ one root stream ``run_experiment`` derives for it.  Given the same config
 and seed, outputs are byte-identical: every replication draws from a stream
 derived from its own index, and reductions happen in index order, whatever
 chunk of replications a step draws and reduces together.  A config sets
-what runs, never how it is judged: each runner returns its checks'
-statistics as (key, name, statistic, reference, scale) tuples, and
-``judge``, the one place a check is built, judges each as ``BOUNDS``
-declares for its command and key.
+what runs, never how it is judged: each runner takes the config and its
+root stream, touches no file, and returns its checks' statistics as (key,
+name, statistic, reference, scale) tuples and its tables as
+``{csv name: (header, rows)}``; ``judge``, the one place a check is built,
+judges each statistic as ``BOUNDS`` declares for its command and key.
 """
 
 from __future__ import annotations
@@ -560,32 +563,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-class _OutputDir:
-    """Writes CSVs (with a config-echo comment header) and report.json."""
-
-    def __init__(self, directory, config: ExperimentConfig):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.header_lines = [
-            f"# seed={config.seed}",
-            f"# config={json.dumps(config.raw, sort_keys=True, separators=(',', ':'))}",
-        ]
-        self.files: list[str] = []
-
-    def write_csv(self, name: str, header: list[str], rows) -> None:
-        lines = list(self.header_lines)
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        (self.directory / name).write_text("\n".join(lines) + "\n")
-        self.files.append(name)
-
-    def write_report(self, report: ExperimentReport) -> None:
-        report.files = self.files
-        payload = json.dumps(report.as_dict(), sort_keys=True, indent=2)
-        (self.directory / "report.json").write_text(payload + "\n")
-
-
 def histogram_rows(samples, bin_count: int) -> list[tuple[float, float, int]]:
     """(bin_left, bin_right, count) rows spanning [min, max] of the samples.
 
@@ -612,7 +589,7 @@ def histogram_rows(samples, bin_count: int) -> list[tuple[float, float, int]]:
 # ----------------------------------------------------------------------
 
 
-def _run_weights_moments(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
+def _run_weights_moments(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     n, m, reps = cfg.params["n"], cfg.params["m"], cfg.params["reps"]
     diag, offdiag = sigma_entries(n, m)
     checks, rows = [], []
@@ -631,29 +608,24 @@ def _run_weights_moments(cfg: ExperimentConfig, root, out: _OutputDir) -> list[t
             checks.append((key, f"{label}:{key}", observed, target, se))
             row += [observed, se, target]
         rows.append(row[:-1])  # m_sum_sq's target, 1, has no column
-    out.write_csv(
-        "weight_moments.csv",
-        ["scheme", "n", "m", "reps",
-         "mean", "mean_se", "mean_target",
-         "var", "var_se", "var_target",
-         "cov", "cov_se", "cov_target",
-         "m_sum_sq", "m_sum_sq_se"],
-        rows,
-    )
-    return checks
+    header = ["scheme", "n", "m", "reps",
+              "mean", "mean_se", "mean_target",
+              "var", "var_se", "var_target",
+              "cov", "cov_se", "cov_target",
+              "m_sum_sq", "m_sum_sq_se"]
+    return checks, {"weight_moments.csv": (header, rows)}
 
 
-def _run_clt(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
+def _run_clt(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     count, p = cfg.params["samples"], cfg.params["p"]
     model = make_uniform_clt_model(p)
     [scheme] = cfg.plan["schemes"]
     samples = clt_error_samples(model, scheme, np.zeros(p), count, root.child("samples"))
     target_var = 1.0 / 3.0  # Var Unif(-1, 1)
-    checks = []
+    checks, tables = [], {}
     for j in range(p):
         checks.append(("ks_coord", f"ks_coord{j + 1}", ks_normality(samples[:, j], target_var)))
-        out.write_csv(
-            f"hist_coord{j + 1}.csv",
+        tables[f"hist_coord{j + 1}.csv"] = (
             ["bin_left", "bin_right", "count"],
             histogram_rows(samples[:, j], BOUNDS["clt"]["hist_bins"]),
         )
@@ -665,11 +637,11 @@ def _run_clt(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
         [i + 1, j + 1, cov[i, j], cov_se[i, j], target[i, j]]
         for i in range(p) for j in range(p)
     ]
-    out.write_csv("error_covariance.csv", ["i", "j", "cov", "se", "target"], cov_rows)
-    return checks
+    tables["error_covariance.csv"] = (["i", "j", "cov", "se", "target"], cov_rows)
+    return checks, tables
 
 
-def _run_weighting_gap(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
+def _run_weighting_gap(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     params, plan = cfg.params, cfg.plan
     checks, rows = [], []
     for scheme in plan["schemes"]:  # each spec at each pair
@@ -678,15 +650,11 @@ def _run_weighting_gap(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tup
                             root.child(label, n, m))
         checks.append(("gap", f"{label}:n{n}:m{m}", gap.estimate, gap.analytic, gap.se))
         rows.append([label, n, m, params["reps"], gap.estimate, gap.se, gap.analytic])
-    out.write_csv(
-        "weighting_gap.csv",
-        ["scheme", "n", "m", "reps", "estimate", "se", "analytic"],
-        rows,
-    )
-    return checks
+    header = ["scheme", "n", "m", "reps", "estimate", "se", "analytic"]
+    return checks, {"weighting_gap.csv": (header, rows)}
 
 
-def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
+def _run_wass_scaling(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     params, plan = cfg.params, cfg.plan
     model, configs, reps = plan["model"], plan["configs"], params["reps"]
     [scheme] = plan["schemes"]
@@ -709,14 +677,12 @@ def _run_wass_scaling(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tupl
         values.append(sliced)
         rows.append([gamma, sliced, "sliced", params["n_directions"], reps])
         rows.append([gamma, by_coord, "coordinate_average", 0, reps])
-    out.write_csv(
-        "wass_scaling.csv", ["gamma", "w2sq", "method", "n_directions", "reps"], rows
-    )
     worst_ratio = max(values[i + 1] / values[i] for i in range(len(values) - 1))
-    return [
+    checks = [
         ("monotone_ratio", "monotone_ratio", worst_ratio, 1.0),
         ("loglog_slope", "loglog_slope", log_slope(np.log(gammas), values)),
     ]
+    return checks, {"wass_scaling.csv": (["gamma", "w2sq", "method", "n_directions", "reps"], rows)}
 
 
 def _quadratic_gap_recursion(gamma: float, m: int, trace: float, start: float, k: int) -> np.ndarray:
@@ -730,7 +696,7 @@ def _quadratic_gap_recursion(gamma: float, m: int, trace: float, start: float, k
     return out
 
 
-def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[tuple]:
+def _run_converge_quadratic(cfg, root) -> tuple[list, dict]:
     params, plan, bound = cfg.params, cfg.plan, BOUNDS["converge"]
     model, x0, reps, configs = plan["model"], plan["start"], params["reps"], plan["configs"]
     [scheme] = plan["schemes"]
@@ -745,7 +711,7 @@ def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[tuple]:
         "gaussian_sgd": run_gaussian_sgd(model, configs, streams("gaussian_sgd"), m).runs,
         "msgd": run_msgd(model, scheme, configs, streams("msgd")).runs,
     }
-    checks = []
+    checks, tables = [], {}
     for run_idx, (config, segment) in enumerate(zip(configs, plan["segments"])):
         gamma, steps = config.gamma, config.num_steps
         oracle = _quadratic_gap_recursion(
@@ -772,8 +738,7 @@ def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[tuple]:
                 ("rho_hat", f"{kind}:rho_hat", contraction_fit(curve.g_gap_mean[segment]), rho),
                 ("plateau", f"{kind}:plateau", float(tail.mean()), level),
             ]
-            out.write_csv(
-                f"converge_{kind}_run{run_idx}.csv",
+            tables[f"converge_{kind}_run{run_idx}.csv"] = (
                 ["k", "g_gap_mean", "g_gap_se", "sq_dist_mean", "sq_dist_se", "oracle"],
                 [
                     [k, curve.g_gap_mean[k], curve.g_gap_se[k],
@@ -781,7 +746,7 @@ def _run_converge_quadratic(cfg, root, out: _OutputDir) -> list[tuple]:
                     for k in range(steps + 1)
                 ],
             )
-    return checks
+    return checks, tables
 
 
 def _block_means(per_rep_curves: np.ndarray, blocks: int):
@@ -801,7 +766,7 @@ def _block_means(per_rep_curves: np.ndarray, blocks: int):
     return means, errs
 
 
-def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[tuple]:
+def _run_converge_logistic(cfg, root) -> tuple[list, dict]:
     params, plan, bound = cfg.params, cfg.plan, BOUNDS["converge"]
     reps, blocks, configs = params["reps"], bound["blocks"], plan["configs"]
     [scheme] = plan["schemes"]
@@ -810,7 +775,7 @@ def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[tuple]:
         streams = [root.child(i, kappa_idx).children("rep", stop=reps) for i in range(len(configs))]
         grid = run_msgd(model, scheme, configs, streams)
         curves.append([convergence_curve(model, run, np.zeros(model.dim)) for run in grid.runs])
-    checks = []
+    checks, tables = [], {}
     for run_idx, (config, segment) in enumerate(zip(configs, plan["segments"])):
         steps = config.num_steps
         rho_hats = []
@@ -834,8 +799,7 @@ def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[tuple]:
             ]
             rho_hat, rho_se = contraction_fit_jackknife(curve.sq_dist_reps[:, segment])
             rho_hats.append((kappa, rho_hat, rho_se))
-            out.write_csv(
-                f"mse_run{run_idx}_kappa{kappa_idx}.csv",
+            tables[f"mse_run{run_idx}_kappa{kappa_idx}.csv"] = (
                 ["k", "mse_mean", "mse_se"],
                 [[k, curve.sq_dist_mean[k], curve.sq_dist_se[k]] for k in range(steps + 1)],
             )
@@ -844,21 +808,20 @@ def _run_converge_logistic(cfg, root, out: _OutputDir) -> list[tuple]:
              r_hi - r_lo, 0.0, math.hypot(s_hi, s_lo))
             for (k_hi, r_hi, s_hi), (k_lo, r_lo, s_lo) in zip(rho_hats, rho_hats[1:])
         ]
-        out.write_csv(
-            f"rho_hats_run{run_idx}.csv",
+        tables[f"rho_hats_run{run_idx}.csv"] = (
             ["kappa", "rho_hat", "rho_hat_se"],
             [[k, r, s] for k, r, s in rho_hats],
         )
-    return checks
+    return checks, tables
 
 
-def _run_converge(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
+def _run_converge(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     if cfg.params["model"]["kind"] == "quadratic":
-        return _run_converge_quadratic(cfg, root, out)
-    return _run_converge_logistic(cfg, root, out)
+        return _run_converge_quadratic(cfg, root)
+    return _run_converge_logistic(cfg, root)
 
 
-def _run_gd_ode(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
+def _run_gd_ode(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     params, plan = cfg.params, cfg.plan
     model, configs = plan["model"], plan["configs"]
     horizon = params["horizon"]
@@ -884,10 +847,9 @@ def _run_gd_ode(cfg: ExperimentConfig, root, out: _OutputDir) -> list[tuple]:
         max_error = float(errors.max())
         checks.append(("bound_gamma", f"bound_gamma{gamma:g}", max_error, bound))
         rows.append([gamma, max_error, bound, float(errors[-1])])
-    out.write_csv("gd_ode.csv", ["gamma", "max_error", "bound", "final_error"], rows)
     final_errors = [row[3] for row in rows]
     checks.append(("loglog_slope", "loglog_slope", log_slope(np.log(gammas), final_errors)))
-    return checks
+    return checks, {"gd_ode.csv": (["gamma", "max_error", "bound", "final_error"], rows)}
 
 
 _RUNNERS = {
@@ -901,14 +863,17 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> ExperimentReport:
-    """Execute one validated config, writing CSV artifacts and report.json.
+    """Execute one validated config: its runner measures, ``judge`` judges each
+    statistic, and this writes every CSV table, under a config-echo comment
+    header, and report.json, the only artifacts a run writes.
 
     ``threads`` is accepted and ignored, for callers written when
     replications could run on a thread pool.
     """
-    out = _OutputDir(out_dir, config)
+    directory = Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)  # an unwritable directory fails before any run
     root = derive_stream(config.seed, (config.command,))
-    statistics = _RUNNERS[config.command](config, root, out)
+    statistics, tables = _RUNNERS[config.command](config, root)
     checks = [judge(config.command, *statistic) for statistic in statistics]
     report = ExperimentReport(
         command=config.command,
@@ -916,8 +881,17 @@ def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> Exper
         config=config.raw,
         resolved=config.params,
         checks=checks,
+        files=list(tables),
     )
-    out.write_report(report)
+    echo = [
+        f"# seed={config.seed}",
+        f"# config={json.dumps(config.raw, sort_keys=True, separators=(',', ':'))}",
+    ]
+    for name, (header, rows) in tables.items():
+        lines = echo + [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        (directory / name).write_text("\n".join(lines) + "\n")
+    payload = json.dumps(report.as_dict(), sort_keys=True, indent=2)
+    (directory / "report.json").write_text(payload + "\n")
     return report
 
 

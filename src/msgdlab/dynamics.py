@@ -140,7 +140,6 @@ class Trajectory:
     have (K+1, R, p).
     """
 
-    kind: str
     states: np.ndarray                      # (K+1, p) or (K+1, R, p)
     config: RunConfig
 
@@ -243,7 +242,7 @@ def _run_ensemble(
     runs = []
     for c, start, stop in zip(configs, starts, starts[1:]):
         block = states[: c.num_steps + 1, start:stop]
-        runs.append(Trajectory(kind, block[:, 0] if streams is None else block, c))
+        runs.append(Trajectory(block[:, 0] if streams is None else block, c))
     return runs[0] if single else Lockstep(states=states, runs=runs)
 
 

@@ -372,6 +372,28 @@ class TestRunExperiment:
         for name in payload["files"]:
             assert (tmp_path / command / name).exists()
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_runner_returns_statistics_and_tables_and_writes_nothing(
+        self, command, tmp_path, monkeypatch
+    ):
+        report = run_experiment(validate_config(tiny_config(command)), tmp_path / "out")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a runner wrote a file")
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        config = validate_config(tiny_config(command))
+        statistics, tables = cli._RUNNERS[command](config, derive_stream(config.seed, (command,)))
+        assert not any(cwd.iterdir())
+        assert sorted(tables) == report.as_dict()["files"]
+        for header, rows in tables.values():
+            assert all(len(row) == len(header) for row in rows)
+        judged = [judge(command, *statistic).as_dict() for statistic in statistics]
+        assert judged == [check.as_dict() for check in report.checks]
+
     def test_csv_embeds_seed_and_config(self, tmp_path):
         cfg = validate_config(tiny_config("gd-ode"))
         run_experiment(cfg, tmp_path)
@@ -673,6 +695,7 @@ class TestMain:
         code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [line]
+        assert not any((tmp_path / "out").iterdir())  # no CSV, no report.json
 
     @pytest.mark.parametrize(
         "command, key, value",
@@ -808,6 +831,7 @@ class TestMain:
         code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [line]
+        assert not any((tmp_path / "out").iterdir())  # no CSV, no report.json
 
     def test_wass_scaling_divergence_starts_no_diffusion(self, tmp_path, capsys, monkeypatch):
         # M-SGD runs first, and its divergence ends the run before Euler-Maruyama starts

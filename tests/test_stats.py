@@ -360,7 +360,7 @@ def gd_ensemble(model, config, reps=1) -> Trajectory:
     """Deterministic GD copied into every replication of an ensemble."""
     gd = run_gd(model, config)
     states = np.repeat(gd.states[:, None, :], reps, axis=1)
-    return Trajectory(kind="gd", states=states, config=config)
+    return Trajectory(states=states, config=config)
 
 
 class TestConvergenceCurve:
