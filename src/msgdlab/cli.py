@@ -37,6 +37,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -278,7 +279,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "gd-ode": {
         "gammas": Field([float], REQUIRED), "x0": Field([float]), "horizon": Field(float, 1.0),
-        "ode_substeps": Field(int, 20, 10),
         "model": Field(Kinds(quadratic=_QUADRATIC), _LINE),
     },
 }
@@ -429,9 +429,8 @@ def _check_model(params: dict, command: str, seed: int, plan: dict, diags: list[
 
 
 def _check_step_grid(params: dict, command: str, plan: dict, diags: list[str]) -> None:
-    """At least 2 distinct step sizes, each dividing a positive horizon, and
-    at most MAX_STEPS inner steps for the reference.  The configs go into
-    ``plan["configs"]`` in decreasing step size."""
+    """At least 2 distinct step sizes, each dividing a positive horizon; the
+    configs go into ``plan["configs"]`` in decreasing step size."""
     gammas, horizon = params["gammas"], params["horizon"]
     if gammas is not None and len(set(gammas)) < 2:
         diags.append(f"{command}.gammas: need at least 2 distinct step sizes for the slope fit")
@@ -448,17 +447,17 @@ def _check_step_grid(params: dict, command: str, plan: dict, diags: list[str]) -
             plan["configs"].append(
                 _build(f"gammas[{i}]", diags, RunConfig, gamma, whole, plan.get("start"))
             )
-        # the reference integrates num_steps * substeps inner steps
-        key = "em_substeps" if command == "wass-scaling" else "ode_substeps"
-        inner = max((c.num_steps for c in plan["configs"] if c), default=0) * (params[key] or 0)
-        if inner > MAX_STEPS:
-            diags.append(f"{command}.{key}: num_steps * {key} must be <= {MAX_STEPS}, "
-                         f"got {inner} inner steps")
 
 
-def _check_projection(params: dict, diags: list[str]) -> None:
-    """At most MAX_PROJECTED values in each ensemble's sliced W2 projection,
-    which is allocated only after both ensembles have run."""
+def _check_wass_sizes(params: dict, plan: dict, diags: list[str]) -> None:
+    """At most MAX_STEPS Euler-Maruyama inner steps, num_steps * em_substeps, and
+    at most MAX_PROJECTED values in each ensemble's sliced W2 projection, which
+    is allocated only after both ensembles have run."""
+    steps = max((c.num_steps for c in plan.get("configs", []) if c), default=0)
+    inner = steps * (params["em_substeps"] or 0)
+    if inner > MAX_STEPS:
+        diags.append(f"wass-scaling.em_substeps: num_steps * em_substeps must be <= "
+                     f"{MAX_STEPS}, got {inner} inner steps")
     projected = (params["reps"] or 0) * (params["n_directions"] or 0)
     if projected > MAX_PROJECTED:
         diags.append(f"wass-scaling.n_directions: reps * n_directions must be <= "
@@ -510,10 +509,18 @@ def _check_cross(params: dict, command: str, seed: int, diags: list[str]) -> dic
     if "gammas" in params:
         _check_step_grid(params, command, plan, diags)
     if command == "wass-scaling":
-        _check_projection(params, diags)
+        _check_wass_sizes(params, plan, diags)
     if command == "converge":
         _check_runs(params, made, plan, diags)
     return plan
+
+
+def _json_object(pairs: list) -> dict:
+    """One parsed JSON object; strict JSON names each key once, so a repeat raises."""
+    for key, count in Counter(key for key, _ in pairs).items():
+        if count > 1:
+            raise ValueError(f"duplicate key {key!r}")
+    return dict(pairs)
 
 
 def validate_config(raw, seed_override: Optional[int] = None) -> ExperimentConfig:
@@ -525,8 +532,8 @@ def validate_config(raw, seed_override: Optional[int] = None) -> ExperimentConfi
     """
     if isinstance(raw, (str, bytes)):
         try:
-            raw = json.loads(raw)
-        except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
+            raw = json.loads(raw, object_pairs_hook=_json_object)
+        except (ValueError, RecursionError) as exc:  # also too many digits, too deep, a repeat
             raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([f"config must be a JSON object, got {type(raw).__name__}"])
@@ -827,17 +834,15 @@ def _run_gd_ode(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     horizon = params["horizon"]
     L = model.lipschitz_grad
     gammas = [config.gamma for config in configs]
-    # every gamma advances in lockstep; the ODE records its state at each multiple of gamma
+    # every gamma advances in lockstep; the flow is recorded at each multiple of gamma
     gd = run_gd(model, configs)
-    ode = run_ode(model, configs, params["ode_substeps"])
+    ode = run_ode(model, configs)
     # after the runs, which report a start too far out as a divergence instead
     grad0 = float(np.linalg.norm(model.grad_objective(plan["start"])))
     checks, rows = [], []
     for gamma, config, gd_run, ode_run in zip(gammas, configs, gd.runs, ode.runs):
         steps = config.num_steps
-        errors = np.array([
-            np.linalg.norm(gd_run.states[k] - ode_run.states[k]) for k in range(steps + 1)
-        ])
+        errors = np.linalg.norm(gd_run.states - ode_run.states, axis=1)
         try:
             bound = grad0 * math.exp(L * horizon) * steps * gamma * gamma * (1 + L * gamma) ** steps
         except OverflowError:

@@ -9,8 +9,8 @@ Discrete iterations on the grid k*gamma, k = 0..K:
 
 Continuous-time references:
 
-* ``run_ode``           dX = -grad g(X) dt, classical 4th-order one-step method
-                        with substeps gamma/R
+* ``run_ode``           dX = -grad g(X) dt, by its exact flow map
+                        x* + e^(-lam gamma) (x - x*) when grad g(x) = lam (x - x*)
 * ``run_diffusion_em``  dX = -grad g(X) dt + sqrt(gamma/m) sigma(X) dB,
                         Euler-Maruyama with substeps gamma/R
 
@@ -351,36 +351,22 @@ def run_msgd(
     return _run_ensemble("msgd", config, streams, advance, lambda c: (c.gamma,))
 
 
-def run_ode(model: LossModel, config, substeps: int) -> Union[Trajectory, Lockstep]:
-    """Gradient flow dX = -grad g(X) dt by the classical 4th-order method.
+def run_ode(model: LossModel, config) -> Union[Trajectory, Lockstep]:
+    """Gradient flow dX = -grad g(X) dt, one exact step of its flow map per gamma.
 
-    Integrates with inner step h = gamma/substeps and records states at
-    multiples of gamma only, as :func:`run_diffusion_em` does; a path that
-    leaves the range is caught at the next recorded step.  Callers
-    comparing against a discrete process with step gamma should take
-    substeps >= 10 so the integration error is negligible next to the
-    effects under study.
+    lam I <= Hessian <= L I with lam = L forces grad g(x) = lam (x - x*), whose
+    flow maps x to x* + e^(-lam t) (x - x*).  A model without a known minimiser
+    x*, or with lam != L, has no such closed form and raises ValueError.
     """
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    lam, x_star = model.strong_convexity, model.minimizer
+    if x_star is None or lam != model.lipschitz_grad:
+        raise ValueError(f"run_ode needs grad g(x) = lam (x - x*) with x* known: model "
+                         f"{model.name!r} has lam = {lam} and L = {model.lipschitz_grad}")
 
-    def rhs(x):
-        return -model.grad_objective(x)
+    def advance(x, _streams, decay):
+        return x_star + decay * (x - x_star)
 
-    def advance(x, _streams, half, full, sixth):
-        for _ in range(substeps):
-            k1 = rhs(x)
-            k2 = rhs(x + half * k1)
-            k3 = rhs(x + half * k2)
-            k4 = rhs(x + full * k3)
-            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return x
-
-    def coefficients(c):
-        h = c.gamma / substeps
-        return 0.5 * h, h, h / 6.0
-
-    return _run_ensemble("ode", config, None, advance, coefficients)
+    return _run_ensemble("ode", config, None, advance, lambda c: (math.exp(-lam * c.gamma),))
 
 
 def run_diffusion_em(

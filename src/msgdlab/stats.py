@@ -252,15 +252,15 @@ def convergence_curve(
 
 
 def fit_segment(length: int, burn_in: int = 0, window: Optional[int] = None) -> slice:
-    """The iterations ``burn_in : burn_in + window``, at least 2, that a fit uses out of
-    a curve of `length` points.  The default window is the first third of the
-    curve, where the geometric phase dominates before any noise plateau."""
+    """The iterations ``burn_in : burn_in + window``, at least 2 and all within a
+    curve of `length` points, that a fit uses.  The default window is the first
+    third of the curve, where the geometric phase dominates before any noise plateau."""
     if window is None:
         window = max(length // 3, 2)
-    if burn_in < 0 or window < 2 or burn_in + 2 > length:
+    if burn_in < 0 or window < 2 or burn_in + window > length:
         raise ValueError(
-            f"fit window must contain at least 2 points, got burn-in {burn_in} and "
-            f"window {window} over {length} iterates"
+            f"fit window must hold at least 2 points, all within the curve, got burn-in "
+            f"{burn_in} and window {window} over {length} iterates"
         )
     return slice(burn_in, burn_in + window)
 

@@ -81,9 +81,10 @@ def rk4_path(grad: Callable[[np.ndarray], np.ndarray], x0, h: float, steps: int)
     """States x_0..x_steps of the classical 4th-order method for
     dx/dt = -grad(x) at step h, one plain step at a time.
 
-    The oracle for ``run_ode``, which takes substeps of h inside each step
-    of its config and records only every substeps-th state; the coefficients
-    are formed as 0.5*h, h and h/6, so the two agree to the last bit.
+    An integrator independent of ``run_ode``, which takes the closed-form
+    flow map x* + e^(-lam gamma) (x - x*) once per step: at a fine step h the
+    two agree to this method's O(h^4) error, which checks that the closed
+    form is the model's gradient flow.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     states = [x]

@@ -106,7 +106,7 @@ RESOLVED = {
     "gd-ode": (
         tiny_config("gd-ode"),
         None, 9,
-        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"x0":[1.0]}',
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"x0":[1.0]}',
     ),
     "weights-moments-given": (
         tiny_config("weights-moments") | {
@@ -128,12 +128,12 @@ RESOLVED = {
     "gd-ode-out": (
         tiny_config("gd-ode") | {"out": "elsewhere"},
         None, 9,
-        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"out":"elsewhere","x0":[1.0]}',
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"out":"elsewhere","x0":[1.0]}',
     ),
     "gd-ode-x0-omitted": (
         {k: v for k, v in tiny_config("gd-ode").items() if k != "x0"},
         None, 9,
-        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20}',
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]}}',
     ),
     "wass-scaling-x0": (
         tiny_config("wass-scaling") | {"x0": [0.5, -0.5], "horizon": 2},
@@ -200,7 +200,7 @@ RESOLVED = {
     "configs/gd_ode.json": (
         'gd_ode.json',
         None, 20260808,
-        '{"gammas":[0.1,0.05,0.025,0.0125],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"ode_substeps":20,"x0":[1.0]}',
+        '{"gammas":[0.1,0.05,0.025,0.0125],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"x0":[1.0]}',
     ),
     "configs/wass_scaling.json": (
         'wass_scaling.json',
@@ -262,13 +262,23 @@ class TestValidateConfig:
             validate_config({"command": "simulate", "seed": 1})
 
     @pytest.mark.parametrize(
-        "text",
-        ["{not json", '{"command": "clt", "n": ' + "1" * 5000 + "}", "[" * 100_000],
-        ids=["syntax", "int-too-long", "too-deep"],
+        "text, message",
+        [
+            ("{not json", "JSON"),
+            ('{"command": "clt", "n": ' + "1" * 5000 + "}", "JSON"),
+            ("[" * 100_000, "JSON"),
+            ('{"command":"clt","seed":1,"n":500,"m":100,"samples":400,"samples":100000}',
+             "^config is not valid JSON: duplicate key 'samples'$"),
+            ('{"command":"clt","seed":1,"n":500,"m":100,"samples":400,'
+             '"scheme":{"kind":"gaussian","kind":"dirichlet"}}',
+             "^config is not valid JSON: duplicate key 'kind'$"),
+        ],
+        ids=["syntax", "int-too-long", "too-deep", "duplicate-key", "duplicate-nested-key"],
     )
-    def test_invalid_json_text(self, text):
-        # json.loads raises ValueError past Python's 4300-digit limit, RecursionError when deep
-        with pytest.raises(ConfigError, match="JSON"):
+    def test_invalid_json_text(self, text, message):
+        # json.loads raises ValueError past Python's 4300-digit limit, RecursionError when
+        # deep; a repeated key, at any depth, is refused rather than the last value winning
+        with pytest.raises(ConfigError, match=message):
             validate_config(text)
 
     def test_wrong_type_reports_key(self):
@@ -502,6 +512,11 @@ class TestMain:
             (with_run(tiny_logistic(), fit_window=1), "runs[0]"),
             (with_run(tiny_logistic(), fit_burn_in=-5), "runs[0]"),
             (with_run(tiny_logistic(), fit_burn_in=10), "runs[0]"),
+            # a fit window that runs past the curve's num_steps + 1 points
+            (with_run(tiny_config("converge"), fit_window=50, num_steps=10),
+             "runs[0]: fit window must hold at least 2 points, all within the curve"),
+            (with_run(tiny_logistic(), fit_burn_in=9),
+             "runs[0]: fit window must hold at least 2 points, all within the curve"),
             (tiny_logistic() | {"model": {"kind": "logistic", "p": 0, "t": 50}}, "model"),
             (tiny_logistic() | {"model": {"kind": "logistic", "p": 2, "t": 0}}, "model"),
             (tiny_config("clt") | {"scheme": {"kind": "minibatch", "base": "normal"}}, "scheme"),
@@ -582,9 +597,6 @@ class TestMain:
             (tiny_config("weighting-gap") | {"model": {"kind": "quadratic", "p": 10**8}},
              "model.p: must be <= 1000000"),
             # a reference whose inner steps no run could finish
-            (tiny_config("gd-ode") | {"ode_substeps": 10**6},
-             "gd-ode.ode_substeps: num_steps * ode_substeps must be <= 1000000, "
-             "got 20000000 inner steps"),
             (tiny_config("wass-scaling") | {"em_substeps": 200_000},
              "wass-scaling.em_substeps: num_steps * em_substeps must be <= 1000000, "
              "got 2000000 inner steps"),
@@ -602,6 +614,7 @@ class TestMain:
             "fit-burn-in-negative", "fit-burn-in-too-late",
             "logistic-fit-window-zero", "logistic-fit-window-one",
             "logistic-fit-burn-in-negative", "logistic-fit-burn-in-too-late",
+            "fit-window-past-the-curve", "default-fit-window-past-the-curve",
             "logistic-p-zero", "logistic-t-zero", "minibatch-base", "dirichlet-base",
             "logistic-s", "logistic-theta-star", "quadratic-t", "bool-kappa", "bool-pair",
             "x0-at-minimiser", "x0-at-minimiser-burn-in", "gd-ode-x0-at-minimiser",
@@ -613,7 +626,7 @@ class TestMain:
             "converge-steps-beyond-cap", "converge-steps-huge-int", "infinitely-many-steps",
             "clt-n-huge", "moments-n-huge", "moments-n-past-numpy", "clt-p-huge",
             "clt-p-past-numpy", "clt-samples-huge", "wass-reps-huge", "em-substeps-huge",
-            "wass-p-huge", "logistic-t-huge", "gap-p-huge", "ode-inner-steps",
+            "wass-p-huge", "logistic-t-huge", "gap-p-huge",
             "em-inner-steps", "pair-of-three", "projection-huge",
         ],
     )
@@ -629,10 +642,10 @@ class TestMain:
     def test_counts_capped_at_max_steps(self):
         # the cap is one constant, MAX_STEPS, for every count and every reference
         validate_config(tiny_config("weights-moments") | {"n": 10**6, "m": 10})
-        validate_config(tiny_config("gd-ode") | {"ode_substeps": 50_000})  # 20 steps each
+        validate_config(tiny_config("wass-scaling") | {"em_substeps": 100_000})  # 10 steps
         for raw in (
             tiny_config("weights-moments") | {"n": 10**6 + 1, "m": 10},
-            tiny_config("gd-ode") | {"ode_substeps": 50_001},
+            tiny_config("wass-scaling") | {"em_substeps": 100_001},
         ):
             with pytest.raises(ConfigError, match="must be <= 1000000"):
                 validate_config(raw)
@@ -735,7 +748,7 @@ class TestMain:
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({
             "command": "gd-ode", "seed": 1, "gammas": [0.5, 0.25], "horizon": horizon,
-            "x0": [1e150], "ode_substeps": 10,
+            "x0": [1e150],
         }))
         code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 1
@@ -752,7 +765,7 @@ class TestMain:
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({
             "command": "gd-ode", "seed": 1, "gammas": [0.5, 0.25], "horizon": 710,
-            "x0": [1.0], "ode_substeps": 10,
+            "x0": [1.0],
         }))
         code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 1

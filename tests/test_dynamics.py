@@ -379,11 +379,11 @@ class TestDivergenceGuards:
 
     @pytest.mark.parametrize("value", BOUNDARY_STATES)
     def test_single_paths_at_the_start(self, value):
-        # a zero gradient keeps the path at its start
-        model = make_uniform_clt_model(2)
+        # a start at the minimiser has a zero gradient, so the path stays there
         x0 = [0.5, value]
+        model = make_quadratic_model(2, x0, 1.0)
         config = RunConfig(gamma=0.5, num_steps=3, x0=x0)
-        runs = (lambda: run_gd(model, config), lambda: run_ode(model, config, 2))
+        runs = (lambda: run_gd(model, config), lambda: run_ode(model, config))
         for run in runs:
             if _out_of_range(value):
                 with pytest.raises(DivergenceError) as info:
@@ -442,57 +442,61 @@ def ode_config(gamma, num_steps, x0):
     return RunConfig(gamma=gamma, num_steps=num_steps, x0=x0)
 
 
+FLOW_GRID = ((0.3, 4), (0.1, 12), (0.2, 6))
+
+
 class TestOde:
     def test_exponential_decay(self):
         model = make_quadratic_model(1, [0.0], 1.0)
-        traj = run_ode(model, ode_config(0.1, 10, [1.0]), 100)
-        assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-6)
+        traj = run_ode(model, ode_config(0.1, 10, [1.0]))
+        assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_fixed_point(self):
         model = make_quadratic_model(2, [1.0, 1.0], 1.0)
-        traj = run_ode(model, ode_config(0.1, 5, [1.0, 1.0]), 10)
+        traj = run_ode(model, ode_config(0.1, 5, [1.0, 1.0]))
         np.testing.assert_array_equal(traj.states[-1], [1.0, 1.0])
 
-    def test_fourth_order_convergence(self):
-        model = make_quadratic_model(1, [0.0], 1.0)
-        errors = {}
-        for substeps in (1, 2):  # h = 0.2 and 0.1
-            traj = run_ode(model, ode_config(0.2, 5, [1.0]), substeps)
-            errors[substeps] = abs(traj.states[-1, 0] - math.exp(-1.0))
-        ratio = errors[1] / errors[2]
-        assert 10 <= ratio <= 22  # halving h cuts the error ~16x at order 4
-
-    def test_substeps_must_be_positive(self):
-        model = make_quadratic_model(1, [0.0], 1.0)
-        with pytest.raises(ValueError, match="substeps"):
-            run_ode(model, ode_config(0.1, 5, [1.0]), 0)
-
-    def test_records_every_multiple_of_gamma_of_plain_rk4(self):
-        # a grid and each config alone equal plain RK4 at step gamma/substeps,
-        # sampled at every multiple of gamma, to the last bit
-        model = make_quadratic_model(2, [0.5, -1.0], 1.0)
-        substeps = 7
-        configs = [ode_config(g, k, [2.0, 1.0]) for g, k in ((0.3, 4), (0.1, 12), (0.2, 6))]
-        grid = run_ode(model, configs, substeps)
+    def test_equals_the_flow_at_every_recorded_step(self):
+        # x* + e^(-k gamma) (x0 - x*) at every k, on a grid and for each config alone
+        x_star = np.array([0.5, -1.0])
+        model = make_quadratic_model(2, x_star, 1.0)
+        configs = [ode_config(g, k, [2.0, 3.0]) for g, k in FLOW_GRID]
+        grid = run_ode(model, configs)
         for config, grid_run in zip(configs, grid.runs):
-            path = rk4_path(model.grad_objective, config.x0, config.gamma / substeps,
-                            config.num_steps * substeps)
-            np.testing.assert_array_equal(grid_run.states, path[::substeps])
-            np.testing.assert_array_equal(run_ode(model, config, substeps).states, grid_run.states)
+            k = np.arange(config.num_steps + 1)[:, None]
+            flow = x_star + np.exp(-k * config.gamma) * (config.x0 - x_star)
+            np.testing.assert_allclose(grid_run.states, flow, rtol=1e-13, atol=0)
+            np.testing.assert_array_equal(run_ode(model, config).states, grid_run.states)
 
-    @pytest.mark.parametrize("substeps", [1, 2, 10])
-    def test_divergence_reported_at_the_recorded_step(self, substeps):
-        # h lam = 5 is outside the method's stability interval: each inner
-        # step multiplies |x| by about 13.7, so |x| first passes the limit at
-        # some inner step, and the error names the recorded step that ends it
-        model = stiff_model(10.0 * substeps)
-        config = ode_config(0.5, 150, [1.0])
-        inner = rk4_path(model.grad_objective, config.x0, config.gamma / substeps, 150)
-        first = int(np.argmax(np.abs(inner[:, 0]) > LIMIT))
-        assert first > 0
+    def test_agrees_with_fine_rk4(self):
+        # the closed form is this model's gradient flow: the 4th-order method at
+        # h = gamma/100, an independent integrator, lands on it at every multiple of gamma
+        model = make_quadratic_model(2, [0.5, -1.0], 1.0)
+        for gamma, steps in FLOW_GRID:
+            config = ode_config(gamma, steps, [2.0, 3.0])
+            path = rk4_path(model.grad_objective, config.x0, gamma / 100, steps * 100)
+            np.testing.assert_allclose(run_ode(model, config).states, path[::100],
+                                       rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("model_name", ["uniform", "logistic"])
+    def test_refuses_a_model_without_a_closed_form_flow(self, model_name):
+        # the uniform model has no strong convexity; the logistic one, no known minimiser
+        if model_name == "uniform":
+            model = make_uniform_clt_model(2)
+        else:
+            model = ensemble_model("logistic")
+        with pytest.raises(ValueError, match="run_ode needs grad g"):
+            run_ode(model, ode_config(0.1, 5, np.ones(model.dim)))
+
+    @pytest.mark.parametrize("lam", [1, 2, 10])
+    def test_divergence_reported_at_the_recorded_step(self, lam):
+        # the flow from 0 toward x* = 2 LIMIT is x*(1 - e^(-lam k gamma)), which
+        # first passes the limit when lam k gamma > ln 2: at k = 70, 35 and 7
+        model = flow_model(lam, [2 * LIMIT])
+        config = ode_config(0.01, 150, [0.0])
         with pytest.raises(DivergenceError) as info:
-            run_ode(model, config, substeps)
-        assert info.value.iteration == -(-first // substeps)
+            run_ode(model, config)
+        assert info.value.iteration == math.ceil(math.log(2) / (lam * config.gamma))
         assert info.value.step_size == config.gamma
 
 
@@ -530,7 +534,7 @@ class TestDiffusionEm:
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=10, x0=[1.0])
         traj = run_diffusion_em(model, config, 50, [derive_stream(29, ["big"])], 10**8)
-        ode = run_ode(model, config, 50)
+        ode = run_ode(model, config)
         assert np.max(np.abs(traj.states[:, 0] - ode.states)) <= 1e-2
 
 
@@ -569,7 +573,7 @@ class TestGdOdeGap:
             steps = int(round(horizon / gamma))
             config = RunConfig(gamma=gamma, num_steps=steps, x0=[1.0])
             gd = run_gd(model, config)
-            ode = run_ode(model, config, 20)
+            ode = run_ode(model, config)
             errors = np.abs(gd.states[:, 0] - ode.states[:, 0])
             for k in range(1, steps + 1):
                 assert errors[k] <= c1 * k * gamma * (1 + L * gamma) ** k
@@ -578,20 +582,23 @@ class TestGdOdeGap:
         assert 0.8 <= slope <= 1.2
 
 
-def stiff_model(lam):
-    """g(x) = lam |x|^2 / 2: the 4th-order method is unstable for h lam > 2.79."""
+def flow_model(lam, x_star):
+    """g(x) = lam |x - x*|^2 / 2, whose gradient flow is x* + e^(-lam t) (x0 - x*)."""
+    x_star = np.asarray(x_star, dtype=float)
     return LossModel(
-        name="stiff",
+        name="flow",
         dim=1,
         noise_dim=1,
         payload_dim=1,
-        objective=lambda theta: 0.5 * lam * np.sum(np.square(theta), axis=-1),
-        grad_objective=lambda theta: lam * np.asarray(theta, dtype=float),
+        objective=lambda theta: 0.5 * lam * np.sum(np.square(theta - x_star), axis=-1),
+        grad_objective=lambda theta: lam * (np.asarray(theta, dtype=float) - x_star),
         sample_data=lambda streams, count, out=None: np.zeros((len(streams), count, 1)),
-        grad_loss=lambda theta, data: lam * np.asarray(theta)[..., None, :] + data,
+        grad_loss=lambda theta, data: lam * (np.asarray(theta)[..., None, :] - x_star) + data,
         noise_factor=lambda theta: np.zeros((1, 1)),
-        lipschitz_grad=lam,
+        lipschitz_grad=float(lam),
         lipschitz_noise=0.0,
+        strong_convexity=float(lam),
+        minimizer=x_star,
     )
 
 
@@ -772,20 +779,22 @@ class TestLockstep:
         assert (i, error.process, error.step_size) == (1, "gd", 0.9)
 
     def test_ode(self):
-        # h lam = 5 is outside the method's stability interval, 1 and 2.5 inside;
-        # the unstable config grows about 190x a step, passing the limit within 100 steps
-        model = stiff_model(20.0)
-        configs = [RunConfig(gamma=g, num_steps=k, x0=[1.0])
+        # the flow from 0 toward x* = 2 LIMIT passes the limit once
+        # 1 - e^(-k gamma) > 1/2: at k = 7, 2 and 3 for these step sizes, so with
+        # gamma = 0.5 stopped after one step, gamma = 0.25 diverges first
+        configs = [RunConfig(gamma=g, num_steps=k, x0=[0.0])
                    for g, k in ((0.1, 500), (0.5, 30), (0.25, 200))]
 
-        def run(c, _s):
-            return run_ode(model, c, 2)
+        def run_on(model):
+            return lambda c, _s: run_ode(model, c)
 
+        run = run_on(make_quadratic_model(1, [0.5], 1.0))
         grid = self._assert_grid_matches(run, configs, lambda: [None] * 3)
         assert grid.states.shape == (501, 3, 1)
-        configs[1] = dataclasses.replace(configs[1], num_steps=100)
+        configs[1] = dataclasses.replace(configs[1], num_steps=1)
+        run = run_on(flow_model(1.0, [2 * LIMIT]))
         i, error = self._assert_grid_raises_first(run, configs, lambda: [None] * 3)
-        assert (i, error.process, error.step_size) == (1, "ode", 0.5)
+        assert (i, error.process, error.step_size, error.iteration) == (2, "ode", 0.25, 3)
 
     def test_every_row_diverged_raises(self):
         # both configs diverge; the error names the later row, which diverges first

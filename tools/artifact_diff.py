@@ -11,8 +11,11 @@ artifact bytes.  First prints, for both trees, the line count of each
 values in that tree's ``cli.SCHEMAS``; then ``configs: N differences: D``
 and every difference.  A CSV that differs also gets the largest relative
 difference |a - b| / max(|a|, |b|) over its numeric cells, so a change at
-roundoff (about 1e-15) reads apart from a real one.  Exits 0 when there is
-none.  Both trees run this
+roundoff (about 1e-15) reads apart from a real one; a report.json that
+differs gets the largest relative difference over its checks' ``observed``
+values and the name of every check whose ``pass`` flag changed, and
+``overall_pass`` if the verdict did, so a roundoff change reads apart from
+a verdict change.  Exits 0 when there is none.  Both trees run this
 checkout's configs.  The canonical configs take about a minute per tree, so
 the tests do not run this.
 """
@@ -110,6 +113,14 @@ def outcome(proc: subprocess.Popen, work: Path) -> dict:
     return {"exit": proc.returncode, "stdout": stdout, "stderr": stderr, "files": files}
 
 
+def relative(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|): 0 for equal values and for two NaNs."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if math.isfinite(scale) else math.inf
+
+
 def csv_change(old: bytes, new: bytes) -> str:
     """How far two CSVs' numeric cells moved: the largest relative difference,
     or why the cells cannot be paired."""
@@ -125,11 +136,25 @@ def csv_change(old: bytes, new: bytes) -> str:
                 text += a != b
                 continue
             numeric += 1
-            if x != y and not (math.isnan(x) and math.isnan(y)):
-                scale = max(abs(x), abs(y))
-                largest = max(largest, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+            largest = max(largest, relative(x, y))
     return (f"largest relative difference {largest:.3g} over {numeric} numeric cells"
             + (f", text cells differing: {text}" if text else ""))
+
+
+def report_change(old: bytes, new: bytes) -> str:
+    """How far two reports' verdicts moved: the largest relative difference
+    over the checks' observed values, and every pass flag that changed."""
+    reports = [json.loads(data) for data in (old, new)]
+    before, after = ({check["name"]: check for check in r["checks"]} for r in reports)
+    if before.keys() != after.keys():
+        return "its check names differ"
+    largest = max((relative(before[name]["observed"], after[name]["observed"])
+                   for name in before), default=0.0)
+    flipped = [name for name in before if before[name]["pass"] != after[name]["pass"]]
+    if reports[0]["overall_pass"] != reports[1]["overall_pass"]:
+        flipped.append("overall_pass")
+    return (f"largest relative difference {largest:.3g} over {len(before)} observed values, "
+            + (f"pass flag changed: {', '.join(flipped)}" if flipped else "no pass flag changed"))
 
 
 def differences(label: str, old: dict, new: dict) -> list[str]:
@@ -146,6 +171,8 @@ def differences(label: str, old: dict, new: dict) -> list[str]:
             change = ""
             if name.endswith(".csv"):
                 change = f" ({csv_change(old['files'][name], new['files'][name])})"
+            elif name == "report.json":
+                change = f" ({report_change(old['files'][name], new['files'][name])})"
             found.append(f"{label}: {name} differs{change}")
     return found
 
