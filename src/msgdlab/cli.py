@@ -273,7 +273,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "converge": {
         "model": Field(Kinds(quadratic=_QUADRATIC, logistic=_LOGISTIC), REQUIRED),
         "scheme": Field(_SCHEME, {"kind": "gaussian"}),
-        "n": Field(int, REQUIRED), "m": Field(int, REQUIRED), "reps": Field(int, REQUIRED, 1),
+        "n": Field(int, REQUIRED), "m": Field(int, REQUIRED), "reps": Field(int, REQUIRED, 2),
         "runs": Field([_RUN], REQUIRED, 1), "kappas": Field([float], low=1),
         "x0": Field([float]),
     },
@@ -467,7 +467,7 @@ def _check_wass_sizes(params: dict, plan: dict, diags: list[str]) -> None:
 def _check_runs(params: dict, made, plan: dict, diags: list[str]) -> None:
     """converge's runs, into ``plan["configs"]`` and their fit windows, as
     slices of the curve, into ``plan["segments"]``, both in run order, and
-    the logistic model's run lengths, reps and kappas: one (kappa, model)
+    the logistic model's run lengths and kappas: one (kappa, model)
     pair per kappa, into ``plan["models"]`` in decreasing kappa."""
     runs = params["runs"] or []
     plan["configs"], plan["segments"] = [], []
@@ -482,9 +482,6 @@ def _check_runs(params: dict, made, plan: dict, diags: list[str]) -> None:
         diags.append("converge.kappas: only valid for the logistic model")
     if kind != "logistic":
         return
-    # logistic block SEs are spreads across replications, so they need two
-    if params["reps"] is not None and params["reps"] < 2:
-        diags.append("converge.reps: must be >= 2")
     # block means compare consecutive windows of the num_steps + 1 iterates
     blocks = BOUNDS["converge"]["blocks"]
     for i, run in enumerate(runs):

@@ -11,16 +11,17 @@ Continuous-time references:
 
 * ``run_ode``           dX = -grad g(X) dt, by its exact flow map
                         x* + e^(-lam gamma) (x - x*) when grad g(x) = lam (x - x*)
-* ``run_diffusion_em``  dX = -grad g(X) dt + sqrt(gamma/m) sigma(X) dB,
-                        Euler-Maruyama with substeps gamma/R
+* ``run_diffusion_em``  dX = -grad g(X) dt + sqrt(gamma/m) sigma dB, Euler-Maruyama
+                        with substeps gamma/R, summed in closed form per recorded
+                        step on that linear drift with a constant sigma
 
 Both continuous-time references record their states at multiples of gamma
 only, so every runner's output grid is the config's.  A :class:`RunConfig`
 is one point of a step grid: M-SGD reads (n, m) from its scheme, and the
 Gaussian runners, whose noise depends on m alone, take m last.  Gaussian
-SGD runs the Euler-Maruyama step itself, as one substep of size gamma, and
-M-SGD draws its noise from :class:`WeightedGradient`, as the sampling
-statistics do.
+SGD is one Euler-Maruyama step of size gamma, for any model, and M-SGD
+draws its noise from :class:`WeightedGradient`, as the sampling statistics
+do.
 
 ``run_gaussian_sgd``, ``run_msgd`` and ``run_diffusion_em`` are ensemble
 runners: they take one ``RngStream`` per replication and advance all R
@@ -87,7 +88,7 @@ class ChunkBlock:
     shrinking size reuses the memory instead of freeing and reallocating
     (and page-faulting on) a fresh block each time.  The draws are the same
     bytes either way.  Any `draw` that fills one row per stream and takes
-    ``out`` will do, such as Euler-Maruyama's product of its normals.
+    ``out`` will do, such as Euler-Maruyama's normals.
     """
 
     def __init__(self, draw: Callable[..., np.ndarray]):
@@ -197,9 +198,10 @@ def _run_ensemble(
     ``streams`` holds one stream per replication for a single config, one
     such sequence per config for a grid, or None for a runner that draws
     nothing and runs one path per config.  ``coefficients(config)`` gives
-    the config's per-row numbers.  ``advance(x, streams, *columns)`` maps
-    the (live, p) states of the live rows, their streams and their (live, 1)
-    coefficient columns, in row order, to the next states.  A row leaves the
+    the config's per-row numbers, or vectors of them.  ``advance(x, streams,
+    *columns)`` maps the (live, p) states of the live rows, their streams
+    and their coefficient columns, (live, 1) for a number and (live, width)
+    for a vector, in row order, to the next states.  A row leaves the
     live set after its config's last step.  The first row out of range
     raises.  Returns the Trajectory of a single config, else a Lockstep.
     """
@@ -217,7 +219,8 @@ def _run_ensemble(
     last = np.repeat([c.num_steps for c in configs], sizes)
     starts = np.cumsum([0] + sizes)
     row_streams = [s for group in groups for s in group]
-    columns = [np.repeat(column, sizes)[:, None] for column in zip(*map(coefficients, configs))]
+    columns = [np.repeat(np.reshape(column, (len(configs), -1)), sizes, axis=0)
+               for column in zip(*map(coefficients, configs))]
     states = np.full((int(last.max()) + 1, x.shape[0], x.shape[1]), np.nan)
     live = np.arange(x.shape[0])
     index = slice(None)
@@ -263,45 +266,19 @@ def _standard_normals(streams, shape, out=None) -> np.ndarray:
     return block
 
 
-def _run_noisy(kind: str, model: LossModel, config, substeps: int, streams, coefficients):
-    """Euler-Maruyama steps x <- x - h grad g(x) + scale sigma(x) z, `substeps`
-    of them per recorded step, with (h, scale) = ``coefficients(config)``.
-
-    Each replication draws one (substeps, q) block of normals per recorded
-    step, the same values as one draw per substep, into a block reused by
-    every step.  When the noise factor is one shared (p, q) matrix, the whole
-    block is multiplied by it in one stacked matmul, into a second reused
-    block, and scaled in place before the substeps.
-    """
-    normals = ChunkBlock(_standard_normals)
-    products = ChunkBlock(lambda _streams, factor, z, out=None: np.matmul(factor, z, out=out))
-
-    def advance(x, live_streams, h, scale):
-        z = normals(live_streams, (substeps, model.noise_dim))
-        factor = model.noise_factor(x)
-        if factor.ndim == 2:  # shared by every state
-            noise = products(live_streams, factor, z[..., None])[..., 0]
-            noise *= scale[:, :, None]
-            for j in range(substeps):
-                x = x - h * model.grad_objective(x) + noise[:, j]
-            return x
-        for j in range(substeps):
-            if j:
-                factor = model.noise_factor(x)
-            x = x - h * model.grad_objective(x) + scale * (factor @ z[:, j, :, None])[:, :, 0]
-        return x
-
-    return _run_ensemble(kind, config, streams, advance, coefficients)
-
-
 def run_gaussian_sgd(model: LossModel, config, streams, m: int) -> Union[Trajectory, Lockstep]:
-    """Gradient descent plus scaled Gaussian noise (gamma/sqrt(m)) sigma(x) xi: the
-    Euler-Maruyama step of :func:`run_diffusion_em` taken as one substep of
-    size gamma."""
-    return _run_noisy(
-        "gaussian_sgd", model, config, 1, streams,
-        lambda c: (c.gamma, c.gamma / math.sqrt(m)),
-    )
+    """Gradient descent plus scaled Gaussian noise: one Euler-Maruyama step of size
+    gamma, x - gamma grad g(x) + (gamma/sqrt(m)) sigma(x) z, for any model, with q
+    normals per replication and step drawn into a block reused by every step."""
+    normals = ChunkBlock(_standard_normals)
+
+    def advance(x, live_streams, gamma, scale):
+        z = normals(live_streams, (model.noise_dim,))
+        noise = (model.noise_factor(x) @ z[..., None])[..., 0]
+        return x - gamma * model.grad_objective(x) + scale * noise
+
+    return _run_ensemble("gaussian_sgd", config, streams, advance,
+                         lambda c: (c.gamma, c.gamma / math.sqrt(m)))
 
 
 class WeightedGradient:
@@ -351,17 +328,22 @@ def run_msgd(
     return _run_ensemble("msgd", config, streams, advance, lambda c: (c.gamma,))
 
 
+def _linear_drift(model: LossModel, runner: str) -> tuple[float, np.ndarray]:
+    """(lam, x*) when grad g(x) = lam (x - x*), which lam I <= Hessian <= L I with
+    lam = L and a known minimiser x* force; else ValueError naming `runner`."""
+    lam, x_star = model.strong_convexity, model.minimizer
+    if x_star is None or lam != model.lipschitz_grad:
+        raise ValueError(f"{runner} needs grad g(x) = lam (x - x*) with x* known: model "
+                         f"{model.name!r} has lam = {lam} and L = {model.lipschitz_grad}")
+    return lam, x_star
+
+
 def run_ode(model: LossModel, config) -> Union[Trajectory, Lockstep]:
     """Gradient flow dX = -grad g(X) dt, one exact step of its flow map per gamma.
 
-    lam I <= Hessian <= L I with lam = L forces grad g(x) = lam (x - x*), whose
-    flow maps x to x* + e^(-lam t) (x - x*).  A model without a known minimiser
-    x*, or with lam != L, has no such closed form and raises ValueError.
+    On grad g(x) = lam (x - x*) the flow maps x to x* + e^(-lam t) (x - x*).
     """
-    lam, x_star = model.strong_convexity, model.minimizer
-    if x_star is None or lam != model.lipschitz_grad:
-        raise ValueError(f"run_ode needs grad g(x) = lam (x - x*) with x* known: model "
-                         f"{model.name!r} has lam = {lam} and L = {model.lipschitz_grad}")
+    lam, x_star = _linear_drift(model, "run_ode")
 
     def advance(x, _streams, decay):
         return x_star + decay * (x - x_star)
@@ -372,17 +354,34 @@ def run_ode(model: LossModel, config) -> Union[Trajectory, Lockstep]:
 def run_diffusion_em(
     model: LossModel, config, substeps: int, streams, m: int
 ) -> Union[Trajectory, Lockstep]:
-    """Euler-Maruyama for dX = -grad g(X) dt + sqrt(gamma/m) sigma(X) dB.
+    """Euler-Maruyama for dX = -grad g(X) dt + sqrt(gamma/m) sigma dB, R =
+    `substeps` inner steps of size h = gamma/R per recorded multiple of gamma.
 
-    Integrates with inner step h = gamma/substeps and records states at
-    multiples of gamma only, so the output grid matches the discrete
-    processes.
+    On grad g(x) = lam (x - x*) with a constant sigma (the model declares
+    L1 = 0), an inner step is x* + a (x - x*) + c sigma z_j with a = 1 - lam h
+    and c = sqrt(gamma/m) sqrt(h), so the R of them sum in closed form to
+    x* + a^R (x - x*) + c sigma sum_j a^(R-1-j) z_j: the same iterate, rounded
+    differently.  Each replication draws one (R, q) block of normals per
+    recorded step, into a block reused by every step.  Any other model raises
+    ValueError.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
+    lam, x_star = _linear_drift(model, "run_diffusion_em")
+    if model.lipschitz_noise != 0:
+        raise ValueError(f"run_diffusion_em needs a constant noise factor: model "
+                         f"{model.name!r} has L1 = {model.lipschitz_noise}")
+    factor_t = model.noise_factor(x_star).T
+    normals = ChunkBlock(_standard_normals)
+
+    def advance(x, live_streams, decay, scale, weights):
+        z = normals(live_streams, (substeps, model.noise_dim))
+        noise = (weights[:, None, :] @ z @ factor_t)[:, 0]
+        return x_star + decay * (x - x_star) + scale * noise
 
     def coefficients(c):
         h = c.gamma / substeps
-        return h, math.sqrt(c.gamma / m) * math.sqrt(h)
+        a = 1.0 - lam * h
+        return a**substeps, math.sqrt(c.gamma / m) * math.sqrt(h), a ** np.arange(substeps)[::-1]
 
-    return _run_noisy("diffusion_em", model, config, substeps, streams, coefficients)
+    return _run_ensemble("diffusion_em", config, streams, advance, coefficients)

@@ -295,16 +295,10 @@ def make_logistic_model(dataset: LogisticDataset, kappa: float) -> LossModel:
         return idx
 
     def grad_loss(beta, idx):
-        # The gather gives a C-contiguous (..., n, p) block, and the gradient
-        # resid_i x_i + 2 kappa beta is assembled in flat passes over n * p
-        # elements rather than broadcast loops of length p.
         beta = np.asarray(beta, dtype=float)
         xd = x.take(idx, axis=0)
         resid = _sigmoid((xd @ beta[..., None])[..., 0]) - y.take(idx)
-        grads = np.repeat(resid, p, axis=-1).reshape(resid.shape + (p,))
-        grads *= xd
-        grads += np.repeat(2.0 * kappa * beta[..., None, :], resid.shape[-1], axis=-2)
-        return grads
+        return resid[..., None] * xd + 2.0 * kappa * beta[..., None, :]
 
     def fused_weighted_grad(beta, idx, w):
         beta = np.asarray(beta, dtype=float)

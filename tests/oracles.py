@@ -96,3 +96,22 @@ def rk4_path(grad: Callable[[np.ndarray], np.ndarray], x0, h: float, steps: int)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(x)
     return np.array(states)
+
+
+def em_path(grad: Callable[[np.ndarray], np.ndarray], sigma, x0, h: float, scale: float,
+            normals) -> np.ndarray:
+    """States of Euler-Maruyama x <- x - h grad(x) + scale sigma z_j at every
+    recorded step, one substep at a time.
+
+    ``normals[k]`` is the (rows, substeps, q) block of recorded step k and
+    ``x0`` the (rows, p) start.  An integrator independent of
+    ``run_diffusion_em``, which sums each step's substeps in closed form on a
+    linear drift: the two agree to rounding.
+    """
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for block in normals:
+        for j in range(block.shape[1]):
+            x = x - h * grad(x) + scale * (sigma @ block[:, j, :, None])[:, :, 0]
+        states.append(x)
+    return np.array(states)

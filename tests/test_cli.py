@@ -495,6 +495,7 @@ class TestMain:
             (tiny_config("clt") | {"scheme": 3}, "clt.scheme"),
             (tiny_logistic() | {"blocks": 1}, "converge: unknown key 'blocks'"),
             (tiny_logistic() | {"reps": 1}, "converge.reps"),
+            (tiny_config("converge") | {"reps": 1}, "converge.reps: must be >= 2"),
             (tiny_config("gd-ode") | {"x0": [1.0, 2.0]}, "gd-ode.x0"),
             (
                 tiny_config("wass-scaling") | {"slope_range": [2.0]},
@@ -608,8 +609,8 @@ class TestMain:
              "got 10000000000 projected values"),
         ],
         ids=[
-            "thresholds", "schemes-entry", "scheme", "blocks", "logistic-reps", "x0-length",
-            "slope-range", "dirichlet-m-equals-n", "dirichlet-pair",
+            "thresholds", "schemes-entry", "scheme", "blocks", "logistic-reps", "quadratic-reps",
+            "x0-length", "slope-range", "dirichlet-m-equals-n", "dirichlet-pair",
             "num-steps-zero", "num-steps-negative", "fit-window-zero", "fit-window-one",
             "fit-burn-in-negative", "fit-burn-in-too-late",
             "logistic-fit-window-zero", "logistic-fit-window-one",
