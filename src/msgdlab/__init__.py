@@ -13,7 +13,6 @@ from .dynamics import (
     DivergenceError,
     Lockstep,
     RunConfig,
-    Trajectory,
     run_diffusion_em,
     run_gaussian_sgd,
     run_gd,

@@ -594,11 +594,11 @@ def histogram_rows(samples, bin_count: int) -> list[tuple[float, float, int]]:
 
 
 def _run_weights_moments(cfg: ExperimentConfig, root) -> tuple[list, dict]:
-    n, m, reps = cfg.params["n"], cfg.params["m"], cfg.params["reps"]
-    diag, offdiag = sigma_entries(n, m)
+    reps = cfg.params["reps"]
     checks, rows = [], []
     for scheme in cfg.plan["schemes"]:
-        label = scheme.label
+        label, n, m = scheme.label, scheme.n, scheme.m
+        diag, offdiag = sigma_entries(n, m)
         report = empirical_weight_moments(scheme, root.child(label), reps)
         row = [label, n, m, reps]
         # the m*sum(w^2) identity is exact in expectation; its bound's tiny floor
@@ -673,7 +673,7 @@ def _run_wass_scaling(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     values = []
     rows = []
     for i, (gamma, msgd_run, em_run) in enumerate(zip(gammas, msgd.runs, em.runs)):
-        msgd_ensemble, em_ensemble = msgd_run.states[-1], em_run.states[-1]
+        msgd_ensemble, em_ensemble = msgd_run[-1], em_run[-1]
         sliced = sliced_w2(
             msgd_ensemble, em_ensemble, params["n_directions"], root.child(i, "directions")
         )
@@ -839,7 +839,7 @@ def _run_gd_ode(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     checks, rows = [], []
     for gamma, config, gd_run, ode_run in zip(gammas, configs, gd.runs, ode.runs):
         steps = config.num_steps
-        errors = np.linalg.norm(gd_run.states - ode_run.states, axis=1)
+        errors = np.linalg.norm(gd_run - ode_run, axis=1)
         try:
             bound = grad0 * math.exp(L * horizon) * steps * gamma * gamma * (1 + L * gamma) ** steps
         except OverflowError:

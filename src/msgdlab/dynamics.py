@@ -33,14 +33,13 @@ path), so replication r of an ensemble is bit-identical to a one-replication
 ensemble on the same stream.  ``run_gd`` and ``run_ode`` draw nothing and
 run one path per config, of shape (K+1, p).
 
-Every runner also takes a step-size grid: a sequence of configs, with one
+Every runner takes a step-size grid: a sequence of configs, with one
 sequence of streams per config for the runners that draw.  All rows of all
-configs then advance in lockstep, each row with its own step size, and a
+configs advance in lockstep, each row with its own step size, and a
 config's rows leave the live set after its last step, so the loop runs
-max K steps instead of their sum.  The result is a
-:class:`Lockstep` whose ``runs`` hold one :class:`Trajectory` per config,
-bit-identical to running that config alone.  A single config is a grid of
-one, on the same code path, and returns its Trajectory.
+max K steps instead of their sum.  The result is a :class:`Lockstep` whose
+``runs[i]`` is config i's state array, bit-identical to running that config
+alone as a grid of one.
 
 The first recorded state that is not finite or exceeds ``DIVERGENCE_LIMIT``
 ends the run with a :class:`DivergenceError` naming its process, its
@@ -55,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -134,28 +133,17 @@ class RunConfig:
 
 
 @dataclass
-class Trajectory:
-    """States x_0..x_K on the grid k * config.gamma.
-
-    Single paths (``gd``, ``ode``) have states of shape (K+1, p); ensembles
-    have (K+1, R, p).
-    """
-
-    states: np.ndarray                      # (K+1, p) or (K+1, R, p)
-    config: RunConfig
-
-
-@dataclass
 class Lockstep:
     """A step-size grid advanced together.
 
     ``states`` is the (max K + 1, rows, p) lockstep block, NaN where a row
-    was not live; ``runs[i]`` is config i's Trajectory, whose states are a
-    view of its rows up to its own last step.
+    was not live; ``runs[i]`` is config i's states x_0..x_K on the grid
+    k * gamma, a view of its rows up to its own last step: (K+1, R, p) for an
+    ensemble, (K+1, p) for a runner that runs one path per config.
     """
 
     states: np.ndarray
-    runs: list[Trajectory]
+    runs: list[np.ndarray]
 
 
 def _keep(mask, x, streams, live, columns):
@@ -187,30 +175,28 @@ def _stream_list(streams) -> list:
 
 def _run_ensemble(
     kind: str,
-    config: Union[RunConfig, Sequence[RunConfig]],
+    configs: Sequence[RunConfig],
     streams,
     advance: Callable[..., np.ndarray],
     coefficients: Callable[[RunConfig], tuple],
-):
+) -> Lockstep:
     """Advance every config's replications in lockstep, each to its config's
     last step.
 
-    ``streams`` holds one stream per replication for a single config, one
-    such sequence per config for a grid, or None for a runner that draws
-    nothing and runs one path per config.  ``coefficients(config)`` gives
-    the config's per-row numbers, or vectors of them.  ``advance(x, streams,
-    *columns)`` maps the (live, p) states of the live rows, their streams
-    and their coefficient columns, (live, 1) for a number and (live, width)
-    for a vector, in row order, to the next states.  A row leaves the
-    live set after its config's last step.  The first row out of range
-    raises.  Returns the Trajectory of a single config, else a Lockstep.
+    ``streams`` holds one sequence of per-replication streams per config, or
+    None for a runner that draws nothing and runs one path per config.
+    ``coefficients(config)`` gives the config's per-row numbers, or vectors
+    of them.  ``advance(x, streams, *columns)`` maps the (live, p) states of
+    the live rows, their streams and their coefficient columns, (live, 1)
+    for a number and (live, width) for a vector, in row order, to the next
+    states.  A row leaves the live set after its config's last step.  The
+    first row out of range raises.
     """
-    single = isinstance(config, RunConfig)
-    configs = [config] if single else list(config)
+    configs = list(configs)
     if streams is None:
         groups = [[None]] * len(configs)
     else:
-        groups = [_stream_list(streams)] if single else [_stream_list(g) for g in streams]
+        groups = [_stream_list(group) for group in streams]
     if not configs or len(groups) != len(configs):
         raise ValueError(f"need one stream sequence per config, got {len(groups)} "
                          f"for {len(configs)} configs")
@@ -245,17 +231,17 @@ def _run_ensemble(
     runs = []
     for c, start, stop in zip(configs, starts, starts[1:]):
         block = states[: c.num_steps + 1, start:stop]
-        runs.append(Trajectory(block[:, 0] if streams is None else block, c))
-    return runs[0] if single else Lockstep(states=states, runs=runs)
+        runs.append(block[:, 0] if streams is None else block)
+    return Lockstep(states=states, runs=runs)
 
 
-def run_gd(model: LossModel, config) -> Union[Trajectory, Lockstep]:
+def run_gd(model: LossModel, configs: Sequence[RunConfig]) -> Lockstep:
     """Deterministic gradient descent, one path per config."""
 
     def advance(x, _streams, gamma):
         return x - gamma * model.grad_objective(x)
 
-    return _run_ensemble("gd", config, None, advance, lambda c: (c.gamma,))
+    return _run_ensemble("gd", configs, None, advance, lambda c: (c.gamma,))
 
 
 def _standard_normals(streams, shape, out=None) -> np.ndarray:
@@ -266,7 +252,7 @@ def _standard_normals(streams, shape, out=None) -> np.ndarray:
     return block
 
 
-def run_gaussian_sgd(model: LossModel, config, streams, m: int) -> Union[Trajectory, Lockstep]:
+def run_gaussian_sgd(model: LossModel, configs: Sequence[RunConfig], streams, m: int) -> Lockstep:
     """Gradient descent plus scaled Gaussian noise: one Euler-Maruyama step of size
     gamma, x - gamma grad g(x) + (gamma/sqrt(m)) sigma(x) z, for any model, with q
     normals per replication and step drawn into a block reused by every step."""
@@ -277,7 +263,7 @@ def run_gaussian_sgd(model: LossModel, config, streams, m: int) -> Union[Traject
         noise = (model.noise_factor(x) @ z[..., None])[..., 0]
         return x - gamma * model.grad_objective(x) + scale * noise
 
-    return _run_ensemble("gaussian_sgd", config, streams, advance,
+    return _run_ensemble("gaussian_sgd", configs, streams, advance,
                          lambda c: (c.gamma, c.gamma / math.sqrt(m)))
 
 
@@ -309,8 +295,8 @@ class WeightedGradient:
 
 
 def run_msgd(
-    model: LossModel, scheme: WeightScheme, config, streams
-) -> Union[Trajectory, Lockstep]:
+    model: LossModel, scheme: WeightScheme, configs: Sequence[RunConfig], streams
+) -> Lockstep:
     """Weighted-gradient descent with fresh data and weights every step.
 
     The scheme gives the shape (n, m).  Each step draws the live replications'
@@ -325,7 +311,7 @@ def run_msgd(
             drift[start : start + len(part)] = draw(x[start : start + len(part)], part)
         return x - gamma * drift
 
-    return _run_ensemble("msgd", config, streams, advance, lambda c: (c.gamma,))
+    return _run_ensemble("msgd", configs, streams, advance, lambda c: (c.gamma,))
 
 
 def _linear_drift(model: LossModel, runner: str) -> tuple[float, np.ndarray]:
@@ -338,7 +324,7 @@ def _linear_drift(model: LossModel, runner: str) -> tuple[float, np.ndarray]:
     return lam, x_star
 
 
-def run_ode(model: LossModel, config) -> Union[Trajectory, Lockstep]:
+def run_ode(model: LossModel, configs: Sequence[RunConfig]) -> Lockstep:
     """Gradient flow dX = -grad g(X) dt, one exact step of its flow map per gamma.
 
     On grad g(x) = lam (x - x*) the flow maps x to x* + e^(-lam t) (x - x*).
@@ -348,12 +334,12 @@ def run_ode(model: LossModel, config) -> Union[Trajectory, Lockstep]:
     def advance(x, _streams, decay):
         return x_star + decay * (x - x_star)
 
-    return _run_ensemble("ode", config, None, advance, lambda c: (math.exp(-lam * c.gamma),))
+    return _run_ensemble("ode", configs, None, advance, lambda c: (math.exp(-lam * c.gamma),))
 
 
 def run_diffusion_em(
-    model: LossModel, config, substeps: int, streams, m: int
-) -> Union[Trajectory, Lockstep]:
+    model: LossModel, configs: Sequence[RunConfig], substeps: int, streams, m: int
+) -> Lockstep:
     """Euler-Maruyama for dX = -grad g(X) dt + sqrt(gamma/m) sigma dB, R =
     `substeps` inner steps of size h = gamma/R per recorded multiple of gamma.
 
@@ -384,4 +370,4 @@ def run_diffusion_em(
         a = 1.0 - lam * h
         return a**substeps, math.sqrt(c.gamma / m) * math.sqrt(h), a ** np.arange(substeps)[::-1]
 
-    return _run_ensemble("diffusion_em", config, streams, advance, coefficients)
+    return _run_ensemble("diffusion_em", configs, streams, advance, coefficients)

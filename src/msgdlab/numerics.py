@@ -266,10 +266,9 @@ def derive_stream(master_seed: int, path: Sequence[PathLabel] = ()) -> RngStream
     return RngStream(master_seed, path)
 
 
-def sample_gamma(stream: RngStream, shape: float, size=None):
-    """Draw Gamma(shape, scale=1) variates.
+def sample_gamma(stream: RngStream, shape: float, size) -> np.ndarray:
+    """Draw an array of `size` Gamma(shape, scale=1) variates.
 
-    Returns a scalar when ``size`` is None, else an array of that shape.
     For ``shape < 1`` the draw uses the boost identity
     ``G(a) = G(a+1) * U**(1/a)``, which stays exact down to very small
     shape parameters where direct rejection methods degrade.
@@ -278,10 +277,8 @@ def sample_gamma(stream: RngStream, shape: float, size=None):
         raise ValueError(f"gamma shape must be positive, got {shape}")
     gen = stream.generator
     if shape >= 1.0:
-        out = gen.gamma(shape, size=size)
-    else:
-        g = gen.gamma(shape + 1.0, size=size)
-        u = gen.random(size)
-        out = g * u ** (1.0 / shape)
-    return float(out) if size is None else out
+        return gen.gamma(shape, size=size)
+    g = gen.gamma(shape + 1.0, size=size)
+    u = gen.random(size)
+    return g * u ** (1.0 / shape)
 

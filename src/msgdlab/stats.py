@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Trajectory, WeightedGradient
+from .dynamics import WeightedGradient
 from .models import LossModel, weighted_sum
 from .numerics import RngStream
 from .weights import WeightScheme
@@ -210,21 +210,20 @@ class ConvergenceCurve:
 
 
 def convergence_curve(
-    model: LossModel, trajectory: Trajectory, reference: Optional[np.ndarray] = None
+    model: LossModel, states: np.ndarray, reference: Optional[np.ndarray] = None
 ) -> ConvergenceCurve:
     """Average |x_k - x*|^2 and, when the model's minimizer is known,
-    g(x_k) - g(minimizer) over the replications of an ensemble trajectory,
-    whose states are (K+1, reps, p).
+    g(x_k) - g(minimizer) over the replications of an ensemble run's
+    (K+1, reps, p) states, such as a ``Lockstep.runs`` entry.
 
     The point x* defaults to the model's known minimizer.  Every replication
     counts: a run that diverged has raised in ``dynamics`` and left no
-    trajectory.
+    states.
     """
     if reference is None:
         if model.minimizer is None:
             raise ValueError(f"model {model.name!r} has no known minimizer; pass a reference")
         reference = model.minimizer
-    states = trajectory.states
     diffs = states - np.asarray(reference, dtype=float)
     # per-replication rows, C-ordered so the reductions over axis 0 below
     # accumulate in the same order as a stack of separate rows

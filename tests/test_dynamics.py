@@ -97,13 +97,13 @@ class TestGd:
     def test_linear_contraction_exact(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=20, x0=[1.0])
-        states = run_gd(model, config).states[:, 0]
+        states = run_gd(model, [config]).runs[0][:, 0]
         np.testing.assert_allclose(states, 0.9 ** np.arange(21), rtol=1e-12)
 
     def test_fixed_point_stays(self):
         model = make_quadratic_model(2, [2.0, -1.0], 1.0)
         config = RunConfig(gamma=0.3, num_steps=15, x0=[2.0, -1.0])
-        states = run_gd(model, config).states
+        states = run_gd(model, [config]).runs[0]
         np.testing.assert_array_equal(states, np.tile([2.0, -1.0], (16, 1)))
 
     def test_logistic_descent_monotone(self):
@@ -111,13 +111,13 @@ class TestGd:
         model = make_logistic_model(dataset, 0.05)
         assert 0.1 < 1.0 / model.lipschitz_grad  # descent regime
         config = RunConfig(gamma=0.1, num_steps=60, x0=np.ones(3))
-        values = [model.objective(x) for x in run_gd(model, config).states]
+        values = [model.objective(x) for x in run_gd(model, [config]).runs[0]]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_divergence_reports_iteration(self):
         config = RunConfig(gamma=0.99, num_steps=2000, x0=[1.0])
         with pytest.raises(DivergenceError) as info:
-            run_gd(repelling_model(), config)
+            run_gd(repelling_model(), [config])
         assert 0 < info.value.iteration <= 2000
         assert info.value.process == "gd" and info.value.step_size == 0.99
 
@@ -126,16 +126,16 @@ class TestGaussianSgd:
     def test_zero_noise_equals_gd(self):
         model = zero_noise_quadratic()
         config = RunConfig(gamma=0.2, num_steps=25, x0=[1.5])
-        noisy = run_gaussian_sgd(model, config, [derive_stream(5, ["z"])], 3)
-        plain = run_gd(model, config)
-        np.testing.assert_array_equal(noisy.states[:, 0], plain.states)
+        noisy = run_gaussian_sgd(model, [config], [[derive_stream(5, ["z"])]], 3).runs[0]
+        plain = run_gd(model, [config]).runs[0]
+        np.testing.assert_array_equal(noisy[:, 0], plain)
 
     def test_huge_minibatch_tracks_gd(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=10, x0=[1.0])
-        noisy = run_gaussian_sgd(model, config, [derive_stream(7, ["big"])], 10**8)
-        plain = run_gd(model, config)
-        assert np.max(np.abs(noisy.states[:, 0] - plain.states)) <= 1e-2
+        noisy = run_gaussian_sgd(model, [config], [[derive_stream(7, ["big"])]], 10**8).runs[0]
+        plain = run_gd(model, [config]).runs[0]
+        assert np.max(np.abs(noisy[:, 0] - plain)) <= 1e-2
 
     def test_one_step_noise_variance(self):
         model = make_quadratic_model(1, [0.0], 1.0)
@@ -144,7 +144,7 @@ class TestGaussianSgd:
         stream = derive_stream(11, ["var"])
         deterministic = 1.0 - 0.1 * 1.0
         streams = [stream.child(r) for r in range(10**4)]
-        draws = run_gaussian_sgd(model, config, streams, m).states[1, :, 0] - deterministic
+        draws = run_gaussian_sgd(model, [config], [streams], m).runs[0][1, :, 0] - deterministic
         assert draws.var() == pytest.approx(0.1**2 / m, rel=0.06)
 
 
@@ -156,9 +156,9 @@ class TestMsgd:
         for kind in ("minibatch", "gaussian", "dirichlet"):
             scheme = WeightScheme(kind, n=32, m=8)
             config = RunConfig(gamma=0.25, num_steps=20, x0=[2.0])
-            traj = run_msgd(model, scheme, config, [derive_stream(13, [kind])])
-            plain = run_gd(model, config)
-            np.testing.assert_allclose(traj.states[:, 0], plain.states, rtol=1e-12, atol=1e-14)
+            run = run_msgd(model, scheme, [config], [[derive_stream(13, [kind])]]).runs[0]
+            plain = run_gd(model, [config]).runs[0]
+            np.testing.assert_allclose(run[:, 0], plain, rtol=1e-12, atol=1e-14)
 
     def test_ensemble_mean_tracks_gd(self):
         model = make_quadratic_model(1, [0.0], 1.0)
@@ -166,8 +166,8 @@ class TestMsgd:
         config = RunConfig(gamma=0.1, num_steps=50, x0=[1.0])
         stream = derive_stream(17, ["ens"])
         streams = [stream.child(r) for r in range(200)]
-        finals = run_msgd(model, scheme, config, streams).states[-1, :, 0]
-        target = run_gd(model, config).states[-1, 0]
+        finals = run_msgd(model, scheme, [config], [streams]).runs[0][-1, :, 0]
+        target = run_gd(model, [config]).runs[0][-1, 0]
         se = finals.std(ddof=1) / math.sqrt(200)
         assert abs(finals.mean() - target) <= 4 * se
 
@@ -180,12 +180,12 @@ class TestMsgd:
         config = RunConfig(gamma=0.1, num_steps=steps, x0=[1.0])
         stream = derive_stream(83, ["unbiased"])
         msgd = run_msgd(
-            model, scheme, config, [stream.child("m", r) for r in range(reps)]
-        ).states[:, :, 0].T
+            model, scheme, [config], [[stream.child("m", r) for r in range(reps)]]
+        ).runs[0][:, :, 0].T
         gauss = run_gaussian_sgd(
-            model, config, [stream.child("g", r) for r in range(reps)], scheme.m
-        ).states[:, :, 0].T
-        gd_path = run_gd(model, config).states[:, 0]
+            model, [config], [[stream.child("g", r) for r in range(reps)]], scheme.m
+        ).runs[0][:, :, 0].T
+        gd_path = run_gd(model, [config]).runs[0][:, 0]
         for ensemble in (msgd, gauss):
             se = ensemble.std(axis=0, ddof=1) / math.sqrt(reps)
             gaps = np.abs(ensemble.mean(axis=0) - gd_path)
@@ -201,7 +201,7 @@ class TestMsgd:
         scheme = WeightScheme("gaussian", n=40, m=8)
         config = RunConfig(gamma=0.5, num_steps=6, x0=np.ones(model.dim))
         runs = [
-            run_msgd(m, scheme, config, [derive_stream(89, [r]) for r in range(4)]).states
+            run_msgd(m, scheme, [config], [[derive_stream(89, [r]) for r in range(4)]]).runs[0]
             for m in (model, dataclasses.replace(model, grad_loss=unreachable))
         ]
         np.testing.assert_array_equal(runs[1], runs[0])
@@ -209,8 +209,8 @@ class TestMsgd:
         zero = dataclasses.replace(
             model, fused_weighted_grad=lambda theta, data, w: np.zeros(np.shape(theta))
         )
-        frozen = run_msgd(zero, scheme, config, [derive_stream(89, [r]) for r in range(4)])
-        np.testing.assert_array_equal(frozen.states, np.ones((7, 4, model.dim)))
+        frozen = run_msgd(zero, scheme, [config], [[derive_stream(89, [r]) for r in range(4)]])
+        np.testing.assert_array_equal(frozen.runs[0], np.ones((7, 4, model.dim)))
 
 
 class TestEnsemble:
@@ -222,10 +222,10 @@ class TestEnsemble:
     def _assert_replications_match(self, run, label):
         streams = [derive_stream(101, [label, r]) for r in range(self.REPS)]
         ensemble = run(streams)
-        assert ensemble.states.shape[1] == self.REPS
+        assert ensemble.shape[1] == self.REPS
         for r in range(self.REPS):
             single = run([derive_stream(101, [label, r])])
-            np.testing.assert_array_equal(ensemble.states[:, r], single.states[:, 0])
+            np.testing.assert_array_equal(ensemble[:, r], single[:, 0])
 
     @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
     @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
@@ -234,7 +234,7 @@ class TestEnsemble:
         scheme = WeightScheme(kind, n=64, m=16)
         config = RunConfig(gamma=0.2, num_steps=12, x0=np.ones(model.dim))
         self._assert_replications_match(
-            lambda streams: run_msgd(model, scheme, config, streams), f"msgd-{kind}"
+            lambda streams: run_msgd(model, scheme, [config], [streams]).runs[0], f"msgd-{kind}"
         )
 
     @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
@@ -242,7 +242,7 @@ class TestEnsemble:
         model = ensemble_model(model_name)
         config = RunConfig(gamma=0.2, num_steps=12, x0=np.ones(model.dim))
         self._assert_replications_match(
-            lambda streams: run_gaussian_sgd(model, config, streams, 4), "gaussian"
+            lambda streams: run_gaussian_sgd(model, [config], [streams], 4).runs[0], "gaussian"
         )
 
     @pytest.mark.parametrize("model_name", ["quadratic"])
@@ -250,14 +250,14 @@ class TestEnsemble:
         model = ensemble_model(model_name)
         config = RunConfig(gamma=0.2, num_steps=6, x0=np.ones(model.dim))
         self._assert_replications_match(
-            lambda streams: run_diffusion_em(model, config, 7, streams, 4), "em"
+            lambda streams: run_diffusion_em(model, [config], 7, [streams], 4).runs[0], "em"
         )
 
     def test_single_stream_rejected(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=3, x0=[1.0])
         with pytest.raises(TypeError, match="sequence"):
-            run_gaussian_sgd(model, config, derive_stream(1, []), 1)
+            run_gaussian_sgd(model, [config], [derive_stream(1, [])], 1)
 
     def test_diverged_replication_raises(self, repelling_for_stream):
         # replication 1 draws data that makes its gradient repel; the
@@ -266,9 +266,9 @@ class TestEnsemble:
         scheme = WeightScheme("minibatch", n=4, m=2)
         config = RunConfig(gamma=0.5, num_steps=400, x0=[1.0])
         with pytest.raises(DivergenceError) as info:
-            run_msgd(model, scheme, config, [derive_stream(103, [r]) for r in range(3)])
+            run_msgd(model, scheme, [config], [[derive_stream(103, [r]) for r in range(3)]])
         with pytest.raises(DivergenceError) as alone:
-            run_msgd(model, scheme, config, [derive_stream(103, [1])])
+            run_msgd(model, scheme, [config], [[derive_stream(103, [1])]])
         assert info.value.process == "msgd replication 1"
         assert 0 < info.value.iteration == alone.value.iteration <= 400
         assert info.value.step_size == 0.5
@@ -277,15 +277,15 @@ class TestEnsemble:
             "with step size 0.5"
         )
         for r in (0, 2):  # the others stay in range alone
-            lone = run_msgd(model, scheme, config, [derive_stream(103, [r])])
-            assert np.isfinite(lone.states).all()
+            lone = run_msgd(model, scheme, [config], [[derive_stream(103, [r])]]).runs[0]
+            assert np.isfinite(lone).all()
 
     def test_all_diverged_raises(self, repelling_for_stream):
         model = repelling_for_stream(0)
         scheme = WeightScheme("minibatch", n=4, m=2)
         config = RunConfig(gamma=0.5, num_steps=400, x0=[1.0])
         with pytest.raises(DivergenceError) as info:
-            run_msgd(model, scheme, config, [derive_stream(103, [0])])
+            run_msgd(model, scheme, [config], [[derive_stream(103, [0])]])
         assert info.value.process == "msgd replication 0"
 
 
@@ -303,9 +303,9 @@ class TestMsgdChunking:
         for elements in (dynamics_mod.CHUNK_ELEMENTS, self.N * model.payload_dim,
                          3 * self.N * model.payload_dim):
             monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
-            runs.append(run_msgd(model, scheme, config, streams_fn()))
-        for traj in runs[1:]:
-            np.testing.assert_array_equal(traj.states, runs[0].states)
+            runs.append(run_msgd(model, scheme, [config], [streams_fn()]).runs[0])
+        for run in runs[1:]:
+            np.testing.assert_array_equal(run, runs[0])
         return runs[0]
 
     @pytest.mark.parametrize("reps", [1, 7])
@@ -313,11 +313,11 @@ class TestMsgdChunking:
     @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
     def test_chunk_size_leaves_bytes(self, monkeypatch, model_name, kind, reps):
         model = ensemble_model(model_name)
-        traj = self._assert_chunk_invariant(
+        run = self._assert_chunk_invariant(
             monkeypatch, model, kind,
             lambda: [derive_stream(107, [model_name, kind, r]) for r in range(reps)],
         )
-        assert traj.states.shape == (13, reps, model.dim)
+        assert run.shape == (13, reps, model.dim)
 
     def test_divergence_mid_chunk(self, monkeypatch, repelling_for_stream):
         # replication 4 sits in the middle of the second chunk of 3; every
@@ -326,11 +326,11 @@ class TestMsgdChunking:
         scheme = WeightScheme("minibatch", n=self.N, m=16)
         config = RunConfig(gamma=0.2, num_steps=400, x0=[1.0])
         with pytest.raises(DivergenceError) as alone:
-            run_msgd(model, scheme, config, [derive_stream(109, [4])])
+            run_msgd(model, scheme, [config], [[derive_stream(109, [4])]])
         for elements in (dynamics_mod.CHUNK_ELEMENTS, self.N, 3 * self.N):
             monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
             with pytest.raises(DivergenceError) as info:
-                run_msgd(model, scheme, config, [derive_stream(109, [r]) for r in range(7)])
+                run_msgd(model, scheme, [config], [[derive_stream(109, [r]) for r in range(7)]])
             assert info.value.process == "msgd replication 4"
             assert 0 < info.value.iteration == alone.value.iteration
 
@@ -383,7 +383,7 @@ class TestDivergenceGuards:
         x0 = [0.5, value]
         model = make_quadratic_model(2, x0, 1.0)
         config = RunConfig(gamma=0.5, num_steps=3, x0=x0)
-        runs = (lambda: run_gd(model, config), lambda: run_ode(model, config))
+        runs = (lambda: run_gd(model, [config]).runs[0], lambda: run_ode(model, [config]).runs[0])
         for run in runs:
             if _out_of_range(value):
                 with pytest.raises(DivergenceError) as info:
@@ -391,17 +391,17 @@ class TestDivergenceGuards:
                 assert info.value.iteration == 0
                 assert info.value.process in ("gd", "ode")
             else:
-                np.testing.assert_array_equal(run().states, np.tile(x0, (4, 1)))
+                np.testing.assert_array_equal(run(), np.tile(x0, (4, 1)))
 
     @pytest.mark.parametrize("value", BOUNDARY_STATES)
     def test_gd_after_a_step(self, value):
         config = RunConfig(gamma=0.5, num_steps=1, x0=[0.0])
         if _out_of_range(value):
             with pytest.raises(DivergenceError) as info:
-                run_gd(jump_model([value]), config)
+                run_gd(jump_model([value]), [config])
             assert info.value.iteration == 1 and info.value.process == "gd"
         else:
-            assert run_gd(jump_model([value]), config).states[1, 0] == value
+            assert run_gd(jump_model([value]), [config]).runs[0][1, 0] == value
 
     # each boundary state next to an in-range row, then all of them at once,
     # in both orders, so that several rows leave the range at the same step
@@ -419,12 +419,12 @@ class TestDivergenceGuards:
         # step, the first in row order is named
         k, r = min((k, r) for k in (1, 2) for r, v in enumerate(values) if _out_of_range(k * v))
         with pytest.raises(DivergenceError) as info:
-            run_msgd(jump_model(values), scheme, config, streams)
+            run_msgd(jump_model(values), scheme, [config], [streams])
         assert (info.value.process, info.value.iteration) == (f"msgd replication {r}", k)
         assert info.value.step_size == 0.5
         if k == 2:  # one step stays in range, on the boundary
             one = dataclasses.replace(config, num_steps=1)
-            states = run_msgd(jump_model(values), scheme, one, streams).states
+            states = run_msgd(jump_model(values), scheme, [one], [streams]).runs[0]
             np.testing.assert_array_equal(states[1, :, 0], values)
 
     def test_msgd_ensemble_raises_when_every_row_diverges(self):
@@ -433,7 +433,7 @@ class TestDivergenceGuards:
         config = RunConfig(gamma=0.5, num_steps=2, x0=[0.0])
         streams = [derive_stream(113, [r]) for r in range(len(values))]
         with pytest.raises(DivergenceError) as info:
-            run_msgd(jump_model(values), scheme, config, streams)
+            run_msgd(jump_model(values), scheme, [config], [streams])
         assert info.value.iteration == 1
         assert info.value.process == "msgd replication 0"
 
@@ -448,13 +448,13 @@ FLOW_GRID = ((0.3, 4), (0.1, 12), (0.2, 6))
 class TestOde:
     def test_exponential_decay(self):
         model = make_quadratic_model(1, [0.0], 1.0)
-        traj = run_ode(model, ode_config(0.1, 10, [1.0]))
-        assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-14)
+        states = run_ode(model, [ode_config(0.1, 10, [1.0])]).runs[0]
+        assert states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_fixed_point(self):
         model = make_quadratic_model(2, [1.0, 1.0], 1.0)
-        traj = run_ode(model, ode_config(0.1, 5, [1.0, 1.0]))
-        np.testing.assert_array_equal(traj.states[-1], [1.0, 1.0])
+        states = run_ode(model, [ode_config(0.1, 5, [1.0, 1.0])]).runs[0]
+        np.testing.assert_array_equal(states[-1], [1.0, 1.0])
 
     def test_equals_the_flow_at_every_recorded_step(self):
         # x* + e^(-k gamma) (x0 - x*) at every k, on a grid and for each config alone
@@ -465,8 +465,8 @@ class TestOde:
         for config, grid_run in zip(configs, grid.runs):
             k = np.arange(config.num_steps + 1)[:, None]
             flow = x_star + np.exp(-k * config.gamma) * (config.x0 - x_star)
-            np.testing.assert_allclose(grid_run.states, flow, rtol=1e-13, atol=0)
-            np.testing.assert_array_equal(run_ode(model, config).states, grid_run.states)
+            np.testing.assert_allclose(grid_run, flow, rtol=1e-13, atol=0)
+            np.testing.assert_array_equal(run_ode(model, [config]).runs[0], grid_run)
 
     def test_agrees_with_fine_rk4(self):
         # the closed form is this model's gradient flow: the 4th-order method at
@@ -475,7 +475,7 @@ class TestOde:
         for gamma, steps in FLOW_GRID:
             config = ode_config(gamma, steps, [2.0, 3.0])
             path = rk4_path(model.grad_objective, config.x0, gamma / 100, steps * 100)
-            np.testing.assert_allclose(run_ode(model, config).states, path[::100],
+            np.testing.assert_allclose(run_ode(model, [config]).runs[0], path[::100],
                                        rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("model_name", ["uniform", "logistic"])
@@ -486,7 +486,7 @@ class TestOde:
         else:
             model = ensemble_model("logistic")
         with pytest.raises(ValueError, match="run_ode needs grad g"):
-            run_ode(model, ode_config(0.1, 5, np.ones(model.dim)))
+            run_ode(model, [ode_config(0.1, 5, np.ones(model.dim))])
 
     @pytest.mark.parametrize("lam", [1, 2, 10])
     def test_divergence_reported_at_the_recorded_step(self, lam):
@@ -495,7 +495,7 @@ class TestOde:
         model = flow_model(lam, [2 * LIMIT])
         config = ode_config(0.01, 150, [0.0])
         with pytest.raises(DivergenceError) as info:
-            run_ode(model, config)
+            run_ode(model, [config])
         assert info.value.iteration == math.ceil(math.log(2) / (lam * config.gamma))
         assert info.value.step_size == config.gamma
 
@@ -504,8 +504,8 @@ class TestDiffusionEm:
     def test_zero_noise_is_explicit_euler(self):
         model = zero_noise_quadratic()
         config = RunConfig(gamma=0.1, num_steps=10, x0=[1.0])
-        traj = run_diffusion_em(model, config, 100, [derive_stream(19, ["em"])], 1)
-        assert traj.states[-1, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
+        run = run_diffusion_em(model, [config], 100, [[derive_stream(19, ["em"])]], 1).runs[0]
+        assert run[-1, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
 
     def test_single_substep_variance(self):
         model = make_quadratic_model(1, [0.0], 1.0)
@@ -515,7 +515,7 @@ class TestDiffusionEm:
         h = gamma / substeps
         deterministic = 1.0 - h
         streams = [stream.child(r) for r in range(10**4)]
-        draws = run_diffusion_em(model, config, substeps, streams, m).states[1, :, 0]
+        draws = run_diffusion_em(model, [config], substeps, [streams], m).runs[0][1, :, 0]
         draws -= deterministic
         assert draws.var() == pytest.approx((gamma / m) * h, rel=0.06)
 
@@ -526,16 +526,16 @@ class TestDiffusionEm:
         model = ensemble_model(model_name)
         config = RunConfig(gamma=0.2, num_steps=8, x0=np.full(model.dim, 0.5))
         stream = derive_stream(31, ["one-substep", model_name])
-        em = run_diffusion_em(model, config, 1, stream.children("rep", stop=5), 4)
-        sgd = run_gaussian_sgd(model, config, stream.children("rep", stop=5), 4)
-        np.testing.assert_allclose(em.states, sgd.states, rtol=1e-12, atol=1e-14)
+        em = run_diffusion_em(model, [config], 1, [stream.children("rep", stop=5)], 4)
+        sgd = run_gaussian_sgd(model, [config], [stream.children("rep", stop=5)], 4)
+        np.testing.assert_allclose(em.runs[0], sgd.runs[0], rtol=1e-12, atol=1e-14)
 
     def test_huge_minibatch_tracks_ode(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=10, x0=[1.0])
-        traj = run_diffusion_em(model, config, 50, [derive_stream(29, ["big"])], 10**8)
-        ode = run_ode(model, config)
-        assert np.max(np.abs(traj.states[:, 0] - ode.states)) <= 1e-2
+        em = run_diffusion_em(model, [config], 50, [[derive_stream(29, ["big"])]], 10**8).runs[0]
+        ode = run_ode(model, [config]).runs[0]
+        assert np.max(np.abs(em[:, 0] - ode)) <= 1e-2
 
     @pytest.mark.parametrize("model_name", ["uniform", "logistic"])
     def test_refuses_a_model_without_a_linear_drift(self, model_name):
@@ -546,14 +546,14 @@ class TestDiffusionEm:
             model = ensemble_model("logistic")
         config = RunConfig(gamma=0.1, num_steps=5, x0=np.ones(model.dim))
         with pytest.raises(ValueError, match="run_diffusion_em needs grad g"):
-            run_diffusion_em(model, config, 4, [derive_stream(37, [])], 2)
+            run_diffusion_em(model, [config], 4, [[derive_stream(37, [])]], 2)
 
     def test_refuses_a_state_dependent_noise_factor(self):
         model = dataclasses.replace(make_quadratic_model(2, [0.5, -0.5], 1.0),
                                     lipschitz_noise=0.5)
         config = RunConfig(gamma=0.1, num_steps=5, x0=[1.0, 1.0])
         with pytest.raises(ValueError, match="run_diffusion_em needs a constant noise factor"):
-            run_diffusion_em(model, config, 4, [derive_stream(41, [])], 2)
+            run_diffusion_em(model, [config], 4, [[derive_stream(41, [])]], 2)
 
 
 class TestLogisticNoiseDimension:
@@ -568,8 +568,8 @@ class TestLogisticNoiseDimension:
         model = self._model()
         assert model.noise_dim == 200
         config = RunConfig(gamma=0.2, num_steps=80, x0=np.ones(3))
-        traj = run_gaussian_sgd(model, config, [derive_stream(79, ["run"])], 20)
-        assert model.objective(traj.states[-1, 0]) < model.objective(traj.states[0, 0])
+        run = run_gaussian_sgd(model, [config], [[derive_stream(79, ["run"])]], 20).runs[0]
+        assert model.objective(run[-1, 0]) < model.objective(run[0, 0])
 
 
 class TestGdOdeGap:
@@ -584,9 +584,9 @@ class TestGdOdeGap:
         for gamma in gammas:
             steps = int(round(horizon / gamma))
             config = RunConfig(gamma=gamma, num_steps=steps, x0=[1.0])
-            gd = run_gd(model, config)
-            ode = run_ode(model, config)
-            errors = np.abs(gd.states[:, 0] - ode.states[:, 0])
+            gd = run_gd(model, [config]).runs[0]
+            ode = run_ode(model, [config]).runs[0]
+            errors = np.abs(gd[:, 0] - ode[:, 0])
             for k in range(1, steps + 1):
                 assert errors[k] <= c1 * k * gamma * (1 + L * gamma) ** k
             finals.append(errors[-1])
@@ -623,7 +623,7 @@ class TestLockstep:
     ``streams()``."""
 
     def _assert_grid_matches(self, run, configs, streams):
-        """run(configs, streams()) against run(config, streams()[i]) per config i."""
+        """run(configs, streams()) against run([config], [streams()[i]]) per config i."""
         grid = run(configs, streams())
         steps = max(c.num_steps for c in configs)
         assert grid.states.shape[0] == steps + 1 and len(grid.runs) == len(configs)
@@ -633,9 +633,11 @@ class TestLockstep:
             size = 1 if streams()[i] is None else len(streams()[i])
             assert np.isnan(grid.states[config.num_steps + 1 :, start : start + size]).all()
             start += size
-            alone = run(config, streams()[i])
-            np.testing.assert_array_equal(grid.runs[i].states, alone.states)
-            assert grid.runs[i].config == alone.config
+            alone = run([config], [streams()[i]]).runs[0]
+            np.testing.assert_array_equal(grid.runs[i], alone)
+            # run i is config i's: its steps and its start
+            assert grid.runs[i].shape[0] == config.num_steps + 1
+            assert (grid.runs[i][0] == config.x0).all()
         return grid
 
     @staticmethod
@@ -645,7 +647,7 @@ class TestLockstep:
         alone = []
         for i, config in enumerate(configs):
             try:
-                run(config, streams()[i])
+                run([config], [streams()[i]])
             except DivergenceError as exc:
                 alone.append((exc.iteration, i, str(exc)))
         with pytest.raises(DivergenceError) as info:
@@ -750,8 +752,8 @@ class TestLockstep:
             path = em_path(base.grad_objective, sigma, np.tile(config.x0, (4, 1)), h, scale,
                            normals)
             streams = [derive_stream(19, [substeps, r]) for r in range(4)]
-            traj = run_diffusion_em(model, config, substeps, streams, m)
-            np.testing.assert_allclose(traj.states, path, rtol=0, atol=1e-12)
+            run = run_diffusion_em(model, [config], substeps, [streams], m).runs[0]
+            np.testing.assert_allclose(run, path, rtol=0, atol=1e-12)
             # each config of a grid run alone equals its grid run
             configs = [config, RunConfig(gamma=0.1, num_steps=8, x0=[-1.0, 2.0])]
             self._assert_grid_matches(
@@ -769,7 +771,7 @@ class TestLockstep:
             return run_gd(model, c)
 
         grid = self._assert_grid_matches(run, configs, lambda: [None] * 3)
-        assert grid.runs[0].states.shape == (51, 1)
+        assert grid.runs[0].shape == (51, 1)
         configs[1] = dataclasses.replace(configs[1], num_steps=600)
         i, error = self._assert_grid_raises_first(run, configs, lambda: [None] * 3)
         assert (i, error.process, error.step_size) == (1, "gd", 0.9)
@@ -808,3 +810,37 @@ class TestLockstep:
             run_gaussian_sgd(model, configs, [[derive_stream(1, [0])]], 1)
         with pytest.raises(TypeError, match="sequence"):
             run_gaussian_sgd(model, configs, [derive_stream(1, [0]), derive_stream(1, [1])], 1)
+
+
+# each runner called as (model, configs, streams), the grid of its own signature
+RUNNERS = {
+    "gd": lambda model, configs, streams: run_gd(model, configs),
+    "ode": lambda model, configs, streams: run_ode(model, configs),
+    "gaussian_sgd": lambda model, configs, streams: run_gaussian_sgd(model, configs, streams, 2),
+    "msgd": lambda model, configs, streams: run_msgd(
+        model, WeightScheme("minibatch", n=8, m=2), configs, streams),
+    "diffusion_em": lambda model, configs, streams: run_diffusion_em(model, configs, 3, streams, 2),
+}
+
+
+class TestRunnerContract:
+    """Every runner takes a step grid and returns a Lockstep whose runs[i] is
+    config i's state array, a view of the lockstep block."""
+
+    @pytest.mark.parametrize("name", RUNNERS)
+    def test_a_grid_in_state_arrays_out(self, name):
+        run = RUNNERS[name]
+        model = make_quadratic_model(2, [0.5, -0.5], 1.0)
+        configs = [RunConfig(gamma=g, num_steps=k, x0=[1.0, 1.0]) for g, k in ((0.2, 4), (0.1, 7))]
+        streams = [[derive_stream(43, [i, r]) for r in range(reps)]
+                   for i, reps in enumerate((3, 2))]
+        with pytest.raises(TypeError):  # one bare config is not a grid
+            run(model, configs[0], streams[0])
+        lockstep = run(model, configs, streams)
+        assert len(lockstep.runs) == len(configs)
+        for config, group, states in zip(configs, streams, lockstep.runs):
+            shape = (config.num_steps + 1, model.dim)
+            if name not in ("gd", "ode"):
+                shape = (config.num_steps + 1, len(group), model.dim)
+            assert states.shape == shape
+            assert np.shares_memory(states, lockstep.states)

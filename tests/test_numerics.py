@@ -88,14 +88,10 @@ class TestGamma:
         draws = sample_gamma(derive_stream(7, ["g3"]), 3.0, size=10**5)
         assert abs(draws.var() - 3.0) < 0.15
 
-    def test_scalar_draw(self):
-        value = sample_gamma(derive_stream(3, ["s"]), 0.5)
-        assert isinstance(value, float) and value >= 0.0
-
     @pytest.mark.parametrize("shape", [0.0, -1.0])
     def test_nonpositive_shape_rejected(self, shape):
         with pytest.raises(ValueError):
-            sample_gamma(derive_stream(1, []), shape)
+            sample_gamma(derive_stream(1, []), shape, size=1)
 
 
 class TestFiniteDiff:

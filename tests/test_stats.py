@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 import msgdlab.dynamics as dynamics_mod
-from msgdlab.dynamics import RunConfig, Trajectory, run_gaussian_sgd, run_gd, run_msgd
+from msgdlab.dynamics import RunConfig, run_gaussian_sgd, run_gd, run_msgd
 from msgdlab.models import make_quadratic_model, make_uniform_clt_model
 from msgdlab.numerics import derive_stream
 from msgdlab.stats import (
@@ -140,7 +140,7 @@ class TestSharedDraw:
         samples = clt_error_samples(model, scheme, theta, reps, stream)
         config = RunConfig(gamma=gamma, num_steps=1, x0=theta)
         streams = [stream.child("rep", r) for r in range(reps)]
-        step = run_msgd(model, scheme, config, streams).states[1]
+        step = run_msgd(model, scheme, [config], [streams]).runs[0][1]
         np.testing.assert_allclose(step, theta - gamma * samples / math.sqrt(m), rtol=1e-12)
 
 
@@ -356,11 +356,10 @@ class TestContractionBound:
             contraction_bound(lam=0.5, gamma=0.1, L=1.0, L1=40.0, p=6, m=2000)
 
 
-def gd_ensemble(model, config, reps=1) -> Trajectory:
-    """Deterministic GD copied into every replication of an ensemble."""
-    gd = run_gd(model, config)
-    states = np.repeat(gd.states[:, None, :], reps, axis=1)
-    return Trajectory(states=states, config=config)
+def gd_ensemble(model, config, reps=1) -> np.ndarray:
+    """Deterministic GD copied into every replication of an ensemble's states."""
+    gd = run_gd(model, [config]).runs[0]
+    return np.repeat(gd[:, None, :], reps, axis=1)
 
 
 class TestConvergenceCurve:
@@ -377,7 +376,7 @@ class TestConvergenceCurve:
         gamma, m, steps, reps = 0.1, 50, 100, 300
         config = RunConfig(gamma=gamma, num_steps=steps, x0=[1.0])
         streams = derive_stream(59, ["gs"]).children("rep", stop=reps)
-        curve = convergence_curve(model, run_gaussian_sgd(model, config, streams, m))
+        curve = convergence_curve(model, run_gaussian_sgd(model, [config], [streams], m).runs[0])
         oracle = np.empty(steps + 1)
         oracle[0] = 0.5
         for k in range(steps):
@@ -393,11 +392,11 @@ class TestConvergenceCurve:
         config = RunConfig(gamma=0.5, num_steps=30, x0=[1.0])
         stream = derive_stream(61, ["d"])
         curve = convergence_curve(
-            model, run_msgd(model, scheme, config, stream.children("rep", stop=5))
+            model, run_msgd(model, scheme, [config], [stream.children("rep", stop=5)]).runs[0]
         )
         assert curve.sq_dist_reps.shape == (5, 31)
         for r in range(5):
-            alone = run_msgd(model, scheme, config, [stream.child("rep", r)])
+            alone = run_msgd(model, scheme, [config], [[stream.child("rep", r)]]).runs[0]
             np.testing.assert_array_equal(
                 curve.sq_dist_reps[r], convergence_curve(model, alone).sq_dist_reps[0]
             )
@@ -419,7 +418,8 @@ class TestConvergenceCurve:
         grid = run_msgd(model, scheme, configs, [streams(i) for i in range(2)])
         for i, config in enumerate(configs):
             curve = convergence_curve(model, grid.runs[i])
-            alone = convergence_curve(model, run_msgd(model, scheme, config, streams(i)))
+            lone = run_msgd(model, scheme, [config], [streams(i)]).runs[0]
+            alone = convergence_curve(model, lone)
             for name in ("g_gap_mean", "g_gap_se", "sq_dist_mean", "sq_dist_se", "sq_dist_reps"):
                 np.testing.assert_array_equal(getattr(curve, name), getattr(alone, name))
 
@@ -448,7 +448,7 @@ class TestContractionFit:
         config = RunConfig(gamma=0.1, num_steps=40, x0=[1.0])
         gaps = [
             model.objective(x) - model.objective(model.minimizer)
-            for x in run_gd(model, config).states
+            for x in run_gd(model, [config]).runs[0]
         ]
         assert contraction_fit(gaps) == pytest.approx(0.81, abs=1e-6)
 

@@ -7,15 +7,16 @@ Runs the configs in ``configs/`` and the ``GOLDEN`` configs of
 PARENT_TREE's ``src`` on ``PYTHONPATH`` and once with this checkout's, BLAS
 on one thread, and compares exit codes, stdout, stderr, artifact names and
 artifact bytes.  First prints, for both trees, the line count of each
-``src/msgdlab/*.py`` and their total, and the number of settable config
-values in that tree's ``cli.SCHEMAS``; then ``configs: N differences: D``
-and every difference.  A CSV that differs also gets the largest relative
-difference |a - b| / max(|a|, |b|) over its numeric cells, so a change at
-roundoff (about 1e-15) reads apart from a real one; a report.json that
-differs gets the largest relative difference over its checks' ``observed``
-values and the name of every check whose ``pass`` flag changed, and
-``overall_pass`` if the verdict did, so a roundoff change reads apart from
-a verdict change.  Exits 0 when there is none.  Both trees run this
+``src/msgdlab/*.py`` and their total, the number of settable config values
+in that tree's ``cli.SCHEMAS``, and the number of public names, the names
+that tree's ``src/msgdlab/__init__.py`` imports; then ``configs: N
+differences: D`` and every difference.  A CSV that differs also gets the
+largest relative difference |a - b| / max(|a|, |b|) over its numeric cells,
+so a change at roundoff (about 1e-15) reads apart from a real one; a
+report.json that differs gets the largest relative difference over its
+checks' ``observed`` values and the name of every check whose ``pass`` flag
+changed, and ``overall_pass`` if the verdict did, so a roundoff change
+reads apart from a verdict change.  Exits 0 when there is none.  Both trees run this
 checkout's configs.  The canonical configs take about a minute per tree, so
 the tests do not run this.
 """
@@ -69,13 +70,22 @@ def settable_values(tree: Path) -> str:
     return done.stdout.strip() if done.returncode == 0 else "?"
 
 
+def public_names(tree: Path) -> int:
+    """The names `tree`'s ``src/msgdlab/__init__.py`` imports, counted from its syntax tree."""
+    module = ast.parse((tree / "src" / "msgdlab" / "__init__.py").read_text())
+    return sum(len(node.names) for node in module.body
+               if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
 def size_report(parent: Path) -> list[str]:
-    """Per-module lines, their total and settable values, parent -> this tree."""
+    """Per-module lines, their total, settable values and public names, parent
+    -> this tree."""
     old, new = line_counts(parent), line_counts(REPO)
     lines = [f"{name}: {old.get(name, 0)} -> {new.get(name, 0)}"
              for name in sorted(old.keys() | new.keys())]
     lines.append(f"src total: {sum(old.values())} -> {sum(new.values())}")
     lines.append(f"settable config values: {settable_values(parent)} -> {settable_values(REPO)}")
+    lines.append(f"public names: {public_names(parent)} -> {public_names(REPO)}")
     return lines
 
 
