@@ -20,7 +20,6 @@ from .dynamics import (
     run_ode,
 )
 from .models import (
-    LogisticDataset,
     LossModel,
     generate_logistic_dataset,
     make_logistic_model,
@@ -29,8 +28,6 @@ from .models import (
 )
 from .numerics import RngStream, derive_stream, sample_gamma
 from .stats import (
-    ConvergenceCurve,
-    GapEstimate,
     clt_error_samples,
     contraction_bound,
     contraction_fit,
@@ -40,12 +37,8 @@ from .stats import (
     weighting_gap,
 )
 from .weights import (
-    MomentReport,
     WeightScheme,
     empirical_weight_moments,
-    sample_dirichlet_weights,
-    sample_gaussian_structured_weights,
-    sample_minibatch_weights,
     sample_weights,
     sigma_entries,
 )

@@ -16,8 +16,8 @@ A :class:`LossModel` bundles everything the dynamics need:
   ``dynamics.WeightedGradient`` makes: by default
   ``weighted_sum(w, grad_loss(theta, data))``, one stacked ``np.matmul``
   over the per-datum gradients; the logistic model supplies the fused form
-  X_d^T (w * (sigmoid(X_d beta) - y_d)) + 2 kappa beta sum_i w_i, which
-  never builds them;
+  2 kappa beta sum_i w_i - S_d^T (w / (1 + e^(S_d beta))) on its signed rows
+  s_i x_i, s_i = 2 y_i - 1, which never builds them;
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
   ``sigma sigma^T = Cov(grad_loss(theta, .))``.
 
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -221,6 +222,12 @@ class LogisticDataset:
     def dim(self) -> int:
         return self.covariates.shape[1]
 
+    @cached_property
+    def signed(self) -> np.ndarray:
+        """The (t, p) signed rows s_i x_i, s_i = 2 y_i - 1, computed once per
+        dataset and shared by every kappa's model."""
+        return (2.0 * self.labels - 1.0)[:, None] * self.covariates
+
 
 def generate_logistic_dataset(stream: RngStream, p: int, t: int) -> LogisticDataset:
     """y_i ~ Bernoulli(1/2) iid, x_i ~ N(0, I_p); labels independent of x."""
@@ -261,9 +268,11 @@ def make_logistic_model(dataset: LogisticDataset, kappa: float) -> LossModel:
     A datum is a row index drawn uniformly from the dataset, refreshed at
     every iteration by the dynamics: ``sample_data`` returns an (R, count)
     int64 block and ``grad_loss`` gathers the rows it names.  The fused
-    weighted gradient makes one (1, count) @ (count, p) product per
-    replication and rounds differently from ``weighted_sum`` over
-    ``grad_loss``.  The noise
+    weighted gradient gathers the signed rows S_i = s_i x_i alone: with
+    s = 2y - 1, sigmoid(z) - y = -s / (1 + e^(s z)), so
+    sum_i w_i (sigmoid(x_i^T beta) - y_i) x_i = -S_d^T (w / (1 + e^(S_d beta))),
+    one (1, count) @ (count, p) product per replication that rounds
+    differently from ``weighted_sum`` over ``grad_loss``.  The noise
     factor is the p x t matrix with columns
     ``(grad_loss(beta, i) - grad_objective(beta)) / sqrt(t)``, an exact
     square root of the gradient covariance over the data law.
@@ -275,7 +284,7 @@ def make_logistic_model(dataset: LogisticDataset, kappa: float) -> LossModel:
     if not kappa > 0:
         raise ValueError(f"ridge penalty kappa must be positive, got {kappa}")
     lipschitz = logistic_lipschitz_constant(dataset, kappa)
-    every_row = np.arange(t)
+    signed = dataset.signed
 
     def objective(beta):
         beta = np.asarray(beta, dtype=float)
@@ -302,15 +311,18 @@ def make_logistic_model(dataset: LogisticDataset, kappa: float) -> LossModel:
 
     def fused_weighted_grad(beta, idx, w):
         beta = np.asarray(beta, dtype=float)
-        xd = x.take(idx, axis=0)
-        resid = _sigmoid((xd @ beta[..., None])[..., 0]) - y.take(idx)
-        resid *= w
+        sd = signed.take(idx, axis=0)
+        q = (sd @ beta[..., None])[..., 0]
+        with np.errstate(over="ignore"):  # e^v = inf gives the term's limit 0
+            np.exp(q, out=q)
+        q += 1.0
+        np.divide(w, q, out=q)
         ridge = 2.0 * kappa * beta * w.sum(axis=-1)[..., None]
-        return (resid[..., None, :] @ xd)[..., 0, :] + ridge
+        return ridge - (q[..., None, :] @ sd)[..., 0, :]
 
     def noise_factor(beta):
         beta = np.asarray(beta, dtype=float)
-        grads = grad_loss(beta, every_row)
+        grads = grad_loss(beta, np.arange(t))
         return np.swapaxes(grads - grad_objective(beta)[..., None, :], -1, -2) / np.sqrt(t)
 
     # h1(z_i) = |x_i|^2 / 4 + 2 kappa bounds the per-datum gradient modulus;
@@ -323,7 +335,7 @@ def make_logistic_model(dataset: LogisticDataset, kappa: float) -> LossModel:
         name="logistic",
         dim=p,
         noise_dim=t,
-        payload_dim=p + 1,                   # y and x_i: the floats one index gathers
+        payload_dim=p,                       # s_i x_i: the floats one index gathers
         objective=objective,
         grad_objective=grad_objective,
         sample_data=sample_data,

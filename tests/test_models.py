@@ -264,6 +264,20 @@ class TestLogisticMatchesPayloadForm:
                 _sigmoid(z).view(np.uint64), payload_sigmoid(z).view(np.uint64)
             )
 
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_signed_residual_identity(self, label):
+        # the fused kernel's residual: sigmoid(z) - y = -s / (1 + e^(s z)) with
+        # s = 2y - 1, where e^(s z) = inf gives the exact limit 0
+        gen = derive_stream(67, ["z", label]).generator
+        z = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, 36.0, -36.0, 745.0, -745.0, 1e300, -1e300],
+            gen.standard_normal(1000) * 10.0 ** gen.integers(-8, 4, 1000),
+        ])
+        s = 2.0 * label - 1.0
+        with np.errstate(over="ignore"):
+            signed = -s / (1.0 + np.exp(s * z))
+        assert np.all(np.abs(signed - (payload_sigmoid(z) - label)) <= 2.0**-52)
+
     @pytest.mark.parametrize("reps", [1, 3, 9])
     def test_grad_loss_and_noise_factor_bitwise(self, reps):
         p, n = 6, 1000
@@ -324,6 +338,25 @@ class TestWeightedGradient:
                 magnitude = (np.abs(w)[:, None, :] @ np.abs(grads))[:, 0, :]
                 fused = model.weighted_grad(beta, idx, w)
                 assert fused.shape == (reps, self.P)
+                assert np.all(np.abs(fused - expected) <= 1e-12 * magnitude), (kappa, scale)
+
+    @pytest.mark.parametrize("reps", [1, 3, 9])
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_logistic_fused_matches_per_datum_sum_where_exp_overflows(self, kind, reps):
+        # at these scales |S_d beta| passes 709.78 and e^(S_d beta) is inf
+        dataset = generate_logistic_dataset(derive_stream(71, ["data"]), self.P, 10**4)
+        payloads = np.column_stack([dataset.labels, dataset.covariates])
+        w = self.weights(kind, reps, "overflow")
+        gen = derive_stream(71, ["overflow", kind, reps]).generator
+        for kappa in TestLogisticMatchesPayloadForm.KAPPAS:
+            model = make_logistic_model(dataset, kappa)
+            for scale in (1e150, 1e300):
+                beta = scale * gen.standard_normal((reps, self.P))
+                idx = gen.integers(0, dataset.size, size=(reps, self.N))
+                grads = payload_grad_loss(kappa, beta, payloads[idx])
+                expected = (w[:, None, :] @ grads)[:, 0, :]
+                magnitude = (np.abs(w)[:, None, :] @ np.abs(grads))[:, 0, :]
+                fused = model.weighted_grad(beta, idx, w)
                 assert np.all(np.abs(fused - expected) <= 1e-12 * magnitude), (kappa, scale)
 
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
@@ -393,6 +426,15 @@ class TestDatasetGeneration:
         dataset = generate_logistic_dataset(derive_stream(29, ["gen"]), 6, 10**4)
         cov = np.cov(dataset.covariates.T)
         np.testing.assert_allclose(cov, np.eye(6), atol=0.05)
+
+    def test_signed_rows_computed_once(self):
+        dataset = generate_logistic_dataset(derive_stream(29, ["signed"]), 6, 500)
+        signed = dataset.signed
+        expected = (2.0 * dataset.labels - 1.0)[:, None] * dataset.covariates
+        np.testing.assert_array_equal(signed.view(np.uint64), expected.view(np.uint64))
+        for kappa in (0.2, 0.05):
+            make_logistic_model(dataset, kappa)
+        assert dataset.signed is signed
 
 
 class TestSharedInvariants:
