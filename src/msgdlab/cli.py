@@ -60,6 +60,7 @@ from .models import (
     make_logistic_model,
     make_quadratic_model,
     make_uniform_clt_model,
+    ridge_penalties,
 )
 from .numerics import derive_stream
 from .stats import (
@@ -129,8 +130,9 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """A validated config.  ``params`` is the config resolved against its
     command's schema; ``plan`` holds the domain objects validation built
-    for the run: the weight schemes, each at its own (n, m), the model, the
-    resolved start, the run configs and one logistic model per kappa."""
+    for the run: the weight schemes, each at its own (n, m), the model (for
+    logistic, one model over the whole kappa grid), the resolved start, the
+    run configs and the logistic kappas."""
 
     command: str
     seed: int
@@ -401,7 +403,7 @@ def _check_model(params: dict, command: str, seed: int, plan: dict, diags: list[
     spec = params["model"]
     if spec is None:
         return None
-    if spec["kind"] == "logistic":  # the run's own draw; _check_runs builds a model per kappa
+    if spec["kind"] == "logistic":  # the run's own draw; _check_runs builds the model on it
         stream = derive_stream(seed, (command,)).child("dataset")
         made = _build("model", diags, generate_logistic_dataset, stream, spec["p"], spec["t"])
     else:
@@ -467,17 +469,22 @@ def _check_wass_sizes(params: dict, plan: dict, diags: list[str]) -> None:
 def _check_runs(params: dict, made, plan: dict, diags: list[str]) -> None:
     """converge's runs, into ``plan["configs"]`` and their fit windows, as
     slices of the curve, into ``plan["segments"]``, both in run order, and
-    the logistic model's run lengths and kappas: one (kappa, model)
-    pair per kappa, into ``plan["models"]`` in decreasing kappa."""
+    the logistic model's run lengths and kappas: the kappas, each checked
+    on its own, into ``plan["kappas"]`` in decreasing order, and one model
+    over that grid into ``plan["model"]``, whose state stacks one start per
+    kappa."""
     runs = params["runs"] or []
+    kind = params["model"] and params["model"]["kind"]
+    start = plan.get("start")
+    if kind == "logistic" and start is not None:  # every kappa's block starts there
+        start = np.tile(start, len(params.get("kappas") or [None]))
     plan["configs"], plan["segments"] = [], []
     for i, run in enumerate(runs):
         plan["configs"].append(_build(
-            f"runs[{i}]", diags, RunConfig, run["gamma"], run["num_steps"], plan.get("start")
+            f"runs[{i}]", diags, RunConfig, run["gamma"], run["num_steps"], start
         ))
         fit = (run["num_steps"] + 1, run.get("fit_burn_in", 0), run.get("fit_window"))
         plan["segments"].append(_build(f"runs[{i}]", diags, fit_segment, *fit))
-    kind = params["model"] and params["model"]["kind"]
     if kind == "quadratic" and "kappas" in params:
         diags.append("converge.kappas: only valid for the logistic model")
     if kind != "logistic":
@@ -489,12 +496,13 @@ def _check_runs(params: dict, made, plan: dict, diags: list[str]) -> None:
             diags.append(f"runs[{i}].num_steps: needs num_steps + 1 >= {blocks}, the block count")
     if "kappas" not in params:
         diags.append("converge.kappas: required for the logistic model")
-    elif made is not None:
-        kappas = sorted(enumerate(params["kappas"] or []), key=lambda item: item[1], reverse=True)
-        plan["models"] = [
-            (kappa, _build(f"kappas[{i}]", diags, make_logistic_model, made, kappa))
-            for i, kappa in kappas
-        ]
+    elif made is not None and params["kappas"] is not None:
+        count = len(diags)
+        for i, kappa in enumerate(params["kappas"]):
+            _build(f"kappas[{i}]", diags, ridge_penalties, kappa)
+        if len(diags) == count:
+            kappas = plan["kappas"] = sorted(params["kappas"], reverse=True)
+            plan["model"] = _build("converge.kappas", diags, make_logistic_model, made, kappas)
 
 
 def _check_cross(params: dict, command: str, seed: int, diags: list[str]) -> dict:
@@ -773,18 +781,21 @@ def _block_means(per_rep_curves: np.ndarray, blocks: int):
 def _run_converge_logistic(cfg, root) -> tuple[list, dict]:
     params, plan, bound = cfg.params, cfg.plan, BOUNDS["converge"]
     reps, blocks, configs = params["reps"], bound["blocks"], plan["configs"]
+    model, kappas = plan["model"], plan["kappas"]
     [scheme] = plan["schemes"]
-    curves = []  # curves[kappa_idx][run_idx]; every run advances in lockstep, one call per kappa
-    for kappa_idx, (_, model) in enumerate(plan["models"]):
-        streams = [root.child(i, kappa_idx).children("rep", stop=reps) for i in range(len(configs))]
-        grid = run_msgd(model, scheme, configs, streams)
-        curves.append([convergence_curve(model, run, np.zeros(model.dim)) for run in grid.runs])
+    p = model.dim // len(kappas)
+    # every run advances in lockstep, and every kappa's block steps on its
+    # replication's one draw of data and weights per step
+    grid = run_msgd(model, scheme, configs, [
+        root.child(i).children("rep", stop=reps) for i in range(len(configs))
+    ])
     checks, tables = [], {}
-    for run_idx, (config, segment) in enumerate(zip(configs, plan["segments"])):
+    for run_idx, (config, segment, run) in enumerate(zip(configs, plan["segments"], grid.runs)):
         steps = config.num_steps
         rho_hats = []
-        for kappa_idx, (kappa, _) in enumerate(plan["models"]):
-            curve = curves[kappa_idx][run_idx]
+        for kappa_idx, kappa in enumerate(kappas):
+            block = run[..., kappa_idx * p : (kappa_idx + 1) * p]
+            curve = convergence_curve(model, block, np.zeros(p))
             label = f"run{run_idx}:kappa{kappa:g}"
             means, errs = _block_means(curve.sq_dist_reps, blocks)
             rise = max(

@@ -16,8 +16,9 @@ A :class:`LossModel` bundles everything the dynamics need:
   ``dynamics.WeightedGradient`` makes: by default
   ``weighted_sum(w, grad_loss(theta, data))``, one stacked ``np.matmul``
   over the per-datum gradients; the logistic model supplies the fused form
-  2 kappa beta sum_i w_i - S_d^T (w / (1 + e^(S_d beta))) on its signed rows
-  s_i x_i, s_i = 2 y_i - 1, which never builds them;
+  2 kappa beta sum_i w_i - S_d^T (w / (1 + e^(S_d beta))), block by block
+  over its kappa grid, on its signed rows s_i x_i, s_i = 2 y_i - 1, which
+  never builds them;
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
   ``sigma sigma^T = Cov(grad_loss(theta, .))``.
 
@@ -40,7 +41,8 @@ Three concrete models are provided: a quadratic with Gaussian data (every
 quantity in closed form, the main oracle model), a mean-zero uniform-data
 model whose gradient is the datum itself (for error-distribution studies),
 and ridge-regularized logistic regression over a fixed dataset resampled
-with replacement.
+with replacement, on a grid of ridge penalties whose state stacks one
+iterate per penalty.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ class LogisticDataset:
     @cached_property
     def signed(self) -> np.ndarray:
         """The (t, p) signed rows s_i x_i, s_i = 2 y_i - 1, computed once per
-        dataset and shared by every kappa's model."""
+        dataset and shared by every model built on it."""
         return (2.0 * self.labels - 1.0)[:, None] * self.covariates
 
 
@@ -251,6 +253,18 @@ def logistic_lipschitz_constant(dataset: LogisticDataset, kappa: float) -> float
     return lam_max / (4.0 * dataset.size) + 2.0 * kappa
 
 
+def ridge_penalties(kappa) -> np.ndarray:
+    """A grid of ridge penalties, a float or a non-empty 1-D sequence, as a 1-D
+    array; ValueError unless each is positive."""
+    kappas = np.atleast_1d(np.asarray(kappa, dtype=float))
+    if kappas.ndim != 1 or kappas.size < 1:
+        raise ValueError(f"kappa must be a number or a non-empty 1-D sequence, got {kappa!r}")
+    for value in kappas:
+        if not value > 0:
+            raise ValueError(f"ridge penalty kappa must be positive, got {value}")
+    return kappas
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows.
 
@@ -261,41 +275,63 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / d
 
 
-def make_logistic_model(dataset: LogisticDataset, kappa: float) -> LossModel:
+def make_logistic_model(dataset: LogisticDataset, kappa) -> LossModel:
     """Ridge-logistic model over a fixed dataset, resampled with replacement,
-    with ridge penalty kappa > 0.
+    on a grid of K ridge penalties kappa_k > 0: a float (K = 1) or a 1-D
+    sequence.
+
+    The parameter stacks one beta per penalty, shape (..., K p), block k
+    being ``theta[..., k p:(k + 1) p]``: this is the product model
+    g(theta) = sum_k g_k(beta_k), so one datum, drawn once, drives every
+    block, and each block alone is ridge-logistic M-SGD at its own kappa.
+    ``objective`` sums the blocks' objectives, ``grad_objective`` and
+    ``grad_loss`` stack the blocks' gradients, and the noise factor stacks
+    the blocks' factors, (K p, t), exact because the same datum moves every
+    block.  L is the largest block's and lambda = 2 min kappa, so the
+    bounds hold on every block; at K = 1 this is the one-penalty model.
 
     A datum is a row index drawn uniformly from the dataset, refreshed at
     every iteration by the dynamics: ``sample_data`` returns an (R, count)
     int64 block and ``grad_loss`` gathers the rows it names.  The fused
-    weighted gradient gathers the signed rows S_i = s_i x_i alone: with
-    s = 2y - 1, sigmoid(z) - y = -s / (1 + e^(s z)), so
+    weighted gradient gathers the signed rows S_i = s_i x_i alone, once for
+    every block: with s = 2y - 1, sigmoid(z) - y = -s / (1 + e^(s z)), so
     sum_i w_i (sigmoid(x_i^T beta) - y_i) x_i = -S_d^T (w / (1 + e^(S_d beta))),
-    one (1, count) @ (count, p) product per replication that rounds
-    differently from ``weighted_sum`` over ``grad_loss``.  The noise
-    factor is the p x t matrix with columns
-    ``(grad_loss(beta, i) - grad_objective(beta)) / sqrt(t)``, an exact
-    square root of the gradient covariance over the data law.
+    one (n, p) @ (p, K) and one (K, n) @ (n, p) product per replication
+    that round differently from ``weighted_sum`` over ``grad_loss``.  The
+    noise factor's columns are ``(grad_loss(beta, i) - grad_objective(beta))
+    / sqrt(t)``, an exact square root of the gradient covariance over the
+    data law.
     """
     y = dataset.labels
     x = dataset.covariates
     t = dataset.size
     p = dataset.dim
-    if not kappa > 0:
-        raise ValueError(f"ridge penalty kappa must be positive, got {kappa}")
-    lipschitz = logistic_lipschitz_constant(dataset, kappa)
+    kappas = ridge_penalties(kappa)
+    blocks = kappas.size
+    twice = 2.0 * kappas[:, None]  # 2 kappa_k, one row per block
+    lipschitz = logistic_lipschitz_constant(dataset, float(kappas.max()))
     signed = dataset.signed
 
-    def objective(beta):
+    def split(beta):
+        """(..., K p) as the (..., K, p) blocks."""
         beta = np.asarray(beta, dtype=float)
-        z = (x @ beta[..., None])[..., 0]
+        return beta.reshape(beta.shape[:-1] + (blocks, p))
+
+    def stack(block):
+        """(..., K, p) blocks as (..., K p)."""
+        return block.reshape(block.shape[:-2] + (blocks * p,))
+
+    def objective(beta):
+        b = split(beta)
+        z = b @ x.T
         nll = -(z @ y) + np.sum(np.logaddexp(0.0, z), axis=-1)
-        return nll / t + kappa * (beta[..., None, :] @ beta[..., :, None])[..., 0, 0]
+        per_block = nll / t + kappas * (b[..., None, :] @ b[..., :, None])[..., 0, 0]
+        return per_block.sum(axis=-1)
 
     def grad_objective(beta):
-        beta = np.asarray(beta, dtype=float)
-        resid = _sigmoid((x @ beta[..., None])[..., 0]) - y
-        return (x.T @ resid[..., None])[..., 0] / t + 2.0 * kappa * beta
+        b = split(beta)
+        resid = _sigmoid(x @ b.swapaxes(-1, -2)) - y[:, None]
+        return stack((x.T @ resid).swapaxes(-1, -2) / t + twice * b)
 
     def sample_data(streams, count, out=None):
         idx = np.empty((len(streams), count), dtype=np.int64) if out is None else out
@@ -304,38 +340,39 @@ def make_logistic_model(dataset: LogisticDataset, kappa: float) -> LossModel:
         return idx
 
     def grad_loss(beta, idx):
-        beta = np.asarray(beta, dtype=float)
+        b = split(beta)
         xd = x.take(idx, axis=0)
-        resid = _sigmoid((xd @ beta[..., None])[..., 0]) - y.take(idx)
-        return resid[..., None] * xd + 2.0 * kappa * beta[..., None, :]
+        resid = _sigmoid(xd @ b.swapaxes(-1, -2)) - y.take(idx)[..., None]
+        return stack(resid[..., None] * xd[..., None, :] + (twice * b)[..., None, :, :])
 
     def fused_weighted_grad(beta, idx, w):
-        beta = np.asarray(beta, dtype=float)
+        b = split(beta)
         sd = signed.take(idx, axis=0)
-        q = (sd @ beta[..., None])[..., 0]
+        q = sd @ b.swapaxes(-1, -2)
         with np.errstate(over="ignore"):  # e^v = inf gives the term's limit 0
             np.exp(q, out=q)
         q += 1.0
-        np.divide(w, q, out=q)
-        ridge = 2.0 * kappa * beta * w.sum(axis=-1)[..., None]
-        return ridge - (q[..., None, :] @ sd)[..., 0, :]
+        np.divide(w[..., None], q, out=q)
+        ridge = twice * b * w.sum(axis=-1)[..., None, None]
+        return stack(ridge - q.swapaxes(-1, -2) @ sd)
 
     def noise_factor(beta):
         beta = np.asarray(beta, dtype=float)
         grads = grad_loss(beta, np.arange(t))
         return np.swapaxes(grads - grad_objective(beta)[..., None, :], -1, -2) / np.sqrt(t)
 
-    # h1(z_i) = |x_i|^2 / 4 + 2 kappa bounds the per-datum gradient modulus;
-    # each noise-factor column moves at most (h1 + L)/sqrt(t), giving a
-    # Frobenius (hence spectral) bound on the factor's modulus.
-    h1 = np.sum(x * x, axis=1) / 4.0 + 2.0 * kappa
+    # h1(z_i) = |x_i|^2 / 4 + 2 max kappa bounds the per-datum gradient modulus
+    # of every block, hence of the stack; each noise-factor column moves at
+    # most (h1 + L)/sqrt(t), giving a Frobenius (hence spectral) bound on the
+    # factor's modulus.
+    h1 = np.sum(x * x, axis=1) / 4.0 + 2.0 * float(kappas.max())
     lipschitz_noise = float(np.sqrt(np.mean((h1 + lipschitz) ** 2)))
 
     return LossModel(
         name="logistic",
-        dim=p,
+        dim=blocks * p,
         noise_dim=t,
-        payload_dim=p,                       # s_i x_i: the floats one index gathers
+        payload_dim=p + blocks,              # s_i x_i and its K residuals, per index
         objective=objective,
         grad_objective=grad_objective,
         sample_data=sample_data,
@@ -343,7 +380,7 @@ def make_logistic_model(dataset: LogisticDataset, kappa: float) -> LossModel:
         noise_factor=noise_factor,
         lipschitz_grad=lipschitz,
         lipschitz_noise=lipschitz_noise,
-        strong_convexity=2.0 * kappa,
+        strong_convexity=2.0 * float(kappas.min()),
         minimizer=None,
         fused_weighted_grad=fused_weighted_grad,
     )

@@ -148,10 +148,12 @@ def test_a8_logistic_mse_curves(tmp_path):
     for larger penalties.
 
     p=6, t=1e4, n=1e3, m=10, kappa in {.2, .1, .05, .01, .001}, gamma in
-    {.5, .1}, gaussian-structured weights, 100 replications.  Per curve:
-    block means nonincreasing within noise, tail below half the start,
-    flat tail; across curves: fitted contraction factors ordered in kappa
-    with a 2-SE tie allowance.
+    {.5, .1}, gaussian-structured weights, 100 replications, each drawing
+    its data and weights once per step for every kappa.  Per curve: block
+    means nonincreasing within noise, tail below half the start, flat tail;
+    across curves: fitted contraction factors ordered in kappa, with a tie
+    allowance of 2 hypot of the two factors' jackknife SEs, which the
+    shared draws make conservative.
     """
     _run("A8 logistic MSE replication", {
         "command": "converge", "seed": SEED,

@@ -342,6 +342,37 @@ class TestValidateConfig:
         own = generate(derive_stream(9, ["converge"]).child("dataset"), 2, 50)
         np.testing.assert_array_equal(draws[0].covariates, own.covariates)
 
+    def test_logistic_model_built_once_over_the_kappa_grid(self, monkeypatch):
+        # one model for every kappa: the Gram eigenvalue and h1 are computed once
+        import msgdlab.models as models_mod
+
+        calls = []
+
+        def counted(dataset, kappa):
+            calls.append(kappa)
+            return lipschitz(dataset, kappa)
+
+        lipschitz = models_mod.logistic_lipschitz_constant
+        monkeypatch.setattr(models_mod, "logistic_lipschitz_constant", counted)
+        cfg = validate_config(tiny_logistic() | {"kappas": [0.05, 0.3, 0.1]})
+        assert calls == [0.3]
+        assert cfg.plan["kappas"] == [0.3, 0.1, 0.05]
+        assert cfg.plan["model"].dim == 3 * 2
+        start = np.ones(2) / math.sqrt(2.0)
+        for config in cfg.plan["configs"]:
+            np.testing.assert_array_equal(config.x0, np.tile(start, 3))
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.1])
+    def test_nonpositive_kappa_named(self, kappa, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(tiny_logistic() | {"kappas": [0.1, kappa, 0.2]}))
+        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: kappas[1]: ridge penalty kappa must be positive, got {kappa}"
+        ]
+        assert not (tmp_path / "out").exists()
+
 
 class TestHistogramRows:
     def test_two_values_two_bins(self):
@@ -860,21 +891,27 @@ class TestMain:
         assert calls == []
         assert capsys.readouterr().err.startswith("error: msgd replication 0 diverged")
 
-    def test_converge_logistic_runs_msgd_once_per_kappa(self, tmp_path, monkeypatch):
-        # each kappa's two runs advance in lockstep: 5 calls over both, not 10;
-        # the canonical config at 2 reps keeps the test cheap
+    def test_converge_logistic_runs_msgd_once(self, tmp_path, monkeypatch):
+        # both runs and every kappa advance in one lockstep call, each kappa a
+        # block of the state; the canonical config at 2 reps keeps the test cheap
         config_dir = Path(__file__).resolve().parents[1] / "configs"
         raw = json.loads((config_dir / "converge_logistic.json").read_text()) | {"reps": 2}
+        cfg = validate_config(raw)
         calls = []
 
         def counted(model, scheme, configs, streams):
-            calls.append(len(configs))
+            calls.append((model, list(configs), [len(group) for group in streams]))
             return run_msgd(model, scheme, configs, streams)
 
         run_msgd = cli.run_msgd
         monkeypatch.setattr(cli, "run_msgd", counted)
-        run_experiment(validate_config(raw), tmp_path)
-        assert calls == [2] * 5
+        run_experiment(cfg, tmp_path)
+        [(model, configs, sizes)] = calls
+        assert model is cfg.plan["model"] and model.dim == 5 * 6
+        assert [c.num_steps for c in configs] == [60, 300]
+        assert all(c is planned for c, planned in zip(configs, cfg.plan["configs"]))
+        assert all(c.x0.shape == (model.dim,) for c in configs)
+        assert sizes == [2, 2]
 
     def test_rate_of_a_curve_that_is_not_positive_fails(self, tmp_path, capsys):
         # the states stay near 1e77, in range, but the start's g-gap of 1/2

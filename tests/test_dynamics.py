@@ -319,6 +319,16 @@ class TestMsgdChunking:
         )
         assert run.shape == (13, reps, model.dim)
 
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    def test_kappa_grid_chunk_size_leaves_bytes(self, monkeypatch, kind):
+        dataset = generate_logistic_dataset(derive_stream(97, ["ld"]), 3, 150)
+        model = make_logistic_model(dataset, [0.2, 0.1, 0.05, 0.01, 0.001])
+        run = self._assert_chunk_invariant(
+            monkeypatch, model, kind,
+            lambda: [derive_stream(107, ["grid", kind, r]) for r in range(7)],
+        )
+        assert run.shape == (13, 7, model.dim)
+
     def test_divergence_mid_chunk(self, monkeypatch, repelling_for_stream):
         # replication 4 sits in the middle of the second chunk of 3; every
         # chunk size names it, at the iteration it diverges alone
@@ -333,6 +343,52 @@ class TestMsgdChunking:
                 run_msgd(model, scheme, [config], [[derive_stream(109, [r]) for r in range(7)]])
             assert info.value.process == "msgd replication 4"
             assert 0 < info.value.iteration == alone.value.iteration
+
+
+class TestLogisticKappaGrid:
+    """M-SGD on one model over a kappa grid: each replication draws its data
+    and weights once per step, and every kappa's block steps on that draw."""
+
+    P = 6
+    KAPPAS = (0.2, 0.1, 0.05, 0.01, 0.001)  # the canonical converge_logistic kappas
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_logistic_dataset(derive_stream(113, ["data"]), self.P, 2000)
+
+    def run(self, model, kind, kappas):
+        scheme = WeightScheme(kind, n=200, m=10)
+        x0 = np.ones(self.P) / math.sqrt(self.P)
+        configs = [RunConfig(gamma=g, num_steps=k, x0=np.tile(x0, len(kappas)))
+                   for g, k in ((0.5, 12), (0.1, 30))]
+        streams = [derive_stream(113, [kind, i]).children("rep", stop=4) for i in range(2)]
+        return run_msgd(model, scheme, configs, streams).runs
+
+    def block(self, states, k):
+        return states[..., k * self.P : (k + 1) * self.P]
+
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    def test_each_block_tracks_its_one_kappa_run(self, dataset, kind):
+        # the same draws, summed in another order: block k differs from the
+        # one-kappa run on the same streams only at rounding
+        grid = self.run(make_logistic_model(dataset, self.KAPPAS), kind, self.KAPPAS)
+        for k, kappa in enumerate(self.KAPPAS):
+            lone = self.run(make_logistic_model(dataset, kappa), kind, [kappa])
+            for states, alone in zip(grid, lone):
+                assert states.shape[:-1] == alone.shape[:-1]
+                scale = np.abs(alone).max()
+                assert np.abs(self.block(states, k) - alone).max() <= 1e-12 * scale, kappa
+
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    def test_equal_kappas_give_identical_blocks(self, dataset, kind):
+        # were the draws not shared, two blocks at one kappa would part at the first step
+        kappas = [0.1, 0.05, 0.1, 0.01, 0.1]
+        for states in self.run(make_logistic_model(dataset, kappas), kind, kappas):
+            for k in (2, 4):
+                np.testing.assert_array_equal(
+                    self.block(states, k).view(np.uint64), self.block(states, 0).view(np.uint64)
+                )
+            assert not np.array_equal(self.block(states, 1), self.block(states, 0))
 
 
 LIMIT = dynamics_mod.DIVERGENCE_LIMIT

@@ -44,6 +44,14 @@ logistic kernel began to gather signed rows s_i x_i, s_i = 2 y_i - 1, and
 to take the residual as -s / (1 + e^(s z)) instead of sigmoid(z) - y: the
 same quantity, rounded differently, so its CSVs moved by at most 3.75e-15
 relative (``tools/artifact_diff.py``) and no pass flag changed.
+
+``converge-logistic`` was re-recorded alone for new draws, not for
+roundoff, when its kappa grid became one M-SGD ensemble on common random
+numbers: replication r of run i draws its data and weights once per step
+from ``(..., i, "rep", r)``, and every kappa's iterate steps on that draw,
+where each kappa used to draw its own copy from ``(..., i, j, "rep", r)``.
+Each kappa's law is unchanged, but every value in its CSVs and checks moved
+by sampling noise; every check still passes.
 """
 
 from __future__ import annotations
@@ -91,7 +99,7 @@ GOLDEN = {
         {"command": "converge", "seed": 11, "model": {"kind": "logistic", "p": 3, "t": 500},
          "n": 2000, "m": 20, "reps": 10, "kappas": [0.2, 0.05],
          "runs": [{"gamma": 0.5, "num_steps": 16, "fit_window": 4}]},
-        "ae5fa3e4d7f48af7a301d3711007313064c3845cdd5f0ec8da137a8c94ee2ed1",
+        "5ca93886659361bfc9f5bf49147ed1ea22a07f96de58e4850a7eff4bd8b1d5f8",
     ),
     "gd-ode": (
         {"command": "gd-ode", "seed": 11, "gammas": [0.1, 0.05], "x0": [1.0]},

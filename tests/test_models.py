@@ -1,6 +1,7 @@
 """Loss models: gradients, unbiasedness, noise factors, dataset handling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from msgdlab.models import (
     make_logistic_model,
     make_quadratic_model,
     make_uniform_clt_model,
+    ridge_penalties,
+    weighted_sum,
 )
 from msgdlab.numerics import derive_stream
 from msgdlab.weights import SCHEME_KINDS, WeightScheme, sample_weights
@@ -415,6 +418,95 @@ class TestWeightedGradient:
             np.testing.assert_array_equal(
                 model.weighted_grad(point, data, w).view(np.uint64), expected.view(np.uint64)
             )
+
+
+class TestLogisticKappaGrid:
+    """One model over a grid of K penalties: its state stacks one beta per
+    kappa, and block k is the one-penalty model at kappa_k."""
+
+    P, N = 6, 1000
+    KAPPAS = TestLogisticMatchesPayloadForm.KAPPAS
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_logistic_dataset(derive_stream(89, ["data"]), self.P, 10**4)
+
+    def blocks(self, theta):
+        return [theta[..., k * self.P : (k + 1) * self.P] for k in range(len(self.KAPPAS))]
+
+    def test_float_and_one_element_grid_agree(self, dataset):
+        lone, grid = make_logistic_model(dataset, 0.05), make_logistic_model(dataset, [0.05])
+        assert (grid.dim, grid.noise_dim, grid.payload_dim) == (self.P, 10**4, lone.payload_dim)
+        for name in ("lipschitz_grad", "lipschitz_noise", "strong_convexity"):
+            assert getattr(grid, name) == getattr(lone, name), name
+        gen = derive_stream(89, ["one"]).generator
+        beta = gen.standard_normal((3, self.P))
+        idx = gen.integers(0, dataset.size, size=(3, self.N))
+        w = gen.standard_normal((3, self.N))
+        for new, old in ((grid.weighted_grad(beta, idx, w), lone.weighted_grad(beta, idx, w)),
+                         (grid.grad_loss(beta, idx), lone.grad_loss(beta, idx)),
+                         (grid.noise_factor(beta), lone.noise_factor(beta))):
+            np.testing.assert_array_equal(new.view(np.uint64), old.view(np.uint64))
+
+    def test_blocks_are_the_one_kappa_models(self, dataset):
+        grid = make_logistic_model(dataset, self.KAPPAS)
+        lone = [make_logistic_model(dataset, kappa) for kappa in self.KAPPAS]
+        assert grid.dim == len(self.KAPPAS) * self.P and grid.noise_dim == dataset.size
+        assert grid.lipschitz_grad == max(model.lipschitz_grad for model in lone)
+        assert grid.lipschitz_noise == max(model.lipschitz_noise for model in lone)
+        assert grid.strong_convexity == min(model.strong_convexity for model in lone)
+        gen = derive_stream(89, ["blocks"]).generator
+        theta = gen.standard_normal((3, grid.dim))
+        idx = gen.integers(0, dataset.size, size=(3, 50))
+        betas = self.blocks(theta)
+        np.testing.assert_allclose(
+            grid.objective(theta), sum(m.objective(b) for m, b in zip(lone, betas)), rtol=1e-13
+        )
+        for got, model, beta in zip(self.blocks(grid.grad_objective(theta)), lone, betas):
+            np.testing.assert_allclose(got, model.grad_objective(beta), rtol=1e-13, atol=1e-15)
+        for got, model, beta in zip(self.blocks(grid.grad_loss(theta, idx)), lone, betas):
+            np.testing.assert_allclose(got, model.grad_loss(beta, idx), rtol=1e-13, atol=1e-15)
+        # the factor stacks the blocks' factors: one datum moves every block
+        factor = grid.noise_factor(theta)
+        assert factor.shape == (3, grid.dim, dataset.size)
+        for k, (model, beta) in enumerate(zip(lone, betas)):
+            np.testing.assert_allclose(
+                factor[:, k * self.P : (k + 1) * self.P], model.noise_factor(beta),
+                rtol=1e-12, atol=1e-15,
+            )
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_grid_kernel_matches_per_datum_sum(self, dataset, kind, scale):
+        # at 1e150 and 1e300, |S_d beta| passes 709.78 and e^(S_d beta) is inf
+        grid = make_logistic_model(dataset, self.KAPPAS)
+        reps = 4
+        scheme = WeightScheme(kind, n=self.N, m=10)
+        w = sample_weights([derive_stream(89, ["w", kind, r]) for r in range(reps)], scheme)
+        gen = derive_stream(89, ["grid", kind, f"{scale:g}"]).generator
+        theta = scale * gen.standard_normal((reps, grid.dim))
+        idx = gen.integers(0, dataset.size, size=(reps, self.N))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fused = grid.weighted_grad(theta, idx, w)
+            grads = grid.grad_loss(theta, idx)
+        expected = weighted_sum(w, grads)
+        magnitude = weighted_sum(np.abs(w), np.abs(grads))
+        assert fused.shape == (reps, grid.dim)
+        assert np.all(np.abs(fused - expected) <= 1e-12 * magnitude)
+
+    @pytest.mark.parametrize(
+        "kappa, message",
+        [([], "non-empty 1-D"), ([[0.1, 0.2]], "non-empty 1-D"),
+         ([0.1, 0.0], "kappa must be positive, got 0.0"),
+         ([0.1, -0.5, 0.2], "kappa must be positive, got -0.5"),
+         ([math.nan], "kappa must be positive, got nan")],
+    )
+    def test_grid_must_be_positive_and_one_dimensional(self, dataset, kappa, message):
+        with pytest.raises(ValueError, match=message):
+            make_logistic_model(dataset, kappa)
+        with pytest.raises(ValueError, match=message):
+            ridge_penalties(kappa)
 
 
 class TestDatasetGeneration:
