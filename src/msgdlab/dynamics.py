@@ -35,19 +35,21 @@ run one path per config, of shape (K+1, p).
 
 Every runner takes a step-size grid: a sequence of configs, with one
 sequence of streams per config for the runners that draw.  All rows of all
-configs advance in lockstep, each row with its own step size, and a
-config's rows leave the live set after its last step, so the loop runs
-max K steps instead of their sum.  The result is a :class:`Lockstep` whose
-``runs[i]`` is config i's state array, bit-identical to running that config
-alone as a grid of one.
+configs advance in lockstep, each row with its own step size, laid out
+longest config first (stable on ties), so a config's rows leave the live
+set after its last step and the live rows are always a leading slice; the
+loop runs max K steps instead of their sum.  The result is a
+:class:`Lockstep` whose ``runs[i]`` is still config i's state array,
+bit-identical to running that config alone as a grid of one.
 
 The first recorded state that is not finite or exceeds ``DIVERGENCE_LIMIT``
 ends the run with a :class:`DivergenceError` naming its process, its
 replication within its config (for an ensemble), its config's step size and
-the iteration; of rows out of range at the same step, the first in row order
-is named.  No replication is ever dropped: the claims under test are about
-the law of the whole process, and a statistic over the survivors would
-describe that law conditioned on survival.
+the iteration; of rows out of range at the same step, the first in config
+order is named, and within it the first replication.  No replication is
+ever dropped: the claims under test are about the law of the whole
+process, and a statistic over the survivors would describe that law
+conditioned on survival.
 """
 
 from __future__ import annotations
@@ -137,31 +139,14 @@ class Lockstep:
     """A step-size grid advanced together.
 
     ``states`` is the (max K + 1, rows, p) lockstep block, NaN where a row
-    was not live; ``runs[i]`` is config i's states x_0..x_K on the grid
-    k * gamma, a view of its rows up to its own last step: (K+1, R, p) for an
-    ensemble, (K+1, p) for a runner that runs one path per config.
+    was not live, its rows laid out longest config first; ``runs[i]`` is
+    config i's states x_0..x_K on the grid k * gamma, a view of its own rows
+    up to its last step: (K+1, R, p) for an ensemble, (K+1, p) for a runner
+    that runs one path per config.
     """
 
     states: np.ndarray
     runs: list[np.ndarray]
-
-
-def _keep(mask, x, streams, live, columns):
-    """The live rows selected by `mask`."""
-    return (
-        x[mask],
-        [s for s, keep in zip(streams, mask) if keep],
-        live[mask],
-        [column[mask] for column in columns],
-    )
-
-
-def _rows(live: np.ndarray):
-    """Index of the live rows: a basic slice while they are contiguous, which
-    numpy assigns faster than an index array."""
-    if live.size and live[-1] - live[0] + 1 == live.size:
-        return slice(live[0], live[-1] + 1)
-    return live
 
 
 def _stream_list(streams) -> list:
@@ -188,9 +173,9 @@ def _run_ensemble(
     ``coefficients(config)`` gives the config's per-row numbers, or vectors
     of them.  ``advance(x, streams, *columns)`` maps the (live, p) states of
     the live rows, their streams and their coefficient columns, (live, 1)
-    for a number and (live, width) for a vector, in row order, to the next
-    states.  A row leaves the live set after its config's last step.  The
-    first row out of range raises.
+    for a number and (live, width) for a vector, to the next states.  Rows
+    are laid out longest config first, a stable sort, so the live rows are
+    always a leading slice.  The first row out of range in config order raises.
     """
     configs = list(configs)
     if streams is None:
@@ -200,37 +185,35 @@ def _run_ensemble(
     if not configs or len(groups) != len(configs):
         raise ValueError(f"need one stream sequence per config, got {len(groups)} "
                          f"for {len(configs)} configs")
-    sizes = [len(group) for group in groups]
-    x = np.concatenate([np.tile(c.x0, (size, 1)) for c, size in zip(configs, sizes)])
-    last = np.repeat([c.num_steps for c in configs], sizes)
-    starts = np.cumsum([0] + sizes)
-    row_streams = [s for group in groups for s in group]
+    order = sorted(range(len(configs)), key=lambda i: -configs[i].num_steps)
+    sizes = [len(groups[i]) for i in order]
+    x = np.concatenate([np.tile(configs[i].x0, (size, 1)) for i, size in zip(order, sizes)])
+    last = np.repeat([configs[i].num_steps for i in order], sizes).tolist()
+    starts = dict(zip(order, np.cumsum([0] + sizes).tolist()))
+    row_streams = [s for i in order for s in groups[i]]
     columns = [np.repeat(np.reshape(column, (len(configs), -1)), sizes, axis=0)
-               for column in zip(*map(coefficients, configs))]
-    states = np.full((int(last.max()) + 1, x.shape[0], x.shape[1]), np.nan)
-    live = np.arange(x.shape[0])
-    index = slice(None)
-    exits = iter(sorted(set(last.tolist())))
-    exit_step = next(exits)
-    k = 0
+               for column in zip(*(coefficients(configs[i]) for i in order))]
+    states = np.full((last[0] + 1, x.shape[0], x.shape[1]), np.nan)
+    live, k = len(x), 0
     while True:
         if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # False for NaN and inf
-            row = int(live[np.argmin(np.all(np.abs(x) <= DIVERGENCE_LIMIT, axis=1))])
-            i = int(np.searchsorted(starts, row, side="right")) - 1
+            bad = np.flatnonzero(~np.all(np.abs(x) <= DIVERGENCE_LIMIT, axis=1))
+            owner = np.repeat(order, sizes)
+            row = min(bad, key=lambda r: (owner[r], r))
+            i = int(owner[row])
             process = kind if streams is None else f"{kind} replication {row - starts[i]}"
             raise DivergenceError(process, k, configs[i].gamma)
-        states[k, index] = x
-        if k == exit_step:
-            x, row_streams, live, columns = _keep(last[live] > k, x, row_streams, live, columns)
-            index = _rows(live)
-            exit_step = next(exits, None)
-        if not live.size:
-            break
+        states[k, :live] = x
+        if k == last[live - 1]:
+            live = sum(n > k for n in last)
+            if not live:
+                break
+            x, row_streams, columns = x[:live], row_streams[:live], [c[:live] for c in columns]
         x = advance(x, row_streams, *columns)
         k += 1
     runs = []
-    for c, start, stop in zip(configs, starts, starts[1:]):
-        block = states[: c.num_steps + 1, start:stop]
+    for i, (c, group) in enumerate(zip(configs, groups)):
+        block = states[: c.num_steps + 1, starts[i] : starts[i] + len(group)]
         runs.append(block[:, 0] if streams is None else block)
     return Lockstep(states=states, runs=runs)
 
@@ -259,8 +242,9 @@ def run_gaussian_sgd(model: LossModel, configs: Sequence[RunConfig], streams, m:
     normals = ChunkBlock(_standard_normals)
 
     def advance(x, live_streams, gamma, scale):
-        z = normals(live_streams, (model.noise_dim,))
-        noise = (model.noise_factor(x) @ z[..., None])[..., 0]
+        factor = model.noise_factor(x)
+        z = normals(live_streams, (factor.shape[-1],))
+        noise = (factor @ z[..., None])[..., 0]
         return x - gamma * model.grad_objective(x) + scale * noise
 
     return _run_ensemble("gaussian_sgd", configs, streams, advance,
@@ -361,7 +345,7 @@ def run_diffusion_em(
     normals = ChunkBlock(_standard_normals)
 
     def advance(x, live_streams, decay, scale, weights):
-        z = normals(live_streams, (substeps, model.noise_dim))
+        z = normals(live_streams, (substeps, factor_t.shape[0]))
         noise = (weights[:, None, :] @ z @ factor_t)[:, 0]
         return x_star + decay * (x - x_star) + scale * noise
 

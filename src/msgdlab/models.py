@@ -61,7 +61,6 @@ from .numerics import RngStream
 class LossModel:
     name: str
     dim: int
-    noise_dim: int
     payload_dim: int                         # per-datum working width that chunk_rows sizes by
     objective: Callable[[np.ndarray], float]
     grad_objective: Callable[[np.ndarray], np.ndarray]
@@ -134,7 +133,6 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     return LossModel(
         name="quadratic",
         dim=p,
-        noise_dim=p,
         payload_dim=p,
         objective=objective,
         grad_objective=grad_objective,
@@ -185,7 +183,6 @@ def make_uniform_clt_model(p: int) -> LossModel:
     return LossModel(
         name="uniform_clt",
         dim=p,
-        noise_dim=p,
         payload_dim=p,
         objective=objective,
         grad_objective=grad_objective,
@@ -371,7 +368,6 @@ def make_logistic_model(dataset: LogisticDataset, kappa) -> LossModel:
     return LossModel(
         name="logistic",
         dim=blocks * p,
-        noise_dim=t,
         payload_dim=p + blocks,              # s_i x_i and its K residuals, per index
         objective=objective,
         grad_objective=grad_objective,

@@ -21,7 +21,6 @@ def _repelling_for_stream(bad: int):
     return LossModel(
         name="repelling_for_stream",
         dim=1,
-        noise_dim=1,
         payload_dim=1,
         objective=lambda theta: 0.5 * np.sum(np.square(theta), axis=-1),
         grad_objective=lambda theta: np.asarray(theta, dtype=float),

@@ -34,7 +34,6 @@ def zero_noise_quadratic(p=1):
     return LossModel(
         name="zero_noise",
         dim=p,
-        noise_dim=p,
         payload_dim=p,
         objective=lambda theta: 0.5 * float(np.dot(theta, theta)),
         grad_objective=lambda theta: np.asarray(theta, dtype=float),
@@ -55,7 +54,6 @@ def repelling_model(p=1):
     return LossModel(
         name="repelling",
         dim=p,
-        noise_dim=p,
         payload_dim=p,
         objective=lambda theta: -0.5 * float(np.dot(theta, theta)),
         grad_objective=lambda theta: -np.asarray(theta, dtype=float),
@@ -417,7 +415,6 @@ def jump_model(values):
     return LossModel(
         name="jump",
         dim=1,
-        noise_dim=1,
         payload_dim=1,
         objective=lambda theta: np.zeros(np.shape(theta)[:-1]),
         grad_objective=lambda theta: np.full(np.shape(theta), -2.0 * values[0]),
@@ -614,7 +611,7 @@ class TestDiffusionEm:
 
 class TestLogisticNoiseDimension:
     """The logistic noise factor is p x t (one column per datum), so these
-    runs exercise noise_dim far above the parameter dimension."""
+    runs draw q = 200 normals per step, far above the parameter dimension."""
 
     def _model(self):
         dataset = generate_logistic_dataset(derive_stream(79, ["ld"]), 3, 200)
@@ -622,7 +619,7 @@ class TestLogisticNoiseDimension:
 
     def test_gaussian_sgd_contracts(self):
         model = self._model()
-        assert model.noise_dim == 200
+        assert model.noise_factor(np.ones(3)).shape == (3, 200)
         config = RunConfig(gamma=0.2, num_steps=80, x0=np.ones(3))
         run = run_gaussian_sgd(model, [config], [[derive_stream(79, ["run"])]], 20).runs[0]
         assert model.objective(run[-1, 0]) < model.objective(run[0, 0])
@@ -656,7 +653,6 @@ def flow_model(lam, x_star):
     return LossModel(
         name="flow",
         dim=1,
-        noise_dim=1,
         payload_dim=1,
         objective=lambda theta: 0.5 * lam * np.sum(np.square(theta - x_star), axis=-1),
         grad_objective=lambda theta: lam * (np.asarray(theta, dtype=float) - x_star),
@@ -674,8 +670,8 @@ class TestLockstep:
     """A step-size grid advances every config together, each row with its own
     step size and last step; each config's run equals running it alone, bit
     for bit.  A grid that diverges raises the error of the config that
-    diverges first alone, the earlier config on a tie, as rows are in config
-    order.  Streams are stateful, so every run gets fresh ones from
+    diverges first alone, the earlier config on a tie, wherever its rows sit
+    in the block.  Streams are stateful, so every run gets fresh ones from
     ``streams()``."""
 
     def _assert_grid_matches(self, run, configs, streams):
@@ -683,12 +679,16 @@ class TestLockstep:
         grid = run(configs, streams())
         steps = max(c.num_steps for c in configs)
         assert grid.states.shape[0] == steps + 1 and len(grid.runs) == len(configs)
-        start = 0
+        # config i's columns of the block are those its run is a view of, and
+        # every column belongs to exactly one config
+        columns = [[j for j in range(grid.states.shape[1])
+                    if np.shares_memory(grid.states[:, j], run_i)] for run_i in grid.runs]
+        assert sorted(sum(columns, [])) == list(range(grid.states.shape[1]))
         for i, config in enumerate(configs):
             # a config's rows leave the ensemble after its last step
             size = 1 if streams()[i] is None else len(streams()[i])
-            assert np.isnan(grid.states[config.num_steps + 1 :, start : start + size]).all()
-            start += size
+            assert len(columns[i]) == size
+            assert np.isnan(grid.states[config.num_steps + 1 :, columns[i]]).all()
             alone = run([config], [streams()[i]]).runs[0]
             np.testing.assert_array_equal(grid.runs[i], alone)
             # run i is config i's: its steps and its start
@@ -858,6 +858,39 @@ class TestLockstep:
             lambda c, _s: run_gd(model, c), configs, lambda: [None] * 2
         )
         assert (i, error.step_size) == (1, 0.9)
+
+    @pytest.mark.parametrize("name", ["gd", "ode", "gaussian_sgd", "msgd", "diffusion_em"])
+    def test_unsorted_grid_with_a_tie(self, name):
+        # neither increasing nor decreasing in num_steps, two configs tied
+        model = make_quadratic_model(2, [0.5, -0.5], 1.0)
+        configs = [RunConfig(gamma=g, num_steps=k, x0=[1.0, -float(k)])
+                   for g, k in ((0.2, 8), (0.1, 16), (0.3, 4), (0.05, 16))]
+
+        def streams():
+            if name in ("gd", "ode"):
+                return [None] * len(configs)
+            return [[derive_stream(47, [i, r]) for r in range(reps)]
+                    for i, reps in enumerate((2, 3, 1, 2))]
+
+        self._assert_grid_matches(lambda c, s: RUNNERS[name](model, c, s), configs, streams)
+
+    def test_tie_names_the_earlier_config_placed_later(self):
+        # config 0 is shorter, so its rows sit after config 1's, and both leave
+        # the range at step 1: config 0's replication 1 and config 1's replication 0
+        values = (1.0, 4 * LIMIT)
+        scheme = WeightScheme("minibatch", n=1, m=1)
+        configs = [RunConfig(gamma=0.5, num_steps=2, x0=[0.0]),
+                   RunConfig(gamma=0.25, num_steps=5, x0=[0.0])]
+
+        def streams():
+            return [[derive_stream(53, [i, label]) for label in labels]
+                    for i, labels in enumerate(((0, 1), (1, 0)))]
+
+        i, error = self._assert_grid_raises_first(
+            lambda c, s: run_msgd(jump_model(values), scheme, c, s), configs, streams
+        )
+        assert (i, error.process, error.iteration, error.step_size) == (
+            0, "msgd replication 1", 1, 0.5)
 
     def test_one_stream_sequence_per_config(self):
         model = make_quadratic_model(1, [0.0], 1.0)

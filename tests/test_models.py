@@ -436,7 +436,8 @@ class TestLogisticKappaGrid:
 
     def test_float_and_one_element_grid_agree(self, dataset):
         lone, grid = make_logistic_model(dataset, 0.05), make_logistic_model(dataset, [0.05])
-        assert (grid.dim, grid.noise_dim, grid.payload_dim) == (self.P, 10**4, lone.payload_dim)
+        assert (grid.dim, grid.payload_dim) == (self.P, lone.payload_dim)
+        assert grid.noise_factor(np.zeros(self.P)).shape == (self.P, 10**4)
         for name in ("lipschitz_grad", "lipschitz_noise", "strong_convexity"):
             assert getattr(grid, name) == getattr(lone, name), name
         gen = derive_stream(89, ["one"]).generator
@@ -451,7 +452,8 @@ class TestLogisticKappaGrid:
     def test_blocks_are_the_one_kappa_models(self, dataset):
         grid = make_logistic_model(dataset, self.KAPPAS)
         lone = [make_logistic_model(dataset, kappa) for kappa in self.KAPPAS]
-        assert grid.dim == len(self.KAPPAS) * self.P and grid.noise_dim == dataset.size
+        assert grid.dim == len(self.KAPPAS) * self.P
+        assert grid.noise_factor(np.zeros(grid.dim)).shape == (grid.dim, dataset.size)
         assert grid.lipschitz_grad == max(model.lipschitz_grad for model in lone)
         assert grid.lipschitz_noise == max(model.lipschitz_noise for model in lone)
         assert grid.strong_convexity == min(model.strong_convexity for model in lone)
@@ -588,13 +590,12 @@ class TestSharedInvariants:
         thetas = gen.standard_normal((4, model.dim))
         stream = derive_stream(47, [model.name, "data"])
         data = np.stack([model.sample_data([stream.child(r)], 50)[0] for r in range(4)])
+        factor = model.noise_factor(thetas)
         batched = {
             "objective": model.objective(thetas),
             "grad_objective": model.grad_objective(thetas),
             "grad_loss": model.grad_loss(thetas, data),
-            "noise_factor": np.broadcast_to(
-                model.noise_factor(thetas), (4, model.dim, model.noise_dim)
-            ),
+            "noise_factor": np.broadcast_to(factor, (4,) + factor.shape[-2:]),
         }
         for r in range(4):
             single = {
