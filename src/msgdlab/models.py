@@ -16,9 +16,9 @@ A :class:`LossModel` bundles everything the dynamics need:
   ``dynamics.WeightedGradient`` makes: by default
   ``weighted_sum(w, grad_loss(theta, data))``, one stacked ``np.matmul``
   over the per-datum gradients; the logistic model supplies the fused form
-  2 kappa beta sum_i w_i - S_d^T (w / (1 + e^(S_d beta))), block by block
-  over its kappa grid, on its signed rows s_i x_i, s_i = 2 y_i - 1, which
-  never builds them;
+  2 kappa beta sum_i w_i - (w / (1 + e^(beta S_d^T))) S_d, one residual
+  row per kappa of its grid, on its signed rows s_i x_i, s_i = 2 y_i - 1,
+  which never builds them;
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
   ``sigma sigma^T = Cov(grad_loss(theta, .))``.
 
@@ -292,8 +292,8 @@ def make_logistic_model(dataset: LogisticDataset, kappa) -> LossModel:
     int64 block and ``grad_loss`` gathers the rows it names.  The fused
     weighted gradient gathers the signed rows S_i = s_i x_i alone, once for
     every block: with s = 2y - 1, sigmoid(z) - y = -s / (1 + e^(s z)), so
-    sum_i w_i (sigmoid(x_i^T beta) - y_i) x_i = -S_d^T (w / (1 + e^(S_d beta))),
-    one (n, p) @ (p, K) and one (K, n) @ (n, p) product per replication
+    sum_i w_i (sigmoid(x_i^T beta) - y_i) x_i = -(w / (1 + e^(beta S_d^T))) S_d,
+    one (K, p) @ (p, n) and one (K, n) @ (n, p) product per replication
     that round differently from ``weighted_sum`` over ``grad_loss``.  The
     noise factor's columns are ``(grad_loss(beta, i) - grad_objective(beta))
     / sqrt(t)``, an exact square root of the gradient covariance over the
@@ -345,13 +345,13 @@ def make_logistic_model(dataset: LogisticDataset, kappa) -> LossModel:
     def fused_weighted_grad(beta, idx, w):
         b = split(beta)
         sd = signed.take(idx, axis=0)
-        q = sd @ b.swapaxes(-1, -2)
+        q = b @ sd.swapaxes(-1, -2)
         with np.errstate(over="ignore"):  # e^v = inf gives the term's limit 0
             np.exp(q, out=q)
         q += 1.0
-        np.divide(w[..., None], q, out=q)
+        np.divide(w[..., None, :], q, out=q)
         ridge = twice * b * w.sum(axis=-1)[..., None, None]
-        return stack(ridge - q.swapaxes(-1, -2) @ sd)
+        return stack(ridge - q @ sd)
 
     def noise_factor(beta):
         beta = np.asarray(beta, dtype=float)

@@ -289,10 +289,10 @@ def contraction_fit_jackknife(per_rep_segments: np.ndarray) -> tuple[float, floa
     rho = contraction_fit(per_rep_segments.mean(axis=0))
     if reps < 2:
         return rho, 0.0
-    total = per_rep_segments.sum(axis=0)
-    leave_one_out = np.empty(reps)
-    for r in range(reps):
-        leave_one_out[r] = contraction_fit((total - per_rep_segments[r]) / (reps - 1))
+    loo = (per_rep_segments.sum(axis=0) - per_rep_segments) / (reps - 1)
+    if not np.all((loo > 0) & (loo < math.inf)):
+        return rho, math.nan
+    leave_one_out = np.exp(np.polyfit(np.arange(loo.shape[1]), np.log(loo).T, 1)[0])
     se = math.sqrt((reps - 1) / reps * np.sum((leave_one_out - leave_one_out.mean()) ** 2))
     return rho, se
 

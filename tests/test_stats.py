@@ -466,6 +466,35 @@ class TestContractionFit:
         assert 0.75 <= rho <= 0.85
         assert se > 0
 
+    @staticmethod
+    def looped_jackknife_se(segments):
+        """The SE from one fit per leave-one-out mean."""
+        reps = segments.shape[0]
+        total = segments.sum(axis=0)
+        loo = np.array([contraction_fit((total - row) / (reps - 1)) for row in segments])
+        return math.sqrt((reps - 1) / reps * np.sum((loo - loo.mean()) ** 2))
+
+    @pytest.mark.parametrize("reps, window", [(2, 2), (3, 8), (20, 30), (100, 8)])
+    def test_jackknife_matches_one_fit_per_replication(self, reps, window):
+        gen = derive_stream(71, ["jk-loop", reps, window]).generator
+        curves = 0.8 ** np.arange(window) * np.exp(0.05 * gen.standard_normal((reps, window)))
+        rho, se = contraction_fit_jackknife(curves)
+        assert rho == contraction_fit(curves.mean(axis=0))
+        assert se == pytest.approx(self.looped_jackknife_se(curves), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3])
+    def test_jackknife_se_nan_when_a_leave_one_out_mean_is_not_positive(self, bad):
+        # the mean over all three stays positive, but leaving out row 2 leaves two bad values
+        curves = 0.8 ** np.arange(8) * np.ones((3, 1))
+        curves[:2, 4] = bad
+        rho, se = contraction_fit_jackknife(curves)
+        assert math.isfinite(rho) and math.isnan(se)
+        assert math.isnan(self.looped_jackknife_se(curves))
+
+    def test_jackknife_one_replication(self):
+        curve = 0.8 ** np.arange(8)
+        assert contraction_fit_jackknife(curve[None, :]) == (contraction_fit(curve), 0.0)
+
 
 class TestLogSlope:
     def test_power_law_slope(self):
