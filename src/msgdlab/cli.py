@@ -34,6 +34,7 @@ judges each statistic as ``BOUNDS`` declares for its command and key.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -569,10 +570,11 @@ def validate_config(raw, seed_override: Optional[int] = None) -> ExperimentConfi
 # ----------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+@functools.lru_cache(maxsize=64)  # a run's tables hold a few row kinds
+def _row_format(kinds: tuple) -> str:
+    """The ``%`` format of a CSV row whose values have these types: a float
+    (numpy's too) in round-trip ``%.17g``, anything else as ``str`` gives it."""
+    return ",".join("%.17g" if issubclass(kind, (float, np.floating)) else "%s" for kind in kinds)
 
 
 def histogram_rows(samples, bin_count: int) -> list[tuple[float, float, int]]:
@@ -752,29 +754,28 @@ def _run_converge_quadratic(cfg, root) -> tuple[list, dict]:
             ]
             tables[f"converge_{kind}_run{run_idx}.csv"] = (
                 ["k", "g_gap_mean", "g_gap_se", "sq_dist_mean", "sq_dist_se", "oracle"],
-                [
-                    [k, curve.g_gap_mean[k], curve.g_gap_se[k],
-                     curve.sq_dist_mean[k], curve.sq_dist_se[k], oracle[k]]
-                    for k in range(steps + 1)
-                ],
+                list(zip(range(steps + 1), *(column.tolist() for column in (
+                    curve.g_gap_mean, curve.g_gap_se, curve.sq_dist_mean, curve.sq_dist_se,
+                    oracle)))),
             )
     return checks, tables
 
 
 def _block_means(per_rep_curves: np.ndarray, blocks: int):
-    """Block means over consecutive iteration windows, with SEs across reps.
+    """Block means over consecutive iteration windows, with SEs across reps,
+    of (*batch, reps, length) curves: (*batch, blocks) arrays.
 
     Iterations within one replication are strongly correlated, so the SE
     must come from the spread of per-replication block means, not from
     combining per-iteration SEs.
     """
-    reps, length = per_rep_curves.shape
+    reps, length = per_rep_curves.shape[-2:]
     edges = np.linspace(0, length, blocks + 1).astype(int)
-    rep_blocks = np.column_stack([
-        per_rep_curves[:, a:b].mean(axis=1) for a, b in zip(edges[:-1], edges[1:])
-    ])
-    means = rep_blocks.mean(axis=0)
-    errs = rep_blocks.std(axis=0, ddof=1) / math.sqrt(reps)
+    rep_blocks = np.stack([
+        per_rep_curves[..., a:b].mean(axis=-1) for a, b in zip(edges[:-1], edges[1:])
+    ], axis=-1)
+    means = rep_blocks.mean(axis=-2)
+    errs = rep_blocks.std(axis=-2, ddof=1) / math.sqrt(reps)
     return means, errs
 
 
@@ -792,12 +793,14 @@ def _run_converge_logistic(cfg, root) -> tuple[list, dict]:
     checks, tables = [], {}
     for run_idx, (config, segment, run) in enumerate(zip(configs, plan["segments"], grid.runs)):
         steps = config.num_steps
-        rho_hats = []
-        for kappa_idx, kappa in enumerate(kappas):
-            block = run[..., kappa_idx * p : (kappa_idx + 1) * p]
-            curve = convergence_curve(model, block, np.zeros(p))
+        # every kappa's statistics at once, from the run's (steps + 1, reps, kappas, p) blocks
+        curve = convergence_curve(model, run.reshape(steps + 1, reps, len(kappas), p), np.zeros(p))
+        block_means, block_errs = _block_means(curve.sq_dist_reps, blocks)
+        rhos, rho_ses = contraction_fit_jackknife(curve.sq_dist_reps[..., segment])
+        for kappa_idx, (kappa, means, errs) in enumerate(
+            zip(kappas, block_means.tolist(), block_errs.tolist())
+        ):
             label = f"run{run_idx}:kappa{kappa:g}"
-            means, errs = _block_means(curve.sq_dist_reps, blocks)
             rise = max(
                 means[j + 1] - means[j]
                 - bound["block_decrease_sigmas"] * math.hypot(errs[j], errs[j + 1])
@@ -812,21 +815,18 @@ def _run_converge_logistic(cfg, root) -> tuple[list, dict]:
                  bound["tail_below_start_frac"] * means[0]),
                 ("plateau_flat", f"{label}:plateau_flat", abs(means[-1] - means[-2]) - slack),
             ]
-            rho_hat, rho_se = contraction_fit_jackknife(curve.sq_dist_reps[:, segment])
-            rho_hats.append((kappa, rho_hat, rho_se))
             tables[f"mse_run{run_idx}_kappa{kappa_idx}.csv"] = (
                 ["k", "mse_mean", "mse_se"],
-                [[k, curve.sq_dist_mean[k], curve.sq_dist_se[k]] for k in range(steps + 1)],
+                list(zip(range(steps + 1), curve.sq_dist_mean[kappa_idx].tolist(),
+                         curve.sq_dist_se[kappa_idx].tolist())),
             )
+        rho_hats = list(zip(kappas, rhos.tolist(), rho_ses.tolist()))
         checks += [
             ("rho_order", f"run{run_idx}:rho_order:kappa{k_hi:g}<=kappa{k_lo:g}",
              r_hi - r_lo, 0.0, math.hypot(s_hi, s_lo))
             for (k_hi, r_hi, s_hi), (k_lo, r_lo, s_lo) in zip(rho_hats, rho_hats[1:])
         ]
-        tables[f"rho_hats_run{run_idx}.csv"] = (
-            ["kappa", "rho_hat", "rho_hat_se"],
-            [[k, r, s] for k, r, s in rho_hats],
-        )
+        tables[f"rho_hats_run{run_idx}.csv"] = (["kappa", "rho_hat", "rho_hat_se"], rho_hats)
     return checks, tables
 
 
@@ -878,7 +878,8 @@ _RUNNERS = {
 def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> ExperimentReport:
     """Execute one validated config: its runner measures, ``judge`` judges each
     statistic, and this writes every CSV table, under a config-echo comment
-    header, and report.json, the only artifacts a run writes.
+    header and each row in the one ``%`` format of its value types, and
+    report.json, the only artifacts a run writes.
 
     ``threads`` is accepted and ignored, for callers written when
     replications could run on a thread pool.
@@ -901,7 +902,9 @@ def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> Exper
         f"# config={json.dumps(config.raw, sort_keys=True, separators=(',', ':'))}",
     ]
     for name, (header, rows) in tables.items():
-        lines = echo + [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        lines = echo + [",".join(header)] + [
+            _row_format(tuple(map(type, row))) % tuple(row) for row in rows
+        ]
         (directory / name).write_text("\n".join(lines) + "\n")
     payload = json.dumps(report.as_dict(), sort_keys=True, indent=2)
     (directory / "report.json").write_text(payload + "\n")

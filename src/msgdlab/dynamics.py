@@ -289,6 +289,8 @@ def run_msgd(
     draw = WeightedGradient(model, scheme)
 
     def advance(x, live_streams, gamma):
+        if len(live_streams) <= draw.rows:  # one chunk holds every live row
+            return x - gamma * draw(x, live_streams)
         drift = np.empty_like(x)
         for start in range(0, len(live_streams), draw.rows):
             part = live_streams[start : start + draw.rows]

@@ -15,7 +15,8 @@ This module turns simulations into numbers that can be checked:
   E|scaled weighted error - scaled plain-average error|^2
   = 2 (1 - sqrt(m/n)) Tr sigma^2(theta), which holds at finite n for every
   weight law with the minibatch moment structure;
-* ``log_slope`` is the one log-linear fit, NaN unless every value is positive;
+* ``log_slope`` is the one log-linear fit, of one curve or of a stack in one
+  call, NaN for a curve unless every value is positive;
 * ``contraction_bound`` (the predicted factor rho), ``contraction_fit`` and
   ``convergence_curve`` (squared distances to the model's known minimizer
   or to a given point, and g-gaps when the minimizer is known, averaged over
@@ -200,13 +201,14 @@ def plateau_bound(lam: float, gamma: float, L: float, m: int, noise_floor: float
 @dataclass
 class ConvergenceCurve:
     """Per-iteration Monte Carlo optimality gaps with standard errors.  The
-    g-gap rows are None for a model without a known minimizer."""
+    g-gap rows are None for a model without a known minimizer.  Each array
+    leads with the batch axes of the states it was taken from."""
 
     g_gap_mean: Optional[np.ndarray]
     g_gap_se: Optional[np.ndarray]
     sq_dist_mean: np.ndarray
     sq_dist_se: np.ndarray
-    sq_dist_reps: np.ndarray = field(repr=False)   # (reps, K+1)
+    sq_dist_reps: np.ndarray = field(repr=False)   # (*batch, reps, K+1)
 
 
 def convergence_curve(
@@ -216,30 +218,36 @@ def convergence_curve(
     g(x_k) - g(minimizer) over the replications of an ensemble run's
     (K+1, reps, p) states, such as a ``Lockstep.runs`` entry.
 
-    The point x* defaults to the model's known minimizer.  Every replication
-    counts: a run that diverged has raised in ``dynamics`` and left no
-    states.
+    States of shape (K+1, reps, *batch, p) stack independent blocks, such as
+    the kappa blocks of one logistic grid run reshaped to (K+1, reps, kappas,
+    p): every result then leads with the batch axes, each block's curve bit
+    for bit the one it gives alone.  The point x* defaults to the model's
+    known minimizer.  Every replication counts: a run that diverged has
+    raised in ``dynamics`` and left no states.
     """
     if reference is None:
         if model.minimizer is None:
             raise ValueError(f"model {model.name!r} has no known minimizer; pass a reference")
         reference = model.minimizer
+    def rows(values):  # (K+1, reps, *batch) values as contiguous (*batch, reps, K+1) rows
+        return np.ascontiguousarray(np.moveaxis(values, (0, 1), (-1, -2)))
+
     diffs = states - np.asarray(reference, dtype=float)
-    # per-replication rows, C-ordered so the reductions over axis 0 below
-    # accumulate in the same order as a stack of separate rows
-    d_mat = np.ascontiguousarray(np.sum(diffs * diffs, axis=2).T)
-    count = d_mat.shape[0]
+    # per-replication rows, C-ordered so the reductions over the reps axis
+    # below accumulate in the same order as a stack of separate rows
+    d_mat = rows(np.sum(diffs * diffs, axis=-1))
+    count = d_mat.shape[-2]
 
     def mean_and_se(rows):
         with np.errstate(over="ignore"):  # a spread that overflows is an inf SE, which FAILs
-            se = rows.std(axis=0, ddof=1) / math.sqrt(count) if count > 1 else np.zeros(rows.shape[1])
-        return rows.mean(axis=0), se
+            se = (rows.std(axis=-2, ddof=1) / math.sqrt(count) if count > 1
+                  else np.zeros(rows.shape[:-2] + rows.shape[-1:]))
+        return rows.mean(axis=-2), se
 
     g_gap_mean = g_gap_se = None
     if model.minimizer is not None:
         g_star = float(model.objective(model.minimizer))
-        g_rows = np.ascontiguousarray((model.objective(states) - g_star).T)
-        g_gap_mean, g_gap_se = mean_and_se(g_rows)
+        g_gap_mean, g_gap_se = mean_and_se(rows(model.objective(states) - g_star))
     sq_dist_mean, sq_dist_se = mean_and_se(d_mat)
     return ConvergenceCurve(
         g_gap_mean=g_gap_mean,
@@ -264,37 +272,48 @@ def fit_segment(length: int, burn_in: int = 0, window: Optional[int] = None) -> 
     return slice(burn_in, burn_in + window)
 
 
-def log_slope(x, values) -> float:
-    """Least-squares slope of log(values) against `x`; NaN unless every value
+def log_slope(x, values):
+    """Least-squares slope of log(values) against `x`, along the last axis:
+    a float for one curve, and for a stack of curves an array of their slopes
+    from one ``np.polyfit`` call.  A curve's slope is NaN unless every value
     is positive and finite, since such a curve has no logarithm to fit."""
     values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise ValueError(f"need at least 2 points to fit a slope, got {values.size}")
-    if not np.all((values > 0) & (values < math.inf)):
-        return math.nan
-    return float(np.polyfit(x, np.log(values), 1)[0])
+    points = values.shape[-1] if values.ndim else 1
+    if points < 2:
+        raise ValueError(f"need at least 2 points to fit a slope, got {points}")
+    curves = values.reshape(-1, values.shape[-1])
+    fits = np.all((curves > 0) & (curves < math.inf), axis=1)
+    slopes = np.full(len(curves), math.nan)
+    if fits.any():
+        slopes[fits] = np.polyfit(x, np.log(curves[fits]).T, 1)[0]
+    return float(slopes[0]) if values.ndim == 1 else slopes.reshape(values.shape[:-1])
 
 
-def contraction_fit(segment) -> float:
+def contraction_fit(segment):
     """Geometric decay factor of a curve segment, such as ``curve[fit_segment(...)]``:
-    the exponentiated :func:`log_slope` against the iteration index."""
-    return float(np.exp(log_slope(np.arange(len(segment), dtype=float), segment)))
+    the exponentiated :func:`log_slope` against the iteration index; an array
+    for a stack of segments along the last axis."""
+    segment = np.asarray(segment, dtype=float)
+    rho = np.exp(log_slope(np.arange(segment.shape[-1], dtype=float), segment))
+    return float(rho) if segment.ndim == 1 else rho
 
 
-def contraction_fit_jackknife(per_rep_segments: np.ndarray) -> tuple[float, float]:
+def contraction_fit_jackknife(per_rep_segments):
     """(rho_hat, jackknife SE) of the fit on the mean of per-replication
-    segments, (reps, window)."""
-    per_rep_segments = np.asarray(per_rep_segments, dtype=float)
-    reps = per_rep_segments.shape[0]
-    rho = contraction_fit(per_rep_segments.mean(axis=0))
+    segments, (reps, window), as floats; for (*batch, reps, window), one
+    array of each over the batch, from one fit of the means and one of every
+    leave-one-out mean.  The SE is 0 at one replication, and NaN where a
+    leave-one-out mean is not positive and finite."""
+    segments = np.asarray(per_rep_segments, dtype=float)
+    reps = segments.shape[-2]
+    rho = contraction_fit(segments.mean(axis=-2))
     if reps < 2:
-        return rho, 0.0
-    loo = (per_rep_segments.sum(axis=0) - per_rep_segments) / (reps - 1)
-    if not np.all((loo > 0) & (loo < math.inf)):
-        return rho, math.nan
-    leave_one_out = np.exp(np.polyfit(np.arange(loo.shape[1]), np.log(loo).T, 1)[0])
-    se = math.sqrt((reps - 1) / reps * np.sum((leave_one_out - leave_one_out.mean()) ** 2))
-    return rho, se
+        return rho, 0.0 if segments.ndim == 2 else np.zeros(np.shape(rho))
+    loo = (segments.sum(axis=-2, keepdims=True) - segments) / (reps - 1)
+    leave_one_out = contraction_fit(loo)  # (*batch, reps), NaN for a mean it cannot fit
+    spread = leave_one_out - leave_one_out.mean(axis=-1, keepdims=True)
+    se = np.sqrt((reps - 1) / reps * np.sum(spread**2, axis=-1))
+    return rho, float(se) if segments.ndim == 2 else se
 
 
 def covariance_with_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

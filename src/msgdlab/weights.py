@@ -27,6 +27,7 @@ dirichlet
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -168,11 +169,11 @@ def sample_gaussian_structured_weights(
         x *= 2.0
         x -= 1.0
     elif scheme.base == "uniform":  # scaled to unit variance
-        x *= np.sqrt(3.0)
+        x *= math.sqrt(3.0)
     mean = np.add.reduce(x, axis=1, keepdims=True)
     mean /= n  # what x.mean(axis=1) computes, without its Python-level wrapper
     x -= mean
-    x *= np.sqrt((n - m) / (m * n * (n - 1)))
+    x *= math.sqrt((n - m) / (m * n * (n - 1)))
     x += 1.0 / n
     return x
 
@@ -293,11 +294,12 @@ def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int)
     draw = ChunkBlock(sample_weights)
     for start, streams in stream.child_chunks("rep", stop=reps, size=chunk_rows(n)):
         for r, w in enumerate(draw(streams, scheme), start):
+            squares = w * w
             sum_w += w
-            sum_w2 += w * w
+            sum_w2 += squares
             first[r] = w[0]
             second[r] = w[1] if n > 1 else w[0]
-            m_sum_sq[r] = m * np.sum(w * w)
+            m_sum_sq[r] = m * np.sum(squares)
     coord_mean = sum_w / reps
     coord_var = np.maximum(sum_w2 / reps - coord_mean**2, 0.0)
     coord_mean_se = np.sqrt(coord_var / reps)

@@ -115,3 +115,12 @@ def em_path(grad: Callable[[np.ndarray], np.ndarray], sigma, x0, h: float, scale
             x = x - h * grad(x) + scale * (sigma @ block[:, j, :, None])[:, :, 0]
         states.append(x)
     return np.array(states)
+
+
+def csv_cell(value) -> str:
+    """One CSV cell as msgdlab writes it: a float (numpy's too) in round-trip
+    ``.17g``, anything else as ``str`` gives it.  The reference the table
+    writer's per-row ``%`` formats must reproduce byte for byte."""
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)

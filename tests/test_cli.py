@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import msgdlab.cli as cli
 import msgdlab.dynamics as dynamics_mod
 from msgdlab.numerics import derive_stream
+from msgdlab.stats import contraction_fit_jackknife, convergence_curve
 from msgdlab.cli import (
     COMMANDS,
     CheckResult,
@@ -25,6 +27,7 @@ from msgdlab.cli import (
     run_experiment,
     validate_config,
 )
+from oracles import csv_cell
 from test_golden_bytes import GOLDEN
 
 
@@ -445,6 +448,25 @@ class TestRunExperiment:
         assert echoed == tiny_config("gd-ode")
         assert lines[2] == "gamma,max_error,bound,final_error"
 
+    def test_table_rows_take_the_format_of_their_own_value_types(self, tmp_path, monkeypatch):
+        # a column may hold an int in one row and a float in the next (integer
+        # kappas in a config do), so each row's format follows its own values;
+        # every line is the reference cells joined, not repr and not %.16g
+        rows = [
+            ["a", 0.25, np.int64(-7), 0.1, np.float64(1 / 3), math.nan, math.inf],
+            [1, 2**70, np.int64(0), -0.0, np.float64(5e-324), -math.inf, 1.7976931348623157e308],
+            [0.1, -1, np.int64(2**62), 1e16, np.float64(-0.0), np.float64(math.nan), 2.5],
+            ("text", 3, np.int64(1), 5e-324, np.float64(0.1), True, -1.7976931348623157e308),
+        ]
+        header = [f"c{j}" for j in range(len(rows[0]))]
+        tables = {"t.csv": (header, rows)}
+        monkeypatch.setitem(cli._RUNNERS, "gd-ode", lambda cfg, root: ([], tables))
+        run_experiment(validate_config(tiny_config("gd-ode")), tmp_path)
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[2:] == [",".join(header)] + [",".join(map(csv_cell, row)) for row in rows]
+        assert lines[5].split(",")[:2] == ["0.10000000000000001", "-1"]
+        assert lines[4].split(",")[4] == "4.9406564584124654e-324"
+
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = tiny_config("weights-moments")
         run_experiment(validate_config(cfg), tmp_path / "a")
@@ -472,6 +494,54 @@ class TestRunExperiment:
         a = (tmp_path / "a" / "hist_coord1.csv").read_text().splitlines()[2:]
         b = (tmp_path / "b" / "hist_coord1.csv").read_text().splitlines()[2:]
         assert a != b
+
+
+class TestKappaGridStatistics:
+    """converge-logistic's statistics, taken once per run over every kappa block."""
+
+    @staticmethod
+    def grid_run():
+        raw = tiny_logistic() | {"reps": 4, "kappas": [0.2, 0.1, 0.05],
+                                 "runs": [{"gamma": 0.5, "num_steps": 15, "fit_window": 6}]}
+        cfg = validate_config(raw)
+        [config] = cfg.plan["configs"]
+        [scheme] = cfg.plan["schemes"]
+        streams = derive_stream(9, ("grid",)).children("rep", stop=4)
+        [run] = cli.run_msgd(cfg.plan["model"], scheme, [config], [streams]).runs
+        return cfg.plan["model"], run, cfg.plan["segments"][0]
+
+    def test_each_kappa_as_if_alone(self):
+        model, run, segment = self.grid_run()
+        p, kappas = 2, 3
+        curve = convergence_curve(model, run.reshape(16, 4, kappas, p), np.zeros(p))
+        means, errs = cli._block_means(curve.sq_dist_reps, 8)
+        rho, se = contraction_fit_jackknife(curve.sq_dist_reps[..., segment])
+        assert curve.sq_dist_reps.shape == (kappas, 4, 16) and rho.shape == se.shape == (kappas,)
+        for k in range(kappas):
+            alone = convergence_curve(model, run[..., k * p : (k + 1) * p], np.zeros(p))
+            for name in ("sq_dist_mean", "sq_dist_se", "sq_dist_reps"):
+                np.testing.assert_array_equal(getattr(curve, name)[k], getattr(alone, name))
+            alone_means, alone_errs = cli._block_means(alone.sq_dist_reps, 8)
+            np.testing.assert_array_equal(means[k], alone_means)
+            np.testing.assert_array_equal(errs[k], alone_errs)
+            alone_rho, alone_se = contraction_fit_jackknife(alone.sq_dist_reps[:, segment])
+            assert rho[k] == pytest.approx(alone_rho, rel=1e-12)
+            assert se[k] == pytest.approx(alone_se, rel=1e-12) and se[k] > 0
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3])
+    def test_a_kappa_without_a_positive_leave_one_out_mean_has_no_se(self, bad):
+        model, run, segment = self.grid_run()
+        curve = convergence_curve(model, run.reshape(16, 4, 3, 2), np.zeros(2))
+        segments = curve.sq_dist_reps[..., segment].copy()
+        # every mean stays positive, but leaving out replication 3 leaves three bad values
+        segments[1, :3, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, se = contraction_fit_jackknife(segments)
+        assert np.all(np.isfinite(rho)) and math.isnan(se[1])
+        for k in (0, 2):
+            assert se[k] == pytest.approx(contraction_fit_jackknife(segments[k])[1], rel=1e-12)
+            assert se[k] > 0
 
 
 class TestMain:

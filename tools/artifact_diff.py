@@ -14,9 +14,10 @@ differences: D`` and every difference.  A CSV that differs also gets the
 largest relative difference |a - b| / max(|a|, |b|) over its numeric cells,
 so a change at roundoff (about 1e-15) reads apart from a real one; a
 report.json that differs gets the largest relative difference over its
-checks' ``observed`` values and the name of every check whose ``pass`` flag
-changed, and ``overall_pass`` if the verdict did, so a roundoff change
-reads apart from a verdict change.  Exits 0 when there is none.  Both trees run this
+checks' ``observed`` values, over their ``target`` values and over their
+``tolerance`` values, each on its own, and the name of every check whose
+``pass`` flag changed, and ``overall_pass`` if the verdict did, so a roundoff
+change reads apart from a verdict change.  Exits 0 when there is none.  Both trees run this
 checkout's configs.  The canonical configs take about a minute per tree, so
 the tests do not run this.
 """
@@ -153,17 +154,21 @@ def csv_change(old: bytes, new: bytes) -> str:
 
 def report_change(old: bytes, new: bytes) -> str:
     """How far two reports' verdicts moved: the largest relative difference
-    over the checks' observed values, and every pass flag that changed."""
+    over the checks' observed values, targets and tolerances, each, and every
+    pass flag that changed."""
     reports = [json.loads(data) for data in (old, new)]
     before, after = ({check["name"]: check for check in r["checks"]} for r in reports)
     if before.keys() != after.keys():
         return "its check names differ"
-    largest = max((relative(before[name]["observed"], after[name]["observed"])
-                   for name in before), default=0.0)
+    largest = {key: max((relative(before[name][key], after[name][key]) for name in before),
+                        default=0.0)
+               for key in ("observed", "target", "tolerance")}
     flipped = [name for name in before if before[name]["pass"] != after[name]["pass"]]
     if reports[0]["overall_pass"] != reports[1]["overall_pass"]:
         flipped.append("overall_pass")
-    return (f"largest relative difference {largest:.3g} over {len(before)} observed values, "
+    return ("largest relative difference "
+            + ", ".join(f"{value:.3g} over {key}" for key, value in largest.items())
+            + f" of {len(before)} checks, "
             + (f"pass flag changed: {', '.join(flipped)}" if flipped else "no pass flag changed"))
 
 
