@@ -238,6 +238,7 @@ class Kinds(dict):
 
 _SCHEME = Kinds({kind: {} for kind in SCHEME_KINDS} | {"gaussian": {"base": Field(str)}})
 _QUADRATIC = {"p": Field(int, low=1), "s": Field(float), "theta_star": Field([float])}
+_NOISELESS = {"p": _QUADRATIC["p"], "theta_star": _QUADRATIC["theta_star"]}  # GD and the flow
 _LOGISTIC = {"p": Field(int, REQUIRED), "t": Field(int, REQUIRED)}
 _RUN = {
     "gamma": Field(float, REQUIRED), "num_steps": Field(int, REQUIRED),
@@ -245,7 +246,7 @@ _RUN = {
 }
 _EVERY_SCHEME = [{"kind": "minibatch"}, {"kind": "gaussian"}, {"kind": "dirichlet"}]
 _PLANE = {"kind": "quadratic", "p": 2, "s": 1.0}
-_LINE = {"kind": "quadratic", "p": 1, "s": 1.0, "theta_star": [0.0]}
+_LINE = {"kind": "quadratic", "p": 1, "theta_star": [0.0]}
 
 # Each command's keys beside ``command``, ``seed`` and ``out`` (the default
 # output directory, which the --out flag overrides).
@@ -282,7 +283,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "gd-ode": {
         "gammas": Field([float], REQUIRED), "x0": Field([float]), "horizon": Field(float, 1.0),
-        "model": Field(Kinds(quadratic=_QUADRATIC), _LINE),
+        "model": Field(Kinds(quadratic=_NOISELESS), _LINE),
     },
 }
 _SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
@@ -609,23 +610,22 @@ def _run_weights_moments(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     for scheme in cfg.plan["schemes"]:
         label, n, m = scheme.label, scheme.n, scheme.m
         diag, offdiag = sigma_entries(n, m)
-        report = empirical_weight_moments(scheme, root.child(label), reps)
+        first, second, m_sum_sq = empirical_weight_moments(scheme, root.child(label), reps)
+        cov, cov_se = covariance_with_se(np.column_stack([first, second]))
         row = [label, n, m, reps]
         # the m*sum(w^2) identity is exact in expectation; its bound's tiny floor
         # absorbs roundoff for schemes where it holds draw-by-draw (SE = 0)
         for key, observed, target, se in [
-            ("coord_mean", report.coord_mean[0], 1.0 / n, report.coord_mean_se[0]),
-            ("coord_var", report.var_first, diag, report.var_first_se),
-            ("coord_cov", report.cov_pair, offdiag, report.cov_pair_se),
-            ("m_sum_sq", report.m_sum_sq_mean, 1.0, report.m_sum_sq_se),
+            ("coord_mean", first.mean(), 1.0 / n, math.sqrt(cov[0, 0] / reps)),
+            ("coord_var", np.var(first, ddof=1), diag, cov_se[0, 0]),
+            ("coord_cov", np.cov(first, second, ddof=1)[0, 1], offdiag, cov_se[0, 1]),
+            ("m_sum_sq", m_sum_sq.mean(), 1.0, m_sum_sq.std(ddof=1) / math.sqrt(reps)),
         ]:
             checks.append((key, f"{label}:{key}", observed, target, se))
             row += [observed, se, target]
         rows.append(row[:-1])  # m_sum_sq's target, 1, has no column
-    header = ["scheme", "n", "m", "reps",
-              "mean", "mean_se", "mean_target",
-              "var", "var_se", "var_target",
-              "cov", "cov_se", "cov_target",
+    header = ["scheme", "n", "m", "reps", "mean", "mean_se", "mean_target",
+              "var", "var_se", "var_target", "cov", "cov_se", "cov_target",
               "m_sum_sq", "m_sum_sq_se"]
     return checks, {"weight_moments.csv": (header, rows)}
 
@@ -875,17 +875,37 @@ _RUNNERS = {
 }
 
 
+def _reported_files(directory: Path) -> list[str]:
+    """The bare file names the ``files`` of `directory`'s report.json lists, none
+    for a missing or malformed report.  A name with a directory part, or of a
+    directory (``..`` among them), names no file a run wrote there, and is left out."""
+    try:
+        files = json.loads((directory / "report.json").read_text(encoding="utf-8"))["files"]
+    except (OSError, ValueError, RecursionError, KeyError, TypeError):  # none, or not a report
+        return []
+    if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
+        return []
+    return [name for name in files if "\0" not in name and Path(name).name == name
+            and not (directory / name).is_dir()]
+
+
 def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> ExperimentReport:
     """Execute one validated config: its runner measures, ``judge`` judges each
     statistic, and this writes every CSV table, under a config-echo comment
     header and each row in the one ``%`` format of its value types, and
     report.json, the only artifacts a run writes.
 
+    The directory holds one run: the earlier report.json and every file it
+    names go before the run, so a run that stops part way leaves no report,
+    and report.json is written last.
+
     ``threads`` is accepted and ignored, for callers written when
     replications could run on a thread pool.
     """
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)  # an unwritable directory fails before any run
+    for name in ["report.json", *_reported_files(directory)]:
+        (directory / name).unlink(missing_ok=True)
     root = derive_stream(config.seed, (config.command,))
     statistics, tables = _RUNNERS[config.command](config, root)
     checks = [judge(config.command, *statistic) for statistic in statistics]
@@ -905,6 +925,7 @@ def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> Exper
         lines = echo + [",".join(header)] + [
             _row_format(tuple(map(type, row))) % tuple(row) for row in rows
         ]
+        (directory / name).unlink(missing_ok=True)  # rewriting in place can cost ~50 ms on ext4
         (directory / name).write_text("\n".join(lines) + "\n")
     payload = json.dumps(report.as_dict(), sort_keys=True, indent=2)
     (directory / "report.json").write_text(payload + "\n")

@@ -142,9 +142,8 @@ def weighting_gap(
     takes the :class:`~msgdlab.dynamics.WeightedGradient` sample on
     ``stream.child("rep", r)`` and, as it needs the per-datum gradients for
     the plain average, reduces them itself with ``models.weighted_sum``,
-    the default weighted gradient; the plain average and squared norm are
-    taken per replication, where a batched reduction would round
-    differently.
+    the default weighted gradient.  The plain averages and squared norms of
+    a chunk are stacked reductions, each row's rounded as it is alone.
     """
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000, got {reps}")
@@ -157,17 +156,12 @@ def weighting_gap(
     for start, streams in stream.child_chunks("rep", stop=reps, size=draw.rows):
         data, w = draw.sample(streams)
         grads = model.grad_loss(theta, data)
-        weighted = sqrt_m * (weighted_sum(w, grads) - grad_mean)
-        for r, (row_grads, row_weighted) in enumerate(zip(grads, weighted), start):
-            diff = row_weighted - sqrt_n * (row_grads.mean(axis=0) - grad_mean)
-            values[r] = diff @ diff
-        del grads, row_grads  # free the gradient block before the next chunk
+        diff = (sqrt_m * (weighted_sum(w, grads) - grad_mean)
+                - sqrt_n * (grads.mean(axis=1) - grad_mean))
+        values[start : start + len(streams)] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
     analytic = 2.0 * (1.0 - math.sqrt(m / n)) * model.noise_trace(theta)
-    return GapEstimate(
-        estimate=float(values.mean()),
-        se=float(values.std(ddof=1) / math.sqrt(reps)),
-        analytic=analytic,
-    )
+    se = values.std(ddof=1) / math.sqrt(reps)
+    return GapEstimate(estimate=float(values.mean()), se=float(se), analytic=analytic)
 
 
 def contraction_bound(lam: float, gamma: float, L: float, L1: float, p: int, m: int) -> float:

@@ -235,82 +235,25 @@ def sample_weights(
     return _SAMPLERS[scheme.kind](streams, scheme, out=out)
 
 
-@dataclass
-class MomentReport:
-    """Monte Carlo moment estimates for a weight scheme.
+def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int) -> np.ndarray:
+    """The (3, reps) columns w_1, w_2 (w_1 again at n = 1) and m * sum(w^2) of
+    `reps` independent draws: the coordinates are exchangeable, so the first
+    and the first pair stand for every one in the moment targets.
 
-    ``coord_mean`` has one entry per coordinate; the variance/covariance
-    estimates track the first coordinate and the (0, 1) pair, which
-    suffices because the coordinates are exchangeable (itself checked via
-    ``coord_mean``).  ``m_sum_sq`` estimates E[m * sum(w^2)], which equals
-    1 exactly for every scheme here.
-    """
-
-    coord_mean: np.ndarray
-    coord_mean_se: np.ndarray
-    var_first: float
-    var_first_se: float
-    cov_pair: float
-    cov_pair_se: float
-    m_sum_sq_mean: float
-    m_sum_sq_se: float
-
-
-def _variance_se(values: np.ndarray) -> float:
-    """Large-sample standard error of the sample variance: ((mu4 - s^4)/N)^1/2."""
-    centered = values - values.mean()
-    n = values.size
-    mu4 = np.mean(centered**4)
-    s2 = np.mean(centered**2)
-    return float(np.sqrt(max(mu4 - s2**2, 0.0) / n))
-
-
-def _covariance_se(x: np.ndarray, y: np.ndarray) -> float:
-    cx = x - x.mean()
-    cy = y - y.mean()
-    n = x.size
-    cov = np.mean(cx * cy)
-    return float(np.sqrt(max(np.mean((cx * cy) ** 2) - cov**2, 0.0) / n))
-
-
-def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int) -> MomentReport:
-    """Estimate the scheme's moment targets from `reps` independent draws.
-
-    Draw r consumes the derived stream ``stream.child("rep", r)``.  Draws
-    come in blocks of ``dynamics.chunk_rows(n)`` replications and are
-    accumulated row by row in replication order, so the report does not
-    depend on the block size.  Every block is drawn into the same memory.
+    Draw r consumes ``stream.child("rep", r)``, in blocks of
+    ``dynamics.chunk_rows(n)`` replications drawn into one reused block; each
+    row is reduced on its own, so the columns do not depend on the block size.
     """
     from .dynamics import ChunkBlock, chunk_rows  # dynamics imports this module
 
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
     n, m = scheme.n, scheme.m
-    sum_w = np.zeros(n)
-    sum_w2 = np.zeros(n)
-    first = np.empty(reps)
-    second = np.empty(reps)
-    m_sum_sq = np.empty(reps)
+    columns = np.empty((3, reps))
     draw = ChunkBlock(sample_weights)
     for start, streams in stream.child_chunks("rep", stop=reps, size=chunk_rows(n)):
-        for r, w in enumerate(draw(streams, scheme), start):
-            squares = w * w
-            sum_w += w
-            sum_w2 += squares
-            first[r] = w[0]
-            second[r] = w[1] if n > 1 else w[0]
-            m_sum_sq[r] = m * np.sum(squares)
-    coord_mean = sum_w / reps
-    coord_var = np.maximum(sum_w2 / reps - coord_mean**2, 0.0)
-    coord_mean_se = np.sqrt(coord_var / reps)
-    return MomentReport(
-        coord_mean=coord_mean,
-        coord_mean_se=coord_mean_se,
-        var_first=float(np.var(first, ddof=1)),
-        var_first_se=_variance_se(first),
-        cov_pair=float(np.cov(first, second, ddof=1)[0, 1]),
-        cov_pair_se=_covariance_se(first, second),
-        m_sum_sq_mean=float(m_sum_sq.mean()),
-        m_sum_sq_se=float(m_sum_sq.std(ddof=1) / np.sqrt(reps)),
-    )
-
+        w = draw(streams, scheme)
+        rows = slice(start, start + len(streams))
+        columns[:2, rows] = w[:, [0, min(1, n - 1)]].T
+        columns[2, rows] = m * np.square(w, out=w).sum(axis=1)  # the next draw overwrites w
+    return columns

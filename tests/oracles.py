@@ -6,6 +6,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
+from msgdlab.dynamics import WeightedGradient
+from msgdlab.models import weighted_sum
+
 
 def finite_diff_gradient(
     f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
@@ -124,3 +127,23 @@ def csv_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
     return str(value)
+
+
+def weighting_gap_per_replication(model, scheme, theta, reps: int, stream) -> tuple[float, float]:
+    """(estimate, SE) of ``stats.weighting_gap`` with each replication's plain
+    average and squared norm taken on its own: row r's mean over its data and
+    ``diff @ diff``, where ``weighting_gap`` reduces a chunk's rows at once.
+    The same draws and weighted sums, so the two must agree bit for bit."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    grad_mean = model.grad_objective(theta)
+    sqrt_m, sqrt_n = math.sqrt(scheme.m), math.sqrt(scheme.n)
+    values = np.empty(reps)
+    draw = WeightedGradient(model, scheme)
+    for start, streams in stream.child_chunks("rep", stop=reps, size=draw.rows):
+        data, w = draw.sample(streams)
+        grads = model.grad_loss(theta, data)
+        weighted = sqrt_m * (weighted_sum(w, grads) - grad_mean)
+        for r, (row_grads, row_weighted) in enumerate(zip(grads, weighted), start):
+            diff = row_weighted - sqrt_n * (row_grads.mean(axis=0) - grad_mean)
+            values[r] = diff @ diff
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(reps))

@@ -109,7 +109,7 @@ RESOLVED = {
     "gd-ode": (
         tiny_config("gd-ode"),
         None, 9,
-        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"x0":[1.0]}',
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"theta_star":[0.0]},"x0":[1.0]}',
     ),
     "weights-moments-given": (
         tiny_config("weights-moments") | {
@@ -131,12 +131,12 @@ RESOLVED = {
     "gd-ode-out": (
         tiny_config("gd-ode") | {"out": "elsewhere"},
         None, 9,
-        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"out":"elsewhere","x0":[1.0]}',
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"theta_star":[0.0]},"out":"elsewhere","x0":[1.0]}',
     ),
     "gd-ode-x0-omitted": (
         {k: v for k, v in tiny_config("gd-ode").items() if k != "x0"},
         None, 9,
-        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]}}',
+        '{"gammas":[0.1,0.05],"horizon":1.0,"model":{"kind":"quadratic","p":1,"theta_star":[0.0]}}',
     ),
     "wass-scaling-x0": (
         tiny_config("wass-scaling") | {"x0": [0.5, -0.5], "horizon": 2},
@@ -203,7 +203,7 @@ RESOLVED = {
     "configs/gd_ode.json": (
         'gd_ode.json',
         None, 20260808,
-        '{"gammas":[0.1,0.05,0.025,0.0125],"horizon":1.0,"model":{"kind":"quadratic","p":1,"s":1.0,"theta_star":[0.0]},"x0":[1.0]}',
+        '{"gammas":[0.1,0.05,0.025,0.0125],"horizon":1.0,"model":{"kind":"quadratic","p":1,"theta_star":[0.0]},"x0":[1.0]}',
     ),
     "configs/wass_scaling.json": (
         'wass_scaling.json',
@@ -494,6 +494,73 @@ class TestRunExperiment:
         a = (tmp_path / "a" / "hist_coord1.csv").read_text().splitlines()[2:]
         b = (tmp_path / "b" / "hist_coord1.csv").read_text().splitlines()[2:]
         assert a != b
+
+
+class TestOutputDirectory:
+    """An output directory holds one run: the earlier report and the files it
+    names go, and report.json is written last."""
+
+    @staticmethod
+    def run_main(tmp_path, config, out):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        return main(["--config", str(config_path), "--out", str(out)])
+
+    def test_a_second_run_leaves_only_its_own_files(self, tmp_path, capsys):
+        # clt_gaussian_p6 then clt_minibatch_p1 into one --out, at a tiny scale:
+        # hist_coord2.csv ... hist_coord6.csv belong to the first run alone
+        out = tmp_path / "out"
+        six = tiny_config("clt") | {"p": 6, "scheme": {"kind": "gaussian"}}
+        one = tiny_config("clt") | {"scheme": {"kind": "minibatch"}}
+        self.run_main(tmp_path, six, out)
+        assert {f"hist_coord{j}.csv" for j in range(1, 7)} <= {p.name for p in out.iterdir()}
+        (out / "notes.txt").write_text("not a run's")
+        self.run_main(tmp_path, one, out)
+        alone = tmp_path / "alone"
+        self.run_main(tmp_path, one, alone)
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(report["files"] + [
+            "notes.txt", "report.json"])
+        for name in report["files"] + ["report.json"]:
+            assert (out / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_an_interrupted_run_leaves_no_report(self, tmp_path, monkeypatch):
+        run_experiment(validate_config(tiny_config("gd-ode")), tmp_path)
+        assert (tmp_path / "report.json").exists() and (tmp_path / "gd_ode.csv").exists()
+
+        def interrupted(cfg, root):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._RUNNERS, "gd-ode", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(validate_config(tiny_config("gd-ode")), tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_only_bare_names_of_a_wellformed_report_are_deleted(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        (out / "a_dir").mkdir()
+        outside, inner = tmp_path / "outside.csv", out / "sub" / "inner.csv"
+        kept = [outside, inner, out / "a_dir", out / "kept.csv"]
+        for path in (outside, inner, out / "stale.csv", out / "kept.csv"):
+            path.write_text("x")
+        crafted = ["../outside.csv", str(outside), "sub/inner.csv", "sub", "a_dir", ".", "..",
+                   "", "stale.csv", "missing.csv"]
+        (out / "report.json").write_text(json.dumps({"files": crafted}))
+        run_experiment(validate_config(tiny_config("gd-ode")), out)
+        assert all(path.exists() for path in kept) and not (out / "stale.csv").exists()
+        assert json.loads((out / "report.json").read_text())["files"] == ["gd_ode.csv"]
+
+    @pytest.mark.parametrize("text", [
+        "not json", "[" * 100_000, "[]", '{"files": "kept.csv"}', '{"files": ["kept.csv", 1]}',
+        "{}",
+    ], ids=["text", "deep", "list", "str-files", "int-name", "no-files"])
+    def test_a_malformed_report_deletes_nothing(self, tmp_path, text):
+        (tmp_path / "report.json").write_text(text)
+        (tmp_path / "kept.csv").write_text("x")
+        run_experiment(validate_config(tiny_config("gd-ode")), tmp_path)
+        assert (tmp_path / "kept.csv").read_text() == "x"
+        assert json.loads((tmp_path / "report.json").read_text())["command"] == "gd-ode"
 
 
 class TestKappaGridStatistics:

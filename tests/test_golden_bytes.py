@@ -60,6 +60,22 @@ product, and the jackknife began to fit every leave-one-out curve in one
 ``np.polyfit`` call: the same sums, rounded differently, so its CSVs and
 the checks' observed values moved by at most 2.69e-15 relative
 (``tools/artifact_diff.py``) and no pass flag changed.
+
+``weights-moments`` was re-recorded, for roundoff alone, when its checks
+began to be built from the per-replication columns of
+``empirical_weight_moments``: the mean of w_1 is now ``np.mean`` of the
+column, not a running sum over replications, and the variance and
+covariance SEs come from ``stats.covariance_with_se``, the same formulas
+rounded differently.  Its CSV and the checks' observed values and
+tolerances moved by at most 7.26e-15 relative (``tools/artifact_diff.py``)
+and no pass flag changed.
+
+``gd-ode`` and ``gd-ode-grid`` were re-recorded when gd-ode's quadratic
+model lost the noise scale ``s``, which gradient descent and the flow never
+read: ``gd-ode``'s report no longer echoes the default ``"s": 1.0`` under
+``resolved``, and ``gd-ode-grid`` lost its ``"s": 1.0``, so its CSV's config
+line and its report's ``config`` and ``resolved`` changed.  Every other
+line and every check kept its bytes.
 """
 
 from __future__ import annotations
@@ -83,7 +99,7 @@ GOLDEN = {
              {"kind": "gaussian", "base": "rademacher"},
              {"kind": "gaussian", "base": "uniform"}, {"kind": "dirichlet"},
          ]},
-        "0e002f6a901d690cddb7c6e9bfc04e425e558a01447858419afd093568c90e1d",
+        "5acb634a05a10f1ff492aaa0d53f0dd2567cf4d6915e600013f18fe79161e7b6",
     ),
     "weighting-gap": (
         {"command": "weighting-gap", "seed": 11, "pairs": [[80, 20], [80, 70]],
@@ -111,7 +127,7 @@ GOLDEN = {
     ),
     "gd-ode": (
         {"command": "gd-ode", "seed": 11, "gammas": [0.1, 0.05], "x0": [1.0]},
-        "aedf09e93e2c90a9aee781941d0185f62abe0ca94b4eb1f35643e5ecc673dac9",
+        "910bb960e9bfdce26a51106c5fef7a47ec342233ff7f3acaae3617909e0255d1",
     ),
     # unsorted grids of three step sizes with unequal step counts
     "wass-scaling-grid": (
@@ -123,8 +139,8 @@ GOLDEN = {
     "gd-ode-grid": (
         {"command": "gd-ode", "seed": 11, "gammas": [0.05, 0.2, 0.1], "x0": [2.0, -1.0],
          "horizon": 0.8,
-         "model": {"kind": "quadratic", "p": 2, "s": 1.0, "theta_star": [0.5, 0.0]}},
-        "9781f7d1d25121d0249b0ca845e32928947415ef95ba159fb2292a449681d2f5",
+         "model": {"kind": "quadratic", "p": 2, "theta_star": [0.5, 0.0]}},
+        "0def8d96bfc49fd4391f03438373e8b28096e39815548ea96bb40868016d8e13",
     ),
 }
 

@@ -26,7 +26,7 @@ from msgdlab.stats import (
     weighting_gap,
 )
 from msgdlab.weights import WeightScheme, sample_weights
-from oracles import w2_1d
+from oracles import w2_1d, weighting_gap_per_replication
 
 
 class TestErrorSamples:
@@ -123,6 +123,23 @@ class TestChunkedSampling:
         )
         for gap in runs[1:]:
             assert (gap.estimate, gap.se) == (runs[0].estimate, runs[0].se)
+
+    @pytest.mark.parametrize("scheme", [
+        {"kind": "minibatch"}, {"kind": "gaussian"}, {"kind": "gaussian", "base": "rademacher"},
+        {"kind": "gaussian", "base": "uniform"}, {"kind": "dirichlet"},
+    ], ids=lambda spec: "-".join(spec.values()))
+    def test_weighting_gap_equals_per_replication_reduction(self, monkeypatch, scheme):
+        # a chunk's plain averages and squared norms, reduced at once, round as
+        # each row's alone: the stats equal the one-row-at-a-time loop's bits
+        scheme = WeightScheme(n=self.N, m=self.M, **scheme)
+        for model in self._models():
+            stream = derive_stream(71, [scheme.label, model.name])
+            for elements in (self.DEFAULT_ELEMENTS, self.N * model.payload_dim,
+                             7 * self.N * model.payload_dim):
+                monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
+                gap = weighting_gap(model, scheme, [0.3, -0.2], 1000, stream)
+                assert (gap.estimate, gap.se) == weighting_gap_per_replication(
+                    model, scheme, [0.3, -0.2], 1000, stream)
 
 
 class TestSharedDraw:

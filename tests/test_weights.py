@@ -8,6 +8,7 @@ import pytest
 import msgdlab.dynamics as dynamics_mod
 import msgdlab.weights as weights_mod
 from msgdlab.numerics import derive_stream
+from msgdlab.stats import covariance_with_se
 from msgdlab.weights import (
     WeightScheme,
     dirichlet_alpha,
@@ -327,20 +328,38 @@ class TestDirichlet:
         assert not np.array_equal(first, second)
 
 
+def judged_moments(columns):
+    """The four statistics weights-moments judges, with their SEs, from
+    ``empirical_weight_moments``'s columns: the mean of w_1, the variance of
+    w_1 and the covariance of (w_1, w_2) with the large-sample SEs of
+    ``covariance_with_se``, and the mean of m * sum(w^2)."""
+    first, second, m_sum_sq = columns
+    reps = first.size
+    cov, cov_se = covariance_with_se(np.column_stack([first, second]))
+    return {
+        "mean": (first.mean(), math.sqrt(cov[0, 0] / reps)),
+        "var": (np.var(first, ddof=1), cov_se[0, 0]),
+        "cov": (np.cov(first, second, ddof=1)[0, 1], cov_se[0, 1]),
+        "m_sum_sq": (m_sum_sq.mean(), m_sum_sq.std(ddof=1) / math.sqrt(reps)),
+    }
+
+
 class TestEmpiricalMoments:
     def test_m_sum_sq_is_one_for_minibatch_identically(self):
         scheme = WeightScheme("minibatch", n=400, m=80)
-        report = empirical_weight_moments(scheme, derive_stream(31, ["mss"]), 200)
-        assert report.m_sum_sq_mean == pytest.approx(1.0, abs=1e-12)
-        assert report.m_sum_sq_se <= 1e-13
+        columns = empirical_weight_moments(scheme, derive_stream(31, ["mss"]), 200)
+        mean, se = judged_moments(columns)["m_sum_sq"]
+        assert mean == pytest.approx(1.0, abs=1e-12)
+        assert se <= 1e-13
 
     @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
     def test_m_sum_sq_near_one_all_schemes(self, kind):
         # E[m sum w^2] = m n (Var + 1/n^2) = (n-m)/n + m/n = 1 for any
         # scheme with the minibatch moment structure
         scheme = WeightScheme(kind, n=800, m=160)
-        report = empirical_weight_moments(scheme, derive_stream(37, [kind]), 2000)
-        assert abs(report.m_sum_sq_mean - 1.0) <= 3 * report.m_sum_sq_se + 1e-12
+        columns = empirical_weight_moments(scheme, derive_stream(37, [kind]), 2000)
+        mean, se = judged_moments(columns)["m_sum_sq"]
+        assert abs(mean - 1.0) <= 3 * se + 1e-12
 
     def test_third_moment_sum_is_small(self):
         # m^(3/2) sum |w|^3 over the draws empirical_weight_moments makes;
@@ -357,27 +376,29 @@ class TestEmpiricalMoments:
     def test_moment_targets_all_schemes(self, kind):
         n, m = 300, 60
         scheme = WeightScheme(kind, n=n, m=m)
-        report = empirical_weight_moments(scheme, derive_stream(43, [kind]), 4000)
+        moments = judged_moments(empirical_weight_moments(scheme, derive_stream(43, [kind]), 4000))
         diag, offdiag = sigma_entries(n, m)
-        assert abs(report.coord_mean[0] - 1.0 / n) <= 4 * report.coord_mean_se[0]
-        assert abs(report.var_first - diag) <= 4 * report.var_first_se
-        assert abs(report.cov_pair - offdiag) <= 4 * report.cov_pair_se
+        for key, target in (("mean", 1.0 / n), ("var", diag), ("cov", offdiag)):
+            estimate, se = moments[key]
+            assert abs(estimate - target) <= 4 * se
 
     @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
     def test_coordinates_exchangeable(self, kind):
-        n, m = 200, 40
+        # w_1 and (w_1, w_2) stand for every coordinate and pair because the
+        # coordinates are exchangeable; checked on the draws of the columns
+        n, m, reps = 200, 40, 4000
         scheme = WeightScheme(kind, n=n, m=m)
-        report = empirical_weight_moments(scheme, derive_stream(47, [kind]), 4000)
+        w = sample_weights(derive_stream(47, [kind]).children("rep", stop=reps), scheme)
+        coord_mean = w.mean(axis=0)
+        coord_mean_se = w.std(axis=0) / math.sqrt(reps)
         # means of every coordinate agree pairwise within 3 joint SEs
         for i, j in [(0, 1), (0, n // 2), (1, n - 1), (n // 2, n - 1)]:
-            joint = math.hypot(report.coord_mean_se[i], report.coord_mean_se[j])
-            assert abs(report.coord_mean[i] - report.coord_mean[j]) <= 3 * joint
-        # variances of the two tracked coordinates agree, on the report's draws
-        w = sample_weights(derive_stream(47, [kind]).children("rep", stop=4000), scheme)
-        var0 = np.var(w[:, 0], ddof=1)
-        var1 = np.var(w[:, 1], ddof=1)
-        joint = math.hypot(report.var_first_se, report.var_first_se)
-        assert abs(var0 - var1) <= 3 * joint
+            joint = math.hypot(coord_mean_se[i], coord_mean_se[j])
+            assert abs(coord_mean[i] - coord_mean[j]) <= 3 * joint
+        # variances of the two tracked coordinates agree
+        var_first_se = covariance_with_se(w[:, :2])[1][0, 0]
+        joint = math.hypot(var_first_se, var_first_se)
+        assert abs(np.var(w[:, 0], ddof=1) - np.var(w[:, 1], ddof=1)) <= 3 * joint
 
     def test_finite_n_surrogates_for_limit_conditions(self):
         # the limit statements hold as m grows with m/n small: check that
@@ -402,17 +423,33 @@ class TestEmpiricalMoments:
         with pytest.raises(ValueError):
             empirical_weight_moments(WeightScheme("minibatch", 10, 2), derive_stream(1, []), 50)
 
+    @pytest.mark.parametrize("scheme", [
+        {"kind": "minibatch", "n": 30, "m": 6}, {"kind": "gaussian", "n": 30, "m": 6},
+        {"kind": "gaussian", "n": 30, "m": 6, "base": "rademacher"},
+        {"kind": "gaussian", "n": 30, "m": 6, "base": "uniform"},
+        {"kind": "dirichlet", "n": 30, "m": 6}, {"kind": "minibatch", "n": 1, "m": 1},
+    ], ids=lambda spec: "-".join(map(str, spec.values())))
+    def test_columns_are_the_draws(self, scheme):
+        # row r of one sample_weights block on the same streams gives column r:
+        # w_1, w_2 (w_1 again at n = 1) and m * sum(w^2), reduced as the row alone
+        scheme = WeightScheme(**scheme)
+        stream = derive_stream(61, [scheme.label, scheme.n])
+        columns = empirical_weight_moments(scheme, stream, 250)
+        w = sample_weights(stream.children("rep", stop=250), scheme)
+        np.testing.assert_array_equal(columns[0], w[:, 0])
+        np.testing.assert_array_equal(columns[1], w[:, min(1, scheme.n - 1)])
+        np.testing.assert_array_equal(columns[2], [scheme.m * np.sum(row * row) for row in w])
+
     @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
-    def test_chunk_size_leaves_report_unchanged(self, monkeypatch, kind):
+    def test_chunk_size_leaves_columns_unchanged(self, monkeypatch, kind):
         # the default (all 250 replications in one block), then blocks of 1 and 7
         scheme = WeightScheme(kind, n=30, m=6)
-        reports = []
+        runs = []
         for elements in (dynamics_mod.CHUNK_ELEMENTS, 1, 7 * 30):
             monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
-            reports.append(empirical_weight_moments(scheme, derive_stream(59, [kind]), 250))
-        for report in reports[1:]:
-            for name in vars(report):
-                np.testing.assert_array_equal(getattr(report, name), getattr(reports[0], name))
+            runs.append(empirical_weight_moments(scheme, derive_stream(59, [kind]), 250))
+        for columns in runs[1:]:
+            np.testing.assert_array_equal(columns, runs[0])
 
 
 class TestDirichletMixedMoment:

@@ -13,8 +13,10 @@ that tree's ``src/msgdlab/__init__.py`` imports; then ``configs: N
 differences: D`` and every difference.  A CSV that differs also gets the
 largest relative difference |a - b| / max(|a|, |b|) over its numeric cells,
 so a change at roundoff (about 1e-15) reads apart from a real one; a
-report.json that differs gets the largest relative difference over its
-checks' ``observed`` values, over their ``target`` values and over their
+report.json that differs gets the top-level keys whose values differ (such
+as ``resolved``, so a change to the config echo alone reads apart from a
+change of values), the largest relative difference over its checks'
+``observed`` values, over their ``target`` values and over their
 ``tolerance`` values, each on its own, and the name of every check whose
 ``pass`` flag changed, and ``overall_pass`` if the verdict did, so a roundoff
 change reads apart from a verdict change.  Exits 0 when there is none.  Both trees run this
@@ -153,20 +155,26 @@ def csv_change(old: bytes, new: bytes) -> str:
 
 
 def report_change(old: bytes, new: bytes) -> str:
-    """How far two reports' verdicts moved: the largest relative difference
-    over the checks' observed values, targets and tolerances, each, and every
-    pass flag that changed."""
+    """How two reports differ: the top-level keys whose values differ, then how
+    far the verdicts moved, the largest relative difference over the checks'
+    observed values, targets and tolerances, each, and every pass flag that
+    changed."""
     reports = [json.loads(data) for data in (old, new)]
+    # compared as canonical JSON text, where a NaN equals itself
+    keys = sorted(key for key in reports[0].keys() | reports[1].keys()
+                  if json.dumps(reports[0].get(key), sort_keys=True)
+                  != json.dumps(reports[1].get(key), sort_keys=True))
+    prefix = f"keys differing: {', '.join(keys)}; "
     before, after = ({check["name"]: check for check in r["checks"]} for r in reports)
     if before.keys() != after.keys():
-        return "its check names differ"
+        return prefix + "its check names differ"
     largest = {key: max((relative(before[name][key], after[name][key]) for name in before),
                         default=0.0)
                for key in ("observed", "target", "tolerance")}
     flipped = [name for name in before if before[name]["pass"] != after[name]["pass"]]
     if reports[0]["overall_pass"] != reports[1]["overall_pass"]:
         flipped.append("overall_pass")
-    return ("largest relative difference "
+    return (prefix + "largest relative difference "
             + ", ".join(f"{value:.3g} over {key}" for key, value in largest.items())
             + f" of {len(before)} checks, "
             + (f"pass flag changed: {', '.join(flipped)}" if flipped else "no pass flag changed"))
