@@ -75,6 +75,7 @@ from .stats import (
     fit_segment,
     ks_normality,
     log_slope,
+    mean_with_se,
     plateau_bound,
     sliced_w2,
     weighting_gap,
@@ -611,15 +612,15 @@ def _run_weights_moments(cfg: ExperimentConfig, root) -> tuple[list, dict]:
         label, n, m = scheme.label, scheme.n, scheme.m
         diag, offdiag = sigma_entries(n, m)
         first, second, m_sum_sq = empirical_weight_moments(scheme, root.child(label), reps)
-        cov, cov_se = covariance_with_se(np.column_stack([first, second]))
+        _, cov_se = covariance_with_se(np.column_stack([first, second]))
         row = [label, n, m, reps]
         # the m*sum(w^2) identity is exact in expectation; its bound's tiny floor
         # absorbs roundoff for schemes where it holds draw-by-draw (SE = 0)
-        for key, observed, target, se in [
-            ("coord_mean", first.mean(), 1.0 / n, math.sqrt(cov[0, 0] / reps)),
-            ("coord_var", np.var(first, ddof=1), diag, cov_se[0, 0]),
-            ("coord_cov", np.cov(first, second, ddof=1)[0, 1], offdiag, cov_se[0, 1]),
-            ("m_sum_sq", m_sum_sq.mean(), 1.0, m_sum_sq.std(ddof=1) / math.sqrt(reps)),
+        for key, observed, se, target in [
+            ("coord_mean", *mean_with_se(first), 1.0 / n),
+            ("coord_var", np.var(first, ddof=1), cov_se[0, 0], diag),
+            ("coord_cov", np.cov(first, second, ddof=1)[0, 1], cov_se[0, 1], offdiag),
+            ("m_sum_sq", *mean_with_se(m_sum_sq), 1.0),
         ]:
             checks.append((key, f"{label}:{key}", observed, target, se))
             row += [observed, se, target]
@@ -769,14 +770,12 @@ def _block_means(per_rep_curves: np.ndarray, blocks: int):
     must come from the spread of per-replication block means, not from
     combining per-iteration SEs.
     """
-    reps, length = per_rep_curves.shape[-2:]
+    length = per_rep_curves.shape[-1]
     edges = np.linspace(0, length, blocks + 1).astype(int)
     rep_blocks = np.stack([
         per_rep_curves[..., a:b].mean(axis=-1) for a, b in zip(edges[:-1], edges[1:])
     ], axis=-1)
-    means = rep_blocks.mean(axis=-2)
-    errs = rep_blocks.std(axis=-2, ddof=1) / math.sqrt(reps)
-    return means, errs
+    return mean_with_se(rep_blocks, axis=-2)
 
 
 def _run_converge_logistic(cfg, root) -> tuple[list, dict]:

@@ -76,6 +76,18 @@ def ks_normality(samples, variance: float) -> float:
     return float(max(upper.max(), lower.max()))
 
 
+def mean_with_se(values, axis: int = 0):
+    """The mean of `values` along `axis` and its standard error
+    std(ddof=1) / sqrt(count), 0 when `axis` holds one value."""
+    values = np.asarray(values, dtype=float)
+    count = values.shape[axis]
+    mean = values.mean(axis=axis)
+    if count < 2:
+        return mean, np.zeros_like(mean)
+    with np.errstate(over="ignore"):  # a spread that overflows is an inf SE, which FAILs
+        return mean, values.std(axis=axis, ddof=1) / math.sqrt(count)
+
+
 def _sample_pair(samples_a, samples_b) -> tuple[np.ndarray, np.ndarray]:
     """Two (count, p) sample sets of the same count and p >= 1; 1-D input is
     one coordinate."""
@@ -160,8 +172,8 @@ def weighting_gap(
                 - sqrt_n * (grads.mean(axis=1) - grad_mean))
         values[start : start + len(streams)] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
     analytic = 2.0 * (1.0 - math.sqrt(m / n)) * model.noise_trace(theta)
-    se = values.std(ddof=1) / math.sqrt(reps)
-    return GapEstimate(estimate=float(values.mean()), se=float(se), analytic=analytic)
+    estimate, se = mean_with_se(values)
+    return GapEstimate(estimate=float(estimate), se=float(se), analytic=analytic)
 
 
 def contraction_bound(lam: float, gamma: float, L: float, L1: float, p: int, m: int) -> float:
@@ -230,19 +242,11 @@ def convergence_curve(
     # per-replication rows, C-ordered so the reductions over the reps axis
     # below accumulate in the same order as a stack of separate rows
     d_mat = rows(np.sum(diffs * diffs, axis=-1))
-    count = d_mat.shape[-2]
-
-    def mean_and_se(rows):
-        with np.errstate(over="ignore"):  # a spread that overflows is an inf SE, which FAILs
-            se = (rows.std(axis=-2, ddof=1) / math.sqrt(count) if count > 1
-                  else np.zeros(rows.shape[:-2] + rows.shape[-1:]))
-        return rows.mean(axis=-2), se
-
     g_gap_mean = g_gap_se = None
     if model.minimizer is not None:
         g_star = float(model.objective(model.minimizer))
-        g_gap_mean, g_gap_se = mean_and_se(rows(model.objective(states) - g_star))
-    sq_dist_mean, sq_dist_se = mean_and_se(d_mat)
+        g_gap_mean, g_gap_se = mean_with_se(rows(model.objective(states) - g_star), axis=-2)
+    sq_dist_mean, sq_dist_se = mean_with_se(d_mat, axis=-2)
     return ConvergenceCurve(
         g_gap_mean=g_gap_mean,
         g_gap_se=g_gap_se,

@@ -15,14 +15,22 @@ Schemes
 -------
 minibatch
     ``w_i = 1/m`` on a uniform random m-subset, 0 elsewhere (the
-    hypergeometric setup).
+    hypergeometric setup); the subset is numpy's
+    ``Generator.choice(n, m, replace=False, shuffle=False)``.
 gaussian
     ``W = c * (X - mean(X) * 1) + 1/n`` with ``c = sqrt((n-m)/(m n (n-1)))``
     and iid mean-0 variance-1 base draws ``X`` (standard normal,
     Rademacher, or sqrt(3)*Unif(-1,1)).  Coordinates can go negative.
 dirichlet
     ``W ~ Dir(alpha, ..., alpha)`` with ``alpha = (m-1)/(n-m)``;
-    nonnegative coordinates summing to one exactly.
+    nonnegative coordinates summing to one exactly, from one normalized draw
+    of n gamma variates per row (:func:`~msgdlab.numerics.sample_gamma`).
+
+Every draw comes from numpy's own samplers (``choice``, ``integers``,
+``standard_normal``, ``uniform``, ``gamma``, ``random``) on the row's
+stream.  numpy's compatibility policy (NEP 19) keeps the bit generator's
+stream fixed, not these methods' output, so a numpy release may change the
+draws; only their law is promised.
 """
 
 from __future__ import annotations
@@ -92,44 +100,6 @@ def dirichlet_alpha(n: int, m: int) -> float:
     return (m - 1) / (n - m)
 
 
-def _sample_subset(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """Uniform random m-subset of range(n) by partial Fisher-Yates, in the
-    order the swap loop visits it.
-
-    Step i draws j_i uniform on [i, n), outputs the value at position j_i
-    and moves the value at position i there.  Position i is never read
-    after step i, so the value at i before step i (the chain value c_i) is
-    the value the last earlier step targeting i moved there, that step's own
-    chain value, or i itself; pointer doubling resolves these chains.  Step
-    i then outputs the chain value of the last earlier step with the same
-    target, else j_i.  Memory is O(m) even for n up to 10^6, and the output
-    equals the swap loop's exactly.
-    """
-    steps = np.arange(m)
-    draws = gen.integers(low=steps, high=n)  # j_i uniform on [i, n)
-    target, step = np.divmod(np.sort(draws * m + steps), m)  # by target, then step
-    first = np.empty(m + 1, dtype=bool)  # entry opens a target group; sentinel at m
-    first[0] = first[m] = True
-    np.not_equal(target[1:], target[:-1], out=first[1:m])
-    # the last step before s targeting position s is the entry just before the
-    # end of group s or before step s itself, which sorts last in its group
-    closes = first[1:].copy()
-    closes[:-1] |= step[1:] == target[1:]
-    writes = closes & (step < target) & (target < m)
-    chain = steps.copy()
-    chain[target[writes]] = step[writes]
-    while True:
-        nxt = chain[chain]
-        if np.array_equal(nxt, chain):
-            break
-        chain = nxt
-    out = np.empty(m, dtype=np.int64)
-    previous = np.empty(m, dtype=np.int64)
-    previous[1:] = chain[step[:-1]]
-    out[step] = np.where(first[:m], target, previous)
-    return out
-
-
 def sample_minibatch_weights(
     streams: Sequence[RngStream], scheme: WeightScheme, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -140,7 +110,8 @@ def sample_minibatch_weights(
     if out is not None:
         block.fill(0.0)  # a reused block still holds its last draw
     for row, stream in zip(block, streams):
-        row[_sample_subset(stream.generator, scheme.n, scheme.m)] = 1.0 / scheme.m
+        subset = stream.generator.choice(scheme.n, scheme.m, replace=False, shuffle=False)
+        row[subset] = 1.0 / scheme.m
     return block
 
 
@@ -181,36 +152,20 @@ def sample_gaussian_structured_weights(
 def sample_dirichlet_weights(
     streams: Sequence[RngStream], scheme: WeightScheme, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Symmetric Dirichlet draws via normalized Gamma((m-1)/(n-m)) variates.
-
-    If every gamma variate of a row underflows to zero (possible in
-    principle at tiny concentrations), that row is redrawn on fresh derived
-    substreams, capped at 10 attempts.  Each retry substream is keyed by a
-    value drawn from the row's stream at the time of the retry, so retries
-    at different steps of a reused stream get different addresses, and a
-    draw that needs no retry consumes nothing extra.
-    """
+    """Symmetric Dirichlet draws via normalized Gamma((m-1)/(n-m)) variates,
+    one set of n per row; a row whose every variate underflows to zero raises."""
     if scheme.kind != "dirichlet":
         raise ValueError(f"scheme kind must be 'dirichlet', got {scheme.kind!r}")
     alpha = dirichlet_alpha(scheme.n, scheme.m)
     block = np.empty((len(streams), scheme.n)) if out is None else out
-    totals = np.empty((len(streams), 1))
-    for r, stream in enumerate(streams):
-        raw = sample_gamma(stream, alpha, size=scheme.n)
-        total = raw.sum()
-        attempt = 0
-        while not total > 0.0:
-            attempt += 1
-            if attempt > 10:
-                raise ArithmeticError(
-                    f"all gamma draws underflowed to zero in {attempt - 1} retries "
-                    f"(n={scheme.n}, alpha={alpha})"
-                )
-            retry = stream.child("dirichlet_retry", int(stream.generator.integers(2**63)))
-            raw = sample_gamma(retry, alpha, size=scheme.n)
-            total = raw.sum()
-        block[r] = raw
-        totals[r] = total
+    for row, stream in zip(block, streams):
+        row[:] = sample_gamma(stream, alpha, size=scheme.n)
+    totals = block.sum(axis=1, keepdims=True)
+    # boost identity: P(variate = 0) <= e^(-743.8 alpha), and n alpha > 1, so P(row = 0) <= e^(-743)
+    if not np.all(totals > 0.0):
+        raise ArithmeticError(
+            f"all gamma draws of a row underflowed to zero (n={scheme.n}, alpha={alpha})"
+        )
     block /= totals
     return block
 

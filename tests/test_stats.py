@@ -21,6 +21,7 @@ from msgdlab.stats import (
     fit_segment,
     ks_normality,
     log_slope,
+    mean_with_se,
     plateau_bound,
     sliced_w2,
     weighting_gap,
@@ -377,6 +378,24 @@ def gd_ensemble(model, config, reps=1) -> np.ndarray:
     """Deterministic GD copied into every replication of an ensemble's states."""
     gd = run_gd(model, [config]).runs[0]
     return np.repeat(gd[:, None, :], reps, axis=1)
+
+
+class TestMeanWithSe:
+    def test_along_an_axis(self):
+        values = derive_stream(71, ["mse"]).generator.standard_normal((7, 3, 4))
+        mean, se = mean_with_se(values, axis=1)
+        np.testing.assert_array_equal(mean, values.mean(axis=1))
+        np.testing.assert_array_equal(se, values.std(axis=1, ddof=1) / math.sqrt(3))
+
+    def test_one_row_has_zero_se(self):
+        mean, se = mean_with_se(np.array([[2.0, -1.0]]))
+        np.testing.assert_array_equal(mean, [2.0, -1.0])
+        np.testing.assert_array_equal(se, [0.0, 0.0])
+
+    def test_overflowing_spread_is_an_inf_se(self):
+        # quietly, though tier-1 turns every RuntimeWarning into an error
+        mean, se = mean_with_se(np.array([1e200, -1e200, 0.0]))
+        assert mean == 0.0 and se == math.inf
 
 
 class TestConvergenceCurve:

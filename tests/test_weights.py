@@ -8,7 +8,7 @@ import pytest
 import msgdlab.dynamics as dynamics_mod
 import msgdlab.weights as weights_mod
 from msgdlab.numerics import derive_stream
-from msgdlab.stats import covariance_with_se
+from msgdlab.stats import covariance_with_se, mean_with_se
 from msgdlab.weights import (
     WeightScheme,
     dirichlet_alpha,
@@ -138,26 +138,6 @@ class TestEnsembleSamplers:
             scale = np.sqrt((n - m) / (m * n * (n - 1)))
             np.testing.assert_array_equal(block[r], scale * (x - x.mean()) + 1.0 / n)
 
-    def test_dirichlet_retry_stays_in_its_row(self, monkeypatch):
-        scheme = WeightScheme("dirichlet", n=16, m=4)
-        real = weights_mod.sample_gamma
-        calls = {"count": 0}
-
-        def underflow_second_call(stream, shape, size=None):
-            calls["count"] += 1
-            if calls["count"] == 2:
-                return np.zeros(size)
-            return real(stream, shape, size)
-
-        monkeypatch.setattr(weights_mod, "sample_gamma", underflow_second_call)
-        streams = [derive_stream(227, [r]) for r in range(3)]
-        block = sample_dirichlet_weights(streams, scheme)
-        monkeypatch.setattr(weights_mod, "sample_gamma", real)
-        for r in (0, 2):
-            lone = sample_dirichlet_weights([derive_stream(227, [r])], scheme)[0]
-            np.testing.assert_array_equal(block[r], lone)
-        assert block[1].sum() == pytest.approx(1.0, abs=1e-12)
-
 
 class TestMinibatch:
     def test_two_choose_one_frequencies(self):
@@ -182,36 +162,41 @@ class TestMinibatch:
         assert set(np.unique(w)) == {0.0, 0.01}
 
     def test_subset_pinned_for_fixed_seed(self):
-        # any change to how the partial Fisher-Yates consumes the stream
-        # changes this subset and every minibatch artifact with it
-        subset = weights_mod._sample_subset(derive_stream(20260808, ["subset"]).generator, 50, 8)
+        # any change to how the subset is drawn from the stream changes this
+        # subset and every minibatch artifact with it
+        scheme = WeightScheme("minibatch", n=50, m=8)
+        w = sample_minibatch_weights([derive_stream(20260808, ["subset"])], scheme)[0]
+        assert np.flatnonzero(w).tolist() == [1, 19, 30, 33, 35, 42, 43, 49]
+
+    @pytest.mark.parametrize("n, m", [(6, 3), (6, 1), (5, 2), (6, 5)])
+    def test_every_subset_equally_likely(self, n, m):
+        # each of the C(n, m) subsets has probability 1/C(n, m); its count over
+        # `draws` rows is Binomial(draws, 1/C(n, m)), held to 5 of its SDs
+        draws, p = 20000, 1 / math.comb(n, m)
+        scheme = WeightScheme("minibatch", n=n, m=m)
+        stream = derive_stream(7, ["law", n, m])
+        w = sample_minibatch_weights(stream.children("rep", stop=draws), scheme)
+        codes = (w > 0) @ (1 << np.arange(n))
+        subsets, counts = np.unique(codes, return_counts=True)
+        assert len(subsets) == math.comb(n, m)
+        assert all(bin(code).count("1") == m for code in subsets.tolist())
+        assert np.all(np.abs(counts - draws * p) <= 5 * math.sqrt(draws * p * (1 - p)))
+
+    # numpy draws a subset by Floyd's algorithm up to m = n // 20 and by a
+    # partial shuffle of range(n) above it, once n > 10,000; m = 1 and m = n
+    # are the shuffle's and the algorithm's ends
+    @pytest.mark.parametrize("m", [1, 1000, 1001, 20000])
+    def test_subset_structure_at_large_n(self, m):
+        # the subset the sampler draws, and the row it writes from it
+        n = 20000
+        gen = derive_stream(9, ["large", m]).generator
+        subset = gen.choice(n, m, replace=False, shuffle=False)
         assert subset.dtype == np.int64
-        assert subset.tolist() == [39, 22, 0, 34, 46, 6, 43, 8]
-
-    @staticmethod
-    def _swap_loop_subset(gen, n, m):
-        """The partial Fisher-Yates as a swap loop over a dict: the oracle."""
-        draws = gen.integers(low=np.arange(m), high=n)
-        swapped = {}
-        out = []
-        for i, j in enumerate(draws.tolist()):
-            value_i = swapped.get(i, i)
-            out.append(swapped.get(j, j))
-            swapped[j] = value_i
-        return np.array(out, dtype=np.int64)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 400, 10**4])
-    def test_subset_equals_swap_loop(self, n):
-        sizes = sorted({1, 2, n // 3, n // 2, n - 1, n} & set(range(1, n + 1)))
-        for m in sizes:
-            for seed in range(40 if n <= 400 else 3):
-                stream = derive_stream(seed, ["swap-loop", n, m])
-                expected = self._swap_loop_subset(stream.generator, n, m)
-                again = derive_stream(seed, ["swap-loop", n, m])
-                subset = weights_mod._sample_subset(again.generator, n, m)
-                np.testing.assert_array_equal(subset, expected)
-                # and both leave the stream in the same state
-                assert again.generator.random() == stream.generator.random()
+        assert np.unique(subset).size == m
+        assert 0 <= subset.min() and subset.max() < n
+        scheme = WeightScheme("minibatch", n=n, m=m)
+        w = sample_minibatch_weights([derive_stream(9, ["large", m])], scheme)[0]
+        np.testing.assert_array_equal(np.flatnonzero(w), np.sort(subset))
 
     def test_variance_matches_target_large(self):
         # target Var(w_1) = (n-m)/(m n^2) = 4e-8 at n=1e4, m=2000
@@ -283,7 +268,7 @@ class TestDirichlet:
             first[r] = sample_dirichlet_weights([stream.child(r)], scheme)[0][0]
         assert np.var(first, ddof=1) == pytest.approx(4.0e-8, rel=0.05)
 
-    def test_underflow_exhausts_retries(self, monkeypatch):
+    def test_all_zero_row_raises_underflow(self, monkeypatch):
         scheme = WeightScheme("dirichlet", n=16, m=4)
         monkeypatch.setattr(
             weights_mod, "sample_gamma", lambda stream, shape, size=None: np.zeros(size)
@@ -291,41 +276,33 @@ class TestDirichlet:
         with pytest.raises(ArithmeticError, match="underflow"):
             sample_dirichlet_weights([derive_stream(1, ["u"])], scheme)
 
-    def test_underflow_recovers_on_retry(self, monkeypatch):
+    def test_underflow_is_judged_per_row(self, monkeypatch):
+        # one all-zero row raises though the block's other rows sum to one
         scheme = WeightScheme("dirichlet", n=16, m=4)
         real = weights_mod.sample_gamma
         calls = {"count": 0}
 
-        def flaky(stream, shape, size=None):
+        def underflow_second_call(stream, shape, size=None):
             calls["count"] += 1
-            if calls["count"] == 1:
-                return np.zeros(size)
-            return real(stream, shape, size)
+            return np.zeros(size) if calls["count"] == 2 else real(stream, shape, size)
 
-        monkeypatch.setattr(weights_mod, "sample_gamma", flaky)
-        w = sample_dirichlet_weights([derive_stream(1, ["u"])], scheme)[0]
-        assert calls["count"] == 2
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(weights_mod, "sample_gamma", underflow_second_call)
+        with pytest.raises(ArithmeticError, match="underflow"):
+            sample_dirichlet_weights([derive_stream(227, [r]) for r in range(3)], scheme)
+        assert calls["count"] == 3
 
-    def test_retries_differ_across_draws_of_one_stream(self, monkeypatch):
-        # every draw underflows once; the retry address must not repeat
-        # when the same stream is reused, as it is across steps of a run
+    def test_row_with_one_surviving_variate_is_a_vertex(self, monkeypatch):
+        # underflow of all but one variate is a valid draw: that vertex of the simplex
         scheme = WeightScheme("dirichlet", n=16, m=4)
-        real = weights_mod.sample_gamma
-        calls = {"count": 0}
 
-        def underflow_first(stream, shape, size=None):
-            calls["count"] += 1
-            if calls["count"] % 2 == 1:
-                return np.zeros(size)
-            return real(stream, shape, size)
+        def one_survivor(stream, shape, size=None):
+            g = np.zeros(size)
+            g[5] = 1e-300
+            return g
 
-        monkeypatch.setattr(weights_mod, "sample_gamma", underflow_first)
-        stream = derive_stream(2, ["reused"])
-        first = sample_dirichlet_weights([stream], scheme)[0]
-        second = sample_dirichlet_weights([stream], scheme)[0]
-        assert calls["count"] == 4
-        assert not np.array_equal(first, second)
+        monkeypatch.setattr(weights_mod, "sample_gamma", one_survivor)
+        w = sample_dirichlet_weights([derive_stream(1, ["v"])], scheme)[0]
+        np.testing.assert_array_equal(w, np.eye(16)[5])
 
 
 def judged_moments(columns):
@@ -334,13 +311,12 @@ def judged_moments(columns):
     w_1 and the covariance of (w_1, w_2) with the large-sample SEs of
     ``covariance_with_se``, and the mean of m * sum(w^2)."""
     first, second, m_sum_sq = columns
-    reps = first.size
-    cov, cov_se = covariance_with_se(np.column_stack([first, second]))
+    _, cov_se = covariance_with_se(np.column_stack([first, second]))
     return {
-        "mean": (first.mean(), math.sqrt(cov[0, 0] / reps)),
+        "mean": mean_with_se(first),
         "var": (np.var(first, ddof=1), cov_se[0, 0]),
         "cov": (np.cov(first, second, ddof=1)[0, 1], cov_se[0, 1]),
-        "m_sum_sq": (m_sum_sq.mean(), m_sum_sq.std(ddof=1) / math.sqrt(reps)),
+        "m_sum_sq": mean_with_se(m_sum_sq),
     }
 
 
