@@ -361,6 +361,16 @@ def _build(where: str, diags: list[str], make, *args, **kwargs):
         return None
 
 
+def _check_unique(named: list, diags: list[str]) -> None:
+    """Report each (where, key) whose key repeats an earlier entry's: the
+    repeat would rerun that entry's stream under the same check names."""
+    first: dict = {}
+    for where, key in named:
+        if key in first:
+            diags.append(f"{where}: repeats {first[key]}")
+        first.setdefault(key, where)
+
+
 def _model_from_spec(spec: dict):
     p = spec.get("p", 1)
     theta_star = np.asarray(spec.get("theta_star", np.zeros(p)), dtype=float)
@@ -393,10 +403,15 @@ def _check_schemes(params: dict, command: str, plan: dict, diags: list[str]) -> 
         schemes = [("scheme", params["scheme"])]
     else:
         schemes = [(f"schemes[{i}]", spec) for i, spec in enumerate(params["schemes"] or [])]
-    plan["schemes"] = [
-        _build(where, diags, WeightScheme, n=n, m=m, **spec)
-        for where, spec in schemes if spec is not None for n, m in sizes
-    ]
+    plan["schemes"], labels = [], []
+    for where, spec in schemes:
+        built = [_build(where, diags, WeightScheme, n=n, m=m, **spec)
+                 for n, m in sizes] if spec is not None else []
+        plan["schemes"] += built
+        if built and built[0] is not None:
+            labels.append((where, built[0].label))
+    _check_unique([(where, tuple(pair)) for where, pair in named], diags)
+    _check_unique(labels, diags)
 
 
 def _check_model(params: dict, command: str, seed: int, plan: dict, diags: list[str]):
@@ -439,6 +454,8 @@ def _check_step_grid(params: dict, command: str, plan: dict, diags: list[str]) -
     gammas, horizon = params["gammas"], params["horizon"]
     if gammas is not None and len(set(gammas)) < 2:
         diags.append(f"{command}.gammas: need at least 2 distinct step sizes for the slope fit")
+    if gammas is not None:
+        _check_unique([(f"gammas[{i}]", gamma) for i, gamma in enumerate(gammas)], diags)
     if horizon is not None and not horizon > 0:
         diags.append(f"{command}.horizon: must be positive")
     elif gammas is not None and horizon is not None:
@@ -503,6 +520,7 @@ def _check_runs(params: dict, made, plan: dict, diags: list[str]) -> None:
         count = len(diags)
         for i, kappa in enumerate(params["kappas"]):
             _build(f"kappas[{i}]", diags, ridge_penalties, kappa)
+        _check_unique([(f"kappas[{i}]", kappa) for i, kappa in enumerate(params["kappas"])], diags)
         if len(diags) == count:
             kappas = plan["kappas"] = sorted(params["kappas"], reverse=True)
             plan["model"] = _build("converge.kappas", diags, make_logistic_model, made, kappas)
@@ -799,7 +817,7 @@ def _run_converge_logistic(cfg, root) -> tuple[list, dict]:
         for kappa_idx, (kappa, means, errs) in enumerate(
             zip(kappas, block_means.tolist(), block_errs.tolist())
         ):
-            label = f"run{run_idx}:kappa{kappa:g}"
+            label = f"run{run_idx}:kappa{float(kappa)!r}"
             rise = max(
                 means[j + 1] - means[j]
                 - bound["block_decrease_sigmas"] * math.hypot(errs[j], errs[j + 1])
@@ -821,7 +839,7 @@ def _run_converge_logistic(cfg, root) -> tuple[list, dict]:
             )
         rho_hats = list(zip(kappas, rhos.tolist(), rho_ses.tolist()))
         checks += [
-            ("rho_order", f"run{run_idx}:rho_order:kappa{k_hi:g}<=kappa{k_lo:g}",
+            ("rho_order", f"run{run_idx}:rho_order:kappa{float(k_hi)!r}<=kappa{float(k_lo)!r}",
              r_hi - r_lo, 0.0, math.hypot(s_hi, s_lo))
             for (k_hi, r_hi, s_hi), (k_lo, r_lo, s_lo) in zip(rho_hats, rho_hats[1:])
         ]
@@ -857,7 +875,7 @@ def _run_gd_ode(cfg: ExperimentConfig, root) -> tuple[list, dict]:
         if not math.isfinite(bound):  # a bound that overflowed bounds nothing: NaN FAILs
             bound = math.nan
         max_error = float(errors.max())
-        checks.append(("bound_gamma", f"bound_gamma{gamma:g}", max_error, bound))
+        checks.append(("bound_gamma", f"bound_gamma{float(gamma)!r}", max_error, bound))
         rows.append([gamma, max_error, bound, float(errors[-1])])
     final_errors = [row[3] for row in rows]
     checks.append(("loglog_slope", "loglog_slope", log_slope(np.log(gammas), final_errors)))

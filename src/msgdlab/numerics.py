@@ -8,17 +8,16 @@ statistically independent.  This makes replicated Monte Carlo runs
 reproducible regardless of execution order or batching: every logical task
 derives its own stream from its index instead of sharing generator state.
 
-The bit source is numpy's Philox counter-based generator.  Its key is what
-``SeedSequence(master_seed, spawn_key=<encoded path>).generate_state(2,
-uint64)`` returns, computed here with numpy's published SeedSequence
-algorithm (NEP 19 keeps it stable), so a stream draws exactly what
-``Philox(SeedSequence(...))`` would.  Owning the computation lets
-:meth:`RngStream.children` derive many replications' streams at once: the
-shared path prefix is mixed once and only the trailing index is mixed as an
-array.  String labels enter the key via a SHA-256 prefix (Python's builtin
-``hash`` is salted per process and must not be used here); integer labels
-pass through tagged, so the int ``5`` and the string ``"5"`` derive
-different streams.
+A stream *is* ``Philox(SeedSequence(master_seed, spawn_key=<encoded
+path>))``, numpy's own bit source and seeding (NEP 19 keeps SeedSequence's
+algorithm stable).  :meth:`RngStream.children` derives many replications'
+streams at once: numpy mixes the shared path prefix into its SeedSequence
+pool once, and this module continues that published mixing over the
+trailing index as an array, so each batched stream draws exactly what
+``child(*labels, r)`` would.  String labels enter the key via a SHA-256
+prefix (Python's builtin ``hash`` is salted per process and must not be
+used here); integer labels pass through tagged, so the int ``5`` and the
+string ``"5"`` derive different streams.
 """
 
 from __future__ import annotations
@@ -56,25 +55,14 @@ def _encode_path(path: Sequence[PathLabel]) -> tuple[int, ...]:
 
 # Constants of numpy's SeedSequence (NEP 19 keeps its algorithm stable).
 _MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int; 0 is one word."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-# The mixing steps below take Python ints or uint64 arrays holding 32-bit
-# values, masking after every product, so one code path serves the scalar
-# prefix of a path and the vector of trailing replication indices.
+# The mixing steps below continue SeedSequence over a vector of trailing
+# replication indices: they take Python ints or uint64 arrays holding 32-bit
+# values and mask after every product.
 
 
 def _hashmix(value, const: int):
@@ -96,37 +84,6 @@ def _absorb(pool: list, const: int, word) -> tuple[list, int]:
         hashed, const = _hashmix(word, const)
         mixed.append(_mix(value, hashed))
     return mixed, const
-
-
-def _seed_pool(master_seed: int) -> tuple[list, int]:
-    """SeedSequence's entropy pool and hash constant after ``master_seed``.
-
-    A non-empty spawn key pads the seed words to the pool size; an empty
-    one leaves them unpadded, which mixes the same pool because the missing
-    words hash as zeros.  A seed below 2**64 never fills the pool, so the
-    spawn-key words, absorbed next, always follow it.
-    """
-    seed_words = _uint32_words(master_seed)
-    const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        value, const = _hashmix(seed_words[i] if i < len(seed_words) else 0, const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    return pool, const
-
-
-def _absorb_path(state: tuple[list, int], path: Sequence[PathLabel]) -> tuple[list, int]:
-    """Absorb the spawn-key words that encode ``path`` into a pool state."""
-    pool, const = state
-    for label in _encode_path(path):
-        for word in _uint32_words(label):
-            pool, const = _absorb(pool, const, word)
-    return pool, const
 
 
 def _philox_key(pool: list):
@@ -169,7 +126,7 @@ class RngStream:
     work instead of sharing an instance.
     """
 
-    __slots__ = ("master_seed", "path", "generator", "_pool")
+    __slots__ = ("master_seed", "path", "generator")
 
     def __init__(self, master_seed: int, path: Sequence[PathLabel] = ()):
         if not isinstance(master_seed, (int, np.integer)) or isinstance(master_seed, bool):
@@ -177,44 +134,38 @@ class RngStream:
         if not 0 <= master_seed < _MAX_SEED:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         path = tuple(path)
-        pool = _absorb_path(_seed_pool(int(master_seed)), path)
-        self._set(int(master_seed), path, _philox_key(pool[0]), pool)
+        seed_sequence = np.random.SeedSequence(int(master_seed), spawn_key=_encode_path(path))
+        self._set(int(master_seed), path, seed_sequence)
 
-    def _set(self, master_seed: int, path: tuple, key, pool) -> None:
+    def _set(self, master_seed: int, path: tuple, seed_sequence) -> None:
         object.__setattr__(self, "master_seed", master_seed)
         object.__setattr__(self, "path", path)
-        generator = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        generator = np.random.Generator(np.random.Philox(seed_sequence))
         object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "_pool", pool)
 
     def __setattr__(self, name, value):
         raise AttributeError("RngStream handles are immutable after derivation")
 
-    def _pool_state(self) -> tuple[list, int]:
-        """The SeedSequence pool state after this stream's path; streams
-        built by ``children`` compute it on first use."""
-        if self._pool is None:
-            pool = _absorb_path(_seed_pool(self.master_seed), self.path)
-            object.__setattr__(self, "_pool", pool)
-        return self._pool
-
     def child(self, *labels: PathLabel) -> "RngStream":
         """Derive the stream addressed by this path extended with `labels`."""
-        pool = _absorb_path(self._pool_state(), labels)
-        stream = object.__new__(RngStream)
-        stream._set(self.master_seed, self.path + labels, _philox_key(pool[0]), pool)
-        return stream
+        return RngStream(self.master_seed, self.path + labels)
 
     def _child_keys(self, labels: tuple, start: int, stop: int) -> np.ndarray:
         """Philox keys of ``child(*labels, r)`` for r in range(start, stop),
         as a (stop - start, 2) uint64 array.
 
-        The path prefix is mixed once as scalars; only the words of the
-        trailing index r run as arrays over r.
+        numpy's SeedSequence mixes the path prefix once; only the words of
+        the trailing index r run here, as arrays over r.  The prefix's seed
+        words take 16 hash steps (an empty prefix leaves them unpadded,
+        which mixes the same pool) and each of its w spawn-key words four
+        more, so the hash constant resumes at ``_INIT_A * _MULT_A**(16 + 4 w)``.
         """
         if not 0 <= start <= stop <= _MAX_SEED:
             raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
-        pool, const = _absorb_path(self._pool_state(), labels)
+        key = _encode_path(self.path + labels)
+        words = sum((value.bit_length() + 31) // 32 or 1 for value in key)
+        pool = np.random.SeedSequence(self.master_seed, spawn_key=key).pool.tolist()
+        const = (_INIT_A * pow(_MULT_A, 16 + 4 * words, 2**32)) & _MASK32
         pool, const = _absorb(pool, const, 0)  # the int tag of r
         keys = np.empty((stop - start, 2), dtype=np.uint64)
         # r is one 32-bit word below 2**32 and two from there on
@@ -234,7 +185,7 @@ class RngStream:
         base = self.path + labels
         for i, key in enumerate(keys.tolist()):
             stream = object.__new__(RngStream)
-            stream._set(self.master_seed, base + (start + i,), key, None)
+            stream._set(self.master_seed, base + (start + i,), _PhiloxKey(key))
             streams.append(stream)
         return streams
 

@@ -376,6 +376,36 @@ class TestValidateConfig:
         ]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "raw, diagnostic",
+        [
+            (tiny_config("weights-moments") | {"schemes": [
+                {"kind": "gaussian"}, {"kind": "dirichlet"}, {"kind": "gaussian", "base": "normal"},
+            ]}, "schemes[2]: repeats schemes[0]"),
+            (tiny_config("weighting-gap") | {"pairs": [[400, 100], [80, 20], [80, 20]]},
+             "pairs[2]: repeats pairs[1]"),
+            (tiny_config("gd-ode") | {"gammas": [0.1, 0.1, 0.05]}, "gammas[1]: repeats gammas[0]"),
+            (tiny_config("wass-scaling") | {"gammas": [0.2, 0.1, 0.2]},
+             "gammas[2]: repeats gammas[0]"),
+            (tiny_logistic() | {"kappas": [0.1, 0.2, 0.1]}, "kappas[2]: repeats kappas[0]"),
+        ],
+        ids=["scheme", "pair", "gd-ode-gamma", "wass-scaling-gamma", "kappa"],
+    )
+    def test_repeated_entry_names_both_keys(self, raw, diagnostic):
+        # a repeat would rerun the first entry's stream under the same check names
+        with pytest.raises(ConfigError) as info:
+            validate_config(raw)
+        assert info.value.diagnostics == [diagnostic]
+
+    def test_close_kappas_get_their_own_check_names(self, tmp_path):
+        # 0.1 and 0.1000001 print alike under %g; the labels use the float's repr,
+        # also for a numpy float
+        raw = tiny_logistic() | {"kappas": [0.1, np.float64(0.1000001)]}
+        names = [check.name for check in run_experiment(validate_config(raw), tmp_path).checks]
+        assert len(set(names)) == len(names)
+        assert "run0:kappa0.1000001:block_decrease" in names
+        assert "run0:rho_order:kappa0.1000001<=kappa0.1" in names
+
 
 class TestHistogramRows:
     def test_two_values_two_bins(self):
@@ -1212,7 +1242,7 @@ class TestJudge:
 
         for command, bounds in list(cli.BOUNDS.items()):
             monkeypatch.setitem(cli.BOUNDS, command, Reads(bounds))
-        for name, (raw, _) in GOLDEN.items():
+        for name, (raw, *_) in GOLDEN.items():
             run_experiment(validate_config(raw), tmp_path / name)
         assert {command: bounds.read for command, bounds in cli.BOUNDS.items()} == {
             command: set(bounds) for command, bounds in cli.BOUNDS.items()

@@ -38,7 +38,7 @@ print(json.dumps([len(paths), scipy]))
 
 
 def test_no_command_loads_scipy(tmp_path):
-    golden = {name: raw for name, (raw, _) in GOLDEN.items()}
+    golden = {name: raw for name, (raw, *_) in GOLDEN.items()}
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
         [sys.executable, "-c", CHILD, str(REPO / "configs"), json.dumps(golden), str(tmp_path)],

@@ -88,7 +88,13 @@ on m-subsets, so every value drawn from it moved by sampling noise, as
 ``std(ddof=1) / sqrt(reps)`` (``stats.mean_with_se``), where it was the
 ddof-0 ``sqrt(cov_00 / reps)``.  ``wass-scaling-grid``, 20 replications
 at three step sizes, failed its ``loglog_slope`` check on the old draws and
-passes it on the new; the digests pin bytes, not verdicts.
+passes it on the new.
+
+Each entry is (config, digest, failing check names).  The failing names are
+asserted before the digest, so a verdict that flips fails by name and reads
+apart from a byte change; a tiny config's verdict can be noise (``clt``,
+200 samples, fails both KS checks), so a flip is re-recorded only with its
+cause.  Every report's check names must be unique.
 """
 
 from __future__ import annotations
@@ -104,6 +110,7 @@ GOLDEN = {
         {"command": "clt", "seed": 11, "n": 300, "m": 60, "samples": 200, "p": 2,
          "scheme": {"kind": "minibatch"}},
         "b472736c7316473b7845c1537f8759804a9795b5bde889e6037f45e687e2c41e",
+        ["ks_coord1", "ks_coord2"],
     ),
     "weights-moments": (
         {"command": "weights-moments", "seed": 11, "n": 60, "m": 12, "reps": 150,
@@ -113,17 +120,20 @@ GOLDEN = {
              {"kind": "gaussian", "base": "uniform"}, {"kind": "dirichlet"},
          ]},
         "a733c5682b0bbda17c7ac7c7c71a9a0a83c931ff2c7c45209a9109b4aa13fdeb",
+        [],
     ),
     "weighting-gap": (
         {"command": "weighting-gap", "seed": 11, "pairs": [[80, 20], [80, 70]],
          "reps": 1000},
         "d6a5587e6f5708b689ae400f0be9896043d37176853587d461388ab4afce69d9",
+        [],
     ),
     "wass-scaling": (
         {"command": "wass-scaling", "seed": 11, "gammas": [0.25, 0.125], "reps": 30,
          "n": 64, "m": 8, "n_directions": 16, "em_substeps": 10,
          "scheme": {"kind": "dirichlet"}},
         "e0490de7cc7f152fbc9c63a18c4f51878908da4babf41032a13edf655db8595d",
+        [],
     ),
     "converge-quadratic": (
         {"command": "converge", "seed": 11,
@@ -131,16 +141,19 @@ GOLDEN = {
          "n": 5000, "m": 50, "reps": 20, "scheme": {"kind": "minibatch"},
          "runs": [{"gamma": 0.2, "num_steps": 30, "fit_window": 8}]},
         "b32ef8860d5cc714a710124f601b85fc273ea4c23382746ad6c1acb4a1afc9de",
+        [],
     ),
     "converge-logistic": (
         {"command": "converge", "seed": 11, "model": {"kind": "logistic", "p": 3, "t": 500},
          "n": 2000, "m": 20, "reps": 10, "kappas": [0.2, 0.05],
          "runs": [{"gamma": 0.5, "num_steps": 16, "fit_window": 4}]},
         "eacf27b289868a9526ca32c9ed94f395d3423b496231c39e26d26c8a1e0cc5e0",
+        [],
     ),
     "gd-ode": (
         {"command": "gd-ode", "seed": 11, "gammas": [0.1, 0.05], "x0": [1.0]},
         "910bb960e9bfdce26a51106c5fef7a47ec342233ff7f3acaae3617909e0255d1",
+        [],
     ),
     # unsorted grids of three step sizes with unequal step counts
     "wass-scaling-grid": (
@@ -148,12 +161,14 @@ GOLDEN = {
          "n": 48, "m": 6, "n_directions": 8, "em_substeps": 6, "scheme": {"kind": "minibatch"},
          "model": {"kind": "quadratic", "p": 2, "s": 0.5, "theta_star": [0.5, -0.5]}},
         "9efc28306ef4021a3596f4b4123d637983188f1aab3193143d20d9664886b49d",
+        [],
     ),
     "gd-ode-grid": (
         {"command": "gd-ode", "seed": 11, "gammas": [0.05, 0.2, 0.1], "x0": [2.0, -1.0],
          "horizon": 0.8,
          "model": {"kind": "quadratic", "p": 2, "theta_star": [0.5, 0.0]}},
         "0def8d96bfc49fd4391f03438373e8b28096e39815548ea96bb40868016d8e13",
+        [],
     ),
 }
 
@@ -169,6 +184,10 @@ def directory_digest(directory) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_bytes_match_golden(name, tmp_path):
-    raw, expected = GOLDEN[name]
-    run_experiment(validate_config(raw), tmp_path)
+    raw, expected, failing = GOLDEN[name]
+    checks = run_experiment(validate_config(raw), tmp_path).checks
+    names = [check.name for check in checks]
+    assert len(set(names)) == len(names), names
+    # a verdict flip fails here by name, apart from any byte change
+    assert [check.name for check in checks if not check.passed] == failing
     assert directory_digest(tmp_path) == expected

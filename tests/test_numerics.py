@@ -123,7 +123,7 @@ PATHS = [(), ("rep",), (7,), (2**32,), (2**40 + 5, "weights"), ("clt", 3, 2**63)
 
 
 class TestInModuleDerivation:
-    """Keys are computed in the module with SeedSequence's algorithm; every
+    """Batched keys continue numpy's SeedSequence mixing in the module; every
     stream must equal the SeedSequence-keyed Philox of its address."""
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -160,12 +160,34 @@ class TestInModuleDerivation:
         reference = np.array([s.generator.random(2) for s in parent.children("rep", stop=10)])
         np.testing.assert_array_equal(drawn, reference)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_children_of_the_empty_path(self, seed):
+        # no spawn-key words before r: the seed words mix unpadded, the same pool
+        streams = derive_stream(seed).children(stop=3)
+        for r, stream in enumerate(streams):
+            np.testing.assert_array_equal(
+                stream.generator.random(4), _seed_sequence_draws(seed, (r,))
+            )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_children_after_mixed_width_labels(self, seed):
+        # strings and ints of one and two 32-bit words on both sides of 2**32
+        parent = derive_stream(seed, ("clt", 2**32 - 1, "rep", 2**32, 5))
+        for labels in [(), ("msgd", 2**32 + 7), (2**63, "x", 0)]:
+            for start, stop in [(0, 4), (2**32 - 1, 2**32 + 1)]:
+                streams = parent.children(*labels, start=start, stop=stop)
+                for r, stream in zip(range(start, stop), streams):
+                    np.testing.assert_array_equal(
+                        stream.generator.random(4),
+                        _seed_sequence_draws(seed, parent.path + labels + (r,)),
+                    )
+
     def test_children_of_a_child_built_in_batch(self):
         # a stream from children() derives its own children on demand
         batched = derive_stream(5, ["a"]).children("rep", start=3, stop=4)[0]
         np.testing.assert_array_equal(
-            batched.child("dirichlet_retry", 2**62).generator.random(3),
-            _seed_sequence_draws(5, ("a", "rep", 3, "dirichlet_retry", 2**62), 3),
+            batched.child("weights", 2**62).generator.random(3),
+            _seed_sequence_draws(5, ("a", "rep", 3, "weights", 2**62), 3),
         )
 
     def test_empty_and_bad_ranges(self):

@@ -19,7 +19,9 @@ change of values), the largest relative difference over its checks'
 ``observed`` values, over their ``target`` values and over their
 ``tolerance`` values, each on its own, and the name of every check whose
 ``pass`` flag changed, and ``overall_pass`` if the verdict did, so a roundoff
-change reads apart from a verdict change.  Exits 0 when there is none.  Both trees run this
+change reads apart from a verdict change.  Checks pair by position, and a
+report.json that holds one check name twice, in either tree, is a difference
+of its own.  Exits 0 when there is none.  Both trees run this
 checkout's configs.  The canonical configs take about a minute per tree, so
 the tests do not run this.
 """
@@ -35,6 +37,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -97,7 +100,7 @@ def golden_configs() -> dict[str, dict]:
     tree = ast.parse((REPO / "tests" / "test_golden_bytes.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "GOLDEN":
-            return {name: raw for name, (raw, _) in ast.literal_eval(node.value).items()}
+            return {name: raw for name, (raw, *_) in ast.literal_eval(node.value).items()}
     raise SystemExit("tests/test_golden_bytes.py defines no GOLDEN")
 
 
@@ -165,13 +168,14 @@ def report_change(old: bytes, new: bytes) -> str:
                   if json.dumps(reports[0].get(key), sort_keys=True)
                   != json.dumps(reports[1].get(key), sort_keys=True))
     prefix = f"keys differing: {', '.join(keys)}; "
-    before, after = ({check["name"]: check for check in r["checks"]} for r in reports)
-    if before.keys() != after.keys():
-        return prefix + "its check names differ"
-    largest = {key: max((relative(before[name][key], after[name][key]) for name in before),
-                        default=0.0)
+    # checks pair by position, so a flip in one of two same-named checks shows
+    before, after = (r["checks"] for r in reports)
+    if [check["name"] for check in before] != [check["name"] for check in after]:
+        return prefix + "its check names or their order differ"
+    pairs = list(zip(before, after))
+    largest = {key: max((relative(a[key], b[key]) for a, b in pairs), default=0.0)
                for key in ("observed", "target", "tolerance")}
-    flipped = [name for name in before if before[name]["pass"] != after[name]["pass"]]
+    flipped = [a["name"] for a, b in pairs if a["pass"] != b["pass"]]
     if reports[0]["overall_pass"] != reports[1]["overall_pass"]:
         flipped.append("overall_pass")
     return (prefix + "largest relative difference "
@@ -180,8 +184,19 @@ def report_change(old: bytes, new: bytes) -> str:
             + (f"pass flag changed: {', '.join(flipped)}" if flipped else "no pass flag changed"))
 
 
+def repeated_names(report: bytes) -> list[str]:
+    """The check names a report.json holds more than once."""
+    counts = Counter(check["name"] for check in json.loads(report)["checks"])
+    return sorted(name for name, count in counts.items() if count > 1)
+
+
 def differences(label: str, old: dict, new: dict) -> list[str]:
     found = []
+    for side, run in (("parent", old), ("this tree", new)):
+        report = run["files"].get("report.json")
+        repeated = repeated_names(report) if report is not None else []
+        if repeated:
+            found.append(f"{label}: report.json of {side} repeats check names: {', '.join(repeated)}")
     if old["exit"] != new["exit"]:
         found.append(f"{label}: exit code {old['exit']} -> {new['exit']}")
     for stream in ("stdout", "stderr"):
