@@ -263,9 +263,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "weighting-gap": {
         "pairs": Field([[int]], REQUIRED, 1), "reps": Field(int, REQUIRED, 1000),
-        "schemes": Field([_SCHEME], _EVERY_SCHEME, 1),
-        "model": Field(Kinds(quadratic=_QUADRATIC), _PLANE),
-        "theta": Field([float]),
+        "schemes": Field([_SCHEME], _EVERY_SCHEME, 1), "p": Field(int, 2, 1),
     },
     "wass-scaling": {
         "gammas": Field([float], REQUIRED), "reps": Field(int, REQUIRED, 1),
@@ -273,7 +271,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "scheme": Field(_SCHEME, {"kind": "gaussian"}),
         "model": Field(Kinds(quadratic=_QUADRATIC), _PLANE),
         "em_substeps": Field(int, 50, 1), "n_directions": Field(int, 128, 1),
-        "x0": Field([float]),
     },
     "converge": {
         "model": Field(Kinds(quadratic=_QUADRATIC, logistic=_LOGISTIC), REQUIRED),
@@ -415,9 +412,9 @@ def _check_schemes(params: dict, command: str, plan: dict, diags: list[str]) -> 
 
 
 def _check_model(params: dict, command: str, seed: int, plan: dict, diags: list[str]):
-    """The model, or a logistic model's dataset, and the resolved start (the
-    point, for weighting-gap).  A given point must have the model's dimension,
-    and converge and gd-ode must not start at the minimiser."""
+    """The model, or a logistic model's dataset, and the resolved start.  A
+    given start must have the model's dimension, and converge and gd-ode must
+    not start at the minimiser."""
     spec = params["model"]
     if spec is None:
         return None
@@ -426,17 +423,16 @@ def _check_model(params: dict, command: str, seed: int, plan: dict, diags: list[
         made = _build("model", diags, generate_logistic_dataset, stream, spec["p"], spec["t"])
     else:
         made = plan["model"] = _build("model", diags, _model_from_spec, spec)
-    key = "theta" if command == "weighting-gap" else "x0"
-    if made is None or (key in params and params[key] is None):
+    if made is None or ("x0" in params and params["x0"] is None):
         return made
-    point = params.get(key)
+    point = params.get("x0")
     if point is not None and len(point) != made.dim:
-        diags.append(f"{command}.{key}: expected p={made.dim} numbers, got {point}")
+        diags.append(f"{command}.x0: expected p={made.dim} numbers, got {point}")
     if point is None:  # ones, scaled to unit length for the logistic model
         point = np.ones(made.dim) / math.sqrt(made.dim if spec["kind"] == "logistic" else 1)
     start = plan["start"] = np.asarray(point, dtype=float)
     if not np.all(np.abs(start) <= DIVERGENCE_LIMIT):
-        diags.append(f"{command}.{key}: every entry must lie within +-{DIVERGENCE_LIMIT:g}, "
+        diags.append(f"{command}.x0: every entry must lie within +-{DIVERGENCE_LIMIT:g}, "
                      f"beyond which a state counts as diverged, got {point}")
     # a start at the minimiser leaves a zero curve or error, which has no logarithm to fit
     if (
@@ -532,6 +528,10 @@ def _check_cross(params: dict, command: str, seed: int, diags: list[str]) -> dic
     if command != "gd-ode":  # the one command that draws no weights
         _check_schemes(params, command, plan, diags)
     made = _check_model(params, command, seed, plan, diags) if "model" in params else None
+    # the gap's verdict, (estimate - analytic) / SE, is the same at every theta, theta* and s
+    if command == "weighting-gap" and params["p"] is not None:
+        plan["model"] = _build("weighting-gap.p", diags, _model_from_spec, {"p": params["p"]})
+        plan["start"] = np.ones(params["p"])
     if "gammas" in params:
         _check_step_grid(params, command, plan, diags)
     if command == "wass-scaling":

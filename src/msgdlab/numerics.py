@@ -10,14 +10,15 @@ derives its own stream from its index instead of sharing generator state.
 
 A stream *is* ``Philox(SeedSequence(master_seed, spawn_key=<encoded
 path>))``, numpy's own bit source and seeding (NEP 19 keeps SeedSequence's
-algorithm stable).  :meth:`RngStream.children` derives many replications'
-streams at once: numpy mixes the shared path prefix into its SeedSequence
-pool once, and this module continues that published mixing over the
-trailing index as an array, so each batched stream draws exactly what
-``child(*labels, r)`` would.  String labels enter the key via a SHA-256
-prefix (Python's builtin ``hash`` is salted per process and must not be
-used here); integer labels pass through tagged, so the int ``5`` and the
-string ``"5"`` derive different streams.
+algorithm stable).  :meth:`RngStream.children` derives the streams of
+replications 0 to stop - 1 at once: numpy mixes the shared path prefix into
+its SeedSequence pool once, and this module continues that published mixing
+over the trailing index, one 32-bit word below ``stop <= 2**32``, as an
+array, so each batched stream draws exactly what ``child(*labels, r)``
+would.  String labels enter the key via a SHA-256 prefix (Python's builtin
+``hash`` is salted per process and must not be used here); integer labels
+pass through tagged, so the int ``5`` and the string ``"5"`` derive
+different streams.
 """
 
 from __future__ import annotations
@@ -150,34 +151,27 @@ class RngStream:
         """Derive the stream addressed by this path extended with `labels`."""
         return RngStream(self.master_seed, self.path + labels)
 
-    def _child_keys(self, labels: tuple, start: int, stop: int) -> np.ndarray:
-        """Philox keys of ``child(*labels, r)`` for r in range(start, stop),
-        as a (stop - start, 2) uint64 array.
+    def _child_keys(self, labels: tuple, stop: int) -> np.ndarray:
+        """Philox keys of ``child(*labels, r)`` for r in range(stop), as a
+        (stop, 2) uint64 array.
 
-        numpy's SeedSequence mixes the path prefix once; only the words of
-        the trailing index r run here, as arrays over r.  The prefix's seed
-        words take 16 hash steps (an empty prefix leaves them unpadded,
+        numpy's SeedSequence mixes the path prefix once; only the word of
+        the trailing index r runs here, as an array over r.  The prefix's
+        seed words take 16 hash steps (an empty prefix leaves them unpadded,
         which mixes the same pool) and each of its w spawn-key words four
         more, so the hash constant resumes at ``_INIT_A * _MULT_A**(16 + 4 w)``.
+        Every r is one 32-bit word, so `stop` is at most 2**32, far above
+        any run's count (``dynamics.MAX_STEPS``).
         """
-        if not 0 <= start <= stop <= _MAX_SEED:
-            raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
+        if not 0 <= stop <= 2**32:
+            raise ValueError(f"need 0 <= stop <= 2**32, got {stop}")
         key = _encode_path(self.path + labels)
         words = sum((value.bit_length() + 31) // 32 or 1 for value in key)
         pool = np.random.SeedSequence(self.master_seed, spawn_key=key).pool.tolist()
         const = (_INIT_A * pow(_MULT_A, 16 + 4 * words, 2**32)) & _MASK32
         pool, const = _absorb(pool, const, 0)  # the int tag of r
-        keys = np.empty((stop - start, 2), dtype=np.uint64)
-        # r is one 32-bit word below 2**32 and two from there on
-        for low, high, width in ((start, min(stop, 2**32), 1), (max(start, 2**32), stop, 2)):
-            if low >= high:
-                continue
-            index = np.arange(low, high, dtype=np.uint64)
-            part, part_const = pool, const
-            for shift in range(0, 32 * width, 32):
-                part, part_const = _absorb(part, part_const, (index >> shift) & _MASK32)
-            keys[low - start : high - start] = np.column_stack(_philox_key(part))
-        return keys
+        pool, _ = _absorb(pool, const, np.arange(stop, dtype=np.uint64))
+        return np.column_stack(_philox_key(pool))
 
     def _keyed_children(self, labels: tuple, start: int, keys: np.ndarray) -> list["RngStream"]:
         """The streams ``child(*labels, start + i)`` keyed by ``keys[i]``."""
@@ -189,22 +183,22 @@ class RngStream:
             streams.append(stream)
         return streams
 
-    def children(self, *labels: PathLabel, start: int = 0, stop: int) -> list["RngStream"]:
-        """``[child(*labels, r) for r in range(start, stop)]``, bit for bit,
-        with the derivation batched over r."""
-        return self._keyed_children(labels, start, self._child_keys(labels, start, stop))
+    def children(self, *labels: PathLabel, stop: int) -> list["RngStream"]:
+        """``[child(*labels, r) for r in range(stop)]``, bit for bit, with the
+        derivation batched over r."""
+        return self._keyed_children(labels, 0, self._child_keys(labels, stop))
 
     def child_chunks(
         self, *labels: PathLabel, stop: int, size: int
     ) -> Iterator[tuple[int, list["RngStream"]]]:
-        """Yield ``(start, children(*labels, start=start, stop=start + size))``
+        """Yield ``(start, children(*labels, stop=stop)[start : start + size])``
         for start = 0, size, 2 size, ... below `stop` (the last chunk may be
         shorter).  Every key is derived in one batch up front; only one
         chunk's generators are alive at a time.
         """
         if size < 1:
             raise ValueError(f"chunk size must be >= 1, got {size}")
-        keys = self._child_keys(labels, 0, stop)
+        keys = self._child_keys(labels, stop)
         for start in range(0, stop, size):
             yield start, self._keyed_children(labels, start, keys[start : start + size])
 

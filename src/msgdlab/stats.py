@@ -156,6 +156,10 @@ def weighting_gap(
     the plain average, reduces them itself with ``models.weighted_sum``,
     the default weighted gradient.  The plain averages and squared norms of
     a chunk are stacked reductions, each row's rounded as it is alone.
+
+    On the quadratic model every gradient error is -s Z, whatever theta and
+    theta*, and s^2 scales the estimate, SE and analytic value alike, so
+    (estimate - analytic) / se is the same at every theta, theta* and s.
     """
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000, got {reps}")

@@ -93,7 +93,6 @@ def test_a5_weighting_gap_identity(tmp_path):
     _run("A5 weighting-gap identity", {
         "command": "weighting-gap", "seed": SEED,
         "pairs": [[10000, 2500], [10000, 9000]], "reps": 1500,
-        "model": {"kind": "quadratic", "p": 2, "s": 1.0},
     }, tmp_path)
 
 

@@ -553,6 +553,30 @@ class TestOde:
         assert info.value.step_size == config.gamma
 
 
+class TestTranslationEquivariance:
+    """On the quadratic model, shifting the start and theta* by c shifts every
+    state by c, so wass-scaling sets its offset by model.theta_star alone."""
+
+    SHIFT = np.array([3.0, -2.0])
+
+    @staticmethod
+    def run(process, offset):
+        model = make_quadratic_model(2, np.array([0.5, -0.5]) + offset, 0.7)
+        configs = [RunConfig(gamma=g, num_steps=k, x0=np.ones(2) + offset)
+                   for g, k in ((0.2, 6), (0.1, 12))]
+        streams = [derive_stream(71, [process, i]).children("rep", stop=5) for i in range(2)]
+        if process == "msgd":
+            return run_msgd(model, WeightScheme("gaussian", n=64, m=8), configs, streams).runs
+        if process == "diffusion_em":
+            return run_diffusion_em(model, configs, 4, streams, 8).runs
+        return run_gaussian_sgd(model, configs, streams, 8).runs
+
+    @pytest.mark.parametrize("process", ["msgd", "diffusion_em", "gaussian_sgd"])
+    def test_shifted_states_less_the_shift_equal_the_states(self, process):
+        for shifted, plain in zip(self.run(process, self.SHIFT), self.run(process, 0.0)):
+            assert np.max(np.abs(shifted - self.SHIFT - plain)) <= 1e-12 * np.max(np.abs(plain))
+
+
 class TestDiffusionEm:
     def test_zero_noise_is_explicit_euler(self):
         model = zero_noise_quadratic()

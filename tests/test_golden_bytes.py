@@ -90,6 +90,13 @@ ddof-0 ``sqrt(cov_00 / reps)``.  ``wass-scaling-grid``, 20 replications
 at three step sizes, failed its ``loglog_slope`` check on the old draws and
 passes it on the new.
 
+``weighting-gap`` was re-recorded alone when its ``model`` and ``theta`` keys
+gave way to a top-level ``p``: the gap's verdict, (estimate - analytic) /
+SE, is the same at every theta, theta* and s, so the command runs the plane
+model (theta* = 0, s = 1) at ones, the old defaults.  Its report echoes
+``"p": 2`` in place of the default ``model`` under ``resolved``; its CSV and
+every check kept their bytes.
+
 Each entry is (config, digest, failing check names).  The failing names are
 asserted before the digest, so a verdict that flips fails by name and reads
 apart from a byte change; a tiny config's verdict can be noise (``clt``,
@@ -125,7 +132,7 @@ GOLDEN = {
     "weighting-gap": (
         {"command": "weighting-gap", "seed": 11, "pairs": [[80, 20], [80, 70]],
          "reps": 1000},
-        "d6a5587e6f5708b689ae400f0be9896043d37176853587d461388ab4afce69d9",
+        "a70d368b5468579389629a31e4850a4e14400b41ff2b5ee2b18d1bfa92655e16",
         [],
     ),
     "wass-scaling": (

@@ -336,6 +336,24 @@ class TestWeightingGap:
         assert gap.analytic == pytest.approx(2.0)
         assert abs(gap.estimate - gap.analytic) <= 3 * gap.se
 
+    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
+    def test_verdict_free_of_theta_theta_star_and_s(self, kind):
+        # every gradient error of the quadratic model is -s Z, so the check's
+        # (estimate - analytic) / SE is the same at every theta, theta* and s:
+        # weighting-gap runs the plane model at ones alone
+        scheme = WeightScheme(kind, n=400, m=100)
+
+        def sigmas(theta, theta_star, s):
+            model = make_quadratic_model(2, theta_star, s)
+            gap = weighting_gap(model, scheme, theta, 1000, derive_stream(53, [kind]))
+            return (gap.estimate - gap.analytic) / gap.se
+
+        reference = sigmas(np.ones(2), np.zeros(2), 1.0)
+        for theta in (np.ones(2), [5.0, -3.0]):
+            for theta_star in (np.zeros(2), [4.0, 2.0]):
+                for s in (1.0, 3.0):
+                    assert sigmas(theta, theta_star, s) == pytest.approx(reference, abs=1e-12)
+
     def test_uniform_identity(self):
         # Tr sigma^2 = 1/3: analytic = 2 (1 - 1/2) / 3 = 1/3
         model = make_uniform_clt_model(1)

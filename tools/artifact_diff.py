@@ -8,16 +8,17 @@ PARENT_TREE's ``src`` on ``PYTHONPATH`` and once with this checkout's, BLAS
 on one thread, and compares exit codes, stdout, stderr, artifact names and
 artifact bytes.  First prints, for both trees, the line count of each
 ``src/msgdlab/*.py`` and their total, the number of settable config values
-in that tree's ``cli.SCHEMAS``, and the number of public names, the names
-that tree's ``src/msgdlab/__init__.py`` imports; then ``configs: N
-differences: D`` and every difference.  A CSV that differs also gets the
-largest relative difference |a - b| / max(|a|, |b|) over its numeric cells,
-so a change at roundoff (about 1e-15) reads apart from a real one; a
-report.json that differs gets the top-level keys whose values differ (such
-as ``resolved``, so a change to the config echo alone reads apart from a
-change of values), the largest relative difference over its checks'
-``observed`` values, over their ``target`` values and over their
-``tolerance`` values, each on its own, and the name of every check whose
+in that tree's ``cli.SCHEMAS`` and then each command's (``weighting-gap: 7
+-> 4``), all counted by this checkout's ``settable``, and the number of
+public names, the names that tree's ``src/msgdlab/__init__.py`` imports;
+then ``configs: N differences: D`` and every difference.  A CSV that
+differs also gets the largest relative difference |a - b| / max(|a|, |b|)
+over its numeric cells, so a change at roundoff (about 1e-15) reads apart
+from a real one; a report.json that differs gets the top-level keys whose
+values differ (such as ``resolved``, so a change to the config echo alone
+reads apart from a change of values), the largest relative difference
+over its checks' ``observed`` values, over their ``target`` values and over
+their ``tolerance`` values, each on its own, and the name of every check whose
 ``pass`` flag changed, and ``overall_pass`` if the verdict did, so a roundoff
 change reads apart from a verdict change.  Checks pair by position, and a
 report.json that holds one check name twice, in either tree, is a difference
@@ -43,22 +44,28 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 BLAS_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-# Settable config values: a scalar or a list of scalars counts 1, an object
-# counts its fields, a Kinds counts the fields of every kind, and ``out``
-# (not in SCHEMAS) is not counted.
-COUNT_SETTABLE = """
-from msgdlab.cli import SCHEMAS, Kinds
 
-def count(typ):
-    if isinstance(typ, Kinds):
-        return sum(count(kind) for kind in typ.values())
+def settable(typ, kinds: type) -> int:
+    """Settable config values of a declaration: a scalar or a list of scalars
+    counts 1, an object counts its fields, a `kinds` (``cli.Kinds``) counts
+    the fields of every kind, and ``out`` (not in SCHEMAS) is not counted."""
+    if isinstance(typ, kinds):
+        return sum(settable(kind, kinds) for kind in typ.values())
     if isinstance(typ, dict):
-        return sum(count(field.type) for field in typ.values())
+        return sum(settable(field.type, kinds) for field in typ.values())
     if isinstance(typ, list):
-        return count(typ[0])
+        return settable(typ[0], kinds)
     return 1
 
-print(sum(count(schema) for schema in SCHEMAS.values()))
+
+# Each command's settable values, as JSON, from the SCHEMAS of the msgdlab on
+# PYTHONPATH and the ``settable`` of this file's directory.
+COUNT_SETTABLE = """
+import json, sys
+sys.path.insert(0, {tools!r})
+from artifact_diff import settable
+from msgdlab.cli import SCHEMAS, Kinds
+print(json.dumps({{command: settable(schema, Kinds) for command, schema in SCHEMAS.items()}}))
 """
 
 
@@ -68,12 +75,13 @@ def line_counts(tree: Path) -> dict[str, int]:
             for path in sorted((tree / "src" / "msgdlab").glob("*.py"))}
 
 
-def settable_values(tree: Path) -> str:
-    """The settable config values of `tree`, counted with its own ``src``."""
+def settable_values(tree: Path) -> dict[str, int]:
+    """The settable config values of each of `tree`'s commands, counted with
+    its own ``src``; none if that cannot run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **BLAS_ENV)
-    done = subprocess.run([sys.executable, "-c", COUNT_SETTABLE], env=env,
-                          capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else "?"
+    code = COUNT_SETTABLE.format(tools=str(Path(__file__).resolve().parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return json.loads(done.stdout) if done.returncode == 0 else {}
 
 
 def public_names(tree: Path) -> int:
@@ -84,13 +92,17 @@ def public_names(tree: Path) -> int:
 
 
 def size_report(parent: Path) -> list[str]:
-    """Per-module lines, their total, settable values and public names, parent
-    -> this tree."""
+    """Per-module lines, their total, settable values in all and by command,
+    and public names, parent -> this tree."""
     old, new = line_counts(parent), line_counts(REPO)
     lines = [f"{name}: {old.get(name, 0)} -> {new.get(name, 0)}"
              for name in sorted(old.keys() | new.keys())]
     lines.append(f"src total: {sum(old.values())} -> {sum(new.values())}")
-    lines.append(f"settable config values: {settable_values(parent)} -> {settable_values(REPO)}")
+    old, new = settable_values(parent), settable_values(REPO)
+    lines.append(f"settable config values: {sum(old.values()) if old else '?'} -> "
+                 f"{sum(new.values()) if new else '?'}")
+    lines += [f"{command}: {old.get(command, '?')} -> {new.get(command, '?')}"
+              for command in sorted(old.keys() | new.keys())]
     lines.append(f"public names: {public_names(parent)} -> {public_names(REPO)}")
     return lines
 
