@@ -27,11 +27,13 @@ do.
 runners: they take one ``RngStream`` per replication and advance all R
 replications together as an (R, p) array, so their states have shape
 (K+1, R, p).  Replication r draws only from its own stream, in the order a
-lone run would, and the per-replication arithmetic is unchanged (stacked
-``np.matmul`` runs the same kernel on each replication as on a single
-path), so replication r of an ensemble is bit-identical to a one-replication
-ensemble on the same stream.  ``run_gd`` and ``run_ode`` draw nothing and
-run one path per config, of shape (K+1, p).
+lone run would; the Gaussian runners draw a row's normals for a block of
+steps in one call, which yields the values of one call per step.  The
+per-replication arithmetic is unchanged (stacked ``np.matmul`` runs the
+same kernel on each replication as on a single path), so replication r of
+an ensemble is bit-identical to a one-replication ensemble on the same
+stream.  ``run_gd`` and ``run_ode`` draw nothing and run one path per
+config, of shape (K+1, p).
 
 Every runner takes a step-size grid: a sequence of configs, with one
 sequence of streams per config for the runners that draw.  All rows of all
@@ -72,7 +74,8 @@ MAX_STEPS = 10**6
 
 # Payload elements (replications x n x payload width) drawn and reduced at
 # once by M-SGD and the sampling statistics: the bound on a chunk's block,
-# 512 KiB of float64.  Rows never mix, so it moves no byte.  On a 2-vCPU VM,
+# 512 KiB of float64, and on a StepNormals block of the Gaussian runners'
+# normals.  Rows never mix, so it moves no byte.  On a 2-vCPU VM,
 # 2**13 to 2**20 moved the sampling and trajectories timing rounds by at most
 # 2.6 %; logistic was 10 % slower at 2**15 (more chunk calls) and flat from
 # 2**16 up, and canonical converge_logistic 9 % faster at 2**18.  What pays is
@@ -94,7 +97,7 @@ class ChunkBlock:
     shrinking size reuses the memory instead of freeing and reallocating
     (and page-faulting on) a fresh block each time.  The draws are the same
     bytes either way.  Any `draw` that fills one row per stream and takes
-    ``out`` will do, such as Euler-Maruyama's normals.
+    ``out`` will do.
     """
 
     def __init__(self, draw: Callable[..., np.ndarray]):
@@ -176,11 +179,14 @@ def _run_ensemble(
     ``streams`` holds one sequence of per-replication streams per config, or
     None for a runner that draws nothing and runs one path per config.
     ``coefficients(config)`` gives the config's per-row numbers, or vectors
-    of them.  ``advance(x, streams, *columns)`` maps the (live, p) states of
-    the live rows, their streams and their coefficient columns, (live, 1)
-    for a number and (live, width) for a vector, to the next states.  Rows
-    are laid out longest config first, a stable sort, so the live rows are
-    always a leading slice.  The first row out of range in config order raises.
+    of them.  ``advance(x, streams, steps_left, *columns)`` maps the (live, p)
+    states of the live rows, their streams, the steps every live row still
+    takes (this one included, so at least 1) and their coefficient columns,
+    (live, 1) for a number and (live, width) for a vector, to the next
+    states.  Rows are laid out longest config first, a stable sort, so the
+    live rows are always a leading slice and leave it only once
+    ``steps_left`` steps have been taken.  The first row out of range in
+    config order raises.
     """
     configs = list(configs)
     if streams is None:
@@ -214,7 +220,7 @@ def _run_ensemble(
             if not live:
                 break
             x, row_streams, columns = x[:live], row_streams[:live], [c[:live] for c in columns]
-        x = advance(x, row_streams, *columns)
+        x = advance(x, row_streams, last[live - 1] - k, *columns)
         k += 1
     runs = []
     for i, (c, group) in enumerate(zip(configs, groups)):
@@ -226,29 +232,59 @@ def _run_ensemble(
 def run_gd(model: LossModel, configs: Sequence[RunConfig]) -> Lockstep:
     """Deterministic gradient descent, one path per config."""
 
-    def advance(x, _streams, gamma):
+    def advance(x, _streams, _steps_left, gamma):
         return x - gamma * model.grad_objective(x)
 
     return _run_ensemble("gd", configs, None, advance, lambda c: (c.gamma,))
 
 
-def _standard_normals(streams, shape, out=None) -> np.ndarray:
-    """One `shape` block of standard normals per stream, stacked."""
-    block = np.empty((len(streams),) + shape) if out is None else out
-    for row, stream in zip(block, streams):
-        stream.generator.standard_normal(out=row)
-    return block
+class StepNormals:
+    """Each live row's standard normals, one `shape` per step, drawn a block
+    of steps at a time.
+
+    ``normals(streams, shape, steps_left)`` returns the (live, *shape)
+    normals of the next step.  A spent block is refilled with the next s
+    steps of every live row, one ``standard_normal`` call per row into one
+    reused buffer, where 1 <= s <= `steps_left` (so no row draws past its
+    last step, and the live rows stay the same within a block) and the
+    block holds at most max(CHUNK_ELEMENTS, one step of the live rows)
+    values.  A run of calls on one generator yields the values of one call
+    of their total size, so the block size moves no byte.
+    """
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+        self.block = self.buffer.reshape(0, 0)
+        self.step = 0
+
+    def __call__(self, streams: Sequence[RngStream], shape: tuple, steps_left: int) -> np.ndarray:
+        if self.step == self.block.shape[1]:
+            self.refill(streams, shape, steps_left)
+        self.step += 1
+        return self.block[:, self.step - 1]
+
+    def refill(self, streams: Sequence[RngStream], shape: tuple, steps_left: int) -> None:
+        """Draw the next block, s steps of every live row."""
+        row_step = math.prod(shape)
+        steps = max(1, min(steps_left, CHUNK_ELEMENTS // (len(streams) * row_step)))
+        size = len(streams) * steps * row_step
+        if self.buffer.size < size:
+            self.buffer = np.empty(size)
+        self.block = self.buffer[:size].reshape((len(streams), steps) + shape)
+        for row, stream in zip(self.block, streams):
+            stream.generator.standard_normal(out=row)
+        self.step = 0
 
 
 def run_gaussian_sgd(model: LossModel, configs: Sequence[RunConfig], streams, m: int) -> Lockstep:
     """Gradient descent plus scaled Gaussian noise: one Euler-Maruyama step of size
     gamma, x - gamma grad g(x) + (gamma/sqrt(m)) sigma(x) z, for any model, with q
-    normals per replication and step drawn into a block reused by every step."""
-    normals = ChunkBlock(_standard_normals)
+    normals per replication and step drawn by :class:`StepNormals`."""
+    normals = StepNormals()
 
-    def advance(x, live_streams, gamma, scale):
+    def advance(x, live_streams, steps_left, gamma, scale):
         factor = model.noise_factor(x)
-        z = normals(live_streams, (factor.shape[-1],))
+        z = normals(live_streams, (factor.shape[-1],), steps_left)
         noise = (factor @ z[..., None])[..., 0]
         return x - gamma * model.grad_objective(x) + scale * noise
 
@@ -293,7 +329,7 @@ def run_msgd(
     """
     draw = WeightedGradient(model, scheme)
 
-    def advance(x, live_streams, gamma):
+    def advance(x, live_streams, _steps_left, gamma):
         if len(live_streams) <= draw.rows:  # one chunk holds every live row
             return x - gamma * draw(x, live_streams)
         drift = np.empty_like(x)
@@ -322,7 +358,7 @@ def run_ode(model: LossModel, configs: Sequence[RunConfig]) -> Lockstep:
     """
     lam, x_star = _linear_drift(model, "run_ode")
 
-    def advance(x, _streams, decay):
+    def advance(x, _streams, _steps_left, decay):
         return x_star + decay * (x - x_star)
 
     return _run_ensemble("ode", configs, None, advance, lambda c: (math.exp(-lam * c.gamma),))
@@ -339,7 +375,7 @@ def run_diffusion_em(
     and c = sqrt(gamma/m) sqrt(h), so the R of them sum in closed form to
     x* + a^R (x - x*) + c sigma sum_j a^(R-1-j) z_j: the same iterate, rounded
     differently.  Each replication draws one (R, q) block of normals per
-    recorded step, into a block reused by every step.  Any other model raises
+    recorded step, by :class:`StepNormals`.  Any other model raises
     ValueError.
     """
     if substeps < 1:
@@ -349,10 +385,10 @@ def run_diffusion_em(
         raise ValueError(f"run_diffusion_em needs a constant noise factor: model "
                          f"{model.name!r} has L1 = {model.lipschitz_noise}")
     factor_t = model.noise_factor(x_star).T
-    normals = ChunkBlock(_standard_normals)
+    normals = StepNormals()
 
-    def advance(x, live_streams, decay, scale, weights):
-        z = normals(live_streams, (substeps, factor_t.shape[0]))
+    def advance(x, live_streams, steps_left, decay, scale, weights):
+        z = normals(live_streams, (substeps, factor_t.shape[0]), steps_left)
         noise = (weights[:, None, :] @ z @ factor_t)[:, 0]
         return x_star + decay * (x - x_star) + scale * noise
 

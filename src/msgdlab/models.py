@@ -15,10 +15,11 @@ A :class:`LossModel` bundles everything the dynamics need:
   sum_i w_i grad l(theta, u_i) for (..., count) weights, the one reduction
   ``dynamics.WeightedGradient`` makes: by default
   ``weighted_sum(w, grad_loss(theta, data))``, one stacked ``np.matmul``
-  over the per-datum gradients; the logistic model supplies the fused form
+  over the per-datum gradients.  Two models supply a fused form that never
+  builds those gradients and rounds differently: the quadratic
+  theta sum_i w_i - sum_i w_i u_i, and the logistic
   2 kappa beta sum_i w_i - (w / (1 + e^(beta S_d^T))) S_d, one residual
-  row per kappa of its grid, on its signed rows s_i x_i, s_i = 2 y_i - 1,
-  which never builds them;
+  row per kappa of its grid, on its signed rows s_i x_i, s_i = 2 y_i - 1;
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
   ``sigma sigma^T = Cov(grad_loss(theta, .))``.
 
@@ -96,7 +97,10 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
 
     Then g(theta) = |theta - theta*|^2 / 2 + p s^2 / 2, grad_loss is
     theta - u, and the noise factor is the constant s*I, so L = lambda = 1
-    and L1 = 0.  The noise level p s^2 / 2 must be finite.
+    and L1 = 0.  The noise level p s^2 / 2 must be finite.  The weighted
+    gradient is sum_i w_i (theta - u_i) = theta sum_i w_i - sum_i w_i u_i,
+    one (1, n) @ (n, p) product per replication on the data as drawn; the
+    weights' sum is taken as it is, never as 1.
     """
     if not s > 0:
         raise ValueError(f"noise scale s must be positive, got {s}")
@@ -127,6 +131,9 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     def grad_loss(theta, data):
         return np.asarray(theta, dtype=float)[..., None, :] - data
 
+    def fused_weighted_grad(theta, data, w):
+        return theta * w.sum(axis=-1)[..., None] - (w[..., None, :] @ data)[..., 0, :]
+
     def noise_factor(theta):
         return factor
 
@@ -143,6 +150,7 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
         lipschitz_noise=0.0,
         strong_convexity=1.0,
         minimizer=theta_star,
+        fused_weighted_grad=fused_weighted_grad,
     )
 
 

@@ -120,6 +120,46 @@ def em_path(grad: Callable[[np.ndarray], np.ndarray], sigma, x0, h: float, scale
     return np.array(states)
 
 
+def gaussian_sgd_per_step(model, config, streams, m: int) -> np.ndarray:
+    """The (K+1, R, p) states of Gaussian SGD on one config, with one
+    ``standard_normal`` call per replication and step.
+
+    ``run_gaussian_sgd`` draws a row's normals for a block of steps in one
+    call and runs a grid of configs in lockstep; the draws and the
+    arithmetic are the same, so the two must agree bit for bit.
+    """
+    x = np.tile(config.x0, (len(streams), 1))
+    scale = config.gamma / math.sqrt(m)
+    states = [x]
+    for _ in range(config.num_steps):
+        factor = model.noise_factor(x)
+        z = np.stack([s.generator.standard_normal(factor.shape[-1]) for s in streams])
+        x = x - config.gamma * model.grad_objective(x) + scale * (factor @ z[..., None])[..., 0]
+        states.append(x)
+    return np.array(states)
+
+
+def diffusion_em_per_step(model, config, substeps: int, streams, m: int) -> np.ndarray:
+    """The (K+1, R, p) states of ``run_diffusion_em``'s closed-form substep
+    sums on one config, with one (substeps, q) ``standard_normal`` call per
+    replication and recorded step: the runner's arithmetic, the draws of a
+    block of one step, so the two must agree bit for bit."""
+    lam, x_star = model.strong_convexity, model.minimizer
+    factor_t = model.noise_factor(x_star).T
+    h = config.gamma / substeps
+    a = 1.0 - lam * h
+    decay, scale = a**substeps, math.sqrt(config.gamma / m) * math.sqrt(h)
+    weights = (a ** np.arange(substeps)[::-1])[None, None, :]
+    x = np.tile(config.x0, (len(streams), 1))
+    states = [x]
+    for _ in range(config.num_steps):
+        z = np.stack([s.generator.standard_normal((substeps, factor_t.shape[0]))
+                      for s in streams])
+        x = x_star + decay * (x - x_star) + scale * (weights @ z @ factor_t)[:, 0]
+        states.append(x)
+    return np.array(states)
+
+
 def csv_cell(value) -> str:
     """One CSV cell as msgdlab writes it: a float (numpy's too) in round-trip
     ``.17g``, anything else as ``str`` gives it.  The reference the table

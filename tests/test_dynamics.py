@@ -26,7 +26,7 @@ from msgdlab.models import (
 )
 from msgdlab.numerics import derive_stream
 from msgdlab.weights import WeightScheme
-from oracles import em_path, rk4_path
+from oracles import diffusion_em_per_step, em_path, gaussian_sgd_per_step, rk4_path
 
 
 def zero_noise_quadratic(p=1):
@@ -923,6 +923,75 @@ class TestLockstep:
             run_gaussian_sgd(model, configs, [[derive_stream(1, [0])]], 1)
         with pytest.raises(TypeError, match="sequence"):
             run_gaussian_sgd(model, configs, [derive_stream(1, [0]), derive_stream(1, [1])], 1)
+
+
+class TestStepNormals:
+    """The Gaussian runners draw each row's normals a block of steps at a
+    time: the bits of the per-step oracles at every block size, on a grid
+    whose rows end at different steps, and never a block of more than
+    max(CHUNK_ELEMENTS, one step of the live rows) values."""
+
+    # 3 + 2 + 4 rows ending at steps 7, 12 and 5
+    CONFIGS = [(0.2, 7, 3), (0.1, 12, 2), (0.3, 5, 4)]
+
+    def configs(self, model):
+        return [RunConfig(gamma=g, num_steps=k, x0=np.linspace(1.0, -1.0, model.dim))
+                for g, k, _ in self.CONFIGS]
+
+    def streams(self, label):
+        return [[derive_stream(47, [label, i, r]) for r in range(reps)]
+                for i, (_, _, reps) in enumerate(self.CONFIGS)]
+
+    def assert_blocks_match(self, monkeypatch, run, oracle, model, row_step, label):
+        blocks = []
+
+        class Spy(dynamics_mod.StepNormals):
+            def refill(self, streams, shape, steps_left):
+                super().refill(streams, shape, steps_left)
+                blocks.append((self.block.size, len(streams) * math.prod(shape),
+                               self.block.shape[1], steps_left))
+
+        monkeypatch.setattr(dynamics_mod, "StepNormals", Spy)
+        rows = sum(reps for _, _, reps in self.CONFIGS)
+        # steps of one block: 1, 3 (a boundary inside every config's run), as many as fit
+        for elements, steps in ((1, 1), (3 * rows * row_step, 3),
+                                (dynamics_mod.CHUNK_ELEMENTS, None)):
+            monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
+            blocks.clear()
+            configs = self.configs(model)
+            runs = run(model, configs, self.streams(label)).runs
+            for config, group, states in zip(configs, self.streams(label), runs):
+                expected = oracle(model, config, group)
+                np.testing.assert_array_equal(states.view(np.uint64), expected.view(np.uint64))
+            for size, live_step, block_steps, steps_left in blocks:
+                assert size <= max(elements, live_step)
+                assert 1 <= block_steps <= steps_left
+            if steps == 1:
+                assert all(block_steps == 1 for _, _, block_steps, _ in blocks)
+            elif steps is not None:
+                assert blocks[0][2] == steps
+            else:  # the whole run fits: one block per live set, up to its last step
+                assert [b[2] for b in blocks] == [5, 2, 5]
+
+    @pytest.mark.parametrize("model_name", ["quadratic", "logistic"])
+    def test_gaussian_sgd(self, monkeypatch, model_name):
+        model = ensemble_model(model_name)
+        q = model.noise_factor(np.ones(model.dim)).shape[-1]
+        self.assert_blocks_match(
+            monkeypatch, lambda *args: run_gaussian_sgd(*args, 3),
+            lambda model, config, group: gaussian_sgd_per_step(model, config, group, 3),
+            model, q, model_name,
+        )
+
+    @pytest.mark.parametrize("substeps", [1, 4])
+    def test_diffusion_em(self, monkeypatch, substeps):
+        model = ensemble_model("quadratic")
+        self.assert_blocks_match(
+            monkeypatch, lambda model, configs, streams: run_diffusion_em(
+                model, configs, substeps, streams, 3),
+            lambda model, config, group: diffusion_em_per_step(model, config, substeps, group, 3),
+            model, substeps * model.dim, substeps,
+        )
 
 
 # each runner called as (model, configs, streams), the grid of its own signature

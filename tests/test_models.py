@@ -314,13 +314,45 @@ class TestLogisticMatchesPayloadForm:
 class TestWeightedGradient:
     """``weighted_grad`` is sum_i w_i grad l(theta, u_i): the default reduces
     ``grad_loss`` with the stacked matmul bit for bit, and the fused logistic
-    form agrees with it up to summation order."""
+    and quadratic forms agree with it up to summation order."""
 
     P, N = 6, 1000
 
     def weights(self, kind, reps, label):
         scheme = WeightScheme(kind, n=self.N, m=10)
         return sample_weights([derive_stream(71, [label, kind, r]) for r in range(reps)], scheme)
+
+    @staticmethod
+    def assert_rows_equal_one_row_calls(model, theta, data, w):
+        """Each row of a batched call, at its own theta and at theta[0] shared
+        by the batch, equals a one-row call bit for bit."""
+        batched = model.weighted_grad(theta, data, w)
+        shared = model.weighted_grad(theta[0], data, w)
+        for r in range(len(theta)):
+            for row, lone in ((batched[r], model.weighted_grad(theta[r], data[r], w[r])),
+                              (batched[r], model.weighted_grad(theta[r:r + 1], data[r:r + 1],
+                                                               w[r:r + 1])[0]),
+                              (shared[r], model.weighted_grad(theta[0], data[r], w[r]))):
+                np.testing.assert_array_equal(row.view(np.uint64), lone.view(np.uint64))
+
+    @staticmethod
+    def assert_non_finite_stays_in_its_row(model, theta, data, w, special, gen):
+        """A `special` coordinate in one row of theta makes non-finite the
+        coordinates the per-datum sum does, in that row alone."""
+        reps, p = theta.shape
+        clean = model.weighted_grad(theta, data, w)
+        for bad in (0, 4, reps - 1):
+            dirty = theta.copy()
+            dirty[bad, gen.integers(p)] = special
+            with np.errstate(all="ignore"):
+                result = model.weighted_grad(dirty, data, w)
+                per_datum = (w[:, None, :] @ model.grad_loss(dirty, data))[:, 0, :]
+            assert not np.isfinite(result[bad]).all()
+            np.testing.assert_array_equal(np.isfinite(result), np.isfinite(per_datum))
+            others = np.arange(reps) != bad
+            np.testing.assert_array_equal(
+                result[others].view(np.uint64), clean[others].view(np.uint64)
+            )
 
     @pytest.mark.parametrize("reps", [1, 3, 9])
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
@@ -370,14 +402,7 @@ class TestWeightedGradient:
         gen = derive_stream(73, [kind]).generator
         beta = gen.standard_normal((reps, self.P))
         idx = gen.integers(0, dataset.size, size=(reps, self.N))
-        batched = model.weighted_grad(beta, idx, w)
-        shared = model.weighted_grad(beta[0], idx, w)  # one beta for the whole batch
-        for r in range(reps):
-            for row, lone in ((batched[r], model.weighted_grad(beta[r], idx[r], w[r])),
-                              (batched[r], model.weighted_grad(beta[r:r + 1], idx[r:r + 1],
-                                                               w[r:r + 1])[0]),
-                              (shared[r], model.weighted_grad(beta[0], idx[r], w[r]))):
-                np.testing.assert_array_equal(row.view(np.uint64), lone.view(np.uint64))
+        self.assert_rows_equal_one_row_calls(model, beta, idx, w)
 
     @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
     def test_logistic_non_finite_beta_stays_in_its_row(self, special):
@@ -387,32 +412,60 @@ class TestWeightedGradient:
         gen = derive_stream(79, ["special"]).generator
         beta = gen.standard_normal((reps, self.P))
         idx = gen.integers(0, dataset.size, size=(reps, self.N))
-        clean = model.weighted_grad(beta, idx, w)
-        for bad in (0, 4, reps - 1):
-            dirty = beta.copy()
-            dirty[bad, gen.integers(self.P)] = special
-            with np.errstate(all="ignore"):
-                result = model.weighted_grad(dirty, idx, w)
-                per_datum = (w[:, None, :] @ model.grad_loss(dirty, idx))[:, 0, :]
-            # the coordinates the per-datum sum makes non-finite, and only that row
-            assert not np.isfinite(result[bad]).all()
-            np.testing.assert_array_equal(np.isfinite(result), np.isfinite(per_datum))
-            others = np.arange(reps) != bad
-            np.testing.assert_array_equal(
-                result[others].view(np.uint64), clean[others].view(np.uint64)
-            )
+        self.assert_non_finite_stays_in_its_row(model, beta, idx, w, special, gen)
+
+    @pytest.mark.parametrize("reps", [1, 3, 9])
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_quadratic_fused_matches_per_datum_sum(self, kind, reps):
+        w = self.weights(kind, reps, "quadratic")
+        gen = derive_stream(81, [kind, reps]).generator
+        # theta far from the data, and theta among data that barely spread
+        for offset, s, scale in ((0.0, 1.0, 1e8), (1e3, 1e-3, 1e-3), (0.0, 1.0, 1.0)):
+            theta_star = offset + gen.standard_normal(self.P)
+            model = make_quadratic_model(self.P, theta_star, s)
+            data = model.sample_data([derive_stream(81, [kind, r]) for r in range(reps)], self.N)
+            theta = theta_star + scale * gen.standard_normal((reps, self.P))
+            # the scheme's weights sum to 1 up to roundoff, their double to 2:
+            # the reduction takes the sum as it is
+            for point, weights in ((theta, w), (theta[0], w), (theta, 2.0 * w)):
+                expected = (weights[:, None, :] @ model.grad_loss(point, data))[:, 0, :]
+                # relative to the fused terms' magnitudes |theta| sum |w_i| +
+                # sum |w_i| |u_i|, which bound what rounding either form can move
+                magnitude = (np.abs(point) * np.abs(weights).sum(axis=-1)[:, None]
+                             + (np.abs(weights)[:, None, :] @ np.abs(data))[:, 0, :])
+                fused = model.weighted_grad(point, data, weights)
+                assert fused.shape == (reps, self.P)
+                assert np.all(np.abs(fused - expected) <= 1e-12 * magnitude), (offset, scale)
 
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
-    @pytest.mark.parametrize("name", ["quadratic", "uniform"])
-    def test_default_is_the_stacked_matmul(self, name, kind):
-        model = (make_quadratic_model(3, [0.2, -0.4, 1.0], 0.8) if name == "quadratic"
-                 else make_uniform_clt_model(3))
+    def test_quadratic_row_equals_one_row_call(self, kind):
+        model = make_quadratic_model(self.P, np.linspace(-1.0, 1.0, self.P), 0.7)
+        reps = 9
+        w = self.weights(kind, reps, "quadratic-rows")
+        data = model.sample_data([derive_stream(87, [kind, r]) for r in range(reps)], self.N)
+        theta = derive_stream(87, [kind]).generator.standard_normal((reps, self.P))
+        self.assert_rows_equal_one_row_calls(model, theta, data, w)
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+    def test_quadratic_non_finite_theta_stays_in_its_row(self, special, kind):
+        model = make_quadratic_model(self.P, np.zeros(self.P), 1.0)
+        reps = 9
+        w = self.weights(kind, reps, "quadratic-special")
+        gen = derive_stream(91, [kind]).generator
+        data = model.sample_data([derive_stream(91, [kind, r]) for r in range(reps)], self.N)
+        theta = gen.standard_normal((reps, self.P))
+        self.assert_non_finite_stays_in_its_row(model, theta, data, w, special, gen)
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_default_is_the_stacked_matmul(self, kind):
+        model = make_uniform_clt_model(3)
         assert model.fused_weighted_grad is None
         reps = 5
-        streams = [derive_stream(83, [name, kind, r]) for r in range(reps)]
+        streams = [derive_stream(83, ["uniform", kind, r]) for r in range(reps)]
         data = model.sample_data(streams, self.N)
-        w = self.weights(kind, reps, name)
-        theta = derive_stream(83, [name]).generator.standard_normal((reps, 3))
+        w = self.weights(kind, reps, "uniform")
+        theta = derive_stream(83, ["uniform"]).generator.standard_normal((reps, 3))
         for point in (theta, theta[0]):
             expected = (w[:, None, :] @ model.grad_loss(point, data))[:, 0, :]
             np.testing.assert_array_equal(

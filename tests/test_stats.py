@@ -109,9 +109,10 @@ class TestChunkedSampling:
                 np.testing.assert_array_equal(samples, runs[0])
             for r in (0, 6, 7, 99):
                 sub = stream.child("rep", r)
-                grads = model.grad_loss(theta, model.sample_data([sub], self.N)[0])
+                data = model.sample_data([sub], self.N)[0]
                 w = sample_weights([sub], scheme)[0]
-                expected = math.sqrt(self.M) * (w @ grads - model.grad_objective(theta))
+                grad = model.weighted_grad(theta, data, w)
+                expected = math.sqrt(self.M) * (grad - model.grad_objective(theta))
                 np.testing.assert_array_equal(runs[0][r], expected)
 
     @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
