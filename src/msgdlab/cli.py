@@ -103,7 +103,7 @@ BOUNDS = {
     "weights-moments": {"coord_mean": ("abs", 4), "coord_var": ("abs", 4),
                         "coord_cov": ("abs", 4), "m_sum_sq": ("abs", 3, 1e-12)},
     "clt": {"ks_coord": ("le", 0.03), "covariance_max_sigmas": ("le", 4), "hist_bins": 50},
-    "weighting-gap": {"gap": ("abs", 3)},
+    "weighting-gap": {"gap": ("abs", 3, 1e-12)},
     "wass-scaling": {"monotone_ratio": ("le", 0.1), "loglog_slope": ("in", (0.8, 2.2))},
     "converge": {"recursion_max_dev": ("le", 0), "recursion_sigmas": 4.0,
                  "recursion_floor": 1e-15, "rho_hat": ("abs", 0.02), "plateau": ("le", 0),
@@ -263,7 +263,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "weighting-gap": {
         "pairs": Field([[int]], REQUIRED, 1), "reps": Field(int, REQUIRED, 1000),
-        "schemes": Field([_SCHEME], _EVERY_SCHEME, 1), "p": Field(int, 2, 1),
+        "schemes": Field([_SCHEME], _EVERY_SCHEME, 1),
     },
     "wass-scaling": {
         "gammas": Field([float], REQUIRED), "reps": Field(int, REQUIRED, 1),
@@ -528,10 +528,6 @@ def _check_cross(params: dict, command: str, seed: int, diags: list[str]) -> dic
     if command != "gd-ode":  # the one command that draws no weights
         _check_schemes(params, command, plan, diags)
     made = _check_model(params, command, seed, plan, diags) if "model" in params else None
-    # the gap's verdict, (estimate - analytic) / SE, is the same at every theta, theta* and s
-    if command == "weighting-gap" and params["p"] is not None:
-        plan["model"] = _build("weighting-gap.p", diags, _model_from_spec, {"p": params["p"]})
-        plan["start"] = np.ones(params["p"])
     if "gammas" in params:
         _check_step_grid(params, command, plan, diags)
     if command == "wass-scaling":
@@ -629,7 +625,7 @@ def _run_weights_moments(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     for scheme in cfg.plan["schemes"]:
         label, n, m = scheme.label, scheme.n, scheme.m
         diag, offdiag = sigma_entries(n, m)
-        first, second, m_sum_sq = empirical_weight_moments(scheme, root.child(label), reps)
+        first, second, m_sum_sq, _ = empirical_weight_moments(scheme, root.child(label), reps)
         _, cov_se = covariance_with_se(np.column_stack([first, second]))
         row = [label, n, m, reps]
         # the m*sum(w^2) identity is exact in expectation; its bound's tiny floor
@@ -675,14 +671,13 @@ def _run_clt(cfg: ExperimentConfig, root) -> tuple[list, dict]:
 
 
 def _run_weighting_gap(cfg: ExperimentConfig, root) -> tuple[list, dict]:
-    params, plan = cfg.params, cfg.plan
+    reps = cfg.params["reps"]
     checks, rows = [], []
-    for scheme in plan["schemes"]:  # each spec at each pair
+    for scheme in cfg.plan["schemes"]:  # each spec at each pair
         label, n, m = scheme.label, scheme.n, scheme.m
-        gap = weighting_gap(plan["model"], scheme, plan["start"], params["reps"],
-                            root.child(label, n, m))
+        gap = weighting_gap(scheme, reps, root.child(label, n, m))
         checks.append(("gap", f"{label}:n{n}:m{m}", gap.estimate, gap.analytic, gap.se))
-        rows.append([label, n, m, params["reps"], gap.estimate, gap.se, gap.analytic])
+        rows.append([label, n, m, reps, gap.estimate, gap.se, gap.analytic])
     header = ["scheme", "n", "m", "reps", "estimate", "se", "analytic"]
     return checks, {"weighting_gap.csv": (header, rows)}
 

@@ -20,8 +20,7 @@ only, so every runner's output grid is the config's.  A :class:`RunConfig`
 is one point of a step grid: M-SGD reads (n, m) from its scheme, and the
 Gaussian runners, whose noise depends on m alone, take m last.  Gaussian
 SGD is one Euler-Maruyama step of size gamma, for any model, and M-SGD
-draws its noise from :class:`WeightedGradient`, as the sampling statistics
-do.
+draws its noise from :class:`WeightedGradient`, as the clt samples do.
 
 ``run_gaussian_sgd``, ``run_msgd`` and ``run_diffusion_em`` are ensemble
 runners: they take one ``RngStream`` per replication and advance all R
@@ -295,14 +294,15 @@ def run_gaussian_sgd(model: LossModel, configs: Sequence[RunConfig], streams, m:
 class WeightedGradient:
     """The M-SGD noise: per replication, n fresh data and a fresh weight vector.
 
-    ``sample(streams)`` draws every stream's data and then every stream's
-    weights.  Called as ``(theta, streams)``, it samples and returns the
-    (R, p) weighted gradients sum_i w_i grad l(theta, u_i) from one batched
-    ``model.weighted_grad`` call at theta (one (p,) point, or one (R, p) row
-    per stream).  Callers walk their replications in chunks of ``rows`` =
-    ``chunk_rows(n * payload_dim)``, which keeps a chunk's block in cache;
-    rows never mix, so the chunk size cannot change a bit.  The data and
-    weight blocks are allocated once and refilled by every chunk.
+    Called as ``(theta, streams)``, it draws every stream's data and then
+    every stream's weights, and returns the (R, p) weighted gradients
+    sum_i w_i grad l(theta, u_i) from one batched ``model.weighted_grad``
+    call at theta (one (p,) point, or one (R, p) row per stream).  M-SGD and
+    the clt samples take this draw.  Callers walk their replications in
+    chunks of ``rows`` = ``chunk_rows(n * payload_dim)``, which keeps a
+    chunk's block in cache; rows never mix, so the chunk size cannot change
+    a bit.  The data and weight blocks are allocated once and refilled by
+    every chunk.
     """
 
     def __init__(self, model: LossModel, scheme: WeightScheme):
@@ -311,12 +311,9 @@ class WeightedGradient:
         self.draw_data = ChunkBlock(model.sample_data)
         self.draw_weights = ChunkBlock(sample_weights)
 
-    def sample(self, streams: Sequence[RngStream]) -> tuple[np.ndarray, np.ndarray]:
-        """The (R, n, ...) data and (R, n) weights of `streams`."""
-        return self.draw_data(streams, self.scheme.n), self.draw_weights(streams, self.scheme)
-
     def __call__(self, theta, streams: Sequence[RngStream]) -> np.ndarray:
-        return self.model.weighted_grad(theta, *self.sample(streams))
+        data = self.draw_data(streams, self.scheme.n)
+        return self.model.weighted_grad(theta, data, self.draw_weights(streams, self.scheme))
 
 
 def run_msgd(

@@ -14,7 +14,8 @@ This module turns simulations into numbers that can be checked:
 * ``weighting_gap`` checks the exact identity
   E|scaled weighted error - scaled plain-average error|^2
   = 2 (1 - sqrt(m/n)) Tr sigma^2(theta), which holds at finite n for every
-  weight law with the minibatch moment structure;
+  weight law with the minibatch moment structure, by its expectation given
+  the weights, a statistic of the weight draws alone;
 * ``log_slope`` is the one log-linear fit, of one curve or of a stack in one
   call, NaN for a curve unless every value is positive;
 * ``contraction_bound`` (the predicted factor rho), ``contraction_fit`` and
@@ -33,9 +34,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import WeightedGradient
-from .models import LossModel, weighted_sum
+from .models import LossModel
 from .numerics import RngStream
-from .weights import WeightScheme
+from .weights import WeightScheme, empirical_weight_moments
 
 
 def clt_error_samples(
@@ -136,48 +137,32 @@ def coordinate_avg_w2(samples_a, samples_b) -> float:
 
 @dataclass
 class GapEstimate:
-    """Monte Carlo estimate of the weighted-vs-plain-average error gap."""
+    """Monte Carlo estimate of the weighted-vs-plain-average error gap, per
+    unit of Tr sigma^2."""
 
     estimate: float
     se: float
     analytic: float
 
 
-def weighting_gap(
-    model: LossModel, scheme: WeightScheme, theta, reps: int, stream: RngStream
-) -> GapEstimate:
-    """Estimate E|sqrt(m)(sum w_i grad l - grad g) - sqrt(n)(avg grad l - grad g)|^2.
+def weighting_gap(scheme: WeightScheme, reps: int, stream: RngStream) -> GapEstimate:
+    """E|sqrt(m)(sum w_i grad l - grad g) - sqrt(n)(avg grad l - grad g)|^2 per
+    unit of Tr sigma^2, from the weights alone.
 
-    The expectation equals 2 (1 - sqrt(m/n)) Tr sigma^2(theta) exactly, for
-    any weight law with the minibatch mean/covariance structure and any n;
-    the analytic value is returned alongside the estimate.  Replication r
-    takes the :class:`~msgdlab.dynamics.WeightedGradient` sample on
-    ``stream.child("rep", r)`` and, as it needs the per-datum gradients for
-    the plain average, reduces them itself with ``models.weighted_sum``,
-    the default weighted gradient.  The plain averages and squared norms of
-    a chunk are stacked reductions, each row's rounded as it is alone.
-
-    On the quadratic model every gradient error is -s Z, whatever theta and
-    theta*, and s^2 scales the estimate, SE and analytic value alike, so
-    (estimate - analytic) / se is the same at every theta, theta* and s.
+    The data are iid and independent of w, so given w the gap is sum_i a_i e_i
+    with a_i = sqrt(m) w_i - 1/sqrt(n) and its expectation is exactly
+    Tr sigma^2 |a|^2, |a|^2 = m sum w^2 - 2 sqrt(m/n) sum w + 1, with sum w as
+    drawn.  The estimate is the mean of |a|^2 over `reps` draws, replication r
+    on ``stream.child("rep", r)`` (``weights.empirical_weight_moments``'s
+    draws); the analytic value is E|a|^2 = 2 - 2 sqrt(m/n), which holds at
+    finite n for every weight law with the minibatch moment structure.
     """
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000, got {reps}")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    n, m = scheme.n, scheme.m
-    grad_mean = model.grad_objective(theta)
-    sqrt_m, sqrt_n = math.sqrt(m), math.sqrt(n)
-    values = np.empty(reps)
-    draw = WeightedGradient(model, scheme)
-    for start, streams in stream.child_chunks("rep", stop=reps, size=draw.rows):
-        data, w = draw.sample(streams)
-        grads = model.grad_loss(theta, data)
-        diff = (sqrt_m * (weighted_sum(w, grads) - grad_mean)
-                - sqrt_n * (grads.mean(axis=1) - grad_mean))
-        values[start : start + len(streams)] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-    analytic = 2.0 * (1.0 - math.sqrt(m / n)) * model.noise_trace(theta)
-    estimate, se = mean_with_se(values)
-    return GapEstimate(estimate=float(estimate), se=float(se), analytic=analytic)
+    ratio = math.sqrt(scheme.m / scheme.n)
+    *_, m_sum_sq, w_sum = empirical_weight_moments(scheme, stream, reps)
+    estimate, se = mean_with_se(m_sum_sq - 2.0 * ratio * w_sum + 1.0)
+    return GapEstimate(estimate=float(estimate), se=float(se), analytic=2.0 - 2.0 * ratio)
 
 
 def contraction_bound(lam: float, gamma: float, L: float, L1: float, p: int, m: int) -> float:

@@ -191,9 +191,10 @@ def sample_weights(
 
 
 def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int) -> np.ndarray:
-    """The (3, reps) columns w_1, w_2 (w_1 again at n = 1) and m * sum(w^2) of
-    `reps` independent draws: the coordinates are exchangeable, so the first
-    and the first pair stand for every one in the moment targets.
+    """The (4, reps) columns w_1, w_2 (w_1 again at n = 1), m * sum(w^2) and
+    sum(w) of `reps` independent draws: the coordinates are exchangeable, so
+    the first and the first pair stand for every one in the moment targets,
+    and sum(w), 1 up to roundoff, is taken as drawn.
 
     Draw r consumes ``stream.child("rep", r)``, in blocks of
     ``dynamics.chunk_rows(n)`` replications drawn into one reused block; each
@@ -204,11 +205,12 @@ def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int)
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
     n, m = scheme.n, scheme.m
-    columns = np.empty((3, reps))
+    columns = np.empty((4, reps))
     draw = ChunkBlock(sample_weights)
     for start, streams in stream.child_chunks("rep", stop=reps, size=chunk_rows(n)):
         w = draw(streams, scheme)
         rows = slice(start, start + len(streams))
         columns[:2, rows] = w[:, [0, min(1, n - 1)]].T
+        columns[3, rows] = w.sum(axis=1)  # before the square below overwrites w
         columns[2, rows] = m * np.square(w, out=w).sum(axis=1)  # the next draw overwrites w
     return columns

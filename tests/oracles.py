@@ -6,8 +6,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from msgdlab.dynamics import WeightedGradient
 from msgdlab.models import weighted_sum
+from msgdlab.weights import sample_weights
 
 
 def finite_diff_gradient(
@@ -169,21 +169,22 @@ def csv_cell(value) -> str:
     return str(value)
 
 
-def weighting_gap_per_replication(model, scheme, theta, reps: int, stream) -> tuple[float, float]:
-    """(estimate, SE) of ``stats.weighting_gap`` with each replication's plain
-    average and squared norm taken on its own: row r's mean over its data and
-    ``diff @ diff``, where ``weighting_gap`` reduces a chunk's rows at once.
-    The same draws and weighted sums, so the two must agree bit for bit."""
+def weighting_gap_per_replication(model, scheme, theta, reps: int, stream):
+    """The data-path reference for ``stats.weighting_gap``: the (reps,) raw
+    squared gaps |sqrt(m)(sum_i w_i grad l(theta, u_i) - grad g(theta)) -
+    sqrt(n)(avg_i grad l(theta, u_i) - grad g(theta))|^2 from ``grad_loss``
+    and ``weighted_sum`` on drawn data, and the (reps, n) weights they used.
+
+    Replication r draws its weights on ``stream.child("rep", r)``, the draw
+    ``weighting_gap`` makes, and then its n data on the same stream.  The
+    data are iid and independent of the weights, so given row r's weights the
+    raw gap's expectation is Tr sigma^2 |a_r|^2, a_i = sqrt(m) w_i - 1/sqrt(n).
+    """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     grad_mean = model.grad_objective(theta)
-    sqrt_m, sqrt_n = math.sqrt(scheme.m), math.sqrt(scheme.n)
-    values = np.empty(reps)
-    draw = WeightedGradient(model, scheme)
-    for start, streams in stream.child_chunks("rep", stop=reps, size=draw.rows):
-        data, w = draw.sample(streams)
-        grads = model.grad_loss(theta, data)
-        weighted = sqrt_m * (weighted_sum(w, grads) - grad_mean)
-        for r, (row_grads, row_weighted) in enumerate(zip(grads, weighted), start):
-            diff = row_weighted - sqrt_n * (row_grads.mean(axis=0) - grad_mean)
-            values[r] = diff @ diff
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(reps))
+    streams = stream.children("rep", stop=reps)
+    w = sample_weights(streams, scheme)
+    grads = model.grad_loss(theta, model.sample_data(streams, scheme.n))
+    diff = (math.sqrt(scheme.m) * (weighted_sum(w, grads) - grad_mean)
+            - math.sqrt(scheme.n) * (grads.mean(axis=1) - grad_mean))
+    return np.sum(diff * diff, axis=-1), w

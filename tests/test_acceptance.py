@@ -1,18 +1,25 @@
 """Acceptance suite: one test per headline claim, at full scale.
 
 Every test drives the CLI runner with the canonical configuration for its
-claim, asserts the report's overall verdict, and prints one summary line
-(run with ``pytest -s`` to see the lines as they pass).  Tolerances are
-pinned here; nothing is recalibrated at runtime.
+claim, read from ``configs/``, asserts the report's overall verdict, and
+prints one summary line (run with ``pytest -s`` to see the lines as they
+pass).  Tolerances are pinned here; nothing is recalibrated at runtime.
 """
 
 import json
 from pathlib import Path
 
 import msgdlab.dynamics as dynamics_mod
+import msgdlab.weights as weights_mod
 from msgdlab.cli import run_experiment, validate_config
 
 SEED = 20260808
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def canonical(name: str) -> dict:
+    """The shipped config ``configs/<name>.json``."""
+    return json.loads((CONFIGS / f"{name}.json").read_text())
 
 
 def _run(label: str, raw: dict, out_dir: Path):
@@ -34,10 +41,7 @@ def test_a1_weight_moments(tmp_path):
     variance within 4 SE of (n-m)/(m n^2), pair covariance within 4 SE of
     -(n-m)/(m n^2 (n-1)), and m*sum(w^2) within 3 SE of 1.
     """
-    _run("A1 weight moments", {
-        "command": "weights-moments", "seed": SEED,
-        "n": 2000, "m": 400, "reps": 20000,
-    }, tmp_path)
+    _run("A1 weight moments", canonical("weight_moments"), tmp_path)
 
 
 def test_a2_dirichlet_error_is_gaussian(tmp_path):
@@ -47,11 +51,7 @@ def test_a2_dirichlet_error_is_gaussian(tmp_path):
     critical value 0.0163 to absorb finite-(n, m) distributional error;
     pilot value 0.0054).  Also writes the plot-ready histogram CSV.
     """
-    report = _run("A2 dirichlet error normality", {
-        "command": "clt", "seed": SEED,
-        "n": 10000, "m": 2000, "samples": 10000, "p": 1,
-        "scheme": {"kind": "dirichlet"},
-    }, tmp_path)
+    report = _run("A2 dirichlet error normality", canonical("clt_dirichlet_p1"), tmp_path)
     assert "hist_coord1.csv" in report.files
 
 
@@ -59,11 +59,8 @@ def test_a3_gaussian_weights_p6(tmp_path):
     """Gaussian-structured weights, p=6: every coordinate projection is
     normal (same KS threshold) and the error covariance is (1/3) I
     entrywise within 4 SE."""
-    report = _run("A3 gaussian-structured error normality p=6", {
-        "command": "clt", "seed": SEED,
-        "n": 10000, "m": 2000, "samples": 10000, "p": 6,
-        "scheme": {"kind": "gaussian"},
-    }, tmp_path)
+    report = _run("A3 gaussian-structured error normality p=6", canonical("clt_gaussian_p6"),
+                  tmp_path)
     hist_files = [name for name in report.files if name.startswith("hist_coord")]
     assert len(hist_files) == 6
 
@@ -71,29 +68,33 @@ def test_a3_gaussian_weights_p6(tmp_path):
 def test_a4_error_normality_is_scheme_universal(tmp_path):
     """The same normality verdict holds for minibatch weights and for
     Rademacher-based structured weights at identical (n, m)."""
-    _run("A4 universality: minibatch", {
-        "command": "clt", "seed": SEED,
-        "n": 10000, "m": 2000, "samples": 10000, "p": 1,
-        "scheme": {"kind": "minibatch"},
-    }, tmp_path / "minibatch")
-    _run("A4 universality: rademacher", {
-        "command": "clt", "seed": SEED,
-        "n": 10000, "m": 2000, "samples": 10000, "p": 1,
-        "scheme": {"kind": "gaussian", "base": "rademacher"},
-    }, tmp_path / "rademacher")
+    _run("A4 universality: minibatch", canonical("clt_minibatch_p1"), tmp_path / "minibatch")
+    _run("A4 universality: rademacher", canonical("clt_rademacher_p1"),
+         tmp_path / "rademacher")
 
 
 def test_a5_weighting_gap_identity(tmp_path):
     """E|weighted error - plain-average error|^2 = 2(1 - sqrt(m/n)) Tr sigma^2.
 
-    Quadratic model, p=2, s=1 (Tr sigma^2 = 2) at (n, m) = (1e4, 2500) and
-    (1e4, 9000) for all three schemes; Monte Carlo within 3 SE of the
-    exact value (2.0 and 0.2053 respectively).
+    Per unit of Tr sigma^2, by its expectation given the weights, the mean
+    of |a|^2 = m sum w^2 - 2 sqrt(m/n) sum w + 1 over 1,500 draws, at
+    (n, m) = (1e4, 2500) and (1e4, 9000) for all three schemes: within
+    3 SE + 1e-12 of the exact value (1.0 and 0.1026 respectively).
     """
-    _run("A5 weighting-gap identity", {
-        "command": "weighting-gap", "seed": SEED,
-        "pairs": [[10000, 2500], [10000, 9000]], "reps": 1500,
-    }, tmp_path)
+    _run("A5 weighting-gap identity", canonical("weighting_gap"), tmp_path)
+
+
+def test_a5_gap_fails_the_dirichlet_alpha_mutant(tmp_path, monkeypatch):
+    """The identity has power: with the Dirichlet concentration 1.1 times
+    too large, both Dirichlet checks of the canonical config fail, and the
+    four checks of the other schemes still pass."""
+    alpha = weights_mod.dirichlet_alpha
+    monkeypatch.setattr(weights_mod, "dirichlet_alpha", lambda n, m: 1.1 * alpha(n, m))
+    report = run_experiment(validate_config(canonical("weighting_gap")), tmp_path)
+    failing = [check.name for check in report.checks if not check.passed]
+    print(f"[A5 dirichlet alpha x 1.1] failing: {failing}")
+    assert len(report.checks) == 6
+    assert failing == ["dirichlet:n10000:m2500", "dirichlet:n10000:m9000"]
 
 
 def test_a6_wasserstein_step_size_scaling(tmp_path):
@@ -104,23 +105,12 @@ def test_a6_wasserstein_step_size_scaling(tmp_path):
     gamma in {0.2, 0.1, 0.05, 0.025}: nonincreasing up to 10% slack and
     log-log slope in [0.8, 2.2] (pilot slope 2.01).
     """
-    _run("A6 Wasserstein scaling", {
-        "command": "wass-scaling", "seed": SEED,
-        "gammas": [0.2, 0.1, 0.05, 0.025], "reps": 500,
-        "n": 512, "m": 64, "horizon": 1.0,
-        "model": {"kind": "quadratic", "p": 2, "s": 1.0},
-        "scheme": {"kind": "gaussian"},
-    }, tmp_path / "r50")
+    _run("A6 Wasserstein scaling", canonical("wass_scaling"), tmp_path / "r50")
     # doubling the integrator substeps moves the estimates by ~10% at most
     # and flips no verdict, so the default discretization is not what the
     # scaling checks are measuring
-    _run("A6 Wasserstein scaling (doubled substeps)", {
-        "command": "wass-scaling", "seed": SEED,
-        "gammas": [0.2, 0.1, 0.05, 0.025], "reps": 500,
-        "n": 512, "m": 64, "horizon": 1.0, "em_substeps": 100,
-        "model": {"kind": "quadratic", "p": 2, "s": 1.0},
-        "scheme": {"kind": "gaussian"},
-    }, tmp_path / "r100")
+    _run("A6 Wasserstein scaling (doubled substeps)",
+         canonical("wass_scaling") | {"em_substeps": 100}, tmp_path / "r100")
 
 
 def test_a7_strong_convexity_rate(tmp_path):
@@ -134,12 +124,7 @@ def test_a7_strong_convexity_rate(tmp_path):
     factor is within 0.02 of (1-gamma)^2 = 0.81, and the tail mean is
     below L*gamma*||sigma(x*)||_F^2 / (m*lambda*(2-L*gamma)).
     """
-    _run("A7 strong-convexity rate", {
-        "command": "converge", "seed": SEED,
-        "model": {"kind": "quadratic", "p": 1, "s": 1.0, "theta_star": [0.0]},
-        "n": 500, "m": 50, "reps": 500,
-        "runs": [{"gamma": 0.1, "num_steps": 200, "fit_window": 20}],
-    }, tmp_path)
+    _run("A7 strong-convexity rate", canonical("converge_quadratic"), tmp_path)
 
 
 def test_a8_logistic_mse_curves(tmp_path):
@@ -154,17 +139,7 @@ def test_a8_logistic_mse_curves(tmp_path):
     allowance of 2 hypot of the two factors' jackknife SEs, which the
     shared draws make conservative.
     """
-    _run("A8 logistic MSE replication", {
-        "command": "converge", "seed": SEED,
-        "model": {"kind": "logistic", "p": 6, "t": 10000},
-        "n": 1000, "m": 10, "reps": 100,
-        "kappas": [0.2, 0.1, 0.05, 0.01, 0.001],
-        "scheme": {"kind": "gaussian"},
-        "runs": [
-            {"gamma": 0.5, "num_steps": 60, "fit_window": 8},
-            {"gamma": 0.1, "num_steps": 300, "fit_window": 25},
-        ],
-    }, tmp_path)
+    _run("A8 logistic MSE replication", canonical("converge_logistic"), tmp_path)
 
 
 def test_a9_gd_tracks_gradient_flow(tmp_path):
@@ -174,10 +149,7 @@ def test_a9_gd_tracks_gradient_flow(tmp_path):
     uniform gap obeys |grad g(x0)| e^{LT} K gamma^2 (1+L gamma)^K and the
     final gap scales linearly (slope in [0.8, 1.2]; pilot 1.018).
     """
-    _run("A9 gd vs gradient flow", {
-        "command": "gd-ode", "seed": SEED,
-        "gammas": [0.1, 0.05, 0.025, 0.0125], "x0": [1.0], "horizon": 1.0,
-    }, tmp_path)
+    _run("A9 gd vs gradient flow", canonical("gd_ode"), tmp_path)
 
 
 DETERMINISM_CONFIGS = {

@@ -94,7 +94,7 @@ RESOLVED = {
     "weighting-gap": (
         tiny_config("weighting-gap"),
         None, 9,
-        '{"p":2,"pairs":[[400,100]],"reps":1000,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}]}',
+        '{"pairs":[[400,100]],"reps":1000,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}]}',
     ),
     "wass-scaling": (
         tiny_config("wass-scaling"),
@@ -206,7 +206,7 @@ RESOLVED = {
     "configs/weighting_gap.json": (
         'weighting_gap.json',
         None, 20260808,
-        '{"p":2,"pairs":[[10000,2500],[10000,9000]],"reps":1500,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}]}',
+        '{"pairs":[[10000,2500],[10000,9000]],"reps":1500,"schemes":[{"kind":"minibatch"},{"kind":"gaussian"},{"kind":"dirichlet"}]}',
     ),
 }
 
@@ -777,10 +777,6 @@ class TestMain:
              "model.p: must be <= 1000000"),
             (tiny_logistic() | {"model": {"kind": "logistic", "p": 2, "t": 10**10}},
              "model.t: must be <= 1000000"),
-            (tiny_config("weighting-gap") | {"p": 10**8}, "weighting-gap.p: must be <= 1000000"),
-            # weighting-gap's p is validated as clt's is
-            (tiny_config("weighting-gap") | {"p": 0}, "weighting-gap.p: must be >= 1"),
-            (tiny_config("weighting-gap") | {"p": 1.5}, "weighting-gap.p: expected an integer"),
             # a reference whose inner steps no run could finish
             (tiny_config("wass-scaling") | {"em_substeps": 200_000},
              "wass-scaling.em_substeps: num_steps * em_substeps must be <= 1000000, "
@@ -811,7 +807,7 @@ class TestMain:
             "converge-steps-beyond-cap", "converge-steps-huge-int", "infinitely-many-steps",
             "clt-n-huge", "moments-n-huge", "moments-n-past-numpy", "clt-p-huge",
             "clt-p-past-numpy", "clt-samples-huge", "wass-reps-huge", "em-substeps-huge",
-            "wass-p-huge", "logistic-t-huge", "gap-p-huge", "gap-p-zero", "gap-p-float",
+            "wass-p-huge", "logistic-t-huge",
             "em-inner-steps", "pair-of-three", "projection-huge",
         ],
     )
@@ -873,21 +869,6 @@ class TestMain:
         assert capsys.readouterr().err == "config error: model: Unable to allocate 298. GiB\n"
         assert not (tmp_path / "out").exists()
 
-    def test_gap_model_that_cannot_allocate_names_p(self, tmp_path, capsys, monkeypatch):
-        # weighting-gap builds its plane model from p, its one model key
-        def unable(*args):
-            raise MemoryError("Unable to allocate 298. GiB")
-
-        monkeypatch.setattr(cli, "make_quadratic_model", unable)
-        config_path = tmp_path / "cfg.json"
-        config_path.write_text(json.dumps(tiny_config("weighting-gap") | {"p": 200_000}))
-        code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "config error: weighting-gap.p: Unable to allocate 298. GiB\n"
-        )
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize(
         "error, line",
         [
@@ -926,16 +907,17 @@ class TestMain:
             ("converge", "rho_tolerance", 0.02),
             ("converge", "blocks", 8),
             ("gd-ode", "slope_range", [0.8, 1.2]),
-            # inputs no verdict reads: the gap's (estimate - analytic) / SE is the same at
-            # every theta, theta* and s, and model.theta_star sets wass-scaling's offset
+            # inputs no verdict reads: the gap is a statistic of the weights alone, per
+            # unit of Tr sigma^2, and model.theta_star sets wass-scaling's offset
             ("weighting-gap", "theta", [1.0, 1.0]),
             ("weighting-gap", "model", {"kind": "quadratic", "p": 2, "s": 1.0}),
+            ("weighting-gap", "p", 2),
             ("wass-scaling", "x0", [1.0, 1.0]),
         ],
         ids=[
             "mean-sigmas", "var-sigmas", "cov-sigmas", "sumsq-sigmas", "ks-threshold",
             "clt-cov-sigmas", "bins", "sigmas", "slack", "wass-slope-range", "rho-tolerance",
-            "blocks", "gd-ode-slope-range", "gap-theta", "gap-model", "wass-x0",
+            "blocks", "gd-ode-slope-range", "gap-theta", "gap-model", "gap-p", "wass-x0",
         ],
     )
     def test_bound_keys_rejected(self, command, key, value, tmp_path, capsys):
@@ -946,13 +928,6 @@ class TestMain:
         code = main(["--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"config error: {command}: unknown key {key!r}\n"
-
-    def test_gap_plans_the_plane_model_at_ones(self):
-        # theta* = 0 and s = 1, the defaults of the model key weighting-gap had
-        plan = validate_config(tiny_config("weighting-gap") | {"p": 3}).plan
-        np.testing.assert_array_equal(plan["model"].minimizer, np.zeros(3))
-        np.testing.assert_array_equal(plan["model"].noise_factor(np.ones(3)), np.eye(3))
-        np.testing.assert_array_equal(plan["start"], np.ones(3))
 
     @pytest.mark.parametrize("horizon", [400, 710], ids=["product-overflows", "exp-overflows"])
     def test_gd_ode_bound_that_overflows_fails(self, horizon, tmp_path, capsys):
@@ -1275,7 +1250,7 @@ def test_resolved_echo_pinned(name):
 
 # Each command's settable config values, counted by tools/artifact_diff.py's
 # rule: a new key is a visible change to this test.
-SETTABLE = {"weights-moments": 4, "clt": 5, "weighting-gap": 4, "wass-scaling": 11,
+SETTABLE = {"weights-moments": 4, "clt": 5, "weighting-gap": 3, "wass-scaling": 11,
             "converge": 15, "gd-ode": 5}
 
 
@@ -1287,7 +1262,7 @@ def test_settable_config_values_pinned():
         sys.path.remove(str(REPO / "tools"))
     counts = {command: settable(schema, cli.Kinds) for command, schema in cli.SCHEMAS.items()}
     assert counts == SETTABLE
-    assert sum(counts.values()) == 44
+    assert sum(counts.values()) == 43
 
 
 def test_readme_example_and_commands():

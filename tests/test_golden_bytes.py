@@ -107,6 +107,16 @@ all (``tools/artifact_diff.py``), and no pass flag changed.  The Gaussian
 SGD and Euler-Maruyama states, whose normals began to be drawn a block of
 steps at a time in the same release, kept their bytes.
 
+``weighting-gap`` was re-recorded alone when its verdict began to be taken
+from its expectation given the weights: the data are iid and independent of
+w, so given w the squared gap's expectation is Tr sigma^2 |a|^2, a_i =
+sqrt(m) w_i - 1/sqrt(n), and the command now judges the mean of |a|^2 per
+unit of Tr sigma^2, drawing weights alone.  Every estimate, SE and analytic
+value in its CSV and checks moved (new draws, no data normals, no factor
+Tr sigma^2 = 2), every tolerance gained the 1e-12 roundoff floor, and its
+report no longer echoes ``"p": 2`` under ``resolved``; every check still
+passes.  ``weights-moments``, whose draws it shares, kept its bytes.
+
 Each entry is (config, digest, failing check names).  The failing names are
 asserted before the digest, so a verdict that flips fails by name and reads
 apart from a byte change; a tiny config's verdict can be noise (``clt``,
@@ -142,7 +152,7 @@ GOLDEN = {
     "weighting-gap": (
         {"command": "weighting-gap", "seed": 11, "pairs": [[80, 20], [80, 70]],
          "reps": 1000},
-        "a70d368b5468579389629a31e4850a4e14400b41ff2b5ee2b18d1bfa92655e16",
+        "7662500bdc796e801ff6829c0d0cdc2662f23f9d44daeed2ded9d2e9e0440ac2",
         [],
     ),
     "wass-scaling": (

@@ -29,6 +29,12 @@ from msgdlab.stats import (
 from msgdlab.weights import WeightScheme, sample_weights
 from oracles import w2_1d, weighting_gap_per_replication
 
+# every weight law: the three kinds, and the gaussian kind on each base
+FIVE_SCHEMES = [
+    {"kind": "minibatch"}, {"kind": "gaussian"}, {"kind": "gaussian", "base": "rademacher"},
+    {"kind": "gaussian", "base": "uniform"}, {"kind": "dirichlet"},
+]
+
 
 class TestErrorSamples:
     def test_dirichlet_error_variance(self):
@@ -115,33 +121,22 @@ class TestChunkedSampling:
                 expected = math.sqrt(self.M) * (grad - model.grad_objective(theta))
                 np.testing.assert_array_equal(runs[0][r], expected)
 
-    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
-    def test_weighting_gap(self, monkeypatch, kind):
-        scheme = WeightScheme(kind, n=self.N, m=self.M)
-        model = self._models()[1]
-        runs = self._by_chunk(
-            monkeypatch, model,
-            lambda: weighting_gap(model, scheme, [1.0, 0.0], 1000, derive_stream(67, [kind])),
-        )
-        for gap in runs[1:]:
-            assert (gap.estimate, gap.se) == (runs[0].estimate, runs[0].se)
-
-    @pytest.mark.parametrize("scheme", [
-        {"kind": "minibatch"}, {"kind": "gaussian"}, {"kind": "gaussian", "base": "rademacher"},
-        {"kind": "gaussian", "base": "uniform"}, {"kind": "dirichlet"},
-    ], ids=lambda spec: "-".join(spec.values()))
-    def test_weighting_gap_equals_per_replication_reduction(self, monkeypatch, scheme):
-        # a chunk's plain averages and squared norms, reduced at once, round as
-        # each row's alone: the stats equal the one-row-at-a-time loop's bits
+    @pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
+    def test_weighting_gap(self, monkeypatch, scheme):
+        # the weights alone, in blocks of any size: the mean of |a_r|^2 =
+        # m sum w^2 - 2 sqrt(m/n) sum w + 1 over the rows drawn on child("rep", r)
         scheme = WeightScheme(n=self.N, m=self.M, **scheme)
-        for model in self._models():
-            stream = derive_stream(71, [scheme.label, model.name])
-            for elements in (self.DEFAULT_ELEMENTS, self.N * model.payload_dim,
-                             7 * self.N * model.payload_dim):
-                monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
-                gap = weighting_gap(model, scheme, [0.3, -0.2], 1000, stream)
-                assert (gap.estimate, gap.se) == weighting_gap_per_replication(
-                    model, scheme, [0.3, -0.2], 1000, stream)
+        stream = derive_stream(67, [scheme.label])
+        runs = []
+        for elements in (self.DEFAULT_ELEMENTS, self.N, 7 * self.N):
+            monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
+            gap = weighting_gap(scheme, 1000, stream)
+            runs.append((gap.estimate, gap.se))
+        assert runs[1:] == runs[:1] * 2
+        w = sample_weights(stream.children("rep", stop=1000), scheme)
+        ratio = math.sqrt(self.M / self.N)
+        sq_norms = [self.M * np.sum(row * row) - 2.0 * ratio * np.sum(row) + 1.0 for row in w]
+        assert runs[0] == tuple(map(float, mean_with_se(sq_norms)))
 
 
 class TestSharedDraw:
@@ -322,52 +317,35 @@ class TestCoordinateAvgW2:
 
 class TestWeightingGap:
     def test_full_batch_gap_vanishes(self):
-        model = make_quadratic_model(2, [1.0, 0.0], 1.0)
         scheme = WeightScheme("gaussian", n=256, m=256)
-        gap = weighting_gap(model, scheme, [0.5, 0.5], 1000, derive_stream(41, ["g"]))
+        gap = weighting_gap(scheme, 1000, derive_stream(41, ["g"]))
         assert gap.analytic == 0.0
         assert gap.estimate == pytest.approx(0.0, abs=1e-24)
 
-    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
-    def test_quadratic_identity(self, kind):
-        # Tr sigma^2 = p s^2 = 2, m/n = 1/4: analytic = 2 (1 - 1/2) 2 = 2
-        model = make_quadratic_model(2, np.zeros(2), 1.0)
-        scheme = WeightScheme(kind, n=1000, m=250)
-        gap = weighting_gap(model, scheme, [1.0, -1.0], 1500, derive_stream(43, [kind]))
-        assert gap.analytic == pytest.approx(2.0)
-        assert abs(gap.estimate - gap.analytic) <= 3 * gap.se
-
-    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
-    def test_verdict_free_of_theta_theta_star_and_s(self, kind):
-        # every gradient error of the quadratic model is -s Z, so the check's
-        # (estimate - analytic) / SE is the same at every theta, theta* and s:
-        # weighting-gap runs the plane model at ones alone
-        scheme = WeightScheme(kind, n=400, m=100)
-
-        def sigmas(theta, theta_star, s):
-            model = make_quadratic_model(2, theta_star, s)
-            gap = weighting_gap(model, scheme, theta, 1000, derive_stream(53, [kind]))
-            return (gap.estimate - gap.analytic) / gap.se
-
-        reference = sigmas(np.ones(2), np.zeros(2), 1.0)
-        for theta in (np.ones(2), [5.0, -3.0]):
-            for theta_star in (np.zeros(2), [4.0, 2.0]):
-                for s in (1.0, 3.0):
-                    assert sigmas(theta, theta_star, s) == pytest.approx(reference, abs=1e-12)
-
-    def test_uniform_identity(self):
-        # Tr sigma^2 = 1/3: analytic = 2 (1 - 1/2) / 3 = 1/3
-        model = make_uniform_clt_model(1)
-        scheme = WeightScheme("minibatch", n=1000, m=250)
-        gap = weighting_gap(model, scheme, [0.0], 1500, derive_stream(47, ["u"]))
-        assert gap.analytic == pytest.approx(1 / 3)
-        assert abs(gap.estimate - gap.analytic) <= 3 * gap.se
+    @pytest.mark.parametrize("model", ["quadratic", "uniform"])
+    @pytest.mark.parametrize("scheme", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
+    def test_identity_given_the_weights(self, scheme, model):
+        # the data are iid and independent of w, so given w the raw squared gap on
+        # drawn data has expectation Tr sigma^2 |a|^2: their difference has mean 0
+        # over the same weight rows, and the estimator's |a|^2 is those rows'
+        n, m, reps = 40, 8, 4000
+        scheme = WeightScheme(n=n, m=m, **scheme)
+        model = (make_quadratic_model(2, [0.5, -1.0], 1.5) if model == "quadratic"
+                 else make_uniform_clt_model(2))
+        theta = np.array([0.3, -0.2])
+        stream = derive_stream(53, [scheme.label, model.name])
+        raw, w = weighting_gap_per_replication(model, scheme, theta, reps, stream)
+        sq_norms = np.sum((math.sqrt(m) * w - 1.0 / math.sqrt(n)) ** 2, axis=1)
+        mean, se = mean_with_se(raw - model.noise_trace(theta) * sq_norms)
+        assert abs(mean) <= 4 * se
+        gap = weighting_gap(scheme, reps, stream)
+        assert gap.estimate == pytest.approx(sq_norms.mean(), rel=1e-12)
+        assert gap.analytic == pytest.approx(2.0 - 2.0 * math.sqrt(m / n), rel=1e-15)
 
     def test_reps_floor(self):
-        model = make_uniform_clt_model(1)
         scheme = WeightScheme("minibatch", n=10, m=5)
         with pytest.raises(ValueError):
-            weighting_gap(model, scheme, [0.0], 500, derive_stream(1, []))
+            weighting_gap(scheme, 500, derive_stream(1, []))
 
 
 class TestContractionBound:

@@ -310,7 +310,7 @@ def judged_moments(columns):
     ``empirical_weight_moments``'s columns: the mean of w_1, the variance of
     w_1 and the covariance of (w_1, w_2) with the large-sample SEs of
     ``covariance_with_se``, and the mean of m * sum(w^2)."""
-    first, second, m_sum_sq = columns
+    first, second, m_sum_sq, _ = columns
     _, cov_se = covariance_with_se(np.column_stack([first, second]))
     return {
         "mean": mean_with_se(first),
@@ -400,6 +400,17 @@ class TestEmpiricalMoments:
             empirical_weight_moments(WeightScheme("minibatch", 10, 2), derive_stream(1, []), 50)
 
     @pytest.mark.parametrize("scheme", [
+        {"kind": "minibatch"}, {"kind": "gaussian"}, {"kind": "gaussian", "base": "rademacher"},
+        {"kind": "gaussian", "base": "uniform"}, {"kind": "dirichlet"},
+    ], ids=lambda spec: "-".join(spec.values()))
+    def test_sum_column_is_one_up_to_roundoff(self, scheme):
+        # every scheme's covariance is singular along the all-ones direction, so
+        # sum(w) = 1 but for the rounding of the draw, which the column keeps
+        scheme = WeightScheme(n=1000, m=100, **scheme)
+        sums = empirical_weight_moments(scheme, derive_stream(67, [scheme.label]), 300)[3]
+        np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", [
         {"kind": "minibatch", "n": 30, "m": 6}, {"kind": "gaussian", "n": 30, "m": 6},
         {"kind": "gaussian", "n": 30, "m": 6, "base": "rademacher"},
         {"kind": "gaussian", "n": 30, "m": 6, "base": "uniform"},
@@ -407,7 +418,8 @@ class TestEmpiricalMoments:
     ], ids=lambda spec: "-".join(map(str, spec.values())))
     def test_columns_are_the_draws(self, scheme):
         # row r of one sample_weights block on the same streams gives column r:
-        # w_1, w_2 (w_1 again at n = 1) and m * sum(w^2), reduced as the row alone
+        # w_1, w_2 (w_1 again at n = 1), m * sum(w^2) and sum(w), reduced as the row
+        # alone; sum(w) is taken before the square, which leaves the first three as drawn
         scheme = WeightScheme(**scheme)
         stream = derive_stream(61, [scheme.label, scheme.n])
         columns = empirical_weight_moments(scheme, stream, 250)
@@ -415,10 +427,12 @@ class TestEmpiricalMoments:
         np.testing.assert_array_equal(columns[0], w[:, 0])
         np.testing.assert_array_equal(columns[1], w[:, min(1, scheme.n - 1)])
         np.testing.assert_array_equal(columns[2], [scheme.m * np.sum(row * row) for row in w])
+        np.testing.assert_array_equal(columns[3], [np.sum(row) for row in w])
 
     @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
     def test_chunk_size_leaves_columns_unchanged(self, monkeypatch, kind):
-        # the default (all 250 replications in one block), then blocks of 1 and 7
+        # the default (all 250 replications in one block), then blocks of 1 and 7;
+        # every column, sum(w) included
         scheme = WeightScheme(kind, n=30, m=6)
         runs = []
         for elements in (dynamics_mod.CHUNK_ELEMENTS, 1, 7 * 30):
