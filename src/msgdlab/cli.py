@@ -70,7 +70,6 @@ from .stats import (
     contraction_fit,
     contraction_fit_jackknife,
     convergence_curve,
-    coordinate_avg_w2,
     covariance_with_se,
     fit_segment,
     ks_normality,
@@ -701,10 +700,8 @@ def _run_wass_scaling(cfg: ExperimentConfig, root) -> tuple[list, dict]:
         sliced = sliced_w2(
             msgd_ensemble, em_ensemble, params["n_directions"], root.child(i, "directions")
         )
-        by_coord = coordinate_avg_w2(msgd_ensemble, em_ensemble)
         values.append(sliced)
         rows.append([gamma, sliced, "sliced", params["n_directions"], reps])
-        rows.append([gamma, by_coord, "coordinate_average", 0, reps])
     worst_ratio = max(values[i + 1] / values[i] for i in range(len(values) - 1))
     checks = [
         ("monotone_ratio", "monotone_ratio", worst_ratio, 1.0),

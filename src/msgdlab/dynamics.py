@@ -294,15 +294,17 @@ def run_gaussian_sgd(model: LossModel, configs: Sequence[RunConfig], streams, m:
 class WeightedGradient:
     """The M-SGD noise: per replication, n fresh data and a fresh weight vector.
 
-    Called as ``(theta, streams)``, it draws every stream's data and then
-    every stream's weights, and returns the (R, p) weighted gradients
-    sum_i w_i grad l(theta, u_i) from one batched ``model.weighted_grad``
-    call at theta (one (p,) point, or one (R, p) row per stream).  M-SGD and
-    the clt samples take this draw.  Callers walk their replications in
-    chunks of ``rows`` = ``chunk_rows(n * payload_dim)``, which keeps a
-    chunk's block in cache; rows never mix, so the chunk size cannot change
-    a bit.  The data and weight blocks are allocated once and refilled by
-    every chunk.
+    Called as ``(theta, streams)``, it returns the (R, p) weighted gradients
+    sum_i w_i grad l(theta, u_i) at theta (one (p,) point, or one (R, p) row
+    per stream).  When the model has ``sample_weighted_grad`` it draws every
+    stream's weights and then the weighted gradient from its law given them,
+    so each stream draws its weights before its normals; otherwise it draws
+    every stream's data and then every stream's weights, and reduces them
+    with one batched ``model.weighted_grad`` call.  M-SGD and the clt
+    samples take this draw.  Callers walk their replications in chunks of
+    ``rows`` = ``chunk_rows(n * payload_dim)``, which keeps a chunk's block
+    in cache; rows never mix, so the chunk size cannot change a bit.  The
+    data and weight blocks are allocated once and refilled by every chunk.
     """
 
     def __init__(self, model: LossModel, scheme: WeightScheme):
@@ -312,6 +314,9 @@ class WeightedGradient:
         self.draw_weights = ChunkBlock(sample_weights)
 
     def __call__(self, theta, streams: Sequence[RngStream]) -> np.ndarray:
+        if self.model.sample_weighted_grad is not None:
+            w = self.draw_weights(streams, self.scheme)
+            return self.model.sample_weighted_grad(theta, w, streams)
         data = self.draw_data(streams, self.scheme.n)
         return self.model.weighted_grad(theta, data, self.draw_weights(streams, self.scheme))
 

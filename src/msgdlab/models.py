@@ -12,14 +12,17 @@ A :class:`LossModel` bundles everything the dynamics need:
 * ``grad_loss(theta, data)`` mapping a batch of ``count`` data to per-datum
   gradients (count, p), unbiased for ``grad_objective``;
 * ``weighted_grad(theta, data, w)``, the weighted gradient
-  sum_i w_i grad l(theta, u_i) for (..., count) weights, the one reduction
-  ``dynamics.WeightedGradient`` makes: by default
+  sum_i w_i grad l(theta, u_i) for (..., count) weights: by default
   ``weighted_sum(w, grad_loss(theta, data))``, one stacked ``np.matmul``
-  over the per-datum gradients.  Two models supply a fused form that never
-  builds those gradients and rounds differently: the quadratic
-  theta sum_i w_i - sum_i w_i u_i, and the logistic
+  over the per-datum gradients.  The logistic model supplies a fused form
+  that never builds those gradients and rounds differently,
   2 kappa beta sum_i w_i - (w / (1 + e^(beta S_d^T))) S_d, one residual
   row per kappa of its grid, on its signed rows s_i x_i, s_i = 2 y_i - 1;
+* optionally ``sample_weighted_grad(theta, w, streams)``, drawing
+  sum_i w_i grad l(theta, u_i) from its exact law given the (R, count)
+  weights, one row per stream, with no data: the quadratic model, whose
+  data are Gaussian, supplies it, and ``dynamics.WeightedGradient`` takes
+  it in place of the data path;
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
   ``sigma sigma^T = Cov(grad_loss(theta, .))``.
 
@@ -27,7 +30,7 @@ A :class:`LossModel` bundles everything the dynamics need:
 a lone draw would, writing into one block (``out``, or a fresh one), and
 then applies its deterministic transform, if any, once to the whole block,
 so row r consumes only ``streams[r]`` and equals a one-stream draw on that
-stream.
+stream; ``sample_weighted_grad`` draws the same way.
 
 Every other callable accepts theta with leading replication axes, shape
 (..., p): ``objective`` then returns shape (...), ``grad_objective``
@@ -73,6 +76,7 @@ class LossModel:
     strong_convexity: Optional[float] = None # lambda, when g is strongly convex
     minimizer: Optional[np.ndarray] = None   # known argmin of the objective, if any
     fused_weighted_grad: Optional[Callable[..., np.ndarray]] = None  # (theta, data, w)
+    sample_weighted_grad: Optional[Callable[..., np.ndarray]] = None  # (theta, w, streams)
 
     def weighted_grad(self, theta, data, w) -> np.ndarray:
         """sum_i w_i grad l(theta, u_i) over the data's last axis, shape (..., p)."""
@@ -97,10 +101,11 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
 
     Then g(theta) = |theta - theta*|^2 / 2 + p s^2 / 2, grad_loss is
     theta - u, and the noise factor is the constant s*I, so L = lambda = 1
-    and L1 = 0.  The noise level p s^2 / 2 must be finite.  The weighted
-    gradient is sum_i w_i (theta - u_i) = theta sum_i w_i - sum_i w_i u_i,
-    one (1, n) @ (n, p) product per replication on the data as drawn; the
-    weights' sum is taken as it is, never as 1.
+    and L1 = 0.  The noise level p s^2 / 2 must be finite.  Given the weights,
+    sum_i w_i (theta - u_i) = (theta - theta*) sum_i w_i - s sum_i w_i z_i,
+    and sum_i w_i z_i ~ N(0, |w|^2 I_p) exactly, so ``sample_weighted_grad``
+    draws it from p standard normals per row instead of n p data: the
+    weights' sum and norm are taken as drawn, never as 1 and 1/sqrt(m).
     """
     if not s > 0:
         raise ValueError(f"noise scale s must be positive, got {s}")
@@ -131,8 +136,12 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     def grad_loss(theta, data):
         return np.asarray(theta, dtype=float)[..., None, :] - data
 
-    def fused_weighted_grad(theta, data, w):
-        return theta * w.sum(axis=-1)[..., None] - (w[..., None, :] @ data)[..., 0, :]
+    def sample_weighted_grad(theta, w, streams):
+        zeta = np.empty((len(streams), p))
+        for row, stream in zip(zeta, streams):
+            stream.generator.standard_normal(out=row)
+        zeta *= s * np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0])
+        return grad_objective(theta) * w.sum(axis=-1)[:, None] - zeta
 
     def noise_factor(theta):
         return factor
@@ -150,7 +159,7 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
         lipschitz_noise=0.0,
         strong_convexity=1.0,
         minimizer=theta_star,
-        fused_weighted_grad=fused_weighted_grad,
+        sample_weighted_grad=sample_weighted_grad,
     )
 
 

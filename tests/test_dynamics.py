@@ -190,6 +190,28 @@ class TestMsgd:
             np.testing.assert_array_less(gaps, 4 * se + 1e-12)
 
     def test_steps_only_through_weighted_grad(self):
+        # the quadratic model's conditional sampler is M-SGD's one draw: a
+        # model whose data sampler and grad_loss raise steps to the same bytes
+        def unreachable(*args):
+            raise AssertionError("run_msgd drew or reduced data")
+
+        model = ensemble_model("quadratic")
+        scheme = WeightScheme("gaussian", n=40, m=8)
+        config = RunConfig(gamma=0.5, num_steps=6, x0=np.ones(model.dim))
+        runs = [
+            run_msgd(m, scheme, [config], [[derive_stream(89, [r]) for r in range(4)]]).runs[0]
+            for m in (model, dataclasses.replace(model, sample_data=unreachable,
+                                                 grad_loss=unreachable))
+        ]
+        np.testing.assert_array_equal(runs[1], runs[0])
+        # and replacing the sampler replaces the drift
+        zero = dataclasses.replace(
+            model, sample_weighted_grad=lambda theta, w, streams: np.zeros(np.shape(theta))
+        )
+        frozen = run_msgd(zero, scheme, [config], [[derive_stream(89, [r]) for r in range(4)]])
+        np.testing.assert_array_equal(frozen.runs[0], np.ones((7, 4, model.dim)))
+
+    def test_logistic_steps_only_through_fused_weighted_grad(self):
         # the logistic model's fused weighted gradient is M-SGD's one reduction:
         # a model whose grad_loss raises steps to the same bytes
         def unreachable(theta, data):

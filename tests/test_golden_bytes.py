@@ -117,6 +117,17 @@ Tr sigma^2 = 2), every tolerance gained the 1e-12 roundoff floor, and its
 report no longer echoes ``"p": 2`` under ``resolved``; every check still
 passes.  ``weights-moments``, whose draws it shares, kept its bytes.
 
+``converge-quadratic``, ``wass-scaling`` and ``wass-scaling-grid`` were
+re-recorded for new draws, not for roundoff, when quadratic M-SGD began to
+draw its weighted gradient from its exact law given the weights, (theta -
+theta*) sum_i w_i - s |w| zeta with p standard normals zeta per replication
+and step, drawn after the weights, instead of drawing n p data normals
+before the weights and reducing them: the same law, so every M-SGD value
+in their CSVs and checks moved by sampling noise, and no check's verdict
+changed.  ``wass_scaling.csv`` also lost its ``coordinate_average`` rows,
+which no check read; its ``sliced`` rows are the only ones left.  The
+Gaussian SGD and Euler-Maruyama states kept their bytes.
+
 Each entry is (config, digest, failing check names).  The failing names are
 asserted before the digest, so a verdict that flips fails by name and reads
 apart from a byte change; a tiny config's verdict can be noise (``clt``,
@@ -159,7 +170,7 @@ GOLDEN = {
         {"command": "wass-scaling", "seed": 11, "gammas": [0.25, 0.125], "reps": 30,
          "n": 64, "m": 8, "n_directions": 16, "em_substeps": 10,
          "scheme": {"kind": "dirichlet"}},
-        "fa121dc20a3ee5a6c7474b52f9c3df6484ab1c71956c73f539611c679c962f33",
+        "7e37384d68df091219c0b3b27ae11a2b23f43e678067b939728b475b1a2b9d6e",
         [],
     ),
     "converge-quadratic": (
@@ -167,7 +178,7 @@ GOLDEN = {
          "model": {"kind": "quadratic", "p": 2, "s": 1.0, "theta_star": [0.0, 0.5]},
          "n": 5000, "m": 50, "reps": 20, "scheme": {"kind": "minibatch"},
          "runs": [{"gamma": 0.2, "num_steps": 30, "fit_window": 8}]},
-        "bd749de06b7903994bef7dcb4277bf64195b26c521198ae3db308ab47331a3c4",
+        "e640ef942753b7bbfe0017a4b25d71f5ecbdd979407346a2e1d98adbd994938d",
         [],
     ),
     "converge-logistic": (
@@ -187,7 +198,7 @@ GOLDEN = {
         {"command": "wass-scaling", "seed": 11, "gammas": [0.125, 0.25, 0.0625], "reps": 20,
          "n": 48, "m": 6, "n_directions": 8, "em_substeps": 6, "scheme": {"kind": "minibatch"},
          "model": {"kind": "quadratic", "p": 2, "s": 0.5, "theta_star": [0.5, -0.5]}},
-        "cda778d617f2d9035c8223aba7f85715b0832700d1edce923f59da49465c01cf",
+        "232911b40f67941683da4e615e13b7041e7ce1c82f08cceb7a103ab1119d532a",
         [],
     ),
     "gd-ode-grid": (

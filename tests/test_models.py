@@ -18,8 +18,10 @@ from msgdlab.models import (
     weighted_sum,
 )
 from msgdlab.numerics import derive_stream
+from msgdlab.stats import mean_with_se
 from msgdlab.weights import SCHEME_KINDS, WeightScheme, sample_weights
 from oracles import finite_diff_gradient
+from test_stats import FIVE_SCHEMES
 
 
 KAPPA = 0.05  # the ridge penalty of small_logistic
@@ -314,7 +316,7 @@ class TestLogisticMatchesPayloadForm:
 class TestWeightedGradient:
     """``weighted_grad`` is sum_i w_i grad l(theta, u_i): the default reduces
     ``grad_loss`` with the stacked matmul bit for bit, and the fused logistic
-    and quadratic forms agree with it up to summation order."""
+    form agrees with it up to summation order."""
 
     P, N = 6, 1000
 
@@ -414,62 +416,126 @@ class TestWeightedGradient:
         idx = gen.integers(0, dataset.size, size=(reps, self.N))
         self.assert_non_finite_stays_in_its_row(model, beta, idx, w, special, gen)
 
-    @pytest.mark.parametrize("reps", [1, 3, 9])
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
-    def test_quadratic_fused_matches_per_datum_sum(self, kind, reps):
-        w = self.weights(kind, reps, "quadratic")
-        gen = derive_stream(81, [kind, reps]).generator
-        # theta far from the data, and theta among data that barely spread
-        for offset, s, scale in ((0.0, 1.0, 1e8), (1e3, 1e-3, 1e-3), (0.0, 1.0, 1.0)):
-            theta_star = offset + gen.standard_normal(self.P)
-            model = make_quadratic_model(self.P, theta_star, s)
-            data = model.sample_data([derive_stream(81, [kind, r]) for r in range(reps)], self.N)
-            theta = theta_star + scale * gen.standard_normal((reps, self.P))
-            # the scheme's weights sum to 1 up to roundoff, their double to 2:
-            # the reduction takes the sum as it is
-            for point, weights in ((theta, w), (theta[0], w), (theta, 2.0 * w)):
-                expected = (weights[:, None, :] @ model.grad_loss(point, data))[:, 0, :]
-                # relative to the fused terms' magnitudes |theta| sum |w_i| +
-                # sum |w_i| |u_i|, which bound what rounding either form can move
-                magnitude = (np.abs(point) * np.abs(weights).sum(axis=-1)[:, None]
-                             + (np.abs(weights)[:, None, :] @ np.abs(data))[:, 0, :])
-                fused = model.weighted_grad(point, data, weights)
-                assert fused.shape == (reps, self.P)
-                assert np.all(np.abs(fused - expected) <= 1e-12 * magnitude), (offset, scale)
-
-    @pytest.mark.parametrize("kind", SCHEME_KINDS)
-    def test_quadratic_row_equals_one_row_call(self, kind):
-        model = make_quadratic_model(self.P, np.linspace(-1.0, 1.0, self.P), 0.7)
-        reps = 9
-        w = self.weights(kind, reps, "quadratic-rows")
-        data = model.sample_data([derive_stream(87, [kind, r]) for r in range(reps)], self.N)
-        theta = derive_stream(87, [kind]).generator.standard_normal((reps, self.P))
-        self.assert_rows_equal_one_row_calls(model, theta, data, w)
-
-    @pytest.mark.parametrize("kind", SCHEME_KINDS)
-    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
-    def test_quadratic_non_finite_theta_stays_in_its_row(self, special, kind):
-        model = make_quadratic_model(self.P, np.zeros(self.P), 1.0)
-        reps = 9
-        w = self.weights(kind, reps, "quadratic-special")
-        gen = derive_stream(91, [kind]).generator
-        data = model.sample_data([derive_stream(91, [kind, r]) for r in range(reps)], self.N)
-        theta = gen.standard_normal((reps, self.P))
-        self.assert_non_finite_stays_in_its_row(model, theta, data, w, special, gen)
-
-    @pytest.mark.parametrize("kind", SCHEME_KINDS)
-    def test_default_is_the_stacked_matmul(self, kind):
-        model = make_uniform_clt_model(3)
+    @pytest.mark.parametrize("make", [
+        make_uniform_clt_model, lambda p: make_quadratic_model(p, np.ones(p), 0.7),
+    ], ids=["uniform", "quadratic"])
+    def test_default_is_the_stacked_matmul(self, kind, make):
+        model = make(3)
         assert model.fused_weighted_grad is None
         reps = 5
-        streams = [derive_stream(83, ["uniform", kind, r]) for r in range(reps)]
+        streams = [derive_stream(83, [model.name, kind, r]) for r in range(reps)]
         data = model.sample_data(streams, self.N)
-        w = self.weights(kind, reps, "uniform")
-        theta = derive_stream(83, ["uniform"]).generator.standard_normal((reps, 3))
+        w = self.weights(kind, reps, model.name)
+        theta = derive_stream(83, [model.name]).generator.standard_normal((reps, 3))
         for point in (theta, theta[0]):
             expected = (w[:, None, :] @ model.grad_loss(point, data))[:, 0, :]
             np.testing.assert_array_equal(
                 model.weighted_grad(point, data, w).view(np.uint64), expected.view(np.uint64)
+            )
+
+
+class TestConditionalWeightedGradient:
+    """The quadratic ``sample_weighted_grad`` draws sum_i w_i grad l(theta, u_i)
+    from its law given the weights, (theta - theta*) sum w - s |w| zeta, with
+    the law of the data path ``weighted_sum(w, grad_loss(theta, sample_data))``,
+    one row per stream."""
+
+    P, N, M = 2, 40, 4
+    THETA_STAR, S, THETA = np.array([0.5, -1.0]), 1.7, np.array([1.0, 0.25])
+    REPS, BATCHES, SIGMAS = 80_000, 80, 4.5
+
+    def moments(self, grads):
+        """Per-coordinate mean, and second and fourth moments about the exact
+        mean (theta - theta*) E[sum w] = theta - theta*, each with its
+        batch-means SE: (3, p) values and (3, p) SEs."""
+        d = grads - (self.THETA - self.THETA_STAR)
+        per_rep = np.stack([grads, d**2, d**4])
+        batches = per_rep.reshape(3, self.BATCHES, -1, self.P).mean(axis=2)
+        return mean_with_se(batches, axis=1)
+
+    def sigmas_apart(self, a, b):
+        (mean_a, se_a), (mean_b, se_b) = self.moments(a), self.moments(b)
+        return (mean_a - mean_b) / np.hypot(se_a, se_b)
+
+    def draws(self, spec):
+        """The data path's and the sampler's draws at one scheme, and its weights."""
+        scheme = WeightScheme(n=self.N, m=self.M, **spec)
+        model = make_quadratic_model(self.P, self.THETA_STAR, self.S)
+        # iid rows from one generator each: every row draws from the same stream in turn
+        data_rows = [derive_stream(97, ["data", scheme.label])] * self.REPS
+        data = model.sample_data(data_rows, self.N)
+        path = weighted_sum(sample_weights(data_rows, scheme), model.grad_loss(self.THETA, data))
+        rows = [derive_stream(97, ["conditional", scheme.label])] * self.REPS
+        w = sample_weights(rows, scheme)
+        return path, model.sample_weighted_grad(self.THETA, w, rows), w
+
+    @pytest.mark.parametrize("spec", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
+    def test_matches_the_data_path_in_law(self, spec):
+        path, drawn, _ = self.draws(spec)
+        assert np.all(np.abs(self.sigmas_apart(drawn, path)) <= self.SIGMAS)
+
+    def test_rejects_gaussian_sgd_scale_under_dirichlet_weights(self):
+        # |w| replaced by 1/sqrt(m), Gaussian SGD's scale: the same variance,
+        # since E|w|^2 = 1/m, but E|w|^4 = 1.18/m^2 for Dirichlet weights at
+        # (40, 4), which the fourth moments see
+        path, drawn, w = self.draws({"kind": "dirichlet"})
+        drift = (self.THETA - self.THETA_STAR) * w.sum(axis=1)[:, None]
+        norm = np.sqrt(np.sum(w * w, axis=1))[:, None]
+        mutant = drift + (drawn - drift) / (norm * math.sqrt(self.M))
+        apart = self.sigmas_apart(mutant, path)
+        assert np.all(np.abs(apart[:2]) <= self.SIGMAS)
+        assert np.all(apart[2] < -self.SIGMAS)
+
+    @pytest.mark.parametrize("spec", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
+    def test_row_equals_one_stream_call(self, spec):
+        scheme = WeightScheme(n=self.N, m=self.M, **spec)
+        model = make_quadratic_model(self.P, self.THETA_STAR, self.S)
+        reps = 9
+
+        def streams(rows):
+            return [derive_stream(87, [scheme.label, r]) for r in rows]
+
+        theta = derive_stream(87, [scheme.label]).generator.standard_normal((reps, self.P))
+        for point in (theta, theta[0]):
+            rows = streams(range(reps))
+            batched = model.sample_weighted_grad(point, sample_weights(rows, scheme), rows)
+            assert batched.shape == (reps, self.P)
+            for r in range(reps):
+                lone = point[r:r + 1] if point.ndim == 2 else point
+                [one] = streams([r])
+                alone = model.sample_weighted_grad(lone, sample_weights([one], scheme), [one])
+                np.testing.assert_array_equal(batched[r].view(np.uint64),
+                                              alone[0].view(np.uint64))
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+    def test_non_finite_theta_stays_in_its_row(self, special, kind):
+        # non-finite where the data path's per-datum sum is, in that row alone
+        model = make_quadratic_model(self.P, np.zeros(self.P), 1.0)
+        scheme = WeightScheme(kind, n=self.N, m=self.M)
+        reps = 9
+
+        def draw(theta):
+            rows = [derive_stream(91, [kind, r]) for r in range(reps)]
+            return model.sample_weighted_grad(theta, sample_weights(rows, scheme), rows)
+
+        gen = derive_stream(91, [kind]).generator
+        theta = gen.standard_normal((reps, self.P))
+        rows = [derive_stream(91, ["data", kind, r]) for r in range(reps)]
+        data, w = model.sample_data(rows, self.N), sample_weights(rows, scheme)
+        clean = draw(theta)
+        for bad in (0, 4, reps - 1):
+            dirty = theta.copy()
+            dirty[bad, gen.integers(self.P)] = special
+            with np.errstate(all="ignore"):
+                result = draw(dirty)
+                per_datum = weighted_sum(w, model.grad_loss(dirty, data))
+            assert not np.isfinite(result[bad]).all()
+            np.testing.assert_array_equal(np.isfinite(result), np.isfinite(per_datum))
+            others = np.arange(reps) != bad
+            np.testing.assert_array_equal(
+                result[others].view(np.uint64), clean[others].view(np.uint64)
             )
 
 

@@ -115,9 +115,12 @@ class TestChunkedSampling:
                 np.testing.assert_array_equal(samples, runs[0])
             for r in (0, 6, 7, 99):
                 sub = stream.child("rep", r)
-                data = model.sample_data([sub], self.N)[0]
-                w = sample_weights([sub], scheme)[0]
-                grad = model.weighted_grad(theta, data, w)
+                if model.sample_weighted_grad is None:  # data, then weights
+                    data = model.sample_data([sub], self.N)[0]
+                    grad = model.weighted_grad(theta, data, sample_weights([sub], scheme)[0])
+                else:  # weights, then the draw given them
+                    w = sample_weights([sub], scheme)
+                    grad = model.sample_weighted_grad(theta, w, [sub])[0]
                 expected = math.sqrt(self.M) * (grad - model.grad_objective(theta))
                 np.testing.assert_array_equal(runs[0][r], expected)
 
