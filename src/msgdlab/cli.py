@@ -693,21 +693,16 @@ def _run_wass_scaling(cfg: ExperimentConfig, root) -> tuple[list, dict]:
     em = run_diffusion_em(model, configs, params["em_substeps"], [
         root.children(i, "em", stop=reps) for i in range(len(gammas))
     ], scheme.m)
-    values = []
-    rows = []
-    for i, (gamma, msgd_run, em_run) in enumerate(zip(gammas, msgd.runs, em.runs)):
-        msgd_ensemble, em_ensemble = msgd_run[-1], em_run[-1]
-        sliced = sliced_w2(
-            msgd_ensemble, em_ensemble, params["n_directions"], root.child(i, "directions")
-        )
-        values.append(sliced)
-        rows.append([gamma, sliced, "sliced", params["n_directions"], reps])
+    values = [
+        sliced_w2(msgd_run[-1], em_run[-1], params["n_directions"], root.child(i, "directions"))
+        for i, (msgd_run, em_run) in enumerate(zip(msgd.runs, em.runs))
+    ]
     worst_ratio = max(values[i + 1] / values[i] for i in range(len(values) - 1))
     checks = [
         ("monotone_ratio", "monotone_ratio", worst_ratio, 1.0),
         ("loglog_slope", "loglog_slope", log_slope(np.log(gammas), values)),
     ]
-    return checks, {"wass_scaling.csv": (["gamma", "w2sq", "method", "n_directions", "reps"], rows)}
+    return checks, {"wass_scaling.csv": (["gamma", "w2sq"], list(zip(gammas, values)))}
 
 
 def _quadratic_gap_recursion(gamma: float, m: int, trace: float, start: float, k: int) -> np.ndarray:

@@ -63,7 +63,7 @@ import numpy as np
 
 from .models import LossModel
 from .numerics import RngStream
-from .weights import WeightScheme, sample_weights
+from .weights import WeightScheme, sample_weight_norms, sample_weights
 
 DIVERGENCE_LIMIT = 1e150
 
@@ -297,14 +297,17 @@ class WeightedGradient:
     Called as ``(theta, streams)``, it returns the (R, p) weighted gradients
     sum_i w_i grad l(theta, u_i) at theta (one (p,) point, or one (R, p) row
     per stream).  When the model has ``sample_weighted_grad`` it draws every
-    stream's weights and then the weighted gradient from its law given them,
-    so each stream draws its weights before its normals; otherwise it draws
-    every stream's data and then every stream's weights, and reduces them
-    with one batched ``model.weighted_grad`` call.  M-SGD and the clt
-    samples take this draw.  Callers walk their replications in chunks of
-    ``rows`` = ``chunk_rows(n * payload_dim)``, which keeps a chunk's block
-    in cache; rows never mix, so the chunk size cannot change a bit.  The
-    data and weight blocks are allocated once and refilled by every chunk.
+    stream's (sum w, |w|^2) by ``weights.sample_weight_norms`` and then the
+    weighted gradient from its law given them, so each stream draws its
+    weights' norms before its normals: one ``chisquare`` variate for
+    normal-base gaussian weights, the full weight row for every other law.
+    Otherwise it draws every stream's data and then every stream's weights,
+    and reduces them with one batched ``model.weighted_grad`` call.  M-SGD
+    and the clt samples take this draw.  Callers walk their replications in
+    chunks of ``rows`` = ``chunk_rows(n * payload_dim)``, which keeps a
+    chunk's block in cache; rows never mix, so the chunk size cannot change
+    a bit.  The data and weight blocks are allocated once and refilled by
+    every chunk.
     """
 
     def __init__(self, model: LossModel, scheme: WeightScheme):
@@ -315,8 +318,8 @@ class WeightedGradient:
 
     def __call__(self, theta, streams: Sequence[RngStream]) -> np.ndarray:
         if self.model.sample_weighted_grad is not None:
-            w = self.draw_weights(streams, self.scheme)
-            return self.model.sample_weighted_grad(theta, w, streams)
+            norms = sample_weight_norms(streams, self.scheme, self.draw_weights)
+            return self.model.sample_weighted_grad(theta, norms, streams)
         data = self.draw_data(streams, self.scheme.n)
         return self.model.weighted_grad(theta, data, self.draw_weights(streams, self.scheme))
 

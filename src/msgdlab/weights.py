@@ -26,18 +26,23 @@ dirichlet
     nonnegative coordinates summing to one exactly, from one normalized draw
     of n gamma variates per row (:func:`~msgdlab.numerics.sample_gamma`).
 
+:func:`sample_weight_norms` gives a weight vector's (sum w, |w|^2) alone,
+for a step that reads nothing else of it: in closed form for normal-base
+gaussian weights, one ``chisquare`` draw in place of n normals, and from
+the drawn row for every other law.
+
 Every draw comes from numpy's own samplers (``choice``, ``integers``,
-``standard_normal``, ``uniform``, ``gamma``, ``random``) on the row's
-stream.  numpy's compatibility policy (NEP 19) keeps the bit generator's
-stream fixed, not these methods' output, so a numpy release may change the
-draws; only their law is promised.
+``standard_normal``, ``uniform``, ``gamma``, ``random``, ``chisquare``) on
+the row's stream.  numpy's compatibility policy (NEP 19) keeps the bit
+generator's stream fixed, not these methods' output, so a numpy release may
+change the draws; only their law is promised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -100,6 +105,12 @@ def dirichlet_alpha(n: int, m: int) -> float:
     return (m - 1) / (n - m)
 
 
+def gaussian_scale_squared(n: int, m: int) -> float:
+    """c^2 = (n - m) / (m n (n - 1)), the squared scale of gaussian weights
+    ``c * (X - mean(X)) + 1/n``."""
+    return (n - m) / (m * n * (n - 1))
+
+
 def sample_minibatch_weights(
     streams: Sequence[RngStream], scheme: WeightScheme, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -144,7 +155,7 @@ def sample_gaussian_structured_weights(
     mean = np.add.reduce(x, axis=1, keepdims=True)
     mean /= n  # what x.mean(axis=1) computes, without its Python-level wrapper
     x -= mean
-    x *= math.sqrt((n - m) / (m * n * (n - 1)))
+    x *= math.sqrt(gaussian_scale_squared(n, m))
     x += 1.0 / n
     return x
 
@@ -188,6 +199,32 @@ def sample_weights(
     old contents are never read) and returns it.
     """
     return _SAMPLERS[scheme.kind](streams, scheme, out=out)
+
+
+def sample_weight_norms(
+    streams: Sequence[RngStream], scheme: WeightScheme,
+    draw: Callable[..., np.ndarray] = sample_weights,
+) -> np.ndarray:
+    """The (R, 2) block of (sum w, |w|^2), one row per stream, of one weight
+    vector per stream.
+
+    For normal-base gaussian weights, sum(X - mean(X)) = 0 and |X - mean(X)|^2
+    ~ chi^2_(n-1), so sum w = 1 and |w|^2 = c^2 chi^2_(n-1) + 1/n exactly in
+    law: one ``chisquare`` draw per stream, no weights.  Every other law has
+    no such closed form here, so ``draw(streams, scheme)`` (``sample_weights``,
+    or a :class:`~msgdlab.dynamics.ChunkBlock` of it) draws the full rows and
+    they are reduced as drawn.  Row r consumes only ``streams[r]``.
+    """
+    if scheme.kind == "gaussian" and scheme.base == "normal":
+        n = scheme.n
+        norms = np.empty((len(streams), 2))
+        norms[:, 0] = 1.0
+        norms[:, 1] = [stream.generator.chisquare(n - 1) for stream in streams]
+        norms[:, 1] *= gaussian_scale_squared(n, scheme.m)
+        norms[:, 1] += 1.0 / n
+        return norms
+    w = draw(streams, scheme)
+    return np.stack([w.sum(axis=-1), (w[:, None, :] @ w[:, :, None])[:, 0, 0]], axis=1)
 
 
 def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int) -> np.ndarray:

@@ -9,6 +9,8 @@ pass).  Tolerances are pinned here; nothing is recalibrated at runtime.
 import json
 from pathlib import Path
 
+import pytest
+
 import msgdlab.dynamics as dynamics_mod
 import msgdlab.weights as weights_mod
 from msgdlab.cli import run_experiment, validate_config
@@ -125,6 +127,26 @@ def test_a7_strong_convexity_rate(tmp_path):
     below L*gamma*||sigma(x*)||_F^2 / (m*lambda*(2-L*gamma)).
     """
     _run("A7 strong-convexity rate", canonical("converge_quadratic"), tmp_path)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.25], ids=["gd", "quarter-variance"])
+def test_a7_rate_fails_the_noise_mutants(tmp_path, monkeypatch, scale):
+    """The recursion check has power: with |w|^2 scaled by 0 (M-SGD is then
+    gradient descent) or by 1/4 (a quarter of the noise variance), the
+    canonical config fails ``msgd:recursion_max_dev`` and no other check."""
+    norms = dynamics_mod.sample_weight_norms
+
+    def mutant(*args):
+        block = norms(*args)
+        block[:, 1] *= scale
+        return block
+
+    monkeypatch.setattr(dynamics_mod, "sample_weight_norms", mutant)
+    report = run_experiment(validate_config(canonical("converge_quadratic")), tmp_path)
+    failing = [check.name for check in report.checks if not check.passed]
+    print(f"[A7 |w|^2 x {scale}] failing: {failing}")
+    assert len(report.checks) == 6
+    assert failing == ["msgd:recursion_max_dev"]
 
 
 def test_a8_logistic_mse_curves(tmp_path):

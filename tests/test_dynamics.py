@@ -189,11 +189,13 @@ class TestMsgd:
             gaps = np.abs(ensemble.mean(axis=0) - gd_path)
             np.testing.assert_array_less(gaps, 4 * se + 1e-12)
 
-    def test_steps_only_through_weighted_grad(self):
+    def test_steps_only_through_weighted_grad(self, monkeypatch):
         # the quadratic model's conditional sampler is M-SGD's one draw: a
-        # model whose data sampler and grad_loss raise steps to the same bytes
-        def unreachable(*args):
-            raise AssertionError("run_msgd drew or reduced data")
+        # model whose data sampler and grad_loss raise steps to the same bytes,
+        # and under normal-base gaussian weights, whose (sum w, |w|^2) is drawn
+        # in closed form, so does a run that cannot draw a weight row
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_msgd drew or reduced data, or drew weights")
 
         model = ensemble_model("quadratic")
         scheme = WeightScheme("gaussian", n=40, m=8)
@@ -204,9 +206,12 @@ class TestMsgd:
                                                  grad_loss=unreachable))
         ]
         np.testing.assert_array_equal(runs[1], runs[0])
+        monkeypatch.setattr(dynamics_mod, "sample_weights", unreachable)
+        rowless = run_msgd(model, scheme, [config], [[derive_stream(89, [r]) for r in range(4)]])
+        np.testing.assert_array_equal(rowless.runs[0], runs[0])
         # and replacing the sampler replaces the drift
         zero = dataclasses.replace(
-            model, sample_weighted_grad=lambda theta, w, streams: np.zeros(np.shape(theta))
+            model, sample_weighted_grad=lambda theta, norms, streams: np.zeros(np.shape(theta))
         )
         frozen = run_msgd(zero, scheme, [config], [[derive_stream(89, [r]) for r in range(4)]])
         np.testing.assert_array_equal(frozen.runs[0], np.ones((7, 4, model.dim)))

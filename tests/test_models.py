@@ -19,7 +19,7 @@ from msgdlab.models import (
 )
 from msgdlab.numerics import derive_stream
 from msgdlab.stats import mean_with_se
-from msgdlab.weights import SCHEME_KINDS, WeightScheme, sample_weights
+from msgdlab.weights import SCHEME_KINDS, WeightScheme, sample_weight_norms, sample_weights
 from oracles import finite_diff_gradient
 from test_stats import FIVE_SCHEMES
 
@@ -437,9 +437,10 @@ class TestWeightedGradient:
 
 class TestConditionalWeightedGradient:
     """The quadratic ``sample_weighted_grad`` draws sum_i w_i grad l(theta, u_i)
-    from its law given the weights, (theta - theta*) sum w - s |w| zeta, with
-    the law of the data path ``weighted_sum(w, grad_loss(theta, sample_data))``,
-    one row per stream."""
+    from its law given the weights' (sum w, |w|^2) rows of
+    ``sample_weight_norms``, (theta - theta*) sum w - s |w| zeta: the chain
+    has the law of the data path ``weighted_sum(w, grad_loss(theta,
+    sample_data))``, one row per stream."""
 
     P, N, M = 2, 40, 4
     THETA_STAR, S, THETA = np.array([0.5, -1.0]), 1.7, np.array([1.0, 0.25])
@@ -459,7 +460,8 @@ class TestConditionalWeightedGradient:
         return (mean_a - mean_b) / np.hypot(se_a, se_b)
 
     def draws(self, spec):
-        """The data path's and the sampler's draws at one scheme, and its weights."""
+        """The data path's and the sampler's draws at one scheme, and the
+        sampler's (sum w, |w|^2) rows."""
         scheme = WeightScheme(n=self.N, m=self.M, **spec)
         model = make_quadratic_model(self.P, self.THETA_STAR, self.S)
         # iid rows from one generator each: every row draws from the same stream in turn
@@ -467,8 +469,8 @@ class TestConditionalWeightedGradient:
         data = model.sample_data(data_rows, self.N)
         path = weighted_sum(sample_weights(data_rows, scheme), model.grad_loss(self.THETA, data))
         rows = [derive_stream(97, ["conditional", scheme.label])] * self.REPS
-        w = sample_weights(rows, scheme)
-        return path, model.sample_weighted_grad(self.THETA, w, rows), w
+        norms = sample_weight_norms(rows, scheme)
+        return path, model.sample_weighted_grad(self.THETA, norms, rows), norms
 
     @pytest.mark.parametrize("spec", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
     def test_matches_the_data_path_in_law(self, spec):
@@ -479,9 +481,9 @@ class TestConditionalWeightedGradient:
         # |w| replaced by 1/sqrt(m), Gaussian SGD's scale: the same variance,
         # since E|w|^2 = 1/m, but E|w|^4 = 1.18/m^2 for Dirichlet weights at
         # (40, 4), which the fourth moments see
-        path, drawn, w = self.draws({"kind": "dirichlet"})
-        drift = (self.THETA - self.THETA_STAR) * w.sum(axis=1)[:, None]
-        norm = np.sqrt(np.sum(w * w, axis=1))[:, None]
+        path, drawn, norms = self.draws({"kind": "dirichlet"})
+        drift = (self.THETA - self.THETA_STAR) * norms[:, :1]
+        norm = np.sqrt(norms[:, 1:])
         mutant = drift + (drawn - drift) / (norm * math.sqrt(self.M))
         apart = self.sigmas_apart(mutant, path)
         assert np.all(np.abs(apart[:2]) <= self.SIGMAS)
@@ -499,12 +501,12 @@ class TestConditionalWeightedGradient:
         theta = derive_stream(87, [scheme.label]).generator.standard_normal((reps, self.P))
         for point in (theta, theta[0]):
             rows = streams(range(reps))
-            batched = model.sample_weighted_grad(point, sample_weights(rows, scheme), rows)
+            batched = model.sample_weighted_grad(point, sample_weight_norms(rows, scheme), rows)
             assert batched.shape == (reps, self.P)
             for r in range(reps):
                 lone = point[r:r + 1] if point.ndim == 2 else point
                 [one] = streams([r])
-                alone = model.sample_weighted_grad(lone, sample_weights([one], scheme), [one])
+                alone = model.sample_weighted_grad(lone, sample_weight_norms([one], scheme), [one])
                 np.testing.assert_array_equal(batched[r].view(np.uint64),
                                               alone[0].view(np.uint64))
 
@@ -518,7 +520,7 @@ class TestConditionalWeightedGradient:
 
         def draw(theta):
             rows = [derive_stream(91, [kind, r]) for r in range(reps)]
-            return model.sample_weighted_grad(theta, sample_weights(rows, scheme), rows)
+            return model.sample_weighted_grad(theta, sample_weight_norms(rows, scheme), rows)
 
         gen = derive_stream(91, [kind]).generator
         theta = gen.standard_normal((reps, self.P))

@@ -26,7 +26,7 @@ from msgdlab.stats import (
     sliced_w2,
     weighting_gap,
 )
-from msgdlab.weights import WeightScheme, sample_weights
+from msgdlab.weights import WeightScheme, sample_weight_norms, sample_weights
 from oracles import w2_1d, weighting_gap_per_replication
 
 # every weight law: the three kinds, and the gaussian kind on each base
@@ -118,9 +118,9 @@ class TestChunkedSampling:
                 if model.sample_weighted_grad is None:  # data, then weights
                     data = model.sample_data([sub], self.N)[0]
                     grad = model.weighted_grad(theta, data, sample_weights([sub], scheme)[0])
-                else:  # weights, then the draw given them
-                    w = sample_weights([sub], scheme)
-                    grad = model.sample_weighted_grad(theta, w, [sub])[0]
+                else:  # the weights' sum and norm, then the draw given them
+                    norms = sample_weight_norms([sub], scheme)
+                    grad = model.sample_weighted_grad(theta, norms, [sub])[0]
                 expected = math.sqrt(self.M) * (grad - model.grad_objective(theta))
                 np.testing.assert_array_equal(runs[0][r], expected)
 

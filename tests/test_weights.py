@@ -13,13 +13,16 @@ from msgdlab.weights import (
     WeightScheme,
     dirichlet_alpha,
     empirical_weight_moments,
+    gaussian_scale_squared,
     sample_dirichlet_weights,
     sample_gaussian_structured_weights,
     sample_minibatch_weights,
+    sample_weight_norms,
     sample_weights,
     sigma_entries,
 )
 from oracles import dirichlet_mixed_moment
+from test_stats import FIVE_SCHEMES
 
 
 class TestSigmaEntries:
@@ -137,6 +140,85 @@ class TestEnsembleSamplers:
                 x = np.sqrt(3.0) * gen.uniform(-1.0, 1.0, size=n)
             scale = np.sqrt((n - m) / (m * n * (n - 1)))
             np.testing.assert_array_equal(block[r], scale * (x - x.mean()) + 1.0 / n)
+
+
+class TestWeightNorms:
+    """``sample_weight_norms`` gives one (sum w, |w|^2) row per stream: in
+    closed form for normal-base gaussian weights, and as the full row
+    reduces for every other law."""
+
+    N, M = 40, 4
+    REPS, BATCHES, SIGMAS = 80_000, 80, 4.5
+    OTHERS = [spec for spec in FIVE_SCHEMES if spec != {"kind": "gaussian"}]
+
+    SCHEME = WeightScheme("gaussian", n=N, m=M)
+
+    def closed(self):
+        """m |w|^2 of the closed form: iid rows from one generator."""
+        rows = [derive_stream(233, ["closed"])] * self.REPS
+        return self.M * sample_weight_norms(rows, self.SCHEME)[:, 1]
+
+    def drawn(self):
+        """m |w|^2 of full rows drawn by ``sample_weights``."""
+        w = sample_weights([derive_stream(233, ["rows"])] * self.REPS, self.SCHEME)
+        return self.M * np.sum(w * w, axis=1)
+
+    def moments(self, m_norms):
+        """The mean of m |w|^2 and its second and fourth moments about the exact
+        mean E[m |w|^2] = 1, each with its batch-means SE."""
+        d = m_norms - 1.0
+        per_rep = np.stack([m_norms, d**2, d**4])
+        return mean_with_se(per_rep.reshape(3, self.BATCHES, -1).mean(axis=2), axis=1)
+
+    def sigmas_apart(self, a, b):
+        (mean_a, se_a), (mean_b, se_b) = self.moments(a), self.moments(b)
+        return (mean_a - mean_b) / np.hypot(se_a, se_b)
+
+    def test_normal_base_closed_form_moments(self):
+        # |w|^2 = c^2 chi^2_(n-1) + 1/n: E[m |w|^2] = 1, Var = 2 (n - 1) c^4 m^2
+        norms = sample_weight_norms([derive_stream(233, ["closed"])] * self.REPS, self.SCHEME)
+        assert norms.shape == (self.REPS, 2)
+        np.testing.assert_array_equal(norms[:, 0], 1.0)
+        (mean, var, _), (mean_se, var_se, _) = self.moments(self.M * norms[:, 1])
+        c4m2 = (gaussian_scale_squared(self.N, self.M) * self.M) ** 2
+        assert abs(mean - 1.0) <= self.SIGMAS * mean_se
+        assert abs(var - 2 * (self.N - 1) * c4m2) <= self.SIGMAS * var_se
+
+    def test_normal_base_matches_the_full_sampler_in_law(self):
+        assert np.all(np.abs(self.sigmas_apart(self.closed(), self.drawn())) <= self.SIGMAS)
+
+    def test_rejects_a_scaled_closed_form(self):
+        # the same comparison sees the variance of |w|^2 off by 10 %
+        scaled = 1.0 + math.sqrt(1.1) * (self.closed() - 1.0)
+        assert self.sigmas_apart(scaled, self.drawn())[1] > self.SIGMAS
+
+    @pytest.mark.parametrize("spec", OTHERS, ids=lambda spec: "-".join(spec.values()))
+    def test_other_laws_reduce_the_drawn_rows(self, spec):
+        # bit for bit the row's own sum and dot product, and through a reused
+        # ChunkBlock too
+        scheme = WeightScheme(n=self.N, m=self.M, **spec)
+
+        def streams():
+            return [derive_stream(239, [scheme.label, r]) for r in range(9)]
+
+        w = sample_weights(streams(), scheme)
+        expected = np.array([[row.sum(), row @ row] for row in w])
+        np.testing.assert_array_equal(sample_weight_norms(streams(), scheme), expected)
+        block = dynamics_mod.ChunkBlock(sample_weights)
+        block(streams(), scheme)  # leaves a full block behind
+        np.testing.assert_array_equal(sample_weight_norms(streams()[:5], scheme, block),
+                                      expected[:5])
+
+    @pytest.mark.parametrize("spec", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
+    def test_row_equals_one_stream_call(self, spec):
+        scheme = WeightScheme(n=self.N, m=self.M, **spec)
+        streams = [derive_stream(241, [scheme.label, r]) for r in range(7)]
+        block = sample_weight_norms(streams, scheme)
+        for r in range(7):
+            lone = derive_stream(241, [scheme.label, r])
+            np.testing.assert_array_equal(block[r].view(np.uint64),
+                                          sample_weight_norms([lone], scheme)[0].view(np.uint64))
+            assert streams[r].generator.random() == lone.generator.random()
 
 
 class TestMinibatch:
