@@ -466,15 +466,9 @@ def _check_step_grid(params: dict, command: str, plan: dict, diags: list[str]) -
             )
 
 
-def _check_wass_sizes(params: dict, plan: dict, diags: list[str]) -> None:
-    """At most MAX_STEPS Euler-Maruyama inner steps, num_steps * em_substeps, and
-    at most MAX_PROJECTED values in each ensemble's sliced W2 projection, which
-    is allocated only after both ensembles have run."""
-    steps = max((c.num_steps for c in plan.get("configs", []) if c), default=0)
-    inner = steps * (params["em_substeps"] or 0)
-    if inner > MAX_STEPS:
-        diags.append(f"wass-scaling.em_substeps: num_steps * em_substeps must be <= "
-                     f"{MAX_STEPS}, got {inner} inner steps")
+def _check_wass_sizes(params: dict, diags: list[str]) -> None:
+    """At most MAX_PROJECTED values in each ensemble's sliced W2 projection,
+    which is allocated only after both ensembles have run."""
     projected = (params["reps"] or 0) * (params["n_directions"] or 0)
     if projected > MAX_PROJECTED:
         diags.append(f"wass-scaling.n_directions: reps * n_directions must be <= "
@@ -530,7 +524,7 @@ def _check_cross(params: dict, command: str, seed: int, diags: list[str]) -> dic
     if "gammas" in params:
         _check_step_grid(params, command, plan, diags)
     if command == "wass-scaling":
-        _check_wass_sizes(params, plan, diags)
+        _check_wass_sizes(params, diags)
     if command == "converge":
         _check_runs(params, made, plan, diags)
     return plan

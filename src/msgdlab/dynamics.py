@@ -12,8 +12,9 @@ Continuous-time references:
 * ``run_ode``           dX = -grad g(X) dt, by its exact flow map
                         x* + e^(-lam gamma) (x - x*) when grad g(x) = lam (x - x*)
 * ``run_diffusion_em``  dX = -grad g(X) dt + sqrt(gamma/m) sigma dB, Euler-Maruyama
-                        with substeps gamma/R, summed in closed form per recorded
-                        step on that linear drift with a constant sigma
+                        with substeps gamma/R, drawn per recorded step from the
+                        exact law of their sum on that linear drift with a
+                        constant sigma
 
 Both continuous-time references record their states at multiples of gamma
 only, so every runner's output grid is the config's.  A :class:`RunConfig`
@@ -26,7 +27,7 @@ draws its noise from :class:`WeightedGradient`, as the clt samples do.
 runners: they take one ``RngStream`` per replication and advance all R
 replications together as an (R, p) array, so their states have shape
 (K+1, R, p).  Replication r draws only from its own stream, in the order a
-lone run would; the Gaussian runners draw a row's normals for a block of
+lone run would; the Gaussian runners draw a row's q normals for a block of
 steps in one call, which yields the values of one call per step.  The
 per-replication arithmetic is unchanged (stacked ``np.matmul`` runs the
 same kernel on each replication as on a single path), so replication r of
@@ -177,15 +178,14 @@ def _run_ensemble(
 
     ``streams`` holds one sequence of per-replication streams per config, or
     None for a runner that draws nothing and runs one path per config.
-    ``coefficients(config)`` gives the config's per-row numbers, or vectors
-    of them.  ``advance(x, streams, steps_left, *columns)`` maps the (live, p)
-    states of the live rows, their streams, the steps every live row still
-    takes (this one included, so at least 1) and their coefficient columns,
-    (live, 1) for a number and (live, width) for a vector, to the next
-    states.  Rows are laid out longest config first, a stable sort, so the
-    live rows are always a leading slice and leave it only once
-    ``steps_left`` steps have been taken.  The first row out of range in
-    config order raises.
+    ``coefficients(config)`` gives the config's per-row numbers.
+    ``advance(x, streams, steps_left, *columns)`` maps the (live, p) states
+    of the live rows, their streams, the steps every live row still takes
+    (this one included, so at least 1) and their (live, 1) coefficient
+    columns to the next states.  Rows are laid out longest config first, a
+    stable sort, so the live rows are always a leading slice and leave it
+    only once ``steps_left`` steps have been taken.  The first row out of
+    range in config order raises.
     """
     configs = list(configs)
     if streams is None:
@@ -201,7 +201,7 @@ def _run_ensemble(
     last = np.repeat([configs[i].num_steps for i in order], sizes).tolist()
     starts = dict(zip(order, np.cumsum([0] + sizes).tolist()))
     row_streams = [s for i in order for s in groups[i]]
-    columns = [np.repeat(np.reshape(column, (len(configs), -1)), sizes, axis=0)
+    columns = [np.repeat(column, sizes)[:, None]
                for column in zip(*(coefficients(configs[i]) for i in order))]
     states = np.full((last[0] + 1, x.shape[0], x.shape[1]), np.nan)
     live, k = len(x), 0
@@ -238,10 +238,10 @@ def run_gd(model: LossModel, configs: Sequence[RunConfig]) -> Lockstep:
 
 
 class StepNormals:
-    """Each live row's standard normals, one `shape` per step, drawn a block
-    of steps at a time.
+    """Each live row's standard normals, `width` per step, drawn a block of
+    steps at a time.
 
-    ``normals(streams, shape, steps_left)`` returns the (live, *shape)
+    ``normals(streams, width, steps_left)`` returns the (live, width)
     normals of the next step.  A spent block is refilled with the next s
     steps of every live row, one ``standard_normal`` call per row into one
     reused buffer, where 1 <= s <= `steps_left` (so no row draws past its
@@ -256,20 +256,19 @@ class StepNormals:
         self.block = self.buffer.reshape(0, 0)
         self.step = 0
 
-    def __call__(self, streams: Sequence[RngStream], shape: tuple, steps_left: int) -> np.ndarray:
+    def __call__(self, streams: Sequence[RngStream], width: int, steps_left: int) -> np.ndarray:
         if self.step == self.block.shape[1]:
-            self.refill(streams, shape, steps_left)
+            self.refill(streams, width, steps_left)
         self.step += 1
         return self.block[:, self.step - 1]
 
-    def refill(self, streams: Sequence[RngStream], shape: tuple, steps_left: int) -> None:
+    def refill(self, streams: Sequence[RngStream], width: int, steps_left: int) -> None:
         """Draw the next block, s steps of every live row."""
-        row_step = math.prod(shape)
-        steps = max(1, min(steps_left, CHUNK_ELEMENTS // (len(streams) * row_step)))
-        size = len(streams) * steps * row_step
+        steps = max(1, min(steps_left, CHUNK_ELEMENTS // (len(streams) * width)))
+        size = len(streams) * steps * width
         if self.buffer.size < size:
             self.buffer = np.empty(size)
-        self.block = self.buffer[:size].reshape((len(streams), steps) + shape)
+        self.block = self.buffer[:size].reshape(len(streams), steps, width)
         for row, stream in zip(self.block, streams):
             stream.generator.standard_normal(out=row)
         self.step = 0
@@ -283,7 +282,7 @@ def run_gaussian_sgd(model: LossModel, configs: Sequence[RunConfig], streams, m:
 
     def advance(x, live_streams, steps_left, gamma, scale):
         factor = model.noise_factor(x)
-        z = normals(live_streams, (factor.shape[-1],), steps_left)
+        z = normals(live_streams, factor.shape[-1], steps_left)
         noise = (factor @ z[..., None])[..., 0]
         return x - gamma * model.grad_objective(x) + scale * noise
 
@@ -377,11 +376,12 @@ def run_diffusion_em(
 
     On grad g(x) = lam (x - x*) with a constant sigma (the model declares
     L1 = 0), an inner step is x* + a (x - x*) + c sigma z_j with a = 1 - lam h
-    and c = sqrt(gamma/m) sqrt(h), so the R of them sum in closed form to
-    x* + a^R (x - x*) + c sigma sum_j a^(R-1-j) z_j: the same iterate, rounded
-    differently.  Each replication draws one (R, q) block of normals per
-    recorded step, by :class:`StepNormals`.  Any other model raises
-    ValueError.
+    and c = sqrt(gamma/m) sqrt(h).  The R of them sum to x* + a^R (x - x*)
+    + c sigma sum_j a^(R-1-j) z_j, Gaussian given x with covariance c^2 S_R
+    sigma sigma^T, S_R = sum_{j<R} a^(2j) (summed term by term, as a need not
+    lie in (0, 1)), so each replication draws it from one (q,) row of normals
+    per recorded step, by :class:`StepNormals`: the law of EM at R substeps,
+    at a cost that does not grow with R.  Any other model raises ValueError.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
@@ -392,14 +392,14 @@ def run_diffusion_em(
     factor_t = model.noise_factor(x_star).T
     normals = StepNormals()
 
-    def advance(x, live_streams, steps_left, decay, scale, weights):
-        z = normals(live_streams, (substeps, factor_t.shape[0]), steps_left)
-        noise = (weights[:, None, :] @ z @ factor_t)[:, 0]
-        return x_star + decay * (x - x_star) + scale * noise
+    def advance(x, live_streams, steps_left, decay, scale):
+        z = normals(live_streams, factor_t.shape[0], steps_left)
+        return x_star + decay * (x - x_star) + scale * (z @ factor_t)
 
     def coefficients(c):
         h = c.gamma / substeps
         a = 1.0 - lam * h
-        return a**substeps, math.sqrt(c.gamma / m) * math.sqrt(h), a ** np.arange(substeps)[::-1]
+        sum_sq = math.fsum(a ** (2 * j) for j in range(substeps))
+        return a**substeps, math.sqrt(c.gamma / m) * math.sqrt(h) * math.sqrt(sum_sq)
 
     return _run_ensemble("diffusion_em", configs, streams, advance, coefficients)

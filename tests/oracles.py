@@ -108,8 +108,9 @@ def em_path(grad: Callable[[np.ndarray], np.ndarray], sigma, x0, h: float, scale
 
     ``normals[k]`` is the (rows, substeps, q) block of recorded step k and
     ``x0`` the (rows, p) start.  An integrator independent of
-    ``run_diffusion_em``, which sums each step's substeps in closed form on a
-    linear drift: the two agree to rounding.
+    ``run_diffusion_em``, which draws each recorded step from the exact law
+    of its substeps' sum on a linear drift: at one substep the two agree to
+    rounding on the same normals, and at more they agree in law.
     """
     x = np.asarray(x0, dtype=float)
     states = [x]
@@ -140,22 +141,42 @@ def gaussian_sgd_per_step(model, config, streams, m: int) -> np.ndarray:
 
 
 def diffusion_em_per_step(model, config, substeps: int, streams, m: int) -> np.ndarray:
-    """The (K+1, R, p) states of ``run_diffusion_em``'s closed-form substep
-    sums on one config, with one (substeps, q) ``standard_normal`` call per
-    replication and recorded step: the runner's arithmetic, the draws of a
-    block of one step, so the two must agree bit for bit."""
+    """The (K+1, R, p) states of Euler-Maruyama on one config, R = `substeps`
+    steps of size h = gamma/R per recorded step taken one at a time by
+    ``em_path``, on one (substeps, q) ``standard_normal`` call per
+    replication and recorded step.
+
+    The law reference of ``run_diffusion_em``, which draws each recorded
+    step's sum of substeps from its exact law, q normals per replication:
+    on other streams the two agree in law, not in bits.
+    """
+    sigma = model.noise_factor(model.minimizer)
+    h = config.gamma / substeps
+    normals = [np.stack([s.generator.standard_normal((substeps, sigma.shape[1]))
+                         for s in streams])
+               for _ in range(config.num_steps)]
+    return em_path(model.grad_objective, sigma, np.tile(config.x0, (len(streams), 1)), h,
+                   math.sqrt(config.gamma / m) * math.sqrt(h), normals)
+
+
+def diffusion_em_replay(model, config, substeps: int, streams, m: int) -> np.ndarray:
+    """The (K+1, R, p) states of ``run_diffusion_em`` on one config, with one
+    (q,) ``standard_normal`` call per replication and recorded step:
+    x* + a^R (x - x*) + c sqrt(S_R) sigma z with a = 1 - lam h, c =
+    sqrt(gamma/m) sqrt(h) and S_R = sum_{j<R} a^(2j).  The runner's
+    arithmetic and the draws of a block of one step, so the two must agree
+    bit for bit."""
     lam, x_star = model.strong_convexity, model.minimizer
     factor_t = model.noise_factor(x_star).T
     h = config.gamma / substeps
     a = 1.0 - lam * h
-    decay, scale = a**substeps, math.sqrt(config.gamma / m) * math.sqrt(h)
-    weights = (a ** np.arange(substeps)[::-1])[None, None, :]
+    sum_sq = math.fsum(a ** (2 * j) for j in range(substeps))
+    decay, scale = a**substeps, math.sqrt(config.gamma / m) * math.sqrt(h) * math.sqrt(sum_sq)
     x = np.tile(config.x0, (len(streams), 1))
     states = [x]
     for _ in range(config.num_steps):
-        z = np.stack([s.generator.standard_normal((substeps, factor_t.shape[0]))
-                      for s in streams])
-        x = x_star + decay * (x - x_star) + scale * (weights @ z @ factor_t)[:, 0]
+        z = np.stack([s.generator.standard_normal(factor_t.shape[0]) for s in streams])
+        x = x_star + decay * (x - x_star) + scale * (z @ factor_t)
         states.append(x)
     return np.array(states)
 

@@ -777,10 +777,6 @@ class TestMain:
              "model.p: must be <= 1000000"),
             (tiny_logistic() | {"model": {"kind": "logistic", "p": 2, "t": 10**10}},
              "model.t: must be <= 1000000"),
-            # a reference whose inner steps no run could finish
-            (tiny_config("wass-scaling") | {"em_substeps": 200_000},
-             "wass-scaling.em_substeps: num_steps * em_substeps must be <= 1000000, "
-             "got 2000000 inner steps"),
             (tiny_config("weighting-gap") | {"pairs": [[400, 100, 7]]},
              "pairs[0]: need [n, m], got [400, 100, 7]"),
             # a sliced W2 projection of 74.5 GiB, which used to fail after both ensembles ran
@@ -808,7 +804,7 @@ class TestMain:
             "clt-n-huge", "moments-n-huge", "moments-n-past-numpy", "clt-p-huge",
             "clt-p-past-numpy", "clt-samples-huge", "wass-reps-huge", "em-substeps-huge",
             "wass-p-huge", "logistic-t-huge",
-            "em-inner-steps", "pair-of-three", "projection-huge",
+            "pair-of-three", "projection-huge",
         ],
     )
     def test_malformed_value_exit_two(self, config, key, tmp_path, capsys):
@@ -821,15 +817,19 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     def test_counts_capped_at_max_steps(self):
-        # the cap is one constant, MAX_STEPS, for every count and every reference
+        # the cap is one constant, MAX_STEPS, for every count
         validate_config(tiny_config("weights-moments") | {"n": 10**6, "m": 10})
-        validate_config(tiny_config("wass-scaling") | {"em_substeps": 100_000})  # 10 steps
-        for raw in (
-            tiny_config("weights-moments") | {"n": 10**6 + 1, "m": 10},
-            tiny_config("wass-scaling") | {"em_substeps": 100_001},
-        ):
-            with pytest.raises(ConfigError, match="must be <= 1000000"):
-                validate_config(raw)
+        with pytest.raises(ConfigError, match="must be <= 1000000"):
+            validate_config(tiny_config("weights-moments") | {"n": 10**6 + 1, "m": 10})
+
+    def test_em_substeps_set_no_step_count(self, tmp_path):
+        # Euler-Maruyama draws each recorded step's sum of substeps at once, so
+        # 200,000 substeps over 10 recorded steps (2 million substeps, past the
+        # old num_steps * em_substeps cap) validate and run
+        cfg = validate_config(tiny_config("wass-scaling") | {"em_substeps": 200_000})
+        report = run_experiment(cfg, tmp_path / "out")
+        assert len(report.checks) == 2
+        assert (tmp_path / "out" / "wass_scaling.csv").exists()
 
     def test_projection_capped(self):
         # reps * n_directions is capped by MAX_PROJECTED, whichever key makes it large

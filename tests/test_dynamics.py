@@ -26,7 +26,7 @@ from msgdlab.models import (
 )
 from msgdlab.numerics import derive_stream
 from msgdlab.weights import WeightScheme
-from oracles import diffusion_em_per_step, em_path, gaussian_sgd_per_step, rk4_path
+from oracles import diffusion_em_per_step, diffusion_em_replay, gaussian_sgd_per_step, rk4_path
 
 
 def zero_noise_quadratic(p=1):
@@ -74,6 +74,13 @@ def ensemble_model(name):
         return make_quadratic_model(2, [0.5, -0.5], 1.0)
     dataset = generate_logistic_dataset(derive_stream(97, ["ld"]), 3, 150)
     return make_logistic_model(dataset, 0.1)
+
+
+def dense_noise_quadratic():
+    """The quadratic drift toward (0.5, -0.5) with a dense constant noise factor."""
+    sigma = np.array([[1.0, 0.3], [-0.7, 2.0]]) / 3.0
+    return dataclasses.replace(make_quadratic_model(2, [0.5, -0.5], 1.0),
+                               noise_factor=lambda theta: sigma)
 
 
 class TestRunConfig:
@@ -634,6 +641,60 @@ class TestDiffusionEm:
         sgd = run_gaussian_sgd(model, [config], [stream.children("rep", stop=5)], 4)
         np.testing.assert_allclose(em.runs[0], sgd.runs[0], rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("case", ["dense", "negative-a"])
+    def test_law_matches_each_substep(self, case):
+        # the ensemble's mean and per-coordinate variance at every recorded
+        # step, against Euler-Maruyama one substep at a time on other streams,
+        # within 4 SE; at lam = 15, h = 0.1 the substep factor a is -0.5
+        if case == "dense":
+            model, substeps, x0 = dense_noise_quadratic(), 7, [1.0, -2.0]
+        else:
+            model = dataclasses.replace(flow_model(15.0, [0.5]),
+                                        noise_factor=lambda theta: np.full((1, 1), 2.0))
+            substeps, x0 = 2, [3.0]
+        config = RunConfig(gamma=0.2, num_steps=5, x0=x0)
+        reps, m = 4000, 3
+        run = run_diffusion_em(model, [config], substeps,
+                               [derive_stream(61, [case, "run"]).children("rep", stop=reps)],
+                               m).runs[0][1:]
+        oracle = diffusion_em_per_step(
+            model, config, substeps, derive_stream(61, [case, "oracle"]).children("rep", stop=reps),
+            m)[1:]
+        mean_gap = run.mean(axis=1) - oracle.mean(axis=1)
+        mean_se = np.sqrt((run.var(axis=1, ddof=1) + oracle.var(axis=1, ddof=1)) / reps)
+        assert np.all(np.abs(mean_gap) <= 4 * mean_se)
+
+        def variance_with_se(states):
+            centred = states - states.mean(axis=1, keepdims=True)
+            var = np.mean(centred**2, axis=1)
+            return var, np.sqrt((np.mean(centred**4, axis=1) - var**2) / reps)
+
+        (var_run, se_run), (var_oracle, se_oracle) = map(variance_with_se, (run, oracle))
+        assert np.all(np.abs(var_run - var_oracle) <= 4 * np.hypot(se_run, se_oracle))
+
+    def test_substeps_leave_the_normals(self, monkeypatch):
+        # R and 2R substeps draw the same q normals a recorded step from the
+        # same streams, so they differ only through the coefficients
+        drawn = []
+
+        class Spy(dynamics_mod.StepNormals):
+            def __call__(self, *args):
+                z = super().__call__(*args)
+                drawn[-1].append(z.copy())
+                return z
+
+        monkeypatch.setattr(dynamics_mod, "StepNormals", Spy)
+        model = dense_noise_quadratic()
+        configs = [RunConfig(gamma=g, num_steps=k, x0=[1.0, -2.0])
+                   for g, k in ((0.2, 5), (0.1, 10))]
+        for substeps in (50, 100):
+            drawn.append([])
+            run_diffusion_em(model, configs, substeps,
+                             [derive_stream(67, [i]).children("rep", stop=3) for i in range(2)], 4)
+        assert len(drawn[0]) == 10
+        for z50, z100 in zip(*drawn):
+            np.testing.assert_array_equal(z50, z100)
+
     def test_huge_minibatch_tracks_ode(self):
         model = make_quadratic_model(1, [0.0], 1.0)
         config = RunConfig(gamma=0.1, num_steps=10, x0=[1.0])
@@ -842,25 +903,30 @@ class TestLockstep:
             lambda: [[derive_stream(17, [i, r]) for r in range(3)] for i in range(2)],
         )
 
-    def test_diffusion_em_shared_factor_matches_each_substep(self):
-        # the closed-form sum against oracles.em_path, one substep at a time,
-        # on a dense sigma and the same normals, at every recorded step
-        sigma = np.array([[1.0, 0.3], [-0.7, 2.0]]) / 3.0
-        base = make_quadratic_model(2, [0.5, -0.5], 1.0)
-        model = dataclasses.replace(base, noise_factor=lambda theta: sigma)
+    def test_diffusion_em_one_substep_matches_em_path(self):
+        # at R = 1 the drawn increment is the one substep: oracles.em_path on
+        # a dense sigma and the same normals, at every recorded step
+        model = dense_noise_quadratic()
+        config = RunConfig(gamma=0.2, num_steps=5, x0=[1.0, -2.0])
+        def streams():
+            return [derive_stream(19, [1, r]) for r in range(4)]
+
+        path = diffusion_em_per_step(model, config, 1, streams(), 3)
+        run = run_diffusion_em(model, [config], 1, [streams()], 3).runs[0]
+        np.testing.assert_allclose(run, path, rtol=0, atol=1e-12)
+
+    def test_diffusion_em_draws_the_substep_sum(self):
+        # x* + a^R (x - x*) + scale sigma z on each stream's own q normals a
+        # recorded step, bit for bit, on a dense sigma at every R
+        model = dense_noise_quadratic()
         config = RunConfig(gamma=0.2, num_steps=5, x0=[1.0, -2.0])
         m = 3
         for substeps in (1, 7, 50):
-            h = config.gamma / substeps
-            scale = math.sqrt(config.gamma / m) * math.sqrt(h)
-            replay = [derive_stream(19, [substeps, r]) for r in range(4)]
-            normals = [np.stack([s.generator.standard_normal((substeps, 2)) for s in replay])
-                       for _ in range(config.num_steps)]
-            path = em_path(base.grad_objective, sigma, np.tile(config.x0, (4, 1)), h, scale,
-                           normals)
             streams = [derive_stream(19, [substeps, r]) for r in range(4)]
             run = run_diffusion_em(model, [config], substeps, [streams], m).runs[0]
-            np.testing.assert_allclose(run, path, rtol=0, atol=1e-12)
+            replay = diffusion_em_replay(
+                model, config, substeps, [derive_stream(19, [substeps, r]) for r in range(4)], m)
+            np.testing.assert_array_equal(run.view(np.uint64), replay.view(np.uint64))
             # each config of a grid run alone equals its grid run
             configs = [config, RunConfig(gamma=0.1, num_steps=8, x0=[-1.0, 2.0])]
             self._assert_grid_matches(
@@ -969,19 +1035,19 @@ class TestStepNormals:
         return [[derive_stream(47, [label, i, r]) for r in range(reps)]
                 for i, (_, _, reps) in enumerate(self.CONFIGS)]
 
-    def assert_blocks_match(self, monkeypatch, run, oracle, model, row_step, label):
+    def assert_blocks_match(self, monkeypatch, run, oracle, model, width, label):
         blocks = []
 
         class Spy(dynamics_mod.StepNormals):
-            def refill(self, streams, shape, steps_left):
-                super().refill(streams, shape, steps_left)
-                blocks.append((self.block.size, len(streams) * math.prod(shape),
+            def refill(self, streams, width, steps_left):
+                super().refill(streams, width, steps_left)
+                blocks.append((self.block.size, len(streams) * width,
                                self.block.shape[1], steps_left))
 
         monkeypatch.setattr(dynamics_mod, "StepNormals", Spy)
         rows = sum(reps for _, _, reps in self.CONFIGS)
         # steps of one block: 1, 3 (a boundary inside every config's run), as many as fit
-        for elements, steps in ((1, 1), (3 * rows * row_step, 3),
+        for elements, steps in ((1, 1), (3 * rows * width, 3),
                                 (dynamics_mod.CHUNK_ELEMENTS, None)):
             monkeypatch.setattr(dynamics_mod, "CHUNK_ELEMENTS", elements)
             blocks.clear()
@@ -1016,8 +1082,8 @@ class TestStepNormals:
         self.assert_blocks_match(
             monkeypatch, lambda model, configs, streams: run_diffusion_em(
                 model, configs, substeps, streams, 3),
-            lambda model, config, group: diffusion_em_per_step(model, config, substeps, group, 3),
-            model, substeps * model.dim, substeps,
+            lambda model, config, group: diffusion_em_replay(model, config, substeps, group, 3),
+            model, model.dim, substeps,
         )
 
 

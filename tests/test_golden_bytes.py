@@ -147,6 +147,21 @@ the fit window's curve is the contraction; from the default start of ones
 the plateau is a sizeable part of the window's curve at m = 8, and both
 processes fail ``rho_hat`` (0.66 and 0.69 against 0.64 +- 0.02).
 
+``wass-scaling`` and ``wass-scaling-grid`` were re-recorded for new draws,
+not for roundoff, when ``run_diffusion_em`` began to draw each recorded
+step's sum of R Euler-Maruyama substeps from its exact law given the state,
+x* + a^R (x - x*) + c sqrt(S_R) sigma z with S_R = sum_{j<R} a^(2j), from
+q normals per replication and step, instead of summing R blocks of q
+normals: the same law of the recorded states, so every Euler-Maruyama
+value, and every ``w2sq`` cell and check built on it, moved by sampling
+noise.  The M-SGD states kept their bytes.  ``wass-scaling``, 30
+replications at two step sizes, now fails ``loglog_slope``: its W2^2 at
+gamma = 0.125 went 6.80e-4 -> 1.68e-3, the estimator's noise at 30
+replications, so the slope went 2.088 -> 0.660 against [0.8, 2.2].  The
+config is left as it was; like ``clt``'s, its failure names noise at a tiny
+size, not the claim.  ``wass-scaling-grid`` still passes (slope 0.882 ->
+1.482).
+
 Each entry is (config, digest, failing check names).  The failing names are
 asserted before the digest, so a verdict that flips fails by name and reads
 apart from a byte change; a tiny config's verdict can be noise (``clt``,
@@ -189,8 +204,8 @@ GOLDEN = {
         {"command": "wass-scaling", "seed": 11, "gammas": [0.25, 0.125], "reps": 30,
          "n": 64, "m": 8, "n_directions": 16, "em_substeps": 10,
          "scheme": {"kind": "dirichlet"}},
-        "7bd4221e23b7c44b825914c6789f262903502a3ad9c4c89b7e1d9103f323575e",
-        [],
+        "fdb7e390235da8609f076d9291223772a628cf2e4df37c9f5a88b961d2b47177",
+        ["loglog_slope"],
     ),
     "converge-quadratic": (
         {"command": "converge", "seed": 11,
@@ -226,7 +241,7 @@ GOLDEN = {
         {"command": "wass-scaling", "seed": 11, "gammas": [0.125, 0.25, 0.0625], "reps": 20,
          "n": 48, "m": 6, "n_directions": 8, "em_substeps": 6, "scheme": {"kind": "minibatch"},
          "model": {"kind": "quadratic", "p": 2, "s": 0.5, "theta_star": [0.5, -0.5]}},
-        "49731a85ab4127fb68cd3492b199bdcea7f9ddc14e884c311411d6ca94140262",
+        "90e4c68082dc83240b935b1b627384680daf1fe294444c7f4723fbb5bf5f82f9",
         [],
     ),
     "gd-ode-grid": (
