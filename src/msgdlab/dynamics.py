@@ -20,15 +20,21 @@ Both continuous-time references record their states at multiples of gamma
 only, so every runner's output grid is the config's.  A :class:`RunConfig`
 is one point of a step grid: M-SGD reads (n, m) from its scheme, and the
 Gaussian runners, whose noise depends on m alone, take m last.  Gaussian
-SGD is one Euler-Maruyama step of size gamma, for any model, and M-SGD
-draws its noise from :class:`WeightedGradient`, as the clt samples do.
+SGD is one Euler-Maruyama step of size gamma, for any model.  M-SGD on a
+model with ``sample_weighted_grad`` (the quadratic) draws its noise given
+the weights from :class:`StepNoise`, and on any other model from
+:class:`WeightedGradient`, whose one-step draw the clt samples take.
 
 ``run_gaussian_sgd``, ``run_msgd`` and ``run_diffusion_em`` are ensemble
 runners: they take one ``RngStream`` per replication and advance all R
 replications together as an (R, p) array, so their states have shape
 (K+1, R, p).  Replication r draws only from its own stream, in the order a
-lone run would; the Gaussian runners draw a row's q normals for a block of
-steps in one call, which yields the values of one call per step.  The
+lone run would.  The Gaussian runners draw a row's q normals for a block of
+steps in one call, which yields the values of one call per step, so their
+block size moves no byte.  Quadratic M-SGD draws a row's weight norms and
+then its normals for a block of steps, which orders two laws' draws on one
+generator, so its blocks are fixed: ``BLOCK_STEPS`` steps from step 0, cut
+at the row's own last step, whatever rows run beside it.  The
 per-replication arithmetic is unchanged (stacked ``np.matmul`` runs the
 same kernel on each replication as on a single path), so replication r of
 an ensemble is bit-identical to a one-replication ensemble on the same
@@ -56,6 +62,7 @@ conditioned on survival.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -82,6 +89,13 @@ MAX_STEPS = 10**6
 # ChunkBlock's reuse of one block: fresh blocks made sampling 6 % slower, with
 # 40x the minor faults.
 CHUNK_ELEMENTS = 2**16
+
+# Steps of one block of M-SGD's draws given the weights (StepNoise), per row:
+# one chisquare or weight-row call and one standard_normal call per row and
+# block.  Blocks start at steps 0, B, 2B, ... and stop at each row's last
+# step.  Unlike CHUNK_ELEMENTS it moves bytes, since two laws share a row's
+# generator, so it is fixed: no config, row count or grid changes it.
+BLOCK_STEPS = 64
 
 
 def chunk_rows(row_elements: int) -> int:
@@ -290,23 +304,71 @@ def run_gaussian_sgd(model: LossModel, configs: Sequence[RunConfig], streams, m:
                          lambda c: (c.gamma, c.gamma / math.sqrt(m)))
 
 
+class StepNoise:
+    """Each live row's M-SGD draws given its weights, a block of steps at a
+    time: per step, the (sum w, |w|^2) of a fresh weight vector and p
+    standard normals zeta.
+
+    ``refill(streams, steps)`` draws the next ``steps[r]`` steps of row r,
+    the counts not increasing in r: first the row's norms, by
+    ``weights.sample_weight_norms`` (one ``chisquare`` call for normal-base
+    gaussian weights, the full weight rows for every other law), then its
+    (steps[r], p) zeta in one ``standard_normal`` call, into two buffers
+    that every block reuses, and returns their (R, max steps, 2) and (R,
+    max steps, p) leading rows.  Called once per step as ``(streams,
+    last)``, with the live rows' (live, 1) last steps, it returns the (live,
+    2) norms and (live, p) normals of step k, the number of earlier calls,
+    refilling at k = 0, B, 2B, ... (B = ``BLOCK_STEPS``) with min(B, last_r
+    - k) steps of each live row.  So a row's draws depend on its stream, its
+    last step and B alone, never on the rows beside it; the buffers hold
+    min(B, longest run) steps of every row.
+    """
+
+    def __init__(self, scheme: WeightScheme, p: int):
+        self.scheme = scheme
+        self.draw_weights = ChunkBlock(sample_weights)
+        self.norms, self.zeta = np.empty((0, 0, 2)), np.empty((0, 0, p))
+        self.step = 0
+
+    def __call__(self, streams: Sequence[RngStream], last: np.ndarray):
+        j = self.step % BLOCK_STEPS
+        if j == 0:
+            self.refill(streams, np.minimum(last[:, 0] - self.step, BLOCK_STEPS).tolist())
+        self.step += 1
+        return self.norms[: len(streams), j], self.zeta[: len(streams), j]
+
+    def refill(self, streams: Sequence[RngStream], steps: Sequence[int]):
+        """Draw the next steps[r] steps of every row r."""
+        rows, width = len(streams), steps[0]
+        if self.zeta.shape[0] < rows or self.zeta.shape[1] < width:
+            self.norms = np.empty((rows, width, 2))
+            self.zeta = np.empty((rows, width, self.zeta.shape[2]))
+        start = 0
+        for count, group in itertools.groupby(steps):
+            stop = start + len(list(group))
+            self.norms[start:stop, :count] = sample_weight_norms(
+                streams[start:stop], self.scheme, count, self.draw_weights)
+            start = stop
+        for row, stream, count in zip(self.zeta, streams, steps):
+            stream.generator.standard_normal(out=row[:count])
+        return self.norms[:rows, :width], self.zeta[:rows, :width]
+
+
 class WeightedGradient:
-    """The M-SGD noise: per replication, n fresh data and a fresh weight vector.
+    """One draw of the M-SGD noise per stream, as the clt samples take it.
 
     Called as ``(theta, streams)``, it returns the (R, p) weighted gradients
     sum_i w_i grad l(theta, u_i) at theta (one (p,) point, or one (R, p) row
-    per stream).  When the model has ``sample_weighted_grad`` it draws every
-    stream's (sum w, |w|^2) by ``weights.sample_weight_norms`` and then the
-    weighted gradient from its law given them, so each stream draws its
-    weights' norms before its normals: one ``chisquare`` variate for
-    normal-base gaussian weights, the full weight row for every other law.
-    Otherwise it draws every stream's data and then every stream's weights,
-    and reduces them with one batched ``model.weighted_grad`` call.  M-SGD
-    and the clt samples take this draw.  Callers walk their replications in
-    chunks of ``rows`` = ``chunk_rows(n * payload_dim)``, which keeps a
+    per stream).  When the model has ``sample_weighted_grad`` it draws each
+    stream's one step of :class:`StepNoise`, the weights' (sum w, |w|^2) and
+    then p normals, and maps them to the weighted gradient.  Otherwise it
+    draws every stream's n fresh data and then every stream's weights, and
+    reduces them with one batched ``model.weighted_grad`` call; M-SGD on such
+    a model takes this draw at every step.  Callers walk their replications
+    in chunks of ``rows`` = ``chunk_rows(n * payload_dim)``, which keeps a
     chunk's block in cache; rows never mix, so the chunk size cannot change
-    a bit.  The data and weight blocks are allocated once and refilled by
-    every chunk.
+    a bit.  The data, weight and noise blocks are allocated once and refilled
+    by every chunk.
     """
 
     def __init__(self, model: LossModel, scheme: WeightScheme):
@@ -314,11 +376,12 @@ class WeightedGradient:
         self.rows = chunk_rows(scheme.n * model.payload_dim)
         self.draw_data = ChunkBlock(model.sample_data)
         self.draw_weights = ChunkBlock(sample_weights)
+        self.noise = StepNoise(scheme, model.dim)
 
     def __call__(self, theta, streams: Sequence[RngStream]) -> np.ndarray:
         if self.model.sample_weighted_grad is not None:
-            norms = sample_weight_norms(streams, self.scheme, self.draw_weights)
-            return self.model.sample_weighted_grad(theta, norms, streams)
+            norms, zeta = self.noise.refill(streams, [1] * len(streams))
+            return self.model.sample_weighted_grad(theta, norms[:, 0], zeta[:, 0])
         data = self.draw_data(streams, self.scheme.n)
         return self.model.weighted_grad(theta, data, self.draw_weights(streams, self.scheme))
 
@@ -328,12 +391,18 @@ def run_msgd(
 ) -> Lockstep:
     """Weighted-gradient descent with fresh data and weights every step.
 
-    The scheme gives the shape (n, m).  Each step draws the live replications'
-    weighted gradients with one :class:`WeightedGradient`, chunk by chunk.
+    The scheme gives the shape (n, m).  When the model has
+    ``sample_weighted_grad``, each step maps the live replications' draws of
+    one :class:`StepNoise`, drawn a block of ``BLOCK_STEPS`` steps at a
+    time, to their weighted gradients; otherwise each step draws them with
+    one :class:`WeightedGradient`, chunk by chunk.
     """
     draw = WeightedGradient(model, scheme)
+    noise = StepNoise(scheme, model.dim)
 
-    def advance(x, live_streams, _steps_left, gamma):
+    def advance(x, live_streams, _steps_left, gamma, last):
+        if model.sample_weighted_grad is not None:
+            return x - gamma * model.sample_weighted_grad(x, *noise(live_streams, last))
         if len(live_streams) <= draw.rows:  # one chunk holds every live row
             return x - gamma * draw(x, live_streams)
         drift = np.empty_like(x)
@@ -342,7 +411,7 @@ def run_msgd(
             drift[start : start + len(part)] = draw(x[start : start + len(part)], part)
         return x - gamma * drift
 
-    return _run_ensemble("msgd", configs, streams, advance, lambda c: (c.gamma,))
+    return _run_ensemble("msgd", configs, streams, advance, lambda c: (c.gamma, c.num_steps))
 
 
 def _linear_drift(model: LossModel, runner: str) -> tuple[float, np.ndarray]:

@@ -18,12 +18,14 @@ A :class:`LossModel` bundles everything the dynamics need:
   that never builds those gradients and rounds differently,
   2 kappa beta sum_i w_i - (w / (1 + e^(beta S_d^T))) S_d, one residual
   row per kappa of its grid, on its signed rows s_i x_i, s_i = 2 y_i - 1;
-* optionally ``sample_weighted_grad(theta, norms, streams)``, drawing
+* optionally ``sample_weighted_grad(theta, norms, zeta)``, a sample of
   sum_i w_i grad l(theta, u_i) from its exact law given the weights, with
-  no data, one row per stream, when that law depends on the weights only
-  through the (R, 2) rows (sum w, |w|^2) of ``weights.sample_weight_norms``:
-  the quadratic model, whose data are Gaussian, supplies it, and
-  ``dynamics.WeightedGradient`` takes it in place of the data path;
+  no data, when that law depends on the weights only through their (sum w,
+  |w|^2) and on p standard normals zeta: a pure function of (..., 2) norms
+  rows and (..., p) normals, which draws nothing.  The quadratic model,
+  whose data are Gaussian, supplies it, and ``dynamics`` draws its norms,
+  by ``weights.sample_weight_norms``, and its normals in place of the data
+  path;
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
   ``sigma sigma^T = Cov(grad_loss(theta, .))``.
 
@@ -31,7 +33,7 @@ A :class:`LossModel` bundles everything the dynamics need:
 a lone draw would, writing into one block (``out``, or a fresh one), and
 then applies its deterministic transform, if any, once to the whole block,
 so row r consumes only ``streams[r]`` and equals a one-stream draw on that
-stream; ``sample_weighted_grad`` draws the same way.
+stream.
 
 Every other callable accepts theta with leading replication axes, shape
 (..., p): ``objective`` then returns shape (...), ``grad_objective``
@@ -77,7 +79,7 @@ class LossModel:
     strong_convexity: Optional[float] = None # lambda, when g is strongly convex
     minimizer: Optional[np.ndarray] = None   # known argmin of the objective, if any
     fused_weighted_grad: Optional[Callable[..., np.ndarray]] = None  # (theta, data, w)
-    sample_weighted_grad: Optional[Callable[..., np.ndarray]] = None  # (theta, norms, streams)
+    sample_weighted_grad: Optional[Callable[..., np.ndarray]] = None  # (theta, norms, zeta)
 
     def weighted_grad(self, theta, data, w) -> np.ndarray:
         """sum_i w_i grad l(theta, u_i) over the data's last axis, shape (..., p)."""
@@ -105,10 +107,11 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     and L1 = 0.  The noise level p s^2 / 2 must be finite.  Given the weights,
     sum_i w_i (theta - u_i) = (theta - theta*) sum_i w_i - s sum_i w_i z_i,
     and sum_i w_i z_i ~ N(0, |w|^2 I_p) exactly, so ``sample_weighted_grad``
-    draws it from the (sum w, |w|^2) rows and p standard normals per row
-    instead of n p data.  Those rows are exact in law: (1, c^2 chi^2_(n-1) +
-    1/n) for normal-base gaussian weights, and every other law's as its
-    drawn row reduces, never 1/m in place of |w|^2.
+    maps (sum w, |w|^2) rows and p standard normals zeta per row to
+    (theta - theta*) sum w - s |w| zeta, in place of reducing n p data.  The
+    rows its callers draw are exact in law: (1, c^2 chi^2_(n-1) + 1/n) for
+    normal-base gaussian weights, and every other law's as its drawn row
+    reduces, never 1/m in place of |w|^2.
     """
     if not s > 0:
         raise ValueError(f"noise scale s must be positive, got {s}")
@@ -139,12 +142,8 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     def grad_loss(theta, data):
         return np.asarray(theta, dtype=float)[..., None, :] - data
 
-    def sample_weighted_grad(theta, norms, streams):
-        zeta = np.empty((len(streams), p))
-        for row, stream in zip(zeta, streams):
-            stream.generator.standard_normal(out=row)
-        zeta *= s * np.sqrt(norms[:, 1:])
-        return grad_objective(theta) * norms[:, :1] - zeta
+    def sample_weighted_grad(theta, norms, zeta):
+        return grad_objective(theta) * norms[..., :1] - s * np.sqrt(norms[..., 1:]) * zeta
 
     def noise_factor(theta):
         return factor

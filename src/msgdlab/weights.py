@@ -26,10 +26,11 @@ dirichlet
     nonnegative coordinates summing to one exactly, from one normalized draw
     of n gamma variates per row (:func:`~msgdlab.numerics.sample_gamma`).
 
-:func:`sample_weight_norms` gives a weight vector's (sum w, |w|^2) alone,
-for a step that reads nothing else of it: in closed form for normal-base
-gaussian weights, one ``chisquare`` draw in place of n normals, and from
-the drawn row for every other law.
+:func:`sample_weight_norms` gives the (sum w, |w|^2) alone of a number of
+successive weight vectors per stream, for steps that read nothing else of
+them: in closed form for normal-base gaussian weights, one ``chisquare``
+call per stream in place of n normals a vector, and from the drawn rows for
+every other law.
 
 Every draw comes from numpy's own samplers (``choice``, ``integers``,
 ``standard_normal``, ``uniform``, ``gamma``, ``random``, ``chisquare``) on
@@ -202,29 +203,35 @@ def sample_weights(
 
 
 def sample_weight_norms(
-    streams: Sequence[RngStream], scheme: WeightScheme,
+    streams: Sequence[RngStream], scheme: WeightScheme, steps: int,
     draw: Callable[..., np.ndarray] = sample_weights,
 ) -> np.ndarray:
-    """The (R, 2) block of (sum w, |w|^2), one row per stream, of one weight
-    vector per stream.
+    """The (R, steps, 2) block of (sum w, |w|^2) of `steps` successive weight
+    vectors per stream, one row per stream.
 
     For normal-base gaussian weights, sum(X - mean(X)) = 0 and |X - mean(X)|^2
     ~ chi^2_(n-1), so sum w = 1 and |w|^2 = c^2 chi^2_(n-1) + 1/n exactly in
-    law: one ``chisquare`` draw per stream, no weights.  Every other law has
-    no such closed form here, so ``draw(streams, scheme)`` (``sample_weights``,
-    or a :class:`~msgdlab.dynamics.ChunkBlock` of it) draws the full rows and
-    they are reduced as drawn.  Row r consumes only ``streams[r]``.
+    law: one ``chisquare(n - 1, size=steps)`` call per stream, no weights,
+    which yields the values of `steps` calls of one variate.  Every other law
+    has no such closed form here, so per stream ``draw([stream] * steps,
+    scheme)`` (``sample_weights``, or a :class:`~msgdlab.dynamics.ChunkBlock`
+    of it) draws its `steps` full rows and they are reduced as drawn.  Row r
+    consumes only ``streams[r]``, as `steps` one-step calls would.
     """
+    norms = np.empty((len(streams), steps, 2))
     if scheme.kind == "gaussian" and scheme.base == "normal":
         n = scheme.n
-        norms = np.empty((len(streams), 2))
-        norms[:, 0] = 1.0
-        norms[:, 1] = [stream.generator.chisquare(n - 1) for stream in streams]
-        norms[:, 1] *= gaussian_scale_squared(n, scheme.m)
-        norms[:, 1] += 1.0 / n
+        norms[..., 0] = 1.0
+        for row, stream in zip(norms, streams):
+            row[:, 1] = stream.generator.chisquare(n - 1, size=steps)
+        norms[..., 1] *= gaussian_scale_squared(n, scheme.m)
+        norms[..., 1] += 1.0 / n
         return norms
-    w = draw(streams, scheme)
-    return np.stack([w.sum(axis=-1), (w[:, None, :] @ w[:, :, None])[:, 0, 0]], axis=1)
+    for row, stream in zip(norms, streams):
+        w = draw([stream] * steps, scheme)
+        row[:, 0] = w.sum(axis=-1)
+        row[:, 1] = (w[:, None, :] @ w[:, :, None])[:, 0, 0]
+    return norms
 
 
 def empirical_weight_moments(scheme: WeightScheme, stream: RngStream, reps: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from msgdlab.models import weighted_sum
-from msgdlab.weights import sample_weights
+from msgdlab.weights import gaussian_scale_squared, sample_weights
 
 
 def finite_diff_gradient(
@@ -179,6 +179,72 @@ def diffusion_em_replay(model, config, substeps: int, streams, m: int) -> np.nda
         x = x_star + decay * (x - x_star) + scale * (z @ factor_t)
         states.append(x)
     return np.array(states)
+
+
+def _quadratic_msgd(model, config, streams, draw) -> np.ndarray:
+    """The (K+1, R, p) states of quadratic M-SGD on one config,
+    x - gamma ((x - theta*) sum w - s |w| zeta), where ``draw(stream)`` gives
+    a replication's (K, 2) rows (sum w, |w|^2) and (K, p) zeta."""
+    x_star, s = model.minimizer, model.noise_factor(model.minimizer)[0, 0]
+    norms, zeta = (np.array(block) for block in zip(*map(draw, streams)))
+    x = np.tile(config.x0, (len(streams), 1))
+    states = [x]
+    for k in range(config.num_steps):
+        x = x - config.gamma * ((x - x_star) * norms[:, k, :1]
+                                - s * np.sqrt(norms[:, k, 1:]) * zeta[:, k])
+        states.append(x)
+    return np.array(states)
+
+
+def msgd_per_step(model, scheme, config, streams) -> np.ndarray:
+    """The (K+1, R, p) states of quadratic M-SGD on one config, one step at a
+    time: per replication and step, one ``chisquare`` variate (normal-base
+    gaussian weights) or one weight row, then one p-normal
+    ``standard_normal`` call.
+
+    ``run_msgd`` draws a block of steps per call; with one step per block its
+    draws and arithmetic are these, so the two must agree bit for bit.
+    """
+    n, m = scheme.n, scheme.m
+
+    def draw(stream):
+        norms, zeta = [], []
+        for _ in range(config.num_steps):
+            if scheme.kind == "gaussian" and scheme.base == "normal":
+                chi2 = stream.generator.chisquare(n - 1)
+                norms.append([1.0, chi2 * gaussian_scale_squared(n, m) + 1.0 / n])
+            else:
+                [w] = sample_weights([stream], scheme)
+                norms.append([w.sum(), w @ w])
+            zeta.append(stream.generator.standard_normal(model.dim))
+        return norms, zeta
+
+    return _quadratic_msgd(model, config, streams, draw)
+
+
+def msgd_per_block(model, scheme, config, streams, block: int) -> np.ndarray:
+    """The (K+1, R, p) states of quadratic M-SGD on one config, each
+    replication drawing blocks of steps that start at steps 0, `block`,
+    2 `block`, ... and stop at its last step K: per block of c steps, its c
+    weight norms in one call (``chisquare(n - 1, size=c)``, or c weight rows
+    reduced one at a time), then its (c, p) zeta in one ``standard_normal``
+    call.  ``run_msgd`` at ``BLOCK_STEPS = block`` must agree bit for bit, on
+    a grid or alone."""
+    n, m = scheme.n, scheme.m
+
+    def draw(stream):
+        norms, zeta = [], []
+        for start in range(0, config.num_steps, block):
+            count = min(block, config.num_steps - start)
+            if scheme.kind == "gaussian" and scheme.base == "normal":
+                chi2 = stream.generator.chisquare(n - 1, size=count)
+                norms += [[1.0, c * gaussian_scale_squared(n, m) + 1.0 / n] for c in chi2]
+            else:
+                norms += [[w.sum(), w @ w] for w in sample_weights([stream] * count, scheme)]
+            zeta += list(stream.generator.standard_normal((count, model.dim)))
+        return norms, zeta
+
+    return _quadratic_msgd(model, config, streams, draw)
 
 
 def csv_cell(value) -> str:

@@ -143,7 +143,7 @@ def test_a7_rate_fails_the_noise_mutants(tmp_path, monkeypatch, scale):
 
     def mutant(*args):
         block = norms(*args)
-        block[:, 1] *= scale
+        block[..., 1] *= scale
         return block
 
     monkeypatch.setattr(dynamics_mod, "sample_weight_norms", mutant)

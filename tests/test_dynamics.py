@@ -25,8 +25,17 @@ from msgdlab.models import (
     make_uniform_clt_model,
 )
 from msgdlab.numerics import derive_stream
+from msgdlab.stats import mean_with_se
 from msgdlab.weights import WeightScheme
-from oracles import diffusion_em_per_step, diffusion_em_replay, gaussian_sgd_per_step, rk4_path
+from oracles import (
+    diffusion_em_per_step,
+    diffusion_em_replay,
+    gaussian_sgd_per_step,
+    msgd_per_block,
+    msgd_per_step,
+    rk4_path,
+)
+from test_stats import FIVE_SCHEMES
 
 
 def zero_noise_quadratic(p=1):
@@ -218,7 +227,7 @@ class TestMsgd:
         np.testing.assert_array_equal(rowless.runs[0], runs[0])
         # and replacing the sampler replaces the drift
         zero = dataclasses.replace(
-            model, sample_weighted_grad=lambda theta, norms, streams: np.zeros(np.shape(theta))
+            model, sample_weighted_grad=lambda theta, norms, zeta: np.zeros(np.shape(theta))
         )
         frozen = run_msgd(zero, scheme, [config], [[derive_stream(89, [r]) for r in range(4)]])
         np.testing.assert_array_equal(frozen.runs[0], np.ones((7, 4, model.dim)))
@@ -1085,6 +1094,76 @@ class TestStepNormals:
             lambda model, config, group: diffusion_em_replay(model, config, substeps, group, 3),
             model, model.dim, substeps,
         )
+
+
+class TestStepNoise:
+    """Quadratic M-SGD draws each row's weight norms and normals a block of
+    BLOCK_STEPS steps at a time, the blocks aligned to steps 0, B, 2B, ...
+    and cut at each row's last step: a row's bytes depend on its stream, its
+    run's length and B alone, and at B = 1 they are the per-step draw's."""
+
+    CONFIGS = TestStepNormals.CONFIGS  # 3 + 2 + 4 rows ending at steps 7, 12 and 5
+    MODEL = ensemble_model("quadratic")
+    SCHEME_IDS = {"ids": lambda spec: "-".join(spec.values())}
+
+    def configs(self):
+        return [RunConfig(gamma=g, num_steps=k, x0=[1.0, -1.0]) for g, k, _ in self.CONFIGS]
+
+    def streams(self, *labels):
+        return [[derive_stream(53, [*labels, i, r]) for r in range(reps)]
+                for i, (_, _, reps) in enumerate(self.CONFIGS)]
+
+    def grid(self, scheme, *labels):
+        return run_msgd(self.MODEL, scheme, self.configs(), self.streams(*labels)).runs
+
+    @staticmethod
+    def assert_bits(a, b):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("spec", FIVE_SCHEMES, **SCHEME_IDS)
+    def test_blocks_of_one_step_are_the_per_step_draw(self, monkeypatch, spec):
+        monkeypatch.setattr(dynamics_mod, "BLOCK_STEPS", 1)
+        scheme = WeightScheme(n=16, m=4, **spec)
+        label = scheme.label
+        for config, group, states in zip(self.configs(), self.streams(label),
+                                         self.grid(scheme, label)):
+            self.assert_bits(states, msgd_per_step(self.MODEL, scheme, config, group))
+
+    @pytest.mark.parametrize("block", [3, dynamics_mod.BLOCK_STEPS])
+    @pytest.mark.parametrize("spec", FIVE_SCHEMES, **SCHEME_IDS)
+    def test_a_row_is_its_lone_and_grid_of_one_run(self, monkeypatch, spec, block):
+        # rows end mid-block at B = 3 and inside the first block at the default B
+        monkeypatch.setattr(dynamics_mod, "BLOCK_STEPS", block)
+        scheme = WeightScheme(n=16, m=4, **spec)
+        labels = (block, scheme.label)
+        for i, (config, states) in enumerate(zip(self.configs(), self.grid(scheme, *labels))):
+            def group():  # fresh streams for every run
+                return self.streams(*labels)[i]
+
+            self.assert_bits(states, msgd_per_block(self.MODEL, scheme, config, group(), block))
+            self.assert_bits(states, run_msgd(self.MODEL, scheme, [config], [group()]).runs[0])
+            for r, stream in enumerate(group()):
+                lone = run_msgd(self.MODEL, scheme, [config], [[stream]]).runs[0]
+                self.assert_bits(states[:, r], lone[:, 0])
+
+    @pytest.mark.parametrize("spec", [{"kind": "gaussian"}, {"kind": "minibatch"}], **SCHEME_IDS)
+    def test_step_noise_law_across_a_block_seam(self, spec):
+        # from theta*, sum w = 1 exactly for both laws, so x_(k+1) - x_k +
+        # gamma (x_k - theta*) = gamma s |w| zeta, of per-coordinate variance
+        # gamma^2 s^2 E|w|^2 = gamma^2 s^2 / m, and uncorrelated across steps:
+        # checked within 4 SE at the last step of the first block and the
+        # first of the second
+        reps, gamma, s, m, block = 3000, 0.5, 1.5, 4, dynamics_mod.BLOCK_STEPS
+        model = make_quadratic_model(2, [0.5, -0.5], s)
+        config = RunConfig(gamma=gamma, num_steps=block + 1, x0=[0.5, -0.5])
+        states = run_msgd(model, WeightScheme(n=16, m=m, **spec), [config],
+                          [derive_stream(59, [spec["kind"]]).children("rep", stop=reps)]).runs[0]
+        noise = states[1:] - states[:-1] + gamma * (states[:-1] - model.minimizer)
+        before, after = noise[block - 1], noise[block]
+        for values, target in ((before**2, gamma**2 * s**2 / m), (after**2, gamma**2 * s**2 / m),
+                               (before * after, 0.0)):
+            mean, se = mean_with_se(values)
+            assert np.all(np.abs(mean - target) <= 4 * se), (mean, se, target)
 
 
 # each runner called as (model, configs, streams), the grid of its own signature

@@ -162,6 +162,21 @@ config is left as it was; like ``clt``'s, its failure names noise at a tiny
 size, not the claim.  ``wass-scaling-grid`` still passes (slope 0.882 ->
 1.482).
 
+``converge-quadratic``, ``converge-quadratic-gaussian``, ``wass-scaling``
+and ``wass-scaling-grid`` were re-recorded for a new draw order, not a new
+law, when quadratic M-SGD began to draw each replication's weight norms and
+normals a block of up to 64 steps at a time (``dynamics.BLOCK_STEPS``):
+per block, its norms in one call (``chisquare(n - 1, size=s)``, or s weight
+rows) and then its (s, p) normals in one ``standard_normal`` call, where it
+used to draw a step's norm and then that step's p normals.  The same law,
+so every M-SGD value in their CSVs and checks moved by sampling noise; with
+blocks of one step every digest was the old one.  The Gaussian SGD and
+Euler-Maruyama states kept their bytes.  ``converge-quadratic-gaussian``,
+20 replications, now fails ``msgd:recursion_max_dev`` (1.83 against 1): at
+20 replications that check is noise on both draws, failing at 7 of seeds
+1-60 with per-step draws and at 6 with blocks, so the flip is recorded, not
+hidden by a seed.  ``wass-scaling`` still fails ``loglog_slope`` alone.
+
 Each entry is (config, digest, failing check names).  The failing names are
 asserted before the digest, so a verdict that flips fails by name and reads
 apart from a byte change; a tiny config's verdict can be noise (``clt``,
@@ -204,7 +219,7 @@ GOLDEN = {
         {"command": "wass-scaling", "seed": 11, "gammas": [0.25, 0.125], "reps": 30,
          "n": 64, "m": 8, "n_directions": 16, "em_substeps": 10,
          "scheme": {"kind": "dirichlet"}},
-        "fdb7e390235da8609f076d9291223772a628cf2e4df37c9f5a88b961d2b47177",
+        "586a3f879d1aafa2343458c268909164679b829b3ed8bf879839b91b85282fb2",
         ["loglog_slope"],
     ),
     "converge-quadratic": (
@@ -212,7 +227,7 @@ GOLDEN = {
          "model": {"kind": "quadratic", "p": 2, "s": 1.0, "theta_star": [0.0, 0.5]},
          "n": 5000, "m": 50, "reps": 20, "scheme": {"kind": "minibatch"},
          "runs": [{"gamma": 0.2, "num_steps": 30, "fit_window": 8}]},
-        "e640ef942753b7bbfe0017a4b25d71f5ecbdd979407346a2e1d98adbd994938d",
+        "5a5d133a35b21a25e6c638212d4c4396545043a65d8d16afa8de218ccc8bddd5",
         [],
     ),
     # the default scheme, normal-base gaussian weights, started far above the plateau
@@ -221,8 +236,8 @@ GOLDEN = {
          "model": {"kind": "quadratic", "p": 2, "s": 1.0, "theta_star": [0.0, 0.5]},
          "n": 64, "m": 8, "reps": 20, "x0": [4.0, 4.0],
          "runs": [{"gamma": 0.2, "num_steps": 30, "fit_window": 8}]},
-        "8e8cae5d938d4efcf65e6f641771cb672f3911130058dba76fbe094c1d851335",
-        [],
+        "ca5409c7c000a254ce6b99ca4696d97ed97fd1063ad039305f8ee915b2e2dfc0",
+        ["msgd:recursion_max_dev"],
     ),
     "converge-logistic": (
         {"command": "converge", "seed": 11, "model": {"kind": "logistic", "p": 3, "t": 500},
@@ -241,7 +256,7 @@ GOLDEN = {
         {"command": "wass-scaling", "seed": 11, "gammas": [0.125, 0.25, 0.0625], "reps": 20,
          "n": 48, "m": 6, "n_directions": 8, "em_substeps": 6, "scheme": {"kind": "minibatch"},
          "model": {"kind": "quadratic", "p": 2, "s": 0.5, "theta_star": [0.5, -0.5]}},
-        "90e4c68082dc83240b935b1b627384680daf1fe294444c7f4723fbb5bf5f82f9",
+        "cdbe119f5a039da379dd78837336233271bed8936ba9fb6dac177e08f7ef6ad3",
         [],
     ),
     "gd-ode-grid": (

@@ -436,11 +436,11 @@ class TestWeightedGradient:
 
 
 class TestConditionalWeightedGradient:
-    """The quadratic ``sample_weighted_grad`` draws sum_i w_i grad l(theta, u_i)
-    from its law given the weights' (sum w, |w|^2) rows of
-    ``sample_weight_norms``, (theta - theta*) sum w - s |w| zeta: the chain
-    has the law of the data path ``weighted_sum(w, grad_loss(theta,
-    sample_data))``, one row per stream."""
+    """The quadratic ``sample_weighted_grad`` maps the weights' (sum w, |w|^2)
+    rows of ``sample_weight_norms`` and p standard normals zeta to (theta -
+    theta*) sum w - s |w| zeta, a draw of sum_i w_i grad l(theta, u_i) from
+    its law given the weights: the chain has the law of the data path
+    ``weighted_sum(w, grad_loss(theta, sample_data))``, one row per draw."""
 
     P, N, M = 2, 40, 4
     THETA_STAR, S, THETA = np.array([0.5, -1.0]), 1.7, np.array([1.0, 0.25])
@@ -468,9 +468,11 @@ class TestConditionalWeightedGradient:
         data_rows = [derive_stream(97, ["data", scheme.label])] * self.REPS
         data = model.sample_data(data_rows, self.N)
         path = weighted_sum(sample_weights(data_rows, scheme), model.grad_loss(self.THETA, data))
-        rows = [derive_stream(97, ["conditional", scheme.label])] * self.REPS
-        norms = sample_weight_norms(rows, scheme)
-        return path, model.sample_weighted_grad(self.THETA, norms, rows), norms
+        # the steps of one stream: its norms, then its normals
+        stream = derive_stream(97, ["conditional", scheme.label])
+        [norms] = sample_weight_norms([stream], scheme, self.REPS)
+        zeta = stream.generator.standard_normal((self.REPS, self.P))
+        return path, model.sample_weighted_grad(self.THETA, norms, zeta), norms
 
     @pytest.mark.parametrize("spec", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
     def test_matches_the_data_path_in_law(self, spec):
@@ -490,23 +492,20 @@ class TestConditionalWeightedGradient:
         assert np.all(apart[2] < -self.SIGMAS)
 
     @pytest.mark.parametrize("spec", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
-    def test_row_equals_one_stream_call(self, spec):
+    def test_row_equals_one_row_call(self, spec):
+        # a pure function of its rows: a batched call is one call per row
         scheme = WeightScheme(n=self.N, m=self.M, **spec)
         model = make_quadratic_model(self.P, self.THETA_STAR, self.S)
         reps = 9
-
-        def streams(rows):
-            return [derive_stream(87, [scheme.label, r]) for r in rows]
-
-        theta = derive_stream(87, [scheme.label]).generator.standard_normal((reps, self.P))
+        stream = derive_stream(87, [scheme.label])
+        [norms] = sample_weight_norms([stream], scheme, reps)
+        theta, zeta = stream.generator.standard_normal((2, reps, self.P))
         for point in (theta, theta[0]):
-            rows = streams(range(reps))
-            batched = model.sample_weighted_grad(point, sample_weight_norms(rows, scheme), rows)
+            batched = model.sample_weighted_grad(point, norms, zeta)
             assert batched.shape == (reps, self.P)
             for r in range(reps):
                 lone = point[r:r + 1] if point.ndim == 2 else point
-                [one] = streams([r])
-                alone = model.sample_weighted_grad(lone, sample_weight_norms([one], scheme), [one])
+                alone = model.sample_weighted_grad(lone, norms[r:r + 1], zeta[r:r + 1])
                 np.testing.assert_array_equal(batched[r].view(np.uint64),
                                               alone[0].view(np.uint64))
 
@@ -517,10 +516,12 @@ class TestConditionalWeightedGradient:
         model = make_quadratic_model(self.P, np.zeros(self.P), 1.0)
         scheme = WeightScheme(kind, n=self.N, m=self.M)
         reps = 9
+        stream = derive_stream(91, [kind, "noise"])
+        [norms] = sample_weight_norms([stream], scheme, reps)
+        zeta = stream.generator.standard_normal((reps, self.P))
 
         def draw(theta):
-            rows = [derive_stream(91, [kind, r]) for r in range(reps)]
-            return model.sample_weighted_grad(theta, sample_weight_norms(rows, scheme), rows)
+            return model.sample_weighted_grad(theta, norms, zeta)
 
         gen = derive_stream(91, [kind]).generator
         theta = gen.standard_normal((reps, self.P))

@@ -118,9 +118,10 @@ class TestChunkedSampling:
                 if model.sample_weighted_grad is None:  # data, then weights
                     data = model.sample_data([sub], self.N)[0]
                     grad = model.weighted_grad(theta, data, sample_weights([sub], scheme)[0])
-                else:  # the weights' sum and norm, then the draw given them
-                    norms = sample_weight_norms([sub], scheme)
-                    grad = model.sample_weighted_grad(theta, norms, [sub])[0]
+                else:  # the weights' sum and norm, then the normals given them
+                    [norms] = sample_weight_norms([sub], scheme, 1)
+                    zeta = sub.generator.standard_normal((1, theta.size))
+                    grad = model.sample_weighted_grad(theta, norms, zeta)[0]
                 expected = math.sqrt(self.M) * (grad - model.grad_objective(theta))
                 np.testing.assert_array_equal(runs[0][r], expected)
 

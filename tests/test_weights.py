@@ -143,9 +143,9 @@ class TestEnsembleSamplers:
 
 
 class TestWeightNorms:
-    """``sample_weight_norms`` gives one (sum w, |w|^2) row per stream: in
-    closed form for normal-base gaussian weights, and as the full row
-    reduces for every other law."""
+    """``sample_weight_norms`` gives a stream's (sum w, |w|^2) for a number of
+    successive steps: in closed form for normal-base gaussian weights, and
+    as the full rows reduce for every other law."""
 
     N, M = 40, 4
     REPS, BATCHES, SIGMAS = 80_000, 80, 4.5
@@ -154,9 +154,9 @@ class TestWeightNorms:
     SCHEME = WeightScheme("gaussian", n=N, m=M)
 
     def closed(self):
-        """m |w|^2 of the closed form: iid rows from one generator."""
-        rows = [derive_stream(233, ["closed"])] * self.REPS
-        return self.M * sample_weight_norms(rows, self.SCHEME)[:, 1]
+        """m |w|^2 of the closed form: the steps of one stream."""
+        return self.M * sample_weight_norms([derive_stream(233, ["closed"])], self.SCHEME,
+                                            self.REPS)[0, :, 1]
 
     def drawn(self):
         """m |w|^2 of full rows drawn by ``sample_weights``."""
@@ -176,7 +176,7 @@ class TestWeightNorms:
 
     def test_normal_base_closed_form_moments(self):
         # |w|^2 = c^2 chi^2_(n-1) + 1/n: E[m |w|^2] = 1, Var = 2 (n - 1) c^4 m^2
-        norms = sample_weight_norms([derive_stream(233, ["closed"])] * self.REPS, self.SCHEME)
+        [norms] = sample_weight_norms([derive_stream(233, ["closed"])], self.SCHEME, self.REPS)
         assert norms.shape == (self.REPS, 2)
         np.testing.assert_array_equal(norms[:, 0], 1.0)
         (mean, var, _), (mean_se, var_se, _) = self.moments(self.M * norms[:, 1])
@@ -194,30 +194,33 @@ class TestWeightNorms:
 
     @pytest.mark.parametrize("spec", OTHERS, ids=lambda spec: "-".join(spec.values()))
     def test_other_laws_reduce_the_drawn_rows(self, spec):
-        # bit for bit the row's own sum and dot product, and through a reused
-        # ChunkBlock too
+        # bit for bit each drawn row's own sum and dot product, the steps of a
+        # stream being its successive rows, and through a reused ChunkBlock too
         scheme = WeightScheme(n=self.N, m=self.M, **spec)
 
         def streams():
             return [derive_stream(239, [scheme.label, r]) for r in range(9)]
 
-        w = sample_weights(streams(), scheme)
-        expected = np.array([[row.sum(), row @ row] for row in w])
-        np.testing.assert_array_equal(sample_weight_norms(streams(), scheme), expected)
+        expected = np.array([[[row.sum(), row @ row] for row in sample_weights([s] * 3, scheme)]
+                             for s in streams()])
+        np.testing.assert_array_equal(sample_weight_norms(streams(), scheme, 3), expected)
         block = dynamics_mod.ChunkBlock(sample_weights)
         block(streams(), scheme)  # leaves a full block behind
-        np.testing.assert_array_equal(sample_weight_norms(streams()[:5], scheme, block),
+        np.testing.assert_array_equal(sample_weight_norms(streams()[:5], scheme, 3, block),
                                       expected[:5])
 
     @pytest.mark.parametrize("spec", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
     def test_row_equals_one_stream_call(self, spec):
+        # row r of a block is a lone call on its stream, and a call of 3 steps
+        # yields the values of 3 one-step calls, so the step count moves no byte
         scheme = WeightScheme(n=self.N, m=self.M, **spec)
         streams = [derive_stream(241, [scheme.label, r]) for r in range(7)]
-        block = sample_weight_norms(streams, scheme)
+        block = sample_weight_norms(streams, scheme, 3)
+        assert block.shape == (7, 3, 2)
         for r in range(7):
             lone = derive_stream(241, [scheme.label, r])
-            np.testing.assert_array_equal(block[r].view(np.uint64),
-                                          sample_weight_norms([lone], scheme)[0].view(np.uint64))
+            steps = np.concatenate([sample_weight_norms([lone], scheme, 1)[0] for _ in range(3)])
+            np.testing.assert_array_equal(block[r].view(np.uint64), steps.view(np.uint64))
             assert streams[r].generator.random() == lone.generator.random()
 
 
