@@ -20,10 +20,11 @@ Both continuous-time references record their states at multiples of gamma
 only, so every runner's output grid is the config's.  A :class:`RunConfig`
 is one point of a step grid: M-SGD reads (n, m) from its scheme, and the
 Gaussian runners, whose noise depends on m alone, take m last.  Gaussian
-SGD is one Euler-Maruyama step of size gamma, for any model.  M-SGD on a
-model with ``sample_weighted_grad`` (the quadratic) draws its noise given
-the weights from :class:`StepNoise`, and on any other model from
-:class:`WeightedGradient`, whose one-step draw the clt samples take.
+SGD is one Euler-Maruyama step of size gamma, for any model.  M-SGD builds
+one drawer, the one its model's gradient hook uses: on a model with
+``sample_weighted_grad`` (the quadratic), a :class:`StepNoise` of its noise
+given the weights; on any other, a :class:`WeightedGradient` of the data
+path, whose one-step draw the clt samples take.
 
 ``run_gaussian_sgd``, ``run_msgd`` and ``run_diffusion_em`` are ensemble
 runners: they take one ``RngStream`` per replication and advance all R
@@ -314,14 +315,13 @@ class StepNoise:
     ``weights.sample_weight_norms`` (one ``chisquare`` call for normal-base
     gaussian weights, the full weight rows for every other law), then its
     (steps[r], p) zeta in one ``standard_normal`` call, into two buffers
-    that every block reuses, and returns their (R, max steps, 2) and (R,
-    max steps, p) leading rows.  Called once per step as ``(streams,
-    last)``, with the live rows' (live, 1) last steps, it returns the (live,
-    2) norms and (live, p) normals of step k, the number of earlier calls,
-    refilling at k = 0, B, 2B, ... (B = ``BLOCK_STEPS``) with min(B, last_r
-    - k) steps of each live row.  So a row's draws depend on its stream, its
-    last step and B alone, never on the rows beside it; the buffers hold
-    min(B, longest run) steps of every row.
+    that every block reuses.  Called once per step as ``(streams, last)``,
+    with the live rows' (live, 1) last steps, it returns the (live, 2) norms
+    and (live, p) normals of step k, the number of earlier calls, refilling
+    at k = 0, B, 2B, ... (B = ``BLOCK_STEPS``) with min(B, last_r - k) steps
+    of each live row.  So a row's draws depend on its stream, its last step
+    and B alone, never on the rows beside it; the buffers hold min(B,
+    longest run) steps of every row.
     """
 
     def __init__(self, scheme: WeightScheme, p: int):
@@ -337,7 +337,7 @@ class StepNoise:
         self.step += 1
         return self.norms[: len(streams), j], self.zeta[: len(streams), j]
 
-    def refill(self, streams: Sequence[RngStream], steps: Sequence[int]):
+    def refill(self, streams: Sequence[RngStream], steps: Sequence[int]) -> None:
         """Draw the next steps[r] steps of every row r."""
         rows, width = len(streams), steps[0]
         if self.zeta.shape[0] < rows or self.zeta.shape[1] < width:
@@ -351,24 +351,21 @@ class StepNoise:
             start = stop
         for row, stream, count in zip(self.zeta, streams, steps):
             stream.generator.standard_normal(out=row[:count])
-        return self.norms[:rows, :width], self.zeta[:rows, :width]
 
 
 class WeightedGradient:
-    """One draw of the M-SGD noise per stream, as the clt samples take it.
+    """The data path of the M-SGD noise: per stream, n fresh data and then a
+    weight row, reduced to sum_i w_i grad l(theta, u_i).
 
     Called as ``(theta, streams)``, it returns the (R, p) weighted gradients
-    sum_i w_i grad l(theta, u_i) at theta (one (p,) point, or one (R, p) row
-    per stream).  When the model has ``sample_weighted_grad`` it draws each
-    stream's one step of :class:`StepNoise`, the weights' (sum w, |w|^2) and
-    then p normals, and maps them to the weighted gradient.  Otherwise it
-    draws every stream's n fresh data and then every stream's weights, and
-    reduces them with one batched ``model.weighted_grad`` call; M-SGD on such
-    a model takes this draw at every step.  Callers walk their replications
-    in chunks of ``rows`` = ``chunk_rows(n * payload_dim)``, which keeps a
-    chunk's block in cache; rows never mix, so the chunk size cannot change
-    a bit.  The data, weight and noise blocks are allocated once and refilled
-    by every chunk.
+    at theta (one (p,) point, or one (R, p) row per stream).  It walks the
+    streams in chunks of ``rows`` = ``chunk_rows(n * payload_dim)``, which
+    keeps a chunk's block in cache: per chunk it draws every stream's data,
+    then every stream's weights, and reduces them with one batched
+    ``model.weighted_grad`` call.  Rows never mix, so the chunk size cannot
+    change a bit; streams that fit in one chunk are drawn without slicing.
+    The data and weight blocks are allocated once and refilled by every
+    chunk.
     """
 
     def __init__(self, model: LossModel, scheme: WeightScheme):
@@ -376,12 +373,15 @@ class WeightedGradient:
         self.rows = chunk_rows(scheme.n * model.payload_dim)
         self.draw_data = ChunkBlock(model.sample_data)
         self.draw_weights = ChunkBlock(sample_weights)
-        self.noise = StepNoise(scheme, model.dim)
 
     def __call__(self, theta, streams: Sequence[RngStream]) -> np.ndarray:
-        if self.model.sample_weighted_grad is not None:
-            norms, zeta = self.noise.refill(streams, [1] * len(streams))
-            return self.model.sample_weighted_grad(theta, norms[:, 0], zeta[:, 0])
+        if len(streams) > self.rows:
+            grads = np.empty((len(streams), self.model.dim))
+            for start in range(0, len(streams), self.rows):
+                part = streams[start : start + self.rows]
+                point = theta[start : start + len(part)] if np.ndim(theta) > 1 else theta
+                grads[start : start + len(part)] = self(point, part)
+            return grads
         data = self.draw_data(streams, self.scheme.n)
         return self.model.weighted_grad(theta, data, self.draw_weights(streams, self.scheme))
 
@@ -391,27 +391,26 @@ def run_msgd(
 ) -> Lockstep:
     """Weighted-gradient descent with fresh data and weights every step.
 
-    The scheme gives the shape (n, m).  When the model has
-    ``sample_weighted_grad``, each step maps the live replications' draws of
-    one :class:`StepNoise`, drawn a block of ``BLOCK_STEPS`` steps at a
-    time, to their weighted gradients; otherwise each step draws them with
-    one :class:`WeightedGradient`, chunk by chunk.
+    The scheme gives the shape (n, m).  A model with
+    ``sample_weighted_grad`` gets one :class:`StepNoise`, drawn a block of
+    ``BLOCK_STEPS`` steps at a time, whose draws each step maps to the live
+    replications' weighted gradients; any other model gets one
+    :class:`WeightedGradient`, which draws them on the data path.
     """
-    draw = WeightedGradient(model, scheme)
-    noise = StepNoise(scheme, model.dim)
+    if model.sample_weighted_grad is not None:
+        noise = StepNoise(scheme, model.dim)
 
-    def advance(x, live_streams, _steps_left, gamma, last):
-        if model.sample_weighted_grad is not None:
+        def advance(x, live_streams, _steps_left, gamma, last):
             return x - gamma * model.sample_weighted_grad(x, *noise(live_streams, last))
-        if len(live_streams) <= draw.rows:  # one chunk holds every live row
-            return x - gamma * draw(x, live_streams)
-        drift = np.empty_like(x)
-        for start in range(0, len(live_streams), draw.rows):
-            part = live_streams[start : start + draw.rows]
-            drift[start : start + len(part)] = draw(x[start : start + len(part)], part)
-        return x - gamma * drift
 
-    return _run_ensemble("msgd", configs, streams, advance, lambda c: (c.gamma, c.num_steps))
+        return _run_ensemble("msgd", configs, streams, advance,
+                             lambda c: (c.gamma, c.num_steps))
+    draw = WeightedGradient(model, scheme)
+
+    def advance(x, live_streams, _steps_left, gamma):
+        return x - gamma * draw(x, live_streams)
+
+    return _run_ensemble("msgd", configs, streams, advance, lambda c: (c.gamma,))
 
 
 def _linear_drift(model: LossModel, runner: str) -> tuple[float, np.ndarray]:

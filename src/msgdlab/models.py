@@ -1,33 +1,34 @@
-"""Loss models: objective, per-datum gradient, data law, and noise factor.
+"""Loss models: objective, gradient hooks, data law, and noise factor.
 
 A :class:`LossModel` bundles everything the dynamics need:
 
 * ``objective(theta)`` and its analytic ``grad_objective(theta)``;
-* ``sample_data(streams, count, out=None)`` drawing ``count`` iid data per
-  stream as one block with leading axes (R, count), R = len(streams):
-  (R, count, p) float rows for the quadratic and uniform models,
-  (R, count) int64 row indices into the dataset for the logistic model;
-  given ``out``, a block of that shape and type, it draws into it and
-  returns it;
-* ``grad_loss(theta, data)`` mapping a batch of ``count`` data to per-datum
-  gradients (count, p), unbiased for ``grad_objective``;
-* ``weighted_grad(theta, data, w)``, the weighted gradient
-  sum_i w_i grad l(theta, u_i) for (..., count) weights: by default
-  ``weighted_sum(w, grad_loss(theta, data))``, one stacked ``np.matmul``
-  over the per-datum gradients.  The logistic model supplies a fused form
-  that never builds those gradients and rounds differently,
-  2 kappa beta sum_i w_i - (w / (1 + e^(beta S_d^T))) S_d, one residual
-  row per kappa of its grid, on its signed rows s_i x_i, s_i = 2 y_i - 1;
-* optionally ``sample_weighted_grad(theta, norms, zeta)``, a sample of
-  sum_i w_i grad l(theta, u_i) from its exact law given the weights, with
-  no data, when that law depends on the weights only through their (sum w,
-  |w|^2) and on p standard normals zeta: a pure function of (..., 2) norms
-  rows and (..., p) normals, which draws nothing.  The quadratic model,
-  whose data are Gaussian, supplies it, and ``dynamics`` draws its norms,
-  by ``weights.sample_weight_norms``, and its normals in place of the data
-  path;
 * ``noise_factor(theta)``, a p x q matrix ``sigma`` with
-  ``sigma sigma^T = Cov(grad_loss(theta, .))``.
+  ``sigma sigma^T = Cov(grad l(theta, u))`` over the data law;
+* one of two hooks for the M-SGD noise sum_i w_i grad l(theta, u_i):
+  - the data path: ``sample_data(streams, count, out=None)`` drawing
+    ``count`` iid data per stream as one block with leading axes (R,
+    count), R = len(streams) ((R, count, p) float rows for the uniform
+    model, (R, count) int64 row indices into the dataset for the logistic
+    model; given ``out``, a block of that shape and type, it draws into it
+    and returns it), ``grad_loss(theta, data)`` mapping a batch of
+    ``count`` data to per-datum gradients (count, p), unbiased for
+    ``grad_objective``, and ``weighted_grad(theta, data, w)``, their
+    weighted sum for (..., count) weights: by default
+    ``weighted_sum(w, grad_loss(theta, data))``, one stacked ``np.matmul``
+    over the per-datum gradients.  The logistic model supplies a fused form
+    that never builds those gradients and rounds differently,
+    2 kappa beta sum_i w_i - (w / (1 + e^(beta S_d^T))) S_d, one residual
+    row per kappa of its grid, on its signed rows s_i x_i, s_i = 2 y_i - 1;
+  - an exact sampler: ``sample_weighted_grad(theta, norms, zeta)``, a
+    sample of the noise from its exact law given the weights, with no data,
+    when that law depends on the weights only through their (sum w, |w|^2)
+    and on p standard normals zeta: a pure function of (..., 2) norms rows
+    and (..., p) normals, which draws nothing.  The quadratic model, whose
+    data are Gaussian, supplies it and has no data path; ``dynamics`` draws
+    its norms, by ``weights.sample_weight_norms``, and its normals.
+  ``dynamics`` dispatches on ``sample_weighted_grad`` alone: a model that
+  has it never reaches its other hooks' fields, which default to None.
 
 ``sample_data`` makes only the raw generator calls per stream, in the order
 a lone draw would, writing into one block (``out``, or a fresh one), and
@@ -45,11 +46,11 @@ same kernel on every replication as on a lone theta, so a batched call is
 bit-identical to one call per replication.
 
 Three concrete models are provided: a quadratic with Gaussian data (every
-quantity in closed form, the main oracle model), a mean-zero uniform-data
-model whose gradient is the datum itself (for error-distribution studies),
-and ridge-regularized logistic regression over a fixed dataset resampled
-with replacement, on a grid of ridge penalties whose state stacks one
-iterate per penalty.
+quantity in closed form, the main oracle model, with the exact sampler), and
+two on the data path: a mean-zero uniform-data model whose gradient is the
+datum itself (for error-distribution studies), and ridge-regularized
+logistic regression over a fixed dataset resampled with replacement, on a
+grid of ridge penalties whose state stacks one iterate per penalty.
 """
 
 from __future__ import annotations
@@ -71,13 +72,13 @@ class LossModel:
     payload_dim: int                         # per-datum working width that chunk_rows sizes by
     objective: Callable[[np.ndarray], float]
     grad_objective: Callable[[np.ndarray], np.ndarray]
-    sample_data: Callable[..., np.ndarray]   # (streams, count, out=None)
-    grad_loss: Callable[[np.ndarray, np.ndarray], np.ndarray]
     noise_factor: Callable[[np.ndarray], np.ndarray]
     lipschitz_grad: float                    # L: Lipschitz modulus of grad_objective
     lipschitz_noise: float                   # L1: Lipschitz modulus of noise_factor, spectral norm
     strong_convexity: Optional[float] = None # lambda, when g is strongly convex
     minimizer: Optional[np.ndarray] = None   # known argmin of the objective, if any
+    sample_data: Optional[Callable[..., np.ndarray]] = None  # (streams, count, out=None)
+    grad_loss: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     fused_weighted_grad: Optional[Callable[..., np.ndarray]] = None  # (theta, data, w)
     sample_weighted_grad: Optional[Callable[..., np.ndarray]] = None  # (theta, norms, zeta)
 
@@ -102,16 +103,16 @@ def weighted_sum(w: np.ndarray, grads: np.ndarray) -> np.ndarray:
 def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     """Quadratic oracle model: l(theta, u) = |theta - u|^2 / 2, u ~ N(theta*, s^2 I).
 
-    Then g(theta) = |theta - theta*|^2 / 2 + p s^2 / 2, grad_loss is
+    Then g(theta) = |theta - theta*|^2 / 2 + p s^2 / 2, grad l(theta, u) is
     theta - u, and the noise factor is the constant s*I, so L = lambda = 1
     and L1 = 0.  The noise level p s^2 / 2 must be finite.  Given the weights,
     sum_i w_i (theta - u_i) = (theta - theta*) sum_i w_i - s sum_i w_i z_i,
     and sum_i w_i z_i ~ N(0, |w|^2 I_p) exactly, so ``sample_weighted_grad``
     maps (sum w, |w|^2) rows and p standard normals zeta per row to
-    (theta - theta*) sum w - s |w| zeta, in place of reducing n p data.  The
-    rows its callers draw are exact in law: (1, c^2 chi^2_(n-1) + 1/n) for
-    normal-base gaussian weights, and every other law's as its drawn row
-    reduces, never 1/m in place of |w|^2.
+    (theta - theta*) sum w - s |w| zeta, in place of reducing n p data: the
+    model has no data path.  The rows its callers draw are exact in law: (1,
+    c^2 chi^2_(n-1) + 1/n) for normal-base gaussian weights, and every other
+    law's as its drawn row reduces, never 1/m in place of |w|^2.
     """
     if not s > 0:
         raise ValueError(f"noise scale s must be positive, got {s}")
@@ -131,17 +132,6 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     def grad_objective(theta):
         return np.asarray(theta, dtype=float) - theta_star
 
-    def sample_data(streams, count, out=None):
-        block = np.empty((len(streams), count, p)) if out is None else out
-        for row, stream in zip(block, streams):
-            stream.generator.standard_normal(out=row)
-        block *= s
-        block += theta_star
-        return block
-
-    def grad_loss(theta, data):
-        return np.asarray(theta, dtype=float)[..., None, :] - data
-
     def sample_weighted_grad(theta, norms, zeta):
         return grad_objective(theta) * norms[..., :1] - s * np.sqrt(norms[..., 1:]) * zeta
 
@@ -154,8 +144,6 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
         payload_dim=p,
         objective=objective,
         grad_objective=grad_objective,
-        sample_data=sample_data,
-        grad_loss=grad_loss,
         noise_factor=noise_factor,
         lipschitz_grad=1.0,
         lipschitz_noise=0.0,

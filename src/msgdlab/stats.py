@@ -4,8 +4,8 @@ This module turns simulations into numbers that can be checked:
 
 * ``clt_error_samples`` draws the scaled weighted gradient error
   sqrt(m) * sum_i w_i (grad l(theta, u_i) - grad g(theta)) whose limit is
-  N(0, sigma^2(theta)), from the draw M-SGD steps with
-  (``dynamics.WeightedGradient``);
+  N(0, sigma^2(theta)), on the data path (``dynamics.WeightedGradient``),
+  the draw M-SGD steps with on a model without an exact sampler;
 * ``ks_normality`` measures sup-distance to a centered normal CDF,
   Phi(x) = erfc(-x / sqrt 2) / 2 from the standard library's ``math.erfc``;
 * ``sliced_w2`` estimates the squared Wasserstein-2 distance by the exact
@@ -45,10 +45,15 @@ def clt_error_samples(
     """The (reps, p) rows sqrt(m) * (sum_i w_i grad l(theta, u_i) - grad g(theta)).
 
     Row r is the :class:`~msgdlab.dynamics.WeightedGradient` draw M-SGD
-    takes, on the derived stream ``stream.child("rep", r)``.
+    takes, on the derived stream ``stream.child("rep", r)``: n data, then
+    the weights.  A model with ``sample_weighted_grad`` has no data path and
+    raises ValueError.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
+    if model.sample_weighted_grad is not None:
+        raise ValueError(f"clt_error_samples draws the data path, which model "
+                         f"{model.name!r} does not have")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     grad_mean = model.grad_objective(theta)
     sqrt_m = math.sqrt(scheme.m)

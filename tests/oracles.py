@@ -1,5 +1,6 @@
 """Independent oracles the tests compare the package against."""
 
+import dataclasses
 import math
 from typing import Callable
 
@@ -179,6 +180,33 @@ def diffusion_em_replay(model, config, substeps: int, streams, m: int) -> np.nda
         x = x_star + decay * (x - x_star) + scale * (z @ factor_t)
         states.append(x)
     return np.array(states)
+
+
+def quadratic_data_path(model):
+    """The quadratic `model` on its Gaussian data path, rebuilt from its
+    theta* and s: ``sample_data`` draws u = theta* + s z, z ~ N(0, I_p), per
+    stream, ``grad_loss`` is theta - u, and ``sample_weighted_grad`` is None.
+
+    The law reference of the quadratic ``sample_weighted_grad``, and through
+    ``run_msgd`` and ``clt_error_samples``, which then draw n data a step,
+    an independent data-path M-SGD on the same objective and noise factor.
+    """
+    p, theta_star = model.dim, model.minimizer
+    s = float(model.noise_factor(theta_star)[0, 0])
+
+    def sample_data(streams, count, out=None):
+        block = np.empty((len(streams), count, p)) if out is None else out
+        for row, stream in zip(block, streams):
+            stream.generator.standard_normal(out=row)
+        block *= s
+        block += theta_star
+        return block
+
+    def grad_loss(theta, data):
+        return np.asarray(theta, dtype=float)[..., None, :] - data
+
+    return dataclasses.replace(model, sample_data=sample_data, grad_loss=grad_loss,
+                               sample_weighted_grad=None)
 
 
 def _quadratic_msgd(model, config, streams, draw) -> np.ndarray:

@@ -33,6 +33,7 @@ from oracles import (
     gaussian_sgd_per_step,
     msgd_per_block,
     msgd_per_step,
+    quadratic_data_path,
     rk4_path,
 )
 from test_stats import FIVE_SCHEMES
@@ -206,10 +207,11 @@ class TestMsgd:
             np.testing.assert_array_less(gaps, 4 * se + 1e-12)
 
     def test_steps_only_through_weighted_grad(self, monkeypatch):
-        # the quadratic model's conditional sampler is M-SGD's one draw: a
-        # model whose data sampler and grad_loss raise steps to the same bytes,
-        # and under normal-base gaussian weights, whose (sum w, |w|^2) is drawn
-        # in closed form, so does a run that cannot draw a weight row
+        # the quadratic model's conditional sampler is M-SGD's one draw: the
+        # model has no data path, and one given a data sampler and grad_loss
+        # that raise (as a traced model's wrappers of None would) steps to the
+        # same bytes; under normal-base gaussian weights, whose (sum w, |w|^2)
+        # is drawn in closed form, so does a run that cannot draw a weight row
         def unreachable(*args, **kwargs):
             raise AssertionError("run_msgd drew or reduced data, or drew weights")
 
@@ -231,6 +233,29 @@ class TestMsgd:
         )
         frozen = run_msgd(zero, scheme, [config], [[derive_stream(89, [r]) for r in range(4)]])
         np.testing.assert_array_equal(frozen.runs[0], np.ones((7, 4, model.dim)))
+
+    def test_builds_one_drawer_per_model(self, monkeypatch):
+        # the exact sampler's model builds a StepNoise and no WeightedGradient,
+        # a data-path model the reverse, and neither run moves a byte
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("run_msgd built a drawer its model does not use")
+
+        scheme = WeightScheme("dirichlet", n=40, m=8)
+        models = [ensemble_model("quadratic"), ensemble_model("logistic"),
+                  quadratic_data_path(ensemble_model("quadratic"))]
+        unused = ["WeightedGradient", "StepNoise", "StepNoise"]
+
+        def run(model):
+            config = RunConfig(gamma=0.5, num_steps=6, x0=np.ones(model.dim))
+            streams = [[derive_stream(89, [model.name, r]) for r in range(4)]]
+            return run_msgd(model, scheme, [config], streams).runs[0]
+
+        for model, name in zip(models, unused):
+            expected = run(model)
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics_mod, name, unbuildable)
+                np.testing.assert_array_equal(run(model).view(np.uint64),
+                                              expected.view(np.uint64))
 
     def test_logistic_steps_only_through_fused_weighted_grad(self):
         # the logistic model's fused weighted gradient is M-SGD's one reduction:

@@ -20,7 +20,7 @@ from msgdlab.models import (
 from msgdlab.numerics import derive_stream
 from msgdlab.stats import mean_with_se
 from msgdlab.weights import SCHEME_KINDS, WeightScheme, sample_weight_norms, sample_weights
-from oracles import finite_diff_gradient
+from oracles import finite_diff_gradient, quadratic_data_path
 from test_stats import FIVE_SCHEMES
 
 
@@ -54,8 +54,14 @@ class TestQuadratic:
         model = make_quadratic_model(3, [0.5, -1.0, 2.0], 1.0)
         np.testing.assert_array_equal(model.grad_objective(model.minimizer), np.zeros(3))
 
-    def test_grad_loss_unbiased_at_origin(self):
+    def test_has_only_the_exact_sampler(self):
         model = make_quadratic_model(2, [1.0, 0.0], 1.0)
+        assert model.sample_data is None and model.grad_loss is None
+        assert model.sample_weighted_grad is not None
+
+    def test_grad_loss_unbiased_at_origin(self):
+        # on the Gaussian data path that the exact sampler replaces
+        model = quadratic_data_path(make_quadratic_model(2, [1.0, 0.0], 1.0))
         data = model.sample_data([derive_stream(3, ["mc"])], 10**5)[0]
         mc_mean = model.grad_loss(np.zeros(2), data).mean(axis=0)
         np.testing.assert_allclose(mc_mean, [-1.0, 0.0], atol=0.02)
@@ -66,8 +72,8 @@ class TestQuadratic:
             assert model.noise_trace(theta) == pytest.approx(4 * 0.49, rel=1e-12)
 
     def test_h1_is_exactly_one(self):
-        # grad_loss(theta, u) = theta - u, so the per-datum modulus is 1
-        model = make_quadratic_model(2, np.zeros(2), 1.0)
+        # grad l(theta, u) = theta - u, so the per-datum modulus is 1
+        model = quadratic_data_path(make_quadratic_model(2, np.zeros(2), 1.0))
         gen = derive_stream(5, ["pairs"]).generator
         for _ in range(20):
             t1, t2 = gen.standard_normal(2), gen.standard_normal(2)
@@ -416,10 +422,9 @@ class TestWeightedGradient:
         idx = gen.integers(0, dataset.size, size=(reps, self.N))
         self.assert_non_finite_stays_in_its_row(model, beta, idx, w, special, gen)
 
+    # the uniform model is the one model in src on the default reduction
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
-    @pytest.mark.parametrize("make", [
-        make_uniform_clt_model, lambda p: make_quadratic_model(p, np.ones(p), 0.7),
-    ], ids=["uniform", "quadratic"])
+    @pytest.mark.parametrize("make", [make_uniform_clt_model], ids=["uniform"])
     def test_default_is_the_stacked_matmul(self, kind, make):
         model = make(3)
         assert model.fused_weighted_grad is None
@@ -440,7 +445,8 @@ class TestConditionalWeightedGradient:
     rows of ``sample_weight_norms`` and p standard normals zeta to (theta -
     theta*) sum w - s |w| zeta, a draw of sum_i w_i grad l(theta, u_i) from
     its law given the weights: the chain has the law of the data path
-    ``weighted_sum(w, grad_loss(theta, sample_data))``, one row per draw."""
+    ``weighted_sum(w, grad_loss(theta, sample_data))`` of
+    ``oracles.quadratic_data_path``, one row per draw."""
 
     P, N, M = 2, 40, 4
     THETA_STAR, S, THETA = np.array([0.5, -1.0]), 1.7, np.array([1.0, 0.25])
@@ -464,10 +470,12 @@ class TestConditionalWeightedGradient:
         sampler's (sum w, |w|^2) rows."""
         scheme = WeightScheme(n=self.N, m=self.M, **spec)
         model = make_quadratic_model(self.P, self.THETA_STAR, self.S)
+        reference = quadratic_data_path(model)
         # iid rows from one generator each: every row draws from the same stream in turn
         data_rows = [derive_stream(97, ["data", scheme.label])] * self.REPS
-        data = model.sample_data(data_rows, self.N)
-        path = weighted_sum(sample_weights(data_rows, scheme), model.grad_loss(self.THETA, data))
+        data = reference.sample_data(data_rows, self.N)
+        path = weighted_sum(sample_weights(data_rows, scheme),
+                            reference.grad_loss(self.THETA, data))
         # the steps of one stream: its norms, then its normals
         stream = derive_stream(97, ["conditional", scheme.label])
         [norms] = sample_weight_norms([stream], scheme, self.REPS)
@@ -526,14 +534,15 @@ class TestConditionalWeightedGradient:
         gen = derive_stream(91, [kind]).generator
         theta = gen.standard_normal((reps, self.P))
         rows = [derive_stream(91, ["data", kind, r]) for r in range(reps)]
-        data, w = model.sample_data(rows, self.N), sample_weights(rows, scheme)
+        reference = quadratic_data_path(model)
+        data, w = reference.sample_data(rows, self.N), sample_weights(rows, scheme)
         clean = draw(theta)
         for bad in (0, 4, reps - 1):
             dirty = theta.copy()
             dirty[bad, gen.integers(self.P)] = special
             with np.errstate(all="ignore"):
                 result = draw(dirty)
-                per_datum = weighted_sum(w, model.grad_loss(dirty, data))
+                per_datum = weighted_sum(w, reference.grad_loss(dirty, data))
             assert not np.isfinite(result[bad]).all()
             np.testing.assert_array_equal(np.isfinite(result), np.isfinite(per_datum))
             others = np.arange(reps) != bad
@@ -658,8 +667,8 @@ class TestSharedInvariants:
         params=["quadratic", "uniform", "logistic"],
     )
     def model(self, request):
-        if request.param == "quadratic":
-            return make_quadratic_model(3, [0.2, -0.4, 1.0], 0.8)
+        if request.param == "quadratic":  # the data path its exact sampler replaces
+            return quadratic_data_path(make_quadratic_model(3, [0.2, -0.4, 1.0], 0.8))
         if request.param == "uniform":
             return make_uniform_clt_model(3)
         return small_logistic()[0]

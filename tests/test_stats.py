@@ -8,7 +8,12 @@ from scipy.special import ndtr
 
 import msgdlab.dynamics as dynamics_mod
 from msgdlab.dynamics import RunConfig, run_gaussian_sgd, run_gd, run_msgd
-from msgdlab.models import make_quadratic_model, make_uniform_clt_model
+from msgdlab.models import (
+    generate_logistic_dataset,
+    make_logistic_model,
+    make_quadratic_model,
+    make_uniform_clt_model,
+)
 from msgdlab.numerics import derive_stream
 from msgdlab.stats import (
     clt_error_samples,
@@ -26,8 +31,8 @@ from msgdlab.stats import (
     sliced_w2,
     weighting_gap,
 )
-from msgdlab.weights import WeightScheme, sample_weight_norms, sample_weights
-from oracles import w2_1d, weighting_gap_per_replication
+from msgdlab.weights import WeightScheme, sample_weights
+from oracles import quadratic_data_path, w2_1d, weighting_gap_per_replication
 
 # every weight law: the three kinds, and the gaussian kind on each base
 FIVE_SCHEMES = [
@@ -65,8 +70,8 @@ class TestErrorSamples:
 
     def test_covariance_matches_noise_factor(self):
         # the error covariance is sigma^2(theta) exactly at finite n
-        # because E[m sum w^2] = 1; here sigma^2 = s^2 I away from any drift
-        model = make_quadratic_model(2, [1.0, -2.0], 0.7)
+        # because E[m sum w^2] = 1; here sigma^2 = I/3 at every theta
+        model = make_uniform_clt_model(2)
         scheme = WeightScheme("gaussian", n=600, m=150)
         theta = np.array([0.3, 0.3])
         errors = clt_error_samples(model, scheme, theta, 6000, derive_stream(9, ["cov"]))
@@ -80,6 +85,12 @@ class TestErrorSamples:
         with pytest.raises(ValueError):
             clt_error_samples(model, scheme, [0.0], 50, derive_stream(1, []))
 
+    def test_refuses_a_model_without_a_data_path(self):
+        scheme = WeightScheme("minibatch", n=10, m=2)
+        with pytest.raises(ValueError, match="draws the data path, which model 'quadratic'"):
+            clt_error_samples(make_quadratic_model(1, [0.0], 1.0), scheme, [0.0], 100,
+                              derive_stream(1, []))
+
 
 class TestChunkedSampling:
     """clt_error_samples and weighting_gap draw and reduce chunks of
@@ -90,7 +101,8 @@ class TestChunkedSampling:
     DEFAULT_ELEMENTS = dynamics_mod.CHUNK_ELEMENTS
 
     def _models(self):
-        return [make_uniform_clt_model(2), make_quadratic_model(2, [0.5, -1.0], 1.5)]
+        dataset = generate_logistic_dataset(derive_stream(61, ["ld"]), 2, 150)
+        return [make_uniform_clt_model(2), make_logistic_model(dataset, 0.1)]
 
     def _by_chunk(self, monkeypatch, model, rows_fn):
         results = []
@@ -113,15 +125,10 @@ class TestChunkedSampling:
             )
             for samples in runs[1:]:
                 np.testing.assert_array_equal(samples, runs[0])
-            for r in (0, 6, 7, 99):
+            for r in (0, 6, 7, 99):  # data, then weights
                 sub = stream.child("rep", r)
-                if model.sample_weighted_grad is None:  # data, then weights
-                    data = model.sample_data([sub], self.N)[0]
-                    grad = model.weighted_grad(theta, data, sample_weights([sub], scheme)[0])
-                else:  # the weights' sum and norm, then the normals given them
-                    [norms] = sample_weight_norms([sub], scheme, 1)
-                    zeta = sub.generator.standard_normal((1, theta.size))
-                    grad = model.sample_weighted_grad(theta, norms, zeta)[0]
+                data = model.sample_data([sub], self.N)[0]
+                grad = model.weighted_grad(theta, data, sample_weights([sub], scheme)[0])
                 expected = math.sqrt(self.M) * (grad - model.grad_objective(theta))
                 np.testing.assert_array_equal(runs[0][r], expected)
 
@@ -334,8 +341,8 @@ class TestWeightingGap:
         # over the same weight rows, and the estimator's |a|^2 is those rows'
         n, m, reps = 40, 8, 4000
         scheme = WeightScheme(n=n, m=m, **scheme)
-        model = (make_quadratic_model(2, [0.5, -1.0], 1.5) if model == "quadratic"
-                 else make_uniform_clt_model(2))
+        model = (quadratic_data_path(make_quadratic_model(2, [0.5, -1.0], 1.5))
+                 if model == "quadratic" else make_uniform_clt_model(2))
         theta = np.array([0.3, -0.2])
         stream = derive_stream(53, [scheme.label, model.name])
         raw, w = weighting_gap_per_replication(model, scheme, theta, reps, stream)

@@ -8,7 +8,7 @@ bytes are the golden ones and that each runner ran once per config with
 the lockstep step count: the longest grid member's steps, not their sum.
 The ODE, like EM, records one state per step of gamma, but the tracer
 multiplies only EM's count by its substeps, so the ODE counts its recorded
-steps.
+steps.  The models the runs build are traced too.
 """
 
 from __future__ import annotations
@@ -68,3 +68,8 @@ def test_tracer_counts_lockstep_steps_and_keeps_bytes(tmp_path):
     }
     for runner in ("msgd", "diffusion_em", "gd", "ode"):
         assert traced["spans"][f"dynamics.{runner}"] == 1, runner
+    # the model factories' wrappers trace the models they build, so a LossModel
+    # field the tracer cannot wrap fails here: GD's 16 steps and gd-ode's start
+    # gradient norm, and Euler-Maruyama's one constant noise factor
+    assert traced["spans"]["models.grad_objective"] == 17
+    assert traced["spans"]["models.noise_factor"] == 1

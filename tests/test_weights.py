@@ -345,13 +345,15 @@ class TestDirichlet:
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_variance_matches_target_large(self):
+        # target Var(w_i) = (n-m)/(m n^2) = 4e-8 at n=1e4, m=2000.  Every
+        # w_i has mean 1/n, so a row's sum_i (w_i - 1/n)^2 / n is unbiased
+        # for it; pooled over 200 rows, held to 4 of its own SEs (about
+        # 0.2 % of the target each)
         scheme = WeightScheme("dirichlet", n=10**4, m=2000)
-        stream = derive_stream(29, ["dvar"])
-        reps = 2 * 10**4
-        first = np.empty(reps)
-        for r in range(reps):
-            first[r] = sample_dirichlet_weights([stream.child(r)], scheme)[0][0]
-        assert np.var(first, ddof=1) == pytest.approx(4.0e-8, rel=0.05)
+        w = sample_dirichlet_weights(derive_stream(29, ["dvar"]).children("rep", stop=200),
+                                     scheme)
+        mean, se = mean_with_se(np.mean((w - 1.0 / scheme.n) ** 2, axis=1))
+        assert abs(mean - 4.0e-8) <= 4 * se
 
     def test_all_zero_row_raises_underflow(self, monkeypatch):
         scheme = WeightScheme("dirichlet", n=16, m=4)
