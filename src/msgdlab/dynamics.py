@@ -72,7 +72,7 @@ import numpy as np
 
 from .models import LossModel
 from .numerics import RngStream
-from .weights import WeightScheme, sample_weight_norms, sample_weights
+from .weights import WeightScheme, sample_weight_norms, sample_weight_values
 
 DIVERGENCE_LIMIT = 1e150
 
@@ -92,9 +92,9 @@ MAX_STEPS = 10**6
 CHUNK_ELEMENTS = 2**16
 
 # Steps of one block of M-SGD's draws given the weights (StepNoise), per row:
-# one chisquare or weight-row call and one standard_normal call per row and
-# block.  Blocks start at steps 0, B, 2B, ... and stop at each row's last
-# step.  Unlike CHUNK_ELEMENTS it moves bytes, since two laws share a row's
+# at most one chisquare or weight-row call and one standard_normal call per
+# row and block.  Blocks start at steps 0, B, 2B, ... and stop at each row's
+# last step.  Unlike CHUNK_ELEMENTS it moves bytes, since two laws share a row's
 # generator, so it is fixed: no config, row count or grid changes it.
 BLOCK_STEPS = 64
 
@@ -313,10 +313,11 @@ class StepNoise:
     ``refill(streams, steps)`` draws the next ``steps[r]`` steps of row r,
     the counts not increasing in r: first the row's norms, by
     ``weights.sample_weight_norms`` (one ``chisquare`` call for normal-base
-    gaussian weights, the full weight rows for every other law), then its
-    (steps[r], p) zeta in one ``standard_normal`` call, into two buffers
-    that every block reuses.  Called once per step as ``(streams, last)``,
-    with the live rows' (live, 1) last steps, it returns the (live, 2) norms
+    gaussian weights, the ``weights.sample_weight_values`` rows for every
+    other law, which draw nothing for minibatch weights), then its (steps[r],
+    p) zeta in one ``standard_normal`` call, into two buffers that every
+    block reuses.  Called once per step as ``(streams, last)``, with the
+    live rows' (live, 1) last steps, it returns the (live, 2) norms
     and (live, p) normals of step k, the number of earlier calls, refilling
     at k = 0, B, 2B, ... (B = ``BLOCK_STEPS``) with min(B, last_r - k) steps
     of each live row.  So a row's draws depend on its stream, its last step
@@ -326,7 +327,7 @@ class StepNoise:
 
     def __init__(self, scheme: WeightScheme, p: int):
         self.scheme = scheme
-        self.draw_weights = ChunkBlock(sample_weights)
+        self.draw_weights = ChunkBlock(sample_weight_values)
         self.norms, self.zeta = np.empty((0, 0, 2)), np.empty((0, 0, p))
         self.step = 0
 
@@ -354,14 +355,20 @@ class StepNoise:
 
 
 class WeightedGradient:
-    """The data path of the M-SGD noise: per stream, n fresh data and then a
-    weight row, reduced to sum_i w_i grad l(theta, u_i).
+    """The data path of the M-SGD noise: per stream, ``scheme.support`` fresh
+    data and then a ``weights.sample_weight_values`` row, reduced to
+    sum_i w_i grad l(theta, u_i).
 
+    The data are iid and independent of the weights, so the sum depends on
+    the weights only through the multiset of their values: minibatch weights
+    read m data and draw nothing more (the mean of m fresh data, minibatch
+    SGD), Rademacher-base gaussian weights read n data and one binomial
+    count, and every other law reads n data and its full weight row.
     Called as ``(theta, streams)``, it returns the (R, p) weighted gradients
     at theta (one (p,) point, or one (R, p) row per stream).  It walks the
-    streams in chunks of ``rows`` = ``chunk_rows(n * payload_dim)``, which
-    keeps a chunk's block in cache: per chunk it draws every stream's data,
-    then every stream's weights, and reduces them with one batched
+    streams in chunks of ``rows`` = ``chunk_rows(support * payload_dim)``,
+    which keeps a chunk's block in cache: per chunk it draws every stream's
+    data, then every stream's weights, and reduces them with one batched
     ``model.weighted_grad`` call.  Rows never mix, so the chunk size cannot
     change a bit; streams that fit in one chunk are drawn without slicing.
     The data and weight blocks are allocated once and refilled by every
@@ -370,9 +377,9 @@ class WeightedGradient:
 
     def __init__(self, model: LossModel, scheme: WeightScheme):
         self.model, self.scheme = model, scheme
-        self.rows = chunk_rows(scheme.n * model.payload_dim)
+        self.rows = chunk_rows(scheme.support * model.payload_dim)
         self.draw_data = ChunkBlock(model.sample_data)
-        self.draw_weights = ChunkBlock(sample_weights)
+        self.draw_weights = ChunkBlock(sample_weight_values)
 
     def __call__(self, theta, streams: Sequence[RngStream]) -> np.ndarray:
         if len(streams) > self.rows:
@@ -382,7 +389,7 @@ class WeightedGradient:
                 point = theta[start : start + len(part)] if np.ndim(theta) > 1 else theta
                 grads[start : start + len(part)] = self(point, part)
             return grads
-        data = self.draw_data(streams, self.scheme.n)
+        data = self.draw_data(streams, self.scheme.support)
         return self.model.weighted_grad(theta, data, self.draw_weights(streams, self.scheme))
 
 

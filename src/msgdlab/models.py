@@ -7,10 +7,11 @@ A :class:`LossModel` bundles everything the dynamics need:
   ``sigma sigma^T = Cov(grad l(theta, u))`` over the data law;
 * one of two hooks for the M-SGD noise sum_i w_i grad l(theta, u_i):
   - the data path: ``sample_data(streams, count, out=None)`` drawing
-    ``count`` iid data per stream as one block with leading axes (R,
-    count), R = len(streams) ((R, count, p) float rows for the uniform
-    model, (R, count) int64 row indices into the dataset for the logistic
-    model; given ``out``, a block of that shape and type, it draws into it
+    ``count`` iid data per stream (``dynamics`` asks for the weight
+    scheme's ``support``, m for minibatch weights and n otherwise) as one
+    block with leading axes (R, count), R = len(streams) ((R, count, p)
+    float rows for the uniform model, (R, count) int64 row indices into the
+    dataset for the logistic model; given ``out``, a block of that shape and type, it draws into it
     and returns it), ``grad_loss(theta, data)`` mapping a batch of
     ``count`` data to per-datum gradients (count, p), unbiased for
     ``grad_objective``, and ``weighted_grad(theta, data, w)``, their
@@ -112,7 +113,10 @@ def make_quadratic_model(p: int, theta_star, s: float) -> LossModel:
     (theta - theta*) sum w - s |w| zeta, in place of reducing n p data: the
     model has no data path.  The rows its callers draw are exact in law: (1,
     c^2 chi^2_(n-1) + 1/n) for normal-base gaussian weights, and every other
-    law's as its drawn row reduces, never 1/m in place of |w|^2.
+    law's as its ``weights.sample_weight_values`` row reduces: (1, 1/m) up to
+    roundoff for minibatch weights, whose |w|^2 is 1/m, and a drawn row's
+    sum and squared norm for the others, never 1/m in place of a random
+    |w|^2.
     """
     if not s > 0:
         raise ValueError(f"noise scale s must be positive, got {s}")

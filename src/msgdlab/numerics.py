@@ -211,19 +211,24 @@ def derive_stream(master_seed: int, path: Sequence[PathLabel] = ()) -> RngStream
     return RngStream(master_seed, path)
 
 
-def sample_gamma(stream: RngStream, shape: float, size) -> np.ndarray:
-    """Draw an array of `size` Gamma(shape, scale=1) variates.
+def sample_gamma(stream: RngStream, shape: float, size, out=None) -> np.ndarray:
+    """Draw an array of `size` Gamma(shape, scale=1) variates, into ``out``
+    (a float array of that size) when it is given.
 
     For ``shape < 1`` the draw uses the boost identity
     ``G(a) = G(a+1) * U**(1/a)``, which stays exact down to very small
-    shape parameters where direct rejection methods degrade.
+    shape parameters where direct rejection methods degrade.  The variates
+    are ``standard_gamma``'s, the bits of ``gamma`` at scale 1, and the boost
+    takes one scratch array of uniforms, raised and multiplied in place.
     """
     if not shape > 0:
         raise ValueError(f"gamma shape must be positive, got {shape}")
     gen = stream.generator
+    row = np.empty(size) if out is None else out
     if shape >= 1.0:
-        return gen.gamma(shape, size=size)
-    g = gen.gamma(shape + 1.0, size=size)
-    u = gen.random(size)
-    return g * u ** (1.0 / shape)
-
+        return gen.standard_gamma(shape, out=row)
+    gen.standard_gamma(shape + 1.0, out=row)
+    scratch = gen.random(size)
+    scratch **= 1.0 / shape  # the bits of u ** (1 / a), whose scalar fast paths it shares
+    row *= scratch
+    return row

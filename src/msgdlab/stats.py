@@ -45,9 +45,10 @@ def clt_error_samples(
     """The (reps, p) rows sqrt(m) * (sum_i w_i grad l(theta, u_i) - grad g(theta)).
 
     Row r is the :class:`~msgdlab.dynamics.WeightedGradient` draw M-SGD
-    takes, on the derived stream ``stream.child("rep", r)``: n data, then
-    the weights.  A model with ``sample_weighted_grad`` has no data path and
-    raises ValueError.
+    takes, on the derived stream ``stream.child("rep", r)``:
+    ``scheme.support`` data (m for minibatch weights, n otherwise), then the
+    weights' values.  A model with ``sample_weighted_grad`` has no data path
+    and raises ValueError.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")

@@ -26,17 +26,26 @@ dirichlet
     nonnegative coordinates summing to one exactly, from one normalized draw
     of n gamma variates per row (:func:`~msgdlab.numerics.sample_gamma`).
 
+:func:`sample_weight_values` gives a weight vector's values alone, in an
+order no sum over iid data independent of the weights can see, for the
+M-SGD noise sum_i w_i grad l(theta, u_i) over fresh data: m entries of 1/m
+for minibatch weights (``WeightScheme.support`` is m), with no draw, and,
+for Rademacher-base gaussian weights, one binomial count of +1 base draws in
+place of n integers; every other law's full row.  The full rows stay where
+coordinates are read (:func:`empirical_weight_moments`).
+
 :func:`sample_weight_norms` gives the (sum w, |w|^2) alone of a number of
 successive weight vectors per stream, for steps that read nothing else of
 them: in closed form for normal-base gaussian weights, one ``chisquare``
-call per stream in place of n normals a vector, and from the drawn rows for
+call per stream in place of n normals a vector, and from the value rows for
 every other law.
 
 Every draw comes from numpy's own samplers (``choice``, ``integers``,
-``standard_normal``, ``uniform``, ``gamma``, ``random``, ``chisquare``) on
-the row's stream.  numpy's compatibility policy (NEP 19) keeps the bit
-generator's stream fixed, not these methods' output, so a numpy release may
-change the draws; only their law is promised.
+``binomial``, ``standard_normal``, ``uniform``, ``standard_gamma``,
+``random``, ``chisquare``) on the row's stream.  numpy's compatibility
+policy (NEP 19) keeps the bit generator's stream fixed, not these methods'
+output, so a numpy release may change the draws; only their law is
+promised.
 """
 
 from __future__ import annotations
@@ -85,6 +94,12 @@ class WeightScheme:
     def label(self) -> str:
         """The scheme's name: its kind, with the base for the gaussian kind."""
         return f"gaussian[{self.base}]" if self.kind == "gaussian" else self.kind
+
+    @property
+    def support(self) -> int:
+        """The length of a :func:`sample_weight_values` row: m for minibatch
+        weights, whose other n - m weights are 0, and n for every other law."""
+        return self.m if self.kind == "minibatch" else self.n
 
 
 def sigma_entries(n: int, m: int) -> tuple[float, float]:
@@ -171,7 +186,7 @@ def sample_dirichlet_weights(
     alpha = dirichlet_alpha(scheme.n, scheme.m)
     block = np.empty((len(streams), scheme.n)) if out is None else out
     for row, stream in zip(block, streams):
-        row[:] = sample_gamma(stream, alpha, size=scheme.n)
+        sample_gamma(stream, alpha, scheme.n, out=row)
     totals = block.sum(axis=1, keepdims=True)
     # boost identity: P(variate = 0) <= e^(-743.8 alpha), and n alpha > 1, so P(row = 0) <= e^(-743)
     if not np.all(totals > 0.0):
@@ -202,9 +217,43 @@ def sample_weights(
     return _SAMPLERS[scheme.kind](streams, scheme, out=out)
 
 
+def sample_weight_values(
+    streams: Sequence[RngStream], scheme: WeightScheme, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """One row of a weight vector's values per stream, in an order no sum over
+    iid data independent of the weights can see.
+
+    Returns an (R, ``scheme.support``) block.  Minibatch weights are m
+    entries of 1/m, with no generator call.  Rademacher-base gaussian weights
+    are one ``binomial(n, 1/2)`` count K of +1 base draws, then the K weights
+    of those draws, then the n - K of the -1 draws, each from
+    :func:`sample_gaussian_structured_weights`'s own arithmetic (the mean
+    of K ones and n - K minus ones is exact, so (2K - n) / n is that
+    sampler's mean), so a row equals, bit for bit, the sorted row that
+    sampler draws with that count.  Every other law is :func:`sample_weights`.
+    Row r consumes only ``streams[r]``; given ``out``, an (R, support) float
+    block, the row values are written into it and it is returned.
+    """
+    if scheme.kind == "minibatch":
+        block = np.empty((len(streams), scheme.m)) if out is None else out
+        block.fill(1.0 / scheme.m)
+        return block
+    if scheme.kind == "gaussian" and scheme.base == "rademacher":
+        n = scheme.n
+        block = np.empty((len(streams), n)) if out is None else out
+        c = math.sqrt(gaussian_scale_squared(n, scheme.m))
+        for row, stream in zip(block, streams):
+            k = int(stream.generator.binomial(n, 0.5))
+            mean = (2 * k - n) / n
+            row[:k] = (1.0 - mean) * c + 1.0 / n
+            row[k:] = (-1.0 - mean) * c + 1.0 / n
+        return block
+    return sample_weights(streams, scheme, out=out)
+
+
 def sample_weight_norms(
     streams: Sequence[RngStream], scheme: WeightScheme, steps: int,
-    draw: Callable[..., np.ndarray] = sample_weights,
+    draw: Callable[..., np.ndarray] = sample_weight_values,
 ) -> np.ndarray:
     """The (R, steps, 2) block of (sum w, |w|^2) of `steps` successive weight
     vectors per stream, one row per stream.
@@ -214,9 +263,11 @@ def sample_weight_norms(
     law: one ``chisquare(n - 1, size=steps)`` call per stream, no weights,
     which yields the values of `steps` calls of one variate.  Every other law
     has no such closed form here, so per stream ``draw([stream] * steps,
-    scheme)`` (``sample_weights``, or a :class:`~msgdlab.dynamics.ChunkBlock`
-    of it) draws its `steps` full rows and they are reduced as drawn.  Row r
-    consumes only ``streams[r]``, as `steps` one-step calls would.
+    scheme)`` (``sample_weight_values``, or a
+    :class:`~msgdlab.dynamics.ChunkBlock` of it) draws its `steps` value rows
+    and they are reduced as drawn: m entries of 1/m for minibatch weights,
+    with no generator call, one binomial count for Rademacher-base ones.
+    Row r consumes only ``streams[r]``, as `steps` one-step calls would.
     """
     norms = np.empty((len(streams), steps, 2))
     if scheme.kind == "gaussian" and scheme.base == "normal":

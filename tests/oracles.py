@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from msgdlab.models import weighted_sum
-from msgdlab.weights import gaussian_scale_squared, sample_weights
+from msgdlab.weights import gaussian_scale_squared, sample_weight_values, sample_weights
 
 
 def finite_diff_gradient(
@@ -227,7 +227,7 @@ def _quadratic_msgd(model, config, streams, draw) -> np.ndarray:
 def msgd_per_step(model, scheme, config, streams) -> np.ndarray:
     """The (K+1, R, p) states of quadratic M-SGD on one config, one step at a
     time: per replication and step, one ``chisquare`` variate (normal-base
-    gaussian weights) or one weight row, then one p-normal
+    gaussian weights) or one ``sample_weight_values`` row, then one p-normal
     ``standard_normal`` call.
 
     ``run_msgd`` draws a block of steps per call; with one step per block its
@@ -242,7 +242,7 @@ def msgd_per_step(model, scheme, config, streams) -> np.ndarray:
                 chi2 = stream.generator.chisquare(n - 1)
                 norms.append([1.0, chi2 * gaussian_scale_squared(n, m) + 1.0 / n])
             else:
-                [w] = sample_weights([stream], scheme)
+                [w] = sample_weight_values([stream], scheme)
                 norms.append([w.sum(), w @ w])
             zeta.append(stream.generator.standard_normal(model.dim))
         return norms, zeta
@@ -254,10 +254,10 @@ def msgd_per_block(model, scheme, config, streams, block: int) -> np.ndarray:
     """The (K+1, R, p) states of quadratic M-SGD on one config, each
     replication drawing blocks of steps that start at steps 0, `block`,
     2 `block`, ... and stop at its last step K: per block of c steps, its c
-    weight norms in one call (``chisquare(n - 1, size=c)``, or c weight rows
-    reduced one at a time), then its (c, p) zeta in one ``standard_normal``
-    call.  ``run_msgd`` at ``BLOCK_STEPS = block`` must agree bit for bit, on
-    a grid or alone."""
+    weight norms in one call (``chisquare(n - 1, size=c)``, or c
+    ``sample_weight_values`` rows reduced one at a time), then its (c, p)
+    zeta in one ``standard_normal`` call.  ``run_msgd`` at ``BLOCK_STEPS =
+    block`` must agree bit for bit, on a grid or alone."""
     n, m = scheme.n, scheme.m
 
     def draw(stream):
@@ -268,7 +268,8 @@ def msgd_per_block(model, scheme, config, streams, block: int) -> np.ndarray:
                 chi2 = stream.generator.chisquare(n - 1, size=count)
                 norms += [[1.0, c * gaussian_scale_squared(n, m) + 1.0 / n] for c in chi2]
             else:
-                norms += [[w.sum(), w @ w] for w in sample_weights([stream] * count, scheme)]
+                norms += [[w.sum(), w @ w]
+                          for w in sample_weight_values([stream] * count, scheme)]
             zeta += list(stream.generator.standard_normal((count, model.dim)))
         return norms, zeta
 
@@ -303,3 +304,32 @@ def weighting_gap_per_replication(model, scheme, theta, reps: int, stream):
     diff = (math.sqrt(scheme.m) * (weighted_sum(w, grads) - grad_mean)
             - math.sqrt(scheme.n) * (grads.mean(axis=1) - grad_mean))
     return np.sum(diff * diff, axis=-1), w
+
+
+def clt_error_full_rows(model, scheme, theta, reps: int, stream) -> np.ndarray:
+    """The (reps, p) rows sqrt(m) (sum_i w_i grad l(theta, u_i) - grad g(theta))
+    on the full weight rows: replication r draws n data and then an (n,)
+    ``sample_weights`` row on ``stream.child("rep", r)``.
+
+    The law reference of ``stats.clt_error_samples``, which reads only the
+    ``sample_weight_values`` row of the weights and ``scheme.support`` data:
+    the data are iid and independent of the weights, so the two agree in
+    law, and bit for bit for every law whose value row is its full row.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    streams = stream.children("rep", stop=reps)
+    data = model.sample_data(streams, scheme.n)
+    grads = model.weighted_grad(theta, data, sample_weights(streams, scheme))
+    return math.sqrt(scheme.m) * (grads - model.grad_objective(theta))
+
+
+def gamma_boost(stream, shape: float, size) -> np.ndarray:
+    """Gamma(shape) variates as ``gamma`` draws them, boosted below shape 1 by
+    G(a) = G(a + 1) U^(1/a) with fresh arrays at every step: the reference
+    ``numerics.sample_gamma`` must equal bit for bit."""
+    gen = stream.generator
+    if shape >= 1.0:
+        return gen.gamma(shape, size=size)
+    g = gen.gamma(shape + 1.0, size=size)
+    u = gen.random(size)
+    return g * u ** (1.0 / shape)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import msgdlab.dynamics as dynamics_mod
+import msgdlab.weights as weights_mod
 from msgdlab.dynamics import (
     MAX_STEPS,
     DivergenceError,
@@ -224,7 +225,7 @@ class TestMsgd:
                                                  grad_loss=unreachable))
         ]
         np.testing.assert_array_equal(runs[1], runs[0])
-        monkeypatch.setattr(dynamics_mod, "sample_weights", unreachable)
+        monkeypatch.setattr(dynamics_mod, "sample_weight_values", unreachable)
         rowless = run_msgd(model, scheme, [config], [[derive_stream(89, [r]) for r in range(4)]])
         np.testing.assert_array_equal(rowless.runs[0], runs[0])
         # and replacing the sampler replaces the drift
@@ -233,6 +234,25 @@ class TestMsgd:
         )
         frozen = run_msgd(zero, scheme, [config], [[derive_stream(89, [r]) for r in range(4)]])
         np.testing.assert_array_equal(frozen.runs[0], np.ones((7, 4, model.dim)))
+
+    def test_minibatch_weights_draw_nothing(self, monkeypatch):
+        # a minibatch row's values are m entries of 1/m: quadratic M-SGD then
+        # draws its normals alone, the same bytes with every weight sampler gone
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_msgd drew a minibatch weight row")
+
+        model = ensemble_model("quadratic")
+        scheme = WeightScheme("minibatch", n=40, m=8)
+        config = RunConfig(gamma=0.5, num_steps=6, x0=np.ones(model.dim))
+
+        def run():
+            return run_msgd(model, scheme, [config],
+                            [[derive_stream(97, [r]) for r in range(4)]]).runs[0]
+
+        drawn = run()
+        monkeypatch.setattr(weights_mod, "sample_weights", unreachable)
+        monkeypatch.setitem(weights_mod._SAMPLERS, "minibatch", unreachable)
+        np.testing.assert_array_equal(run(), drawn)
 
     def test_builds_one_drawer_per_model(self, monkeypatch):
         # the exact sampler's model builds a StepNoise and no WeightedGradient,

@@ -177,6 +177,20 @@ Euler-Maruyama states kept their bytes.  ``converge-quadratic-gaussian``,
 1-60 with per-step draws and at 6 with blocks, so the flip is recorded, not
 hidden by a seed.  ``wass-scaling`` still fails ``loglog_slope`` alone.
 
+``clt``, ``converge-quadratic`` and ``wass-scaling-grid``, the configs
+that draw minibatch weights on the M-SGD path, were re-recorded for new
+draws, not for roundoff, when M-SGD began to draw a weight row's values
+alone (``weights.sample_weight_values``): the noise sum_i w_i grad l(theta,
+u_i) over fresh iid data sees the weights only through the multiset of
+their values, so a minibatch row is m entries of 1/m over m data, with no
+subset drawn, and the quadratic model's (sum w, |w|^2) is that row's, with
+no draw at all.  The same law, so every M-SGD value in ``clt``'s CSVs and
+checks and in the other two's M-SGD CSVs and checks moved by sampling
+noise; every failing name stayed as it was (``clt`` fails both KS checks,
+the other two none).  The Gaussian SGD and Euler-Maruyama states kept their
+bytes.  ``weights-moments`` and ``weighting-gap`` read the full rows and
+kept their bytes too.
+
 Each entry is (config, digest, failing check names).  The failing names are
 asserted before the digest, so a verdict that flips fails by name and reads
 apart from a byte change; a tiny config's verdict can be noise (``clt``,
@@ -196,7 +210,7 @@ GOLDEN = {
     "clt": (
         {"command": "clt", "seed": 11, "n": 300, "m": 60, "samples": 200, "p": 2,
          "scheme": {"kind": "minibatch"}},
-        "b472736c7316473b7845c1537f8759804a9795b5bde889e6037f45e687e2c41e",
+        "334ce72c3bdb58842c660c8fee02ed89f9b5b21c22b0cc7a08b5f93ce5182aa1",
         ["ks_coord1", "ks_coord2"],
     ),
     "weights-moments": (
@@ -227,7 +241,7 @@ GOLDEN = {
          "model": {"kind": "quadratic", "p": 2, "s": 1.0, "theta_star": [0.0, 0.5]},
          "n": 5000, "m": 50, "reps": 20, "scheme": {"kind": "minibatch"},
          "runs": [{"gamma": 0.2, "num_steps": 30, "fit_window": 8}]},
-        "5a5d133a35b21a25e6c638212d4c4396545043a65d8d16afa8de218ccc8bddd5",
+        "164e080e60910ca3155351d49d938f15b7a42a861caeacba7716403e7b6f4b32",
         [],
     ),
     # the default scheme, normal-base gaussian weights, started far above the plateau
@@ -256,7 +270,7 @@ GOLDEN = {
         {"command": "wass-scaling", "seed": 11, "gammas": [0.125, 0.25, 0.0625], "reps": 20,
          "n": 48, "m": 6, "n_directions": 8, "em_substeps": 6, "scheme": {"kind": "minibatch"},
          "model": {"kind": "quadratic", "p": 2, "s": 0.5, "theta_star": [0.5, -0.5]}},
-        "cdbe119f5a039da379dd78837336233271bed8936ba9fb6dac177e08f7ef6ad3",
+        "3789abcca5fad66ccb72d83e665ce521739912312325921905e58d405a051e15",
         [],
     ),
     "gd-ode-grid": (

@@ -5,7 +5,7 @@ import pytest
 
 from msgdlab.numerics import _encode_path, derive_stream, sample_gamma
 from msgdlab.stats import ks_normality
-from oracles import finite_diff_gradient
+from oracles import finite_diff_gradient, gamma_boost
 
 
 class TestStreamDerivation:
@@ -87,6 +87,20 @@ class TestGamma:
     def test_shape_three_variance(self):
         draws = sample_gamma(derive_stream(7, ["g3"]), 3.0, size=10**5)
         assert abs(draws.var() - 3.0) < 0.15
+
+    @pytest.mark.parametrize("shape", [1999 / 8000, 0.5, 1 / 3, 0.999, 1.0, 3.0])
+    def test_draws_the_boost_formulas_bits_into_the_callers_row(self, shape):
+        # below shape 1 the boost runs in place; at 0.5 its exponent is 2,
+        # which ``**`` sends to a fast path of its own
+        def stream():
+            return derive_stream(7, ["bits", repr(shape)])
+
+        expected = gamma_boost(stream(), shape, 1000).view(np.uint64)
+        np.testing.assert_array_equal(sample_gamma(stream(), shape, 1000).view(np.uint64),
+                                      expected)
+        row = np.full(1000, np.nan)
+        assert sample_gamma(stream(), shape, 1000, out=row) is row
+        np.testing.assert_array_equal(row.view(np.uint64), expected)
 
     @pytest.mark.parametrize("shape", [0.0, -1.0])
     def test_nonpositive_shape_rejected(self, shape):

@@ -31,8 +31,13 @@ from msgdlab.stats import (
     sliced_w2,
     weighting_gap,
 )
-from msgdlab.weights import WeightScheme, sample_weights
-from oracles import quadratic_data_path, w2_1d, weighting_gap_per_replication
+from msgdlab.weights import WeightScheme, sample_weight_values, sample_weights
+from oracles import (
+    clt_error_full_rows,
+    quadratic_data_path,
+    w2_1d,
+    weighting_gap_per_replication,
+)
 
 # every weight law: the three kinds, and the gaussian kind on each base
 FIVE_SCHEMES = [
@@ -43,15 +48,16 @@ FIVE_SCHEMES = [
 
 class TestErrorSamples:
     def test_dirichlet_error_variance(self):
-        # n=1e4, m=2000 Dirichlet weights on Unif(-1,1) data: the scaled
-        # error variance is exactly Var(U) = 1/3 at finite n because
-        # E[m sum w^2] = 1
+        # Dirichlet weights on Unif(-1,1) data: the scaled error variance is
+        # exactly Var(U) = 1/3 at every finite n because E[m sum w^2] = 1, so
+        # n = 500 pins it as n = 10^4 does (A2 runs that size).  The bound,
+        # about 4.5 SE, fails the alpha x 1.1 mutant's 0.309 by 7 SE.
         model = make_uniform_clt_model(1)
-        scheme = WeightScheme("dirichlet", n=10**4, m=2000)
+        scheme = WeightScheme("dirichlet", n=500, m=100)
         errors = clt_error_samples(
-            model, scheme, [0.0], 10**4, derive_stream(3, ["clt"])
+            model, scheme, [0.0], 2 * 10**4, derive_stream(3, ["clt"])
         )
-        assert errors[:, 0].var() == pytest.approx(1 / 3, abs=0.02)
+        assert errors[:, 0].var() == pytest.approx(1 / 3, abs=0.015)
 
     def test_full_batch_is_scaled_plain_average(self):
         model = make_uniform_clt_model(1)
@@ -78,6 +84,26 @@ class TestErrorSamples:
         cov, se = covariance_with_se(errors)
         factor = model.noise_factor(theta)
         np.testing.assert_array_less(np.abs(cov - factor @ factor.T), 4 * se)
+
+    @pytest.mark.parametrize("spec", [{"kind": "minibatch"},
+                                      {"kind": "gaussian", "base": "rademacher"}],
+                             ids=lambda spec: "-".join(spec.values()))
+    def test_value_rows_match_the_full_rows_in_law(self, spec):
+        # the value rows' error against n data and a full weight row, at
+        # (n, m) = (40, 8): each coordinate's variance and fourth moment
+        # within 4 batch-means SE of the two samples' difference
+        reps, batches = 40_000, 80
+        model = make_uniform_clt_model(2)
+        scheme = WeightScheme(n=40, m=8, **spec)
+        theta = np.array([0.3, -0.2])
+        samples = [clt_error_samples(model, scheme, theta, reps, derive_stream(271, ["values"])),
+                   clt_error_full_rows(model, scheme, theta, reps, derive_stream(271, ["full"]))]
+        moments = []
+        for errors in samples:
+            per_rep = np.stack([errors**2, errors**4])  # (2, reps, p), mean 0 in law
+            moments.append(mean_with_se(per_rep.reshape(2, batches, -1, 2).mean(axis=2), axis=1))
+        (a, se_a), (b, se_b) = moments
+        np.testing.assert_array_less(np.abs(a - b), 4 * np.hypot(se_a, se_b))
 
     def test_reps_floor(self):
         model = make_uniform_clt_model(1)
@@ -113,22 +139,22 @@ class TestChunkedSampling:
             results.append(rows_fn())
         return results
 
-    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
-    def test_clt_rows(self, monkeypatch, kind):
-        scheme = WeightScheme(kind, n=self.N, m=self.M)
+    @pytest.mark.parametrize("spec", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
+    def test_clt_rows(self, monkeypatch, spec):
+        scheme = WeightScheme(n=self.N, m=self.M, **spec)
         theta = np.array([0.3, 0.1])
         for model in self._models():
-            stream = derive_stream(61, [kind, model.name])
+            stream = derive_stream(61, [scheme.kind, model.name])
             runs = self._by_chunk(
                 monkeypatch, model,
                 lambda: clt_error_samples(model, scheme, theta, 100, stream),
             )
             for samples in runs[1:]:
                 np.testing.assert_array_equal(samples, runs[0])
-            for r in (0, 6, 7, 99):  # data, then weights
+            for r in (0, 6, 7, 99):  # support data, then the weights' values
                 sub = stream.child("rep", r)
-                data = model.sample_data([sub], self.N)[0]
-                grad = model.weighted_grad(theta, data, sample_weights([sub], scheme)[0])
+                data = model.sample_data([sub], scheme.support)[0]
+                grad = model.weighted_grad(theta, data, sample_weight_values([sub], scheme)[0])
                 expected = math.sqrt(self.M) * (grad - model.grad_objective(theta))
                 np.testing.assert_array_equal(runs[0][r], expected)
 
@@ -155,13 +181,13 @@ class TestSharedDraw:
     uniform model (grad g = 0), one M-SGD step from theta on the stream
     child("rep", r) is theta - gamma * sample_r / sqrt(m)."""
 
-    @pytest.mark.parametrize("kind", ["minibatch", "gaussian", "dirichlet"])
-    def test_msgd_step_is_the_clt_sample(self, kind):
+    @pytest.mark.parametrize("spec", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
+    def test_msgd_step_is_the_clt_sample(self, spec):
         n, m, reps, gamma = 60, 12, 100, 0.3
         model = make_uniform_clt_model(2)
-        scheme = WeightScheme(kind, n=n, m=m)
+        scheme = WeightScheme(n=n, m=m, **spec)
         theta = np.array([0.5, -0.25])
-        stream = derive_stream(79, ["shared", kind])
+        stream = derive_stream(79, ["shared", scheme.kind])
         samples = clt_error_samples(model, scheme, theta, reps, stream)
         config = RunConfig(gamma=gamma, num_steps=1, x0=theta)
         streams = [stream.child("rep", r) for r in range(reps)]

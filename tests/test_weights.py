@@ -1,6 +1,7 @@
 """Weight-scheme moments, samplers, and the Dirichlet moment oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from msgdlab.weights import (
     sample_gaussian_structured_weights,
     sample_minibatch_weights,
     sample_weight_norms,
+    sample_weight_values,
     sample_weights,
     sigma_entries,
 )
@@ -194,17 +196,18 @@ class TestWeightNorms:
 
     @pytest.mark.parametrize("spec", OTHERS, ids=lambda spec: "-".join(spec.values()))
     def test_other_laws_reduce_the_drawn_rows(self, spec):
-        # bit for bit each drawn row's own sum and dot product, the steps of a
+        # bit for bit each value row's own sum and dot product, the steps of a
         # stream being its successive rows, and through a reused ChunkBlock too
         scheme = WeightScheme(n=self.N, m=self.M, **spec)
 
         def streams():
             return [derive_stream(239, [scheme.label, r]) for r in range(9)]
 
-        expected = np.array([[[row.sum(), row @ row] for row in sample_weights([s] * 3, scheme)]
+        expected = np.array([[[row.sum(), row @ row]
+                              for row in sample_weight_values([s] * 3, scheme)]
                              for s in streams()])
         np.testing.assert_array_equal(sample_weight_norms(streams(), scheme, 3), expected)
-        block = dynamics_mod.ChunkBlock(sample_weights)
+        block = dynamics_mod.ChunkBlock(sample_weight_values)
         block(streams(), scheme)  # leaves a full block behind
         np.testing.assert_array_equal(sample_weight_norms(streams()[:5], scheme, 3, block),
                                       expected[:5])
@@ -222,6 +225,92 @@ class TestWeightNorms:
             steps = np.concatenate([sample_weight_norms([lone], scheme, 1)[0] for _ in range(3)])
             np.testing.assert_array_equal(block[r].view(np.uint64), steps.view(np.uint64))
             assert streams[r].generator.random() == lone.generator.random()
+
+
+class TestWeightValues:
+    """``sample_weight_values`` gives a weight row's values alone: minibatch
+    weights as m entries of 1/m with no draw, Rademacher-base gaussian
+    weights from one binomial count of +1 base draws, each entry the full
+    sampler's own value, and every other law as ``sample_weights`` draws it."""
+
+    N, M = 40, 8
+
+    @staticmethod
+    def assert_bits(a, b):
+        np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+    @pytest.mark.parametrize("spec", FIVE_SCHEMES, ids=lambda spec: "-".join(spec.values()))
+    def test_support(self, spec):
+        scheme = WeightScheme(n=self.N, m=self.M, **spec)
+        values = sample_weight_values([derive_stream(251, [scheme.label])], scheme)
+        assert scheme.support == (self.M if scheme.kind == "minibatch" else self.N)
+        assert values.shape == (1, scheme.support)
+
+    @pytest.mark.parametrize("n, m", [(40, 8), (7, 3), (10**4, 2000), (5, 5)])
+    def test_minibatch_row_is_the_full_rows_nonzeros_and_draws_nothing(self, n, m):
+        scheme = WeightScheme("minibatch", n=n, m=m)
+        streams = [derive_stream(251, ["mb", n, r]) for r in range(5)]
+        full = sample_minibatch_weights(streams, scheme)
+        values = sample_weight_values([derive_stream(251, ["mb", n, r]) for r in range(5)], scheme)
+        for value_row, full_row in zip(values, full):
+            self.assert_bits(value_row, full_row[full_row != 0.0])
+        for r, stream in enumerate(streams):
+            drawn = derive_stream(251, ["mb", n, r])
+            sample_weight_values([drawn], scheme)
+            assert drawn.generator.random() == derive_stream(251, ["mb", n, r]).generator.random()
+        reused = np.full((5, m), np.nan)
+        assert sample_weight_values(streams, scheme, out=reused) is reused
+        self.assert_bits(reused, values)
+
+    @staticmethod
+    def pattern(bits):
+        """A stream stand-in whose generator draws the 0/1 base pattern `bits`:
+        as ``integers(0, 2, size=n)`` for the full sampler, and as its
+        count for ``binomial``."""
+        bits = np.asarray(bits)
+        return SimpleNamespace(generator=SimpleNamespace(
+            integers=lambda low, high, size: bits.copy(),
+            binomial=lambda n, p: int(bits.sum()),
+        ))
+
+    @pytest.mark.parametrize("n, m", [(40, 8), (7, 3), (2, 1), (10**4, 2000)])
+    def test_rademacher_row_is_the_sorted_full_row(self, n, m):
+        # at the same count K, bit for bit the full row sorted from its K
+        # (largest) weights of +1 draws down, for real patterns and the extremes
+        scheme = WeightScheme("gaussian", n=n, m=m, base="rademacher")
+        patterns = [derive_stream(257, [n, r]).generator.integers(0, 2, size=n) for r in range(6)]
+        patterns += [np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)]
+        for bits in patterns:
+            [full] = sample_gaussian_structured_weights([self.pattern(bits)], scheme)
+            [values] = sample_weight_values([self.pattern(bits)], scheme)
+            self.assert_bits(values, np.sort(full)[::-1])
+        streams = [derive_stream(257, ["real", r]) for r in range(3)]
+        for row in sample_weight_values(streams, scheme):
+            assert row.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_rademacher_count_is_binomial(self):
+        # K ~ Binomial(n, 1/2): its mean n/2 and variance n/4, each within 4
+        # batch-means SE; K is the count of weights above 1/n (all n sit at
+        # 1/n when K = n, at probability 2^-40 here)
+        n, reps, batches = self.N, 40_000, 80
+        scheme = WeightScheme("gaussian", n=n, m=self.M, base="rademacher")
+        values = sample_weight_values(derive_stream(263, ["k"]).children("rep", stop=reps),
+                                      scheme)
+        k = np.sum(values > 1.0 / n, axis=1)
+        per_rep = np.stack([k, (k - n / 2) ** 2]).reshape(2, batches, -1).mean(axis=2)
+        (mean, var), (mean_se, var_se) = mean_with_se(per_rep, axis=1)
+        assert abs(mean - n / 2) <= 4 * mean_se
+        assert abs(var - n / 4) <= 4 * var_se
+
+    @pytest.mark.parametrize("spec", [{"kind": "gaussian"}, {"kind": "gaussian", "base": "uniform"},
+                                      {"kind": "dirichlet"}],
+                             ids=lambda spec: "-".join(spec.values()))
+    def test_other_laws_are_the_full_rows(self, spec):
+        scheme = WeightScheme(n=self.N, m=self.M, **spec)
+        streams = [derive_stream(269, [scheme.label, r]) for r in range(4)]
+        self.assert_bits(sample_weight_values(streams, scheme),
+                         sample_weights([derive_stream(269, [scheme.label, r]) for r in range(4)],
+                                        scheme))
 
 
 class TestMinibatch:
@@ -357,9 +446,11 @@ class TestDirichlet:
 
     def test_all_zero_row_raises_underflow(self, monkeypatch):
         scheme = WeightScheme("dirichlet", n=16, m=4)
-        monkeypatch.setattr(
-            weights_mod, "sample_gamma", lambda stream, shape, size=None: np.zeros(size)
-        )
+        def zeros(stream, shape, size, out):
+            out.fill(0.0)
+            return out
+
+        monkeypatch.setattr(weights_mod, "sample_gamma", zeros)
         with pytest.raises(ArithmeticError, match="underflow"):
             sample_dirichlet_weights([derive_stream(1, ["u"])], scheme)
 
@@ -369,9 +460,12 @@ class TestDirichlet:
         real = weights_mod.sample_gamma
         calls = {"count": 0}
 
-        def underflow_second_call(stream, shape, size=None):
+        def underflow_second_call(stream, shape, size, out):
             calls["count"] += 1
-            return np.zeros(size) if calls["count"] == 2 else real(stream, shape, size)
+            if calls["count"] == 2:
+                out.fill(0.0)
+                return out
+            return real(stream, shape, size, out=out)
 
         monkeypatch.setattr(weights_mod, "sample_gamma", underflow_second_call)
         with pytest.raises(ArithmeticError, match="underflow"):
@@ -382,10 +476,10 @@ class TestDirichlet:
         # underflow of all but one variate is a valid draw: that vertex of the simplex
         scheme = WeightScheme("dirichlet", n=16, m=4)
 
-        def one_survivor(stream, shape, size=None):
-            g = np.zeros(size)
-            g[5] = 1e-300
-            return g
+        def one_survivor(stream, shape, size, out):
+            out.fill(0.0)
+            out[5] = 1e-300
+            return out
 
         monkeypatch.setattr(weights_mod, "sample_gamma", one_survivor)
         w = sample_dirichlet_weights([derive_stream(1, ["v"])], scheme)[0]

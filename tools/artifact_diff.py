@@ -11,7 +11,10 @@ artifact bytes.  First prints, for both trees, the line count of each
 in that tree's ``cli.SCHEMAS`` and then each command's (``weighting-gap: 7
 -> 4``), all counted by this checkout's ``settable``, and the number of
 public names, the names that tree's ``src/msgdlab/__init__.py`` imports;
-then ``configs: N differences: D`` and every difference.  A CSV that
+then each config's wall time in both trees (``configs/clt_minibatch_p1.json:
+2.41 s -> 0.65 s``), from its start to its exit, the two trees' processes
+running side by side; then ``configs: N differences: D`` and every
+difference.  A CSV that
 differs also gets the largest relative difference |a - b| / max(|a|, |b|)
 over its numeric cells, so a change at roundoff (about 1e-15) reads apart
 from a real one; a report.json that differs gets the top-level keys whose
@@ -38,7 +41,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -134,11 +139,13 @@ def start(tree: Path, text: str, work: Path) -> subprocess.Popen:
     )
 
 
-def outcome(proc: subprocess.Popen, work: Path) -> dict:
+def outcome(proc: subprocess.Popen, work: Path, started: float) -> dict:
     stdout, stderr = proc.communicate()
+    wall = time.perf_counter() - started
     out = work / "out"
     files = {path.name: path.read_bytes() for path in sorted(out.iterdir())} if out.is_dir() else {}
-    return {"exit": proc.returncode, "stdout": stdout, "stderr": stderr, "files": files}
+    return {"exit": proc.returncode, "stdout": stdout, "stderr": stderr, "files": files,
+            "wall": wall}
 
 
 def relative(x: float, y: float) -> float:
@@ -237,12 +244,15 @@ def main(argv=None) -> int:
         print(line)
     named = configs()
     found = []
-    with tempfile.TemporaryDirectory() as temp:
+    with tempfile.TemporaryDirectory() as temp, ThreadPoolExecutor(2) as waiters:
         for i, (label, text) in enumerate(named.items()):
             works = [Path(temp) / str(i) / side for side in ("parent", "tree")]
-            # the two trees run side by side, one process each
+            # the two trees run side by side, one process each, each awaited
+            # on its own thread so that its wall time ends at its own exit
+            started = time.perf_counter()
             procs = [start(tree, text, work) for tree, work in zip((parent, REPO), works)]
-            old, new = (outcome(proc, work) for proc, work in zip(procs, works))
+            old, new = waiters.map(outcome, procs, works, [started] * 2)
+            print(f"{label}: {old['wall']:.2f} s -> {new['wall']:.2f} s", flush=True)
             found += differences(label, old, new)
     print(f"configs: {len(named)} differences: {len(found)}")
     for line in found:
